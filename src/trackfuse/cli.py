@@ -250,7 +250,7 @@ def _metrics_report(results: Dict[str, SequenceResult], label_set: LabelSet,
         }
         if use_fused:
             fused_cm = cm
-    report["n_evaluated"] = len(evaluation_pairs(results, True, include_unmatched))
+            report["n_evaluated"] = len(pairs)
     report["n_matched"] = sum(
         1 for res in results.values() for rec in res.per_frame if rec.track_id is not None
     )

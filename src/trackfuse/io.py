@@ -8,6 +8,7 @@ round-trip form), so writing and re-parsing reproduces values exactly.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -192,28 +193,32 @@ def write_tracks(results: Mapping[str, SequenceResult], path) -> None:
             ))
     rows.sort(key=lambda r: (r.seq, r.frame, r.track_id))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACK_CSV_HEADER + "\n")
+        plain = csv.writer(fh, lineterminator="\n")
+        # The writer quotes only what holds a delimiter, quote or "\n"; a bare
+        # "\r" would end the row on reading, so such rows are quoted whole.
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow(TRACK_CSV_HEADER.split(","))
         for r in rows:
-            fh.write(
-                f"{r.frame},{r.track_id},{r.x!r},{r.y!r},{r.w!r},{r.h!r},"
-                f"{r.score!r},{r.fused_class},{r.raw_class},{r.seq}\n"
-            )
+            # str() of a float is its shortest round-trip form.
+            (quoted if "\r" in r.seq else plain).writerow((
+                r.frame, r.track_id, r.x, r.y, r.w, r.h,
+                r.score, r.fused_class, r.raw_class, r.seq,
+            ))
 
 
 def read_tracks(path) -> List[TrackRow]:
-    """Parse a track CSV back into rows; numeric fields round-trip exactly."""
+    """Parse a track CSV back into rows; numeric fields and ``seq`` round-trip exactly."""
     rows: List[TrackRow] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACK_CSV_HEADER:
-            raise SchemaError(f"unexpected track CSV header: {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header != TRACK_CSV_HEADER.split(","):
+            raise SchemaError(f"unexpected track CSV header: {','.join(header)!r}")
+        for parts in reader:
+            if not parts:
                 continue
-            parts = text.split(",")
             if len(parts) != 10:
-                raise ParseError(line_no, f"expected 10 columns, got {len(parts)}")
+                raise ParseError(reader.line_num, f"expected 10 columns, got {len(parts)}")
             try:
                 rows.append(TrackRow(
                     frame=int(parts[0]), track_id=int(parts[1]),
@@ -224,5 +229,5 @@ def read_tracks(path) -> List[TrackRow]:
                     seq=parts[9],
                 ))
             except ValueError as exc:
-                raise ParseError(line_no, f"bad field value: {exc}") from None
+                raise ParseError(reader.line_num, f"bad field value: {exc}") from None
     return rows

@@ -224,11 +224,8 @@ def _geometric_cost(kind: TrackerKind, tracks: Sequence[_LiveTrack],
                 mask[i, j] = d <= gate
         return assoc.CostMatrix(values, mask)
 
-    ious = np.zeros((n_t, n_d))
-    for i, trk in enumerate(tracks):
-        ref = trk.reference_bbox()
-        for j, det in enumerate(dets):
-            ious[i, j] = assoc.iou(ref, det.bbox)
+    ious = assoc.iou_matrix([trk.reference_bbox().as_tuple() for trk in tracks],
+                            [det.bbox.as_tuple() for det in dets])
     mask = ious >= config.iou_gate
     values = 1.0 - ious
 

@@ -1,0 +1,224 @@
+"""Shared test oracles: exhaustive assignment search, a reference assignment
+solver, a textbook Kalman filter, and random input builders.
+
+These deliberately reimplement the checked math through a different route
+(brute-force enumeration, per-candidate re-solves of the padded square
+problem, Joseph-form updates in extended precision) so that agreement with
+the library is evidence, not tautology.
+"""
+
+import itertools
+from typing import List, Tuple
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+import trackfuse.motion as motion
+from trackfuse.assoc import GATE_SENTINEL, AssignmentResult, CostMatrix
+
+SENTINEL = 1e9
+
+
+def exhaustive_min_total(values: np.ndarray) -> float:
+    """Minimum total over complete matchings of the smaller side (all pairs admissible)."""
+    rows, cols = values.shape
+    if rows <= cols:
+        perms = np.array(list(itertools.permutations(range(cols), rows)), dtype=int)
+        totals = values[np.arange(rows)[None, :], perms].sum(axis=1)
+    else:
+        perms = np.array(list(itertools.permutations(range(rows), cols)), dtype=int)
+        totals = values[perms, np.arange(cols)[None, :]].sum(axis=1)
+    return float(totals.min())
+
+
+def exhaustive_gated_optimum(values: np.ndarray, mask: np.ndarray):
+    """Best (inadmissible count, real cost) and the lex-smallest optimal matches.
+
+    Enumerates every permutation of the sentinel-padded square problem, scoring
+    each as (number of non-admissible pairs, summed real cost); among optima it
+    returns the lexicographically smallest admissible match list.
+    """
+    rows, cols = values.shape
+    n = max(rows, cols)
+    best = None
+    best_matches = None
+    for perm in itertools.permutations(range(n)):
+        sent = 0
+        real = 0.0
+        matches = []
+        for r in range(rows):
+            c = perm[r]
+            if c < cols and mask[r, c]:
+                real += float(values[r, c])
+                matches.append((r, c))
+            else:
+                sent += 1
+        sent += max(0, n - rows)
+        key = (sent, real)
+        if best is None or key[0] < best[0] or (key[0] == best[0] and key[1] < best[1] - 1e-12):
+            best = key
+            best_matches = matches
+        elif key[0] == best[0] and abs(key[1] - best[1]) <= 1e-12 and matches < best_matches:
+            best_matches = matches
+    return best, tuple(best_matches)
+
+
+
+def reference_solve_assignment(cost: CostMatrix) -> AssignmentResult:
+    """Reference solver: sentinel-padded square, one re-solve per candidate.
+
+    Pads the problem to an n x n square with ``GATE_SENTINEL`` in every
+    inadmissible or padded cell, then fixes rows in order, keeping for each the
+    smallest column that still permits an optimal completion.  Unmatched rows
+    compete for sentinel columns here, so with exact ties it may leave a low
+    row unmatched; on continuous costs its matching is the unique optimum.
+    """
+    n_rows, n_cols = cost.shape
+    if n_rows == 0 or n_cols == 0:
+        return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
+
+    n = max(n_rows, n_cols)
+    padded = np.full((n, n), GATE_SENTINEL, dtype=float)
+    padded[:n_rows, :n_cols] = np.where(cost.gate_mask, cost.values, GATE_SENTINEL)
+    real = np.zeros((n, n), dtype=bool)
+    real[:n_rows, :n_cols] = cost.gate_mask
+
+    cols = _reference_lex_min(padded, real, n_rows)
+
+    matches = tuple(
+        (r, int(c)) for r, c in enumerate(cols) if c < n_cols and real[r, int(c)]
+    )
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    return AssignmentResult(
+        matches,
+        tuple(r for r in range(n_rows) if r not in matched_rows),
+        tuple(c for c in range(n_cols) if c not in matched_cols),
+    )
+
+
+def _reference_split(padded, real, rows, cols) -> Tuple[int, float]:
+    picked_real = real[rows, cols]
+    sent = int(np.size(picked_real) - np.count_nonzero(picked_real))
+    return sent, float(padded[rows, cols][picked_real].sum())
+
+
+def _reference_lex_min(padded: np.ndarray, real: np.ndarray, n_fix: int) -> List[int]:
+    n = padded.shape[0]
+    rows0, cols0 = linear_sum_assignment(padded)
+    need_sent, need_real = _reference_split(padded, real, rows0, cols0)
+    solution = [int(cols0[np.argwhere(rows0 == r)[0, 0]]) for r in range(n)]
+
+    avail = list(range(n))
+    chosen: List[int] = []
+    for r in range(min(n_fix, n)):
+        rest_rows = np.arange(r + 1, n)
+        if rest_rows.size:
+            sub_all = padded[np.ix_(rest_rows, avail)]
+            order = np.argsort(sub_all, axis=1)
+            min1 = sub_all[np.arange(len(rest_rows)), order[:, 0]]
+            min1_col = np.asarray(avail)[order[:, 0]]
+            min2 = (
+                sub_all[np.arange(len(rest_rows)), order[:, 1]]
+                if len(avail) > 1
+                else min1
+            )
+        picked = None
+        for c in avail:
+            pair_sent = 0 if real[r, c] else 1
+            pair_real = float(padded[r, c]) if real[r, c] else 0.0
+            if pair_sent > need_sent:
+                continue
+            if rest_rows.size == 0:
+                cand = (pair_sent, pair_real)
+            else:
+                lb = pair_real + pair_sent * GATE_SENTINEL
+                lb += float(np.where(min1_col == c, min2, min1).sum())
+                need_total = need_sent * GATE_SENTINEL + need_real
+                margin = 1e-9 + 1e-12 * max(abs(lb), abs(need_total))
+                if lb > need_total + margin:
+                    continue
+                rest_cols = [c2 for c2 in avail if c2 != c]
+                sub = padded[np.ix_(rest_rows, rest_cols)]
+                srows, scols = linear_sum_assignment(sub)
+                s_sent, s_real = _reference_split(
+                    sub, real[np.ix_(rest_rows, rest_cols)], srows, scols
+                )
+                cand = (pair_sent + s_sent, pair_real + s_real)
+            if cand[0] == need_sent and cand[1] <= need_real + 1e-9 * max(1.0, abs(need_real)):
+                picked = c
+                need_sent -= pair_sent
+                need_real -= pair_real
+                break
+        if picked is None:
+            picked = solution[r]
+            need_sent -= 0 if real[r, picked] else 1
+            need_real -= float(padded[r, picked]) if real[r, picked] else 0.0
+        chosen.append(picked)
+        avail.remove(picked)
+
+    chosen.extend(avail)
+    return chosen
+
+def _solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gaussian elimination with partial pivoting in long double precision."""
+    a = np.array(a, dtype=np.longdouble)
+    b = np.array(b, dtype=np.longdouble)
+    n = a.shape[0]
+    for col in range(n):
+        pivot = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[pivot, col] == 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            b[[col, pivot]] = b[[pivot, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+            b[row] -= factor * b[col]
+    x = np.zeros_like(b)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1:] @ x[row + 1:]) / a[row, row]
+    return x
+
+
+def oracle_predict(mean, cov, spec):
+    """Textbook predict in long doubles: m <- F m, P <- F P F^T + Q."""
+    f = motion.transition_matrix(spec).astype(np.longdouble)
+    q = motion.process_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
+    m = np.asarray(mean, dtype=np.longdouble)
+    p = np.asarray(cov, dtype=np.longdouble)
+    if spec.model is motion.MotionModel.SORT_CV7 and m[2] + m[6] * spec.dt <= 0.0:
+        m = m.copy()
+        m[6] = 0.0
+    return f @ m, f @ p @ f.T + q
+
+
+def oracle_update(mean, cov, spec, bbox):
+    """Joseph-form correction in long doubles; independent of the library's form."""
+    h = motion.measurement_matrix(spec).astype(np.longdouble)
+    r = motion.measurement_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
+    z = motion.observe_bbox(spec, bbox).astype(np.longdouble)
+    m = np.asarray(mean, dtype=np.longdouble)
+    p = np.asarray(cov, dtype=np.longdouble)
+    s = h @ p @ h.T + r
+    k = _solve_ld(s.T, (p @ h.T).T).T  # K = P H^T S^-1 via S^T K^T = (P H^T)^T
+    m_new = m + k @ (z - h @ m)
+    i_kh = np.eye(p.shape[0], dtype=np.longdouble) - k @ h
+    p_new = i_kh @ p @ i_kh.T + k @ r @ k.T
+    return m_new, p_new
+
+
+def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.0):
+    from trackfuse.model import BoundingBox
+
+    w = rng.uniform(min_size, max_size)
+    h = rng.uniform(min_size, max_size)
+    x = rng.uniform(0.0, img - w)
+    y = rng.uniform(0.0, img - h)
+    return BoundingBox(x, y, x + w, y + h)
+
+
+def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
+    raw = rng.dirichlet(np.ones(n) * 0.5)
+    return np.maximum(raw, 1e-12) / np.maximum(raw, 1e-12).sum()

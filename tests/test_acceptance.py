@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import oracle_predict, oracle_update, random_box, random_simplex
+from oracles import oracle_predict, oracle_update, random_box, random_simplex
 from trackfuse.assoc import CostMatrix, solve_assignment
 from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, simulate_triggers
 from trackfuse.cli import main as cli_main

@@ -7,13 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_gated_optimum, exhaustive_min_total, random_box
+from oracles import (
+    exhaustive_gated_optimum,
+    exhaustive_min_total,
+    random_box,
+    reference_solve_assignment,
+)
 from trackfuse.assoc import (
     AssignmentResult,
     CostMatrix,
     centroid_distance,
     cosine_similarity,
     iou,
+    iou_matrix,
     solve_assignment,
 )
 from trackfuse.errors import DimensionMismatch, ZeroVector
@@ -66,6 +72,45 @@ class TestIou:
             assert v == iou(b, a)
             assert 0.0 <= v <= 1.0
             assert iou(a, a) == 1.0
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestIouMatrix:
+    def _assert_bitwise(self, boxes_a, boxes_b):
+        got = iou_matrix([b.as_tuple() for b in boxes_a], [b.as_tuple() for b in boxes_b])
+        want = [[iou(a, b) for b in boxes_b] for a in boxes_a]
+        assert got.shape == (len(boxes_a), len(boxes_b))
+        assert np.array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
+
+    def test_random_boxes_equal_scalar_bitwise(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            boxes_a = [random_box(rng, img=200.0) for _ in range(int(rng.integers(1, 15)))]
+            boxes_b = [random_box(rng, img=200.0) for _ in range(int(rng.integers(1, 15)))]
+            self._assert_bitwise(boxes_a, boxes_b)
+
+    def test_special_layouts_equal_scalar_bitwise(self):
+        base = BoundingBox(10.0, 10.0, 20.0, 20.0)
+        boxes = [
+            base,
+            BoundingBox(10.0, 10.0, 20.0, 20.0),     # identical
+            BoundingBox(30.0, 30.0, 40.0, 40.0),     # disjoint
+            BoundingBox(20.0, 10.0, 30.0, 20.0),     # touching along an edge
+            BoundingBox(20.0, 20.0, 25.0, 25.0),     # touching at a corner
+            BoundingBox(12.5, 12.5, 17.5, 17.5),     # contained
+            BoundingBox(0.0, 0.0, 40.0, 40.0),       # containing
+            BoundingBox(0.1, 0.2, 10.3, 10.7),       # non-representable corners
+            BoundingBox(-5.0, -5.0, 10.0, 10.0),     # corner-to-corner
+        ]
+        self._assert_bitwise(boxes, boxes)
+
+    def test_empty_sides(self):
+        box = [(0.0, 0.0, 1.0, 1.0)]
+        assert iou_matrix([], box).shape == (0, 1)
+        assert iou_matrix(box, []).shape == (1, 0)
 
 
 class TestCentroidDistance:
@@ -183,6 +228,34 @@ class TestSolveAssignment:
             result = solve_assignment(CostMatrix(values, mask))
             _, want_matches = exhaustive_gated_optimum(values, mask)
             assert result.matches == want_matches
+        # Sparse masks leave rows unmatched, which must not take columns others need.
+        for _ in range(300):
+            rows = int(rng.integers(1, 5))
+            cols = int(rng.integers(1, 5))
+            values = rng.integers(0, 3, size=(rows, cols)).astype(float) / 4.0
+            mask = rng.random((rows, cols)) < rng.uniform(0.2, 0.5)
+            result = solve_assignment(CostMatrix(values, mask))
+            _, want_matches = exhaustive_gated_optimum(values, mask)
+            assert result.matches == want_matches
+
+    def test_unmatched_row_leaves_shared_column_to_lower_row(self):
+        # Both rows tie on the only admissible column; the lower track index wins it.
+        values = np.array([[0.5, 0.5], [0.5, 0.5]])
+        mask = np.array([[False, True], [False, True]])
+        result = solve_assignment(CostMatrix(values, mask))
+        assert result == AssignmentResult(((0, 1),), (1,), (0,))
+        assert exhaustive_gated_optimum(values, mask)[1] == ((0, 1),)
+
+    def test_matches_reference_solver_on_continuous_costs(self):
+        # Continuous costs make the optimum unique, so both solvers must agree exactly.
+        rng = np.random.default_rng(53)
+        for _ in range(2000):
+            rows = int(rng.integers(1, 13))
+            cols = int(rng.integers(1, 13))
+            values = rng.uniform(0.0, 1.0, size=(rows, cols))
+            mask = rng.random((rows, cols)) < rng.uniform(0.05, 0.9)
+            cost = CostMatrix(values, mask)
+            assert solve_assignment(cost) == reference_solve_assignment(cost)
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(41)

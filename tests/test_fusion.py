@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_simplex
+from oracles import random_simplex
 from trackfuse.errors import EmptyTrack, LengthMismatch
 from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, majority_vote, relabel
 from trackfuse.model import (

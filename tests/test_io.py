@@ -1,10 +1,13 @@
 """Detection JSONL and track CSV: round trips, schema errors, golden output."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trackfuse.errors import EmptyFile, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
@@ -186,6 +189,25 @@ class TestWriteTracks:
         path = tmp_path / "t.csv"
         write_tracks({"seq-0": self._result()}, path)
         assert path.read_bytes() == GOLDEN.read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=3, unique=True))
+    @example(["a,b"])
+    @example(['q"uote', "new\nline", "carriage\rreturn", " pad "])
+    def test_any_seq_name_round_trips(self, names):
+        from test_trackers import _det
+        with tempfile.TemporaryDirectory() as tmp:
+            jsonl = Path(tmp) / "d.jsonl"
+            write_detections({name: [(f, [_det(f, (0, 0, 20, 20))]) for f in range(2)]
+                              for name in names}, jsonl)
+            sequences = parse_detections(jsonl, LabelSet(["a", "b"]))
+            results = {seq: run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+                       for seq, frames in sequences.items()}
+            csv_path = Path(tmp) / "t.csv"
+            write_tracks(results, csv_path)
+            rows = read_tracks(csv_path)
+        assert sorted(sequences) == sorted(names)
+        assert [(r.seq, r.frame) for r in rows] == [(n, f) for n in sorted(names) for f in range(2)]
 
     def test_header_validation_on_read(self, tmp_path):
         path = tmp_path / "t.csv"

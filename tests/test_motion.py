@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_predict, oracle_update, random_box
+from oracles import oracle_predict, oracle_update, random_box
 from trackfuse.errors import DegenerateGeometry, InvalidConfig
 from trackfuse.model import BoundingBox
 from trackfuse.motion import (
