@@ -7,6 +7,7 @@ apart ({t, t+F, t+2F, t+3F} by default), after which the trap stays cold for
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -71,15 +72,23 @@ def simulate_triggers(total_frames: int, presence: Sequence[bool],
     vis = np.asarray(presence, dtype=bool)
     if vis.shape != (total_frames,):
         raise InvalidValue(f"presence must have {total_frames} entries, got shape {vis.shape}")
-    visible = np.flatnonzero(vis)
+    return trigger_bursts(np.flatnonzero(vis).tolist(), total_frames, config)
+
+
+def trigger_bursts(visible: Sequence[int], total_frames: int,
+                   config: TriggerConfig) -> List[Burst]:
+    """``simulate_triggers`` over the sorted, distinct frame ids where something is visible.
+
+    Costs O(bursts * log(len(visible))), whatever the frame ids' magnitude.
+    """
     bursts: List[Burst] = []
     i = 0
     while i < len(visible):
-        t = int(visible[i])
+        t = visible[i]
         full = burst_frames(t, config)
         ids = tuple(f for f in full.frame_ids if f < total_frames)
         bursts.append(Burst(t, ids))
         # Zero cool-down still advances past the trigger frame.
         cursor = max(next_trigger(t, config), t + 1)
-        i = int(np.searchsorted(visible, cursor))
+        i = bisect.bisect_left(visible, cursor, i)
     return bursts

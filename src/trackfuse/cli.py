@@ -1,34 +1,35 @@
 """Command-line surface: synth | simulate | track | eval | bench.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  Runs are deterministic:
-identical arguments and input files produce byte-identical outputs.  The
-``TRACKFUSE_THREADS`` environment variable caps per-sequence parallelism.
+identical arguments and input files produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Dict, List, Optional
 
 from . import io
-from .bench import run_timing_bench
-from .camtrap import TriggerConfig, simulate_triggers
-from .errors import EmptyEvaluation, InvalidConfig, ParseError, TrackfuseError
+from .camtrap import TriggerConfig, trigger_bursts
+from .errors import EmptyEvaluation, InvalidConfig, NoEligibleTracks, ParseError, TrackfuseError
 from .fusion import FusionMode, relabel
 from .metrics import (
+    NULL_TIMER,
+    STAGE_FUSION,
+    STAGE_METRICS,
+    STAGE_MOT,
+    StageTimer,
     accuracy_at_1,
     confusion,
     evaluation_pairs,
     f1_scores,
     format_profile_table,
     label_flip_rate,
+    profile,
 )
-from .model import LabelSet, SequenceResult
+from .model import LabelSet, SequenceResult, frame_index
 from .synth import ScenarioConfig, generate_scenario
 from .trackers import TrackerConfig, TrackerKind, run_sequence
 
@@ -149,32 +150,16 @@ def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig.from_dict(data)
 
 
-def _thread_count(n_tasks: int) -> int:
-    env = os.environ.get("TRACKFUSE_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidConfig(f"TRACKFUSE_THREADS must be an integer, got {env!r}") from None
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
-def _run_all(sequences: io.Sequences, config: TrackerConfig,
-             mode: FusionMode, online: bool) -> Dict[str, SequenceResult]:
-    """Track and relabel every sequence; sequences fan out across threads."""
-    names = sorted(sequences)
-
-    def one(seq: str) -> SequenceResult:
-        return relabel(run_sequence(sequences[seq], config), mode, online=online)
-
-    workers = _thread_count(len(names))
-    if workers <= 1:
-        return {seq: one(seq) for seq in names}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = pool.map(one, names)
-        return dict(zip(names, done))
+def _run_all(sequences: io.Sequences, config: TrackerConfig, mode: FusionMode,
+             online: bool, timer=NULL_TIMER) -> Dict[str, SequenceResult]:
+    """Track and relabel every sequence, one after another in name order."""
+    results: Dict[str, SequenceResult] = {}
+    for seq in sorted(sequences):
+        with timer.stage(STAGE_MOT):
+            result = run_sequence(sequences[seq], config, timer)
+        with timer.stage(STAGE_FUSION):
+            results[seq] = relabel(result, mode, online=online)
+    return results
 
 
 def _cmd_synth(args) -> int:
@@ -193,35 +178,20 @@ def _cmd_synth(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = TriggerConfig(fps=args.fps, burst_len=args.burst, cooldown=args.cooldown)
-    records: Dict[str, List[dict]] = {}
-    count = 0
-    with open(args.input, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            count += 1
-            try:
-                record = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc}") from None
-            if not isinstance(record, dict) or "seq" not in record or "frame" not in record:
-                raise ParseError(line_no, "record needs 'seq' and 'frame' fields")
-            records.setdefault(str(record["seq"]), []).append(record)
-    if count == 0:
-        raise io.EmptyFile(f"detection file {args.input} contains no records")
+    records: Dict[str, Dict[int, List[dict]]] = {}
+    for line_no, record in io.read_records(args.input):
+        if "seq" not in record or "frame" not in record:
+            raise ParseError(line_no, "record needs 'seq' and 'frame' fields")
+        try:
+            frame = frame_index(record["frame"])
+        except TrackfuseError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        records.setdefault(str(record["seq"]), {}).setdefault(frame, []).append(record)
 
     with open(args.output, "w", encoding="utf-8") as out:
-        for seq in sorted(records):
-            recs = records[seq]
-            total = max(int(r["frame"]) for r in recs) + 1
-            presence = [False] * total
-            for r in recs:
-                presence[int(r["frame"])] = True
-            bursts = simulate_triggers(total, presence, config)
-            by_frame: Dict[int, List[dict]] = {}
-            for r in recs:
-                by_frame.setdefault(int(r["frame"]), []).append(r)
+        for seq, by_frame in sorted(records.items()):
+            visible = sorted(by_frame)
+            bursts = trigger_bursts(visible, visible[-1] + 1, config)
             for b_idx, burst in enumerate(bursts):
                 for frame in burst.frame_ids:
                     for r in by_frame.get(frame, []):
@@ -255,14 +225,15 @@ def _metrics_report(results: Dict[str, SequenceResult], label_set: LabelSet,
         1 for res in results.values() for rec in res.per_frame if rec.track_id is not None
     )
     if with_flip_rate:
-        merged_raw = [label_flip_rate(res, use_fused=False) for res in results.values()
-                      if _has_flippable(res)]
-        merged_fused = [label_flip_rate(res, use_fused=True) for res in results.values()
-                        if _has_flippable(res)]
-        report["flip_rate"] = {
-            "raw": sum(merged_raw) / len(merged_raw) if merged_raw else 0.0,
-            "fused": sum(merged_fused) / len(merged_fused) if merged_fused else 0.0,
-        }
+        # Raw and fused rates share one eligibility rule, so the lists stay in step.
+        rates: Dict[str, List[float]] = {"raw": [], "fused": []}
+        for res in results.values():
+            try:
+                for key, values in rates.items():
+                    values.append(label_flip_rate(res, use_fused=key == "fused"))
+            except NoEligibleTracks:
+                continue
+        report["flip_rate"] = {key: sum(v) / len(v) if v else 0.0 for key, v in rates.items()}
     if with_per_class:
         scores = f1_scores(fused_cm)
         support = fused_cm.counts.sum(axis=1)
@@ -271,16 +242,6 @@ def _metrics_report(results: Dict[str, SequenceResult], label_set: LabelSet,
             for i in range(len(label_set))
         ]
     return report
-
-
-def _has_flippable(result: SequenceResult) -> bool:
-    seen: Dict[int, int] = {}
-    for rec in result.per_frame:
-        if rec.track_id is not None:
-            seen[rec.track_id] = seen.get(rec.track_id, 0) + 1
-            if seen[rec.track_id] >= 2:
-                return True
-    return False
 
 
 def _print_report(report: dict) -> None:
@@ -337,8 +298,29 @@ def _cmd_bench(args) -> int:
         kinds = [TrackerKind(name.strip()) for name in args.trackers.split(",") if name.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"unknown tracker in --trackers: {exc}") from None
-    profiles, samples = run_timing_bench(args.input, label_set, kinds,
-                                         FusionMode(args.fusion))
+    # Ingest does not depend on the tracker: it is timed once and shared by every profile.
+    ingest_timer = StageTimer()
+    sequences = io.parse_detections(args.input, label_set, timer=ingest_timer)
+    samples = sum(len(frames) for frames in sequences.values())
+    if not all(det.embedding is not None
+               for frames in sequences.values() for _, dets in frames for det in dets):
+        # Appearance association is meaningless without embeddings; skip it.
+        kinds = [k for k in kinds if k is not TrackerKind.APPEARANCE]
+
+    profiles = {}
+    for kind in kinds:
+        timer = StageTimer()
+        timer.merge(ingest_timer)
+        results = _run_all(sequences, TrackerConfig(kind=kind), FusionMode(args.fusion),
+                           online=False, timer=timer)
+        with timer.stage(STAGE_METRICS):
+            pairs = evaluation_pairs(results, use_fused=True)
+            if pairs:
+                cm = confusion(pairs, len(label_set))
+                accuracy_at_1(cm)
+                f1_scores(cm)
+        profiles[kind.value] = profile(timer, samples)
+
     print(f"samples: {samples}")
     print(format_profile_table(profiles))
     if args.json_out:

@@ -9,13 +9,13 @@ retroactively overrides every frame of the track with it.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import EmptyTrack, LengthMismatch
-from .model import ClassDistribution, DetectionLabel, SequenceResult, Track, validate_distribution
+from .model import ClassDistribution, DetectionLabel, SequenceResult, Track
 
 
 class FusionMode(Enum):
@@ -65,8 +65,12 @@ def majority_vote(track: Track) -> int:
     for entry in track.entries:
         votes[entry.dist.argmax] += 1
         mass += entry.dist.probs
-    top = int(votes.max())
-    tied = np.flatnonzero(votes == top)
+    return _vote_winner(votes, mass)
+
+
+def _vote_winner(votes: np.ndarray, mass: np.ndarray) -> int:
+    """Class with the most votes; ties go to the larger mass, then the lowest index."""
+    tied = np.flatnonzero(votes == votes.max())
     return int(max(tied, key=lambda c: (mass[c], -c)))
 
 
@@ -88,9 +92,7 @@ def _track_labels(track: Track, mode: FusionMode, online: bool) -> Dict[int, int
         else:
             votes[entry.dist.argmax] += 1
             mass += entry.dist.probs
-            top = int(votes.max())
-            tied = np.flatnonzero(votes == top)
-            labels[entry.frame_id] = int(max(tied, key=lambda c: (mass[c], -c)))
+            labels[entry.frame_id] = _vote_winner(votes, mass)
     return labels
 
 

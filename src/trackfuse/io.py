@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import EmptyFile, ParseError, SchemaError, TrackfuseError
-from .metrics import STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST, StageTimer
+from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from .model import BoundingBox, Detection, LabelSet, SequenceResult, validate_distribution
 
 Sequences = Dict[str, List[Tuple[int, List[Detection]]]]
@@ -64,8 +64,35 @@ def write_detections(sequences: Mapping[str, Sequence[Tuple[int, Sequence[Detect
                     fh.write(json.dumps(_detection_record(seq, det)) + "\n")
 
 
-def parse_detections(path, label_set: LabelSet,
-                     timer: Optional[StageTimer] = None) -> Sequences:
+def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
+    """Yield ``(line_no, record)`` for every non-blank line of a JSONL detection file.
+
+    Decoding runs inside the detection-ingest stage of ``timer``.
+
+    Raises:
+        ParseError: a line is not valid JSON or not a JSON object.
+        EmptyFile: no records at all.
+    """
+    count = 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            count += 1
+            with timer.stage(STAGE_DETECTION_INGEST):
+                try:
+                    record = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(line_no, f"invalid JSON: {exc}") from None
+            if not isinstance(record, dict):
+                raise ParseError(line_no, "record must be a JSON object")
+            yield line_no, record
+    if count == 0:
+        raise EmptyFile(f"detection file {path} contains no records")
+
+
+def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
     """Parse a detections file into per-sequence, frame-sorted detection lists.
 
     Every probability vector goes through ``validate_distribution``; embedding
@@ -79,41 +106,25 @@ def parse_detections(path, label_set: LabelSet,
     n_classes = len(label_set)
     grouped: Dict[str, Dict[int, List[Detection]]] = {}
     emb_dims: Dict[str, Optional[int]] = {}
-    count = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            count += 1
-            det, seq = _parse_line(text, line_no, n_classes, timer)
-            expected = emb_dims.setdefault(
-                seq, None if det.embedding is None else det.embedding.size
+    for line_no, record in read_records(path, timer):
+        det, seq = _parse_line(record, line_no, n_classes, timer)
+        actual = None if det.embedding is None else det.embedding.size
+        expected = emb_dims.setdefault(seq, actual)
+        if actual != expected:
+            raise SchemaError(
+                f"line {line_no}: embedding dim {actual} differs from "
+                f"{expected} earlier in sequence {seq!r}"
             )
-            actual = None if det.embedding is None else det.embedding.size
-            if actual != expected:
-                raise SchemaError(
-                    f"line {line_no}: embedding dim {actual} differs from "
-                    f"{expected} earlier in sequence {seq!r}"
-                )
-            grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
-    if count == 0:
-        raise EmptyFile(f"detection file {path} contains no records")
+        grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
     return {
         seq: [(frame, dets) for frame, dets in sorted(frames.items())]
         for seq, frames in grouped.items()
     }
 
 
-def _parse_line(text: str, line_no: int, n_classes: int,
-                timer: Optional[StageTimer]) -> Tuple[Detection, str]:
-    def build() -> Tuple[dict, str, BoundingBox]:
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc}") from None
-        if not isinstance(record, dict):
-            raise ParseError(line_no, "record must be a JSON object")
+def _parse_line(record: dict, line_no: int, n_classes: int,
+                timer=NULL_TIMER) -> Tuple[Detection, str]:
+    with timer.stage(STAGE_DETECTION_INGEST):
         for key in ("seq", "frame", "bbox", "score", "probs"):
             if key not in record:
                 raise ParseError(line_no, f"missing field {key!r}")
@@ -124,13 +135,6 @@ def _parse_line(text: str, line_no: int, n_classes: int,
             bbox = BoundingBox(*bbox_values)
         except TrackfuseError as exc:
             raise ParseError(line_no, str(exc)) from None
-        return record, str(record["seq"]), bbox
-
-    if timer is not None:
-        with timer.stage(STAGE_DETECTION_INGEST):
-            record, seq, bbox = build()
-    else:
-        record, seq, bbox = build()
 
     probs = record["probs"]
     if not isinstance(probs, list) or len(probs) != n_classes:
@@ -139,10 +143,7 @@ def _parse_line(text: str, line_no: int, n_classes: int,
             f"entries, label set has {n_classes}"
         )
     try:
-        if timer is not None:
-            with timer.stage(STAGE_CLASSIFICATION_INGEST):
-                dist = validate_distribution(probs, n_classes)
-        else:
+        with timer.stage(STAGE_CLASSIFICATION_INGEST):
             dist = validate_distribution(probs, n_classes)
         det = Detection(
             frame_id=record["frame"],
@@ -157,7 +158,7 @@ def _parse_line(text: str, line_no: int, n_classes: int,
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
-    return det, seq
+    return det, str(record["seq"])
 
 
 @dataclass(frozen=True)

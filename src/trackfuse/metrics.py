@@ -9,9 +9,9 @@ below weighted F1 on imbalanced data.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -172,6 +172,18 @@ class StageTimer:
         for name, total in other.totals_s.items():
             self.totals_s[name] = self.totals_s.get(name, 0.0) + total
             self.counts[name] = self.counts.get(name, 0) + other.counts[name]
+
+
+class _NullTimer:
+    """A timer that records nothing: the default wherever a stage timer is accepted."""
+
+    _STAGE = nullcontext()
+
+    def stage(self, name: str):
+        return self._STAGE
+
+
+NULL_TIMER = _NullTimer()
 
 
 @dataclass(frozen=True)

@@ -181,6 +181,16 @@ def validate_distribution(raw, n_classes: int) -> ClassDistribution:
     return ClassDistribution(x)
 
 
+def frame_index(value) -> int:
+    """``value`` as a frame id; it must be a non-negative integer (integral floats pass)."""
+    try:
+        if int(value) == value and value >= 0:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidValue(f"frame_id must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Detection:
     """One per-frame observation: box, detector score, class distribution.
@@ -198,9 +208,7 @@ class Detection:
     gt_track: Optional[int] = None
 
     def __post_init__(self):
-        if int(self.frame_id) != self.frame_id or self.frame_id < 0:
-            raise InvalidValue(f"frame_id must be a non-negative integer, got {self.frame_id!r}")
-        object.__setattr__(self, "frame_id", int(self.frame_id))
+        object.__setattr__(self, "frame_id", frame_index(self.frame_id))
         score = float(self.score)
         if not (math.isfinite(score) and 0.0 <= score <= 1.0):
             raise InvalidValue(f"score must lie in [0, 1], got {score!r}")

@@ -22,6 +22,7 @@ from .errors import (
     MissingEmbedding,
     OutOfOrderFrame,
 )
+from .metrics import NULL_TIMER, STAGE_REID_COST
 from .model import (
     BoundingBox,
     Detection,
@@ -209,7 +210,7 @@ class TrackerState:
 
 def _geometric_cost(kind: TrackerKind, tracks: Sequence[_LiveTrack],
                     dets: Sequence[Detection], config: TrackerConfig,
-                    timer=None) -> assoc.CostMatrix:
+                    timer=NULL_TIMER) -> assoc.CostMatrix:
     n_t, n_d = len(tracks), len(dets)
     values = np.zeros((n_t, n_d))
     mask = np.zeros((n_t, n_d), dtype=bool)
@@ -230,10 +231,7 @@ def _geometric_cost(kind: TrackerKind, tracks: Sequence[_LiveTrack],
     values = 1.0 - ious
 
     if kind is TrackerKind.APPEARANCE:
-        if timer is not None:
-            with timer.stage("reid-cost"):
-                cos, ok = _cosine_matrix(tracks, dets)
-        else:
+        with timer.stage(STAGE_REID_COST):
             cos, ok = _cosine_matrix(tracks, dets)
         w = config.appearance_weight
         values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
@@ -289,7 +287,7 @@ def _greedy_iou(tracks: Sequence[_LiveTrack], dets: Sequence[Detection],
 
 def tracker_step(state: TrackerState, frame_id: int,
                  detections: Sequence[Detection], config: TrackerConfig,
-                 timer=None) -> Tuple[TrackerState, List[Tuple[int, Optional[int]]]]:
+                 timer=NULL_TIMER) -> Tuple[TrackerState, List[Tuple[int, Optional[int]]]]:
     """Advance one frame; returns the state and (detection_index, track_id) pairs.
 
     Raises:
@@ -370,7 +368,7 @@ def tracker_step(state: TrackerState, frame_id: int,
 
 
 def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
-                 config: TrackerConfig, timer=None) -> SequenceResult:
+                 config: TrackerConfig, timer=NULL_TIMER) -> SequenceResult:
     """Fold the tracker over a whole sequence of (frame_id, detections) pairs.
 
     Emits every track with at least ``min_hits`` entries; shorter dead tracks

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, determinism, and the fusion-vs-raw improvement."""
 
 import json
+import time
 
 import pytest
 
@@ -78,26 +79,39 @@ class TestTrack:
             outputs.append((csv.read_bytes(), metrics.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_threaded_run_matches_serial(self, tmp_path, detection_file, monkeypatch):
+    def test_sequences_tracked_independently_in_name_order(self, tmp_path, detection_file):
         dets, labels = detection_file
-        # Two sequences: run the same file under two names.
-        double = tmp_path / "double.jsonl"
-        lines = dets.read_text().splitlines()
-        with double.open("w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-            for line in lines:
-                rec = json.loads(line)
-                rec["seq"] = "other"
-                fh.write(json.dumps(rec) + "\n")
-        got = {}
-        for threads in ("1", "4"):
-            monkeypatch.setenv("TRACKFUSE_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            assert main(["track", "--input", str(double), "--labels", str(labels),
+        other = tmp_path / "other.jsonl"
+        assert main(_synth_args(other, tmp_path / "other.txt", seed=7,
+                                **{"seq-name": "other"})) == 0
+        both = tmp_path / "both.jsonl"
+        both.write_text(other.read_text() + dets.read_text())
+        rows = {}
+        for name, path in (("other", other), ("synth-000", dets), ("both", both)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["track", "--input", str(path), "--labels", str(labels),
                          "--output", str(out)]) == 0
-            got[threads] = out.read_bytes()
-        assert got["1"] == got["4"]
+            header, *rows[name] = out.read_text().splitlines()
+        assert rows["other"] and rows["synth-000"]
+        assert rows["both"] == rows["other"] + rows["synth-000"]
+
+    def test_flip_rate_skips_sequence_without_two_entry_tracks(self, tmp_path, detection_file):
+        dets, labels = detection_file
+        # Two detections in one frame: two single-entry tracks, no flip rate.
+        first = json.loads(dets.read_text().splitlines()[0])
+        lone = [json.dumps({**first, "seq": "lone", "frame": 0, "bbox": box})
+                for box in ([0, 0, 10, 10], [500, 500, 510, 510])]
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join(lone) + "\n" + dets.read_text())
+        reports = {}
+        for name, path in (("alone", dets), ("mixed", mixed)):
+            metrics = tmp_path / f"{name}.json"
+            assert main(["track", "--input", str(path), "--labels", str(labels),
+                         "--output", str(tmp_path / f"{name}.csv"),
+                         "--metrics-out", str(metrics)]) == 0
+            reports[name] = json.loads(metrics.read_text())
+        assert reports["alone"]["flip_rate"]["raw"] > 0.0
+        assert reports["mixed"]["flip_rate"] == reports["alone"]["flip_rate"]
 
     def test_config_file_with_cli_override(self, tmp_path, detection_file):
         dets, labels = detection_file
@@ -186,6 +200,26 @@ class TestSimulate:
                      "--track-across-bursts"]) == 0
         seqs = {json.loads(line)["seq"] for line in out.read_text().splitlines()}
         assert seqs == {"synth-000"}
+
+    @pytest.mark.parametrize("frames", [["x"], [-3], [-2, 0, 5], [1.5], [float("inf")]])
+    def test_bad_frame_is_data_error(self, tmp_path, frames, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps({"seq": "a", "frame": f}) + "\n" for f in frames))
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--input", str(path), "--output", str(out)]) == 2
+        assert "line" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_frame_id_is_sampled_sparsely(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(json.dumps({"seq": "a", "frame": f}) + "\n"
+                                for f in (0, 2 ** 40)))
+        out = tmp_path / "sim.jsonl"
+        start = time.perf_counter()
+        assert main(["simulate", "--input", str(path), "--output", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert [json.loads(line) for line in out.read_text().splitlines()] == [
+            {"seq": "a#b0000", "frame": 0}, {"seq": "a#b0001", "frame": 2 ** 40}]
 
     def test_sampled_output_still_tracks(self, tmp_path, detection_file):
         dets, labels = detection_file

@@ -12,6 +12,9 @@ from trackfuse.errors import EmptyTrack, LengthMismatch
 from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, majority_vote, relabel
 from trackfuse.model import (
     BoundingBox,
+    Detection,
+    DetectionLabel,
+    SequenceResult,
     Track,
     TrackEntry,
     TrackStatus,
@@ -241,6 +244,19 @@ class TestRelabel:
                     assert rec.fused_label == int(np.argmax(cum))
                     checked += 1
         assert checked > 10
+
+    def test_online_vote_ties_match_majority_vote_of_prefix(self):
+        # Frame 1 ties one vote each with class 1 heavier; frame 3 ties two each
+        # on equal mass, which goes to the lower index.
+        rows = [[0.6, 0.4], [0.1, 0.9], [0.9, 0.1], [0.4, 0.6], [0.55, 0.45]]
+        track = _track(rows)
+        per_frame = tuple(DetectionLabel(e.frame_id, Detection(e.frame_id, BOX, 0.9, e.dist),
+                                         track.id, e.dist.argmax, e.dist.argmax)
+                          for e in track.entries)
+        online = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY, online=True)
+        got = [rec.fused_label for rec in online.per_frame]
+        want = [majority_vote(_track(rows[:t + 1])) for t in range(len(rows))]
+        assert got == want == [0, 1, 0, 0, 0]
 
     def test_unmatched_detections_keep_raw_label(self):
         base = self._result()

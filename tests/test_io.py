@@ -111,6 +111,14 @@ class TestParseDetections:
         with pytest.raises(SchemaError, match="embedding"):
             parse_detections(path, self._labels())
 
+    @pytest.mark.parametrize("frame", ["x", -1, 1.5, float("inf")])
+    def test_bad_frame_is_parse_error(self, tmp_path, frame):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "a", "frame": frame, "bbox": [0, 0, 5, 5],
+                                    "score": 0.9, "probs": [0.2] * 5}) + "\n")
+        with pytest.raises(ParseError, match="line 1"):
+            parse_detections(path, self._labels())
+
     def test_degenerate_bbox_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [5, 0, 5, 5],
