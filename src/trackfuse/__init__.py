@@ -5,58 +5,14 @@ trackers, then fuse each trajectory's softmax class distributions in log
 space into one stable consensus label.
 """
 
-from .assoc import AssignmentResult, CostMatrix, centroid_distance, cosine_similarity, iou, solve_assignment
-from .camtrap import Burst, TriggerConfig, burst_frames, next_trigger, simulate_triggers
 from .errors import TrackfuseError
-from .fusion import FusionMode, consensus_label, fuse_pair, majority_vote, relabel
-from .metrics import (
-    ConfusionMatrix,
-    F1Scores,
-    StageTimer,
-    TimingProfile,
-    accuracy_at_1,
-    confusion,
-    evaluation_pairs,
-    f1_scores,
-    label_flip_rate,
-    profile,
-)
-from .model import (
-    BoundingBox,
-    ClassDistribution,
-    Detection,
-    DetectionLabel,
-    LabelSet,
-    SequenceResult,
-    Track,
-    TrackEntry,
-    TrackStatus,
-    validate_distribution,
-)
-from .motion import (
-    KalmanState,
-    MotionModel,
-    MotionModelSpec,
-    kf_init,
-    kf_predict,
-    kf_update,
-    state_to_bbox,
-)
-from .synth import Scenario, ScenarioConfig, TruthBox, corrupt_distribution, generate_scenario
-from .trackers import TrackerConfig, TrackerKind, TrackerState, run_sequence, tracker_step
+from .fusion import FusionMode, relabel
+from .io import parse_detections, read_labels, write_tracks
+from .trackers import TrackerConfig, TrackerKind, run_sequence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentResult", "BoundingBox", "Burst", "ClassDistribution", "ConfusionMatrix",
-    "CostMatrix", "Detection", "DetectionLabel", "F1Scores", "FusionMode", "KalmanState",
-    "LabelSet", "MotionModel", "MotionModelSpec", "Scenario", "ScenarioConfig",
-    "SequenceResult", "StageTimer", "TimingProfile", "Track", "TrackEntry", "TrackStatus",
-    "TrackerConfig", "TrackerKind", "TrackerState", "TrackfuseError", "TruthBox",
-    "accuracy_at_1", "burst_frames", "centroid_distance", "confusion", "consensus_label",
-    "corrupt_distribution", "cosine_similarity", "evaluation_pairs", "f1_scores",
-    "fuse_pair", "generate_scenario", "iou", "kf_init", "kf_predict", "kf_update",
-    "label_flip_rate", "majority_vote", "next_trigger", "profile", "relabel",
-    "run_sequence", "simulate_triggers", "solve_assignment", "state_to_bbox",
-    "tracker_step", "validate_distribution",
+    "FusionMode", "TrackerConfig", "TrackerKind", "TrackfuseError", "parse_detections",
+    "read_labels", "relabel", "run_sequence", "write_tracks",
 ]

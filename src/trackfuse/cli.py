@@ -29,7 +29,7 @@ from .metrics import (
     label_flip_rate,
     profile,
 )
-from .model import LabelSet, SequenceResult, frame_index
+from .model import LabelSet, SequenceResult, index_value
 from .synth import ScenarioConfig, generate_scenario
 from .trackers import TrackerConfig, TrackerKind, run_sequence
 
@@ -85,12 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels", required=True, help="label list file")
         p.add_argument("--tracker", choices=TRACKER_NAMES, default="sort")
         p.add_argument("--fusion", choices=FUSION_NAMES, default="prob")
-        p.add_argument("--config", help="JSON file with TrackerConfig/TriggerConfig fields")
+        p.add_argument("--config", help="JSON file with TrackerConfig fields")
         p.add_argument("--online", action="store_true",
                        help="labels at frame t use entries up to t only")
         p.add_argument("--matched-only", action="store_true",
                        help="exclude unmatched detections from metrics")
-        _add_config_overrides(p)
         if needs_output:
             p.add_argument("--output", required=True, help="track CSV to write")
             p.add_argument("--metrics-out", help="metrics JSON to write (needs ground truth)")
@@ -112,22 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDE_FIELDS = {
-    "iou_gate": float, "centroid_gate": float,
-    "det_threshold_high": float, "det_threshold_low": float,
-    "min_hits": int, "max_age": int,
-    "appearance_weight": float, "cosine_gate": float,
-}
-
-
-def _add_config_overrides(p: argparse.ArgumentParser) -> None:
-    for field_name, typ in _OVERRIDE_FIELDS.items():
-        p.add_argument(f"--{field_name.replace('_', '-')}", type=typ, default=None,
-                       dest=f"cfg_{field_name}", help=argparse.SUPPRESS)
-
-
 def _tracker_config(args) -> TrackerConfig:
-    data: Dict[str, object] = {}
+    """The ``--tracker`` kind plus the ``--config`` file's TrackerConfig fields."""
+    file_cfg: Dict[str, object] = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
@@ -136,18 +122,9 @@ def _tracker_config(args) -> TrackerConfig:
                 raise ParseError(exc.lineno, f"config file: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise InvalidConfig("config file must hold a JSON object")
-        known = set(_OVERRIDE_FIELDS) | {"kind", "motion", "fps", "burst_len", "cooldown"}
-        unknown = set(file_cfg) - known
-        if unknown:
-            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-        data.update({k: v for k, v in file_cfg.items()
-                     if k in set(_OVERRIDE_FIELDS) | {"kind", "motion"}})
-    data["kind"] = TrackerKind(args.tracker)  # CLI flag wins over the file
-    for field_name in _OVERRIDE_FIELDS:
-        value = getattr(args, f"cfg_{field_name}")
-        if value is not None:
-            data[field_name] = value
-    return TrackerConfig.from_dict(data)
+        if "kind" in file_cfg:
+            raise InvalidConfig("config field 'kind' is not accepted; choose it with --tracker")
+    return TrackerConfig.from_dict({**file_cfg, "kind": args.tracker})
 
 
 def _run_all(sequences: io.Sequences, config: TrackerConfig, mode: FusionMode,
@@ -183,7 +160,7 @@ def _cmd_simulate(args) -> int:
         if "seq" not in record or "frame" not in record:
             raise ParseError(line_no, "record needs 'seq' and 'frame' fields")
         try:
-            frame = frame_index(record["frame"])
+            frame = index_value(record["frame"])
         except TrackfuseError as exc:
             raise ParseError(line_no, str(exc)) from None
         records.setdefault(str(record["seq"]), {}).setdefault(frame, []).append(record)

@@ -104,15 +104,9 @@ def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> S
     only.  Unmatched detections keep their raw label; ``FusionMode.NONE``
     leaves every fused label equal to the raw label.
     """
-    if mode is FusionMode.NONE:
-        per_frame = tuple(
-            DetectionLabel(r.frame_id, r.detection, r.track_id, r.raw_label, r.raw_label)
-            for r in result.per_frame
-        )
-        return SequenceResult(tracks=result.tracks, per_frame=per_frame)
-
     by_track: Dict[int, Dict[int, int]] = {
-        t.id: _track_labels(t, mode, online) for t in result.tracks
+        t.id: {} if mode is FusionMode.NONE else _track_labels(t, mode, online)
+        for t in result.tracks
     }
     per_frame = []
     for rec in result.per_frame:

@@ -7,16 +7,14 @@ numpy arrays) and therefore safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSum, InvalidValue, WrongLength
-
-if TYPE_CHECKING:
-    from .motion import KalmanState
+from .errors import DegenerateSum, InvalidConfig, InvalidValue, WrongLength
 
 PROB_FLOOR = 1e-12
 # Probabilities are floored here before any log is taken, so log-space math
@@ -181,14 +179,22 @@ def validate_distribution(raw, n_classes: int) -> ClassDistribution:
     return ClassDistribution(x)
 
 
-def frame_index(value) -> int:
-    """``value`` as a frame id; it must be a non-negative integer (integral floats pass)."""
+def index_value(value, name: str = "frame_id") -> int:
+    """``value`` as a non-negative integer id; integral floats pass, booleans do not."""
     try:
-        if int(value) == value and value >= 0:
+        if not isinstance(value, bool) and int(value) == value and value >= 0:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise InvalidValue(f"frame_id must be a non-negative integer, got {value!r}")
+    raise InvalidValue(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def config_number(value, name: str, integral: bool = False):
+    """``value`` as a float, or as an int if ``integral``; strings and booleans fail."""
+    kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a real number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InvalidConfig(f"{name} must be {what}, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +214,7 @@ class Detection:
     gt_track: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "frame_id", frame_index(self.frame_id))
+        object.__setattr__(self, "frame_id", index_value(self.frame_id))
         score = float(self.score)
         if not (math.isfinite(score) and 0.0 <= score <= 1.0):
             raise InvalidValue(f"score must lie in [0, 1], got {score!r}")
@@ -221,7 +227,7 @@ class Detection:
         for name in ("gt_class", "gt_track"):
             v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, name, int(v))
+                object.__setattr__(self, name, index_value(v, name))
 
 
 class TrackStatus(Enum):
@@ -254,7 +260,6 @@ class Track:
     status: TrackStatus
     hits: int
     age_since_update: int
-    motion: Optional["KalmanState"] = None
     last_embedding: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -315,9 +320,3 @@ class SequenceResult:
                 raise InvalidValue(f"per-frame record references unknown track {rec.track_id}")
             if rec.raw_label != rec.detection.dist.argmax:
                 raise InvalidValue("raw_label must equal the detection's argmax")
-
-    def track_by_id(self, track_id: int) -> Track:
-        for t in self.tracks:
-            if t.id == track_id:
-                return t
-        raise KeyError(track_id)

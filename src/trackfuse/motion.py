@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateGeometry, InvalidConfig, NumericalBreakdown
-from .model import BoundingBox
+from .model import BoundingBox, config_number
 
 PSD_TOLERANCE = 1e-9
 # A covariance counts as numerically PSD while its smallest eigenvalue
@@ -32,6 +32,12 @@ PSD_TOLERANCE = 1e-9
 class MotionModel(Enum):
     SORT_CV7 = "sort_cv7"
     CENTROID_CV4 = "centroid_cv4"
+
+
+NOISE_FIELDS = {  # the MotionModelSpec fields each model's filter reads
+    MotionModel.SORT_CV7: ("dt", "std_weight_position", "std_weight_velocity"),
+    MotionModel.CENTROID_CV4: ("dt", "process_std", "measurement_std"),
+}
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,10 @@ class MotionModelSpec:
     def __post_init__(self):
         for name in ("dt", "std_weight_position", "std_weight_velocity",
                      "process_std", "measurement_std"):
-            if not (float(getattr(self, name)) > 0.0):
+            value = config_number(getattr(self, name), name)
+            if not value > 0.0:
                 raise InvalidConfig(f"{name} must be > 0")
+            object.__setattr__(self, name, value)
 
     @property
     def state_dim(self) -> int:

@@ -9,7 +9,7 @@ which may extend tracks but never start them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +31,7 @@ from .model import (
     Track,
     TrackEntry,
     TrackStatus,
+    config_number,
 )
 
 EMBEDDING_SMOOTHING = 0.9
@@ -70,8 +71,11 @@ class TrackerConfig:
     motion_spec: Optional[motion.MotionModelSpec] = None
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
-            object.__setattr__(self, "kind", TrackerKind(self.kind))
+        object.__setattr__(self, "kind", TrackerKind(self.kind))
+        for f in fields(self):  # the annotations are strings under `from __future__`
+            if f.type in ("float", "int"):
+                value = config_number(getattr(self, f.name), f.name, integral=f.type == "int")
+                object.__setattr__(self, f.name, value)
         if not (0.0 <= self.det_threshold_low <= self.det_threshold_high <= 1.0):
             raise InvalidConfig("need 0 <= det_threshold_low <= det_threshold_high <= 1")
         if self.min_hits < 1:
@@ -95,22 +99,28 @@ class TrackerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackerConfig":
+        """The config JSON-like ``data`` describes; a key it does not read is InvalidConfig."""
         data = dict(data)
-        spec = None
-        if "motion" in data:
-            m = dict(data.pop("motion"))
-            try:
-                m["model"] = motion.MotionModel(m["model"])
-            except (KeyError, ValueError):
-                raise InvalidConfig(f"motion config needs a valid 'model': {m!r}") from None
-            try:
-                spec = motion.MotionModelSpec(**m)
-            except TypeError as exc:
-                raise InvalidConfig(f"bad motion config: {exc}") from None
+        known = {f.name for f in fields(cls) if f.name != "motion_spec"} | {"motion"}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise InvalidConfig(f"unknown config fields: {unknown}")
         try:
+            spec = _motion_spec(data.pop("motion")) if "motion" in data else None
             return cls(motion_spec=spec, **data)
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidConfig(f"bad tracker config: {exc}") from None
+
+
+def _motion_spec(data) -> motion.MotionModelSpec:
+    """``data`` holds a ``model`` name and only the noise fields that model reads."""
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"motion config must be a JSON object, got {data!r}")
+    model = motion.MotionModel(data.get("model"))
+    unknown = sorted(set(data) - {"model", *motion.NOISE_FIELDS[model]})
+    if unknown:
+        raise InvalidConfig(f"motion model {model.value!r} does not read fields {unknown}")
+    return motion.MotionModelSpec(**{**data, "model": model})
 
 
 class _LiveTrack:
@@ -185,7 +195,6 @@ class _LiveTrack:
             status=self.status,
             hits=self.hits,
             age_since_update=self.age_since_update,
-            motion=self.state,
             last_embedding=None if self.embedding is None else self.embedding.copy(),
         )
 
@@ -263,18 +272,15 @@ def _cosine_matrix(tracks: Sequence[_LiveTrack],
 
 def _greedy_iou(tracks: Sequence[_LiveTrack], dets: Sequence[Detection],
                 config: TrackerConfig):
-    """Highest-IoU-first greedy matching; canonical for the plain IoU baseline."""
-    candidates = []
-    for i, trk in enumerate(tracks):
-        ref = trk.last_bbox
-        for j, det in enumerate(dets):
-            v = assoc.iou(ref, det.bbox)
-            if v >= config.iou_gate:
-                candidates.append((-v, i, j))
-    candidates.sort()
+    """Highest-IoU-first greedy matching; equal IoUs go to the lower track, then detection."""
+    ious = assoc.iou_matrix([trk.last_bbox.as_tuple() for trk in tracks],
+                            [det.bbox.as_tuple() for det in dets])
+    # nonzero lists pairs in (i, j) order, which the stable sort keeps among equal IoUs.
+    rows, cols = np.nonzero(ious >= config.iou_gate)
+    order = np.argsort(-ious[rows, cols], kind="stable")
     used_t, used_d = set(), set()
     matches = []
-    for _, i, j in candidates:
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
         if i in used_t or j in used_d:
             continue
         matches.append((i, j))
@@ -354,7 +360,7 @@ def tracker_step(state: TrackerState, frame_id: int,
     state.live = survivors
 
     # Unmatched high-confidence detections spawn tentative tracks.
-    kf_spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
+    kf_spec = config.resolved_motion_spec() if spawn_idx and kind in _KF_KINDS else None
     for det_index in spawn_idx:
         det = detections[det_index]
         kf_state = motion.kf_init(det.bbox, kf_spec) if kf_spec is not None else None

@@ -1,5 +1,5 @@
-"""Shared test oracles: exhaustive assignment search, a reference assignment
-solver, a textbook Kalman filter, and random input builders.
+"""Shared test oracles: exhaustive assignment search, reference assignment
+solvers, a textbook Kalman filter, and random input builders.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
-from trackfuse.assoc import GATE_SENTINEL, AssignmentResult, CostMatrix
+from trackfuse.assoc import GATE_SENTINEL, AssignmentResult, CostMatrix, iou
 
 SENTINEL = 1e9
 
@@ -62,6 +62,25 @@ def exhaustive_gated_optimum(values: np.ndarray, mask: np.ndarray):
             best_matches = matches
     return best, tuple(best_matches)
 
+
+
+def reference_greedy_iou(tracks, dets, iou_gate: float):
+    """Highest-IoU-first greedy matching by scalar ``iou`` over every pair.
+
+    Candidates sort as ``(-iou, track, detection)`` tuples, so equal IoUs go
+    to the lower track index, then the lower detection index.
+    """
+    candidates = sorted((-iou(trk.last_bbox, det.bbox), i, j)
+                        for i, trk in enumerate(tracks) for j, det in enumerate(dets)
+                        if iou(trk.last_bbox, det.bbox) >= iou_gate)
+    used_t, used_d, matches = set(), set(), []
+    for _, i, j in candidates:
+        if i not in used_t and j not in used_d:
+            matches.append((i, j))
+            used_t.add(i)
+            used_d.add(j)
+    return (tuple(matches), tuple(i for i in range(len(tracks)) if i not in used_t),
+            tuple(j for j in range(len(dets)) if j not in used_d))
 
 
 def reference_solve_assignment(cost: CostMatrix) -> AssignmentResult:

@@ -4,6 +4,8 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trackfuse.cli import main
 
@@ -113,14 +115,46 @@ class TestTrack:
         assert reports["alone"]["flip_rate"]["raw"] > 0.0
         assert reports["mixed"]["flip_rate"] == reports["alone"]["flip_rate"]
 
-    def test_config_file_with_cli_override(self, tmp_path, detection_file):
+    @pytest.mark.parametrize("fields", [{"min_hits": 140}, {"max_age": 0}])
+    def test_config_file_values_change_the_run(self, tmp_path, detection_file, fields):
         dets, labels = detection_file
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"min_hits": 2, "max_age": 5}))
-        out = tmp_path / "t.csv"
+        cfg.write_text(json.dumps(fields))
+        csvs = {}
+        for name, extra in (("default", []), ("config", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.csv"
+            assert main(["track", "--input", str(dets), "--labels", str(labels),
+                         "--output", str(out), *extra]) == 0
+            csvs[name] = out.read_text()
+        assert csvs["config"] != csvs["default"]
+
+    def test_config_field_flag_is_usage_error(self, tmp_path, detection_file):
+        dets, labels = detection_file
         code = main(["track", "--input", str(dets), "--labels", str(labels),
-                     "--output", str(out), "--config", str(cfg), "--max-age", "9"])
-        assert code == 0
+                     "--output", str(tmp_path / "t.csv"), "--max-age", "9"])
+        assert code == 1
+
+    @pytest.mark.parametrize("config,bad_key", [
+        ({"kind": "iou"}, "kind"),
+        ({"fps": 30}, "fps"),
+        ({"burst_len": 4}, "burst_len"),
+        ({"cooldown": 10.0}, "cooldown"),
+        ({"motion": "sort_cv7"}, "motion"),
+        ({"motion": None}, "motion"),
+        ({"motion": 5}, "motion"),
+        ({"motion": {"model": "sort_cv7", "dt": "x"}}, "dt"),
+        ({"motion": {"model": "sort_cv7", "dt": "1.5"}}, "dt"),
+        ({"motion": {"model": "sort_cv7", "process_std": 9}}, "process_std"),
+    ])
+    def test_bad_config_is_data_error(self, tmp_path, detection_file, capsys, config, bad_key):
+        dets, labels = detection_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["track", "--input", str(dets), "--labels", str(labels),
+                     "--output", str(tmp_path / "t.csv"), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert bad_key in err and "Traceback" not in err
 
     def test_unknown_config_field_is_data_error(self, tmp_path, detection_file, capsys):
         dets, labels = detection_file
@@ -130,6 +164,45 @@ class TestTrack:
                      "--output", str(tmp_path / "t.csv"), "--config", str(cfg)])
         assert code == 2
         assert "min_hitz" in capsys.readouterr().err
+
+
+_CONFIG_KEYS = ["iou_gate", "centroid_gate", "det_threshold_high", "det_threshold_low",
+                "min_hits", "max_age", "appearance_weight", "cosine_gate"]
+_MOTION_KEYS = ["dt", "std_weight_position", "std_weight_velocity", "process_std",
+                "measurement_std", "bogus"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+_plausible = st.floats(0.0, 1.0) | st.integers(0, 5)
+_motion_objects = st.fixed_dictionaries(
+    {}, optional={"model": st.sampled_from(["sort_cv7", "centroid_cv4"]) | _json_values,
+                  **{k: st.floats(1e-3, 10.0) | _json_values for k in _MOTION_KEYS}})
+_config_values = {
+    **{k: _plausible | _json_values for k in _CONFIG_KEYS + ["kind", "fps", "bogus"]},
+    "motion": _motion_objects | _json_values,
+}
+_configs = st.lists(st.sampled_from(sorted(_config_values)).flatmap(
+    lambda k: st.tuples(st.just(k), _config_values[k])), max_size=3).map(dict)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_configs, tracker=st.sampled_from(["iou", "centroid", "centroid-kf", "sort",
+                                                 "bytetrack", "appearance"]))
+def test_any_config_exits_0_or_2(tmp_path, config, tracker):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n")
+    dets = tmp_path / "d.jsonl"
+    dets.write_text("".join(
+        json.dumps({"seq": "s", "frame": f, "bbox": [f, 0, 10 + f, 10], "score": 0.9,
+                    "probs": [0.6, 0.4], "embedding": [1.0, 0.5]}) + "\n" for f in (0, 1)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
+                 "--output", str(tmp_path / "t.csv"), "--config", str(cfg)]) in (0, 2)
 
 
 class TestEval:
@@ -209,6 +282,14 @@ class TestSimulate:
         assert main(["simulate", "--input", str(path), "--output", str(out)]) == 2
         assert "line" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_infinite_cooldown_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "a", "frame": 0}) + "\n")
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--input", str(path), "--output", str(out),
+                     "--cooldown", "inf"]) == 2
+        assert "cooldown" in capsys.readouterr().err
 
     def test_huge_frame_id_is_sampled_sparsely(self, tmp_path):
         path = tmp_path / "d.jsonl"

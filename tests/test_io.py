@@ -119,6 +119,19 @@ class TestParseDetections:
         with pytest.raises(ParseError, match="line 1"):
             parse_detections(path, self._labels())
 
+    @pytest.mark.parametrize("field,value", [
+        ("frame", True), ("gt_class", 1.7), ("gt_class", "1"), ("gt_class", True),
+        ("gt_track", 1.7), ("gt_track", "1"), ("gt_track", True),
+    ])
+    def test_non_integer_id_is_parse_error(self, tmp_path, field, value):
+        good = {"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 0.9,
+                "probs": [0.2] * 5, "gt_class": 1, "gt_track": 1}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        name = "frame_id" if field == "frame" else field
+        with pytest.raises(ParseError, match=f"line 2: {name} must be a non-negative integer"):
+            parse_detections(path, self._labels())
+
     def test_degenerate_bbox_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [5, 0, 5, 5],

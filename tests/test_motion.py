@@ -53,6 +53,15 @@ class TestInit:
         with pytest.raises(InvalidConfig):
             MotionModelSpec(MotionModel.SORT_CV7, process_std=0.0)
 
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.0]])
+    def test_spec_requires_real_numbers(self, value):
+        with pytest.raises(InvalidConfig, match="dt must be a real number"):
+            MotionModelSpec(MotionModel.SORT_CV7, dt=value)
+
+    def test_spec_stores_floats(self):
+        spec = MotionModelSpec(MotionModel.CENTROID_CV4, dt=2, process_std=np.float32(0.5))
+        assert type(spec.dt) is float and type(spec.process_std) is float
+
 
 class TestPredict:
     def test_zero_velocity_keeps_position(self):

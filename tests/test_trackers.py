@@ -1,8 +1,12 @@
 """Tracker family: association behavior, lifecycle, determinism."""
 
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracles import reference_greedy_iou
 from trackfuse.errors import InvalidConfig, MissingEmbedding, OutOfOrderFrame
 from trackfuse.model import BoundingBox, Detection, TrackStatus, validate_distribution
 from trackfuse.motion import MotionModel, MotionModelSpec
@@ -11,6 +15,7 @@ from trackfuse.trackers import (
     TrackerConfig,
     TrackerKind,
     TrackerState,
+    _greedy_iou,
     run_sequence,
     tracker_step,
 )
@@ -186,6 +191,39 @@ class TestFullScene:
             assert (ra.frame_id, ra.track_id, ra.raw_label) == (rb.frame_id, rb.track_id, rb.raw_label)
 
 
+class TestGreedyIou:
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_equal_iou_goes_to_lower_track_index(self, order):
+        left, right = (0, 0, 10, 10), (10, 0, 20, 10)
+        boxes = [(left, right)[k] for k in order]
+        frames = [(0, [_det(0, b) for b in boxes]),
+                  (1, [_det(1, (5, 0, 15, 10))])]  # IoU 1/3 with both tracks
+        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+        assert result.per_frame[-1].track_id == 1
+
+    def test_equal_iou_goes_to_lower_detection_index(self):
+        frames = [(0, [_det(0, (5, 0, 15, 10))]),
+                  (1, [_det(1, (10, 0, 20, 10)), _det(1, (0, 0, 10, 10))])]
+        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+        assert [rec.track_id for rec in result.per_frame[1:]] == [1, 2]
+
+    @pytest.mark.parametrize("gate", [0.0, 0.1, 0.3])
+    def test_matches_scalar_reference(self, gate):
+        rng = np.random.default_rng(11)
+        config = TrackerConfig(kind=TrackerKind.IOU, iou_gate=gate)
+
+        def box():
+            # A coarse grid makes many IoUs tie exactly.
+            x, y = rng.integers(0, 6, size=2) * 5
+            w, h = rng.integers(1, 4, size=2) * 5
+            return BoundingBox(x, y, x + w, y + h)
+
+        for _ in range(500):
+            tracks = [SimpleNamespace(last_bbox=box()) for _ in range(rng.integers(0, 7))]
+            dets = [SimpleNamespace(bbox=box()) for _ in range(rng.integers(0, 7))]
+            assert _greedy_iou(tracks, dets, config) == reference_greedy_iou(tracks, dets, gate)
+
+
 class TestByteTrack:
     def test_degenerates_to_sort_when_thresholds_meet(self):
         config = ScenarioConfig(seed=12, num_objects=5, num_frames=60,
@@ -341,6 +379,37 @@ class TestConfig:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(InvalidConfig):
             TrackerConfig.from_dict({"kind": "sort", "bogus": 1})
+
+    def test_from_dict_names_every_unknown_field(self):
+        with pytest.raises(InvalidConfig, match=r"\['bogus', 'fps', 'motion_spec'\]"):
+            TrackerConfig.from_dict({"kind": "sort", "fps": 30, "bogus": 1, "motion_spec": None})
+
+    @pytest.mark.parametrize("model,unread", [
+        ("sort_cv7", ["measurement_std", "process_std"]),
+        ("centroid_cv4", ["std_weight_position", "std_weight_velocity"]),
+    ])
+    def test_from_dict_rejects_motion_fields_the_model_never_reads(self, model, unread):
+        motion = {"model": model, "dt": 2.0, **{name: 3.0 for name in unread}}
+        with pytest.raises(InvalidConfig, match=re.escape(str(unread))):
+            TrackerConfig.from_dict({"kind": "sort", "motion": motion})
+        # The spec itself still takes every field.
+        assert MotionModelSpec(MotionModel(model), **{n: 3.0 for n in unread}).dt == 1.0
+
+    @pytest.mark.parametrize("data", [
+        {"kind": "warp"}, {"kind": "sort", "min_hits": "2"}, {"kind": "sort", "max_age": 1.5},
+        {"kind": "sort", "min_hits": True}, {"kind": "sort", "cosine_gate": "x"},
+        {"kind": "sort", "iou_gate": None}, {"kind": "sort", "centroid_gate": 10 ** 400},
+        {"kind": "sort", "motion": [["model", "sort_cv7"]]},
+        {"kind": "sort", "motion": {"model": "warp"}}, {"kind": "sort", "motion": {}},
+        {"kind": "sort", "motion": {"model": "sort_cv7", "dt": True}},
+    ])
+    def test_from_dict_malformed_value_is_invalid_config(self, data):
+        with pytest.raises(InvalidConfig):
+            TrackerConfig.from_dict(data)
+
+    def test_numbers_are_stored_as_their_field_type(self):
+        config = TrackerConfig.from_dict({"kind": "sort", "iou_gate": 0, "max_age": 3})
+        assert type(config.iou_gate) is float and type(config.max_age) is int
 
     def test_default_motion_model_per_kind(self):
         assert (TrackerConfig(kind=TrackerKind.SORT).resolved_motion_spec().model
