@@ -115,11 +115,8 @@ def _tracker_config(args) -> TrackerConfig:
     """The ``--tracker`` kind plus the ``--config`` file's TrackerConfig fields."""
     file_cfg: Dict[str, object] = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(exc.lineno, f"config file: {exc}") from None
+        with io.open_text(args.config) as fh:
+            file_cfg = io.parse_json(fh.read())
         if not isinstance(file_cfg, dict):
             raise InvalidConfig("config file must hold a JSON object")
         if "kind" in file_cfg:
@@ -319,10 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except TrackfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TrackfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,15 +40,40 @@ def fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribu
     return ClassDistribution(np.maximum(np.exp(joint), _UNDERFLOW_GUARD))
 
 
+def _entries(track: Track):
+    if not track.entries:
+        raise EmptyTrack(f"track {track.id} has no entries")
+    return track.entries
+
+
+def _running_log(track: Track) -> np.ndarray:
+    """Row k is the per-class sum of log probabilities over entries 0..k."""
+    return np.cumsum([e.dist.log() for e in _entries(track)], axis=0)
+
+
+def _running_labels(track: Track, mode: FusionMode) -> np.ndarray:
+    """Fused label after each entry of ``track``, from that entry and earlier ones only.
+
+    ``PROBABILITY`` takes the argmax of the running log sum.  ``MAJORITY``
+    takes the most frequent per-frame argmax; vote ties go to the class with
+    the larger summed probability mass, then to the lowest class index.
+    """
+    if mode is FusionMode.PROBABILITY:
+        return np.argmax(_running_log(track), axis=1)
+    probs = np.array([e.dist.probs for e in _entries(track)])
+    votes = np.cumsum(probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]), axis=0)
+    mass = np.cumsum(probs, axis=0)
+    return np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), mass, -np.inf), axis=1)
+
+
 def consensus_label(track: Track) -> Tuple[int, np.ndarray]:
     """Track-level label: argmax of the summed log probabilities.
 
     Returns the label index (ties toward the lowest class index) and the
     unnormalized log-score vector.
     """
-    if not track.entries:
-        raise EmptyTrack(f"track {track.id} has no entries")
-    return int(np.argmax(track.cum_log)), np.array(track.cum_log)
+    scores = _running_log(track)[-1]
+    return int(np.argmax(scores)), scores
 
 
 def majority_vote(track: Track) -> int:
@@ -57,43 +82,7 @@ def majority_vote(track: Track) -> int:
     Vote ties go to the class with the larger summed probability mass over the
     track, then to the lowest class index.
     """
-    if not track.entries:
-        raise EmptyTrack(f"track {track.id} has no entries")
-    n_classes = len(track.entries[0].dist)
-    votes = np.zeros(n_classes, dtype=int)
-    mass = np.zeros(n_classes)
-    for entry in track.entries:
-        votes[entry.dist.argmax] += 1
-        mass += entry.dist.probs
-    return _vote_winner(votes, mass)
-
-
-def _vote_winner(votes: np.ndarray, mass: np.ndarray) -> int:
-    """Class with the most votes; ties go to the larger mass, then the lowest index."""
-    tied = np.flatnonzero(votes == votes.max())
-    return int(max(tied, key=lambda c: (mass[c], -c)))
-
-
-def _track_labels(track: Track, mode: FusionMode, online: bool) -> Dict[int, int]:
-    """Fused label per frame_id of one track."""
-    if not online:
-        label = consensus_label(track)[0] if mode is FusionMode.PROBABILITY else majority_vote(track)
-        return {e.frame_id: label for e in track.entries}
-
-    labels: Dict[int, int] = {}
-    n_classes = len(track.entries[0].dist)
-    cum = np.zeros(n_classes)
-    votes = np.zeros(n_classes, dtype=int)
-    mass = np.zeros(n_classes)
-    for entry in track.entries:
-        if mode is FusionMode.PROBABILITY:
-            cum += entry.dist.log()
-            labels[entry.frame_id] = int(np.argmax(cum))
-        else:
-            votes[entry.dist.argmax] += 1
-            mass += entry.dist.probs
-            labels[entry.frame_id] = _vote_winner(votes, mass)
-    return labels
+    return int(_running_labels(track, FusionMode.MAJORITY)[-1])
 
 
 def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> SequenceResult:
@@ -104,16 +93,15 @@ def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> S
     only.  Unmatched detections keep their raw label; ``FusionMode.NONE``
     leaves every fused label equal to the raw label.
     """
-    by_track: Dict[int, Dict[int, int]] = {
-        t.id: {} if mode is FusionMode.NONE else _track_labels(t, mode, online)
-        for t in result.tracks
-    }
-    per_frame = []
-    for rec in result.per_frame:
-        fused = rec.raw_label
-        if rec.track_id is not None:
-            fused = by_track[rec.track_id].get(rec.frame_id, rec.raw_label)
-        per_frame.append(
-            DetectionLabel(rec.frame_id, rec.detection, rec.track_id, rec.raw_label, fused)
-        )
-    return SequenceResult(tracks=result.tracks, per_frame=tuple(per_frame))
+    fused: Dict[Tuple[int, int], int] = {}
+    if mode is not FusionMode.NONE:
+        for t in result.tracks:
+            labels = _running_labels(t, mode).tolist()
+            for k, e in enumerate(t.entries):
+                fused[t.id, e.frame_id] = labels[k if online else -1]
+    per_frame = tuple(
+        DetectionLabel(rec.frame_id, rec.detection, rec.track_id, rec.raw_label,
+                       fused.get((rec.track_id, rec.frame_id), rec.raw_label))
+        for rec in result.per_frame
+    )
+    return SequenceResult(tracks=result.tracks, per_frame=per_frame)

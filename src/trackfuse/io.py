@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
-from .errors import EmptyFile, ParseError, SchemaError, TrackfuseError
+from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from .model import BoundingBox, Detection, LabelSet, SequenceResult, validate_distribution
 
@@ -22,9 +23,29 @@ Sequences = Dict[str, List[Tuple[int, List[Detection]]]]
 TRACK_CSV_HEADER = "frame,track_id,x,y,w,h,score,fused_class,raw_class,seq"
 
 
+@contextmanager
+def open_text(path) -> Iterator[TextIO]:
+    """``path`` opened for reading as UTF-8; bytes that do not decode are InvalidValue."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def parse_json(text: str, line_no: int = 1):
+    """``text`` decoded as JSON; malformed or too deeply nested text is a ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no + exc.lineno - 1, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(line_no, "JSON is nested too deeply") from None
+
+
 def read_labels(path) -> LabelSet:
     """One class name per line; order defines the class index."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         names = [line.strip() for line in fh if line.strip()]
     if not names:
         raise EmptyFile(f"label file {path} contains no class names")
@@ -71,20 +92,18 @@ def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
 
     Raises:
         ParseError: a line is not valid JSON or not a JSON object.
+        InvalidValue: the file is not UTF-8 text.
         EmptyFile: no records at all.
     """
     count = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
             count += 1
             with timer.stage(STAGE_DETECTION_INGEST):
-                try:
-                    record = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(line_no, f"invalid JSON: {exc}") from None
+                record = parse_json(text, line_no)
             if not isinstance(record, dict):
                 raise ParseError(line_no, "record must be a JSON object")
             yield line_no, record
@@ -131,9 +150,10 @@ def _parse_line(record: dict, line_no: int, n_classes: int,
         bbox_values = record["bbox"]
         if not isinstance(bbox_values, list) or len(bbox_values) != 4:
             raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
+        _require_numbers(bbox_values, "bbox", line_no)
         try:
             bbox = BoundingBox(*bbox_values)
-        except TrackfuseError as exc:
+        except (TrackfuseError, OverflowError) as exc:
             raise ParseError(line_no, str(exc)) from None
 
     probs = record["probs"]
@@ -142,6 +162,10 @@ def _parse_line(record: dict, line_no: int, n_classes: int,
             f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
             f"entries, label set has {n_classes}"
         )
+    _require_numbers(probs, "probs", line_no)
+    _require_numbers([record["score"]], "score", line_no)
+    if isinstance(record.get("embedding"), list):
+        _require_numbers(record["embedding"], "embedding", line_no)
     try:
         with timer.stage(STAGE_CLASSIFICATION_INGEST):
             dist = validate_distribution(probs, n_classes)
@@ -156,9 +180,18 @@ def _parse_line(record: dict, line_no: int, n_classes: int,
         )
     except TrackfuseError as exc:
         raise ParseError(line_no, str(exc)) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
     return det, str(record["seq"])
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _require_numbers(values: list, name: str, line_no: int) -> None:
+    """ParseError unless every entry of ``values`` is a JSON number; booleans are not."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise ParseError(line_no, f"{name} must hold real numbers, got {values!r}")
 
 
 @dataclass(frozen=True)

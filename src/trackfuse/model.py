@@ -1,7 +1,7 @@
 """Core value types: label sets, boxes, class distributions, tracks, results.
 
 All types here are immutable after construction (frozen dataclasses, read-only
-numpy arrays) and therefore safe to share across threads.
+numpy arrays).
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -230,13 +229,6 @@ class Detection:
                 object.__setattr__(self, name, index_value(v, name))
 
 
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-    LOST = "lost"
-    DEAD = "dead"
-
-
 @dataclass(frozen=True)
 class TrackEntry:
     """One matched observation along a track."""
@@ -248,19 +240,10 @@ class TrackEntry:
 
 @dataclass(frozen=True, eq=False)
 class Track:
-    """An identity's trajectory with its running log-probability accumulator.
-
-    ``cum_log`` is the per-class sum of log probabilities over all entries;
-    construction re-checks it against the entries to 1e-9 per component.
-    """
+    """An identity's trajectory: its matched observations in frame order."""
 
     id: int
     entries: Tuple[TrackEntry, ...]
-    cum_log: np.ndarray
-    status: TrackStatus
-    hits: int
-    age_since_update: int
-    last_embedding: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.id < 1:
@@ -270,18 +253,6 @@ class Track:
         frames = [e.frame_id for e in entries]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise InvalidValue(f"track {self.id}: entry frame ids must be strictly increasing")
-        cum = np.asarray(self.cum_log, dtype=float)
-        if entries:
-            expected = np.sum([e.dist.log() for e in entries], axis=0)
-            if cum.shape != expected.shape or np.max(np.abs(cum - expected)) > 1e-9:
-                raise InvalidValue(f"track {self.id}: cum_log disagrees with entries")
-        object.__setattr__(self, "cum_log", _readonly(cum))
-        if self.last_embedding is not None:
-            emb = np.asarray(self.last_embedding, dtype=float)
-            object.__setattr__(self, "last_embedding", _readonly(emb))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @property
     def frame_ids(self) -> Tuple[int, ...]:

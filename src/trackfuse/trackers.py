@@ -30,7 +30,6 @@ from .model import (
     SequenceResult,
     Track,
     TrackEntry,
-    TrackStatus,
     config_number,
 )
 
@@ -126,23 +125,15 @@ def _motion_spec(data) -> motion.MotionModelSpec:
 class _LiveTrack:
     """Mutable tracker-internal workspace; frozen into a Track on emission."""
 
-    __slots__ = ("id", "entries", "cum_log", "status", "hits", "streak",
-                 "age_since_update", "state", "embedding")
+    __slots__ = ("id", "entries", "age_since_update", "state", "embedding")
 
     def __init__(self, track_id: int, frame_id: int, det: Detection,
-                 config: TrackerConfig, kf_state: Optional[motion.KalmanState]):
+                 kf_state: Optional[motion.KalmanState]):
         self.id = track_id
         self.entries: List[TrackEntry] = [TrackEntry(frame_id, det.bbox, det.dist)]
-        self.cum_log = det.dist.log().copy()
-        self.hits = 1
-        self.streak = 1
         self.age_since_update = 0
-        self.status = (TrackStatus.CONFIRMED if self.streak >= config.min_hits
-                       else TrackStatus.TENTATIVE)
         self.state = kf_state
-        self.embedding = None
-        if det.embedding is not None:
-            self.embedding = _unit(det.embedding)
+        self.embedding = None if det.embedding is None else _unit(det.embedding)
 
     @property
     def last_bbox(self) -> BoundingBox:
@@ -157,14 +148,9 @@ class _LiveTrack:
                 pass
         return self.last_bbox
 
-    def mark_matched(self, frame_id: int, det: Detection, config: TrackerConfig):
+    def mark_matched(self, frame_id: int, det: Detection):
         self.entries.append(TrackEntry(frame_id, det.bbox, det.dist))
-        self.cum_log = self.cum_log + det.dist.log()
-        self.hits += 1
-        self.streak += 1
         self.age_since_update = 0
-        if self.streak >= config.min_hits:
-            self.status = TrackStatus.CONFIRMED
         if self.state is not None:
             self.state = motion.kf_update(self.state, det.bbox)
         if det.embedding is not None:
@@ -175,28 +161,13 @@ class _LiveTrack:
                          + (1.0 - EMBEDDING_SMOOTHING) * det.embedding)
                 self.embedding = _unit(mixed)
 
-    def mark_missed(self, config: TrackerConfig) -> bool:
+    def mark_missed(self, max_age: int) -> bool:
         """Age the track one step; returns True when it just died."""
         self.age_since_update += 1
-        if self.status is TrackStatus.TENTATIVE:
-            self.streak = 0
-        elif self.status is TrackStatus.CONFIRMED:
-            self.status = TrackStatus.LOST
-        if self.age_since_update > config.max_age:
-            self.status = TrackStatus.DEAD
-            return True
-        return False
+        return self.age_since_update > max_age
 
     def freeze(self) -> Track:
-        return Track(
-            id=self.id,
-            entries=tuple(self.entries),
-            cum_log=self.cum_log.copy(),
-            status=self.status,
-            hits=self.hits,
-            age_since_update=self.age_since_update,
-            last_embedding=None if self.embedding is None else self.embedding.copy(),
-        )
+        return Track(id=self.id, entries=tuple(self.entries))
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -330,8 +301,7 @@ def tracker_step(state: TrackerState, frame_id: int,
     matched_tracks = set()
     for t_i, d_i in matches:
         trk = state.live[t_i]
-        det = high_dets[d_i]
-        trk.mark_matched(frame_id, det, config)
+        trk.mark_matched(frame_id, high_dets[d_i])
         assigned[high_idx[d_i]] = trk.id
         matched_tracks.add(t_i)
 
@@ -344,16 +314,14 @@ def tracker_step(state: TrackerState, frame_id: int,
         second = assoc.solve_assignment(cost)
         for t_i, d_i in second.matches:
             trk = rest[t_i]
-            trk.mark_matched(frame_id, low_dets[d_i], config)
+            trk.mark_matched(frame_id, low_dets[d_i])
             assigned[low_idx[d_i]] = trk.id
             matched_tracks.add(um_t[t_i])
 
     # Age and retire unmatched tracks.
     survivors = []
     for i, trk in enumerate(state.live):
-        if i in matched_tracks:
-            survivors.append(trk)
-        elif trk.mark_missed(config):
+        if i not in matched_tracks and trk.mark_missed(config.max_age):
             state.finished.append(trk)
         else:
             survivors.append(trk)
@@ -364,7 +332,7 @@ def tracker_step(state: TrackerState, frame_id: int,
     for det_index in spawn_idx:
         det = detections[det_index]
         kf_state = motion.kf_init(det.bbox, kf_spec) if kf_spec is not None else None
-        trk = _LiveTrack(state.next_id, frame_id, det, config, kf_state)
+        trk = _LiveTrack(state.next_id, frame_id, det, kf_state)
         state.next_id += 1
         state.live.append(trk)
         assigned[det_index] = trk.id

@@ -1,5 +1,6 @@
 """Shared test oracles: exhaustive assignment search, reference assignment
-solvers, a textbook Kalman filter, and random input builders.
+solvers, a textbook Kalman filter, reference label fusion, and random input
+builders.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -8,7 +9,7 @@ the library is evidence, not tautology.
 """
 
 import itertools
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -226,6 +227,38 @@ def oracle_update(mean, cov, spec, bbox):
     i_kh = np.eye(p.shape[0], dtype=np.longdouble) - k @ h
     p_new = i_kh @ p @ i_kh.T + k @ r @ k.T
     return m_new, p_new
+
+
+def _reference_vote_winner(votes: np.ndarray, mass: np.ndarray) -> int:
+    """Class with the most votes; ties go to the larger mass, then the lowest index."""
+    tied = np.flatnonzero(votes == votes.max())
+    return int(max(tied, key=lambda c: (mass[c], -c)))
+
+
+def reference_track_labels(track, vote: bool, online: bool) -> Dict[int, int]:
+    """Fused label per frame_id of one track, from per-entry running sums.
+
+    Walks the entries once, adding each log probability (or vote and mass) to
+    a running total; ``online`` takes the label after each entry, otherwise
+    every frame gets the label after the last entry.
+    """
+    n_classes = len(track.entries[0].dist)
+    cum = np.zeros(n_classes)
+    votes = np.zeros(n_classes, dtype=int)
+    mass = np.zeros(n_classes)
+    labels: Dict[int, int] = {}
+    for entry in track.entries:
+        if vote:
+            votes[entry.dist.argmax] += 1
+            mass += entry.dist.probs
+            labels[entry.frame_id] = _reference_vote_winner(votes, mass)
+        else:
+            cum += entry.dist.log()
+            labels[entry.frame_id] = int(np.argmax(cum))
+    if not online:
+        last = labels[track.entries[-1].frame_id]
+        labels = dict.fromkeys(labels, last)
+    return labels
 
 
 def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.0):

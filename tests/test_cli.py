@@ -4,7 +4,7 @@ import json
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trackfuse.cli import main
@@ -203,6 +203,91 @@ def test_any_config_exits_0_or_2(tmp_path, config, tracker):
     cfg.write_text(json.dumps(config))
     assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
                  "--output", str(tmp_path / "t.csv"), "--config", str(cfg)]) in (0, 2)
+
+
+_GOOD_RECORD = {"seq": "s", "frame": 0, "bbox": [0, 0, 10, 10], "score": 0.9,
+                "probs": [0.6, 0.4], "embedding": [1.0, 0.5]}
+
+
+def _unreadable_input_args(tmp_path, which, bad):
+    """A command line whose ``which`` file holds ``bad``; every other file is valid."""
+    files = {"input": json.dumps(_GOOD_RECORD).encode() + b"\n", "labels": b"a\nb\n",
+             "config": b"{}"}
+    files[which] = bad
+    paths = {}
+    for name, content in files.items():
+        paths[name] = tmp_path / f"{name}.bad"
+        paths[name].write_bytes(content)
+    io_args = ["--input", str(paths["input"]), "--labels", str(paths["labels"])]
+    return paths[which], {
+        "track": ["track", *io_args, "--output", str(tmp_path / "t.csv"),
+                  "--config", str(paths["config"])],
+        "eval": ["eval", *io_args],
+        "bench": ["bench", *io_args, "--trackers", "iou"],
+        "simulate": ["simulate", "--input", str(paths["input"]),
+                     "--output", str(tmp_path / "s.jsonl")],
+    }
+
+
+@pytest.mark.parametrize("command,which", [
+    ("track", "input"), ("eval", "input"), ("bench", "input"), ("simulate", "input"),
+    ("track", "labels"), ("eval", "labels"), ("track", "config"),
+])
+def test_non_utf8_file_is_data_error(tmp_path, capsys, command, which):
+    path, argv = _unreadable_input_args(tmp_path, which, b"\xff\xfe{}\n")
+    assert main(argv[command]) == 2
+    err = capsys.readouterr().err
+    assert f"{path} is not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,which,line", [
+    ("track", "config", 1), ("track", "input", 2), ("simulate", "input", 2),
+])
+def test_deeply_nested_json_is_data_error(tmp_path, capsys, command, which, line):
+    deep = b"[" * 5000 + b"]" * 5000
+    if which == "input":
+        deep = json.dumps(_GOOD_RECORD).encode() + b"\n" + deep + b"\n"
+    _, argv = _unreadable_input_args(tmp_path, which, deep)
+    assert main(argv[command]) == 2
+    assert f"line {line}: JSON is nested too deeply" in capsys.readouterr().err
+
+
+# Detection lines for the fuzz test: a valid record with at most two fields
+# replaced by any JSON value, deep nesting, or arbitrary (often non-UTF-8) bytes.
+_record_fields = {
+    "seq": st.sampled_from(["a", "b"]),
+    "frame": st.integers(0, 4),
+    "bbox": st.integers(0, 5).map(lambda x: [x, 0, x + 10, 10]),
+    "score": st.floats(0.0, 1.0),
+    "probs": st.sampled_from([[0.6, 0.4], [0.3, 0.7]]),
+    "embedding": st.sampled_from([[1.0, 0.0], [0.6, 0.8]]),
+    "gt_class": st.integers(0, 1),
+}
+_records = st.tuples(
+    st.fixed_dictionaries(_record_fields),
+    st.dictionaries(st.sampled_from(sorted(_record_fields)),
+                    _json_values | st.just(10 ** 400), max_size=2),
+).map(lambda parts: json.dumps({**parts[0], **parts[1]}).encode())
+_lines = (_records | _records | st.sampled_from([3, 5000]).map(lambda n: b"[" * n + b"]" * n)
+          | st.binary(max_size=6))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(_lines, min_size=1, max_size=5).map(b"\n".join),
+       tracker=st.sampled_from(["iou", "sort", "bytetrack", "appearance"]))
+@example(data=b"\xff\xfe{}", tracker="sort")
+@example(data=b"[" * 5000 + b"]" * 5000, tracker="sort")
+@example(data=json.dumps({**_GOOD_RECORD, "bbox": ["x", 0, 10, 10]}).encode(), tracker="sort")
+def test_any_detection_file_exits_0_or_2(tmp_path, data, tracker):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\nb\n")
+    dets = tmp_path / "d.jsonl"
+    dets.write_bytes(data + b"\n")
+    assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
+                 "--fusion", "vote", "--output", str(tmp_path / "t.csv")]) in (0, 2)
+    assert main(["simulate", "--input", str(dets),
+                 "--output", str(tmp_path / "s.jsonl")]) in (0, 2)
 
 
 class TestEval:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_simplex
+from oracles import random_simplex, reference_track_labels
 from trackfuse.errors import EmptyTrack, LengthMismatch
 from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, majority_vote, relabel
 from trackfuse.model import (
@@ -17,7 +17,6 @@ from trackfuse.model import (
     SequenceResult,
     Track,
     TrackEntry,
-    TrackStatus,
     validate_distribution,
 )
 from trackfuse.synth import ScenarioConfig, generate_scenario
@@ -27,13 +26,10 @@ BOX = BoundingBox(0, 0, 10, 10)
 
 
 def _track(prob_rows, track_id=1) -> Track:
-    entries = []
-    cum = None
-    for frame, probs in enumerate(prob_rows):
-        dist = validate_distribution(np.asarray(probs, dtype=float), len(probs))
-        entries.append(TrackEntry(frame, BOX, dist))
-        cum = dist.log() if cum is None else cum + dist.log()
-    return Track(track_id, tuple(entries), cum, TrackStatus.CONFIRMED, len(entries), 0)
+    entries = [TrackEntry(frame, BOX, validate_distribution(np.asarray(probs, dtype=float),
+                                                            len(probs)))
+               for frame, probs in enumerate(prob_rows)]
+    return Track(track_id, tuple(entries))
 
 
 class TestFusePair:
@@ -100,7 +96,7 @@ class TestConsensusLabel:
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
-            consensus_label(Track(1, (), np.zeros(2), TrackStatus.TENTATIVE, 0, 0))
+            consensus_label(Track(1, ()))
 
     def test_matches_extended_precision_product(self):
         rng = np.random.default_rng(77)
@@ -165,7 +161,7 @@ class TestMajorityVote:
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
-            majority_vote(Track(1, (), np.zeros(2), TrackStatus.TENTATIVE, 0, 0))
+            majority_vote(Track(1, ()))
 
 
 class TestRelabel:
@@ -257,6 +253,40 @@ class TestRelabel:
         got = [rec.fused_label for rec in online.per_frame]
         want = [majority_vote(_track(rows[:t + 1])) for t in range(len(rows))]
         assert got == want == [0, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("online", [False, True])
+    @pytest.mark.parametrize("mode", [FusionMode.PROBABILITY, FusionMode.MAJORITY])
+    def test_matches_reference_running_sums(self, mode, online):
+        # Rows come from a coarse grid, so votes, masses and log sums tie often.
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n_classes = int(rng.integers(2, 5))
+            tracks, per_frame = [], []
+            for track_id in range(1, int(rng.integers(1, 4)) + 1):
+                length = int(rng.integers(1, 12))
+                frames = np.sort(rng.choice(40, size=length, replace=False))
+                rows = rng.integers(1, 4, size=(length, n_classes)).astype(float)
+                entries = [TrackEntry(int(f), BOX, validate_distribution(r / r.sum(), n_classes))
+                           for f, r in zip(frames, rows)]
+                tracks.append(Track(track_id, tuple(entries)))
+                per_frame += [DetectionLabel(e.frame_id, Detection(e.frame_id, BOX, 0.9, e.dist),
+                                             track_id, e.dist.argmax, e.dist.argmax)
+                              for e in entries]
+            result = relabel(SequenceResult(tuple(tracks), tuple(per_frame)), mode, online)
+            want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
+                    for t in tracks}
+            got = [rec.fused_label for rec in result.per_frame]
+            assert got == [want[rec.track_id][rec.frame_id] for rec in result.per_frame]
+
+    def test_consensus_scores_are_the_sequential_log_sum(self):
+        rng = np.random.default_rng(37)
+        for _ in range(100):
+            rows = [random_simplex(rng, 6) for _ in range(int(rng.integers(1, 40)))]
+            track = _track(rows)
+            want = np.zeros(6)
+            for entry in track.entries:
+                want = want + entry.dist.log()
+            assert np.array_equal(consensus_label(track)[1], want)
 
     def test_unmatched_detections_keep_raw_label(self):
         base = self._result()

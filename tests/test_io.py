@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trackfuse.errors import EmptyFile, ParseError, SchemaError
+from trackfuse.errors import EmptyFile, InvalidValue, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import (
     TRACK_CSV_HEADER,
     parse_detections,
     read_labels,
+    read_records,
     read_tracks,
     write_detections,
     write_labels,
@@ -131,6 +132,54 @@ class TestParseDetections:
         name = "frame_id" if field == "frame" else field
         with pytest.raises(ParseError, match=f"line 2: {name} must be a non-negative integer"):
             parse_detections(path, self._labels())
+
+    @pytest.mark.parametrize("field,value", [
+        ("score", True), ("score", "0.9"), ("bbox", ["0", 0, 5, 5]),
+        ("probs", ["0.2"] * 5), ("probs", [True, False, False, False, False]),
+        ("embedding", ["1", "2"]), ("embedding", [1.0, False]),
+    ])
+    def test_non_number_is_parse_error(self, tmp_path, field, value):
+        good = {"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 0.9,
+                "probs": [0.2] * 5, "embedding": [1.0, 2.0]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "frame": 1, field: value})
+                        + "\n")
+        with pytest.raises(ParseError, match=f"line 2: {field} must hold real numbers"):
+            parse_detections(path, self._labels())
+
+    @pytest.mark.parametrize("field,value", [
+        ("score", 10 ** 400), ("bbox", [0, 0, 10 ** 400, 5]), ("probs", [10 ** 400] + [1] * 4),
+        ("embedding", [10 ** 400, 1]),
+    ], ids=["score", "bbox", "probs", "embedding"])
+    def test_number_beyond_float_range_is_parse_error(self, tmp_path, field, value):
+        good = {"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 0.9,
+                "probs": [0.2] * 5, "embedding": [1.0, 2.0]}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ParseError, match="line 1: .*int too large to convert to float"):
+            parse_detections(path, self._labels())
+
+    def test_integral_numbers_parse_as_floats(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 1,
+                                    "probs": [1, 0, 0, 0, 0], "embedding": [1, 2]}) + "\n")
+        (det,) = parse_detections(path, self._labels())["a"][0][1]
+        assert det.bbox.as_tuple() == (0.0, 0.0, 5.0, 5.0) and det.score == 1.0
+        assert det.dist.argmax == 0 and det.embedding.tolist() == [1.0, 2.0]
+
+    def test_deep_nesting_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "a", "frame": 0}) + "\n"
+                        + "[" * 5000 + "]" * 5000 + "\n")
+        with pytest.raises(ParseError, match="line 2: JSON is nested too deeply"):
+            list(read_records(path))
+
+    def test_non_utf8_file_is_invalid_value(self, tmp_path):
+        for path, read in ((tmp_path / "d.jsonl", lambda p: list(read_records(p))),
+                           (tmp_path / "labels.txt", read_labels)):
+            path.write_bytes(b"\xff\xfe{}\n")
+            with pytest.raises(InvalidValue, match=f"{path.name} is not UTF-8 text"):
+                read(path)
 
     def test_degenerate_bbox_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -1,5 +1,7 @@
 """Core type validation and the distribution flooring contract."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,6 @@ from trackfuse.model import (
     LabelSet,
     Track,
     TrackEntry,
-    TrackStatus,
     validate_distribution,
 )
 
@@ -163,25 +164,19 @@ class TestTrack:
             TrackEntry(1, BoundingBox(1, 0, 3, 2), d2),
         )
 
-    def test_cum_log_invariant_holds(self):
-        entries = self._entries()
-        cum = entries[0].dist.log() + entries[1].dist.log()
-        t = Track(1, entries, cum, TrackStatus.CONFIRMED, 2, 0)
+    def test_holds_only_id_and_entries(self):
+        t = Track(1, list(self._entries()))
+        assert [f.name for f in fields(Track)] == ["id", "entries"]
+        assert isinstance(t.entries, tuple)
         assert t.frame_ids == (0, 1)
-        assert len(t) == 2
-
-    def test_cum_log_mismatch_rejected(self):
-        entries = self._entries()
-        with pytest.raises(InvalidValue):
-            Track(1, entries, np.array([0.0, 0.0]), TrackStatus.CONFIRMED, 2, 0)
 
     def test_frames_must_increase(self):
         d = validate_distribution([0.6, 0.4], 2)
         entries = (TrackEntry(1, BoundingBox(0, 0, 2, 2), d),
                    TrackEntry(1, BoundingBox(0, 0, 2, 2), d))
         with pytest.raises(InvalidValue):
-            Track(1, entries, 2 * d.log(), TrackStatus.CONFIRMED, 2, 0)
+            Track(1, entries)
 
     def test_id_must_be_positive(self):
         with pytest.raises(InvalidValue):
-            Track(0, (), np.zeros(2), TrackStatus.TENTATIVE, 0, 0)
+            Track(0, ())
