@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionMismatch, InvalidValue, ZeroVector
+from .errors import InvalidValue
 from .model import BoundingBox
 
 GATE_SENTINEL = 1e9
@@ -58,24 +58,6 @@ def centroid_distance(a: BoundingBox, b: BoundingBox) -> float:
     """Euclidean distance between box centers, in pixels."""
     (ax, ay), (bx, by) = a.center, b.center
     return math.hypot(ax - bx, ay - by)
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two embedding vectors.
-
-    Raises:
-        DimensionMismatch: vectors have different lengths.
-        ZeroVector: either vector has zero norm.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionMismatch(f"embedding shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("cosine similarity is undefined for zero-norm vectors")
-    return float(np.dot(u, v) / (nu * nv))
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,8 @@ def _cmd_simulate(args) -> int:
             frame = index_value(record["frame"])
         except TrackfuseError as exc:
             raise ParseError(line_no, str(exc)) from None
-        records.setdefault(str(record["seq"]), {}).setdefault(frame, []).append(record)
+        seq = io.sequence_name(record, line_no)
+        records.setdefault(seq, {}).setdefault(frame, []).append(record)
 
     with open(args.output, "w", encoding="utf-8") as out:
         for seq, by_frame in sorted(records.items()):

@@ -26,14 +26,6 @@ class InvalidConfig(TrackfuseError):
     """A configuration object violates its invariants."""
 
 
-class DimensionMismatch(TrackfuseError):
-    """Two embedding vectors have different dimensions."""
-
-
-class ZeroVector(TrackfuseError):
-    """An embedding has zero norm; cosine similarity is undefined."""
-
-
 class OutOfOrderFrame(TrackfuseError):
     """A tracker received a frame id at or before its cursor."""
 

@@ -141,6 +141,13 @@ def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
     }
 
 
+def sequence_name(record: dict, line_no: int) -> str:
+    """The record's ``seq``; anything but a JSON string is a ParseError."""
+    if not isinstance(record["seq"], str):
+        raise ParseError(line_no, f"seq must be a string, got {record['seq']!r}")
+    return record["seq"]
+
+
 def _parse_line(record: dict, line_no: int, n_classes: int,
                 timer=NULL_TIMER) -> Tuple[Detection, str]:
     with timer.stage(STAGE_DETECTION_INGEST):
@@ -182,7 +189,7 @@ def _parse_line(record: dict, line_no: int, n_classes: int,
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
-    return det, str(record["seq"])
+    return det, sequence_name(record, line_no)
 
 
 _NUMBER_TYPES = frozenset((int, float))

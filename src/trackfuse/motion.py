@@ -5,19 +5,20 @@ Two models:
 * ``SORT_CV7`` — state [u, v, s, r, du, dv, ds]: box center, area, aspect
   ratio, and their velocities (aspect held constant).  Observes [u, v, s, r].
 * ``CENTROID_CV4`` — state [cx, cy, dcx, dcy]: center plus velocity.  Observes
-  [cx, cy] only; the last observed width/height ride along in
-  ``KalmanState.extent`` so the state can be rendered back into a box.
+  [cx, cy] only; the last observed width/height ride along as the state's
+  extent so the state can be rendered back into a box.
 
-Filter steps are pure functions from state to state; a :class:`KalmanState`
-is never mutated.
+Filter steps take a table of N states, ``means`` (N, d) and ``covs``
+(N, d, d), and return new arrays without writing to their inputs.  Each row
+keeps a one-state filter's operation order, so its result does not depend on
+the other rows.  ``kf_*`` are the one-row forms over a :class:`KalmanState`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,29 +80,12 @@ def default_spec(model: MotionModel) -> MotionModelSpec:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Gaussian motion state: mean, covariance, and the spec that drives it."""
+    """One Gaussian motion state: the form the one-row filter steps take and return."""
 
     mean: np.ndarray
     cov: np.ndarray
     spec: MotionModelSpec
     extent: Optional[Tuple[float, float]] = None  # (w, h), CENTROID_CV4 only
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = self.spec.state_dim
-        if mean.shape != (d,) or cov.shape != (d, d):
-            raise InvalidConfig(f"state shapes {mean.shape}/{cov.shape} do not fit {self.spec.model}")
-        if not np.all(np.isfinite(mean)):
-            raise NumericalBreakdown("state mean is not finite")
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def model(self) -> MotionModel:
-        return self.spec.model
 
 
 def transition_matrix(spec: MotionModelSpec) -> np.ndarray:
@@ -115,139 +99,172 @@ def transition_matrix(spec: MotionModelSpec) -> np.ndarray:
 
 
 def measurement_matrix(spec: MotionModelSpec) -> np.ndarray:
-    h = np.zeros((spec.obs_dim, spec.state_dim))
-    h[: spec.obs_dim, : spec.obs_dim] = np.eye(spec.obs_dim)
-    return h
+    return np.eye(spec.obs_dim, spec.state_dim)
 
 
-def _height_like(mean: np.ndarray) -> float:
+def _height_like(means: np.ndarray) -> np.ndarray:
     # sqrt(s / r) recovers box height from area and aspect; floored at 1 px
     # so noise never collapses to zero on tiny or degenerate states.
-    s = max(float(mean[2]), 1e-6)
-    r = max(float(mean[3]), 1e-6)
-    return max(math.sqrt(s / r), 1.0)
+    s, r = np.maximum(means[:, 2], 1e-6), np.maximum(means[:, 3], 1e-6)
+    return np.maximum(np.sqrt(s / r), 1.0)
 
 
-def process_noise(spec: MotionModelSpec, mean: np.ndarray) -> np.ndarray:
-    if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(mean)
-        wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        std = np.array([wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h])
-        return np.diag(std**2)
-    q = spec.process_std
-    dt = spec.dt
-    # White-acceleration model per axis: position and velocity noise coupled.
-    axis = np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]) * q * q
-    out = np.zeros((4, 4))
-    for pos, vel in ((0, 2), (1, 3)):
-        out[pos, pos] = axis[0, 0]
-        out[pos, vel] = out[vel, pos] = axis[0, 1]
-        out[vel, vel] = axis[1, 1]
+def _diagonal(*std) -> np.ndarray:
+    """(N, k, k): the squares of the k columns ``std``, each (N,) or scalar, on the diagonal."""
+    sq = np.stack(np.broadcast_arrays(*std), axis=1) ** 2
+    out = np.zeros(sq.shape + sq.shape[-1:])
+    out[:, range(sq.shape[1]), range(sq.shape[1])] = sq
     return out
 
 
-def measurement_noise(spec: MotionModelSpec, mean: np.ndarray) -> np.ndarray:
+def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
+    """Q of every row, (N, d, d)."""
     if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(mean)
-        wp = spec.std_weight_position
-        std = np.array([wp * h, wp * h, wp * h * h, 1e-1])
-        return np.diag(std**2)
-    return np.eye(2) * spec.measurement_std**2
-
-
-def initial_covariance(spec: MotionModelSpec, mean: np.ndarray) -> np.ndarray:
-    if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(mean)
+        h = _height_like(means)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        std = np.array([
-            2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
-            10 * wv * h, 10 * wv * h, 10 * wv * h * h,
-        ])
-        return np.diag(std**2)
-    r, q = spec.measurement_std, spec.process_std
-    return np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2])
+        return _diagonal(wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h)
+    # White-acceleration model per axis: position and velocity noise coupled.
+    dt, q = spec.dt, spec.process_std
+    a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
+    out = np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, c, 0], [0, b, 0, c]]) * q * q
+    return np.broadcast_to(out, (len(means), 4, 4))
 
 
-def observe_bbox(spec: MotionModelSpec, bbox: BoundingBox) -> np.ndarray:
-    """Project a box into the model's measurement space."""
-    cx, cy = bbox.center
+def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
+    """R of every row, (N, o, o)."""
     if spec.model is MotionModel.SORT_CV7:
-        return np.array([cx, cy, bbox.area, bbox.width / bbox.height])
-    return np.array([cx, cy])
+        h = _height_like(means)
+        wp = spec.std_weight_position
+        return _diagonal(wp * h, wp * h, wp * h * h, 1e-1)
+    return np.broadcast_to(np.eye(2) * spec.measurement_std**2, (len(means), 2, 2))
 
 
-def _checked_cov(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and verify numerical PSD; raises NumericalBreakdown otherwise."""
-    sym = 0.5 * (cov + cov.T)
+def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
+    """Starting covariance of every row, (N, d, d)."""
+    if spec.model is MotionModel.SORT_CV7:
+        h = _height_like(means)
+        wp, wv = spec.std_weight_position, spec.std_weight_velocity
+        return _diagonal(2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
+                         10 * wv * h, 10 * wv * h, 10 * wv * h * h)
+    r, q = spec.measurement_std, spec.process_std
+    return np.tile(np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]), (len(means), 1, 1))
+
+
+def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
+    """Project corner-form boxes (N, 4) into the model's measurement space, (N, o)."""
+    x1, y1, x2, y2 = boxes.T
+    w, h = x2 - x1, y2 - y1
+    cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    if spec.model is MotionModel.SORT_CV7:
+        return np.stack([cx, cy, w * h, w / h], axis=1)
+    return np.stack([cx, cy], axis=1)
+
+
+def _checked(means: np.ndarray, covs: np.ndarray,
+             ids: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """Symmetrize ``covs`` and verify each is numerically PSD and each mean finite.
+
+    Raises NumericalBreakdown naming the first failing row (by ``ids`` when given).
+    """
+    name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
+    sym = 0.5 * (covs + covs.swapaxes(-1, -2))
+    shifted = sym + PSD_TOLERANCE * np.eye(sym.shape[-1])
     try:
-        np.linalg.cholesky(sym + PSD_TOLERANCE * np.eye(sym.shape[0]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        raise NumericalBreakdown("covariance lost positive semi-definiteness") from None
-    return sym
+        for row, cov in enumerate(shifted):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise NumericalBreakdown(f"covariance of {name(row)} lost "
+                                         "positive semi-definiteness") from None
+    finite = np.isfinite(means).all(axis=1)
+    if not finite.all():
+        raise NumericalBreakdown(f"state mean of {name(np.argmin(finite))} is not finite")
+    return means, sym
+
+
+def init(boxes: np.ndarray, spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
+    means = np.zeros((len(boxes), spec.state_dim))
+    means[:, : spec.obs_dim] = observe(spec, boxes)
+    return means, initial_covariance(spec, means)
+
+
+def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
+            ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q."""
+    if spec.model is MotionModel.SORT_CV7:
+        # Classic SORT guard: freeze area velocity rather than predict s <= 0.
+        means = means.copy()
+        means[means[:, 2] + means[:, 6] * spec.dt <= 0.0, 6] = 0.0
+    f = transition_matrix(spec)
+    new_means = np.matmul(f, means[..., None])[..., 0]
+    return _checked(new_means, f @ covs @ f.T + process_noise(spec, means), ids)
+
+
+def update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
+           ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Standard Kalman correction of every row against the observation of its box."""
+    h = measurement_matrix(spec)
+    innovation = observe(spec, boxes) - np.matmul(h, means[..., None])[..., 0]
+    hp = h @ covs
+    s = hp @ h.T + measurement_noise(spec, means)
+    try:
+        gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
+    except np.linalg.LinAlgError:
+        raise NumericalBreakdown("innovation covariance is singular") from None
+    new_means = means + np.matmul(gain, innovation[..., None])[..., 0]
+    return _checked(new_means, (np.eye(spec.state_dim) - gain @ h) @ covs, ids)
+
+
+def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
+                 spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Every row rendered back into corner form (N, 4), inverse of :func:`init`'s conversion.
+
+    Also returns the rows with no box, whose boxes are placeholders: a
+    non-positive area or aspect (SORT_CV7) or ``extents`` (N, 2) (CENTROID_CV4).
+    """
+    cx, cy = means[:, 0], means[:, 1]
+    if spec.model is MotionModel.SORT_CV7:
+        degenerate = (means[:, 2] <= 0.0) | (means[:, 3] <= 0.0)
+        s = np.where(degenerate, 1.0, means[:, 2])
+        with np.errstate(over="ignore"):  # an infinite box is the caller's InvalidValue
+            w = np.sqrt(s * np.where(degenerate, 1.0, means[:, 3]))
+        h = s / w
+    else:
+        w, h = extents[:, 0], extents[:, 1]
+        degenerate = (w <= 0.0) | (h <= 0.0)
+    boxes = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
+    return boxes, degenerate
 
 
 def kf_init(bbox: BoundingBox, spec: MotionModelSpec) -> KalmanState:
     """Initial state centered on a detection with zero velocity."""
-    cx, cy = bbox.center
-    if spec.model is MotionModel.SORT_CV7:
-        mean = np.array([cx, cy, bbox.area, bbox.width / bbox.height, 0.0, 0.0, 0.0])
-        extent = None
-    else:
-        mean = np.array([cx, cy, 0.0, 0.0])
-        extent = (bbox.width, bbox.height)
-    return KalmanState(mean, initial_covariance(spec, mean), spec, extent)
+    means, covs = init(np.array([bbox.as_tuple()]), spec)
+    extent = (bbox.width, bbox.height) if spec.model is MotionModel.CENTROID_CV4 else None
+    return KalmanState(means[0], covs[0], spec, extent)
 
 
 def kf_predict(state: KalmanState) -> KalmanState:
-    """One constant-velocity step: mean <- F mean, cov <- F cov F^T + Q."""
-    spec = state.spec
-    mean = np.array(state.mean)
-    if spec.model is MotionModel.SORT_CV7 and mean[2] + mean[6] * spec.dt <= 0.0:
-        # Classic SORT guard: freeze area velocity rather than predict s <= 0.
-        mean[6] = 0.0
-    f = transition_matrix(spec)
-    q = process_noise(spec, mean)
-    new_mean = f @ mean
-    new_cov = _checked_cov(f @ state.cov @ f.T + q)
-    return KalmanState(new_mean, new_cov, spec, state.extent)
+    """:func:`predict` of one state."""
+    means, covs = predict(state.mean[None], state.cov[None], state.spec)
+    return KalmanState(means[0], covs[0], state.spec, state.extent)
 
 
 def kf_update(state: KalmanState, measurement: BoundingBox) -> KalmanState:
-    """Standard Kalman correction against the model's observation of ``measurement``."""
-    spec = state.spec
-    h = measurement_matrix(spec)
-    r = measurement_noise(spec, state.mean)
-    z = observe_bbox(spec, measurement)
-
-    innovation = z - h @ state.mean
-    s = h @ state.cov @ h.T + r
-    try:
-        gain = np.linalg.solve(s, h @ state.cov).T
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("innovation covariance is singular") from None
-    new_mean = state.mean + gain @ innovation
-    new_cov = _checked_cov((np.eye(spec.state_dim) - gain @ h) @ state.cov)
-
-    extent = state.extent
-    if spec.model is MotionModel.CENTROID_CV4:
-        extent = (measurement.width, measurement.height)
-    return KalmanState(new_mean, new_cov, spec, extent)
+    """:func:`update` of one state against ``measurement``."""
+    means, covs = update(state.mean[None], state.cov[None],
+                         np.array([measurement.as_tuple()]), state.spec)
+    extent = ((measurement.width, measurement.height)
+              if state.spec.model is MotionModel.CENTROID_CV4 else state.extent)
+    return KalmanState(means[0], covs[0], state.spec, extent)
 
 
 def state_to_bbox(state: KalmanState) -> BoundingBox:
-    """Render the state back into corner form; inverse of :func:`kf_init`'s conversion."""
-    mean = state.mean
-    if state.model is MotionModel.SORT_CV7:
-        s, r = float(mean[2]), float(mean[3])
-        if s <= 0.0 or r <= 0.0:
-            raise DegenerateGeometry(f"area {s!r} and aspect {r!r} must be positive")
-        w = math.sqrt(s * r)
-        h = s / w
-    else:
-        if state.extent is None:
-            raise DegenerateGeometry("centroid state carries no width/height")
-        w, h = state.extent
-        if w <= 0.0 or h <= 0.0:
-            raise DegenerateGeometry(f"extent {state.extent!r} must be positive")
-    cx, cy = float(mean[0]), float(mean[1])
-    return BoundingBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    """:func:`corner_boxes` of one state; DegenerateGeometry when it has no valid box."""
+    extents = np.array([state.extent or (0.0, 0.0)])  # a CENTROID_CV4 state needs one
+    boxes, degenerate = corner_boxes(state.mean[None], extents, state.spec)
+    if degenerate[0]:
+        raise DegenerateGeometry(f"state {state.mean.tolist()} has no positive box")
+    return BoundingBox(*boxes[0].tolist())

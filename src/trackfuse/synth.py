@@ -101,10 +101,6 @@ class Scenario:
         """Per-frame detection lists in tracker input form."""
         return [(f, list(dets)) for f, dets in enumerate(self.detections)]
 
-    def presence(self) -> np.ndarray:
-        """Per-frame flag: any ground-truth object visible."""
-        return np.array([len(frame) > 0 for frame in self.ground_truth], dtype=bool)
-
 
 def corrupt_distribution(true_class: int, config: ScenarioConfig,
                          rng: np.random.Generator) -> ClassDistribution:

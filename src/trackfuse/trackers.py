@@ -16,12 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import assoc, motion
-from .errors import (
-    DegenerateGeometry,
-    InvalidConfig,
-    MissingEmbedding,
-    OutOfOrderFrame,
-)
+from .errors import InvalidConfig, MissingEmbedding, OutOfOrderFrame
 from .metrics import NULL_TIMER, STAGE_REID_COST
 from .model import (
     BoundingBox,
@@ -122,82 +117,71 @@ def _motion_spec(data) -> motion.MotionModelSpec:
     return motion.MotionModelSpec(**{**data, "model": model})
 
 
+@dataclass(eq=False, slots=True)
 class _LiveTrack:
-    """Mutable tracker-internal workspace; frozen into a Track on emission."""
+    """A live track's entries and misses; its motion state and embedding are its table row."""
 
-    __slots__ = ("id", "entries", "age_since_update", "state", "embedding")
-
-    def __init__(self, track_id: int, frame_id: int, det: Detection,
-                 kf_state: Optional[motion.KalmanState]):
-        self.id = track_id
-        self.entries: List[TrackEntry] = [TrackEntry(frame_id, det.bbox, det.dist)]
-        self.age_since_update = 0
-        self.state = kf_state
-        self.embedding = None if det.embedding is None else _unit(det.embedding)
-
-    @property
-    def last_bbox(self) -> BoundingBox:
-        return self.entries[-1].bbox
-
-    def reference_bbox(self) -> BoundingBox:
-        """Box used for geometric costs: the KF prediction when available."""
-        if self.state is not None:
-            try:
-                return motion.state_to_bbox(self.state)
-            except DegenerateGeometry:
-                pass
-        return self.last_bbox
-
-    def mark_matched(self, frame_id: int, det: Detection):
-        self.entries.append(TrackEntry(frame_id, det.bbox, det.dist))
-        self.age_since_update = 0
-        if self.state is not None:
-            self.state = motion.kf_update(self.state, det.bbox)
-        if det.embedding is not None:
-            if self.embedding is None:
-                self.embedding = _unit(det.embedding)
-            else:
-                mixed = (EMBEDDING_SMOOTHING * self.embedding
-                         + (1.0 - EMBEDDING_SMOOTHING) * det.embedding)
-                self.embedding = _unit(mixed)
-
-    def mark_missed(self, max_age: int) -> bool:
-        """Age the track one step; returns True when it just died."""
-        self.age_since_update += 1
-        return self.age_since_update > max_age
-
-    def freeze(self) -> Track:
-        return Track(id=self.id, entries=tuple(self.entries))
+    id: int
+    entries: List[TrackEntry]
+    age_since_update: int = 0
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    arr = np.asarray(vec, dtype=float)
-    norm = float(np.linalg.norm(arr))
-    return arr / norm if norm > 0.0 else arr.copy()
+def _row_norms(vecs: np.ndarray) -> np.ndarray:
+    """(N, 1) norms of the rows, each summed as np.linalg.norm sums one vector."""
+    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0])
+
+
+def _unit_rows(vecs: np.ndarray) -> np.ndarray:
+    norms = _row_norms(vecs)
+    return np.divide(vecs, norms, out=vecs.copy(), where=norms > 0.0)
 
 
 class TrackerState:
-    """Live tracks plus the id counter and frame cursor for one sequence."""
+    """Live tracks plus the id counter and frame cursor for one sequence.
 
-    __slots__ = ("live", "finished", "next_id", "cursor")
+    ``table`` is the live tracks' struct of arrays, row i belonging to
+    ``live[i]``: ``mean`` (N, d) and ``cov`` (N, d, d) for Kalman trackers,
+    ``emb`` (N, E) unit EMA embeddings for the appearance tracker.
+    """
+
+    __slots__ = ("live", "finished", "next_id", "cursor", "table")
 
     def __init__(self):
         self.live: List[_LiveTrack] = []
         self.finished: List[_LiveTrack] = []
         self.next_id = 1
         self.cursor = -1
+        self.table: Dict[str, np.ndarray] = {}
 
 
-def _geometric_cost(kind: TrackerKind, tracks: Sequence[_LiveTrack],
-                    dets: Sequence[Detection], config: TrackerConfig,
+def _reference_boxes(state: TrackerState,
+                     spec: Optional[motion.MotionModelSpec]) -> np.ndarray:
+    """(N, 4) cost boxes: KF predictions, else last boxes; a non-box prediction is InvalidValue."""
+    last = np.array([trk.entries[-1].bbox.as_tuple() for trk in state.live]).reshape(-1, 4)
+    if spec is None or not state.live:
+        return last
+    # A CENTROID_CV4 state's extent is the size of its track's last box.
+    boxes, degenerate = motion.corner_boxes(state.table["mean"], last[:, 2:] - last[:, :2], spec)
+    boxes[degenerate] = last[degenerate]
+    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
+    for row in np.flatnonzero(~valid)[:1]:
+        BoundingBox(*boxes[row].tolist())  # raises the InvalidValue this box gets
+    return boxes
+
+
+def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, dets: Sequence[Detection],
+                    config: TrackerConfig, embs: Optional[np.ndarray] = None,
                     timer=NULL_TIMER) -> assoc.CostMatrix:
-    n_t, n_d = len(tracks), len(dets)
+    """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against ``dets``."""
+    n_t, n_d = len(boxes), len(dets)
     values = np.zeros((n_t, n_d))
     mask = np.zeros((n_t, n_d), dtype=bool)
+    if n_t == 0 or n_d == 0:
+        return assoc.CostMatrix(values, mask)
 
     if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
-        for i, trk in enumerate(tracks):
-            ref = trk.reference_bbox()
+        for i, box in enumerate(boxes.tolist()):
+            ref = BoundingBox(*box)
             for j, det in enumerate(dets):
                 d = assoc.centroid_distance(ref, det.bbox)
                 gate = config.centroid_gate * max(ref.diagonal, det.bbox.diagonal)
@@ -205,47 +189,36 @@ def _geometric_cost(kind: TrackerKind, tracks: Sequence[_LiveTrack],
                 mask[i, j] = d <= gate
         return assoc.CostMatrix(values, mask)
 
-    ious = assoc.iou_matrix([trk.reference_bbox().as_tuple() for trk in tracks],
-                            [det.bbox.as_tuple() for det in dets])
+    ious = assoc.iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
     mask = ious >= config.iou_gate
     values = 1.0 - ious
 
     if kind is TrackerKind.APPEARANCE:
         with timer.stage(STAGE_REID_COST):
-            cos, ok = _cosine_matrix(tracks, dets)
+            cos, ok = _cosine_matrix(embs, np.stack([det.embedding for det in dets]))
         w = config.appearance_weight
         values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
         mask = mask & ok & (cos >= config.cosine_gate)
     return assoc.CostMatrix(values, mask)
 
 
-def _cosine_matrix(tracks: Sequence[_LiveTrack],
-                   dets: Sequence[Detection]) -> Tuple[np.ndarray, np.ndarray]:
+def _cosine_matrix(embs: np.ndarray, det_embs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Pairwise cosine similarity plus a validity mask (both sides non-zero)."""
-    n_t, n_d = len(tracks), len(dets)
-    cos = np.zeros((n_t, n_d))
-    ok = np.zeros((n_t, n_d), dtype=bool)
-    if n_t == 0 or n_d == 0:
-        return cos, ok
-    det_embs = np.stack([d.embedding for d in dets])
     det_norms = np.linalg.norm(det_embs, axis=1)
-    for i, trk in enumerate(tracks):
-        if trk.embedding is None:
-            continue
-        t_norm = float(np.linalg.norm(trk.embedding))
-        if t_norm == 0.0:
-            continue
-        valid = det_norms > 0.0
-        cos[i, valid] = det_embs[valid] @ trk.embedding / (det_norms[valid] * t_norm)
-        ok[i, valid] = True
+    t_norms = _row_norms(embs)
+    valid = det_norms > 0.0
+    ok = (t_norms > 0.0) & valid
+    dots = np.zeros(ok.shape)
+    # One matvec per track over the non-zero detections sums as a per-track loop; GEMM would not.
+    dots[:, valid] = np.matmul(det_embs[valid][None], embs[:, :, None])[..., 0]
+    cos = np.zeros(ok.shape)
+    np.divide(dots, det_norms * t_norms, out=cos, where=ok)
     return cos, ok
 
 
-def _greedy_iou(tracks: Sequence[_LiveTrack], dets: Sequence[Detection],
-                config: TrackerConfig):
+def _greedy_iou(boxes: np.ndarray, dets: Sequence[Detection], config: TrackerConfig):
     """Highest-IoU-first greedy matching; equal IoUs go to the lower track, then detection."""
-    ious = assoc.iou_matrix([trk.last_bbox.as_tuple() for trk in tracks],
-                            [det.bbox.as_tuple() for det in dets])
+    ious = assoc.iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
     # nonzero lists pairs in (i, j) order, which the stable sort keeps among equal IoUs.
     rows, cols = np.nonzero(ious >= config.iou_gate)
     order = np.argsort(-ious[rows, cols], kind="stable")
@@ -257,15 +230,53 @@ def _greedy_iou(tracks: Sequence[_LiveTrack], dets: Sequence[Detection],
         matches.append((i, j))
         used_t.add(i)
         used_d.add(j)
-    um_t = tuple(i for i in range(len(tracks)) if i not in used_t)
+    um_t = tuple(i for i in range(len(boxes)) if i not in used_t)
     um_d = tuple(j for j in range(len(dets)) if j not in used_d)
     return tuple(matches), um_t, um_d
+
+
+def _update_rows(state: TrackerState, frame_id: int, matched: List[Tuple[int, Detection]],
+                 spec: Optional[motion.MotionModelSpec], kind: TrackerKind):
+    """Extend every matched track, then correct the matched table rows in one batch."""
+    for row, det in matched:
+        state.live[row].entries.append(TrackEntry(frame_id, det.bbox, det.dist))
+    table = state.table
+    rows = [row for row, _ in matched]
+    if spec is not None and rows:
+        boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+        table["mean"][rows], table["cov"][rows] = motion.update(
+            table["mean"][rows], table["cov"][rows], boxes, spec,
+            [state.live[row].id for row in rows])
+    if kind is TrackerKind.APPEARANCE and rows:
+        mixed = (EMBEDDING_SMOOTHING * table["emb"][rows]
+                 + (1.0 - EMBEDDING_SMOOTHING) * np.stack([det.embedding for _, det in matched]))
+        table["emb"][rows] = _unit_rows(mixed)
+
+
+def _spawn_rows(state: TrackerState, frame_id: int, dets: List[Detection],
+                spec: Optional[motion.MotionModelSpec], kind: TrackerKind) -> List[int]:
+    """Start one track per detection, append their table rows; returns the new ids."""
+    new: Dict[str, np.ndarray] = {}
+    if spec is not None:
+        new["mean"], new["cov"] = motion.init(np.array([det.bbox.as_tuple() for det in dets]), spec)
+    if kind is TrackerKind.APPEARANCE:
+        new["emb"] = _unit_rows(np.stack([det.embedding for det in dets]))
+    for name, col in new.items():
+        state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
+    ids = list(range(state.next_id, state.next_id + len(dets)))
+    state.live.extend(_LiveTrack(track_id, [TrackEntry(frame_id, det.bbox, det.dist)])
+                      for track_id, det in zip(ids, dets))
+    state.next_id += len(dets)
+    return ids
 
 
 def tracker_step(state: TrackerState, frame_id: int,
                  detections: Sequence[Detection], config: TrackerConfig,
                  timer=NULL_TIMER) -> Tuple[TrackerState, List[Tuple[int, Optional[int]]]]:
     """Advance one frame; returns the state and (detection_index, track_id) pairs.
+
+    Kalman trackers predict all live rows in one batch and correct the rows matched
+    in either ByteTrack stage in one more; stage two reads only rows stage one left.
 
     Raises:
         OutOfOrderFrame: frame_id is not strictly beyond the cursor.
@@ -284,58 +295,50 @@ def tracker_step(state: TrackerState, frame_id: int,
                 if config.det_threshold_low <= d.score < config.det_threshold_high]
                if kind is TrackerKind.BYTETRACK else [])
 
-    if kind in _KF_KINDS:
-        for trk in state.live:
-            if trk.state is not None:
-                trk.state = motion.kf_predict(trk.state)
+    spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
+    table = state.table
+    ids = [trk.id for trk in state.live]
+    if spec is not None and ids:
+        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, ids)
 
     assigned: Dict[int, int] = {}
     high_dets = [detections[i] for i in high_idx]
+    boxes = _reference_boxes(state, spec)
     if kind is TrackerKind.IOU:
-        matches, um_t, um_d = _greedy_iou(state.live, high_dets, config)
+        matches, um_t, um_d = _greedy_iou(boxes, high_dets, config)
     else:
-        cost = _geometric_cost(kind, state.live, high_dets, config, timer)
+        cost = _geometric_cost(kind, boxes, high_dets, config, table.get("emb"), timer)
         result = assoc.solve_assignment(cost)
         matches, um_t, um_d = result.matches, result.unmatched_tracks, result.unmatched_detections
-
-    matched_tracks = set()
+    matched = [(t_i, high_dets[d_i]) for t_i, d_i in matches]
     for t_i, d_i in matches:
-        trk = state.live[t_i]
-        trk.mark_matched(frame_id, high_dets[d_i])
-        assigned[high_idx[d_i]] = trk.id
-        matched_tracks.add(t_i)
+        assigned[high_idx[d_i]] = ids[t_i]
 
     # ByteTrack second stage: leftover tracks vs low-confidence detections.
-    spawn_idx = [high_idx[d_i] for d_i in um_d]
     if kind is TrackerKind.BYTETRACK and low_idx and um_t:
-        rest = [state.live[i] for i in um_t]
         low_dets = [detections[i] for i in low_idx]
-        cost = _geometric_cost(TrackerKind.SORT, rest, low_dets, config, timer)
-        second = assoc.solve_assignment(cost)
-        for t_i, d_i in second.matches:
-            trk = rest[t_i]
-            trk.mark_matched(frame_id, low_dets[d_i])
-            assigned[low_idx[d_i]] = trk.id
-            matched_tracks.add(um_t[t_i])
+        cost = _geometric_cost(TrackerKind.SORT, boxes[list(um_t)], low_dets, config,
+                               timer=timer)
+        for t_i, d_i in assoc.solve_assignment(cost).matches:
+            matched.append((um_t[t_i], low_dets[d_i]))
+            assigned[low_idx[d_i]] = ids[um_t[t_i]]
+    _update_rows(state, frame_id, matched, spec, kind)
 
-    # Age and retire unmatched tracks.
-    survivors = []
-    for i, trk in enumerate(state.live):
-        if i not in matched_tracks and trk.mark_missed(config.max_age):
-            state.finished.append(trk)
-        else:
-            survivors.append(trk)
-    state.live = survivors
+    # Age unmatched tracks and retire those past max_age.
+    matched_rows = {row for row, _ in matched}
+    for row, trk in enumerate(state.live):
+        trk.age_since_update = 0 if row in matched_rows else trk.age_since_update + 1
+    keep = np.array([trk.age_since_update <= config.max_age for trk in state.live], dtype=bool)
+    if not keep.all():
+        state.finished.extend(trk for trk, alive in zip(state.live, keep) if not alive)
+        state.live = [trk for trk, alive in zip(state.live, keep) if alive]
+        state.table = {name: col[keep] for name, col in table.items()}
 
     # Unmatched high-confidence detections spawn tentative tracks.
-    kf_spec = config.resolved_motion_spec() if spawn_idx and kind in _KF_KINDS else None
-    for det_index in spawn_idx:
-        det = detections[det_index]
-        kf_state = motion.kf_init(det.bbox, kf_spec) if kf_spec is not None else None
-        trk = _LiveTrack(state.next_id, frame_id, det, kf_state)
-        state.next_id += 1
-        state.live.append(trk)
-        assigned[det_index] = trk.id
+    spawn_idx = [high_idx[d_i] for d_i in um_d]
+    if spawn_idx:
+        new_ids = _spawn_rows(state, frame_id, [detections[i] for i in spawn_idx], spec, kind)
+        assigned.update(zip(spawn_idx, new_ids))
 
     state.cursor = frame_id
     return state, [(i, assigned.get(i)) for i in range(len(detections))]
@@ -358,7 +361,7 @@ def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
 
     finished = state.finished + state.live
     kept = {t.id: t for t in finished if len(t.entries) >= config.min_hits}
-    tracks = tuple(t.freeze() for t in sorted(kept.values(), key=lambda t: t.id))
+    tracks = tuple(Track(i, tuple(kept[i].entries)) for i in sorted(kept))
 
     per_frame = []
     for frame_id, det, track_id in raw_records:

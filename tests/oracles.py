@@ -2,6 +2,10 @@
 solvers, a textbook Kalman filter, reference label fusion, and random input
 builders.
 
+The ``reference_*`` functions keep code the library replaced (one-track
+Kalman steps, per-track cosine loops, running-sum fusion) as bit-exact
+references for its vectorised form.
+
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
 problem, Joseph-form updates in extended precision) so that agreement with
@@ -9,6 +13,7 @@ the library is evidence, not tautology.
 """
 
 import itertools
+import math
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -202,10 +207,92 @@ def _solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _reference_height_like(mean) -> float:
+    s = max(float(mean[2]), 1e-6)
+    r = max(float(mean[3]), 1e-6)
+    return max(math.sqrt(s / r), 1.0)
+
+
+def reference_process_noise(spec, mean) -> np.ndarray:
+    """One state's Q, built the way the one-track filter built it."""
+    if spec.model is motion.MotionModel.SORT_CV7:
+        h = _reference_height_like(mean)
+        wp, wv = spec.std_weight_position, spec.std_weight_velocity
+        std = np.array([wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h])
+        return np.diag(std**2)
+    q = spec.process_std
+    dt = spec.dt
+    axis = np.array([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]]) * q * q
+    out = np.zeros((4, 4))
+    for pos, vel in ((0, 2), (1, 3)):
+        out[pos, pos] = axis[0, 0]
+        out[pos, vel] = out[vel, pos] = axis[0, 1]
+        out[vel, vel] = axis[1, 1]
+    return out
+
+
+def reference_measurement_noise(spec, mean) -> np.ndarray:
+    if spec.model is motion.MotionModel.SORT_CV7:
+        h = _reference_height_like(mean)
+        wp = spec.std_weight_position
+        std = np.array([wp * h, wp * h, wp * h * h, 1e-1])
+        return np.diag(std**2)
+    return np.eye(2) * spec.measurement_std**2
+
+
+def reference_observe(spec, bbox) -> np.ndarray:
+    cx, cy = bbox.center
+    if spec.model is motion.MotionModel.SORT_CV7:
+        return np.array([cx, cy, bbox.area, bbox.width / bbox.height])
+    return np.array([cx, cy])
+
+
+def _reference_checked_cov(cov: np.ndarray) -> np.ndarray:
+    sym = 0.5 * (cov + cov.T)
+    np.linalg.cholesky(sym + motion.PSD_TOLERANCE * np.eye(sym.shape[0]))
+    return sym
+
+
+def reference_kf_init(bbox, spec):
+    """One track's initial (mean, cov), computed as the one-track filter did."""
+    cx, cy = bbox.center
+    if spec.model is motion.MotionModel.SORT_CV7:
+        mean = np.array([cx, cy, bbox.area, bbox.width / bbox.height, 0.0, 0.0, 0.0])
+        h = _reference_height_like(mean)
+        wp, wv = spec.std_weight_position, spec.std_weight_velocity
+        std = np.array([
+            2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
+            10 * wv * h, 10 * wv * h, 10 * wv * h * h,
+        ])
+        return mean, np.diag(std**2)
+    r, q = spec.measurement_std, spec.process_std
+    return np.array([cx, cy, 0.0, 0.0]), np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2])
+
+
+def reference_kf_predict(mean, cov, spec):
+    """One track's predict in float64, in the operation order the batched filter keeps."""
+    mean = np.array(mean)
+    if spec.model is motion.MotionModel.SORT_CV7 and mean[2] + mean[6] * spec.dt <= 0.0:
+        mean[6] = 0.0
+    f = motion.transition_matrix(spec)
+    q = reference_process_noise(spec, mean)
+    return f @ mean, _reference_checked_cov(f @ cov @ f.T + q)
+
+
+def reference_kf_update(mean, cov, spec, bbox):
+    """One track's update in float64, in the operation order the batched filter keeps."""
+    h = motion.measurement_matrix(spec)
+    r = reference_measurement_noise(spec, mean)
+    innovation = reference_observe(spec, bbox) - h @ mean
+    s = h @ cov @ h.T + r
+    gain = np.linalg.solve(s, h @ cov).T
+    return mean + gain @ innovation, _reference_checked_cov((np.eye(len(mean)) - gain @ h) @ cov)
+
+
 def oracle_predict(mean, cov, spec):
     """Textbook predict in long doubles: m <- F m, P <- F P F^T + Q."""
     f = motion.transition_matrix(spec).astype(np.longdouble)
-    q = motion.process_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
+    q = reference_process_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
     m = np.asarray(mean, dtype=np.longdouble)
     p = np.asarray(cov, dtype=np.longdouble)
     if spec.model is motion.MotionModel.SORT_CV7 and m[2] + m[6] * spec.dt <= 0.0:
@@ -217,8 +304,8 @@ def oracle_predict(mean, cov, spec):
 def oracle_update(mean, cov, spec, bbox):
     """Joseph-form correction in long doubles; independent of the library's form."""
     h = motion.measurement_matrix(spec).astype(np.longdouble)
-    r = motion.measurement_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
-    z = motion.observe_bbox(spec, bbox).astype(np.longdouble)
+    r = reference_measurement_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
+    z = reference_observe(spec, bbox).astype(np.longdouble)
     m = np.asarray(mean, dtype=np.longdouble)
     p = np.asarray(cov, dtype=np.longdouble)
     s = h @ p @ h.T + r
@@ -227,6 +314,21 @@ def oracle_update(mean, cov, spec, bbox):
     i_kh = np.eye(p.shape[0], dtype=np.longdouble) - k @ h
     p_new = i_kh @ p @ i_kh.T + k @ r @ k.T
     return m_new, p_new
+
+
+def reference_cosine_matrix(embs, det_embs):
+    """Per-track loop of cosine similarities, as the tracker computed them one track at a time."""
+    cos = np.zeros((len(embs), len(det_embs)))
+    ok = np.zeros(cos.shape, dtype=bool)
+    det_norms = np.linalg.norm(det_embs, axis=1)
+    for i, emb in enumerate(embs):
+        t_norm = float(np.linalg.norm(emb))
+        if t_norm == 0.0:
+            continue
+        valid = det_norms > 0.0
+        cos[i, valid] = det_embs[valid] @ emb / (det_norms[valid] * t_norm)
+        ok[i, valid] = True
+    return cos, ok
 
 
 def _reference_vote_winner(votes: np.ndarray, mass: np.ndarray) -> int:

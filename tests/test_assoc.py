@@ -17,12 +17,10 @@ from trackfuse.assoc import (
     AssignmentResult,
     CostMatrix,
     centroid_distance,
-    cosine_similarity,
     iou,
     iou_matrix,
     solve_assignment,
 )
-from trackfuse.errors import DimensionMismatch, ZeroVector
 from trackfuse.model import BoundingBox
 
 
@@ -129,26 +127,6 @@ class TestCentroidDistance:
         # Exact reference: sqrt(5) evaluated in extended precision.
         expected = float(np.sqrt(np.longdouble(5)))
         assert centroid_distance(a, b) == pytest.approx(expected, abs=1e-12)
-
-
-class TestCosineSimilarity:
-    def test_identity(self):
-        assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == 1.0
-
-    def test_orthogonal(self):
-        assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-    def test_45_degrees(self):
-        expected = float(1.0 / np.sqrt(np.longdouble(2)))
-        assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(expected, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
 
 def _all_admissible(values: np.ndarray) -> CostMatrix:

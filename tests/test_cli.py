@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trackfuse.cli import main
+from trackfuse.io import read_tracks
 
 
 def _synth_args(out, labels, **kw):
@@ -255,7 +256,7 @@ def test_deeply_nested_json_is_data_error(tmp_path, capsys, command, which, line
 # Detection lines for the fuzz test: a valid record with at most two fields
 # replaced by any JSON value, deep nesting, or arbitrary (often non-UTF-8) bytes.
 _record_fields = {
-    "seq": st.sampled_from(["a", "b"]),
+    "seq": st.sampled_from(["a", "b", "1"]),
     "frame": st.integers(0, 4),
     "bbox": st.integers(0, 5).map(lambda x: [x, 0, x + 10, 10]),
     "score": st.floats(0.0, 1.0),
@@ -268,6 +269,21 @@ _records = st.tuples(
     st.dictionaries(st.sampled_from(sorted(_record_fields)),
                     _json_values | st.just(10 ** 400), max_size=2),
 ).map(lambda parts: json.dumps({**parts[0], **parts[1]}).encode())
+
+
+def _string_seqs(data: bytes) -> set:
+    """The ``seq`` of every line of ``data`` that is a JSON object whose ``seq`` is a string."""
+    names = set()
+    for line in data.split(b"\n"):
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(record, dict) and isinstance(record.get("seq"), str):
+            names.add(record["seq"])
+    return names
+
+
 _lines = (_records | _records | st.sampled_from([3, 5000]).map(lambda n: b"[" * n + b"]" * n)
           | st.binary(max_size=6))
 
@@ -279,15 +295,25 @@ _lines = (_records | _records | st.sampled_from([3, 5000]).map(lambda n: b"[" * 
 @example(data=b"\xff\xfe{}", tracker="sort")
 @example(data=b"[" * 5000 + b"]" * 5000, tracker="sort")
 @example(data=json.dumps({**_GOOD_RECORD, "bbox": ["x", 0, 10, 10]}).encode(), tracker="sort")
+@example(data=json.dumps({**_GOOD_RECORD, "seq": 1}).encode(), tracker="sort")
+@example(data=json.dumps({**_GOOD_RECORD, "seq": ["s"]}).encode(), tracker="iou")
 def test_any_detection_file_exits_0_or_2(tmp_path, data, tracker):
+    # Every sequence a run reports must be named by a JSON string seq of the input.
     labels = tmp_path / "labels.txt"
     labels.write_text("a\nb\n")
     dets = tmp_path / "d.jsonl"
     dets.write_bytes(data + b"\n")
-    assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
-                 "--fusion", "vote", "--output", str(tmp_path / "t.csv")]) in (0, 2)
-    assert main(["simulate", "--input", str(dets),
-                 "--output", str(tmp_path / "s.jsonl")]) in (0, 2)
+    tracks, sampled = tmp_path / "t.csv", tmp_path / "s.jsonl"
+    code = main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
+                 "--fusion", "vote", "--output", str(tracks)])
+    assert code in (0, 2)
+    if code == 0:
+        assert {row.seq for row in read_tracks(tracks)} <= _string_seqs(data)
+    code = main(["simulate", "--input", str(dets), "--output", str(sampled)])
+    assert code in (0, 2)
+    if code == 0:
+        assert {json.loads(line)["seq"].rsplit("#b", 1)[0]
+                for line in sampled.read_text().splitlines()} <= _string_seqs(data)
 
 
 class TestEval:
@@ -366,6 +392,16 @@ class TestSimulate:
         out = tmp_path / "sim.jsonl"
         assert main(["simulate", "--input", str(path), "--output", str(out)]) == 2
         assert "line" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seq", [1, [1], None])
+    def test_non_string_seq_is_data_error(self, tmp_path, seq, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "1", "frame": 0}) + "\n"
+                        + json.dumps({"seq": seq, "frame": 1}) + "\n")
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--input", str(path), "--output", str(out)]) == 2
+        assert "line 2: seq must be a string" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_cooldown_is_data_error(self, tmp_path, capsys):

@@ -159,6 +159,14 @@ class TestParseDetections:
         with pytest.raises(ParseError, match="line 1: .*int too large to convert to float"):
             parse_detections(path, self._labels())
 
+    @pytest.mark.parametrize("seq", [1, 1.5, [1], None, True, {"a": "b"}])
+    def test_non_string_seq_is_parse_error(self, tmp_path, seq):
+        good = {"seq": "1", "frame": 0, "bbox": [0, 0, 5, 5], "score": 0.9, "probs": [0.2] * 5}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "seq": seq}) + "\n")
+        with pytest.raises(ParseError, match="line 2: seq must be a string"):
+            parse_detections(path, self._labels())
+
     def test_integral_numbers_parse_as_floats(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 1,

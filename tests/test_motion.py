@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_predict, oracle_update, random_box
-from trackfuse.errors import DegenerateGeometry, InvalidConfig
+from oracles import (
+    oracle_predict,
+    oracle_update,
+    random_box,
+    reference_kf_init,
+    reference_kf_predict,
+    reference_kf_update,
+)
+from trackfuse.errors import DegenerateGeometry, InvalidConfig, NumericalBreakdown
 from trackfuse.model import BoundingBox
 from trackfuse.motion import (
     PSD_TOLERANCE,
@@ -12,12 +19,15 @@ from trackfuse.motion import (
     MotionModel,
     MotionModelSpec,
     default_spec,
+    init,
     kf_init,
     kf_predict,
     kf_update,
     measurement_matrix,
-    observe_bbox,
+    observe,
+    predict,
     state_to_bbox,
+    update,
 )
 
 SORT = default_spec(MotionModel.SORT_CV7)
@@ -124,7 +134,7 @@ class TestUpdate:
                                measurement_std=1e-4)
         st = kf_init(BoundingBox(0, 0, 10, 10), spec)
         target = BoundingBox(40, 40, 50, 50)
-        z = observe_bbox(spec, target)
+        z = observe(spec, np.array([target.as_tuple()]))[0]
         errors = []
         for _ in range(100):
             st = kf_update(kf_predict(st), target)
@@ -177,3 +187,72 @@ class TestStateToBbox:
         stripped = KalmanState(st.mean, st.cov, CENTROID, extent=None)
         with pytest.raises(DegenerateGeometry):
             state_to_bbox(stripped)
+
+
+def _boxes(boxes):
+    return np.array([b.as_tuple() for b in boxes])
+
+
+class TestBatchedFilter:
+    """The table filter against the one-track float64 filter it replaced, bit for bit."""
+
+    SPECS = [SORT, CENTROID, MotionModelSpec(MotionModel.SORT_CV7, dt=0.7),
+             MotionModelSpec(MotionModel.CENTROID_CV4, dt=1.3, process_std=3.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
+    @pytest.mark.parametrize("spec", SPECS, ids=["sort", "centroid", "sort-dt", "centroid-dt"])
+    def test_rows_equal_the_one_track_filter(self, spec, n):
+        rng = np.random.default_rng(n)
+        starts = [random_box(rng) for _ in range(n)]
+        means, covs = init(_boxes(starts), spec)
+        want = [reference_kf_init(box, spec) for box in starts]
+        guarded = 0
+        for step in range(30):
+            if spec.model is MotionModel.SORT_CV7 and step % 5 == 2:
+                # Area shrinking faster than it exists: the guard freezes ds on these rows.
+                for i in range(0, n, 2):
+                    means[i, 6] = -means[i, 2] * rng.uniform(1.0, 3.0)
+                    want[i] = (means[i].copy(), want[i][1])
+                guarded += 1
+            means, covs = predict(means, covs, spec)
+            want = [reference_kf_predict(m, c, spec) for m, c in want]
+            rows = [i for i in range(n) if rng.random() < 0.7]
+            measured = [random_box(rng) for _ in rows]
+            if rows:
+                means[rows], covs[rows] = update(means[rows], covs[rows], _boxes(measured), spec)
+            for i, box in zip(rows, measured):
+                want[i] = reference_kf_update(*want[i], spec, box)
+            for i in range(n):
+                assert np.array_equal(means[i], want[i][0]) and np.array_equal(covs[i], want[i][1])
+        assert guarded or spec.model is MotionModel.CENTROID_CV4
+
+    def test_guard_freezes_area_velocity_per_row(self):
+        means, covs = init(_boxes([BoundingBox(0, 0, 10, 10)] * 2), SORT)
+        means[:, 6] = [-200.0, -50.0]  # area 100: row 0 would predict s <= 0
+        predicted, _ = predict(means, covs, SORT)
+        assert predicted[:, 2].tolist() == [100.0, 50.0]
+        assert predicted[:, 6].tolist() == [0.0, -50.0]
+
+    @pytest.mark.parametrize("step", ["predict", "update"])
+    def test_non_psd_row_names_its_track(self, step):
+        means, covs = init(_boxes([random_box(np.random.default_rng(k)) for k in range(3)]), SORT)
+        covs[1] = -np.eye(7)
+        with pytest.raises(NumericalBreakdown, match="covariance of track 8 lost"):
+            if step == "predict":
+                predict(means, covs, SORT, ids=[4, 8, 9])
+            else:
+                update(means, covs, _boxes([BoundingBox(0, 0, 5, 5)] * 3), SORT, ids=[4, 8, 9])
+
+    def test_non_finite_mean_names_its_track(self):
+        means, covs = init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
+        means[1, 0] = np.nan
+        with pytest.raises(NumericalBreakdown, match="mean of track 3 is not finite"):
+            predict(means, covs, CENTROID, ids=[2, 3])
+
+    def test_inputs_are_not_written(self):
+        means, covs = init(_boxes([BoundingBox(0, 0, 10, 10)]), SORT)
+        means[0, 6] = -500.0
+        before = (means.copy(), covs.copy())
+        predict(means, covs, SORT)
+        update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
+        assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])

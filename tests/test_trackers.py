@@ -6,8 +6,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import reference_greedy_iou
-from trackfuse.errors import InvalidConfig, MissingEmbedding, OutOfOrderFrame
+from oracles import reference_cosine_matrix, reference_greedy_iou
+from trackfuse import motion
+from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from trackfuse.model import BoundingBox, Detection, validate_distribution
 from trackfuse.motion import MotionModel, MotionModelSpec
 from trackfuse.synth import ScenarioConfig, generate_scenario
@@ -15,6 +16,7 @@ from trackfuse.trackers import (
     TrackerConfig,
     TrackerKind,
     TrackerState,
+    _cosine_matrix,
     _greedy_iou,
     run_sequence,
     tracker_step,
@@ -220,7 +222,8 @@ class TestGreedyIou:
         for _ in range(500):
             tracks = [SimpleNamespace(last_bbox=box()) for _ in range(rng.integers(0, 7))]
             dets = [SimpleNamespace(bbox=box()) for _ in range(rng.integers(0, 7))]
-            assert _greedy_iou(tracks, dets, config) == reference_greedy_iou(tracks, dets, gate)
+            boxes = np.array([t.last_bbox.as_tuple() for t in tracks]).reshape(-1, 4)
+            assert _greedy_iou(boxes, dets, config) == reference_greedy_iou(tracks, dets, gate)
 
 
 class TestByteTrack:
@@ -330,7 +333,16 @@ class TestAppearance:
         assert len(state.live) == 1
         want = 0.9 * np.array([1.0, 0.0]) + 0.1 * np.array([0.8, 0.6])
         want = want / np.linalg.norm(want)
-        assert np.allclose(state.live[0].embedding, want)
+        assert np.allclose(state.table["emb"][0], want)
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k is not TrackerKind.APPEARANCE])
+    def test_only_appearance_keeps_embeddings(self, kind):
+        dets = [_det(f, (0, 0, 20, 20), emb=(1.0, 0.0)) for f in range(2)]
+        state = TrackerState()
+        for f, det in enumerate(dets):
+            state, _ = tracker_step(state, f, [det], TrackerConfig(kind=kind))
+        assert "emb" not in state.table
+        assert not hasattr(state.live[0], "embedding")
 
     def test_appearance_gate_blocks_foreign_embeddings(self):
         # Same geometry, orthogonal embedding: the fused gate must reject it.
@@ -339,6 +351,48 @@ class TestAppearance:
         config = TrackerConfig(kind=TrackerKind.APPEARANCE, cosine_gate=0.5)
         result = run_sequence(frames, config)
         assert len(result.tracks) == 2
+
+
+class TestTrackTable:
+    def test_degenerate_prediction_costs_against_last_box(self):
+        config = TrackerConfig(kind=TrackerKind.SORT)
+        state, _ = tracker_step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
+        state.table["mean"][0, [2, 6]] = (-5.0, 0.0)  # predicts area -5: no box
+        state, assigned = tracker_step(state, 1, [_det(1, (0, 0, 20, 20))], config)
+        assert assigned == [(0, 1)]
+        assert [t.id for t in state.live] == [1]
+
+    def test_prediction_that_is_no_box_is_invalid_value(self):
+        config = TrackerConfig(kind=TrackerKind.SORT)
+        state, _ = tracker_step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
+        state.table["mean"][0, 2:4] = 1e200  # s * r overflows: an infinitely wide box
+        with pytest.raises(InvalidValue, match="must be finite"):
+            tracker_step(state, 1, [_det(1, (0, 0, 20, 20))], config)
+
+    def test_one_predict_and_one_update_per_frame(self, monkeypatch):
+        calls = []
+        for name in ("predict", "update"):
+            def counted(means, *args, _real=getattr(motion, name), _name=name, **kwargs):
+                calls.append((_name, len(means)))
+                return _real(means, *args, **kwargs)
+            monkeypatch.setattr(motion, name, counted)
+        # Frame 1 matches one track in each ByteTrack stage; both share one update.
+        frames = [(0, [_det(0, (0, 0, 20, 20)), _det(0, (100, 0, 120, 20))]),
+                  (1, [_det(1, (1, 0, 21, 20)), _det(1, (101, 0, 121, 20), score=0.3)]),
+                  (2, [_det(2, (2, 0, 22, 20))])]
+        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
+        assert [t.frame_ids for t in result.tracks] == [(0, 1, 2), (0, 1)]
+        assert calls == [("predict", 2), ("update", 2), ("predict", 2), ("update", 1)]
+
+    def test_cosine_matrix_equals_per_track_loop(self):
+        rng = np.random.default_rng(4)
+        for n_t, n_d in [(1, 1), (3, 7), (20, 13), (50, 50)]:
+            embs = rng.normal(size=(n_t, 16))
+            dets = rng.normal(size=(n_d, 16)) * 8.0
+            embs[0] = 0.0
+            dets[n_d // 2] = 0.0
+            got, want = _cosine_matrix(embs, dets), reference_cosine_matrix(embs, dets)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestStepContract:
