@@ -12,14 +12,9 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidValue
 from .model import BoundingBox
-
-GATE_SENTINEL = 1e9
-# Cost of leaving a row unmatched; dominates any real cost without
-# overflowing row or column sums.
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -104,18 +99,15 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     is the only admissible pair of both its row and its column belongs to
     every maximum-cardinality matching, so it is matched without a solve.
     Only the block of rows and columns that remain, where pairs compete, goes
-    to the canonical solver.  There an unmatched row pays ``GATE_SENTINEL``
-    on a dummy column of its own; comparisons are made on (unmatched count,
-    real cost) pairs, but the solver itself mixes 1e9 with O(1) costs, so
-    real-cost optimality inside a block holds to roughly 1e-7 * n.
+    to :func:`_canonical_matching`, which solves it once and reads the
+    tie-break off that solve's duals.
     """
     n_rows, n_cols = cost.shape
     if n_rows == 0 or n_cols == 0:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
 
     mask = cost.gate_mask
-    row_degree = mask.sum(axis=1)
-    col_degree = mask.sum(axis=0)
+    row_degree, col_degree = mask.sum(axis=1), mask.sum(axis=0)
     single_rows = np.flatnonzero(row_degree == 1)
     single_cols = mask[single_rows].argmax(axis=1)
     forced = col_degree[single_cols] == 1
@@ -134,87 +126,97 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
             matches.append((int(block_rows[r]), int(block_cols[c])))
     matches.sort()
 
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
-    return AssignmentResult(
-        tuple(matches),
-        tuple(r for r in range(n_rows) if r not in matched_rows),
-        tuple(c for c in range(n_cols) if c not in matched_cols),
-    )
+    rows, cols = {r for r, _ in matches}, {c for _, c in matches}
+    return AssignmentResult(tuple(matches), tuple(r for r in range(n_rows) if r not in rows),
+                            tuple(c for c in range(n_cols) if c not in cols))
 
 
-def _split_cost(padded, real, rows, cols) -> Tuple[int, float]:
-    """Total of an assignment as (sentinel count, real-cost sum), summed separately."""
-    picked_real = real[rows, cols]
-    sent = int(np.size(picked_real) - np.count_nonzero(picked_real))
-    return sent, float(padded[rows, cols][picked_real].sum())
+def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of every row of ``cost`` (rows <= columns, ``inf`` forbidden).
+
+    Shortest augmenting paths with Jonker-Volgenant dual updates (Crouse, IEEE
+    TAES 2016): each row joins by a Dijkstra search over reduced costs.
+    Returns ``col4row`` and duals ``u``, ``v``: ``u[r] + v[c] <= cost[r, c]``
+    with equality on matched pairs, ``v <= 0``, and ``v == 0`` on free columns.
+    """
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col4row, row4col = np.full(n_rows, -1), np.full(n_cols, -1)
+    for start in range(n_rows):
+        dist, path = np.full(n_cols, np.inf), np.zeros(n_cols, dtype=int)
+        done = np.zeros(n_cols, dtype=bool)
+        row, reach = start, 0.0
+        while row >= 0:
+            reduced = reach + cost[row] - u[row] - v
+            closer = ~done & (reduced < dist)
+            dist[closer], path[closer] = reduced[closer], row
+            open_dist = np.where(done, np.inf, dist)
+            reach = open_dist.min()
+            if reach == np.inf:
+                raise InvalidValue(f"row {start} of the cost matrix cannot be assigned")
+            ties = np.flatnonzero(open_dist == reach)
+            col = ties[np.argmin(row4col[ties] >= 0)]  # a free column first
+            done[col] = True
+            row = row4col[col]
+        owned = done & (row4col >= 0)
+        u[start] += reach
+        u[row4col[owned]] += reach - dist[owned]
+        v[done] -= reach - dist[done]
+        while row != start:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+    return col4row, u, v
 
 
 def _canonical_matching(values: np.ndarray, mask: np.ndarray) -> List[Tuple[int, int]]:
     """Lexicographically smallest optimal matching of one block, as (row, col) pairs.
 
-    The block is solved as a rectangular R x (C + R) problem: inadmissible
-    cells are ``inf`` and row ``r`` alone may leave itself unmatched, at
-    ``GATE_SENTINEL``, through dummy column ``C + r``.  Rows are then fixed in
-    order.  A row keeps the column the current optimal solution gives it
-    unless a smaller column still permits an optimal completion; that is
-    checked by re-solving the remaining rows, compared as (sentinel count,
-    real cost) pairs so sentinel magnitude never blurs real-cost comparisons.
+    One solve of the R x (C + R) problem: inadmissible cells are ``inf``, and
+    row ``r`` alone may stay unmatched, on dummy column ``C + r`` priced at
+    ``big``, more than any two matchings' real costs can differ.  Its duals
+    mark the tight edges (reduced cost within ``1e-9 * big`` of 0); one phantom
+    row per free column, tight where the column dual is 0, squares that graph
+    so its perfect matchings are the optimal assignments.  Rows are then fixed
+    in order, each to its smallest tight column that later rows can free.
     """
     n_rows, n_cols = values.shape
-    padded = np.full((n_rows, n_cols + n_rows), np.inf)
+    n = n_cols + n_rows
+    big = 1.0 + 2.0 * float(np.abs(np.where(mask, values, 0.0)).max(axis=1).sum())
+    padded = np.full((n_rows, n), np.inf)
     padded[:, :n_cols] = np.where(mask, values, np.inf)
-    padded[np.arange(n_rows), n_cols + np.arange(n_rows)] = GATE_SENTINEL
-    real = np.zeros(padded.shape, dtype=bool)
-    real[:, :n_cols] = mask
-
-    rows0, cols0 = linear_sum_assignment(padded)
-    need_sent, need_real = _split_cost(padded, real, rows0, cols0)
-    solution = cols0.tolist()
-
-    avail = list(range(n_cols + n_rows))
-    matches: List[Tuple[int, int]] = []
+    padded[np.arange(n_rows), n_cols + np.arange(n_rows)] = big
+    col_of, u, v = linear_sum_assignment(padded)
+    tol = 1e-9 * big
+    tight = np.vstack([padded - u[:, None] - v <= tol, np.tile(v >= -tol, (n_cols, 1))])
+    owner = np.full(n, -1)
+    owner[col_of] = np.arange(n_rows)
+    owner[owner < 0] = np.arange(n_rows, n)
+    col_of = np.argsort(owner)
     for r in range(n_rows):
-        rest_rows = np.arange(r + 1, n_rows)
-        picked = solution[r]
-        # Only row r's own dummy is finite beyond column C, and it is never
-        # below the solution's column, so every candidate is an admissible pair.
-        candidates = [c for c in avail if c < picked and real[r, c]]
-        if candidates and rest_rows.size:
-            # Per-row top-2 minima over the still-available columns, for cheap pruning.
-            sub_all = padded[np.ix_(rest_rows, avail)]
-            order = np.argsort(sub_all, axis=1)
-            min1 = sub_all[np.arange(len(rest_rows)), order[:, 0]]
-            min1_col = np.asarray(avail)[order[:, 0]]
-            min2 = sub_all[np.arange(len(rest_rows)), order[:, 1]]
-        for c in candidates:
-            pair_real = float(padded[r, c])
-            if rest_rows.size == 0:
-                cand = (0, pair_real)
-            else:
-                # Lower bound with column c removed; prune before the exact solve.
-                lb = pair_real + float(np.where(min1_col == c, min2, min1).sum())
-                need_total = need_sent * GATE_SENTINEL + need_real
-                margin = 1e-9 + 1e-12 * max(abs(lb), abs(need_total))
-                if lb > need_total + margin:
-                    continue
-                rest_cols = [c2 for c2 in avail if c2 != c]
-                sub = padded[np.ix_(rest_rows, rest_cols)]
-                srows, scols = linear_sum_assignment(sub)
-                s_sent, s_real = _split_cost(
-                    sub, real[np.ix_(rest_rows, rest_cols)], srows, scols
-                )
-                cand = (s_sent, pair_real + s_real)
-            if cand[0] == need_sent and cand[1] <= need_real + 1e-9 * max(1.0, abs(need_real)):
-                picked = c
-                if rest_rows.size:
-                    solution[r + 1:] = [rest_cols[j] for j in scols]
+        for c in np.flatnonzero(tight[r, :col_of[r]]):
+            if owner[c] > r and _reroute(tight, owner, col_of, r, c):
                 break
-        avail.remove(picked)
-        if picked < n_cols:
-            avail.remove(n_cols + r)
-            need_real -= float(padded[r, picked])
-            matches.append((r, picked))
-        else:
-            need_sent -= 1
-    return matches
+    return [(r, int(c)) for r, c in enumerate(col_of[:n_rows]) if c < n_cols]
+
+
+def _reroute(tight, owner, col_of, r, c) -> bool:
+    """Give row ``r`` column ``c`` if an alternating path of rows after ``r`` frees it."""
+    target = col_of[r]
+    seen = np.arange(len(owner)) == c
+    came_from = {owner[c]: r}
+    queue = [owner[c]]
+    for row in queue:
+        for col in np.flatnonzero(tight[row] & ~seen):
+            seen[col] = True
+            if col == target:
+                while True:
+                    col_of[row], col = col, col_of[row]
+                    owner[col_of[row]] = row
+                    if row == r:
+                        return True
+                    row = came_from[row]
+            if owner[col] > r:
+                came_from[owner[col]] = row
+                queue.append(owner[col])
+    return False

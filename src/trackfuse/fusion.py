@@ -12,7 +12,6 @@ from enum import Enum
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyTrack, LengthMismatch
 from .model import ClassDistribution, DetectionLabel, SequenceResult, Track
@@ -36,7 +35,8 @@ def fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribu
     if len(prev) != len(curr):
         raise LengthMismatch(f"cannot fuse lengths {len(prev)} and {len(curr)}")
     joint = prev.log() + curr.log()
-    joint = joint - logsumexp(joint)
+    top = joint.max()
+    joint = joint - (top + np.log(np.exp(joint - top).sum()))
     return ClassDistribution(np.maximum(np.exp(joint), _UNDERFLOW_GUARD))
 
 

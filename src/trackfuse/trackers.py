@@ -82,14 +82,12 @@ class TrackerConfig:
             raise InvalidConfig("iou_gate must lie in [0, 1]")
         if self.centroid_gate <= 0.0:
             raise InvalidConfig("centroid_gate must be > 0")
+        object.__setattr__(self, "_motion", self.motion_spec or motion.default_spec(
+            motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
+            else motion.MotionModel.SORT_CV7))
 
     def resolved_motion_spec(self) -> motion.MotionModelSpec:
-        if self.motion_spec is not None:
-            return self.motion_spec
-        model = (motion.MotionModel.CENTROID_CV4
-                 if self.kind is TrackerKind.CENTROID_KF
-                 else motion.MotionModel.SORT_CV7)
-        return motion.default_spec(model)
+        return self._motion
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackerConfig":

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
-from trackfuse.assoc import GATE_SENTINEL, AssignmentResult, CostMatrix, iou
+from trackfuse.assoc import AssignmentResult, CostMatrix, iou
 
 SENTINEL = 1e9
 
@@ -92,7 +92,7 @@ def reference_greedy_iou(tracks, dets, iou_gate: float):
 def reference_solve_assignment(cost: CostMatrix) -> AssignmentResult:
     """Reference solver: sentinel-padded square, one re-solve per candidate.
 
-    Pads the problem to an n x n square with ``GATE_SENTINEL`` in every
+    Pads the problem to an n x n square with ``SENTINEL`` in every
     inadmissible or padded cell, then fixes rows in order, keeping for each the
     smallest column that still permits an optimal completion.  Unmatched rows
     compete for sentinel columns here, so with exact ties it may leave a low
@@ -103,8 +103,8 @@ def reference_solve_assignment(cost: CostMatrix) -> AssignmentResult:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
 
     n = max(n_rows, n_cols)
-    padded = np.full((n, n), GATE_SENTINEL, dtype=float)
-    padded[:n_rows, :n_cols] = np.where(cost.gate_mask, cost.values, GATE_SENTINEL)
+    padded = np.full((n, n), SENTINEL, dtype=float)
+    padded[:n_rows, :n_cols] = np.where(cost.gate_mask, cost.values, SENTINEL)
     real = np.zeros((n, n), dtype=bool)
     real[:n_rows, :n_cols] = cost.gate_mask
 
@@ -157,9 +157,9 @@ def _reference_lex_min(padded: np.ndarray, real: np.ndarray, n_fix: int) -> List
             if rest_rows.size == 0:
                 cand = (pair_sent, pair_real)
             else:
-                lb = pair_real + pair_sent * GATE_SENTINEL
+                lb = pair_real + pair_sent * SENTINEL
                 lb += float(np.where(min1_col == c, min2, min1).sum())
-                need_total = need_sent * GATE_SENTINEL + need_real
+                need_total = need_sent * SENTINEL + need_real
                 margin = 1e-9 + 1e-12 * max(abs(lb), abs(need_total))
                 if lb > need_total + margin:
                     continue

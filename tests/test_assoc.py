@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from oracles import (
     exhaustive_gated_optimum,
@@ -13,6 +14,7 @@ from oracles import (
     random_box,
     reference_solve_assignment,
 )
+import trackfuse.assoc as assoc
 from trackfuse.assoc import (
     AssignmentResult,
     CostMatrix,
@@ -21,6 +23,7 @@ from trackfuse.assoc import (
     iou_matrix,
     solve_assignment,
 )
+from trackfuse.errors import InvalidValue
 from trackfuse.model import BoundingBox
 
 
@@ -245,3 +248,67 @@ class TestSolveAssignment:
             assert base.matches == shifted.matches
             assert _total(values + 7.5, shifted) == pytest.approx(
                 _total(values, base) + 7.5 * n, rel=1e-12)
+
+
+def _iou_style_block(rng, rows: int, cols: int):
+    """1 - IoU costs from a coarse grid of overlaps, gated at IoU >= 0.3: many exact ties."""
+    values = 1.0 - rng.choice([0.3, 0.5, 0.7, 0.9, 1.0], (rows, cols)) * rng.choice(
+        [1.0, 0.5], (rows, cols))
+    return values, values <= 0.7
+
+
+class TestBlockSolver:
+    def test_one_solve_per_block(self, monkeypatch):
+        calls = []
+        solver = assoc.linear_sum_assignment
+        monkeypatch.setattr(assoc, "linear_sum_assignment",
+                            lambda cost: calls.append(cost.shape) or solver(cost))
+        rng = np.random.default_rng(61)
+        for _ in range(300):
+            # Every pair admissible and both sides >= 2: no forced pair, one block.
+            rows, cols = (int(k) for k in rng.integers(2, 9, size=2))
+            solve_assignment(_all_admissible(rng.integers(0, 3, size=(rows, cols)) / 4.0))
+        assert len(calls) == 300
+
+    def test_iou_style_ties_match_exhaustive(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            cols = int(rng.integers(1, 5))
+            rows = int(rng.integers(cols + 1, 8))
+            values, mask = _iou_style_block(rng, rows, cols)
+            result = solve_assignment(CostMatrix(values, mask))
+            assert result.matches == exhaustive_gated_optimum(values, mask)[1]
+
+    @pytest.mark.parametrize("rows", [20, 50, 100])
+    @pytest.mark.parametrize("col_ratio", [1.0, 0.5, 1.5])
+    def test_large_all_admissible_blocks_match_reference(self, rows, col_ratio):
+        rng = np.random.default_rng(rows + int(10 * col_ratio))
+        values = rng.uniform(0.0, 1.0, size=(rows, int(rows * col_ratio)))
+        cost = _all_admissible(values)
+        assert solve_assignment(cost) == reference_solve_assignment(cost)
+
+    def test_duals_are_feasible_and_complementary(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            rows = int(rng.integers(1, 12))
+            cols = rows + int(rng.integers(0, 12))
+            cost = np.where(rng.random((rows, cols)) < 0.6,
+                            rng.integers(0, 5, size=(rows, cols)) / 4.0, np.inf)
+            cost[np.arange(rows), rng.permutation(cols)[:rows]] = 10.0  # one complete assignment
+            col4row, u, v = assoc.linear_sum_assignment(cost)
+            assert sorted(set(col4row.tolist())) == sorted(col4row.tolist())
+            finite = np.isfinite(cost)
+            slack = np.where(finite, cost - u[:, None] - v, 0.0)
+            assert slack.min() >= -1e-9
+            assert np.allclose(slack[np.arange(rows), col4row], 0.0, atol=1e-9)
+            free = np.ones(cols, dtype=bool)
+            free[col4row] = False
+            assert np.all(v <= 0.0) and np.all(v[free] == 0.0)
+            want_rows, want_cols = scipy_lsa(cost)
+            assert cost[np.arange(rows), col4row].sum() == pytest.approx(
+                cost[want_rows, want_cols].sum(), abs=1e-9)
+
+    def test_row_without_a_complete_assignment_is_invalid(self):
+        # Both rows can only take column 1.
+        with pytest.raises(InvalidValue, match="row 1"):
+            assoc.linear_sum_assignment(np.array([[np.inf, 1.0], [np.inf, 2.0]]))

@@ -477,3 +477,8 @@ class TestConfig:
                 is MotionModel.SORT_CV7)
         assert (TrackerConfig(kind=TrackerKind.CENTROID_KF).resolved_motion_spec().model
                 is MotionModel.CENTROID_CV4)
+
+    @pytest.mark.parametrize("kind", [TrackerKind.SORT, TrackerKind.CENTROID_KF])
+    def test_motion_spec_is_resolved_once_per_config(self, kind):
+        config = TrackerConfig(kind=kind)
+        assert config.resolved_motion_spec() is config.resolved_motion_spec()
