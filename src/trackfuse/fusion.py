@@ -100,7 +100,7 @@ def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> S
             for k, e in enumerate(t.entries):
                 fused[t.id, e.frame_id] = labels[k if online else -1]
     per_frame = tuple(
-        DetectionLabel(rec.frame_id, rec.detection, rec.track_id, rec.raw_label,
+        DetectionLabel(rec.detection, rec.track_id,
                        fused.get((rec.track_id, rec.frame_id), rec.raw_label))
         for rec in result.per_frame
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -100,10 +101,6 @@ class BoundingBox:
     def center(self) -> Tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -135,7 +132,7 @@ class ClassDistribution:
     def __len__(self) -> int:
         return int(self.probs.size)
 
-    @property
+    @cached_property
     def argmax(self) -> int:
         # np.argmax breaks ties toward the lowest index, which is the contract.
         return int(np.argmax(self.probs))
@@ -229,21 +226,12 @@ class Detection:
                 object.__setattr__(self, name, index_value(v, name))
 
 
-@dataclass(frozen=True)
-class TrackEntry:
-    """One matched observation along a track."""
-
-    frame_id: int
-    bbox: BoundingBox
-    dist: ClassDistribution
-
-
 @dataclass(frozen=True, eq=False)
 class Track:
-    """An identity's trajectory: its matched observations in frame order."""
+    """An identity's trajectory: the detections matched to it, in frame order."""
 
     id: int
-    entries: Tuple[TrackEntry, ...]
+    entries: Tuple[Detection, ...]
 
     def __post_init__(self):
         if self.id < 1:
@@ -261,13 +249,19 @@ class Track:
 
 @dataclass(frozen=True, eq=False)
 class DetectionLabel:
-    """Per-detection outcome: assignment plus raw and fused class labels."""
+    """Per-detection outcome: assignment plus fused class label; the rest is the detection's."""
 
-    frame_id: int
     detection: Detection
     track_id: Optional[int]
-    raw_label: int
     fused_label: int
+
+    @property
+    def frame_id(self) -> int:
+        return self.detection.frame_id
+
+    @property
+    def raw_label(self) -> int:
+        return self.detection.dist.argmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,5 +283,3 @@ class SequenceResult:
         for rec in per_frame:
             if rec.track_id is not None and rec.track_id not in known:
                 raise InvalidValue(f"per-frame record references unknown track {rec.track_id}")
-            if rec.raw_label != rec.detection.dist.argmax:
-                raise InvalidValue("raw_label must equal the detection's argmax")

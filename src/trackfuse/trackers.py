@@ -1,14 +1,16 @@
 """Pluggable tracking-by-detection: six association strategies, one lifecycle.
 
-Every tracker consumes per-frame detections and maintains a set of live
-tracks.  Only detections with score >= ``det_threshold_high`` take part in the
-primary association and may spawn tracks; ByteTrack additionally runs a second
-association pass over [det_threshold_low, det_threshold_high) detections,
-which may extend tracks but never start them.
+Every tracker consumes per-frame detections and keeps its live tracks as the
+rows of one table (:class:`TrackerState`).  Only detections with score >=
+``det_threshold_high`` take part in the primary association and may spawn
+tracks; ByteTrack additionally runs a second association pass over
+[det_threshold_low, det_threshold_high) detections, which may extend tracks
+but never start them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import assoc, motion
-from .errors import InvalidConfig, MissingEmbedding, OutOfOrderFrame
+from .errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from .metrics import NULL_TIMER, STAGE_REID_COST
 from .model import (
     BoundingBox,
@@ -24,7 +26,6 @@ from .model import (
     DetectionLabel,
     SequenceResult,
     Track,
-    TrackEntry,
     config_number,
 )
 
@@ -115,15 +116,6 @@ def _motion_spec(data) -> motion.MotionModelSpec:
     return motion.MotionModelSpec(**{**data, "model": model})
 
 
-@dataclass(eq=False, slots=True)
-class _LiveTrack:
-    """A live track's entries and misses; its motion state and embedding are its table row."""
-
-    id: int
-    entries: List[TrackEntry]
-    age_since_update: int = 0
-
-
 def _row_norms(vecs: np.ndarray) -> np.ndarray:
     """(N, 1) norms of the rows, each summed as np.linalg.norm sums one vector."""
     return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0])
@@ -135,28 +127,30 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 
 
 class TrackerState:
-    """Live tracks plus the id counter and frame cursor for one sequence.
+    """The id counter, frame cursor and live tracks of one sequence.
 
-    ``table`` is the live tracks' struct of arrays, row i belonging to
-    ``live[i]``: ``mean`` (N, d) and ``cov`` (N, d, d) for Kalman trackers,
-    ``emb`` (N, E) unit EMA embeddings for the appearance tracker.
+    ``table`` is the live tracks' struct of arrays, row i of every column
+    being one track: ``id`` (N,), ``age`` (N,) frames since its last match,
+    ``box`` (N, 4) its last matched box, ``mean`` (N, d) and ``cov``
+    (N, d, d) for Kalman trackers, ``emb`` (N, E) unit EMA embeddings for the
+    appearance tracker.
     """
 
-    __slots__ = ("live", "finished", "next_id", "cursor", "table")
+    __slots__ = ("next_id", "cursor", "table")
 
     def __init__(self):
-        self.live: List[_LiveTrack] = []
-        self.finished: List[_LiveTrack] = []
         self.next_id = 1
         self.cursor = -1
-        self.table: Dict[str, np.ndarray] = {}
+        self.table: Dict[str, np.ndarray] = {
+            "id": np.zeros(0, dtype=int), "age": np.zeros(0, dtype=int), "box": np.zeros((0, 4))}
 
 
 def _reference_boxes(state: TrackerState,
                      spec: Optional[motion.MotionModelSpec]) -> np.ndarray:
-    """(N, 4) cost boxes: KF predictions, else last boxes; a non-box prediction is InvalidValue."""
-    last = np.array([trk.entries[-1].bbox.as_tuple() for trk in state.live]).reshape(-1, 4)
-    if spec is None or not state.live:
+    """(N, 4) cost boxes: KF predictions, else the ``box`` column itself, which callers must not
+    write.  A degenerate prediction falls back to the last box; a non-box one is InvalidValue."""
+    last = state.table["box"]
+    if spec is None or not len(last):
         return last
     # A CENTROID_CV4 state's extent is the size of its track's last box.
     boxes, degenerate = motion.corner_boxes(state.table["mean"], last[:, 2:] - last[:, :2], spec)
@@ -167,27 +161,30 @@ def _reference_boxes(state: TrackerState,
     return boxes
 
 
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.hypot``, which np.hypot does not match bit for bit."""
+    return np.array(list(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()))).reshape(x.shape)
+
+
 def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, dets: Sequence[Detection],
                     config: TrackerConfig, embs: Optional[np.ndarray] = None,
                     timer=NULL_TIMER) -> assoc.CostMatrix:
     """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against ``dets``."""
     n_t, n_d = len(boxes), len(dets)
-    values = np.zeros((n_t, n_d))
-    mask = np.zeros((n_t, n_d), dtype=bool)
     if n_t == 0 or n_d == 0:
-        return assoc.CostMatrix(values, mask)
+        return assoc.CostMatrix(np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool))
+    det_boxes = np.array([det.bbox.as_tuple() for det in dets])
 
     if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
-        for i, box in enumerate(boxes.tolist()):
-            ref = BoundingBox(*box)
-            for j, det in enumerate(dets):
-                d = assoc.centroid_distance(ref, det.bbox)
-                gate = config.centroid_gate * max(ref.diagonal, det.bbox.diagonal)
-                values[i, j] = d
-                mask[i, j] = d <= gate
-        return assoc.CostMatrix(values, mask)
+        # assoc.centroid_distance per pair, gated at a fraction of the larger box diagonal.
+        c_t, c_d = (0.5 * (b[:, :2] + b[:, 2:]) for b in (boxes, det_boxes))
+        diff = c_t[:, None] - c_d[None]
+        values = _hypot(diff[..., 0], diff[..., 1])
+        diag_t, diag_d = (_hypot(*(b[:, 2:] - b[:, :2]).T) for b in (boxes, det_boxes))
+        gate = config.centroid_gate * np.maximum(diag_t[:, None], diag_d[None])
+        return assoc.CostMatrix(values, values <= gate)
 
-    ious = assoc.iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
+    ious = assoc.iou_matrix(boxes, det_boxes)
     mask = ious >= config.iou_gate
     values = 1.0 - ious
 
@@ -233,37 +230,35 @@ def _greedy_iou(boxes: np.ndarray, dets: Sequence[Detection], config: TrackerCon
     return tuple(matches), um_t, um_d
 
 
-def _update_rows(state: TrackerState, frame_id: int, matched: List[Tuple[int, Detection]],
+def _update_rows(state: TrackerState, matched: List[Tuple[int, Detection]],
                  spec: Optional[motion.MotionModelSpec], kind: TrackerKind):
-    """Extend every matched track, then correct the matched table rows in one batch."""
-    for row, det in matched:
-        state.live[row].entries.append(TrackEntry(frame_id, det.bbox, det.dist))
+    """Correct the matched table rows in one batch: last box, motion state, embedding."""
+    if not matched:
+        return
     table = state.table
     rows = [row for row, _ in matched]
-    if spec is not None and rows:
-        boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+    table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+    if spec is not None:
         table["mean"][rows], table["cov"][rows] = motion.update(
-            table["mean"][rows], table["cov"][rows], boxes, spec,
-            [state.live[row].id for row in rows])
-    if kind is TrackerKind.APPEARANCE and rows:
+            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
+    if kind is TrackerKind.APPEARANCE:
         mixed = (EMBEDDING_SMOOTHING * table["emb"][rows]
                  + (1.0 - EMBEDDING_SMOOTHING) * np.stack([det.embedding for _, det in matched]))
         table["emb"][rows] = _unit_rows(mixed)
 
 
-def _spawn_rows(state: TrackerState, frame_id: int, dets: List[Detection],
+def _spawn_rows(state: TrackerState, dets: List[Detection],
                 spec: Optional[motion.MotionModelSpec], kind: TrackerKind) -> List[int]:
     """Start one track per detection, append their table rows; returns the new ids."""
-    new: Dict[str, np.ndarray] = {}
+    ids = list(range(state.next_id, state.next_id + len(dets)))
+    new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
+           "box": np.array([det.bbox.as_tuple() for det in dets])}
     if spec is not None:
-        new["mean"], new["cov"] = motion.init(np.array([det.bbox.as_tuple() for det in dets]), spec)
+        new["mean"], new["cov"] = motion.init(new["box"], spec)
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = _unit_rows(np.stack([det.embedding for det in dets]))
     for name, col in new.items():
         state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
-    ids = list(range(state.next_id, state.next_id + len(dets)))
-    state.live.extend(_LiveTrack(track_id, [TrackEntry(frame_id, det.bbox, det.dist)])
-                      for track_id, det in zip(ids, dets))
     state.next_id += len(dets)
     return ids
 
@@ -278,10 +273,14 @@ def tracker_step(state: TrackerState, frame_id: int,
 
     Raises:
         OutOfOrderFrame: frame_id is not strictly beyond the cursor.
+        InvalidValue: a detection's own frame_id is not frame_id.
         MissingEmbedding: the appearance tracker saw a detection without one.
     """
     if frame_id <= state.cursor:
         raise OutOfOrderFrame(f"frame {frame_id} is not past cursor {state.cursor}")
+    for det in detections:
+        if det.frame_id != frame_id:
+            raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
     kind = config.kind
     if kind is TrackerKind.APPEARANCE:
         for det in detections:
@@ -295,7 +294,7 @@ def tracker_step(state: TrackerState, frame_id: int,
 
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
     table = state.table
-    ids = [trk.id for trk in state.live]
+    ids = table["id"].tolist()
     if spec is not None and ids:
         table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, ids)
 
@@ -320,22 +319,19 @@ def tracker_step(state: TrackerState, frame_id: int,
         for t_i, d_i in assoc.solve_assignment(cost).matches:
             matched.append((um_t[t_i], low_dets[d_i]))
             assigned[low_idx[d_i]] = ids[um_t[t_i]]
-    _update_rows(state, frame_id, matched, spec, kind)
+    _update_rows(state, matched, spec, kind)
 
     # Age unmatched tracks and retire those past max_age.
-    matched_rows = {row for row, _ in matched}
-    for row, trk in enumerate(state.live):
-        trk.age_since_update = 0 if row in matched_rows else trk.age_since_update + 1
-    keep = np.array([trk.age_since_update <= config.max_age for trk in state.live], dtype=bool)
+    table["age"] += 1
+    table["age"][[row for row, _ in matched]] = 0
+    keep = table["age"] <= config.max_age
     if not keep.all():
-        state.finished.extend(trk for trk, alive in zip(state.live, keep) if not alive)
-        state.live = [trk for trk, alive in zip(state.live, keep) if alive]
         state.table = {name: col[keep] for name, col in table.items()}
 
     # Unmatched high-confidence detections spawn tentative tracks.
     spawn_idx = [high_idx[d_i] for d_i in um_d]
     if spawn_idx:
-        new_ids = _spawn_rows(state, frame_id, [detections[i] for i in spawn_idx], spec, kind)
+        new_ids = _spawn_rows(state, [detections[i] for i in spawn_idx], spec, kind)
         assigned.update(zip(spawn_idx, new_ids))
 
     state.cursor = frame_id
@@ -346,25 +342,24 @@ def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
                  config: TrackerConfig, timer=NULL_TIMER) -> SequenceResult:
     """Fold the tracker over a whole sequence of (frame_id, detections) pairs.
 
-    Emits every track with at least ``min_hits`` entries; shorter dead tracks
-    are dropped as noise and their detections reported as unmatched.  Fused
-    labels start out equal to raw labels; apply ``fusion.relabel`` afterwards.
+    Each track's entries are the detections assigned its id.  Emits every
+    track with at least ``min_hits`` entries; shorter tracks are dropped as
+    noise and their detections reported as unmatched.  Fused labels start out
+    equal to raw labels; apply ``fusion.relabel`` afterwards.
     """
     state = TrackerState()
-    raw_records: List[Tuple[int, Detection, Optional[int]]] = []
+    records: List[Tuple[Detection, Optional[int]]] = []
     for frame_id, dets in frames:
         state, assigned = tracker_step(state, frame_id, dets, config, timer)
-        for det_index, track_id in assigned:
-            raw_records.append((frame_id, dets[det_index], track_id))
+        records.extend((dets[i], track_id) for i, track_id in assigned)
 
-    finished = state.finished + state.live
-    kept = {t.id: t for t in finished if len(t.entries) >= config.min_hits}
-    tracks = tuple(Track(i, tuple(kept[i].entries)) for i in sorted(kept))
-
-    per_frame = []
-    for frame_id, det, track_id in raw_records:
-        if track_id is not None and track_id not in kept:
-            track_id = None
-        raw = det.dist.argmax
-        per_frame.append(DetectionLabel(frame_id, det, track_id, raw, raw))
-    return SequenceResult(tracks=tracks, per_frame=tuple(per_frame))
+    entries: Dict[int, List[Detection]] = {}
+    for det, track_id in records:
+        if track_id is not None:
+            entries.setdefault(track_id, []).append(det)
+    tracks = tuple(Track(i, tuple(dets)) for i, dets in sorted(entries.items())
+                   if len(dets) >= config.min_hits)
+    kept = {t.id for t in tracks}
+    per_frame = tuple(DetectionLabel(det, track_id if track_id in kept else None, det.dist.argmax)
+                      for det, track_id in records)
+    return SequenceResult(tracks=tracks, per_frame=per_frame)

@@ -3,8 +3,8 @@ solvers, a textbook Kalman filter, reference label fusion, and random input
 builders.
 
 The ``reference_*`` functions keep code the library replaced (one-track
-Kalman steps, per-track cosine loops, running-sum fusion) as bit-exact
-references for its vectorised form.
+Kalman steps, per-pair centroid costs, per-track cosine loops, running-sum
+fusion) as bit-exact references for its vectorised form.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
-from trackfuse.assoc import AssignmentResult, CostMatrix, iou
+from trackfuse.assoc import AssignmentResult, CostMatrix, centroid_distance, iou
 
 SENTINEL = 1e9
 
@@ -314,6 +314,21 @@ def oracle_update(mean, cov, spec, bbox):
     i_kh = np.eye(p.shape[0], dtype=np.longdouble) - k @ h
     p_new = i_kh @ p @ i_kh.T + k @ r @ k.T
     return m_new, p_new
+
+
+def reference_centroid_cost(boxes, dets, centroid_gate: float):
+    """Per-pair loop of scalar ``centroid_distance``, gated at a fraction of the larger diagonal."""
+    from trackfuse.model import BoundingBox
+
+    values = np.zeros((len(boxes), len(dets)))
+    mask = np.zeros(values.shape, dtype=bool)
+    for i, box in enumerate(np.asarray(boxes).tolist()):
+        ref = BoundingBox(*box)
+        for j, det in enumerate(dets):
+            values[i, j] = d = centroid_distance(ref, det.bbox)
+            diagonals = (math.hypot(b.width, b.height) for b in (ref, det.bbox))
+            mask[i, j] = d <= centroid_gate * max(diagonals)
+    return values, mask
 
 
 def reference_cosine_matrix(embs, det_embs):

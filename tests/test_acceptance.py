@@ -25,7 +25,7 @@ from trackfuse.metrics import (
     f1_scores,
     label_flip_rate,
 )
-from trackfuse.model import Track, TrackEntry, validate_distribution
+from trackfuse.model import Detection, Track, validate_distribution
 from trackfuse.motion import MotionModel, default_spec, kf_init, kf_predict, kf_update
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
@@ -107,7 +107,7 @@ def test_criterion_2_fusion_oracle_equivalence():
             rows = np.empty((length, n_classes))
             for i in range(length):
                 rows[i] = random_simplex(rng, n_classes)
-            entries = [TrackEntry(frame, box, validate_distribution(row, n_classes))
+            entries = [Detection(frame, box, 0.9, validate_distribution(row, n_classes))
                        for frame, row in enumerate(rows)]
             track = Track(1, tuple(entries))
 

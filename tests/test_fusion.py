@@ -16,7 +16,6 @@ from trackfuse.model import (
     DetectionLabel,
     SequenceResult,
     Track,
-    TrackEntry,
     validate_distribution,
 )
 from trackfuse.synth import ScenarioConfig, generate_scenario
@@ -26,8 +25,8 @@ BOX = BoundingBox(0, 0, 10, 10)
 
 
 def _track(prob_rows, track_id=1) -> Track:
-    entries = [TrackEntry(frame, BOX, validate_distribution(np.asarray(probs, dtype=float),
-                                                            len(probs)))
+    entries = [Detection(frame, BOX, 0.9, validate_distribution(np.asarray(probs, dtype=float),
+                                                                len(probs)))
                for frame, probs in enumerate(prob_rows)]
     return Track(track_id, tuple(entries))
 
@@ -246,9 +245,7 @@ class TestRelabel:
         # on equal mass, which goes to the lower index.
         rows = [[0.6, 0.4], [0.1, 0.9], [0.9, 0.1], [0.4, 0.6], [0.55, 0.45]]
         track = _track(rows)
-        per_frame = tuple(DetectionLabel(e.frame_id, Detection(e.frame_id, BOX, 0.9, e.dist),
-                                         track.id, e.dist.argmax, e.dist.argmax)
-                          for e in track.entries)
+        per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
         online = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY, online=True)
         got = [rec.fused_label for rec in online.per_frame]
         want = [majority_vote(_track(rows[:t + 1])) for t in range(len(rows))]
@@ -266,12 +263,11 @@ class TestRelabel:
                 length = int(rng.integers(1, 12))
                 frames = np.sort(rng.choice(40, size=length, replace=False))
                 rows = rng.integers(1, 4, size=(length, n_classes)).astype(float)
-                entries = [TrackEntry(int(f), BOX, validate_distribution(r / r.sum(), n_classes))
+                entries = [Detection(int(f), BOX, 0.9,
+                                     validate_distribution(r / r.sum(), n_classes))
                            for f, r in zip(frames, rows)]
                 tracks.append(Track(track_id, tuple(entries)))
-                per_frame += [DetectionLabel(e.frame_id, Detection(e.frame_id, BOX, 0.9, e.dist),
-                                             track_id, e.dist.argmax, e.dist.argmax)
-                              for e in entries]
+                per_frame += [DetectionLabel(e, track_id, e.dist.argmax) for e in entries]
             result = relabel(SequenceResult(tuple(tracks), tuple(per_frame)), mode, online)
             want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
                     for t in tracks}

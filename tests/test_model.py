@@ -13,9 +13,9 @@ from trackfuse.model import (
     BoundingBox,
     ClassDistribution,
     Detection,
+    DetectionLabel,
     LabelSet,
     Track,
-    TrackEntry,
     validate_distribution,
 )
 
@@ -144,6 +144,13 @@ class TestClassDistribution:
         d = validate_distribution([0.5, 0.5], 2)
         assert d.argmax == 0
 
+    def test_argmax_is_computed_once(self, monkeypatch):
+        d = validate_distribution([0.2, 0.8], 2)
+        calls = []
+        monkeypatch.setattr(np, "argmax", lambda a, _real=np.argmax: calls.append(a) or _real(a))
+        assert [d.argmax, d.argmax, d.argmax] == [1, 1, 1]
+        assert len(calls) == 1
+
 
 class TestDetection:
     def _dist(self):
@@ -170,8 +177,8 @@ class TestTrack:
         d1 = validate_distribution([0.6, 0.4], 2)
         d2 = validate_distribution([0.3, 0.7], 2)
         return (
-            TrackEntry(0, BoundingBox(0, 0, 2, 2), d1),
-            TrackEntry(1, BoundingBox(1, 0, 3, 2), d2),
+            Detection(0, BoundingBox(0, 0, 2, 2), 0.9, d1),
+            Detection(1, BoundingBox(1, 0, 3, 2), 0.9, d2),
         )
 
     def test_holds_only_id_and_entries(self):
@@ -182,11 +189,19 @@ class TestTrack:
 
     def test_frames_must_increase(self):
         d = validate_distribution([0.6, 0.4], 2)
-        entries = (TrackEntry(1, BoundingBox(0, 0, 2, 2), d),
-                   TrackEntry(1, BoundingBox(0, 0, 2, 2), d))
+        entries = (Detection(1, BoundingBox(0, 0, 2, 2), 0.9, d),
+                   Detection(1, BoundingBox(0, 0, 2, 2), 0.9, d))
         with pytest.raises(InvalidValue):
             Track(1, entries)
 
     def test_id_must_be_positive(self):
         with pytest.raises(InvalidValue):
             Track(0, ())
+
+
+class TestDetectionLabel:
+    def test_holds_only_detection_track_and_fused_label(self):
+        det = Detection(4, BoundingBox(0, 0, 2, 2), 0.9, validate_distribution([0.3, 0.7], 2))
+        rec = DetectionLabel(det, 2, 0)
+        assert [f.name for f in fields(DetectionLabel)] == ["detection", "track_id", "fused_label"]
+        assert (rec.frame_id, rec.raw_label, rec.fused_label) == (4, 1, 0)

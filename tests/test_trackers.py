@@ -6,7 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import reference_cosine_matrix, reference_greedy_iou
+from oracles import (
+    random_box,
+    reference_centroid_cost,
+    reference_cosine_matrix,
+    reference_greedy_iou,
+)
 from trackfuse import motion
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from trackfuse.model import BoundingBox, Detection, validate_distribution
@@ -17,6 +22,7 @@ from trackfuse.trackers import (
     TrackerKind,
     TrackerState,
     _cosine_matrix,
+    _geometric_cost,
     _greedy_iou,
     run_sequence,
     tracker_step,
@@ -330,7 +336,7 @@ class TestAppearance:
         state = TrackerState()
         state, _ = tracker_step(state, 0, [_det(0, (0, 0, 20, 20), emb=(1.0, 0.0))], config)
         state, _ = tracker_step(state, 1, [_det(1, (0, 0, 20, 20), emb=(0.8, 0.6))], config)
-        assert len(state.live) == 1
+        assert len(state.table["id"]) == 1
         want = 0.9 * np.array([1.0, 0.0]) + 0.1 * np.array([0.8, 0.6])
         want = want / np.linalg.norm(want)
         assert np.allclose(state.table["emb"][0], want)
@@ -342,7 +348,7 @@ class TestAppearance:
         for f, det in enumerate(dets):
             state, _ = tracker_step(state, f, [det], TrackerConfig(kind=kind))
         assert "emb" not in state.table
-        assert not hasattr(state.live[0], "embedding")
+        assert set(state.table) <= {"id", "age", "box", "mean", "cov"}
 
     def test_appearance_gate_blocks_foreign_embeddings(self):
         # Same geometry, orthogonal embedding: the fused gate must reject it.
@@ -360,7 +366,7 @@ class TestTrackTable:
         state.table["mean"][0, [2, 6]] = (-5.0, 0.0)  # predicts area -5: no box
         state, assigned = tracker_step(state, 1, [_det(1, (0, 0, 20, 20))], config)
         assert assigned == [(0, 1)]
-        assert [t.id for t in state.live] == [1]
+        assert state.table["id"].tolist() == [1]
 
     def test_prediction_that_is_no_box_is_invalid_value(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
@@ -394,6 +400,53 @@ class TestTrackTable:
             got, want = _cosine_matrix(embs, dets), reference_cosine_matrix(embs, dets)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("gate", [0.5, 2.0])
+    def test_centroid_cost_equals_per_pair_loop(self, gate):
+        # Continuous boxes catch any distance not summed as math.hypot sums it; integer
+        # boxes on a coarse grid put pairs exactly on the gate.
+        rng = np.random.default_rng(6)
+        config = TrackerConfig(kind=TrackerKind.CENTROID, centroid_gate=gate)
+        for case in range(200):
+            n_t, n_d = (int(n) for n in rng.integers(1, 15, size=2))
+            if case % 2:
+                dets = [_det(0, random_box(rng).as_tuple()) for _ in range(n_d)]
+                boxes = np.array([random_box(rng).as_tuple() for _ in range(n_t)])
+            else:
+                corners = rng.integers(0, 6, size=(n_t + n_d, 2)) * 3
+                grid = np.hstack([corners, corners + rng.integers(1, 4, size=(n_t + n_d, 2)) * 4])
+                dets = [_det(0, box) for box in grid[n_t:].astype(float)]
+                boxes = grid[:n_t].astype(float)
+            cost = _geometric_cost(TrackerKind.CENTROID, boxes, dets, config)
+            values, mask = reference_centroid_cost(boxes, dets, gate)
+            assert np.array_equal(cost.values, values) and np.array_equal(cost.gate_mask, mask)
+
+    def test_columns_hold_one_row_per_live_track(self):
+        # Track 2 misses frame 1 and ages; missing frame 2 too puts it past max_age=1,
+        # so it retires as track 3 spawns.
+        config = TrackerConfig(kind=TrackerKind.SORT, max_age=1)
+        frames = [(0, [_det(0, (0, 0, 20, 20)), _det(0, (100, 0, 120, 20))]),
+                  (1, [_det(1, (1, 0, 21, 20))]),
+                  (2, [_det(2, (2, 0, 22, 20)), _det(2, (200, 200, 220, 220))])]
+        want = [([1, 2], [0, 1], [[1, 0, 21, 20], [100, 0, 120, 20]]),
+                ([1, 3], [0, 0], [[2, 0, 22, 20], [200, 200, 220, 220]])]
+        state, _ = tracker_step(TrackerState(), *frames[0], config)
+        for (frame_id, dets), (ids, ages, boxes) in zip(frames[1:], want):
+            state, _ = tracker_step(state, frame_id, dets, config)
+            assert state.table["id"].tolist() == ids
+            assert state.table["age"].tolist() == ages
+            assert state.table["box"].tolist() == boxes
+            assert sorted(state.table) == ["age", "box", "cov", "id", "mean"]
+            assert {len(col) for col in state.table.values()} == {len(ids)}
+
+    def test_entries_are_the_detections_passed_in(self):
+        dets = [_det(f, (f, 0, 20 + f, 20)) for f in range(3)]
+        result = run_sequence([(f, [det]) for f, det in enumerate(dets)],
+                              TrackerConfig(kind=TrackerKind.SORT))
+        [track] = result.tracks
+        assert len(track.entries) == 3
+        assert all(entry is det for entry, det in zip(track.entries, dets))
+        assert all(rec.detection is det for rec, det in zip(result.per_frame, dets))
+
 
 class TestStepContract:
     def test_out_of_order_frame(self):
@@ -404,6 +457,15 @@ class TestStepContract:
             tracker_step(state, 5, [], config)
         with pytest.raises(OutOfOrderFrame):
             tracker_step(state, 4, [], config)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_detection_of_another_frame_is_invalid(self, kind):
+        config = TrackerConfig(kind=kind)
+        with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 0"):
+            tracker_step(TrackerState(), 1, [_det(0, (0, 0, 10, 10))], config)
+        frames = [(0, [_det(0, (0, 0, 10, 10))]), (1, [_det(2, (0, 0, 10, 10))])]
+        with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 2"):
+            run_sequence(frames, config)
 
     def test_assignments_cover_every_detection(self):
         state = TrackerState()
