@@ -3,7 +3,9 @@
 Detections travel one JSON object per line with keys ``seq``, ``frame``,
 ``bbox`` ([x1, y1, x2, y2]), ``score``, ``probs``, and optional ``embedding``,
 ``gt_class``, ``gt_track``.  Floats are serialized at full precision (shortest
-round-trip form), so writing and re-parsing reproduces values exactly.
+round-trip form), so writing and re-parsing reproduces values exactly.  Reading
+checks each line's fields as it goes and the probability rows and embeddings of
+a chunk of lines in one batch.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
+import numpy as np
+
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
-from .model import BoundingBox, Detection, LabelSet, SequenceResult, validate_distribution
+from .model import BoundingBox, ClassDistribution, Detection, LabelSet, SequenceResult
+from .model import embedding_value, index_value, score_value, unchecked, validate_distributions
+from .model import validate_distribution  # noqa: F401  the one-row form, importable here as before
 
 Sequences = Dict[str, List[Tuple[int, List[Detection]]]]
 
@@ -33,10 +39,19 @@ def open_text(path) -> Iterator[TextIO]:
         raise InvalidValue(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
+_DECODER = json.JSONDecoder()
+
+
 def parse_json(text: str, line_no: int = 1):
     """``text`` decoded as JSON; malformed or too deeply nested text is a ParseError."""
     try:
-        return json.loads(text)
+        try:  # json.loads without its wrapper layers, when ``text`` is exactly one value
+            value, end = _DECODER.raw_decode(text)
+            if end == len(text):
+                return value
+        except json.JSONDecodeError:
+            pass
+        return json.loads(text)  # a value with whitespace around it, or the error to report
     except json.JSONDecodeError as exc:
         raise ParseError(line_no + exc.lineno - 1, f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -114,8 +129,11 @@ def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
 def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
     """Parse a detections file into per-sequence, frame-sorted detection lists.
 
-    Every probability vector goes through ``validate_distribution``; embedding
-    presence and dimension must be consistent within a sequence.
+    Each line's fields are checked as it is read, but its probabilities and
+    embedding values wait to be checked with a chunk of lines, the
+    probabilities as one array by ``validate_distributions``.  The error is
+    still the first bad line's, and within it the first bad field's.
+    Embedding presence and dimension must be consistent within a sequence.
 
     Raises:
         ParseError: malformed JSON or field values (message carries the line).
@@ -123,22 +141,70 @@ def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
         EmptyFile: no records at all.
     """
     n_classes = len(label_set)
+    chunk = _Chunk(n_classes)
     grouped: Dict[str, Dict[int, List[Detection]]] = {}
     emb_dims: Dict[str, Optional[int]] = {}
-    for line_no, record in read_records(path, timer):
-        det, seq = _parse_line(record, line_no, n_classes, timer)
-        actual = None if det.embedding is None else det.embedding.size
-        expected = emb_dims.setdefault(seq, actual)
-        if actual != expected:
-            raise SchemaError(
-                f"line {line_no}: embedding dim {actual} differs from "
-                f"{expected} earlier in sequence {seq!r}"
-            )
-        grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
+    try:
+        for line_no, record in read_records(path, timer):
+            det, seq = _parse_line(record, line_no, chunk, timer)
+            actual = None if record.get("embedding") is None else len(record["embedding"])
+            expected = emb_dims.setdefault(seq, actual)
+            if actual != expected:
+                raise SchemaError(
+                    f"line {line_no}: embedding dim {actual} differs from "
+                    f"{expected} earlier in sequence {seq!r}"
+                )
+            grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
+            if len(chunk.dets) == CHUNK_LINES:
+                chunk.flush(timer)
+                chunk = _Chunk(n_classes)
+    except (TrackfuseError, OSError):
+        chunk.checked()  # a bad buffered value on this or an earlier line comes first
+        raise
+    chunk.flush(timer)
+    del chunk  # its buffers go before the frame lists are built
     return {
         seq: [(frame, dets) for frame, dets in sorted(frames.items())]
         for seq, frames in grouped.items()
     }
+
+
+CHUNK_LINES = 256
+# Lines whose probs and embeddings are checked together: enough to amortise the
+# numpy calls, few enough that the buffers and temporaries stay small.
+
+
+class _Chunk:
+    """Detections read since the last flush, their probs rows and embeddings not yet checked."""
+
+    def __init__(self, n_classes: int):
+        self.n_classes, self.dets, self.lines = n_classes, [], []
+        self.probs = np.empty((CHUNK_LINES, n_classes))  # row i holds line lines[i]'s probs
+        self.embs, self.emb_rows = [], []  # embeddings and the rows they belong to
+
+    def checked(self) -> np.ndarray:
+        """The probs rows validated; the first bad row, probs before embedding, is a ParseError."""
+        bad = [] if not self.embs or np.isfinite(np.concatenate(self.embs)).all() else [
+            (row, emb) for row, emb in zip(self.emb_rows, self.embs) if not np.isfinite(emb).all()]
+        last = bad[0][0] if bad else len(self.lines) - 1
+        try:
+            probs = validate_distributions(self.probs[:last + 1], self.n_classes)
+            for _, emb in bad[:1]:
+                embedding_value(emb)  # raises that embedding's error
+        except TrackfuseError as exc:
+            raise ParseError(self.lines[getattr(exc, "row", last)], str(exc)) from None
+        return probs
+
+    def flush(self, timer=NULL_TIMER) -> None:
+        """Give each detection its checked dist."""
+        with timer.stage(STAGE_CLASSIFICATION_INGEST):
+            probs, self.probs = self.checked().copy(), None  # the rows read, not the whole buffer
+            probs.flags.writeable = False
+            for emb in self.embs:
+                emb.flags.writeable = False
+            for det, row, label in zip(self.dets, probs, probs.argmax(axis=1).tolist()):
+                dist = unchecked(ClassDistribution, probs=row, argmax=label)
+                object.__setattr__(det, "dist", dist)
 
 
 def sequence_name(record: dict, line_no: int) -> str:
@@ -148,8 +214,9 @@ def sequence_name(record: dict, line_no: int) -> str:
     return record["seq"]
 
 
-def _parse_line(record: dict, line_no: int, n_classes: int,
+def _parse_line(record: dict, line_no: int, chunk: _Chunk,
                 timer=NULL_TIMER) -> Tuple[Detection, str]:
+    """One line's detection and sequence; its probs and embedding are left to ``chunk``."""
     with timer.stage(STAGE_DETECTION_INGEST):
         for key in ("seq", "frame", "bbox", "score", "probs"):
             if key not in record:
@@ -164,31 +231,36 @@ def _parse_line(record: dict, line_no: int, n_classes: int,
             raise ParseError(line_no, str(exc)) from None
 
     probs = record["probs"]
-    if not isinstance(probs, list) or len(probs) != n_classes:
+    if not isinstance(probs, list) or len(probs) != chunk.n_classes:
         raise SchemaError(
             f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
-            f"entries, label set has {n_classes}"
+            f"entries, label set has {chunk.n_classes}"
         )
     _require_numbers(probs, "probs", line_no)
     _require_numbers([record["score"]], "score", line_no)
-    if isinstance(record.get("embedding"), list):
-        _require_numbers(record["embedding"], "embedding", line_no)
+    emb = record.get("embedding")
+    if isinstance(emb, list):
+        _require_numbers(emb, "embedding", line_no)
     try:
-        with timer.stage(STAGE_CLASSIFICATION_INGEST):
-            dist = validate_distribution(probs, n_classes)
-        det = Detection(
-            frame_id=record["frame"],
-            bbox=bbox,
-            score=record["score"],
-            dist=dist,
-            embedding=record.get("embedding"),
-            gt_class=record.get("gt_class"),
-            gt_track=record.get("gt_track"),
-        )
+        chunk.probs[len(chunk.lines)] = probs
+        chunk.lines.append(line_no)
+        frame_id, score = index_value(record["frame"]), score_value(record["score"])
+        if isinstance(emb, list) and emb:  # its values are checked with the chunk
+            emb = np.array(emb, dtype=float)
+            chunk.embs.append(emb)
+            chunk.emb_rows.append(len(chunk.lines) - 1)
+        elif emb is not None:
+            embedding_value(emb)  # raises: only a non-empty list can be a vector
+        gt_class, gt_track = record.get("gt_class"), record.get("gt_track")
+        det = unchecked(Detection, frame_id=frame_id, bbox=bbox, score=score, dist=None,
+                        embedding=emb,
+                        gt_class=None if gt_class is None else index_value(gt_class, "gt_class"),
+                        gt_track=None if gt_track is None else index_value(gt_track, "gt_track"))
     except TrackfuseError as exc:
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
+    chunk.dets.append(det)
     return det, sequence_name(record, line_no)
 
 

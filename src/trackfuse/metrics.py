@@ -65,12 +65,15 @@ class ConfusionMatrix:
 
 
 def confusion(pairs: Iterable[Tuple[int, int]], n_classes: int) -> ConfusionMatrix:
-    """Tabulate (ground truth, predicted) index pairs."""
+    """Tabulate (ground truth, predicted) index pairs; the first pair out of range is an error."""
+    pairs = list(pairs)
+    index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = ((index < 0) | (index >= n_classes)).any(axis=1)
+    if outside.any():
+        gt, pred = pairs[int(np.argmax(outside))]
+        raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for gt, pred in pairs:
-        if not (0 <= gt < n_classes and 0 <= pred < n_classes):
-            raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
-        counts[gt, pred] += 1
+    np.add.at(counts, (index[:, 0], index[:, 1]), 1)
     return ConfusionMatrix(counts)
 
 

@@ -26,6 +26,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def unchecked(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without ``__post_init__``: for checked values."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class LabelSet:
     """Ordered, closed set of class names; position in ``names`` is the class index."""
 
@@ -111,7 +119,9 @@ class ClassDistribution:
 
     Instances must already lie on the floored simplex: strictly positive
     entries summing to 1 within 1e-6.  Data from outside the process goes
-    through :func:`validate_distribution` instead of this constructor.
+    through :func:`validate_distributions` (one vector: :func:`validate_distribution`)
+    instead of this constructor; ``io`` builds instances straight from its
+    validated rows, seeding ``argmax`` from one batched argmax.
     """
 
     probs: np.ndarray
@@ -141,38 +151,48 @@ class ClassDistribution:
         return np.log(self.probs)
 
 
-def validate_distribution(raw, n_classes: int) -> ClassDistribution:
-    """Validate an ingested score vector and project it onto the floored simplex.
+def validate_distributions(raw, n_classes: int) -> np.ndarray:
+    """Validate N ingested score vectors (N, C) and project each onto the floored simplex.
 
     Entries are floored at ``PROB_FLOOR``, then renormalized; the floor+renorm
     pass is iterated to a fixpoint so that validating an already-validated
-    vector reproduces it exactly.
+    vector reproduces it exactly.  A converged row maps to itself while the
+    others iterate, so no row's result depends on the rest.
 
-    Raises:
-        WrongLength: length differs from ``n_classes``.
+    Raises, for the first bad row, whose index is the error's ``row``:
+        WrongLength: the shape is not (N, ``n_classes``).
         InvalidValue: any entry is negative, NaN, or infinite.
         DegenerateSum: the raw sum is below 1e-9 and cannot be normalized.
     """
     arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size != n_classes:
+    if arr.ndim != 2 or arr.shape[1] != n_classes:
         raise WrongLength(f"expected {n_classes} entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidValue("distribution entries must be finite")
-    if np.any(arr < 0.0):
-        raise InvalidValue("distribution entries must be non-negative")
-    if float(arr.sum()) < 1e-9:
-        raise DegenerateSum(f"sum {float(arr.sum())!r} is too small to normalize")
+    finite, negative, sums = np.isfinite(arr).all(axis=1), (arr < 0.0).any(axis=1), arr.sum(axis=1)
+    for row in np.flatnonzero(~finite | negative | (sums < 1e-9))[:1]:
+        exc = (InvalidValue("distribution entries must be finite") if not finite[row] else
+               InvalidValue("distribution entries must be non-negative") if negative[row] else
+               DegenerateSum(f"sum {float(sums[row])!r} is too small to normalize"))
+        exc.row = int(row)
+        raise exc
 
     x = arr
     for _ in range(16):
         y = np.maximum(x, PROB_FLOOR)
-        total = float(y.sum())
-        if abs(total - 1.0) > 1e-12:
-            y = y / total
+        total = y.sum(axis=1, keepdims=True)
+        np.divide(y, total, out=y, where=np.abs(total - 1.0) > 1e-12)
         if np.array_equal(y, x):
             break
         x = y
-    return ClassDistribution(x)
+    return x
+
+
+def validate_distribution(raw, n_classes: int) -> ClassDistribution:
+    """:func:`validate_distributions` of one vector; a wrong length is WrongLength."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 1 or arr.size != n_classes:
+        raise WrongLength(f"expected {n_classes} entries, got shape {arr.shape}")
+    # A copy owns its data; the row itself would keep a (1, C) array alive.
+    return ClassDistribution(validate_distributions(arr[None], n_classes)[0].copy())
 
 
 def index_value(value, name: str = "frame_id") -> int:
@@ -183,6 +203,22 @@ def index_value(value, name: str = "frame_id") -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidValue(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def score_value(value) -> float:
+    """``value`` as a detector score in [0, 1]."""
+    score = float(value)
+    if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+        raise InvalidValue(f"score must lie in [0, 1], got {score!r}")
+    return score
+
+
+def embedding_value(value) -> np.ndarray:
+    """``value`` as a read-only appearance vector: finite, non-empty and 1-D."""
+    emb = np.asarray(value, dtype=float)
+    if emb.ndim != 1 or emb.size == 0 or not np.isfinite(emb).all():
+        raise InvalidValue("embedding must be a finite, non-empty 1-D vector")
+    return _readonly(emb)
 
 
 def config_number(value, name: str, integral: bool = False):
@@ -211,15 +247,9 @@ class Detection:
 
     def __post_init__(self):
         object.__setattr__(self, "frame_id", index_value(self.frame_id))
-        score = float(self.score)
-        if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-            raise InvalidValue(f"score must lie in [0, 1], got {score!r}")
-        object.__setattr__(self, "score", score)
+        object.__setattr__(self, "score", score_value(self.score))
         if self.embedding is not None:
-            emb = np.asarray(self.embedding, dtype=float)
-            if emb.ndim != 1 or emb.size == 0 or not np.all(np.isfinite(emb)):
-                raise InvalidValue("embedding must be a finite, non-empty 1-D vector")
-            object.__setattr__(self, "embedding", _readonly(emb))
+            object.__setattr__(self, "embedding", embedding_value(self.embedding))
         for name in ("gt_class", "gt_track"):
             v = getattr(self, name)
             if v is not None:

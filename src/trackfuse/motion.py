@@ -109,11 +109,11 @@ def _height_like(means: np.ndarray) -> np.ndarray:
     return np.maximum(np.sqrt(s / r), 1.0)
 
 
-def _diagonal(*std) -> np.ndarray:
-    """(N, k, k): the squares of the k columns ``std``, each (N,) or scalar, on the diagonal."""
-    sq = np.stack(np.broadcast_arrays(*std), axis=1) ** 2
-    out = np.zeros(sq.shape + sq.shape[-1:])
-    out[:, range(sq.shape[1]), range(sq.shape[1])] = sq
+def _diagonal(n: int, *std) -> np.ndarray:
+    """(n, k, k): the squares of the k columns ``std``, each (n,) or scalar, on the diagonal."""
+    out = np.zeros((n, len(std), len(std)))
+    for i, column in enumerate(std):
+        out[:, i, i] = np.asarray(column) ** 2
     return out
 
 
@@ -122,7 +122,7 @@ def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         h = _height_like(means)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        return _diagonal(wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h)
+        return _diagonal(len(means), wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h)
     # White-acceleration model per axis: position and velocity noise coupled.
     dt, q = spec.dt, spec.process_std
     a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
@@ -135,7 +135,7 @@ def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         h = _height_like(means)
         wp = spec.std_weight_position
-        return _diagonal(wp * h, wp * h, wp * h * h, 1e-1)
+        return _diagonal(len(means), wp * h, wp * h, wp * h * h, 1e-1)
     return np.broadcast_to(np.eye(2) * spec.measurement_std**2, (len(means), 2, 2))
 
 
@@ -144,7 +144,7 @@ def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         h = _height_like(means)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        return _diagonal(2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
+        return _diagonal(len(means), 2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
                          10 * wv * h, 10 * wv * h, 10 * wv * h * h)
     r, q = spec.measurement_std, spec.process_std
     return np.tile(np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]), (len(means), 1, 1))

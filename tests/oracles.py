@@ -4,7 +4,8 @@ builders.
 
 The ``reference_*`` functions keep code the library replaced (one-track
 Kalman steps, per-pair centroid costs, per-track cosine loops, running-sum
-fusion) as bit-exact references for its vectorised form.
+fusion, the one-vector probability fixpoint and the line-by-line detection
+parser) as bit-exact references for its vectorised form.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -13,14 +14,20 @@ the library is evidence, not tautology.
 """
 
 import itertools
+import json
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
 from trackfuse.assoc import AssignmentResult, CostMatrix, centroid_distance, iou
+from trackfuse.errors import (
+    DegenerateSum, EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError, WrongLength,
+)
+from trackfuse.io import _require_numbers, open_text, sequence_name
+from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
 
 SENTINEL = 1e9
 
@@ -391,3 +398,114 @@ def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.dirichlet(np.ones(n) * 0.5)
     return np.maximum(raw, 1e-12) / np.maximum(raw, 1e-12).sum()
+
+
+def reference_validate_distribution(raw, n_classes: int) -> ClassDistribution:
+    """One vector's floor-and-renormalise fixpoint, as the library ran it per detection."""
+    arr = np.asarray(raw, dtype=float)
+    if arr.ndim != 1 or arr.size != n_classes:
+        raise WrongLength(f"expected {n_classes} entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidValue("distribution entries must be finite")
+    if np.any(arr < 0.0):
+        raise InvalidValue("distribution entries must be non-negative")
+    if float(arr.sum()) < 1e-9:
+        raise DegenerateSum(f"sum {float(arr.sum())!r} is too small to normalize")
+
+    x = arr
+    for _ in range(16):
+        y = np.maximum(x, PROB_FLOOR)
+        total = float(y.sum())
+        if abs(total - 1.0) > 1e-12:
+            y = y / total
+        if np.array_equal(y, x):
+            break
+        x = y
+    return ClassDistribution(x)
+
+
+def _reference_parse_json(text: str, line_no: int = 1):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(line_no + exc.lineno - 1, f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(line_no, "JSON is nested too deeply") from None
+
+
+def _reference_read_records(path):
+    count = 0
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            count += 1
+            record = _reference_parse_json(text, line_no)
+            if not isinstance(record, dict):
+                raise ParseError(line_no, "record must be a JSON object")
+            yield line_no, record
+    if count == 0:
+        raise EmptyFile(f"detection file {path} contains no records")
+
+
+def reference_parse_detections(path, label_set):
+    """The line-by-line detection parser: each line's Detection is built and checked in full."""
+    n_classes = len(label_set)
+    grouped: Dict[str, Dict[int, List[Detection]]] = {}
+    emb_dims: Dict[str, Optional[int]] = {}
+    for line_no, record in _reference_read_records(path):
+        det, seq = _reference_parse_line(record, line_no, n_classes)
+        actual = None if det.embedding is None else det.embedding.size
+        expected = emb_dims.setdefault(seq, actual)
+        if actual != expected:
+            raise SchemaError(
+                f"line {line_no}: embedding dim {actual} differs from "
+                f"{expected} earlier in sequence {seq!r}"
+            )
+        grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
+    return {
+        seq: [(frame, dets) for frame, dets in sorted(frames.items())]
+        for seq, frames in grouped.items()
+    }
+
+
+def _reference_parse_line(record: dict, line_no: int, n_classes: int):
+    for key in ("seq", "frame", "bbox", "score", "probs"):
+        if key not in record:
+            raise ParseError(line_no, f"missing field {key!r}")
+    bbox_values = record["bbox"]
+    if not isinstance(bbox_values, list) or len(bbox_values) != 4:
+        raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
+    _require_numbers(bbox_values, "bbox", line_no)
+    try:
+        bbox = BoundingBox(*bbox_values)
+    except (TrackfuseError, OverflowError) as exc:
+        raise ParseError(line_no, str(exc)) from None
+
+    probs = record["probs"]
+    if not isinstance(probs, list) or len(probs) != n_classes:
+        raise SchemaError(
+            f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
+            f"entries, label set has {n_classes}"
+        )
+    _require_numbers(probs, "probs", line_no)
+    _require_numbers([record["score"]], "score", line_no)
+    if isinstance(record.get("embedding"), list):
+        _require_numbers(record["embedding"], "embedding", line_no)
+    try:
+        dist = reference_validate_distribution(probs, n_classes)
+        det = Detection(
+            frame_id=record["frame"],
+            bbox=bbox,
+            score=record["score"],
+            dist=dist,
+            embedding=record.get("embedding"),
+            gt_class=record.get("gt_class"),
+            gt_track=record.get("gt_track"),
+        )
+    except TrackfuseError as exc:
+        raise ParseError(line_no, str(exc)) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(line_no, f"bad field value: {exc}") from None
+    return det, sequence_name(record, line_no)

@@ -64,6 +64,22 @@ class TestConfusion:
         with pytest.raises(IndexOutOfRange):
             confusion([(-1, 0)], 3)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_pair_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        pairs = [tuple(p) for p in rng.integers(0, n, (int(rng.integers(0, 400)), 2)).tolist()]
+        counts = np.zeros((n, n), dtype=np.int64)
+        for gt, pred in pairs:
+            counts[gt, pred] += 1
+        assert np.array_equal(confusion(iter(pairs), n).counts, counts)
+
+    @pytest.mark.parametrize("bad", [(3, 0), (0, -1), (-3, 2), (2, 10 ** 6)])
+    def test_names_the_first_pair_out_of_range(self, bad):
+        pairs = [(0, 1), (2, 2), bad, (-1, 5), (1, 0)]
+        with pytest.raises(IndexOutOfRange, match=rf"^pair \({bad[0]}, {bad[1]}\) outside \[0, 3\)$"):
+            confusion(pairs, 3)
+
 
 class TestAccuracy:
     def test_perfect(self):

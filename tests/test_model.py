@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_validate_distribution
 from trackfuse.errors import DegenerateSum, InvalidValue, WrongLength
 from trackfuse.model import (
     PROB_FLOOR,
@@ -17,6 +18,7 @@ from trackfuse.model import (
     LabelSet,
     Track,
     validate_distribution,
+    validate_distributions,
 )
 
 
@@ -124,6 +126,54 @@ class TestValidateDistribution:
         assert top - arr[got] <= 1e-12 * top
         if top - runner_up > 1e-12 * top:
             assert got == int(np.argmax(arr))
+
+
+def _random_rows(rng, n_rows, n_classes):
+    """Dirichlet, sparse, integer, tiny, huge and already-validated rows, shuffled together."""
+    kinds = [
+        lambda: rng.dirichlet(np.full(n_classes, rng.choice([0.05, 0.5, 5.0]))),
+        lambda: np.where(rng.random(n_classes) < 0.7, 0.0, rng.random(n_classes)) + (
+            np.arange(n_classes) == rng.integers(n_classes)),
+        lambda: rng.integers(0, 4, n_classes).astype(float) + (np.arange(n_classes) == 0),
+        lambda: rng.random(n_classes) * 1e-8 + 1e-9,
+        lambda: rng.random(n_classes) * 1e307 + 1e306,
+        lambda: reference_validate_distribution(rng.random(n_classes) + 1e-3, n_classes).probs,
+    ]
+    return np.array([kinds[rng.integers(len(kinds))]() for _ in range(n_rows)])
+
+
+class TestValidateDistributions:
+    @pytest.mark.parametrize("n_classes", [1, 2, 5, 10, 37, 200])
+    @np.errstate(over="ignore")  # the huge rows' sums overflow to inf on both sides
+    def test_each_row_is_the_one_vector_fixpoint_bit_for_bit(self, n_classes):
+        rng = np.random.default_rng(n_classes)
+        rows = _random_rows(rng, 3000 // n_classes + 20, n_classes)
+        got = validate_distributions(rows, n_classes)
+        want = np.array([reference_validate_distribution(r, n_classes).probs for r in rows])
+        assert np.array_equal(got, want)
+        for start in range(0, len(rows), 7):  # a row's result does not depend on its batch
+            assert np.array_equal(validate_distributions(rows[start:start + 7], n_classes),
+                                  want[start:start + 7])
+
+    @pytest.mark.parametrize("bad,error,message", [
+        ([1.0, np.nan], InvalidValue, "distribution entries must be finite"),
+        ([-1.0, np.inf], InvalidValue, "distribution entries must be finite"),
+        ([-0.5, 2.0], InvalidValue, "distribution entries must be non-negative"),
+        ([0.0, 1e-10], DegenerateSum, "sum 1e-10 is too small to normalize"),
+    ])
+    def test_first_bad_row_raises_with_its_index(self, bad, error, message):
+        rows = np.array([[0.5, 0.5], [0.2, 0.8], bad, [-1.0, 0.0], [0.3, 0.7]])
+        with pytest.raises(error, match=f"^{message}$") as info:
+            validate_distributions(rows, 2)
+        assert info.value.row == 2
+        with pytest.raises(error, match=f"^{message}$"):
+            reference_validate_distribution(bad, 2)
+
+    def test_shape_must_be_rows_of_the_label_count(self):
+        for raw in ([0.5, 0.5], np.ones((2, 3))):
+            with pytest.raises(WrongLength):
+                validate_distributions(raw, 2)
+        assert validate_distributions(np.empty((0, 3)), 3).shape == (0, 3)
 
 
 class TestClassDistribution:

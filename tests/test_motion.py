@@ -10,6 +10,8 @@ from oracles import (
     reference_kf_init,
     reference_kf_predict,
     reference_kf_update,
+    reference_measurement_noise,
+    reference_process_noise,
 )
 from trackfuse.errors import DegenerateGeometry, InvalidConfig, NumericalBreakdown
 from trackfuse.model import BoundingBox
@@ -24,8 +26,10 @@ from trackfuse.motion import (
     kf_predict,
     kf_update,
     measurement_matrix,
+    measurement_noise,
     observe,
     predict,
+    process_noise,
     state_to_bbox,
     update,
 )
@@ -256,3 +260,22 @@ class TestBatchedFilter:
         predict(means, covs, SORT)
         update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
         assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])
+
+
+class TestNoiseBuilders:
+    """Q and R of every row, bit for bit the one-track builders' (scalar and (N,) columns mixed)."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 40])
+    @pytest.mark.parametrize("spec", TestBatchedFilter.SPECS,
+                             ids=["sort", "centroid", "sort-dt", "centroid-dt"])
+    def test_rows_equal_the_reference(self, spec, n):
+        rng = np.random.default_rng(n)
+        means = rng.normal(0.0, 50.0, (n, spec.state_dim))
+        means[: n // 2, 2:4] = rng.uniform(-1.0, 1e-3, (n // 2, 2))  # the 1 px height floor
+        means[:, 2] = np.abs(means[:, 2]) * rng.choice([1.0, 1e4], n)
+        for built, reference in ((process_noise, reference_process_noise),
+                                 (measurement_noise, reference_measurement_noise)):
+            rows = built(spec, means)
+            assert rows.shape[0] == n
+            for mean, row in zip(means, rows):
+                assert np.array_equal(row, reference(spec, mean))
