@@ -7,7 +7,6 @@ All trackers reduce data association to one call: build a :class:`CostMatrix`
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -47,12 +46,6 @@ def iou_matrix(a, b) -> np.ndarray:
     out = np.zeros(inter.shape)
     np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
     return out
-
-
-def centroid_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between box centers, in pixels."""
-    (ax, ay), (bx, by) = a.center, b.center
-    return math.hypot(ax - bx, ay - by)
 
 
 @dataclass(frozen=True)

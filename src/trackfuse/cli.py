@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import io
 from .camtrap import TriggerConfig, trigger_bursts
@@ -27,7 +27,6 @@ from .metrics import (
     f1_scores,
     format_profile_table,
     label_flip_rate,
-    profile,
 )
 from .model import LabelSet, SequenceResult, index_value
 from .synth import ScenarioConfig, generate_scenario
@@ -234,36 +233,39 @@ def _print_report(report: dict) -> None:
             print(f"{row['label']:<16}{row['f1']:>10.4f}{row['support']:>10}")
 
 
-def _cmd_track(args) -> int:
+def _track_and_fuse(args) -> Tuple[LabelSet, Dict[str, SequenceResult]]:
+    """The label set, and every ``--input`` sequence tracked and relabeled as ``args`` say."""
     label_set = io.read_labels(args.labels)
     sequences = io.parse_detections(args.input, label_set)
-    config = _tracker_config(args)
-    results = _run_all(sequences, config, FusionMode(args.fusion), args.online)
+    results = _run_all(sequences, _tracker_config(args), FusionMode(args.fusion), args.online)
+    return label_set, results
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _cmd_track(args) -> int:
+    label_set, results = _track_and_fuse(args)
     io.write_tracks(results, args.output)
     if args.metrics_out:
-        report = _metrics_report(results, label_set,
-                                 include_unmatched=not args.matched_only,
-                                 with_flip_rate=True, with_per_class=False)
-        with open(args.metrics_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.metrics_out, _metrics_report(
+            results, label_set, include_unmatched=not args.matched_only,
+            with_flip_rate=True, with_per_class=False))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    label_set = io.read_labels(args.labels)
-    sequences = io.parse_detections(args.input, label_set)
-    config = _tracker_config(args)
-    results = _run_all(sequences, config, FusionMode(args.fusion), args.online)
+    label_set, results = _track_and_fuse(args)
     report = _metrics_report(results, label_set,
                              include_unmatched=not args.matched_only,
                              with_flip_rate=args.flip_rate,
                              with_per_class=args.per_class)
     _print_report(report)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, report)
     return 0
 
 
@@ -282,10 +284,10 @@ def _cmd_bench(args) -> int:
         # Appearance association is meaningless without embeddings; skip it.
         kinds = [k for k in kinds if k is not TrackerKind.APPEARANCE]
 
-    profiles = {}
+    totals_ms: Dict[str, Dict[str, float]] = {}
     for kind in kinds:
         timer = StageTimer()
-        timer.merge(ingest_timer)
+        timer.totals_s.update(ingest_timer.totals_s)
         results = _run_all(sequences, TrackerConfig(kind=kind), FusionMode(args.fusion),
                            online=False, timer=timer)
         with timer.stage(STAGE_METRICS):
@@ -294,18 +296,13 @@ def _cmd_bench(args) -> int:
                 cm = confusion(pairs, len(label_set))
                 accuracy_at_1(cm)
                 f1_scores(cm)
-        profiles[kind.value] = profile(timer, samples)
+        totals_ms[kind.value] = {name: total * 1000.0 for name, total in timer.totals_s.items()}
 
     print(f"samples: {samples}")
-    print(format_profile_table(profiles))
+    print(format_profile_table(totals_ms, samples))
     if args.json_out:
-        payload = {
-            name: {"samples": p.samples, "total_ms": dict(sorted(p.total_ms.items()))}
-            for name, p in profiles.items()
-        }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.json_out, {name: {"samples": samples, "total_ms": totals}
+                                    for name, totals in totals_ms.items()})
     return 0
 
 

@@ -38,10 +38,6 @@ class NumericalBreakdown(TrackfuseError):
     """A Kalman covariance lost positive semi-definiteness beyond tolerance."""
 
 
-class DegenerateGeometry(TrackfuseError):
-    """A filter state cannot be converted back into a valid bounding box."""
-
-
 class LengthMismatch(TrackfuseError):
     """Two class distributions of different lengths cannot be fused."""
 

@@ -76,15 +76,6 @@ def consensus_label(track: Track) -> Tuple[int, np.ndarray]:
     return int(np.argmax(scores)), scores
 
 
-def majority_vote(track: Track) -> int:
-    """Most frequent per-frame argmax along the track.
-
-    Vote ties go to the class with the larger summed probability mass over the
-    track, then to the lowest class index.
-    """
-    return int(_running_labels(track, FusionMode.MAJORITY)[-1])
-
-
 def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> SequenceResult:
     """Overwrite fused labels with each track's consensus label.
 

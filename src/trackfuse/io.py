@@ -291,32 +291,23 @@ class TrackRow:
 
 def write_tracks(results: Mapping[str, SequenceResult], path) -> None:
     """Write matched detections as CSV, ordered by (seq, frame, track_id)."""
-    rows: List[TrackRow] = []
+    rows = []
     for seq in sorted(results):
         for rec in results[seq].per_frame:
-            if rec.track_id is None:
-                continue
-            b = rec.detection.bbox
-            rows.append(TrackRow(
-                frame=rec.frame_id, track_id=rec.track_id,
-                x=b.x1, y=b.y1, w=b.width, h=b.height,
-                score=rec.detection.score,
-                fused_class=rec.fused_label, raw_class=rec.raw_label,
-                seq=seq,
-            ))
-    rows.sort(key=lambda r: (r.seq, r.frame, r.track_id))
+            if rec.track_id is not None:
+                b = rec.detection.bbox
+                rows.append((seq, rec.frame_id, rec.track_id, b.x1, b.y1, b.width, b.height,
+                             rec.detection.score, rec.fused_label, rec.raw_label))
+    rows.sort(key=lambda r: r[:3])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         plain = csv.writer(fh, lineterminator="\n")
         # The writer quotes only what holds a delimiter, quote or "\n"; a bare
         # "\r" would end the row on reading, so such rows are quoted whole.
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         plain.writerow(TRACK_CSV_HEADER.split(","))
-        for r in rows:
+        for seq, *fields in rows:
             # str() of a float is its shortest round-trip form.
-            (quoted if "\r" in r.seq else plain).writerow((
-                r.frame, r.track_id, r.x, r.y, r.w, r.h,
-                r.score, r.fused_class, r.raw_class, r.seq,
-            ))
+            (quoted if "\r" in seq else plain).writerow((*fields, seq))
 
 
 def read_tracks(path) -> List[TrackRow]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
@@ -48,10 +48,6 @@ class ConfusionMatrix:
             raise IndexOutOfRange("confusion counts must be non-negative")
         counts.flags.writeable = False
         self.counts = counts
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
 
     @property
     def total(self) -> int:
@@ -159,7 +155,6 @@ class StageTimer:
 
     def __init__(self):
         self.totals_s: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
 
     @contextmanager
     def stage(self, name: str):
@@ -169,12 +164,6 @@ class StageTimer:
         finally:
             elapsed = time.perf_counter() - start
             self.totals_s[name] = self.totals_s.get(name, 0.0) + elapsed
-            self.counts[name] = self.counts.get(name, 0) + 1
-
-    def merge(self, other: "StageTimer") -> None:
-        for name, total in other.totals_s.items():
-            self.totals_s[name] = self.totals_s.get(name, 0.0) + total
-            self.counts[name] = self.counts.get(name, 0) + other.counts[name]
 
 
 class _NullTimer:
@@ -189,58 +178,20 @@ class _NullTimer:
 NULL_TIMER = _NullTimer()
 
 
-@dataclass(frozen=True)
-class TimingProfile:
-    """Per-stage totals (ms) and per-sample means for one instrumented run."""
+def format_profile_table(totals_ms: Mapping[str, Mapping[str, float]], samples: int) -> str:
+    """Aligned table of each method's per-sample stage means (ms), from per-stage totals (ms).
 
-    samples: int
-    total_ms: Dict[str, float] = field(default_factory=dict)
-
-    def stage_total(self, name: str) -> float:
-        return self.total_ms.get(name, 0.0)
-
-    def stage_mean(self, name: str) -> float:
-        if self.samples == 0:
-            return 0.0
-        return self.stage_total(name) / self.samples
-
-    @property
-    def overall_mean(self) -> float:
-        return sum(self.stage_mean(s) for s in ALL_STAGES if s != STAGE_REID_COST)
-
-
-def profile(timer: StageTimer, samples: int) -> TimingProfile:
-    """Snapshot a timer into a report; ``samples`` is the image-sample count."""
-    if samples < 0:
-        raise EmptyEvaluation("sample count must be >= 0")
-    totals = {name: total * 1000.0 for name, total in timer.totals_s.items()}
-    return TimingProfile(samples=samples, total_ms=totals)
-
-
-def format_profile_table(profiles: Mapping[str, TimingProfile]) -> str:
-    """Aligned per-method table of per-sample stage means in milliseconds.
-
-    The reid-cost stage is nested inside mot and reported in its own column.
+    A missing stage, or ``samples`` of 0, reads 0.  Total leaves out reid-cost,
+    which is nested inside mot and reported in its own column.
     """
-    headers = ["Method", "Total", "MOT", "ReID", "Classification", "Detection",
-               "Fusion", "Metrics"]
-    rows = [headers]
-    for name in sorted(profiles):
-        p = profiles[name]
-        rows.append([
-            name,
-            f"{p.overall_mean:.3f}",
-            f"{p.stage_mean(STAGE_MOT):.3f}",
-            f"{p.stage_mean(STAGE_REID_COST):.3f}",
-            f"{p.stage_mean(STAGE_CLASSIFICATION_INGEST):.3f}",
-            f"{p.stage_mean(STAGE_DETECTION_INGEST):.3f}",
-            f"{p.stage_mean(STAGE_FUSION):.3f}",
-            f"{p.stage_mean(STAGE_METRICS):.3f}",
-        ])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
-    lines = []
-    for i, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * widths[j] for j in range(len(headers))))
-    return "\n".join(lines)
+    stages = (STAGE_MOT, STAGE_REID_COST, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST,
+              STAGE_FUSION, STAGE_METRICS)
+    rows = [["Method", "Total", "MOT", "ReID", "Classification", "Detection", "Fusion", "Metrics"]]
+    for name, totals in sorted(totals_ms.items()):
+        mean = {stage: totals.get(stage, 0.0) / samples if samples else 0.0 for stage in ALL_STAGES}
+        total = sum(mean[stage] for stage in ALL_STAGES if stage != STAGE_REID_COST)
+        rows.append([name, *(f"{value:.3f}" for value in (total, *map(mean.get, stages)))])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    rows.insert(1, ["-" * width for width in widths])
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                     for row in rows)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGeometry, InvalidConfig, NumericalBreakdown
+from .errors import InvalidConfig, NumericalBreakdown
 from .model import BoundingBox, config_number
 
 PSD_TOLERANCE = 1e-9
@@ -162,12 +162,16 @@ def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
 
 def _checked(means: np.ndarray, covs: np.ndarray,
              ids: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetrize ``covs`` and verify each is numerically PSD and each mean finite.
+    """Symmetrize ``covs`` and verify each is finite and numerically PSD and each mean finite.
 
     Raises NumericalBreakdown naming the first failing row (by ``ids`` when given).
     """
     name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
     sym = 0.5 * (covs + covs.swapaxes(-1, -2))
+    # cholesky does not raise on a NaN or inf matrix, so finiteness is its own check.
+    finite = np.isfinite(sym).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalBreakdown(f"covariance of {name(np.argmin(finite))} is not finite")
     shifted = sym + PSD_TOLERANCE * np.eye(sym.shape[-1])
     try:
         np.linalg.cholesky(shifted)
@@ -184,11 +188,12 @@ def _checked(means: np.ndarray, covs: np.ndarray,
     return means, sym
 
 
-def init(boxes: np.ndarray, spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
+def init(boxes: np.ndarray, spec: MotionModelSpec,
+         ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
     means = np.zeros((len(boxes), spec.state_dim))
     means[:, : spec.obs_dim] = observe(spec, boxes)
-    return means, initial_covariance(spec, means)
+    return _checked(means, initial_covariance(spec, means), ids)
 
 
 def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
@@ -260,11 +265,3 @@ def kf_update(state: KalmanState, measurement: BoundingBox) -> KalmanState:
               if state.spec.model is MotionModel.CENTROID_CV4 else state.extent)
     return KalmanState(means[0], covs[0], state.spec, extent)
 
-
-def state_to_bbox(state: KalmanState) -> BoundingBox:
-    """:func:`corner_boxes` of one state; DegenerateGeometry when it has no valid box."""
-    extents = np.array([state.extent or (0.0, 0.0)])  # a CENTROID_CV4 state needs one
-    boxes, degenerate = corner_boxes(state.mean[None], extents, state.spec)
-    if degenerate[0]:
-        raise DegenerateGeometry(f"state {state.mean.tolist()} has no positive box")
-    return BoundingBox(*boxes[0].tolist())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -112,8 +113,14 @@ def corrupt_distribution(true_class: int, config: ScenarioConfig,
     if rng.random() < config.flicker:
         wrong = int(rng.integers(0, n - 1))
         target = wrong + (wrong >= true_class)
-    probs = np.full(n, (1.0 - config.confidence) / (n - 1))
-    probs[target] = config.confidence
+    return _flicker_distribution(target, n, config.confidence)
+
+
+@lru_cache(maxsize=1024)
+def _flicker_distribution(target: int, n: int, confidence: float) -> ClassDistribution:
+    """``confidence`` on ``target``, the rest spread evenly; validated once per argument triple."""
+    probs = np.full(n, (1.0 - confidence) / (n - 1))
+    probs[target] = confidence
     return validate_distribution(probs, n)
 
 

@@ -176,7 +176,7 @@ def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, dets: Sequence[Detecti
     det_boxes = np.array([det.bbox.as_tuple() for det in dets])
 
     if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
-        # assoc.centroid_distance per pair, gated at a fraction of the larger box diagonal.
+        # Distance between box centers per pair, gated at a fraction of the larger box diagonal.
         c_t, c_d = (0.5 * (b[:, :2] + b[:, 2:]) for b in (boxes, det_boxes))
         diff = c_t[:, None] - c_d[None]
         values = _hypot(diff[..., 0], diff[..., 1])
@@ -254,7 +254,7 @@ def _spawn_rows(state: TrackerState, dets: List[Detection],
     new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
            "box": np.array([det.bbox.as_tuple() for det in dets])}
     if spec is not None:
-        new["mean"], new["cov"] = motion.init(new["box"], spec)
+        new["mean"], new["cov"] = motion.init(new["box"], spec, ids)
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = _unit_rows(np.stack([det.embedding for det in dets]))
     for name, col in new.items():

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
-from trackfuse.assoc import AssignmentResult, CostMatrix, centroid_distance, iou
+from trackfuse.assoc import AssignmentResult, CostMatrix, iou
 from trackfuse.errors import (
     DegenerateSum, EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError, WrongLength,
 )
@@ -324,7 +324,7 @@ def oracle_update(mean, cov, spec, bbox):
 
 
 def reference_centroid_cost(boxes, dets, centroid_gate: float):
-    """Per-pair loop of scalar ``centroid_distance``, gated at a fraction of the larger diagonal."""
+    """Per-pair ``math.hypot`` of box-center offsets, gated at a fraction of the larger diagonal."""
     from trackfuse.model import BoundingBox
 
     values = np.zeros((len(boxes), len(dets)))
@@ -332,7 +332,8 @@ def reference_centroid_cost(boxes, dets, centroid_gate: float):
     for i, box in enumerate(np.asarray(boxes).tolist()):
         ref = BoundingBox(*box)
         for j, det in enumerate(dets):
-            values[i, j] = d = centroid_distance(ref, det.bbox)
+            (ax, ay), (bx, by) = ref.center, det.bbox.center
+            values[i, j] = d = math.hypot(ax - bx, ay - by)
             diagonals = (math.hypot(b.width, b.height) for b in (ref, det.bbox))
             mask[i, j] = d <= centroid_gate * max(diagonals)
     return values, mask

@@ -18,13 +18,13 @@ import trackfuse.assoc as assoc
 from trackfuse.assoc import (
     AssignmentResult,
     CostMatrix,
-    centroid_distance,
     iou,
     iou_matrix,
     solve_assignment,
 )
 from trackfuse.errors import InvalidValue
-from trackfuse.model import BoundingBox
+from trackfuse.model import BoundingBox, Detection, validate_distribution
+from trackfuse.trackers import TrackerConfig, TrackerKind, _geometric_cost
 
 
 def _rasterized_iou(a: BoundingBox, b: BoundingBox, cells_per_px: int = 4) -> float:
@@ -114,22 +114,30 @@ class TestIouMatrix:
         assert iou_matrix(box, []).shape == (1, 0)
 
 
+def _centroid_cost(a: BoundingBox, b: BoundingBox) -> float:
+    """The centroid tracker's cost of a track at box ``a`` against a detection at box ``b``."""
+    det = Detection(0, b, 0.9, validate_distribution([0.5, 0.5], 2))
+    kind = TrackerKind.CENTROID
+    cost = _geometric_cost(kind, np.array([a.as_tuple()]), [det], TrackerConfig(kind=kind))
+    return float(cost.values[0, 0])
+
+
 class TestCentroidDistance:
     def test_identity(self):
         b = BoundingBox(3, 4, 9, 11)
-        assert centroid_distance(b, b) == 0.0
+        assert _centroid_cost(b, b) == 0.0
 
     def test_three_four_five(self):
         a = BoundingBox(-1, -1, 1, 1)     # center (0, 0)
         b = BoundingBox(2, 3, 4, 5)       # center (3, 4)
-        assert centroid_distance(a, b) == 5.0
+        assert _centroid_cost(a, b) == 5.0
 
     def test_sqrt5(self):
         a = BoundingBox(0, 0, 2, 2)       # center (1, 1)
         b = BoundingBox(1, 2, 3, 4)       # center (2, 3)
         # Exact reference: sqrt(5) evaluated in extended precision.
         expected = float(np.sqrt(np.longdouble(5)))
-        assert centroid_distance(a, b) == pytest.approx(expected, abs=1e-12)
+        assert _centroid_cost(a, b) == pytest.approx(expected, abs=1e-12)
 
 
 def _all_admissible(values: np.ndarray) -> CostMatrix:

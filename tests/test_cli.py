@@ -157,6 +157,22 @@ class TestTrack:
         err = capsys.readouterr().err
         assert bad_key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tracker", ["sort", "bytetrack"])
+    def test_non_finite_covariance_is_data_error(self, tmp_path, capsys, tracker):
+        # Finite boxes whose height h ~ 1e154 square past the float range in the covariance.
+        boxes = [[0, 0, 1e154, 1e154], [1e153, 1e153, 1.1e154, 1.1e154],
+                 [2e153, 2e153, 1.2e154, 1.2e154]]
+        dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
+        dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": box, "score": 0.9,
+                                            "probs": [0.6, 0.4]}) + "\n"
+                                for k, box in enumerate(boxes)))
+        labels.write_text("a\nb\n")
+        code = main(["track", "--input", str(dets), "--labels", str(labels),
+                     "--tracker", tracker, "--output", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: covariance of track 1 is not finite" in err and "Traceback" not in err
+
     def test_unknown_config_field_is_data_error(self, tmp_path, detection_file, capsys):
         dets, labels = detection_file
         cfg = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import random_simplex, reference_track_labels
 from trackfuse.errors import EmptyTrack, LengthMismatch
-from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, majority_vote, relabel
+from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, relabel
 from trackfuse.model import (
     BoundingBox,
     Detection,
@@ -138,29 +138,38 @@ class TestConsensusLabel:
         assert 0 <= label < 8
 
 
+def _vote(track: Track) -> int:
+    """The label ``relabel`` gives every frame of ``track`` in retroactive MAJORITY mode."""
+    per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
+    result = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY)
+    labels = {rec.fused_label for rec in result.per_frame}
+    assert len(labels) == 1
+    return labels.pop()
+
+
 class TestMajorityVote:
     def test_strict_majority(self):
         track = _track([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]])
-        assert majority_vote(track) == 0
+        assert _vote(track) == 0
 
     def test_tie_breaks_by_probability_mass(self):
         # One vote each; class 0 carries mass 1.3 vs 0.7 for class 1.
         track = _track([[0.9, 0.1], [0.4, 0.6]])
-        assert majority_vote(track) == 0
+        assert _vote(track) == 0
         # Flip the masses: class 1 wins the tie.
         track = _track([[0.6, 0.4], [0.1, 0.9]])
-        assert majority_vote(track) == 1
+        assert _vote(track) == 1
 
     def test_tie_breaks_low_index_on_equal_mass(self):
         track = _track([[0.6, 0.4], [0.4, 0.6]])
-        assert majority_vote(track) == 0
+        assert _vote(track) == 0
 
     def test_single_frame(self):
-        assert majority_vote(_track([[0.1, 0.9]])) == 1
+        assert _vote(_track([[0.1, 0.9]])) == 1
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
-            majority_vote(Track(1, ()))
+            relabel(SequenceResult((Track(1, ()),), ()), FusionMode.MAJORITY)
 
 
 class TestRelabel:
@@ -200,7 +209,7 @@ class TestRelabel:
         base = self._result()
         result = relabel(base, FusionMode.MAJORITY)
         for track in result.tracks:
-            want = majority_vote(track)
+            want, = set(reference_track_labels(track, vote=True, online=False).values())
             got = {r.fused_label for r in result.per_frame if r.track_id == track.id}
             assert got == {want}
 
@@ -248,7 +257,7 @@ class TestRelabel:
         per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
         online = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY, online=True)
         got = [rec.fused_label for rec in online.per_frame]
-        want = [majority_vote(_track(rows[:t + 1])) for t in range(len(rows))]
+        want = [_vote(_track(rows[:t + 1])) for t in range(len(rows))]
         assert got == want == [0, 1, 0, 0, 0]
 
     @pytest.mark.parametrize("online", [False, True])

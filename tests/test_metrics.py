@@ -13,8 +13,8 @@ from trackfuse.metrics import (
     accuracy_at_1,
     confusion,
     f1_scores,
+    format_profile_table,
     label_flip_rate,
-    profile,
 )
 from trackfuse.synth import ScenarioConfig, corrupt_distribution, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
@@ -196,25 +196,39 @@ class TestLabelFlipRate:
             label_flip_rate(result, use_fused=False)
 
 
+def _table_cells(totals_ms, samples):
+    """Each method's row of ``format_profile_table``, keyed by column header."""
+    header, _, *rows = format_profile_table(totals_ms, samples).splitlines()
+    return {row.split()[0]: dict(zip(header.split(), row.split())) for row in rows}
+
+
 class TestProfile:
     def test_unused_stage_reports_zero(self):
-        timer = StageTimer()
-        p = profile(timer, samples=10)
-        assert p.stage_total("mot") == 0.0
-        assert p.stage_mean("mot") == 0.0
+        cells = _table_cells({"iou": {}}, samples=10)
+        assert cells["iou"] == {
+            "Method": "iou", "Total": "0.000", "MOT": "0.000", "ReID": "0.000",
+            "Classification": "0.000", "Detection": "0.000", "Fusion": "0.000",
+            "Metrics": "0.000"}
 
     def test_mean_times_count_equals_total(self):
         timer = StageTimer()
         for _ in range(7):
             with timer.stage("mot"):
                 time.sleep(0.001)
-        p = profile(timer, samples=7)
-        assert p.stage_mean("mot") * 7 == pytest.approx(p.stage_total("mot"), rel=1e-12)
-        assert p.stage_total("mot") >= 7.0  # at least 7 ms total
+        assert list(timer.totals_s) == ["mot"]
+        total_ms = timer.totals_s["mot"] * 1000.0
+        assert total_ms >= 7.0  # at least 7 ms total
+        cells = _table_cells({"sort": {"mot": total_ms}}, samples=7)
+        assert cells["sort"]["MOT"] == f"{total_ms / 7:.3f}"
+        # Total leaves out reid-cost, which runs inside mot.
+        cells = _table_cells({"sort": {"mot": 7.0, "reid-cost": 3.5, "fusion": 1.4,
+                                       "detection-ingest": 0.7}}, samples=7)
+        assert [cells["sort"][k] for k in ("Total", "MOT", "ReID", "Fusion", "Detection")] == [
+            "1.300", "1.000", "0.500", "0.200", "0.100"]
 
     def test_zero_samples_has_zero_means(self):
         timer = StageTimer()
         with timer.stage("mot"):
             pass
-        p = profile(timer, samples=0)
-        assert p.stage_mean("mot") == 0.0
+        cells = _table_cells({"iou": {"mot": timer.totals_s["mot"] * 1000.0}}, samples=0)
+        assert cells["iou"]["MOT"] == cells["iou"]["Total"] == "0.000"

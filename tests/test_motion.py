@@ -13,13 +13,14 @@ from oracles import (
     reference_measurement_noise,
     reference_process_noise,
 )
-from trackfuse.errors import DegenerateGeometry, InvalidConfig, NumericalBreakdown
+from trackfuse.errors import InvalidConfig, NumericalBreakdown
 from trackfuse.model import BoundingBox
 from trackfuse.motion import (
     PSD_TOLERANCE,
     KalmanState,
     MotionModel,
     MotionModelSpec,
+    corner_boxes,
     default_spec,
     init,
     kf_init,
@@ -30,7 +31,6 @@ from trackfuse.motion import (
     observe,
     predict,
     process_noise,
-    state_to_bbox,
     update,
 )
 
@@ -104,8 +104,9 @@ class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
         st = kf_init(BoundingBox(0, 0, 10, 20), SORT)
         st = kf_predict(st)
-        z_box = state_to_bbox(st)
-        updated = kf_update(st, z_box)
+        boxes, degenerate = corner_boxes(st.mean[None], None, SORT)
+        assert not degenerate[0]
+        updated = kf_update(st, BoundingBox(*boxes[0].tolist()))
         assert np.max(np.abs(updated.mean - st.mean)) < 1e-9
 
     def test_update_contracts_observed_uncertainty(self):
@@ -166,31 +167,36 @@ class TestCovarianceStaysPsd:
 
 
 class TestStateToBbox:
+    """``corner_boxes`` renders states back into boxes and flags the rows that have none."""
+
     def test_round_trip_random_boxes(self):
         rng = np.random.default_rng(21)
+        boxes = _boxes([random_box(rng) for _ in range(200)])
         for spec in (SORT, CENTROID):
-            for _ in range(200):
-                box = random_box(rng)
-                back = state_to_bbox(kf_init(box, spec))
-                assert np.allclose(back.as_tuple(), box.as_tuple(), atol=1e-9)
+            means, _ = init(boxes, spec)
+            back, degenerate = corner_boxes(means, boxes[:, 2:] - boxes[:, :2], spec)
+            assert not degenerate.any()
+            assert np.allclose(back, boxes, atol=1e-9)
 
     def test_inverse_of_init_examples(self):
-        st = kf_init(BoundingBox(0, 0, 2, 2), SORT)
-        assert np.allclose(state_to_bbox(st).as_tuple(), (0, 0, 2, 2))
-        st = kf_init(BoundingBox(0, 0, 2, 4), SORT)
-        assert np.allclose(state_to_bbox(st).as_tuple(), (0, 0, 2, 4))
+        boxes = np.array([[0, 0, 2, 2], [0, 0, 2, 4]], dtype=float)
+        back, degenerate = corner_boxes(init(boxes, SORT)[0], None, SORT)
+        assert np.allclose(back, boxes)
+        assert not degenerate.any()
 
     def test_degenerate_area(self):
-        st = kf_init(BoundingBox(0, 0, 2, 2), SORT)
-        bad = KalmanState(np.array([1, 1, -4.0, 1, 0, 0, 0]), st.cov, SORT)
-        with pytest.raises(DegenerateGeometry):
-            state_to_bbox(bad)
+        means = np.array([[1, 1, -4.0, 1, 0, 0, 0], [1, 1, 4.0, 1, 0, 0, 0],
+                          [1, 1, 4.0, -1, 0, 0, 0], [1, 1, 0.0, 1, 0, 0, 0]])
+        boxes, degenerate = corner_boxes(means, None, SORT)
+        assert degenerate.tolist() == [True, False, True, True]
+        assert np.isfinite(boxes).all()
 
     def test_centroid_without_extent(self):
-        st = kf_init(BoundingBox(0, 0, 2, 2), CENTROID)
-        stripped = KalmanState(st.mean, st.cov, CENTROID, extent=None)
-        with pytest.raises(DegenerateGeometry):
-            state_to_bbox(stripped)
+        means, _ = init(_boxes([BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
+        extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]])
+        boxes, degenerate = corner_boxes(means, extents, CENTROID)
+        assert degenerate.tolist() == [True, False, True]
+        assert boxes[1].tolist() == [0.0, 0.0, 2.0, 2.0]
 
 
 def _boxes(boxes):
@@ -246,6 +252,20 @@ class TestBatchedFilter:
                 predict(means, covs, SORT, ids=[4, 8, 9])
             else:
                 update(means, covs, _boxes([BoundingBox(0, 0, 5, 5)] * 3), SORT, ids=[4, 8, 9])
+
+    @pytest.mark.parametrize("step", ["init", "predict", "update"])
+    def test_non_finite_covariance_names_its_track(self, step):
+        # cholesky returns NaN for a NaN or inf matrix instead of raising.
+        boxes = _boxes([BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
+        with pytest.raises(NumericalBreakdown, match="covariance of track 8 is not finite"):
+            if step == "init":
+                init(boxes, SORT, ids=[4, 8])
+            means, covs = init(boxes[:1].repeat(2, axis=0), SORT)
+            covs[1, 0, 0] = np.nan
+            if step == "predict":
+                predict(means, covs, SORT, ids=[4, 8])
+            else:
+                update(means, covs, boxes[:1].repeat(2, axis=0), SORT, ids=[4, 8])
 
     def test_non_finite_mean_names_its_track(self):
         means, covs = init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)

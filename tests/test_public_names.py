@@ -1,0 +1,52 @@
+"""Every public module-level function and class of ``trackfuse`` is used by the package.
+
+A name that only tests call is a second implementation to keep in step with
+the code that runs, so it is either used in ``src/``, exported in
+``__all__``, or listed in ``KEPT`` with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parents[1] / "src" / "trackfuse"
+
+KEPT = {
+    "iou": "the scalar specification that iou_matrix is checked against",
+    "simulate_triggers": "acceptance criterion 6 calls it",
+    "consensus_label": "acceptance criterion 2 calls it",
+    "fuse_pair": "acceptance criterion 2 calls it",
+    "read_tracks": "the benchmark reads the track CSV back with it",
+    "kf_init": "a trace target of the benchmark",
+    "kf_predict": "a trace target of the benchmark",
+    "kf_update": "a trace target of the benchmark",
+}
+
+
+def _public_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+
+
+def _references(tree: ast.Module):
+    """Every name the module loads, reads as an attribute, imports or lists in ``__all__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            yield from (elt.value for elt in node.value.elts)
+
+
+def test_every_public_definition_is_used_or_kept_for_a_reason():
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    used = {name for tree in trees for name in _references(tree)}
+    defined = {name for tree in trees for name in _public_definitions(tree)}
+    unused = sorted(defined - used - set(KEPT))
+    assert not unused, f"defined in src/ but used only outside it: {unused}"
+    stale = sorted(set(KEPT) - (defined - used))
+    assert not stale, f"KEPT lists names src/ uses itself or no longer defines: {stale}"
