@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 from . import io
 from .camtrap import TriggerConfig, trigger_bursts
 from .errors import EmptyEvaluation, InvalidConfig, NoEligibleTracks, ParseError, TrackfuseError
-from .fusion import FusionMode, relabel
+from .fusion import FusionMode, fuse
+from .fusion import relabel  # noqa: F401  the object form, traced by perfbench
 from .metrics import (
     NULL_TIMER,
     STAGE_FUSION,
@@ -28,9 +29,10 @@ from .metrics import (
     format_profile_table,
     label_flip_rate,
 )
-from .model import LabelSet, SequenceResult, index_value
+from .model import ColumnResult, Columns, LabelSet, index_value
 from .synth import ScenarioConfig, generate_scenario
-from .trackers import TrackerConfig, TrackerKind, run_sequence
+from .trackers import TrackerConfig, TrackerKind, track_columns
+from .trackers import run_sequence  # noqa: F401  the object form, traced by perfbench
 
 TRACKER_NAMES = [k.value for k in TrackerKind]
 FUSION_NAMES = [m.value for m in FusionMode]
@@ -123,15 +125,15 @@ def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig.from_dict({**file_cfg, "kind": args.tracker})
 
 
-def _run_all(sequences: io.Sequences, config: TrackerConfig, mode: FusionMode,
-             online: bool, timer=NULL_TIMER) -> Dict[str, SequenceResult]:
-    """Track and relabel every sequence, one after another in name order."""
-    results: Dict[str, SequenceResult] = {}
+def _run_all(sequences: Dict[str, Columns], config: TrackerConfig, mode: FusionMode,
+             online: bool, timer=NULL_TIMER) -> Dict[str, ColumnResult]:
+    """Track and fuse every sequence, one after another in name order."""
+    results: Dict[str, ColumnResult] = {}
     for seq in sorted(sequences):
         with timer.stage(STAGE_MOT):
-            result = run_sequence(sequences[seq], config, timer)
+            track = track_columns(sequences[seq], config, timer)
         with timer.stage(STAGE_FUSION):
-            results[seq] = relabel(result, mode, online=online)
+            results[seq] = fuse(sequences[seq], track, mode, online=online)
     return results
 
 
@@ -176,14 +178,14 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _metrics_report(results: Dict[str, SequenceResult], label_set: LabelSet,
+def _metrics_report(results: Dict[str, ColumnResult], label_set: LabelSet,
                     include_unmatched: bool, with_flip_rate: bool,
                     with_per_class: bool) -> dict:
     report: Dict[str, object] = {}
     fused_cm = None
     for key, use_fused in (("raw", False), ("fused", True)):
         pairs = evaluation_pairs(results, use_fused, include_unmatched)
-        if not pairs:
+        if not len(pairs):
             raise EmptyEvaluation("no detections carry gt_class; nothing to evaluate")
         cm = confusion(pairs, len(label_set))
         scores = f1_scores(cm)
@@ -195,9 +197,7 @@ def _metrics_report(results: Dict[str, SequenceResult], label_set: LabelSet,
         if use_fused:
             fused_cm = cm
             report["n_evaluated"] = len(pairs)
-    report["n_matched"] = sum(
-        1 for res in results.values() for rec in res.per_frame if rec.track_id is not None
-    )
+    report["n_matched"] = sum(int((res.track >= 0).sum()) for res in results.values())
     if with_flip_rate:
         # Raw and fused rates share one eligibility rule, so the lists stay in step.
         rates: Dict[str, List[float]] = {"raw": [], "fused": []}
@@ -233,10 +233,10 @@ def _print_report(report: dict) -> None:
             print(f"{row['label']:<16}{row['f1']:>10.4f}{row['support']:>10}")
 
 
-def _track_and_fuse(args) -> Tuple[LabelSet, Dict[str, SequenceResult]]:
-    """The label set, and every ``--input`` sequence tracked and relabeled as ``args`` say."""
+def _track_and_fuse(args) -> Tuple[LabelSet, Dict[str, ColumnResult]]:
+    """The label set, and every ``--input`` sequence tracked and fused as ``args`` say."""
     label_set = io.read_labels(args.labels)
-    sequences = io.parse_detections(args.input, label_set)
+    sequences = io.read_columns(args.input, label_set)
     results = _run_all(sequences, _tracker_config(args), FusionMode(args.fusion), args.online)
     return label_set, results
 
@@ -249,7 +249,7 @@ def _write_json(path, payload) -> None:
 
 def _cmd_track(args) -> int:
     label_set, results = _track_and_fuse(args)
-    io.write_tracks(results, args.output)
+    io.write_columns(results, args.output)
     if args.metrics_out:
         _write_json(args.metrics_out, _metrics_report(
             results, label_set, include_unmatched=not args.matched_only,
@@ -277,10 +277,9 @@ def _cmd_bench(args) -> int:
         raise InvalidConfig(f"unknown tracker in --trackers: {exc}") from None
     # Ingest does not depend on the tracker: it is timed once and shared by every profile.
     ingest_timer = StageTimer()
-    sequences = io.parse_detections(args.input, label_set, timer=ingest_timer)
-    samples = sum(len(frames) for frames in sequences.values())
-    if not all(det.embedding is not None
-               for frames in sequences.values() for _, dets in frames for det in dets):
+    sequences = io.read_columns(args.input, label_set, timer=ingest_timer)
+    samples = sum(len(cols.frame_ids) for cols in sequences.values())
+    if any(cols.emb is None for cols in sequences.values()):
         # Appearance association is meaningless without embeddings; skip it.
         kinds = [k for k in kinds if k is not TrackerKind.APPEARANCE]
 
@@ -292,7 +291,7 @@ def _cmd_bench(args) -> int:
                            online=False, timer=timer)
         with timer.stage(STAGE_METRICS):
             pairs = evaluation_pairs(results, use_fused=True)
-            if pairs:
+            if len(pairs):
                 cm = confusion(pairs, len(label_set))
                 accuracy_at_1(cm)
                 f1_scores(cm)

@@ -4,6 +4,11 @@ Fusing a trajectory's per-frame distributions is a renormalized elementwise
 product, computed as a sum of log probabilities so long tracks never
 underflow.  The consensus label is the argmax of that log sum; relabeling
 retroactively overrides every frame of the track with it.
+
+:func:`fuse` takes ``np.log`` of a sequence's whole ``probs`` block once and
+sums rank by rank over all tracks laid out in (track, frame) order, so each
+track adds in the order of its own ``np.cumsum``; ``np.add.reduceat`` would
+not match it bit for bit.  :func:`relabel` is its object form.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .errors import EmptyTrack, LengthMismatch
-from .model import ClassDistribution, DetectionLabel, SequenceResult, Track
+from .model import (
+    ClassDistribution, ColumnResult, Columns, DetectionLabel, SequenceResult, Track, track_runs,
+)
 
 
 class FusionMode(Enum):
@@ -46,24 +53,36 @@ def _entries(track: Track):
     return track.entries
 
 
-def _running_log(track: Track) -> np.ndarray:
-    """Row k is the per-class sum of log probabilities over entries 0..k."""
-    return np.cumsum([e.dist.log() for e in _entries(track)], axis=0)
+def _running(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each row plus the earlier rows of its run; runs are contiguous from ``starts``."""
+    out = rows.copy()
+    lengths = np.diff(starts, append=len(rows))
+    for k in range(1, int(lengths.max(initial=0))):  # rank k - 1 into rank k, in every run
+        at = starts[lengths > k] + k
+        out[at] += out[at - 1]
+    return out
 
 
-def _running_labels(track: Track, mode: FusionMode) -> np.ndarray:
-    """Fused label after each entry of ``track``, from that entry and earlier ones only.
+def _track_labels(probs: np.ndarray, starts: np.ndarray, mode: FusionMode,
+                  online: bool) -> np.ndarray:
+    """Fused label of each row of the tracks laid out from ``starts``.
 
-    ``PROBABILITY`` takes the argmax of the running log sum.  ``MAJORITY``
-    takes the most frequent per-frame argmax; vote ties go to the class with
-    the larger summed probability mass, then to the lowest class index.
+    ``PROBABILITY`` takes the argmax of the running log sum, ``MAJORITY`` the
+    most frequent per-row argmax, vote ties going to the larger summed mass,
+    then the lower class.  Unless ``online``, every row gets its track's last.
     """
     if mode is FusionMode.PROBABILITY:
-        return np.argmax(_running_log(track), axis=1)
-    probs = np.array([e.dist.probs for e in _entries(track)])
-    votes = np.cumsum(probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]), axis=0)
-    mass = np.cumsum(probs, axis=0)
-    return np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), mass, -np.inf), axis=1)
+        labels = np.argmax(_running(np.log(probs), starts), axis=1)
+    else:
+        votes = _running((probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]))
+                         .astype(np.int64), starts)
+        mass = _running(probs, starts)
+        labels = np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), mass, -np.inf),
+                           axis=1)
+    if online:
+        return labels
+    ends = np.append(starts[1:], len(labels))
+    return np.repeat(labels[ends - 1], ends - starts)
 
 
 def consensus_label(track: Track) -> Tuple[int, np.ndarray]:
@@ -72,24 +91,36 @@ def consensus_label(track: Track) -> Tuple[int, np.ndarray]:
     Returns the label index (ties toward the lowest class index) and the
     unnormalized log-score vector.
     """
-    scores = _running_log(track)[-1]
+    logs = np.log(np.array([e.dist.probs for e in _entries(track)]))
+    scores = _running(logs, np.zeros(1, dtype=int))[-1]
     return int(np.argmax(scores)), scores
 
 
-def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> SequenceResult:
-    """Overwrite fused labels with each track's consensus label.
+def fuse(cols: Columns, track: np.ndarray, mode: FusionMode,
+         online: bool = False) -> ColumnResult:
+    """A tracked sequence with each track's fused labels on its rows.
 
-    The default is retroactive: one label per track, applied to all of its
-    frames.  With ``online=True`` the label at frame t uses entries up to t
-    only.  Unmatched detections keep their raw label; ``FusionMode.NONE``
-    leaves every fused label equal to the raw label.
+    Retroactive by default; with ``online`` a row's label uses rows up to its
+    frame.  Rows without a track, and every row under ``NONE``, keep raw labels.
     """
+    raw = cols.probs.argmax(axis=1)
+    order, starts = runs = track_runs(track)
+    fused = raw
+    if mode is not FusionMode.NONE and len(order):
+        fused = raw.copy()
+        fused[order] = _track_labels(cols.probs[order], starts, mode, online)
+    return ColumnResult(cols, track, raw, fused, runs)
+
+
+def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> SequenceResult:
+    """:func:`fuse` over a SequenceResult's tracks: their entries, in order, are the rows."""
     fused: Dict[Tuple[int, int], int] = {}
-    if mode is not FusionMode.NONE:
-        for t in result.tracks:
-            labels = _running_labels(t, mode).tolist()
-            for k, e in enumerate(t.entries):
-                fused[t.id, e.frame_id] = labels[k if online else -1]
+    if mode is not FusionMode.NONE and result.tracks:
+        entries = [(t.id, e) for t in result.tracks for e in _entries(t)]
+        starts = np.cumsum([0] + [len(t.entries) for t in result.tracks[:-1]])
+        labels = _track_labels(np.array([e.dist.probs for _, e in entries]), starts, mode, online)
+        fused = {(track_id, e.frame_id): label
+                 for (track_id, e), label in zip(entries, labels.tolist())}
     per_frame = tuple(
         DetectionLabel(rec.detection, rec.track_id,
                        fused.get((rec.track_id, rec.frame_id), rec.raw_label))

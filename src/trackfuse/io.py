@@ -3,9 +3,13 @@
 Detections travel one JSON object per line with keys ``seq``, ``frame``,
 ``bbox`` ([x1, y1, x2, y2]), ``score``, ``probs``, and optional ``embedding``,
 ``gt_class``, ``gt_track``.  Floats are serialized at full precision (shortest
-round-trip form), so writing and re-parsing reproduces values exactly.  Reading
-checks each line's fields as it goes and the probability rows and embeddings of
-a chunk of lines in one batch.
+round-trip form), so writing and re-parsing reproduces values exactly.
+
+:func:`read_columns` fills one :class:`~trackfuse.model.Columns` record per
+sequence from 256-line chunks, checking each line's fields as it is read and
+a chunk's probability rows and embeddings in one batch; :func:`write_columns`
+writes the track CSV from ``tolist()`` of result columns.  Their object forms,
+:func:`parse_detections` and :func:`write_tracks`, are adapters over them.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
-from .model import BoundingBox, ClassDistribution, Detection, LabelSet, SequenceResult
-from .model import embedding_value, index_value, score_value, unchecked, validate_distributions
+from .model import BoundingBox, ColumnResult, Columns, Detection, LabelSet, SequenceResult
+from .model import embedding_value, index_column, index_value, score_value, validate_distributions
 from .model import validate_distribution  # noqa: F401  the one-row form, importable here as before
 
 Sequences = Dict[str, List[Tuple[int, List[Detection]]]]
@@ -126,47 +131,75 @@ def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
         raise EmptyFile(f"detection file {path} contains no records")
 
 
-def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
-    """Parse a detections file into per-sequence, frame-sorted detection lists.
+def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Columns]:
+    """One :class:`Columns` record per sequence of a detections file, in order of appearance.
 
-    Each line's fields are checked as it is read, but its probabilities and
-    embedding values wait to be checked with a chunk of lines, the
-    probabilities as one array by ``validate_distributions``.  The error is
-    still the first bad line's, and within it the first bad field's.
-    Embedding presence and dimension must be consistent within a sequence.
+    The error is the first bad line's, and within it the first bad field's,
+    although probability rows and embedding values are checked a chunk of
+    lines at a time.  Embedding presence and dimension must be consistent
+    within a sequence.
 
     Raises:
         ParseError: malformed JSON or field values (message carries the line).
         SchemaError: wrong probs length or inconsistent embeddings.
         EmptyFile: no records at all.
     """
-    n_classes = len(label_set)
-    chunk = _Chunk(n_classes)
-    grouped: Dict[str, Dict[int, List[Detection]]] = {}
+    chunk, pieces = _Chunk(len(label_set)), []
+    seq_ids: Dict[str, int] = {}
     emb_dims: Dict[str, Optional[int]] = {}
     try:
         for line_no, record in read_records(path, timer):
-            det, seq = _parse_line(record, line_no, chunk, timer)
-            actual = None if record.get("embedding") is None else len(record["embedding"])
-            expected = emb_dims.setdefault(seq, actual)
-            if actual != expected:
-                raise SchemaError(
-                    f"line {line_no}: embedding dim {actual} differs from "
-                    f"{expected} earlier in sequence {seq!r}"
-                )
-            grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
-            if len(chunk.dets) == CHUNK_LINES:
-                chunk.flush(timer)
-                chunk = _Chunk(n_classes)
+            seq, emb_dim = _parse_line(record, line_no, chunk, timer)
+            if emb_dims.setdefault(seq, emb_dim) != emb_dim:
+                raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs from "
+                                  f"{emb_dims[seq]} earlier in sequence {seq!r}")
+            chunk.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
+            if len(chunk.seq) == CHUNK_LINES:
+                pieces.append(chunk.flush(timer))
+                chunk = _Chunk(chunk.n_classes)
     except (TrackfuseError, OSError):
         chunk.checked()  # a bad buffered value on this or an earlier line comes first
         raise
-    chunk.flush(timer)
-    del chunk  # its buffers go before the frame lists are built
-    return {
-        seq: [(frame, dets) for frame, dets in sorted(frames.items())]
-        for seq, frames in grouped.items()
-    }
+    pieces.append(chunk.flush(timer))
+    del chunk
+    with timer.stage(STAGE_DETECTION_INGEST):
+        return _sequences(pieces, seq_ids, emb_dims)
+
+
+def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
+               emb_dims: Dict[str, Optional[int]]) -> Dict[str, Columns]:
+    """The chunks' rows as one record per sequence, each owning its columns' data."""
+    offset = 0
+    for piece in pieces:  # embedding offsets into the whole file's values
+        piece["emb_at"][piece["emb_at"] >= 0] += offset
+        offset += len(piece["emb"])
+    whole = {name: np.concatenate([piece[name] for piece in pieces]) for name in pieces[0]}
+    pieces.clear()  # the chunks' buffers go before the records are built
+    order = np.lexsort((whole["frame"], whole["seq"]))  # stable: file order within a frame
+    bounds = np.cumsum([0] + np.bincount(whole["seq"], minlength=len(seq_ids)).tolist())
+    out = {}
+    for seq, lo, hi in zip(seq_ids, bounds.tolist(), bounds[1:].tolist()):
+        col = {name: whole[name][order[lo:hi]] for name in (
+            "frame", "box", "score", "probs", "gt_class", "gt_track", "emb_at")}
+        emb_at = col.pop("emb_at")
+        col["emb"] = None if emb_dims[seq] is None else whole["emb"][
+            emb_at[:, None] + np.arange(emb_dims[seq])]
+        for name in ("probs", "emb"):
+            if col[name] is not None:
+                col[name].flags.writeable = False
+        starts = np.flatnonzero(np.diff(col["frame"], prepend=-1, append=-1))
+        out[seq] = Columns(**col, frame_ids=col["frame"][starts[:-1]], starts=starts)
+    return out
+
+
+def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
+    """:func:`read_columns` as per-sequence, frame-sorted Detection lists, with its errors.
+
+    Each Detection's probs and embedding are read-only views of its row.
+    """
+    sequences = read_columns(path, label_set, timer)
+    # Each record goes once its objects are built: they keep only its probs and embeddings.
+    return {seq: sequences.pop(seq).frames() for seq in list(sequences)}
 
 
 CHUNK_LINES = 256
@@ -175,36 +208,47 @@ CHUNK_LINES = 256
 
 
 class _Chunk:
-    """Detections read since the last flush, their probs rows and embeddings not yet checked."""
+    """Rows read since the last flush, their probs and embedding values not yet checked.
+
+    ``probs`` and ``embs`` hold the values one line after another; line
+    ``lines[emb_rows[k]]``'s embedding ends at ``emb_ends[k]``.
+    """
 
     def __init__(self, n_classes: int):
-        self.n_classes, self.dets, self.lines = n_classes, [], []
-        self.probs = np.empty((CHUNK_LINES, n_classes))  # row i holds line lines[i]'s probs
-        self.embs, self.emb_rows = [], []  # embeddings and the rows they belong to
+        self.n_classes, self.lines = n_classes, []
+        self.seq, self.frame, self.box, self.score, self.gt_class, self.gt_track, self.emb_at = (
+            [], [], [], [], [], [], [])  # one entry per row
+        self.probs: List[float] = []
+        self.embs: List[float] = []
+        self.emb_rows: List[int] = []
+        self.emb_ends: List[int] = []
 
-    def checked(self) -> np.ndarray:
-        """The probs rows validated; the first bad row, probs before embedding, is a ParseError."""
-        bad = [] if not self.embs or np.isfinite(np.concatenate(self.embs)).all() else [
-            (row, emb) for row, emb in zip(self.emb_rows, self.embs) if not np.isfinite(emb).all()]
-        last = bad[0][0] if bad else len(self.lines) - 1
+    def checked(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The probs rows validated and the embedding values; the first bad row is a ParseError."""
+        embs = np.array(self.embs, dtype=float)
+        finite = np.isfinite(embs)
+        bad = [] if finite.all() else [
+            int(np.searchsorted(self.emb_ends, np.argmin(finite), side="right"))]
+        last = self.emb_rows[bad[0]] if bad else len(self.lines) - 1
         try:
-            probs = validate_distributions(self.probs[:last + 1], self.n_classes)
-            for _, emb in bad[:1]:
-                embedding_value(emb)  # raises that embedding's error
+            probs = np.array(self.probs[:(last + 1) * self.n_classes], dtype=float)
+            probs = validate_distributions(probs.reshape(-1, self.n_classes), self.n_classes)
+            for k in bad:  # probs of its row come first
+                embedding_value(embs[self.emb_ends[k - 1] if k else 0:self.emb_ends[k]])
         except TrackfuseError as exc:
             raise ParseError(self.lines[getattr(exc, "row", last)], str(exc)) from None
-        return probs
+        return probs, embs
 
-    def flush(self, timer=NULL_TIMER) -> None:
-        """Give each detection its checked dist."""
+    def flush(self, timer=NULL_TIMER) -> Dict[str, np.ndarray]:
+        """The chunk's rows as columns; ``emb_at`` is each row's first embedding value, or -1."""
         with timer.stage(STAGE_CLASSIFICATION_INGEST):
-            probs, self.probs = self.checked().copy(), None  # the rows read, not the whole buffer
-            probs.flags.writeable = False
-            for emb in self.embs:
-                emb.flags.writeable = False
-            for det, row, label in zip(self.dets, probs, probs.argmax(axis=1).tolist()):
-                dist = unchecked(ClassDistribution, probs=row, argmax=label)
-                object.__setattr__(det, "dist", dist)
+            probs, embs = self.checked()
+            return {"seq": np.array(self.seq, dtype=np.int64), "frame": index_column(self.frame),
+                    "box": np.array(self.box, dtype=float).reshape(-1, 4),
+                    "score": np.array(self.score, dtype=float), "probs": probs,
+                    "gt_class": index_column(self.gt_class),
+                    "gt_track": index_column(self.gt_track), "emb": embs,
+                    "emb_at": np.array(self.emb_at, dtype=np.int64)}
 
 
 def sequence_name(record: dict, line_no: int) -> str:
@@ -214,21 +258,40 @@ def sequence_name(record: dict, line_no: int) -> str:
     return record["seq"]
 
 
+def _box(values: list, line_no: int) -> list:
+    """The corners as floats; a box that BoundingBox rejects is a ParseError with its message."""
+    try:
+        x1, y1, x2, y2 = box = [float(v) for v in values]
+        if -_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF:
+            return box
+    except OverflowError:
+        pass
+    try:  # BoundingBox names the first bad corner as it checks them
+        return list(BoundingBox(*values).as_tuple())
+    except (TrackfuseError, OverflowError) as exc:
+        raise ParseError(line_no, str(exc)) from None
+
+
+_INF = float("inf")
+_REQUIRED = ("seq", "frame", "bbox", "score", "probs")  # checked in this order
+_REQUIRED_SET = frozenset(_REQUIRED)
+
+
 def _parse_line(record: dict, line_no: int, chunk: _Chunk,
-                timer=NULL_TIMER) -> Tuple[Detection, str]:
-    """One line's detection and sequence; its probs and embedding are left to ``chunk``."""
+                timer=NULL_TIMER) -> Tuple[str, Optional[int]]:
+    """Buffer one line in ``chunk``, its probs and embedding values unchecked.
+
+    Returns the line's sequence and embedding dimension.
+    """
     with timer.stage(STAGE_DETECTION_INGEST):
-        for key in ("seq", "frame", "bbox", "score", "probs"):
-            if key not in record:
-                raise ParseError(line_no, f"missing field {key!r}")
+        if not record.keys() >= _REQUIRED_SET:
+            missing = next(key for key in _REQUIRED if key not in record)
+            raise ParseError(line_no, f"missing field {missing!r}")
         bbox_values = record["bbox"]
         if not isinstance(bbox_values, list) or len(bbox_values) != 4:
             raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
         _require_numbers(bbox_values, "bbox", line_no)
-        try:
-            bbox = BoundingBox(*bbox_values)
-        except (TrackfuseError, OverflowError) as exc:
-            raise ParseError(line_no, str(exc)) from None
+        box = _box(bbox_values, line_no)
 
     probs = record["probs"]
     if not isinstance(probs, list) or len(probs) != chunk.n_classes:
@@ -236,41 +299,57 @@ def _parse_line(record: dict, line_no: int, chunk: _Chunk,
             f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
             f"entries, label set has {chunk.n_classes}"
         )
-    _require_numbers(probs, "probs", line_no)
-    _require_numbers([record["score"]], "score", line_no)
+    probs_are_floats = _require_numbers(probs, "probs", line_no)
+    if type(record["score"]) not in _NUMBER_TYPES:
+        _require_numbers([record["score"]], "score", line_no)
     emb = record.get("embedding")
-    if isinstance(emb, list):
-        _require_numbers(emb, "embedding", line_no)
+    emb_are_floats = isinstance(emb, list) and _require_numbers(emb, "embedding", line_no)
     try:
-        chunk.probs[len(chunk.lines)] = probs
+        # float() of an int beyond the float range raises here, as numpy's conversion would.
+        chunk.probs.extend(probs if probs_are_floats else [float(v) for v in probs])
         chunk.lines.append(line_no)
         frame_id, score = index_value(record["frame"]), score_value(record["score"])
+        emb_at = -1
         if isinstance(emb, list) and emb:  # its values are checked with the chunk
-            emb = np.array(emb, dtype=float)
-            chunk.embs.append(emb)
+            emb_at = len(chunk.embs)
+            chunk.embs.extend(emb if emb_are_floats else [float(v) for v in emb])
             chunk.emb_rows.append(len(chunk.lines) - 1)
+            chunk.emb_ends.append(len(chunk.embs))
         elif emb is not None:
             embedding_value(emb)  # raises: only a non-empty list can be a vector
         gt_class, gt_track = record.get("gt_class"), record.get("gt_track")
-        det = unchecked(Detection, frame_id=frame_id, bbox=bbox, score=score, dist=None,
-                        embedding=emb,
-                        gt_class=None if gt_class is None else index_value(gt_class, "gt_class"),
-                        gt_track=None if gt_track is None else index_value(gt_track, "gt_track"))
+        gt_class = -1 if gt_class is None else index_value(gt_class, "gt_class")
+        gt_track = -1 if gt_track is None else index_value(gt_track, "gt_track")
     except TrackfuseError as exc:
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
-    chunk.dets.append(det)
-    return det, sequence_name(record, line_no)
+    seq = sequence_name(record, line_no)
+    chunk.frame.append(frame_id)
+    chunk.box.append(box)
+    chunk.score.append(score)
+    chunk.gt_class.append(gt_class)
+    chunk.gt_track.append(gt_track)
+    chunk.emb_at.append(emb_at)
+    return seq, None if emb is None else len(emb)
 
 
 _NUMBER_TYPES = frozenset((int, float))
 
 
-def _require_numbers(values: list, name: str, line_no: int) -> None:
-    """ParseError unless every entry of ``values`` is a JSON number; booleans are not."""
+_FLOAT_TYPE = frozenset((float,))
+
+
+def _require_numbers(values: list, name: str, line_no: int) -> bool:
+    """ParseError unless every entry of ``values`` is a JSON number (booleans are not).
+
+    Returns whether every entry is a float already.
+    """
+    if _FLOAT_TYPE.issuperset(map(type, values)):
+        return True
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         raise ParseError(line_no, f"{name} must hold real numbers, got {values!r}")
+    return False
 
 
 @dataclass(frozen=True)
@@ -289,25 +368,30 @@ class TrackRow:
     seq: str
 
 
-def write_tracks(results: Mapping[str, SequenceResult], path) -> None:
-    """Write matched detections as CSV, ordered by (seq, frame, track_id)."""
-    rows = []
-    for seq in sorted(results):
-        for rec in results[seq].per_frame:
-            if rec.track_id is not None:
-                b = rec.detection.bbox
-                rows.append((seq, rec.frame_id, rec.track_id, b.x1, b.y1, b.width, b.height,
-                             rec.detection.score, rec.fused_label, rec.raw_label))
-    rows.sort(key=lambda r: r[:3])
+def write_columns(results: Mapping[str, ColumnResult], path) -> None:
+    """Write every row with a track as CSV, ordered by (seq, frame, track_id)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         plain = csv.writer(fh, lineterminator="\n")
         # The writer quotes only what holds a delimiter, quote or "\n"; a bare
         # "\r" would end the row on reading, so such rows are quoted whole.
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         plain.writerow(TRACK_CSV_HEADER.split(","))
-        for seq, *fields in rows:
-            # str() of a float is its shortest round-trip form.
-            (quoted if "\r" in seq else plain).writerow((*fields, seq))
+        for seq in sorted(results):
+            res = results[seq]
+            rows = np.flatnonzero(res.track >= 0)
+            rows = rows[np.lexsort((res.track[rows], res.cols.frame[rows]))]
+            box = res.cols.box[rows]
+            # tolist() gives Python numbers, and str() of a float is its shortest round-trip form.
+            (quoted if "\r" in seq else plain).writerows(zip(
+                res.cols.frame[rows].tolist(), res.track[rows].tolist(), box[:, 0].tolist(),
+                box[:, 1].tolist(), (box[:, 2] - box[:, 0]).tolist(),
+                (box[:, 3] - box[:, 1]).tolist(), res.cols.score[rows].tolist(),
+                res.fused[rows].tolist(), res.raw[rows].tolist(), repeat(seq)))
+
+
+def write_tracks(results: Mapping[str, SequenceResult], path) -> None:
+    """:func:`write_columns` of SequenceResults: matched detections as CSV."""
+    write_columns({seq: ColumnResult.of(result) for seq, result in results.items()}, path)
 
 
 def read_tracks(path) -> List[TrackRow]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
 from .errors import EmptyEvaluation, IndexOutOfRange, NoEligibleTracks
-from .model import SequenceResult
+from .model import ColumnResult
 
 STAGE_DETECTION_INGEST = "detection-ingest"
 STAGE_CLASSIFICATION_INGEST = "classification-ingest"
@@ -60,17 +60,19 @@ class ConfusionMatrix:
         return f"ConfusionMatrix({self.counts.tolist()!r})"
 
 
-def confusion(pairs: Iterable[Tuple[int, int]], n_classes: int) -> ConfusionMatrix:
-    """Tabulate (ground truth, predicted) index pairs; the first pair out of range is an error."""
-    pairs = list(pairs)
-    index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+def confusion(pairs, n_classes: int) -> ConfusionMatrix:
+    """Tabulate (ground truth, predicted) index pairs, an (M, 2) array or an iterable of pairs.
+
+    The first pair out of range is an error.
+    """
+    index = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs)).reshape(-1, 2)
     outside = ((index < 0) | (index >= n_classes)).any(axis=1)
     if outside.any():
-        gt, pred = pairs[int(np.argmax(outside))]
+        gt, pred = index[int(np.argmax(outside))].tolist()
         raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (index[:, 0], index[:, 1]), 1)
-    return ConfusionMatrix(counts)
+    flat = index.astype(np.int64) @ np.array([n_classes, 1])
+    return ConfusionMatrix(np.bincount(flat, minlength=n_classes * n_classes)
+                           .reshape(n_classes, n_classes))
 
 
 def accuracy_at_1(cm: ConfusionMatrix) -> float:
@@ -112,42 +114,33 @@ def f1_scores(cm: ConfusionMatrix) -> F1Scores:
     return F1Scores(macro=macro, weighted=weighted, per_class=per_class)
 
 
-def label_flip_rate(result: SequenceResult, use_fused: bool) -> float:
+def label_flip_rate(result: ColumnResult, use_fused: bool) -> float:
     """Fraction of consecutive same-track label pairs that differ.
 
     Raises NoEligibleTracks when no track carries two or more detections.
     """
-    by_track: Dict[int, List[Tuple[int, int]]] = {}
-    for rec in result.per_frame:
-        if rec.track_id is None:
-            continue
-        label = rec.fused_label if use_fused else rec.raw_label
-        by_track.setdefault(rec.track_id, []).append((rec.frame_id, label))
-    flips = 0
-    pairs = 0
-    for recs in by_track.values():
-        recs.sort()
-        labels = [lbl for _, lbl in recs]
-        pairs += len(labels) - 1
-        flips += sum(a != b for a, b in zip(labels, labels[1:]))
+    order, starts = result.runs
+    labels = (result.fused if use_fused else result.raw)[order]
+    pairs = len(order) - len(starts)
     if pairs == 0:
         raise NoEligibleTracks("flip rate needs a track with at least two entries")
-    return flips / pairs
+    flips = labels[1:] != labels[:-1]
+    flips[starts[1:] - 1] = False  # the last row of one track against the first of the next
+    return int(flips.sum()) / pairs
 
 
-def evaluation_pairs(results: Mapping[str, SequenceResult], use_fused: bool,
-                     include_unmatched: bool = True) -> List[Tuple[int, int]]:
-    """(gt, predicted) pairs over all sequences, for detections carrying ground truth."""
-    pairs = []
+def evaluation_pairs(results: Mapping[str, ColumnResult], use_fused: bool,
+                     include_unmatched: bool = True) -> np.ndarray:
+    """(gt, predicted) rows (M, 2) over all sequences in name order, for rows with ground truth."""
+    pairs = [np.zeros((0, 2), dtype=np.int64)]
     for seq in sorted(results):
-        for rec in results[seq].per_frame:
-            if rec.detection.gt_class is None:
-                continue
-            if rec.track_id is None and not include_unmatched:
-                continue
-            pred = rec.fused_label if use_fused else rec.raw_label
-            pairs.append((rec.detection.gt_class, pred))
-    return pairs
+        res = results[seq]
+        rows = res.cols.gt_class >= 0
+        if not include_unmatched:
+            rows &= res.track >= 0
+        pred = res.fused if use_fused else res.raw
+        pairs.append(np.stack([res.cols.gt_class[rows], pred[rows]], axis=1))
+    return np.concatenate(pairs)
 
 
 class StageTimer:

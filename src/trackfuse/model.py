@@ -1,7 +1,11 @@
 """Core value types: label sets, boxes, class distributions, tracks, results.
 
 All types here are immutable after construction (frozen dataclasses, read-only
-numpy arrays).
+numpy arrays).  `track`, `eval` and `bench` carry a sequence as one
+:class:`Columns` record and its outcome as one :class:`ColumnResult`; the
+per-detection types (:class:`Detection`, :class:`Track`,
+:class:`SequenceResult`, ...) are the library's object form, built from and
+turned into columns by ``Columns.from_frames`` and ``Columns.frames``.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +41,7 @@ def unchecked(cls, **fields):
 class LabelSet:
     """Ordered, closed set of class names; position in ``names`` is the class index."""
 
-    __slots__ = ("names", "_by_name")
+    __slots__ = ("names",)
 
     def __init__(self, names: Sequence[str]):
         names = tuple(str(n) for n in names)
@@ -46,13 +50,6 @@ class LabelSet:
         if len(set(names)) != len(names):
             raise InvalidValue("label names must be unique")
         self.names = names
-        self._by_name = {n: i for i, n in enumerate(names)}
-
-    def index(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise InvalidValue(f"unknown label {name!r}") from None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -104,10 +101,6 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def center(self) -> Tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
@@ -197,6 +190,8 @@ def validate_distribution(raw, n_classes: int) -> ClassDistribution:
 
 def index_value(value, name: str = "frame_id") -> int:
     """``value`` as a non-negative integer id; integral floats pass, booleans do not."""
+    if type(value) is int and value >= 0:
+        return value
     try:
         if not isinstance(value, bool) and int(value) == value and value >= 0:
             return int(value)
@@ -313,3 +308,106 @@ class SequenceResult:
         for rec in per_frame:
             if rec.track_id is not None and rec.track_id not in known:
                 raise InvalidValue(f"per-frame record references unknown track {rec.track_id}")
+
+
+def index_column(values) -> np.ndarray:
+    """Non-negative ids (or -1) as an int64 column; ids past int64 keep Python ints."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """One sequence's detections, one row each, sorted by frame and in file order within one.
+
+    ``box`` (N, 4) holds corners, read-only ``probs`` (N, C) floored-simplex
+    rows, ``emb`` (N, E) embeddings or None, ``gt_class``/``gt_track`` -1
+    where missing.  Frame ``frame_ids[i]`` spans rows ``starts[i]:starts[i + 1]``.
+    """
+
+    frame: np.ndarray
+    box: np.ndarray
+    score: np.ndarray
+    probs: np.ndarray
+    emb: Optional[np.ndarray]
+    gt_class: np.ndarray
+    gt_track: np.ndarray
+    frame_ids: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[Tuple[int, Sequence["Detection"]]]) -> "Columns":
+        """The columns of (frame_id, detections) pairs; ``emb`` needs every embedding."""
+        dets = [det for _, group in frames for det in group]
+        embs = [det.embedding for det in dets]
+        probs = np.array([det.dist.probs for det in dets]) if dets else np.zeros((0, 1))
+        probs.flags.writeable = False
+        return cls(
+            frame=index_column([det.frame_id for det in dets]),
+            box=np.array([det.bbox.as_tuple() for det in dets], dtype=float).reshape(-1, 4),
+            score=np.array([det.score for det in dets], dtype=float),
+            probs=probs,
+            emb=np.stack(embs) if embs and all(e is not None for e in embs) else None,
+            gt_class=index_column([-1 if d.gt_class is None else d.gt_class for d in dets]),
+            gt_track=index_column([-1 if d.gt_track is None else d.gt_track for d in dets]),
+            frame_ids=index_column([frame_id for frame_id, _ in frames]),
+            starts=np.cumsum([0] + [len(group) for _, group in frames]),
+        )
+
+    def frames(self) -> List[Tuple[int, List["Detection"]]]:
+        """(frame_id, detections) pairs whose probs and embeddings are read-only row views."""
+        out = []
+        labels = self.probs.argmax(axis=1)
+        bounds = self.starts.tolist()
+        for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:]):
+            rows = zip(range(lo, hi), self.box[lo:hi].tolist(), self.score[lo:hi].tolist(),
+                       labels[lo:hi].tolist(), self.gt_class[lo:hi].tolist(),
+                       self.gt_track[lo:hi].tolist())
+            out.append((frame_id, [unchecked(
+                Detection, frame_id=frame_id,
+                bbox=unchecked(BoundingBox, x1=box[0], y1=box[1], x2=box[2], y2=box[3]),
+                score=score, dist=unchecked(ClassDistribution, probs=self.probs[i], argmax=label),
+                embedding=None if self.emb is None else self.emb[i],
+                gt_class=None if gt_class < 0 else gt_class,
+                gt_track=None if gt_track < 0 else gt_track,
+            ) for i, box, score, label, gt_class, gt_track in rows]))
+        return out
+
+
+def track_runs(track: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows with a track id (-1 is none) in (track, frame) order, and where each track starts.
+
+    The sort by id is stable, so a track's frame-sorted rows stay in frame order.
+    """
+    kept = np.flatnonzero(track >= 0)
+    order = kept[np.argsort(track[kept], kind="stable")]
+    return order, np.flatnonzero(np.diff(track[order], prepend=-1))
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnResult:
+    """A tracked sequence: per row its track id (-1 for none), argmax and fused label.
+
+    ``runs`` is :func:`track_runs` of ``track``, computed when not given.
+    """
+
+    cols: Columns
+    track: np.ndarray
+    raw: np.ndarray
+    fused: np.ndarray
+    runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.runs is None:
+            object.__setattr__(self, "runs", track_runs(self.track))
+
+    @classmethod
+    def of(cls, result: "SequenceResult") -> "ColumnResult":
+        """The columns of a SequenceResult's per-detection records, in their order."""
+        recs = result.per_frame
+        return cls(Columns.from_frames([(rec.frame_id, [rec.detection]) for rec in recs]),
+                   np.array([-1 if r.track_id is None else r.track_id for r in recs], dtype=int),
+                   np.array([rec.raw_label for rec in recs], dtype=int),
+                   np.array([rec.fused_label for rec in recs], dtype=int))

@@ -193,7 +193,9 @@ def init(boxes: np.ndarray, spec: MotionModelSpec,
     """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
     means = np.zeros((len(boxes), spec.state_dim))
     means[:, : spec.obs_dim] = observe(spec, boxes)
-    return _checked(means, initial_covariance(spec, means), ids)
+    with np.errstate(over="ignore"):  # an infinite covariance is _checked's NumericalBreakdown
+        covs = initial_covariance(spec, means)
+    return _checked(means, covs, ids)
 
 
 def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,

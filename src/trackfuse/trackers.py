@@ -6,6 +6,13 @@ rows of one table (:class:`TrackerState`).  Only detections with score >=
 tracks; ByteTrack additionally runs a second association pass over
 [det_threshold_low, det_threshold_high) detections, which may extend tracks
 but never start them.
+
+:func:`track_columns` runs a sequence's :class:`~trackfuse.model.Columns`
+record: each :func:`tracker_step` takes one frame's slices of the ``box``,
+``score`` and ``emb`` columns, and the run returns one track id per row, -1
+for a row no emitted track holds.  :func:`run_sequence` is its object form,
+an adapter that builds the columns from (frame_id, Detection list) pairs
+and the Track objects from the ids.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFra
 from .metrics import NULL_TIMER, STAGE_REID_COST
 from .model import (
     BoundingBox,
+    Columns,
     Detection,
     DetectionLabel,
     SequenceResult,
@@ -166,14 +174,13 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()))).reshape(x.shape)
 
 
-def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, dets: Sequence[Detection],
+def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, det_boxes: np.ndarray,
                     config: TrackerConfig, embs: Optional[np.ndarray] = None,
-                    timer=NULL_TIMER) -> assoc.CostMatrix:
-    """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against ``dets``."""
-    n_t, n_d = len(boxes), len(dets)
+                    det_embs: Optional[np.ndarray] = None, timer=NULL_TIMER) -> assoc.CostMatrix:
+    """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against detections."""
+    n_t, n_d = len(boxes), len(det_boxes)
     if n_t == 0 or n_d == 0:
         return assoc.CostMatrix(np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool))
-    det_boxes = np.array([det.bbox.as_tuple() for det in dets])
 
     if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
         # Distance between box centers per pair, gated at a fraction of the larger box diagonal.
@@ -190,7 +197,7 @@ def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, dets: Sequence[Detecti
 
     if kind is TrackerKind.APPEARANCE:
         with timer.stage(STAGE_REID_COST):
-            cos, ok = _cosine_matrix(embs, np.stack([det.embedding for det in dets]))
+            cos, ok = _cosine_matrix(embs, det_embs)
         w = config.appearance_weight
         values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
         mask = mask & ok & (cos >= config.cosine_gate)
@@ -211,9 +218,9 @@ def _cosine_matrix(embs: np.ndarray, det_embs: np.ndarray) -> Tuple[np.ndarray, 
     return cos, ok
 
 
-def _greedy_iou(boxes: np.ndarray, dets: Sequence[Detection], config: TrackerConfig):
+def _greedy_iou(boxes: np.ndarray, det_boxes: np.ndarray, config: TrackerConfig):
     """Highest-IoU-first greedy matching; equal IoUs go to the lower track, then detection."""
-    ious = assoc.iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
+    ious = assoc.iou_matrix(boxes, det_boxes)
     # nonzero lists pairs in (i, j) order, which the stable sort keeps among equal IoUs.
     rows, cols = np.nonzero(ious >= config.iou_gate)
     order = np.argsort(-ious[rows, cols], kind="stable")
@@ -226,140 +233,156 @@ def _greedy_iou(boxes: np.ndarray, dets: Sequence[Detection], config: TrackerCon
         used_t.add(i)
         used_d.add(j)
     um_t = tuple(i for i in range(len(boxes)) if i not in used_t)
-    um_d = tuple(j for j in range(len(dets)) if j not in used_d)
+    um_d = tuple(j for j in range(len(det_boxes)) if j not in used_d)
     return tuple(matches), um_t, um_d
 
 
-def _update_rows(state: TrackerState, matched: List[Tuple[int, Detection]],
-                 spec: Optional[motion.MotionModelSpec], kind: TrackerKind):
-    """Correct the matched table rows in one batch: last box, motion state, embedding."""
-    if not matched:
+def _update_rows(state: TrackerState, rows: List[int], boxes: np.ndarray,
+                 embs: Optional[np.ndarray], spec: Optional[motion.MotionModelSpec],
+                 kind: TrackerKind):
+    """Correct table ``rows`` against their matched ``boxes`` (and ``embs``) in one batch."""
+    if not rows:
         return
     table = state.table
-    rows = [row for row, _ in matched]
-    table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+    table["box"][rows] = boxes
     if spec is not None:
         table["mean"][rows], table["cov"][rows] = motion.update(
             table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
     if kind is TrackerKind.APPEARANCE:
-        mixed = (EMBEDDING_SMOOTHING * table["emb"][rows]
-                 + (1.0 - EMBEDDING_SMOOTHING) * np.stack([det.embedding for _, det in matched]))
+        mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs
         table["emb"][rows] = _unit_rows(mixed)
 
 
-def _spawn_rows(state: TrackerState, dets: List[Detection],
+def _spawn_rows(state: TrackerState, boxes: np.ndarray, embs: Optional[np.ndarray],
                 spec: Optional[motion.MotionModelSpec], kind: TrackerKind) -> List[int]:
-    """Start one track per detection, append their table rows; returns the new ids."""
-    ids = list(range(state.next_id, state.next_id + len(dets)))
-    new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
-           "box": np.array([det.bbox.as_tuple() for det in dets])}
+    """Start one track per detection box, append their table rows; returns the new ids."""
+    ids = list(range(state.next_id, state.next_id + len(boxes)))
+    new = {"id": np.array(ids), "age": np.zeros(len(boxes), dtype=int), "box": boxes}
     if spec is not None:
-        new["mean"], new["cov"] = motion.init(new["box"], spec, ids)
+        new["mean"], new["cov"] = motion.init(boxes, spec, ids)
     if kind is TrackerKind.APPEARANCE:
-        new["emb"] = _unit_rows(np.stack([det.embedding for det in dets]))
+        new["emb"] = _unit_rows(embs)
     for name, col in new.items():
         state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
-    state.next_id += len(dets)
+    state.next_id += len(boxes)
     return ids
 
 
-def tracker_step(state: TrackerState, frame_id: int,
-                 detections: Sequence[Detection], config: TrackerConfig,
-                 timer=NULL_TIMER) -> Tuple[TrackerState, List[Tuple[int, Optional[int]]]]:
-    """Advance one frame; returns the state and (detection_index, track_id) pairs.
+def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: np.ndarray,
+                 embs: Optional[np.ndarray], config: TrackerConfig,
+                 timer=NULL_TIMER) -> Tuple[TrackerState, np.ndarray]:
+    """Advance one frame, given as its rows of the sequence columns; returns each row's track id.
 
-    Kalman trackers predict all live rows in one batch and correct the rows matched
-    in either ByteTrack stage in one more; stage two reads only rows stage one left.
+    ``boxes`` (n, 4), ``scores`` (n,) and ``embs`` (n, E) or None are the
+    frame's slices.  A row no track takes gets -1.  Kalman trackers predict
+    all live rows in one batch and correct the rows matched in either
+    ByteTrack stage in one more; stage two reads only rows stage one left.
 
     Raises:
         OutOfOrderFrame: frame_id is not strictly beyond the cursor.
-        InvalidValue: a detection's own frame_id is not frame_id.
-        MissingEmbedding: the appearance tracker saw a detection without one.
+        MissingEmbedding: the appearance tracker got detections without embeddings.
     """
     if frame_id <= state.cursor:
         raise OutOfOrderFrame(f"frame {frame_id} is not past cursor {state.cursor}")
-    for det in detections:
-        if det.frame_id != frame_id:
-            raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
     kind = config.kind
-    if kind is TrackerKind.APPEARANCE:
-        for det in detections:
-            if det.embedding is None:
-                raise MissingEmbedding(f"frame {frame_id}: appearance tracking needs embeddings")
+    if kind is not TrackerKind.APPEARANCE:
+        embs = None  # only the appearance tracker reads them
+    elif embs is None and len(boxes):
+        raise MissingEmbedding(f"frame {frame_id}: appearance tracking needs embeddings")
 
-    high_idx = [i for i, d in enumerate(detections) if d.score >= config.det_threshold_high]
-    low_idx = ([i for i, d in enumerate(detections)
-                if config.det_threshold_low <= d.score < config.det_threshold_high]
-               if kind is TrackerKind.BYTETRACK else [])
+    high = scores >= config.det_threshold_high
+    high_idx = np.flatnonzero(high)
+    high_boxes = boxes if len(high_idx) == len(boxes) else boxes[high_idx]
 
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
     table = state.table
-    ids = table["id"].tolist()
-    if spec is not None and ids:
-        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, ids)
+    if spec is not None and len(table["id"]):
+        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec,
+                                                     table["id"].tolist())
 
-    assigned: Dict[int, int] = {}
-    high_dets = [detections[i] for i in high_idx]
-    boxes = _reference_boxes(state, spec)
+    ref_boxes = _reference_boxes(state, spec)
+    high_embs = None if embs is None else embs[high_idx]
     if kind is TrackerKind.IOU:
-        matches, um_t, um_d = _greedy_iou(boxes, high_dets, config)
+        matches, um_t, um_d = _greedy_iou(ref_boxes, high_boxes, config)
     else:
-        cost = _geometric_cost(kind, boxes, high_dets, config, table.get("emb"), timer)
+        cost = _geometric_cost(kind, ref_boxes, high_boxes, config, table.get("emb"),
+                               high_embs, timer)
         result = assoc.solve_assignment(cost)
         matches, um_t, um_d = result.matches, result.unmatched_tracks, result.unmatched_detections
-    matched = [(t_i, high_dets[d_i]) for t_i, d_i in matches]
-    for t_i, d_i in matches:
-        assigned[high_idx[d_i]] = ids[t_i]
+    rows = [t_i for t_i, _ in matches]
+    det_rows = high_idx[[d_i for _, d_i in matches]].tolist()
 
     # ByteTrack second stage: leftover tracks vs low-confidence detections.
-    if kind is TrackerKind.BYTETRACK and low_idx and um_t:
-        low_dets = [detections[i] for i in low_idx]
-        cost = _geometric_cost(TrackerKind.SORT, boxes[list(um_t)], low_dets, config,
-                               timer=timer)
-        for t_i, d_i in assoc.solve_assignment(cost).matches:
-            matched.append((um_t[t_i], low_dets[d_i]))
-            assigned[low_idx[d_i]] = ids[um_t[t_i]]
-    _update_rows(state, matched, spec, kind)
+    if kind is TrackerKind.BYTETRACK and um_t:
+        low_idx = np.flatnonzero(~high & (scores >= config.det_threshold_low))
+        if len(low_idx):
+            cost = _geometric_cost(TrackerKind.SORT, ref_boxes[list(um_t)], boxes[low_idx],
+                                   config, timer=timer)
+            for t_i, d_i in assoc.solve_assignment(cost).matches:
+                rows.append(um_t[t_i])
+                det_rows.append(int(low_idx[d_i]))
+    assigned = np.full(len(boxes), -1)
+    assigned[det_rows] = table["id"][rows]
+    _update_rows(state, rows, boxes[det_rows], None if embs is None else embs[det_rows],
+                 spec, kind)
 
     # Age unmatched tracks and retire those past max_age.
     table["age"] += 1
-    table["age"][[row for row, _ in matched]] = 0
+    table["age"][rows] = 0
     keep = table["age"] <= config.max_age
     if not keep.all():
         state.table = {name: col[keep] for name, col in table.items()}
 
     # Unmatched high-confidence detections spawn tentative tracks.
-    spawn_idx = [high_idx[d_i] for d_i in um_d]
-    if spawn_idx:
-        new_ids = _spawn_rows(state, [detections[i] for i in spawn_idx], spec, kind)
-        assigned.update(zip(spawn_idx, new_ids))
+    spawn = high_idx[list(um_d)]
+    if len(spawn):
+        assigned[spawn] = _spawn_rows(state, boxes[spawn], None if embs is None else embs[spawn],
+                                      spec, kind)
 
     state.cursor = frame_id
-    return state, [(i, assigned.get(i)) for i in range(len(detections))]
+    return state, assigned
+
+
+def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.ndarray:
+    """Fold the tracker over a sequence's frames; returns each row's track id, -1 for none.
+
+    A track with fewer than ``min_hits`` rows is dropped as noise, and its
+    rows read -1 like unmatched detections.
+    """
+    state = TrackerState()
+    track = np.full(len(cols.score), -1)
+    bounds = cols.starts.tolist()
+    for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:]):
+        state, track[lo:hi] = tracker_step(state, frame_id, cols.box[lo:hi], cols.score[lo:hi],
+                                           None if cols.emb is None else cols.emb[lo:hi],
+                                           config, timer)
+    if config.min_hits > 1:  # a row's count is its track's length; -1 rows stay -1
+        track[np.bincount(track + 1)[track + 1] < config.min_hits] = -1
+    return track
 
 
 def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
                  config: TrackerConfig, timer=NULL_TIMER) -> SequenceResult:
-    """Fold the tracker over a whole sequence of (frame_id, detections) pairs.
+    """:func:`track_columns` of (frame_id, detections) pairs, as a SequenceResult.
 
-    Each track's entries are the detections assigned its id.  Emits every
-    track with at least ``min_hits`` entries; shorter tracks are dropped as
-    noise and their detections reported as unmatched.  Fused labels start out
-    equal to raw labels; apply ``fusion.relabel`` afterwards.
+    Each track's entries are the detections assigned its id.  Fused labels
+    start out equal to raw labels; apply ``fusion.relabel`` afterwards.
+
+    Raises:
+        InvalidValue: a detection's own frame_id is not its frame's.
     """
-    state = TrackerState()
-    records: List[Tuple[Detection, Optional[int]]] = []
+    frames = list(frames)
     for frame_id, dets in frames:
-        state, assigned = tracker_step(state, frame_id, dets, config, timer)
-        records.extend((dets[i], track_id) for i, track_id in assigned)
-
+        for det in dets:
+            if det.frame_id != frame_id:
+                raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
+    dets = [det for _, group in frames for det in group]
+    ids = track_columns(Columns.from_frames(frames), config, timer).tolist()
     entries: Dict[int, List[Detection]] = {}
-    for det, track_id in records:
-        if track_id is not None:
+    for det, track_id in zip(dets, ids):
+        if track_id >= 0:
             entries.setdefault(track_id, []).append(det)
-    tracks = tuple(Track(i, tuple(dets)) for i, dets in sorted(entries.items())
-                   if len(dets) >= config.min_hits)
-    kept = {t.id for t in tracks}
-    per_frame = tuple(DetectionLabel(det, track_id if track_id in kept else None, det.dist.argmax)
-                      for det, track_id in records)
+    tracks = tuple(Track(i, tuple(group)) for i, group in sorted(entries.items()))
+    per_frame = tuple(DetectionLabel(det, track_id if track_id >= 0 else None, det.dist.argmax)
+                      for det, track_id in zip(dets, ids))
     return SequenceResult(tracks=tracks, per_frame=per_frame)

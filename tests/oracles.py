@@ -13,6 +13,7 @@ problem, Joseph-form updates in extended precision) so that agreement with
 the library is evidence, not tautology.
 """
 
+import csv
 import itertools
 import json
 import math
@@ -22,12 +23,20 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
-from trackfuse.assoc import AssignmentResult, CostMatrix, iou
+import trackfuse.trackers as trackers
+from trackfuse.assoc import AssignmentResult, CostMatrix, iou, iou_matrix, solve_assignment
 from trackfuse.errors import (
-    DegenerateSum, EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError, WrongLength,
+    DegenerateSum, EmptyEvaluation, EmptyFile, EmptyTrack, IndexOutOfRange, InvalidValue,
+    MissingEmbedding, NoEligibleTracks, OutOfOrderFrame, ParseError, SchemaError,
+    TrackfuseError, WrongLength,
 )
-from trackfuse.io import _require_numbers, open_text, sequence_name
-from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
+from trackfuse.fusion import FusionMode
+from trackfuse.io import _require_numbers, open_text, read_labels, sequence_name
+from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
+from trackfuse.model import (
+    PROB_FLOOR, BoundingBox, ClassDistribution, Detection, DetectionLabel, SequenceResult, Track,
+)
+from trackfuse.trackers import TrackerKind
 
 SENTINEL = 1e9
 
@@ -247,8 +256,12 @@ def reference_measurement_noise(spec, mean) -> np.ndarray:
     return np.eye(2) * spec.measurement_std**2
 
 
+def _center(bbox) -> Tuple[float, float]:
+    return 0.5 * (bbox.x1 + bbox.x2), 0.5 * (bbox.y1 + bbox.y2)
+
+
 def reference_observe(spec, bbox) -> np.ndarray:
-    cx, cy = bbox.center
+    cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
         return np.array([cx, cy, bbox.area, bbox.width / bbox.height])
     return np.array([cx, cy])
@@ -262,7 +275,7 @@ def _reference_checked_cov(cov: np.ndarray) -> np.ndarray:
 
 def reference_kf_init(bbox, spec):
     """One track's initial (mean, cov), computed as the one-track filter did."""
-    cx, cy = bbox.center
+    cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
         mean = np.array([cx, cy, bbox.area, bbox.width / bbox.height, 0.0, 0.0, 0.0])
         h = _reference_height_like(mean)
@@ -332,7 +345,7 @@ def reference_centroid_cost(boxes, dets, centroid_gate: float):
     for i, box in enumerate(np.asarray(boxes).tolist()):
         ref = BoundingBox(*box)
         for j, det in enumerate(dets):
-            (ax, ay), (bx, by) = ref.center, det.bbox.center
+            (ax, ay), (bx, by) = _center(ref), _center(det.bbox)
             values[i, j] = d = math.hypot(ax - bx, ay - by)
             diagonals = (math.hypot(b.width, b.height) for b in (ref, det.bbox))
             mask[i, j] = d <= centroid_gate * max(diagonals)
@@ -510,3 +523,308 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
     return det, sequence_name(record, line_no)
+
+
+# The object path of `track` and `eval`, as the library ran it before its
+# columnar form: one Detection per row, one tracker_step per frame over
+# Detection lists, Track and DetectionLabel objects, per-track fusion and
+# per-record metrics.  ``reference_track_outputs`` runs it end to end.
+
+def _reference_geometric_cost(kind, boxes, dets, config, embs=None):
+    """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against ``dets``."""
+    n_t, n_d = len(boxes), len(dets)
+    if n_t == 0 or n_d == 0:
+        return CostMatrix(np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool))
+    det_boxes = np.array([det.bbox.as_tuple() for det in dets])
+
+    if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
+        c_t, c_d = (0.5 * (b[:, :2] + b[:, 2:]) for b in (boxes, det_boxes))
+        diff = c_t[:, None] - c_d[None]
+        values = trackers._hypot(diff[..., 0], diff[..., 1])
+        diag_t, diag_d = (trackers._hypot(*(b[:, 2:] - b[:, :2]).T) for b in (boxes, det_boxes))
+        gate = config.centroid_gate * np.maximum(diag_t[:, None], diag_d[None])
+        return CostMatrix(values, values <= gate)
+
+    ious = iou_matrix(boxes, det_boxes)
+    mask = ious >= config.iou_gate
+    values = 1.0 - ious
+
+    if kind is TrackerKind.APPEARANCE:
+        cos, ok = trackers._cosine_matrix(embs, np.stack([det.embedding for det in dets]))
+        w = config.appearance_weight
+        values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
+        mask = mask & ok & (cos >= config.cosine_gate)
+    return CostMatrix(values, mask)
+
+
+def _reference_greedy_iou_step(boxes, dets, config):
+    ious = iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
+    rows, cols = np.nonzero(ious >= config.iou_gate)
+    order = np.argsort(-ious[rows, cols], kind="stable")
+    used_t, used_d = set(), set()
+    matches = []
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if i in used_t or j in used_d:
+            continue
+        matches.append((i, j))
+        used_t.add(i)
+        used_d.add(j)
+    um_t = tuple(i for i in range(len(boxes)) if i not in used_t)
+    um_d = tuple(j for j in range(len(dets)) if j not in used_d)
+    return tuple(matches), um_t, um_d
+
+
+def _reference_update_rows(state, matched, spec, kind):
+    if not matched:
+        return
+    table = state.table
+    rows = [row for row, _ in matched]
+    table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+    if spec is not None:
+        table["mean"][rows], table["cov"][rows] = motion.update(
+            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
+    if kind is TrackerKind.APPEARANCE:
+        mixed = (trackers.EMBEDDING_SMOOTHING * table["emb"][rows]
+                 + (1.0 - trackers.EMBEDDING_SMOOTHING)
+                 * np.stack([det.embedding for _, det in matched]))
+        table["emb"][rows] = trackers._unit_rows(mixed)
+
+
+def _reference_spawn_rows(state, dets, spec, kind):
+    ids = list(range(state.next_id, state.next_id + len(dets)))
+    new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
+           "box": np.array([det.bbox.as_tuple() for det in dets])}
+    if spec is not None:
+        new["mean"], new["cov"] = motion.init(new["box"], spec, ids)
+    if kind is TrackerKind.APPEARANCE:
+        new["emb"] = trackers._unit_rows(np.stack([det.embedding for det in dets]))
+    for name, col in new.items():
+        state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
+    state.next_id += len(dets)
+    return ids
+
+
+def reference_tracker_step(state, frame_id, detections, config):
+    """One frame over a list of Detections; returns the state and (index, track id or None)."""
+    if frame_id <= state.cursor:
+        raise OutOfOrderFrame(f"frame {frame_id} is not past cursor {state.cursor}")
+    for det in detections:
+        if det.frame_id != frame_id:
+            raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
+    kind = config.kind
+    if kind is TrackerKind.APPEARANCE:
+        for det in detections:
+            if det.embedding is None:
+                raise MissingEmbedding(f"frame {frame_id}: appearance tracking needs embeddings")
+
+    high_idx = [i for i, d in enumerate(detections) if d.score >= config.det_threshold_high]
+    low_idx = ([i for i, d in enumerate(detections)
+                if config.det_threshold_low <= d.score < config.det_threshold_high]
+               if kind is TrackerKind.BYTETRACK else [])
+
+    spec = config.resolved_motion_spec() if kind in trackers._KF_KINDS else None
+    table = state.table
+    ids = table["id"].tolist()
+    if spec is not None and ids:
+        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, ids)
+
+    assigned = {}
+    high_dets = [detections[i] for i in high_idx]
+    boxes = trackers._reference_boxes(state, spec)
+    if kind is TrackerKind.IOU:
+        matches, um_t, um_d = _reference_greedy_iou_step(boxes, high_dets, config)
+    else:
+        cost = _reference_geometric_cost(kind, boxes, high_dets, config, table.get("emb"))
+        result = solve_assignment(cost)
+        matches, um_t, um_d = result.matches, result.unmatched_tracks, result.unmatched_detections
+    matched = [(t_i, high_dets[d_i]) for t_i, d_i in matches]
+    for t_i, d_i in matches:
+        assigned[high_idx[d_i]] = ids[t_i]
+
+    if kind is TrackerKind.BYTETRACK and low_idx and um_t:
+        low_dets = [detections[i] for i in low_idx]
+        cost = _reference_geometric_cost(TrackerKind.SORT, boxes[list(um_t)], low_dets, config)
+        for t_i, d_i in solve_assignment(cost).matches:
+            matched.append((um_t[t_i], low_dets[d_i]))
+            assigned[low_idx[d_i]] = ids[um_t[t_i]]
+    _reference_update_rows(state, matched, spec, kind)
+
+    table["age"] += 1
+    table["age"][[row for row, _ in matched]] = 0
+    keep = table["age"] <= config.max_age
+    if not keep.all():
+        state.table = {name: col[keep] for name, col in table.items()}
+
+    spawn_idx = [high_idx[d_i] for d_i in um_d]
+    if spawn_idx:
+        new_ids = _reference_spawn_rows(state, [detections[i] for i in spawn_idx], spec, kind)
+        assigned.update(zip(spawn_idx, new_ids))
+
+    state.cursor = frame_id
+    return state, [(i, assigned.get(i)) for i in range(len(detections))]
+
+
+def reference_run_sequence(frames, config):
+    """A SequenceResult of ``frames``, tracked one reference_tracker_step per frame."""
+    state = trackers.TrackerState()
+    records = []
+    for frame_id, dets in frames:
+        state, assigned = reference_tracker_step(state, frame_id, dets, config)
+        records.extend((dets[i], track_id) for i, track_id in assigned)
+
+    entries = {}
+    for det, track_id in records:
+        if track_id is not None:
+            entries.setdefault(track_id, []).append(det)
+    tracks = tuple(Track(i, tuple(dets)) for i, dets in sorted(entries.items())
+                   if len(dets) >= config.min_hits)
+    kept = {t.id for t in tracks}
+    per_frame = tuple(DetectionLabel(det, track_id if track_id in kept else None, det.dist.argmax)
+                      for det, track_id in records)
+    return SequenceResult(tracks=tracks, per_frame=per_frame)
+
+
+def _reference_running_labels(track, mode):
+    if not track.entries:
+        raise EmptyTrack(f"track {track.id} has no entries")
+    if mode is FusionMode.PROBABILITY:
+        return np.argmax(np.cumsum([e.dist.log() for e in track.entries], axis=0), axis=1)
+    probs = np.array([e.dist.probs for e in track.entries])
+    votes = np.cumsum(probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]), axis=0)
+    mass = np.cumsum(probs, axis=0)
+    return np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), mass, -np.inf), axis=1)
+
+
+def reference_relabel(result, mode, online=False):
+    """``result`` with each track's fused labels, from one cumsum per track."""
+    fused = {}
+    if mode is not FusionMode.NONE:
+        for t in result.tracks:
+            labels = _reference_running_labels(t, mode).tolist()
+            for k, e in enumerate(t.entries):
+                fused[t.id, e.frame_id] = labels[k if online else -1]
+    per_frame = tuple(
+        DetectionLabel(rec.detection, rec.track_id,
+                       fused.get((rec.track_id, rec.frame_id), rec.raw_label))
+        for rec in result.per_frame
+    )
+    return SequenceResult(tracks=result.tracks, per_frame=per_frame)
+
+
+def reference_write_tracks(results, path):
+    """The track CSV of SequenceResults, one tuple per matched record."""
+    rows = []
+    for seq in sorted(results):
+        for rec in results[seq].per_frame:
+            if rec.track_id is not None:
+                b = rec.detection.bbox
+                rows.append((seq, rec.frame_id, rec.track_id, b.x1, b.y1, b.width, b.height,
+                             rec.detection.score, rec.fused_label, rec.raw_label))
+    rows.sort(key=lambda r: r[:3])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        plain.writerow("frame,track_id,x,y,w,h,score,fused_class,raw_class,seq".split(","))
+        for seq, *fields in rows:
+            (quoted if "\r" in seq else plain).writerow((*fields, seq))
+
+
+def reference_confusion(pairs, n_classes):
+    pairs = list(pairs)
+    index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = ((index < 0) | (index >= n_classes)).any(axis=1)
+    if outside.any():
+        gt, pred = pairs[int(np.argmax(outside))]
+        raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
+    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(counts, (index[:, 0], index[:, 1]), 1)
+    return ConfusionMatrix(counts)
+
+
+def reference_label_flip_rate(result, use_fused):
+    by_track = {}
+    for rec in result.per_frame:
+        if rec.track_id is None:
+            continue
+        label = rec.fused_label if use_fused else rec.raw_label
+        by_track.setdefault(rec.track_id, []).append((rec.frame_id, label))
+    flips = 0
+    pairs = 0
+    for recs in by_track.values():
+        recs.sort()
+        labels = [lbl for _, lbl in recs]
+        pairs += len(labels) - 1
+        flips += sum(a != b for a, b in zip(labels, labels[1:]))
+    if pairs == 0:
+        raise NoEligibleTracks("flip rate needs a track with at least two entries")
+    return flips / pairs
+
+
+def reference_evaluation_pairs(results, use_fused, include_unmatched=True):
+    pairs = []
+    for seq in sorted(results):
+        for rec in results[seq].per_frame:
+            if rec.detection.gt_class is None:
+                continue
+            if rec.track_id is None and not include_unmatched:
+                continue
+            pred = rec.fused_label if use_fused else rec.raw_label
+            pairs.append((rec.detection.gt_class, pred))
+    return pairs
+
+
+def reference_metrics_report(results, label_set, include_unmatched, with_flip_rate,
+                             with_per_class):
+    """The metrics JSON payload of SequenceResults, from per-record pairs."""
+    report = {}
+    fused_cm = None
+    for key, use_fused in (("raw", False), ("fused", True)):
+        pairs = reference_evaluation_pairs(results, use_fused, include_unmatched)
+        if not pairs:
+            raise EmptyEvaluation("no detections carry gt_class; nothing to evaluate")
+        cm = reference_confusion(pairs, len(label_set))
+        scores = f1_scores(cm)
+        report[key] = {
+            "acc1": accuracy_at_1(cm),
+            "f1_macro": scores.macro,
+            "f1_weighted": scores.weighted,
+        }
+        if use_fused:
+            fused_cm = cm
+            report["n_evaluated"] = len(pairs)
+    report["n_matched"] = sum(
+        1 for res in results.values() for rec in res.per_frame if rec.track_id is not None
+    )
+    if with_flip_rate:
+        rates = {"raw": [], "fused": []}
+        for res in results.values():
+            try:
+                for key, values in rates.items():
+                    values.append(reference_label_flip_rate(res, use_fused=key == "fused"))
+            except NoEligibleTracks:
+                continue
+        report["flip_rate"] = {key: sum(v) / len(v) if v else 0.0 for key, v in rates.items()}
+    if with_per_class:
+        scores = f1_scores(fused_cm)
+        support = fused_cm.counts.sum(axis=1)
+        report["per_class"] = [
+            {"label": label_set[i], "f1": float(scores.per_class[i]), "support": int(support[i])}
+            for i in range(len(label_set))
+        ]
+    return report
+
+
+def reference_track_outputs(detections, labels, csv_path, metrics_path, config, mode, online,
+                            matched_only=False):
+    """`track --metrics-out` by the object path: parse, track, relabel, write CSV and JSON."""
+    label_set = read_labels(labels)
+    sequences = reference_parse_detections(detections, label_set)
+    results = {seq: reference_relabel(reference_run_sequence(sequences[seq], config), mode,
+                                      online=online)
+               for seq in sorted(sequences)}
+    reference_write_tracks(results, csv_path)
+    report = reference_metrics_report(results, label_set, include_unmatched=not matched_only,
+                                      with_flip_rate=True, with_per_class=False)
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")

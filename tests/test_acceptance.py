@@ -15,7 +15,7 @@ from oracles import oracle_predict, oracle_update, random_box, random_simplex
 from trackfuse.assoc import CostMatrix, solve_assignment
 from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, simulate_triggers
 from trackfuse.cli import main as cli_main
-from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, relabel
+from trackfuse.fusion import FusionMode, consensus_label, fuse, fuse_pair
 from trackfuse.io import parse_detections, write_detections
 from trackfuse.metrics import (
     ConfusionMatrix,
@@ -25,10 +25,10 @@ from trackfuse.metrics import (
     f1_scores,
     label_flip_rate,
 )
-from trackfuse.model import Detection, Track, validate_distribution
+from trackfuse.model import Columns, Detection, Track, validate_distribution
 from trackfuse.motion import MotionModel, default_spec, kf_init, kf_predict, kf_update
 from trackfuse.synth import ScenarioConfig, generate_scenario
-from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
+from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
 REFERENCE_CONFIG = ScenarioConfig(
     seed=42, num_objects=10, num_frames=2000, n_classes=10,
@@ -48,18 +48,16 @@ def criterion(num: int, title: str):
 
 @pytest.fixture(scope="module")
 def reference_runs():
-    """Reference scenario tracked by every kind, with both fusion modes."""
+    """Reference scenario tracked by every kind, unfused and with both fusion modes."""
     scenario = generate_scenario(REFERENCE_CONFIG)
-    frames = scenario.detection_frames()
+    cols = Columns.from_frames(scenario.detection_frames())
     start = time.perf_counter()
     runs = {}
     for kind in TrackerKind:
-        base = run_sequence(frames, TrackerConfig(kind=kind))
-        runs[kind] = {
-            "base": base,
-            "prob": relabel(base, FusionMode.PROBABILITY),
-            "vote": relabel(base, FusionMode.MAJORITY),
-        }
+        track = track_columns(cols, TrackerConfig(kind=kind))
+        runs[kind] = {name: fuse(cols, track, mode) for name, mode in (
+            ("base", FusionMode.NONE), ("prob", FusionMode.PROBABILITY),
+            ("vote", FusionMode.MAJORITY))}
     elapsed = time.perf_counter() - start
     return scenario, runs, elapsed
 
@@ -178,12 +176,10 @@ def test_criterion_5_label_stability(reference_runs):
             assert label_flip_rate(fused, use_fused=True) == 0.0
             # Per track as well, not just in aggregate.
             per_track = {}
-            for rec in fused.per_frame:
-                if rec.track_id is not None:
-                    per_track.setdefault(rec.track_id, []).append((rec.frame_id, rec.fused_label))
-            for recs in per_track.values():
-                labels = {lbl for _, lbl in recs}
-                assert len(labels) == 1
+            for track_id, label in zip(fused.track.tolist(), fused.fused.tolist()):
+                if track_id >= 0:
+                    per_track.setdefault(track_id, set()).add(label)
+            assert per_track and all(len(labels) == 1 for labels in per_track.values())
         raw_rate = label_flip_rate(runs[TrackerKind.SORT]["base"], use_fused=False)
         assert raw_rate == pytest.approx(expected_raw, abs=0.02)
 

@@ -1,11 +1,7 @@
 """Similarity primitives and the gated assignment solver against brute force."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from oracles import (
@@ -23,7 +19,7 @@ from trackfuse.assoc import (
     solve_assignment,
 )
 from trackfuse.errors import InvalidValue
-from trackfuse.model import BoundingBox, Detection, validate_distribution
+from trackfuse.model import BoundingBox
 from trackfuse.trackers import TrackerConfig, TrackerKind, _geometric_cost
 
 
@@ -116,9 +112,9 @@ class TestIouMatrix:
 
 def _centroid_cost(a: BoundingBox, b: BoundingBox) -> float:
     """The centroid tracker's cost of a track at box ``a`` against a detection at box ``b``."""
-    det = Detection(0, b, 0.9, validate_distribution([0.5, 0.5], 2))
     kind = TrackerKind.CENTROID
-    cost = _geometric_cost(kind, np.array([a.as_tuple()]), [det], TrackerConfig(kind=kind))
+    cost = _geometric_cost(kind, np.array([a.as_tuple()]), np.array([b.as_tuple()]),
+                           TrackerConfig(kind=kind))
     return float(cost.values[0, 0])
 
 

@@ -2,12 +2,14 @@
 
 import json
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trackfuse.cli import main
+from trackfuse import model
 from trackfuse.io import read_tracks
 
 
@@ -167,11 +169,13 @@ class TestTrack:
                                             "probs": [0.6, 0.4]}) + "\n"
                                 for k, box in enumerate(boxes)))
         labels.write_text("a\nb\n")
-        code = main(["track", "--input", str(dets), "--labels", str(labels),
-                     "--tracker", tracker, "--output", str(tmp_path / "t.csv")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print to stderr outside pytest
+            code = main(["track", "--input", str(dets), "--labels", str(labels),
+                         "--tracker", tracker, "--output", str(tmp_path / "t.csv")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "error: covariance of track 1 is not finite" in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "error: covariance of track 1 is not finite\n"
 
     def test_unknown_config_field_is_data_error(self, tmp_path, detection_file, capsys):
         dets, labels = detection_file
@@ -371,6 +375,27 @@ class TestEval:
                 fh.write(json.dumps(rec) + "\n")
         code = main(["eval", "--input", str(stripped), "--labels", str(labels)])
         assert code == 2
+
+
+def test_track_and_eval_build_no_per_detection_objects(tmp_path, detection_file, monkeypatch):
+    """Both commands run on sequence columns: a per-detection object built anywhere fails."""
+    dets, labels = detection_file
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-detection object was built")
+
+    monkeypatch.setattr(model, "unchecked", refuse)
+    for cls in (model.Detection, model.BoundingBox, model.ClassDistribution,
+                model.DetectionLabel, model.Track):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for tracker in ("iou", "centroid", "centroid-kf", "sort", "bytetrack", "appearance"):
+        assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
+                     "--fusion", "vote", "--output", str(tmp_path / "t.csv"),
+                     "--metrics-out", str(tmp_path / "m.json")]) == 0
+    assert main(["eval", "--input", str(dets), "--labels", str(labels), "--per-class",
+                 "--flip-rate"]) == 0
+    with pytest.raises(AssertionError, match="per-detection object"):
+        model.BoundingBox(0, 0, 1, 1)
 
 
 class TestSimulate:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_simplex, reference_track_labels
+from oracles import random_simplex, reference_relabel, reference_track_labels
 from trackfuse.errors import EmptyTrack, LengthMismatch
-from trackfuse.fusion import FusionMode, consensus_label, fuse_pair, relabel
+from trackfuse.fusion import FusionMode, _running, consensus_label, fuse, fuse_pair, relabel
 from trackfuse.model import (
     BoundingBox,
+    Columns,
     Detection,
     DetectionLabel,
     SequenceResult,
@@ -299,3 +300,35 @@ class TestRelabel:
         for rec in result.per_frame:
             if rec.track_id is None:
                 assert rec.fused_label == rec.raw_label
+
+
+class TestColumns:
+    def test_running_sum_is_each_tracks_cumsum(self):
+        # Rank-wise accumulation over contiguous tracks adds in each track's own order.
+        rng = np.random.default_rng(41)
+        for _ in range(3000):
+            lengths = rng.integers(1, 12, size=int(rng.integers(1, 8)))
+            rows = rng.random((int(lengths.sum()), int(rng.integers(1, 12))))
+            rows = np.log(rows) if rng.random() < 0.5 else rows
+            starts = np.cumsum(lengths) - lengths
+            want = np.concatenate([np.cumsum(rows[s:s + n], axis=0)
+                                   for s, n in zip(starts, lengths)])
+            assert np.array_equal(_running(rows, starts), want)
+
+    def test_block_log_equals_row_logs(self):
+        rows = np.array([random_simplex(np.random.default_rng(seed), 10) for seed in range(5000)])
+        assert np.array_equal(np.log(rows), np.array([np.log(row) for row in rows]))
+
+    @pytest.mark.parametrize("online", [False, True])
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_fuse_equals_relabel(self, mode, online):
+        config = ScenarioConfig(seed=8, num_objects=4, num_frames=50, n_classes=4, flicker=0.4,
+                                dropout=0.2, jitter=3.0, confidence=0.6)
+        frames = generate_scenario(config).detection_frames()
+        base = run_sequence(frames, TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
+        result = fuse(Columns.from_frames(frames),
+                      np.array([-1 if r.track_id is None else r.track_id for r in base.per_frame]),
+                      mode, online)
+        want = reference_relabel(base, mode, online)
+        assert result.fused.tolist() == [rec.fused_label for rec in want.per_frame]
+        assert result.raw.tolist() == [rec.raw_label for rec in want.per_frame]

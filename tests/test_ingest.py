@@ -204,11 +204,16 @@ def test_peak_allocation_at_most_the_line_by_line_parser(tmp_path):
     assert np.median(peaks[parse_detections]) <= np.median(peaks[reference_parse_detections])
 
 
-def test_validated_rows_are_views_of_one_array_per_chunk(tmp_path):
+def test_validated_rows_are_views_of_one_array_per_sequence(tmp_path):
     path, labels = _bursts_like_file(tmp_path)
-    dets = [d for frames in parse_detections(path, labels).values() for _, ds in frames for d in ds]
-    bases = {id(d.dist.probs.base) for d in dets}
-    assert len(bases) == -(-len(dets) // CHUNK_LINES)
+    sequences = parse_detections(path, labels)
+    dets = [d for frames in sequences.values() for _, ds in frames for d in ds]
+    for column in (lambda d: d.dist.probs, lambda d: d.embedding):
+        bases = {seq: {id(column(d).base) for _, ds in frames for d in ds}
+                 for seq, frames in sequences.items()}
+        assert all(len(ids) == 1 for ids in bases.values())
+        assert len(set().union(*bases.values())) == len(sequences) == 63
     assert all(not d.dist.probs.flags.writeable and not d.embedding.flags.writeable
                for d in dets)
+    assert all("argmax" in vars(d.dist) for d in dets)  # seeded, not computed on first read
     assert all(d.dist.argmax == int(np.argmax(d.dist.probs)) for d in dets)

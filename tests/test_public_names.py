@@ -1,8 +1,10 @@
-"""Every public module-level function and class of ``trackfuse`` is used by the package.
+"""Every public function, class, method and property of ``trackfuse`` is used by the package.
 
 A name that only tests call is a second implementation to keep in step with
 the code that runs, so it is either used in ``src/``, exported in
-``__all__``, or listed in ``KEPT`` with the reason it stays.
+``__all__``, or listed in ``KEPT`` with the reason it stays.  A public
+class's methods and properties count as used when ``src/`` reads them as an
+attribute; ``KEPT`` names them ``Class.member``.
 """
 
 import ast
@@ -28,6 +30,21 @@ def _public_definitions(tree: ast.Module):
             yield node.name
 
 
+def _public_members(tree: ast.Module):
+    """``Class.member`` for each public method or property of each public class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}"
+
+
+def _attributes_read(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def _references(tree: ast.Module):
     """Every name the module loads, reads as an attribute, imports or lists in ``__all__``."""
     for node in ast.walk(tree):
@@ -48,5 +65,16 @@ def test_every_public_definition_is_used_or_kept_for_a_reason():
     defined = {name for tree in trees for name in _public_definitions(tree)}
     unused = sorted(defined - used - set(KEPT))
     assert not unused, f"defined in src/ but used only outside it: {unused}"
-    stale = sorted(set(KEPT) - (defined - used))
+    stale = sorted({name for name in KEPT if "." not in name} - (defined - used))
     assert not stale, f"KEPT lists names src/ uses itself or no longer defines: {stale}"
+
+
+def test_every_public_member_is_read_or_kept_for_a_reason():
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
+    read = {name for tree in trees for name in _attributes_read(tree)}
+    members = {name for tree in trees for name in _public_members(tree)}
+    kept = {name for name in KEPT if "." in name}
+    unread = sorted(m for m in members - kept if m.split(".")[1] not in read)
+    assert not unread, f"defined in src/ but read only outside it: {unread}"
+    stale = sorted(m for m in kept if m not in members or m.split(".")[1] in read)
+    assert not stale, f"KEPT lists members src/ reads itself or no longer defines: {stale}"

@@ -14,7 +14,7 @@ from oracles import (
 )
 from trackfuse import motion
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
-from trackfuse.model import BoundingBox, Detection, validate_distribution
+from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
 from trackfuse.motion import MotionModel, MotionModelSpec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import (
@@ -40,6 +40,16 @@ def _det(frame, box, probs=(0.7, 0.3), score=0.9, emb=(1.0, 0.0), gt=None):
         embedding=None if emb is None else np.asarray(emb, dtype=float),
         gt_track=gt,
     )
+
+
+def _step(state, frame_id, dets, config):
+    """``tracker_step`` over the column slices of one frame's ``dets``."""
+    cols = Columns.from_frames([(frame_id, dets)])
+    return tracker_step(state, frame_id, cols.box, cols.score, cols.emb, config)
+
+
+def _boxes(dets):
+    return np.array([det.bbox.as_tuple() for det in dets]).reshape(-1, 4)
 
 
 def _gt_coverage(result):
@@ -229,7 +239,8 @@ class TestGreedyIou:
             tracks = [SimpleNamespace(last_bbox=box()) for _ in range(rng.integers(0, 7))]
             dets = [SimpleNamespace(bbox=box()) for _ in range(rng.integers(0, 7))]
             boxes = np.array([t.last_bbox.as_tuple() for t in tracks]).reshape(-1, 4)
-            assert _greedy_iou(boxes, dets, config) == reference_greedy_iou(tracks, dets, gate)
+            got = _greedy_iou(boxes, _boxes(dets), config)
+            assert got == reference_greedy_iou(tracks, dets, gate)
 
 
 class TestByteTrack:
@@ -329,13 +340,13 @@ class TestAppearance:
         state = TrackerState()
         config = TrackerConfig(kind=TrackerKind.APPEARANCE)
         with pytest.raises(MissingEmbedding):
-            tracker_step(state, 0, [_det(0, (0, 0, 10, 10), emb=None)], config)
+            _step(state, 0, [_det(0, (0, 0, 10, 10), emb=None)], config)
 
     def test_embedding_smoothing_follows_ema(self):
         config = TrackerConfig(kind=TrackerKind.APPEARANCE)
         state = TrackerState()
-        state, _ = tracker_step(state, 0, [_det(0, (0, 0, 20, 20), emb=(1.0, 0.0))], config)
-        state, _ = tracker_step(state, 1, [_det(1, (0, 0, 20, 20), emb=(0.8, 0.6))], config)
+        state, _ = _step(state, 0, [_det(0, (0, 0, 20, 20), emb=(1.0, 0.0))], config)
+        state, _ = _step(state, 1, [_det(1, (0, 0, 20, 20), emb=(0.8, 0.6))], config)
         assert len(state.table["id"]) == 1
         want = 0.9 * np.array([1.0, 0.0]) + 0.1 * np.array([0.8, 0.6])
         want = want / np.linalg.norm(want)
@@ -346,7 +357,7 @@ class TestAppearance:
         dets = [_det(f, (0, 0, 20, 20), emb=(1.0, 0.0)) for f in range(2)]
         state = TrackerState()
         for f, det in enumerate(dets):
-            state, _ = tracker_step(state, f, [det], TrackerConfig(kind=kind))
+            state, _ = _step(state, f, [det], TrackerConfig(kind=kind))
         assert "emb" not in state.table
         assert set(state.table) <= {"id", "age", "box", "mean", "cov"}
 
@@ -362,18 +373,18 @@ class TestAppearance:
 class TestTrackTable:
     def test_degenerate_prediction_costs_against_last_box(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
-        state, _ = tracker_step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
+        state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
         state.table["mean"][0, [2, 6]] = (-5.0, 0.0)  # predicts area -5: no box
-        state, assigned = tracker_step(state, 1, [_det(1, (0, 0, 20, 20))], config)
-        assert assigned == [(0, 1)]
+        state, assigned = _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
+        assert assigned.tolist() == [1]
         assert state.table["id"].tolist() == [1]
 
     def test_prediction_that_is_no_box_is_invalid_value(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
-        state, _ = tracker_step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
+        state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
         state.table["mean"][0, 2:4] = 1e200  # s * r overflows: an infinitely wide box
         with pytest.raises(InvalidValue, match="must be finite"):
-            tracker_step(state, 1, [_det(1, (0, 0, 20, 20))], config)
+            _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
 
     def test_one_predict_and_one_update_per_frame(self, monkeypatch):
         calls = []
@@ -416,7 +427,7 @@ class TestTrackTable:
                 grid = np.hstack([corners, corners + rng.integers(1, 4, size=(n_t + n_d, 2)) * 4])
                 dets = [_det(0, box) for box in grid[n_t:].astype(float)]
                 boxes = grid[:n_t].astype(float)
-            cost = _geometric_cost(TrackerKind.CENTROID, boxes, dets, config)
+            cost = _geometric_cost(TrackerKind.CENTROID, boxes, _boxes(dets), config)
             values, mask = reference_centroid_cost(boxes, dets, gate)
             assert np.array_equal(cost.values, values) and np.array_equal(cost.gate_mask, mask)
 
@@ -429,9 +440,9 @@ class TestTrackTable:
                   (2, [_det(2, (2, 0, 22, 20)), _det(2, (200, 200, 220, 220))])]
         want = [([1, 2], [0, 1], [[1, 0, 21, 20], [100, 0, 120, 20]]),
                 ([1, 3], [0, 0], [[2, 0, 22, 20], [200, 200, 220, 220]])]
-        state, _ = tracker_step(TrackerState(), *frames[0], config)
+        state, _ = _step(TrackerState(), *frames[0], config)
         for (frame_id, dets), (ids, ages, boxes) in zip(frames[1:], want):
-            state, _ = tracker_step(state, frame_id, dets, config)
+            state, _ = _step(state, frame_id, dets, config)
             assert state.table["id"].tolist() == ids
             assert state.table["age"].tolist() == ages
             assert state.table["box"].tolist() == boxes
@@ -452,17 +463,17 @@ class TestStepContract:
     def test_out_of_order_frame(self):
         state = TrackerState()
         config = TrackerConfig(kind=TrackerKind.IOU)
-        state, _ = tracker_step(state, 5, [_det(5, (0, 0, 10, 10))], config)
+        state, _ = _step(state, 5, [_det(5, (0, 0, 10, 10))], config)
         with pytest.raises(OutOfOrderFrame):
-            tracker_step(state, 5, [], config)
+            _step(state, 5, [], config)
         with pytest.raises(OutOfOrderFrame):
-            tracker_step(state, 4, [], config)
+            _step(state, 4, [], config)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_detection_of_another_frame_is_invalid(self, kind):
         config = TrackerConfig(kind=kind)
         with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 0"):
-            tracker_step(TrackerState(), 1, [_det(0, (0, 0, 10, 10))], config)
+            run_sequence([(1, [_det(0, (0, 0, 10, 10))])], config)
         frames = [(0, [_det(0, (0, 0, 10, 10))]), (1, [_det(2, (0, 0, 10, 10))])]
         with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 2"):
             run_sequence(frames, config)
@@ -471,10 +482,10 @@ class TestStepContract:
         state = TrackerState()
         config = TrackerConfig(kind=TrackerKind.SORT)
         dets = [_det(0, (0, 0, 10, 10)), _det(0, (100, 100, 120, 130), score=0.2)]
-        state, assigned = tracker_step(state, 0, dets, config)
-        assert [i for i, _ in assigned] == [0, 1]
-        assert assigned[0][1] == 1      # spawned
-        assert assigned[1][1] is None   # below det_threshold_high
+        state, assigned = _step(state, 0, dets, config)
+        assert len(assigned) == 2
+        assert assigned[0] == 1      # spawned
+        assert assigned[1] == -1     # below det_threshold_high
 
 
 class TestConfig:
