@@ -339,9 +339,10 @@ class Columns:
 
     @classmethod
     def from_frames(cls, frames: Sequence[Tuple[int, Sequence["Detection"]]]) -> "Columns":
-        """The columns of (frame_id, detections) pairs; ``emb`` needs every embedding."""
+        """The columns of (frame_id, detections) pairs; ``emb`` needs embeddings of one size."""
         dets = [det for _, group in frames for det in group]
         embs = [det.embedding for det in dets]
+        sizes = {None if emb is None else emb.size for emb in embs}
         probs = np.array([det.dist.probs for det in dets]) if dets else np.zeros((0, 1))
         probs.flags.writeable = False
         return cls(
@@ -349,7 +350,7 @@ class Columns:
             box=np.array([det.bbox.as_tuple() for det in dets], dtype=float).reshape(-1, 4),
             score=np.array([det.score for det in dets], dtype=float),
             probs=probs,
-            emb=np.stack(embs) if embs and all(e is not None for e in embs) else None,
+            emb=np.stack(embs) if len(sizes) == 1 and None not in sizes else None,
             gt_class=index_column([-1 if d.gt_class is None else d.gt_class for d in dets]),
             gt_track=index_column([-1 if d.gt_track is None else d.gt_track for d in dets]),
             frame_ids=index_column([frame_id for frame_id, _ in frames]),
