@@ -217,7 +217,7 @@ class _Chunk:
     def __init__(self, n_classes: int):
         self.n_classes, self.lines = n_classes, []
         self.seq, self.frame, self.box, self.score, self.gt_class, self.gt_track, self.emb_at = (
-            [], [], [], [], [], [], [])  # one entry per row
+            [], [], [], [], [], [], [])  # one entry per row, four corners per row in box
         self.probs: List[float] = []
         self.embs: List[float] = []
         self.emb_rows: List[int] = []
@@ -326,7 +326,7 @@ def _parse_line(record: dict, line_no: int, chunk: _Chunk,
         raise ParseError(line_no, f"bad field value: {exc}") from None
     seq = sequence_name(record, line_no)
     chunk.frame.append(frame_id)
-    chunk.box.append(box)
+    chunk.box.extend(box)
     chunk.score.append(score)
     chunk.gt_class.append(gt_class)
     chunk.gt_track.append(gt_track)
