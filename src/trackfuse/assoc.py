@@ -13,28 +13,14 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import InvalidValue
-from .model import BoundingBox
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = max(0.0, ix2 - ix1)
-    ih = max(0.0, iy2 - iy1)
-    inter = iw * ih
-    if inter <= 0.0:
-        return 0.0
-    return inter / (a.area + b.area - inter)
 
 
 def iou_matrix(a, b) -> np.ndarray:
-    """Pairwise :func:`iou` of boxes ``a`` (n, 4) and ``b`` (m, 4), rows [x1, y1, x2, y2].
+    """Pairwise intersection over union of boxes ``a`` (n, 4) and ``b`` (m, 4), 0 when disjoint.
 
-    Broadcasts the same float operations, in the same order, as :func:`iou`,
-    so every entry equals the scalar result bit for bit.
+    Rows are [x1, y1, x2, y2].  Every entry equals, bit for bit, the scalar
+    ``reference_iou`` of ``tests/oracles.py``, which does the same float
+    operations in the same order.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 4)[:, None, :]
     b = np.asarray(b, dtype=float).reshape(-1, 4)[None, :, :]

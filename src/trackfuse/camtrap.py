@@ -61,25 +61,15 @@ def next_trigger(trigger_frame: int, config: TriggerConfig) -> int:
     return trigger_frame + int(round(config.cooldown * config.fps))
 
 
-def simulate_triggers(total_frames: int, presence: Sequence[bool],
-                      config: TriggerConfig) -> List[Burst]:
-    """Scan a per-frame visibility signal and emit the bursts a trap would capture.
-
-    A burst starts at the first visible frame at or after the cool-down
-    cursor; bursts running past the end of the timeline are truncated rather
-    than dropped.
-    """
-    vis = np.asarray(presence, dtype=bool)
-    if vis.shape != (total_frames,):
-        raise InvalidValue(f"presence must have {total_frames} entries, got shape {vis.shape}")
-    return trigger_bursts(np.flatnonzero(vis).tolist(), total_frames, config)
-
-
 def trigger_bursts(visible: Sequence[int], total_frames: int,
                    config: TriggerConfig) -> List[Burst]:
-    """``simulate_triggers`` over the sorted, distinct frame ids where something is visible.
+    """The bursts a trap captures, given the sorted, distinct frame ids where something is visible.
 
-    Costs O(bursts * log(len(visible))), whatever the frame ids' magnitude.
+    A burst starts at the first visible frame at or after the cool-down
+    cursor; bursts running past ``total_frames`` are truncated rather than
+    dropped.  Costs O(bursts * log(len(visible))), whatever the frame ids'
+    magnitude.  A per-frame visibility mask ``presence`` maps to
+    ``visible`` as ``np.flatnonzero(presence).tolist()``.
     """
     bursts: List[Burst] = []
     i = 0

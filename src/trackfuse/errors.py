@@ -38,10 +38,6 @@ class NumericalBreakdown(TrackfuseError):
     """A Kalman covariance lost positive semi-definiteness beyond tolerance."""
 
 
-class LengthMismatch(TrackfuseError):
-    """Two class distributions of different lengths cannot be fused."""
-
-
 class EmptyTrack(TrackfuseError):
     """A track-level operation was applied to a track with no entries."""
 

@@ -18,33 +18,14 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import EmptyTrack, LengthMismatch
-from .model import (
-    ClassDistribution, ColumnResult, Columns, DetectionLabel, SequenceResult, Track, track_runs,
-)
+from .errors import EmptyTrack
+from .model import ColumnResult, Columns, DetectionLabel, SequenceResult, Track, track_runs
 
 
 class FusionMode(Enum):
     PROBABILITY = "prob"
     MAJORITY = "vote"
     NONE = "none"
-
-
-_UNDERFLOW_GUARD = 1e-320
-# Keeps strongly-dominated classes representable instead of exactly zero.
-# Deliberately far below the ingestion floor: re-flooring fused outputs at
-# that level would cap the likelihood ratio an iterated fold can carry and
-# make folding disagree with the summed-log consensus.
-
-
-def fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribution:
-    """Renormalized elementwise product of two distributions, done in log space."""
-    if len(prev) != len(curr):
-        raise LengthMismatch(f"cannot fuse lengths {len(prev)} and {len(curr)}")
-    joint = prev.log() + curr.log()
-    top = joint.max()
-    joint = joint - (top + np.log(np.exp(joint - top).sum()))
-    return ClassDistribution(np.maximum(np.exp(joint), _UNDERFLOW_GUARD))
 
 
 def _entries(track: Track):
@@ -83,17 +64,6 @@ def _track_labels(probs: np.ndarray, starts: np.ndarray, mode: FusionMode,
         return labels
     ends = np.append(starts[1:], len(labels))
     return np.repeat(labels[ends - 1], ends - starts)
-
-
-def consensus_label(track: Track) -> Tuple[int, np.ndarray]:
-    """Track-level label: argmax of the summed log probabilities.
-
-    Returns the label index (ties toward the lowest class index) and the
-    unnormalized log-score vector.
-    """
-    logs = np.log(np.array([e.dist.probs for e in _entries(track)]))
-    scores = _running(logs, np.zeros(1, dtype=int))[-1]
-    return int(np.argmax(scores)), scores
 
 
 def fuse(cols: Columns, track: np.ndarray, mode: FusionMode,

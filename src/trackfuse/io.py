@@ -18,7 +18,7 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -105,10 +105,8 @@ def write_detections(sequences: Mapping[str, Sequence[Tuple[int, Sequence[Detect
                     fh.write(json.dumps(_detection_record(seq, det)) + "\n")
 
 
-def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
+def read_records(path) -> Iterator[Tuple[int, dict]]:
     """Yield ``(line_no, record)`` for every non-blank line of a JSONL detection file.
-
-    Decoding runs inside the detection-ingest stage of ``timer``.
 
     Raises:
         ParseError: a line is not valid JSON or not a JSON object.
@@ -122,8 +120,7 @@ def read_records(path, timer=NULL_TIMER) -> Iterator[Tuple[int, dict]]:
             if not text:
                 continue
             count += 1
-            with timer.stage(STAGE_DETECTION_INGEST):
-                record = parse_json(text, line_no)
+            record = parse_json(text, line_no)
             if not isinstance(record, dict):
                 raise ParseError(line_no, "record must be a JSON object")
             yield line_no, record
@@ -144,23 +141,23 @@ def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Colum
         SchemaError: wrong probs length or inconsistent embeddings.
         EmptyFile: no records at all.
     """
-    chunk, pieces = _Chunk(len(label_set)), []
+    chunk, pieces, records = _Chunk(len(label_set)), [], read_records(path)
     seq_ids: Dict[str, int] = {}
     emb_dims: Dict[str, Optional[int]] = {}
     try:
-        for line_no, record in read_records(path, timer):
-            seq, emb_dim = _parse_line(record, line_no, chunk, timer)
-            if emb_dims.setdefault(seq, emb_dim) != emb_dim:
-                raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs from "
-                                  f"{emb_dims[seq]} earlier in sequence {seq!r}")
-            chunk.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
-            if len(chunk.seq) == CHUNK_LINES:
-                pieces.append(chunk.flush(timer))
-                chunk = _Chunk(chunk.n_classes)
+        while not pieces or len(pieces[-1]["seq"]) == CHUNK_LINES:  # until a chunk is short
+            with timer.stage(STAGE_DETECTION_INGEST):  # decoding and per-line checks
+                for line_no, record in islice(records, CHUNK_LINES):
+                    seq, emb_dim = _parse_line(record, line_no, chunk)
+                    if emb_dims.setdefault(seq, emb_dim) != emb_dim:
+                        raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs "
+                                          f"from {emb_dims[seq]} earlier in sequence {seq!r}")
+                    chunk.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
+            pieces.append(chunk.flush(timer))
+            chunk = _Chunk(chunk.n_classes)
     except (TrackfuseError, OSError):
         chunk.checked()  # a bad buffered value on this or an earlier line comes first
         raise
-    pieces.append(chunk.flush(timer))
     del chunk
     with timer.stage(STAGE_DETECTION_INGEST):
         return _sequences(pieces, seq_ids, emb_dims)
@@ -277,22 +274,19 @@ _REQUIRED = ("seq", "frame", "bbox", "score", "probs")  # checked in this order
 _REQUIRED_SET = frozenset(_REQUIRED)
 
 
-def _parse_line(record: dict, line_no: int, chunk: _Chunk,
-                timer=NULL_TIMER) -> Tuple[str, Optional[int]]:
+def _parse_line(record: dict, line_no: int, chunk: _Chunk) -> Tuple[str, Optional[int]]:
     """Buffer one line in ``chunk``, its probs and embedding values unchecked.
 
     Returns the line's sequence and embedding dimension.
     """
-    with timer.stage(STAGE_DETECTION_INGEST):
-        if not record.keys() >= _REQUIRED_SET:
-            missing = next(key for key in _REQUIRED if key not in record)
-            raise ParseError(line_no, f"missing field {missing!r}")
-        bbox_values = record["bbox"]
-        if not isinstance(bbox_values, list) or len(bbox_values) != 4:
-            raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
-        _require_numbers(bbox_values, "bbox", line_no)
-        box = _box(bbox_values, line_no)
-
+    if not record.keys() >= _REQUIRED_SET:
+        missing = next(key for key in _REQUIRED if key not in record)
+        raise ParseError(line_no, f"missing field {missing!r}")
+    bbox_values = record["bbox"]
+    if not isinstance(bbox_values, list) or len(bbox_values) != 4:
+        raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
+    _require_numbers(bbox_values, "bbox", line_no)
+    box = _box(bbox_values, line_no)
     probs = record["probs"]
     if not isinstance(probs, list) or len(probs) != chunk.n_classes:
         raise SchemaError(

@@ -98,10 +98,6 @@ class BoundingBox:
     def height(self) -> float:
         return self.y2 - self.y1
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -139,9 +135,6 @@ class ClassDistribution:
     def argmax(self) -> int:
         # np.argmax breaks ties toward the lowest index, which is the contract.
         return int(np.argmax(self.probs))
-
-    def log(self) -> np.ndarray:
-        return np.log(self.probs)
 
 
 def validate_distributions(raw, n_classes: int) -> np.ndarray:
@@ -217,11 +210,14 @@ def embedding_value(value) -> np.ndarray:
 
 
 def config_number(value, name: str, integral: bool = False):
-    """``value`` as a float, or as an int if ``integral``; strings and booleans fail."""
+    """``value`` as a finite float, or as an int if ``integral``; strings and booleans fail."""
     kind, what = (numbers.Integral, "an integer") if integral else (numbers.Real, "a real number")
     if isinstance(value, bool) or not isinstance(value, kind):
         raise InvalidConfig(f"{name} must be {what}, got {value!r}")
-    return int(value) if integral else float(value)
+    number = int(value) if integral else float(value)
+    if not (integral or math.isfinite(number)):
+        raise InvalidConfig(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,10 +262,6 @@ class Track:
         frames = [e.frame_id for e in entries]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise InvalidValue(f"track {self.id}: entry frame ids must be strictly increasing")
-
-    @property
-    def frame_ids(self) -> Tuple[int, ...]:
-        return tuple(e.frame_id for e in self.entries)
 
 
 @dataclass(frozen=True, eq=False)

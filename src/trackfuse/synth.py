@@ -24,6 +24,8 @@ from .model import BoundingBox, ClassDistribution, Detection, LabelSet, validate
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario's parameters; ``jitter`` and ``embedding_separation`` must be finite."""
+
     seed: int = 0
     num_objects: int = 5
     num_frames: int = 100
@@ -56,8 +58,8 @@ class ScenarioConfig:
             raise InvalidConfig("dropout must lie in [0, 1)")
         if not (0.0 <= self.flicker < 1.0):
             raise InvalidConfig("flicker must lie in [0, 1)")
-        if self.jitter < 0.0:
-            raise InvalidConfig("jitter must be >= 0")
+        if not (0.0 <= self.jitter < math.inf):
+            raise InvalidConfig("jitter must be finite and >= 0")
         if not (1.0 / self.n_classes < self.confidence <= 1.0):
             raise InvalidConfig("confidence must exceed 1/n_classes and not exceed 1")
         s_lo, s_hi = self.speed_range
@@ -68,8 +70,8 @@ class ScenarioConfig:
             raise InvalidConfig(f"bad score range {self.score_range!r}")
         if self.embedding_dim < 0:
             raise InvalidConfig("embedding_dim must be >= 0")
-        if self.embedding_separation <= 0.0:
-            raise InvalidConfig("embedding_separation must be > 0")
+        if not (0.0 < self.embedding_separation < math.inf):
+            raise InvalidConfig("embedding_separation must be finite and > 0")
         if self.velocities is not None:
             vel = tuple((float(vx), float(vy)) for vx, vy in self.velocities)
             if len(vel) != self.num_objects:

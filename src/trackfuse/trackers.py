@@ -59,7 +59,8 @@ class TrackerConfig:
     """Gates, thresholds, and lifecycle parameters for one tracker run.
 
     ``centroid_gate`` is a fraction of the larger box diagonal; ``iou_gate``
-    and ``cosine_gate`` are absolute similarity floors.
+    and ``cosine_gate`` are absolute similarity floors.  Every real-valued
+    field must be finite: NaN and infinities are InvalidConfig.
     """
 
     kind: TrackerKind

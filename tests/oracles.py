@@ -2,10 +2,11 @@
 solvers, a textbook Kalman filter, reference label fusion, and random input
 builders.
 
-The ``reference_*`` functions keep code the library replaced (one-track
-Kalman steps, per-pair centroid costs, per-track cosine loops, running-sum
-fusion, the one-vector probability fixpoint and the line-by-line detection
-parser) as bit-exact references for its vectorised form.
+The ``reference_*`` functions keep code the library replaced (scalar IoU,
+one-track Kalman steps, per-pair centroid costs, per-track cosine loops,
+running-sum fusion, pairwise fusion folds, the one-vector probability
+fixpoint and the line-by-line detection parser) as references for its
+vectorised form.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -24,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 
 import trackfuse.motion as motion
 import trackfuse.trackers as trackers
-from trackfuse.assoc import AssignmentResult, CostMatrix, iou, iou_matrix, solve_assignment
+from trackfuse.assoc import AssignmentResult, CostMatrix, iou_matrix, solve_assignment
 from trackfuse.errors import (
     DegenerateSum, EmptyEvaluation, EmptyFile, EmptyTrack, IndexOutOfRange, InvalidValue,
     MissingEmbedding, NoEligibleTracks, OutOfOrderFrame, ParseError, SchemaError,
@@ -86,15 +87,29 @@ def exhaustive_gated_optimum(values: np.ndarray, mask: np.ndarray):
 
 
 
+def reference_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """Intersection over union of two boxes; 0 when disjoint."""
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    iw = max(0.0, ix2 - ix1)
+    ih = max(0.0, iy2 - iy1)
+    inter = iw * ih
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.width * a.height + b.width * b.height - inter)
+
+
 def reference_greedy_iou(tracks, dets, iou_gate: float):
-    """Highest-IoU-first greedy matching by scalar ``iou`` over every pair.
+    """Highest-IoU-first greedy matching by scalar :func:`reference_iou` over every pair.
 
     Candidates sort as ``(-iou, track, detection)`` tuples, so equal IoUs go
     to the lower track index, then the lower detection index.
     """
-    candidates = sorted((-iou(trk.last_bbox, det.bbox), i, j)
+    candidates = sorted((-reference_iou(trk.last_bbox, det.bbox), i, j)
                         for i, trk in enumerate(tracks) for j, det in enumerate(dets)
-                        if iou(trk.last_bbox, det.bbox) >= iou_gate)
+                        if reference_iou(trk.last_bbox, det.bbox) >= iou_gate)
     used_t, used_d, matches = set(), set(), []
     for _, i, j in candidates:
         if i not in used_t and j not in used_d:
@@ -263,7 +278,7 @@ def _center(bbox) -> Tuple[float, float]:
 def reference_observe(spec, bbox) -> np.ndarray:
     cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
-        return np.array([cx, cy, bbox.area, bbox.width / bbox.height])
+        return np.array([cx, cy, bbox.width * bbox.height, bbox.width / bbox.height])
     return np.array([cx, cy])
 
 
@@ -277,7 +292,8 @@ def reference_kf_init(bbox, spec):
     """One track's initial (mean, cov), computed as the one-track filter did."""
     cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
-        mean = np.array([cx, cy, bbox.area, bbox.width / bbox.height, 0.0, 0.0, 0.0])
+        area, aspect = bbox.width * bbox.height, bbox.width / bbox.height
+        mean = np.array([cx, cy, area, aspect, 0.0, 0.0, 0.0])
         h = _reference_height_like(mean)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
         std = np.array([
@@ -391,12 +407,29 @@ def reference_track_labels(track, vote: bool, online: bool) -> Dict[int, int]:
             mass += entry.dist.probs
             labels[entry.frame_id] = _reference_vote_winner(votes, mass)
         else:
-            cum += entry.dist.log()
+            cum += np.log(entry.dist.probs)
             labels[entry.frame_id] = int(np.argmax(cum))
     if not online:
         last = labels[track.entries[-1].frame_id]
         labels = dict.fromkeys(labels, last)
     return labels
+
+
+_UNDERFLOW_GUARD = 1e-320
+# Keeps strongly-dominated classes representable instead of exactly zero.
+# Deliberately far below the ingestion floor: re-flooring fused outputs at
+# that level would cap the likelihood ratio an iterated fold can carry and
+# make folding disagree with the summed-log consensus.
+
+
+def reference_fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribution:
+    """Renormalized elementwise product of two distributions, done in log space."""
+    if len(prev) != len(curr):
+        raise WrongLength(f"cannot fuse lengths {len(prev)} and {len(curr)}")
+    joint = np.log(prev.probs) + np.log(curr.probs)
+    top = joint.max()
+    joint = joint - (top + np.log(np.exp(joint - top).sum()))
+    return ClassDistribution(np.maximum(np.exp(joint), _UNDERFLOW_GUARD))
 
 
 def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.0):
@@ -688,7 +721,7 @@ def _reference_running_labels(track, mode):
     if not track.entries:
         raise EmptyTrack(f"track {track.id} has no entries")
     if mode is FusionMode.PROBABILITY:
-        return np.argmax(np.cumsum([e.dist.log() for e in track.entries], axis=0), axis=1)
+        return np.argmax(np.cumsum([np.log(e.dist.probs) for e in track.entries], axis=0), axis=1)
     probs = np.array([e.dist.probs for e in track.entries])
     votes = np.cumsum(probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]), axis=0)
     mass = np.cumsum(probs, axis=0)

@@ -11,11 +11,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from oracles import oracle_predict, oracle_update, random_box, random_simplex
+import trackfuse.motion as motion
+from oracles import oracle_predict, oracle_update, random_box, random_simplex, reference_fuse_pair
 from trackfuse.assoc import CostMatrix, solve_assignment
-from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, simulate_triggers
+from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, trigger_bursts
 from trackfuse.cli import main as cli_main
-from trackfuse.fusion import FusionMode, consensus_label, fuse, fuse_pair
+from trackfuse.fusion import FusionMode, fuse
 from trackfuse.io import parse_detections, write_detections
 from trackfuse.metrics import (
     ConfusionMatrix,
@@ -25,8 +26,8 @@ from trackfuse.metrics import (
     f1_scores,
     label_flip_rate,
 )
-from trackfuse.model import Columns, Detection, Track, validate_distribution
-from trackfuse.motion import MotionModel, default_spec, kf_init, kf_predict, kf_update
+from trackfuse.model import Columns, Detection, validate_distribution
+from trackfuse.motion import MotionModel, default_spec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -107,18 +108,18 @@ def test_criterion_2_fusion_oracle_equivalence():
                 rows[i] = random_simplex(rng, n_classes)
             entries = [Detection(frame, box, 0.9, validate_distribution(row, n_classes))
                        for frame, row in enumerate(rows)]
-            track = Track(1, tuple(entries))
+            cols = Columns.from_frames([(e.frame_id, [e]) for e in entries])
 
             product = np.prod(
                 np.stack([e.dist.probs for e in entries]).astype(np.longdouble), axis=0)
             want = int(np.argmax(product))
-            assert consensus_label(track)[0] == want
+            assert set(fuse(cols, np.ones(length, int), FusionMode.PROBABILITY).fused) == {want}
 
             # Iterated pairwise fusion reaches the same label.
             if case % 10 == 0:
                 folded = entries[0].dist
                 for e in entries[1:]:
-                    folded = fuse_pair(folded, e.dist)
+                    folded = reference_fuse_pair(folded, e.dist)
                 assert folded.argmax == want
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
@@ -130,21 +131,21 @@ def test_criterion_3_kalman_matches_independent_oracle():
         steps = 0
         for model in (MotionModel.SORT_CV7, MotionModel.CENTROID_CV4):
             spec = default_spec(model)
-            state = kf_init(random_box(rng), spec)
+            means, covs = motion.init(np.array([random_box(rng).as_tuple()]), spec)
             for _ in range(500):
                 if rng.random() < 0.5:
-                    want_mean, want_cov = oracle_predict(state.mean, state.cov, spec)
-                    state = kf_predict(state)
+                    want_mean, want_cov = oracle_predict(means[0], covs[0], spec)
+                    means, covs = motion.predict(means, covs, spec)
                 else:
                     meas = random_box(rng)
-                    want_mean, want_cov = oracle_update(state.mean, state.cov, spec, meas)
-                    state = kf_update(state, meas)
+                    want_mean, want_cov = oracle_update(means[0], covs[0], spec, meas)
+                    means, covs = motion.update(means, covs, np.array([meas.as_tuple()]), spec)
                 steps += 1
                 scale = max(1.0, float(np.max(np.abs(want_mean))))
-                assert float(np.max(np.abs(state.mean - want_mean.astype(float)))) / scale < 1e-9
+                assert float(np.max(np.abs(means[0] - want_mean.astype(float)))) / scale < 1e-9
                 cov_scale = max(1.0, float(np.max(np.abs(want_cov))))
-                assert float(np.max(np.abs(state.cov - want_cov.astype(float)))) / cov_scale < 1e-9
-                assert float(np.min(np.linalg.eigvalsh(state.cov))) >= -1e-9
+                assert float(np.max(np.abs(covs[0] - want_cov.astype(float)))) / cov_scale < 1e-9
+                assert float(np.min(np.linalg.eigvalsh(covs[0]))) >= -1e-9
         assert steps == 1000
 
 
@@ -200,7 +201,8 @@ def test_criterion_6_camera_trap_sampler():
             presence = rng.random(total) < 0.2
             fps = int(rng.integers(1, 31))
             tau = float(rng.integers(4, 20))  # tau > burst_len - 1 = 3
-            bursts = simulate_triggers(total, presence, TriggerConfig(fps=fps, cooldown=tau))
+            bursts = trigger_bursts(np.flatnonzero(presence).tolist(), total,
+                                    TriggerConfig(fps=fps, cooldown=tau))
             seen = set()
             for b in bursts:
                 assert seen.isdisjoint(b.frame_ids)

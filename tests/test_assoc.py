@@ -8,13 +8,13 @@ from oracles import (
     exhaustive_gated_optimum,
     exhaustive_min_total,
     random_box,
+    reference_iou,
     reference_solve_assignment,
 )
 import trackfuse.assoc as assoc
 from trackfuse.assoc import (
     AssignmentResult,
     CostMatrix,
-    iou,
     iou_matrix,
     solve_assignment,
 )
@@ -38,37 +38,42 @@ def _rasterized_iou(a: BoundingBox, b: BoundingBox, cells_per_px: int = 4) -> fl
     return float(np.count_nonzero(in_a & in_b)) / float(np.count_nonzero(in_a | in_b))
 
 
+def _iou(a: BoundingBox, b: BoundingBox) -> float:
+    """:func:`iou_matrix` of one box against one box."""
+    return float(iou_matrix([a.as_tuple()], [b.as_tuple()])[0, 0])
+
+
 class TestIou:
     def test_identical_boxes(self):
         b = BoundingBox(0, 0, 10, 10)
-        assert iou(b, b) == 1.0
+        assert _iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
+        assert _iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
 
     def test_partial_overlap_against_cell_count(self):
         a = BoundingBox(0, 0, 2, 2)
         b = BoundingBox(1, 0, 3, 2)
         # Integer-aligned corners: the unit-cell count is exact (2 of 6 cells).
         assert _rasterized_iou(a, b, cells_per_px=1) == pytest.approx(1.0 / 3.0)
-        assert iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert _iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_random_boxes_match_rasterized_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             a = random_box(rng, img=40.0, min_size=4.0, max_size=16.0)
             b = random_box(rng, img=40.0, min_size=4.0, max_size=16.0)
-            assert iou(a, b) == pytest.approx(_rasterized_iou(a, b, 8), abs=0.05)
+            assert _iou(a, b) == pytest.approx(_rasterized_iou(a, b, 8), abs=0.05)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
             a = random_box(rng)
             b = random_box(rng)
-            v = iou(a, b)
-            assert v == iou(b, a)
+            v = _iou(a, b)
+            assert v == _iou(b, a)
             assert 0.0 <= v <= 1.0
-            assert iou(a, a) == 1.0
+            assert _iou(a, a) == 1.0
 
 
 def _bits(values) -> np.ndarray:
@@ -78,7 +83,7 @@ def _bits(values) -> np.ndarray:
 class TestIouMatrix:
     def _assert_bitwise(self, boxes_a, boxes_b):
         got = iou_matrix([b.as_tuple() for b in boxes_a], [b.as_tuple() for b in boxes_b])
-        want = [[iou(a, b) for b in boxes_b] for a in boxes_a]
+        want = [[reference_iou(a, b) for b in boxes_b] for a in boxes_a]
         assert got.shape == (len(boxes_a), len(boxes_b))
         assert np.array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trackfuse.camtrap import Burst, TriggerConfig, burst_frames, next_trigger, simulate_triggers
+from trackfuse.camtrap import Burst, TriggerConfig, burst_frames, next_trigger, trigger_bursts
 from trackfuse.errors import InvalidConfig, InvalidValue
 
 
@@ -69,12 +69,12 @@ class TestTriggerConfig:
 class TestSimulateTriggers:
     def test_nothing_visible(self):
         config = TriggerConfig(fps=30)
-        assert simulate_triggers(100, [False] * 100, config) == []
+        assert trigger_bursts(np.flatnonzero([False] * 100).tolist(), 100, config) == []
 
     def test_always_visible_matches_cooldown_formula(self):
         # t_{m+1} = t_m + cooldown * fps: 0, 300, 600, 900 at 30 fps / 10 s.
         config = TriggerConfig(fps=30, cooldown=10.0)
-        bursts = simulate_triggers(1000, [True] * 1000, config)
+        bursts = trigger_bursts(np.flatnonzero([True] * 1000).tolist(), 1000, config)
         assert [b.trigger_frame for b in bursts] == [0, 300, 600, 900]
         assert bursts[0].frame_ids == (0, 30, 60, 90)
         # The last burst would run to 990, which still fits; no truncation.
@@ -82,21 +82,21 @@ class TestSimulateTriggers:
 
     def test_tail_burst_is_truncated(self):
         config = TriggerConfig(fps=30, cooldown=10.0)
-        bursts = simulate_triggers(950, [True] * 950, config)
+        bursts = trigger_bursts(np.flatnonzero([True] * 950).tolist(), 950, config)
         assert bursts[-1].trigger_frame == 900
         assert bursts[-1].frame_ids == (900, 930)
 
     def test_single_visible_frame(self):
         presence = [False] * 200
         presence[50] = True
-        bursts = simulate_triggers(200, presence, TriggerConfig(fps=30))
+        bursts = trigger_bursts(np.flatnonzero(presence).tolist(), 200, TriggerConfig(fps=30))
         assert len(bursts) == 1
         assert bursts[0].trigger_frame == 50
         assert bursts[0].frame_ids == (50, 80, 110, 140)
 
     def test_zero_cooldown_terminates(self):
         config = TriggerConfig(fps=5, cooldown=0.0)
-        bursts = simulate_triggers(10, [True] * 10, config)
+        bursts = trigger_bursts(np.flatnonzero([True] * 10).tolist(), 10, config)
         assert [b.trigger_frame for b in bursts] == list(range(10))
 
     def test_matches_scan_oracle_on_random_presence(self):
@@ -109,7 +109,7 @@ class TestSimulateTriggers:
             cooldown = float(rng.integers(0, 12))
             config = TriggerConfig(fps=fps, burst_len=burst_len, cooldown=cooldown)
             got = [(b.trigger_frame, b.frame_ids)
-                   for b in simulate_triggers(total, presence, config)]
+                   for b in trigger_bursts(np.flatnonzero(presence).tolist(), total, config)]
             assert got == _scan_oracle(total, presence, fps, burst_len, cooldown)
 
     def test_bursts_disjoint_when_cooldown_exceeds_burst_span(self):
@@ -119,7 +119,7 @@ class TestSimulateTriggers:
             presence = rng.random(total) < 0.3
             fps = int(rng.integers(1, 30))
             config = TriggerConfig(fps=fps, burst_len=4, cooldown=float(rng.integers(4, 15)))
-            bursts = simulate_triggers(total, presence, config)
+            bursts = trigger_bursts(np.flatnonzero(presence).tolist(), total, config)
             seen = set()
             for b in bursts:
                 assert all(f < total for f in b.frame_ids)
@@ -134,10 +134,7 @@ class TestSimulateTriggers:
             fps = int(rng.integers(1, 25))
             cooldown = float(rng.integers(0, 10))
             config = TriggerConfig(fps=fps, cooldown=cooldown)
-            starts = [b.trigger_frame for b in simulate_triggers(total, presence, config)]
+            bursts = trigger_bursts(np.flatnonzero(presence).tolist(), total, config)
+            starts = [b.trigger_frame for b in bursts]
             for a, b in zip(starts, starts[1:]):
                 assert b - a >= cooldown * fps
-
-    def test_presence_length_mismatch(self):
-        with pytest.raises(InvalidValue):
-            simulate_triggers(10, [True] * 9, TriggerConfig())

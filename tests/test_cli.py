@@ -45,6 +45,13 @@ class TestSynth:
         assert main(_synth_args(b, bl)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("jitter", ["nan", "inf"])
+    def test_non_finite_jitter_is_data_error(self, tmp_path, capsys, jitter):
+        out = tmp_path / "d.jsonl"
+        assert main(_synth_args(out, tmp_path / "labels.txt", jitter=jitter)) == 2
+        assert "jitter must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrack:
     def test_happy_path(self, tmp_path, detection_file):
@@ -158,6 +165,24 @@ class TestTrack:
         assert code == 2
         err = capsys.readouterr().err
         assert bad_key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tracker,config,field", [
+        ("centroid", {"centroid_gate": float("nan")}, "centroid_gate"),
+        ("appearance", {"cosine_gate": float("nan")}, "cosine_gate"),
+        ("iou", {"iou_gate": float("inf")}, "iou_gate"),
+        ("sort", {"motion": {"model": "sort_cv7", "std_weight_position": float("-inf")}},
+         "std_weight_position"),
+    ])
+    def test_non_finite_config_is_data_error(self, tmp_path, detection_file, capsys, tracker,
+                                             config, field):
+        dets, labels = detection_file
+        cfg, out = tmp_path / "cfg.json", tmp_path / "t.csv"
+        cfg.write_text(json.dumps(config))  # NaN and Infinity, as Python's json writes them
+        code = main(["track", "--tracker", tracker, "--input", str(dets), "--labels",
+                     str(labels), "--output", str(out), "--config", str(cfg)])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("tracker", ["sort", "bytetrack"])
     def test_non_finite_covariance_is_data_error(self, tmp_path, capsys, tracker):

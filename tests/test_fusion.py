@@ -1,15 +1,13 @@
 """Probability fusion against extended-precision product oracles."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_simplex, reference_relabel, reference_track_labels
-from trackfuse.errors import EmptyTrack, LengthMismatch
-from trackfuse.fusion import FusionMode, _running, consensus_label, fuse, fuse_pair, relabel
+from oracles import random_simplex, reference_fuse_pair, reference_relabel, reference_track_labels
+from trackfuse.errors import EmptyTrack
+from trackfuse.fusion import FusionMode, _running, fuse, relabel
 from trackfuse.model import (
     BoundingBox,
     Columns,
@@ -32,71 +30,45 @@ def _track(prob_rows, track_id=1) -> Track:
     return Track(track_id, tuple(entries))
 
 
-class TestFusePair:
-    def test_uniform_prior_is_identity(self):
-        prev = validate_distribution([0.5, 0.5], 2)
-        curr = validate_distribution([0.7, 0.3], 2)
-        fused = fuse_pair(prev, curr)
-        assert np.allclose(fused.probs, [0.7, 0.3], atol=1e-12)
+def _fused(track: Track, mode: FusionMode = FusionMode.PROBABILITY) -> int:
+    """The label ``relabel`` gives every frame of ``track`` in retroactive ``mode``."""
+    per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
+    result = relabel(SequenceResult((track,), per_frame), mode)
+    labels = {rec.fused_label for rec in result.per_frame}
+    assert len(labels) == 1
+    return labels.pop()
 
-    def test_repeated_evidence_sharpens(self):
-        # Exact rational reference: (0.6^2, 0.4^2) normalized = (9/13, 4/13).
-        want = [Fraction(36, 52), Fraction(16, 52)]
-        d = validate_distribution([0.6, 0.4], 2)
-        fused = fuse_pair(d, d)
-        assert fused.probs[0] == pytest.approx(float(want[0]), abs=1e-4)
-        assert fused.probs[1] == pytest.approx(float(want[1]), abs=1e-4)
 
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            fuse_pair(validate_distribution([0.5, 0.5], 2),
-                      validate_distribution([0.4, 0.3, 0.3], 3))
+def _vote(track: Track) -> int:
+    return _fused(track, FusionMode.MAJORITY)
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60)
-    def test_commutative(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 20))
-        p = validate_distribution(random_simplex(rng, n), n)
-        q = validate_distribution(random_simplex(rng, n), n)
-        left = fuse_pair(p, q).probs
-        right = fuse_pair(q, p).probs
-        assert np.max(np.abs(left - right)) <= 1e-12
-        assert abs(float(left.sum()) - 1.0) <= 1e-9
 
-    @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=60)
-    def test_associative(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 20))
-        p, q, r = (validate_distribution(random_simplex(rng, n), n) for _ in range(3))
-        left = fuse_pair(fuse_pair(p, q), r).probs
-        right = fuse_pair(p, fuse_pair(q, r)).probs
-        assert np.max(np.abs(left - right)) <= 1e-9
+def _scores(track: Track) -> np.ndarray:
+    """The summed log probabilities whose argmax is the track's PROBABILITY label."""
+    return _running(np.log(np.array([e.dist.probs for e in track.entries])), np.array([0]))[-1]
 
 
 class TestConsensusLabel:
     def test_unanimous(self):
         track = _track([[0.9, 0.1]] * 3)
-        label, scores = consensus_label(track)
-        assert label == 0
-        assert scores.shape == (2,)
+        assert _fused(track) == 0
+        assert _scores(track).shape == (2,)
 
     def test_product_dominates_vote_pattern(self):
         # Products: 0.9*0.4*0.8 = 0.288 vs 0.1*0.6*0.2 = 0.012.
         track = _track([[0.9, 0.1], [0.4, 0.6], [0.8, 0.2]])
-        label, scores = consensus_label(track)
-        assert label == 0
+        scores = _scores(track)
+        assert _fused(track) == 0
         assert np.exp(scores[0]) == pytest.approx(0.288, abs=1e-12)
         assert np.exp(scores[1]) == pytest.approx(0.012, abs=1e-12)
 
     def test_single_frame(self):
         track = _track([[0.2, 0.5, 0.3]])
-        assert consensus_label(track)[0] == 1
+        assert _fused(track) == 1
 
     def test_empty_track(self):
         with pytest.raises(EmptyTrack):
-            consensus_label(Track(1, ()))
+            relabel(SequenceResult((Track(1, ()),), ()), FusionMode.PROBABILITY)
 
     def test_matches_extended_precision_product(self):
         rng = np.random.default_rng(77)
@@ -106,15 +78,15 @@ class TestConsensusLabel:
             rows = [random_simplex(rng, n) for _ in range(length)]
             track = _track(rows)
             product = np.prod(np.asarray(rows, dtype=np.longdouble), axis=0)
-            assert consensus_label(track)[0] == int(np.argmax(product))
+            assert _fused(track) == int(np.argmax(product))
 
     def test_order_invariance(self):
         rng = np.random.default_rng(13)
         rows = [random_simplex(rng, 12) for _ in range(20)]
-        base = consensus_label(_track(rows))[0]
+        base = _fused(_track(rows))
         for _ in range(5):
             rng.shuffle(rows)
-            assert consensus_label(_track(rows))[0] == base
+            assert _fused(_track(rows)) == base
 
     def test_sequential_fuse_fold_agrees(self):
         rng = np.random.default_rng(29)
@@ -124,8 +96,8 @@ class TestConsensusLabel:
             track = _track(rows)
             folded = validate_distribution(rows[0], n)
             for row in rows[1:]:
-                folded = fuse_pair(folded, validate_distribution(row, n))
-            assert folded.argmax == consensus_label(track)[0]
+                folded = reference_fuse_pair(folded, validate_distribution(row, n))
+            assert folded.argmax == _fused(track)
 
     def test_long_track_stays_finite(self):
         rng = np.random.default_rng(101)
@@ -134,18 +106,8 @@ class TestConsensusLabel:
             row = random_simplex(rng, 8)
             rows.append(np.maximum(row, 1e-6) / np.maximum(row, 1e-6).sum())
         track = _track(rows)
-        label, scores = consensus_label(track)
-        assert np.all(np.isfinite(scores))
-        assert 0 <= label < 8
-
-
-def _vote(track: Track) -> int:
-    """The label ``relabel`` gives every frame of ``track`` in retroactive MAJORITY mode."""
-    per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
-    result = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY)
-    labels = {rec.fused_label for rec in result.per_frame}
-    assert len(labels) == 1
-    return labels.pop()
+        assert np.all(np.isfinite(_scores(track)))
+        assert 0 <= _fused(track) < 8
 
 
 class TestMajorityVote:
@@ -202,7 +164,7 @@ class TestRelabel:
         base = self._result()
         result = relabel(base, FusionMode.PROBABILITY)
         for track in result.tracks:
-            want = consensus_label(track)[0]
+            want = int(np.argmax(_scores(track)))
             got = {r.fused_label for r in result.per_frame if r.track_id == track.id}
             assert got == {want}
 
@@ -243,7 +205,7 @@ class TestRelabel:
             recs = {r.frame_id: r for r in by_track.get(track.id, [])}
             cum = np.zeros(len(track.entries[0].dist))
             for entry in track.entries:
-                cum = cum + entry.dist.log()
+                cum = cum + np.log(entry.dist.probs)
                 rec = recs.get(entry.frame_id)
                 if rec is not None:
                     assert rec.fused_label == int(np.argmax(cum))
@@ -291,8 +253,8 @@ class TestRelabel:
             track = _track(rows)
             want = np.zeros(6)
             for entry in track.entries:
-                want = want + entry.dist.log()
-            assert np.array_equal(consensus_label(track)[1], want)
+                want = want + np.log(entry.dist.probs)
+            assert np.array_equal(_scores(track), want)
 
     def test_unmatched_detections_keep_raw_label(self):
         base = self._result()

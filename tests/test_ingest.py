@@ -12,6 +12,7 @@ import json
 import math
 import tempfile
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trackfuse.io as io
 from oracles import reference_parse_detections
 from trackfuse.errors import ParseError
-from trackfuse.io import CHUNK_LINES, parse_detections, write_detections
+from trackfuse.io import CHUNK_LINES, parse_detections, read_columns, write_detections
+from trackfuse.metrics import STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from trackfuse.model import LabelSet
 from trackfuse.synth import ScenarioConfig, generate_scenario
 
@@ -217,3 +220,36 @@ def test_validated_rows_are_views_of_one_array_per_sequence(tmp_path):
                for d in dets)
     assert all("argmax" in vars(d.dist) for d in dets)  # seeded, not computed on first read
     assert all(d.dist.argmax == int(np.argmax(d.dist.probs)) for d in dets)
+
+
+class _OpenStage:
+    """A stage timer that only tracks which stage is open."""
+
+    def __init__(self):
+        self.open = None
+
+    @contextmanager
+    def stage(self, name):
+        outer, self.open = self.open, name
+        try:
+            yield
+        finally:
+            self.open = outer
+
+
+def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatch):
+    timer, seen = _OpenStage(), []
+
+    def spy(name, function):
+        def call(*args, **kwargs):
+            seen.append((name, timer.open))
+            return function(*args, **kwargs)
+        monkeypatch.setattr(io, name, call)
+
+    for name in ("parse_json", "score_value", "validate_distributions"):
+        spy(name, getattr(io, name))
+    n_lines = 2 * CHUNK_LINES + 5
+    read_columns(_write(tmp_path, [_good(i) for i in range(n_lines)]), LABELS, timer)
+    lines = [(name, STAGE_DETECTION_INGEST) for name in ("parse_json", "score_value")]
+    chunk = [("validate_distributions", STAGE_CLASSIFICATION_INGEST)]
+    assert seen == (lines * CHUNK_LINES + chunk) * 2 + lines * 5 + chunk

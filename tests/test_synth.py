@@ -26,6 +26,12 @@ class TestScenarioConfig:
         with pytest.raises(InvalidConfig):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["jitter", "embedding_separation"])
+    def test_non_finite_is_rejected(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            ScenarioConfig(**{field: value})
+
     def test_confidence_must_beat_uniform(self):
         with pytest.raises(InvalidConfig):
             ScenarioConfig(n_classes=10, confidence=0.1)

@@ -70,7 +70,7 @@ class TestSingleObject:
         track = result.tracks[0]
         assert track.id == 1
         assert len(track.entries) == 3
-        assert track.frame_ids == (0, 1, 2)
+        assert tuple(e.frame_id for e in track.entries) == (0, 1, 2)
         assert all(rec.track_id == 1 for rec in result.per_frame)
 
     def test_empty_sequence(self):
@@ -188,7 +188,7 @@ class TestFullScene:
         frames = generate_scenario(config).detection_frames()
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         for track in result.tracks:
-            frames_seen = track.frame_ids
+            frames_seen = tuple(e.frame_id for e in track.entries)
             assert all(b > a for a, b in zip(frames_seen, frames_seen[1:]))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -201,7 +201,7 @@ class TestFullScene:
         assert len(a.tracks) == len(b.tracks)
         for ta, tb in zip(a.tracks, b.tracks):
             assert ta.id == tb.id
-            assert ta.frame_ids == tb.frame_ids
+            assert tuple(e.frame_id for e in ta.entries) == tuple(e.frame_id for e in tb.entries)
             assert all(np.array_equal(ea.dist.probs, eb.dist.probs)
                        for ea, eb in zip(ta.entries, tb.entries))
         for ra, rb in zip(a.per_frame, b.per_frame):
@@ -265,7 +265,7 @@ class TestByteTrack:
         ]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         assert len(result.tracks) == 1
-        assert result.tracks[0].frame_ids == (0, 1)
+        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 1)
         by_frame = [rec for rec in result.per_frame if rec.frame_id == 1]
         assert by_frame[0].track_id == 1
         assert by_frame[1].track_id is None
@@ -276,7 +276,7 @@ class TestByteTrack:
             (1, [_det(1, (2, 0, 22, 20), score=0.05)]),
         ]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        assert result.tracks[0].frame_ids == (0,)
+        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0,)
         assert result.per_frame[1].track_id is None
 
 
@@ -291,8 +291,8 @@ class TestLifecycle:
         # Misses at frames 2, 3, 4 exceed max_age=2: the track dies; the
         # reappearance spawns a fresh id.
         assert [t.id for t in result.tracks] == [1, 2]
-        assert result.tracks[0].frame_ids == (0, 1)
-        assert result.tracks[1].frame_ids == (6,)
+        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 1)
+        assert tuple(e.frame_id for e in result.tracks[1].entries) == (6,)
 
     def test_track_bridges_gap_within_max_age(self):
         frames = [(0, [_det(0, (0, 0, 20, 20))]),
@@ -301,7 +301,7 @@ class TestLifecycle:
         config = TrackerConfig(kind=TrackerKind.IOU, max_age=5)
         result = run_sequence(frames, config)
         assert [t.id for t in result.tracks] == [1]
-        assert result.tracks[0].frame_ids == (0, 3)
+        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 3)
 
     def test_min_hits_discards_short_tracks(self):
         frames = [(0, [_det(0, (0, 0, 20, 20))]),
@@ -316,7 +316,7 @@ class TestLifecycle:
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=3)
         result = run_sequence(frames, config)
-        assert [t.frame_ids for t in result.tracks] == [(0, 1, 2)]
+        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 1, 2)]
 
     def test_min_hits_counts_entries_not_consecutive_matches(self):
         # A miss between two matches does not reset the count: two entries
@@ -325,7 +325,7 @@ class TestLifecycle:
                   (2, [_det(2, (1, 0, 21, 20))])]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=2)
         result = run_sequence(frames, config)
-        assert [t.frame_ids for t in result.tracks] == [(0, 2)]
+        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 2)]
         assert [rec.track_id for rec in result.per_frame] == [1, 1]
 
     def test_low_scores_do_not_spawn_tracks(self):
@@ -398,7 +398,7 @@ class TestTrackTable:
                   (1, [_det(1, (1, 0, 21, 20)), _det(1, (101, 0, 121, 20), score=0.3)]),
                   (2, [_det(2, (2, 0, 22, 20))])]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        assert [t.frame_ids for t in result.tracks] == [(0, 1, 2), (0, 1)]
+        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 1, 2), (0, 1)]
         assert calls == [("predict", 2), ("update", 2), ("predict", 2), ("update", 1)]
 
     def test_cosine_matrix_equals_per_track_loop(self):
@@ -498,6 +498,18 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):
             TrackerConfig(kind=TrackerKind.SORT, **kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["iou_gate", "centroid_gate", "det_threshold_high",
+                                       "appearance_weight", "cosine_gate"])
+    def test_non_finite_real_names_the_field(self, field, value):
+        with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
+            TrackerConfig(kind=TrackerKind.SORT, **{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_motion_noise_names_the_field(self, value):
+        with pytest.raises(InvalidConfig, match="dt must be finite"):
+            TrackerConfig.from_dict({"kind": "sort", "motion": {"model": "sort_cv7", "dt": value}})
 
     def test_from_dict_with_motion_spec(self):
         config = TrackerConfig.from_dict({
