@@ -48,7 +48,7 @@ class CostMatrix:
             raise InvalidValue(
                 f"cost values {values.shape} and gate mask {mask.shape} must be equal 2-D shapes"
             )
-        if not np.all(np.isfinite(values[mask])):
+        if not (np.isfinite(values).all() or np.isfinite(values[mask]).all()):
             raise InvalidValue("admissible cost entries must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "gate_mask", mask)
@@ -86,24 +86,18 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
 
     mask = cost.gate_mask
-    row_degree, col_degree = mask.sum(axis=1), mask.sum(axis=0)
-    single_rows = np.flatnonzero(row_degree == 1)
-    single_cols = mask[single_rows].argmax(axis=1)
-    forced = col_degree[single_cols] == 1
-    forced_rows, forced_cols = single_rows[forced], single_cols[forced]
-    matches = list(zip(forced_rows.tolist(), forced_cols.tolist()))
-
-    in_block = row_degree > 0
-    in_block[forced_rows] = False
-    block_rows = np.flatnonzero(in_block)
-    if block_rows.size:
-        in_block = col_degree > 0
-        in_block[forced_cols] = False
-        block_cols = np.flatnonzero(in_block)
+    rows, cols = np.nonzero(mask)  # every admissible pair, in (row, col) order
+    forced = (mask.sum(axis=1)[rows] == 1) & (mask.sum(axis=0)[cols] == 1)
+    matches = list(zip(rows[forced].tolist(), cols[forced].tolist()))
+    if not forced.all():
+        # The block: every row and column with an admissible pair that is not forced.
+        free = ~forced
+        block_rows = np.flatnonzero(np.bincount(rows[free], minlength=n_rows))
+        block_cols = np.flatnonzero(np.bincount(cols[free], minlength=n_cols))
         block = np.ix_(block_rows, block_cols)
         for r, c in _canonical_matching(cost.values[block], mask[block]):
             matches.append((int(block_rows[r]), int(block_cols[c])))
-    matches.sort()
+        matches.sort()
 
     rows, cols = {r for r, _ in matches}, {c for _, c in matches}
     return AssignmentResult(tuple(matches), tuple(r for r in range(n_rows) if r not in rows),

@@ -18,7 +18,8 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from io import StringIO
+from itertools import islice
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -365,22 +366,30 @@ class TrackRow:
 def write_columns(results: Mapping[str, ColumnResult], path) -> None:
     """Write every row with a track as CSV, ordered by (seq, frame, track_id)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        plain = csv.writer(fh, lineterminator="\n")
-        # The writer quotes only what holds a delimiter, quote or "\n"; a bare
-        # "\r" would end the row on reading, so such rows are quoted whole.
-        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        plain.writerow(TRACK_CSV_HEADER.split(","))
+        fh.write(TRACK_CSV_HEADER + "\n")
         for seq in sorted(results):
             res = results[seq]
             rows = np.flatnonzero(res.track >= 0)
             rows = rows[np.lexsort((res.track[rows], res.cols.frame[rows]))]
             box = res.cols.box[rows]
-            # tolist() gives Python numbers, and str() of a float is its shortest round-trip form.
-            (quoted if "\r" in seq else plain).writerows(zip(
+            # tolist() gives Python numbers, and %r of a float is its shortest round-trip form;
+            # writelines streams the rows, holding no whole-sequence string.
+            fh.writelines(map(_row_format(seq).__mod__, zip(
                 res.cols.frame[rows].tolist(), res.track[rows].tolist(), box[:, 0].tolist(),
                 box[:, 1].tolist(), (box[:, 2] - box[:, 0]).tolist(),
                 (box[:, 3] - box[:, 1]).tolist(), res.cols.score[rows].tolist(),
-                res.fused[rows].tolist(), res.raw[rows].tolist(), repeat(seq)))
+                res.fused[rows].tolist(), res.raw[rows].tolist())))
+
+
+def _row_format(seq: str) -> str:
+    """The %-format of a CSV row of ``seq``: nine %r fields, then ``seq`` as csv quotes it.
+    csv quotes only what holds a delimiter, quote or "\n"; a bare "\r" would end the
+    row on reading, so such rows are quoted whole."""
+    buf = StringIO()
+    quoting = csv.QUOTE_ALL if "\r" in seq else csv.QUOTE_MINIMAL
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(
+        ["%r"] * 9 + [seq.replace("%", "%%")])
+    return buf.getvalue()
 
 
 def write_tracks(results: Mapping[str, SequenceResult], path) -> None:

@@ -64,6 +64,14 @@ class MotionModelSpec:
             if not value > 0.0:
                 raise InvalidConfig(f"{name} must be > 0")
             object.__setattr__(self, name, value)
+        # The filter's constant matrices, built once per spec and shared read-only.
+        d, o = self.state_dim, self.obs_dim
+        f = np.eye(d)
+        f[np.arange(d - o), np.arange(o, d)] = self.dt  # position i moves by dt * velocity i + o
+        for name, matrix in (("_f", f), ("_h", np.eye(o, d)), ("_eye", np.eye(d)),
+                             ("_psd_shift", PSD_TOLERANCE * np.eye(d))):
+            matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
 
     @property
     def state_dim(self) -> int:
@@ -89,40 +97,35 @@ class KalmanState:
 
 
 def transition_matrix(spec: MotionModelSpec) -> np.ndarray:
-    d = spec.state_dim
-    f = np.eye(d)
-    if spec.model is MotionModel.SORT_CV7:
-        f[0, 4] = f[1, 5] = f[2, 6] = spec.dt
-    else:
-        f[0, 2] = f[1, 3] = spec.dt
-    return f
+    """F of ``spec``, (d, d): shared, read-only."""
+    return spec._f
 
 
 def measurement_matrix(spec: MotionModelSpec) -> np.ndarray:
-    return np.eye(spec.obs_dim, spec.state_dim)
+    """H = [I 0] of ``spec``, (o, d): shared, read-only."""
+    return spec._h
 
 
-def _height_like(means: np.ndarray) -> np.ndarray:
-    # sqrt(s / r) recovers box height from area and aspect; floored at 1 px
-    # so noise never collapses to zero on tiny or degenerate states.
-    s, r = np.maximum(means[:, 2], 1e-6), np.maximum(means[:, 3], 1e-6)
-    return np.maximum(np.sqrt(s / r), 1.0)
-
-
-def _diagonal(n: int, *std) -> np.ndarray:
-    """(n, k, k): the squares of the k columns ``std``, each (n,) or scalar, on the diagonal."""
-    out = np.zeros((n, len(std), len(std)))
-    for i, column in enumerate(std):
-        out[:, i, i] = np.asarray(column) ** 2
+def _sort_diagonal(means: np.ndarray, coef: Sequence[float]) -> np.ndarray:
+    """(N, k, k) SORT_CV7 noise, std * std on the diagonal: std = h * coef, times h again in the
+    area columns (2, 6), and ``coef[3]`` as is.  h = sqrt(s / r) is the box height, floored
+    at 1 px so noise never collapses to zero on tiny or degenerate states."""
+    sr = np.maximum(means[:, 2:4], 1e-6)
+    h = np.maximum(np.sqrt(sr[:, :1] / sr[:, 1:]), 1.0)
+    std = h * coef
+    std[:, 2::4] *= h
+    std[:, 3] = coef[3]
+    n, k = std.shape
+    out = np.zeros((n, k, k))
+    out.reshape(n, k * k)[:, :: k + 1] = std * std
     return out
 
 
 def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     """Q of every row, (N, d, d)."""
     if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(means)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        return _diagonal(len(means), wp * h, wp * h, wp * h * h, 1e-2, wv * h, wv * h, wv * h * h)
+        return _sort_diagonal(means, (wp, wp, wp, 1e-2, wv, wv, wv))
     # White-acceleration model per axis: position and velocity noise coupled.
     dt, q = spec.dt, spec.process_std
     a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
@@ -133,46 +136,45 @@ def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
 def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     """R of every row, (N, o, o)."""
     if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(means)
         wp = spec.std_weight_position
-        return _diagonal(len(means), wp * h, wp * h, wp * h * h, 1e-1)
+        return _sort_diagonal(means, (wp, wp, wp, 1e-1))
     return np.broadcast_to(np.eye(2) * spec.measurement_std**2, (len(means), 2, 2))
 
 
 def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     """Starting covariance of every row, (N, d, d)."""
     if spec.model is MotionModel.SORT_CV7:
-        h = _height_like(means)
-        wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        return _diagonal(len(means), 2 * wp * h, 2 * wp * h, 2 * wp * h * h, 1e-1,
-                         10 * wv * h, 10 * wv * h, 10 * wv * h * h)
+        wp, wv = 2 * spec.std_weight_position, 10 * spec.std_weight_velocity
+        return _sort_diagonal(means, (wp, wp, wp, 1e-1, wv, wv, wv))
     r, q = spec.measurement_std, spec.process_std
     return np.tile(np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]), (len(means), 1, 1))
 
 
 def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
     """Project corner-form boxes (N, 4) into the model's measurement space, (N, o)."""
-    x1, y1, x2, y2 = boxes.T
-    w, h = x2 - x1, y2 - y1
-    cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    center = 0.5 * (lo + hi)
     if spec.model is MotionModel.SORT_CV7:
-        return np.stack([cx, cy, w * h, w / h], axis=1)
-    return np.stack([cx, cy], axis=1)
+        size = hi - lo
+        w, h = size[:, :1], size[:, 1:]
+        return np.concatenate([center, w * h, w / h], axis=1)
+    return center
 
 
-def _checked(means: np.ndarray, covs: np.ndarray,
+def _checked(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
              ids: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """Symmetrize ``covs`` and verify each is finite and numerically PSD and each mean finite.
 
     Raises NumericalBreakdown naming the first failing row (by ``ids`` when given).
     """
     name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
-    sym = 0.5 * (covs + covs.swapaxes(-1, -2))
+    covs = covs + covs.swapaxes(-1, -2)
+    covs *= 0.5
     # cholesky does not raise on a NaN or inf matrix, so finiteness is its own check.
-    finite = np.isfinite(sym).all(axis=(1, 2))
-    if not finite.all():
+    if not np.isfinite(covs).all():
+        finite = np.isfinite(covs).all(axis=(1, 2))
         raise NumericalBreakdown(f"covariance of {name(np.argmin(finite))} is not finite")
-    shifted = sym + PSD_TOLERANCE * np.eye(sym.shape[-1])
+    shifted = covs + spec._psd_shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -182,10 +184,10 @@ def _checked(means: np.ndarray, covs: np.ndarray,
             except np.linalg.LinAlgError:
                 raise NumericalBreakdown(f"covariance of {name(row)} lost "
                                          "positive semi-definiteness") from None
-    finite = np.isfinite(means).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(means).all():
+        finite = np.isfinite(means).all(axis=1)
         raise NumericalBreakdown(f"state mean of {name(np.argmin(finite))} is not finite")
-    return means, sym
+    return means, covs
 
 
 def init(boxes: np.ndarray, spec: MotionModelSpec,
@@ -195,7 +197,7 @@ def init(boxes: np.ndarray, spec: MotionModelSpec,
     means[:, : spec.obs_dim] = observe(spec, boxes)
     with np.errstate(over="ignore"):  # an infinite covariance is _checked's NumericalBreakdown
         covs = initial_covariance(spec, means)
-    return _checked(means, covs, ids)
+    return _checked(means, covs, spec, ids)
 
 
 def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
@@ -203,26 +205,31 @@ def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
     """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q."""
     if spec.model is MotionModel.SORT_CV7:
         # Classic SORT guard: freeze area velocity rather than predict s <= 0.
-        means = means.copy()
-        means[means[:, 2] + means[:, 6] * spec.dt <= 0.0, 6] = 0.0
+        frozen = means[:, 2] + means[:, 6] * spec.dt <= 0.0
+        if frozen.any():
+            means = means.copy()
+            means[frozen, 6] = 0.0
     f = transition_matrix(spec)
     new_means = np.matmul(f, means[..., None])[..., 0]
-    return _checked(new_means, f @ covs @ f.T + process_noise(spec, means), ids)
+    return _checked(new_means, f @ covs @ f.T + process_noise(spec, means), spec, ids)
 
 
 def update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
            ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Standard Kalman correction of every row against the observation of its box."""
-    h = measurement_matrix(spec)
-    innovation = observe(spec, boxes) - np.matmul(h, means[..., None])[..., 0]
-    hp = h @ covs
-    s = hp @ h.T + measurement_noise(spec, means)
+    """Standard Kalman correction of every row against the observation of its box.
+
+    H = [I 0]: H m, H P and H P H^T are exactly leading slices, as predict keeps P finite.
+    """
+    o = spec.obs_dim
+    innovation = observe(spec, boxes) - means[:, :o]
+    hp = covs[:, :o]
+    s = hp[..., :o] + measurement_noise(spec, means)
     try:
         gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         raise NumericalBreakdown("innovation covariance is singular") from None
     new_means = means + np.matmul(gain, innovation[..., None])[..., 0]
-    return _checked(new_means, (np.eye(spec.state_dim) - gain @ h) @ covs, ids)
+    return _checked(new_means, (spec._eye - gain @ measurement_matrix(spec)) @ covs, spec, ids)
 
 
 def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
@@ -232,18 +239,19 @@ def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
     Also returns the rows with no box, whose boxes are placeholders: a
     non-positive area or aspect (SORT_CV7) or ``extents`` (N, 2) (CENTROID_CV4).
     """
-    cx, cy = means[:, 0], means[:, 1]
     if spec.model is MotionModel.SORT_CV7:
-        degenerate = (means[:, 2] <= 0.0) | (means[:, 3] <= 0.0)
-        s = np.where(degenerate, 1.0, means[:, 2])
+        sr = means[:, 2:4]
+        degenerate = (sr <= 0.0).any(axis=1)
+        sr = np.where(degenerate[:, None], 1.0, sr)
+        s = sr[:, :1]
         with np.errstate(over="ignore"):  # an infinite box is the caller's InvalidValue
-            w = np.sqrt(s * np.where(degenerate, 1.0, means[:, 3]))
-        h = s / w
+            w = np.sqrt(s * sr[:, 1:])
+        half = np.concatenate([w, s / w], axis=1) / 2.0
     else:
-        w, h = extents[:, 0], extents[:, 1]
-        degenerate = (w <= 0.0) | (h <= 0.0)
-    boxes = np.stack([cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0], axis=1)
-    return boxes, degenerate
+        degenerate = (extents <= 0.0).any(axis=1)
+        half = extents / 2.0
+    center = means[:, :2]
+    return np.concatenate([center - half, center + half], axis=1), degenerate
 
 
 def kf_init(bbox: BoundingBox, spec: MotionModelSpec) -> KalmanState:

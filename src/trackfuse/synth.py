@@ -24,7 +24,7 @@ from .model import BoundingBox, ClassDistribution, Detection, LabelSet, validate
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario's parameters; ``jitter`` and ``embedding_separation`` must be finite."""
+    """One scenario's parameters: every real number finite, no speed beyond the smaller side."""
 
     seed: int = 0
     num_objects: int = 5
@@ -49,8 +49,8 @@ class ScenarioConfig:
         if self.n_classes < 2:
             raise InvalidConfig("need at least two classes")
         w, h = self.image_size
-        if w < 1 or h < 1:
-            raise InvalidConfig(f"bad image size {self.image_size!r}")
+        if not (1 <= w < math.inf and 1 <= h < math.inf):
+            raise InvalidConfig(f"bad image_size {self.image_size!r}: need finite sides >= 1")
         lo, hi = self.size_range
         if not (0.0 < lo <= hi) or hi >= min(w, h) / 2.0:
             raise InvalidConfig(f"bad size range {self.size_range!r} for image {self.image_size!r}")
@@ -62,9 +62,10 @@ class ScenarioConfig:
             raise InvalidConfig("jitter must be finite and >= 0")
         if not (1.0 / self.n_classes < self.confidence <= 1.0):
             raise InvalidConfig("confidence must exceed 1/n_classes and not exceed 1")
+        side = min(w, h)  # a faster object would bounce off the borders many times per frame
         s_lo, s_hi = self.speed_range
-        if not (0.0 <= s_lo <= s_hi):
-            raise InvalidConfig(f"bad speed range {self.speed_range!r}")
+        if not (0.0 <= s_lo <= s_hi <= side):
+            raise InvalidConfig(f"bad speed_range {self.speed_range!r}: need 0 <= lo <= hi <= {side}")
         r_lo, r_hi = self.score_range
         if not (0.0 <= r_lo <= r_hi <= 1.0):
             raise InvalidConfig(f"bad score range {self.score_range!r}")
@@ -76,11 +77,15 @@ class ScenarioConfig:
             vel = tuple((float(vx), float(vy)) for vx, vy in self.velocities)
             if len(vel) != self.num_objects:
                 raise InvalidConfig("velocities must list one (vx, vy) per object")
+            if not all(math.hypot(vx, vy) <= side for vx, vy in vel):  # False for NaN
+                raise InvalidConfig(f"velocities must be finite with speeds <= {side}, got {vel!r}")
             object.__setattr__(self, "velocities", vel)
         if self.start_centers is not None:
             pos = tuple((float(cx), float(cy)) for cx, cy in self.start_centers)
             if len(pos) != self.num_objects:
                 raise InvalidConfig("start_centers must list one (cx, cy) per object")
+            if not all(math.isfinite(cx) and math.isfinite(cy) for cx, cy in pos):
+                raise InvalidConfig(f"start_centers must be finite, got {pos!r}")
             object.__setattr__(self, "start_centers", pos)
 
 

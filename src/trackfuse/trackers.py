@@ -163,10 +163,11 @@ def _reference_boxes(state: TrackerState,
         return last
     # A CENTROID_CV4 state's extent is the size of its track's last box.
     boxes, degenerate = motion.corner_boxes(state.table["mean"], last[:, 2:] - last[:, :2], spec)
-    boxes[degenerate] = last[degenerate]
-    valid = np.isfinite(boxes).all(axis=1) & (boxes[:, 2:] > boxes[:, :2]).all(axis=1)
-    for row in np.flatnonzero(~valid)[:1]:
-        BoundingBox(*boxes[row].tolist())  # raises the InvalidValue this box gets
+    if degenerate.any():
+        boxes[degenerate] = last[degenerate]
+    if not ((boxes[:, 2:] > boxes[:, :2]).all() and np.isfinite(boxes).all()):
+        for row in boxes.tolist():
+            BoundingBox(*row)  # the first invalid box raises the InvalidValue it gets
     return boxes
 
 
@@ -245,10 +246,12 @@ def _update_rows(state: TrackerState, rows: List[int], boxes: np.ndarray,
     if not rows:
         return
     table = state.table
+    if rows == list(range(len(table["id"]))):  # the whole table in order: no gather or scatter
+        rows = slice(None)
     table["box"][rows] = boxes
     if spec is not None:
         table["mean"][rows], table["cov"][rows] = motion.update(
-            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
+            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows])
     if kind is TrackerKind.APPEARANCE:
         mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs
         table["emb"][rows] = _unit_rows(mixed)
@@ -298,8 +301,7 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: 
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
     table = state.table
     if spec is not None and len(table["id"]):
-        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec,
-                                                     table["id"].tolist())
+        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, table["id"])
 
     ref_boxes = _reference_boxes(state, spec)
     high_embs = None if embs is None else embs[high_idx]

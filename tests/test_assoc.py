@@ -149,6 +149,16 @@ def _total(values: np.ndarray, result: AssignmentResult) -> float:
     return float(sum(values[r, c] for r, c in result.matches))
 
 
+class TestCostMatrix:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_only_admissible_entries_must_be_finite(self, bad):
+        values = np.array([[0.5, bad], [0.25, 0.75]])
+        mask = np.array([[True, False], [True, True]])
+        assert CostMatrix(values, mask).shape == (2, 2)  # a gated-out entry may be anything
+        with pytest.raises(InvalidValue, match="admissible cost entries must be finite"):
+            CostMatrix(values, np.ones((2, 2), dtype=bool))
+
+
 class TestSolveAssignment:
     def test_diagonal_dominance(self):
         result = solve_assignment(_all_admissible(np.array([[1.0, 2.0], [2.0, 1.0]])))

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_write_tracks
 from trackfuse.errors import EmptyFile, InvalidValue, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import (
@@ -217,12 +219,16 @@ class TestDetectionRoundTrip:
                 assert a.gt_track == b.gt_track
 
 
+@lru_cache(maxsize=1)
+def _fused_reference_result():
+    result = run_sequence(_reference_scenario().detection_frames(),
+                          TrackerConfig(kind=TrackerKind.SORT))
+    return relabel(result, FusionMode.PROBABILITY)
+
+
 class TestWriteTracks:
     def _result(self):
-        scenario = _reference_scenario()
-        result = run_sequence(scenario.detection_frames(),
-                              TrackerConfig(kind=TrackerKind.SORT))
-        return relabel(result, FusionMode.PROBABILITY)
+        return _fused_reference_result()
 
     def test_empty_results_write_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -286,6 +292,24 @@ class TestWriteTracks:
             rows = read_tracks(csv_path)
         assert sorted(sequences) == sorted(names)
         assert [(r.seq, r.frame) for r in rows] == [(n, f) for n in sorted(names) for f in range(2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(), min_size=1, max_size=3, unique=True))
+    @example([""])
+    @example(["%s"])
+    @example(["a,b"])
+    @example(['q"'])
+    @example(["\n"])
+    @example(["\r"])
+    @example(["\r\n"])
+    @example([" pad "])
+    def test_bytes_equal_the_csv_writer_oracle(self, names):
+        results = {name: self._result() for name in names}
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+            write_tracks(results, got)
+            reference_write_tracks(results, want)
+            assert got.read_bytes() == want.read_bytes()
 
     def test_header_validation_on_read(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -31,6 +31,7 @@ from trackfuse.motion import (
     observe,
     predict,
     process_noise,
+    transition_matrix,
     update,
 )
 
@@ -299,3 +300,22 @@ class TestNoiseBuilders:
             assert rows.shape[0] == n
             for mean, row in zip(means, rows):
                 assert np.array_equal(row, reference(spec, mean))
+
+
+class TestConstants:
+    """F and H are built once per spec and shared read-only."""
+
+    @pytest.mark.parametrize("build", [transition_matrix, measurement_matrix])
+    @pytest.mark.parametrize("model", list(MotionModel))
+    def test_shared_read_only(self, build, model):
+        matrix = build(MotionModelSpec(model, dt=0.5))
+        assert np.array_equal(matrix, build(MotionModelSpec(model, dt=0.5)))
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 2.0
+        assert matrix[0, 0] == 1.0
+
+    def test_transition_moves_each_position_by_dt_times_its_velocity(self):
+        f = transition_matrix(MotionModelSpec(MotionModel.SORT_CV7, dt=0.5))
+        assert np.array_equal(f, np.eye(7) + np.diag([0.5] * 3, k=4))
+        f = transition_matrix(MotionModelSpec(MotionModel.CENTROID_CV4, dt=0.5))
+        assert np.array_equal(f, np.eye(4) + np.diag([0.5] * 2, k=2))

@@ -1,5 +1,7 @@
 """Scenario generator: determinism, corruption statistics, geometry."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,29 @@ class TestScenarioConfig:
     def test_non_finite_is_rejected(self, field, value):
         with pytest.raises(InvalidConfig, match=f"{field} must be finite"):
             ScenarioConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_size", (math.inf, math.inf)), ("image_size", (math.nan, math.nan)),
+        ("image_size", (1024, math.inf)),
+        ("speed_range", (1.0, math.inf)), ("speed_range", (math.nan, 5.0)),
+        ("speed_range", (1.0, 1e12)), ("speed_range", (1.0, 1025.0)),
+        ("velocities", ((math.inf, 0.0), (0.0, 0.0))),
+        ("velocities", ((0.0, math.nan), (0.0, 0.0))),
+        ("velocities", ((1e12, 0.0), (0.0, 0.0))), ("velocities", ((800.0, 800.0), (0.0, 0.0))),
+        ("start_centers", ((math.inf, 10.0), (10.0, 10.0))),
+        ("start_centers", ((10.0, 10.0), (10.0, math.nan))),
+    ])
+    def test_unsimulable_geometry_is_rejected(self, field, value):
+        # Generating from these would end in an OverflowError, loop in _bounce without end,
+        # or bounce off the borders many times per frame.
+        with pytest.raises(InvalidConfig, match=field):
+            ScenarioConfig(num_objects=2, **{field: value})
+
+    def test_speeds_up_to_the_smaller_side_are_accepted(self):
+        config = ScenarioConfig(num_objects=2, image_size=(300, 200), speed_range=(0.0, 200.0),
+                                velocities=((200.0, 0.0), (0.0, -200.0)),
+                                start_centers=((150.0, 100.0), (50.0, 50.0)))
+        assert generate_scenario(config).config is config
 
     def test_confidence_must_beat_uniform(self):
         with pytest.raises(InvalidConfig):

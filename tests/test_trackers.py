@@ -12,7 +12,7 @@ from oracles import (
     reference_cosine_matrix,
     reference_greedy_iou,
 )
-from trackfuse import motion
+from trackfuse import motion, trackers
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
 from trackfuse.motion import MotionModel, MotionModelSpec
@@ -486,6 +486,39 @@ class TestStepContract:
         assert len(assigned) == 2
         assert assigned[0] == 1      # spawned
         assert assigned[1] == -1     # below det_threshold_high
+
+
+class TestLinearAlgebraPerFrame:
+    """A Kalman frame checks its covariances once per filter step and solves at most once.
+
+    A guard against per-row linear algebra: frame 0 spawns both tracks with one
+    init check; each later frame predicts every row and corrects the matched
+    rows (ByteTrack's second stage included) in one batch each.
+    """
+
+    @pytest.mark.parametrize("kind", [TrackerKind.SORT, TrackerKind.BYTETRACK])
+    def test_two_cholesky_and_one_solve_per_frame(self, kind, monkeypatch):
+        frames = [(f, [_det(f, (10 + 2 * f, 10, 30 + 2 * f, 30)),
+                       _det(f, (100 + 2 * f, 50, 120 + 2 * f, 70), score=0.3 if f == 3 else 0.9)])
+                  for f in range(5)]
+        calls = {"cholesky": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_frame = []
+
+        def step(*args, _real=trackers.tracker_step, **kwargs):
+            before = dict(calls)
+            out = _real(*args, **kwargs)
+            per_frame.append(tuple(calls[name] - before[name] for name in ("cholesky", "solve")))
+            return out
+        monkeypatch.setattr(trackers, "tracker_step", step)
+        ids = trackers.track_columns(Columns.from_frames(frames), TrackerConfig(kind=kind))
+        low_track = 2 if kind is TrackerKind.BYTETRACK else -1  # stage two takes the 0.3 box
+        assert ids.tolist() == [1, 2] * 3 + [1, low_track] + [1, 2]
+        assert per_frame == [(1, 0)] + [(2, 1)] * 4
 
 
 class TestConfig:
