@@ -184,7 +184,7 @@ def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
             emb_at[:, None] + np.arange(emb_dims[seq])]
         for name in ("probs", "emb"):
             if col[name] is not None:
-                col[name].flags.writeable = False
+                col[name].setflags(write=False)
         starts = np.flatnonzero(np.diff(col["frame"], prepend=-1, append=-1))
         out[seq] = Columns(**col, frame_ids=col["frame"][starts[:-1]], starts=starts)
     return out

@@ -46,7 +46,7 @@ class ConfusionMatrix:
             raise IndexOutOfRange(f"confusion matrix must be square, got {counts.shape}")
         if np.any(counts < 0):
             raise IndexOutOfRange("confusion counts must be non-negative")
-        counts.flags.writeable = False
+        counts.setflags(write=False)
         self.counts = counts
 
     @property
@@ -90,7 +90,7 @@ class F1Scores:
 
     def __post_init__(self):
         arr = np.asarray(self.per_class, dtype=float)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "per_class", arr)
 
 

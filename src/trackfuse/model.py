@@ -26,7 +26,7 @@ PROB_FLOOR = 1e-12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -336,7 +336,7 @@ class Columns:
         embs = [det.embedding for det in dets]
         sizes = {None if emb is None else emb.size for emb in embs}
         probs = np.array([det.dist.probs for det in dets]) if dets else np.zeros((0, 1))
-        probs.flags.writeable = False
+        probs.setflags(write=False)
         return cls(
             frame=index_column([det.frame_id for det in dets]),
             box=np.array([det.bbox.as_tuple() for det in dets], dtype=float).reshape(-1, 4),
@@ -351,22 +351,19 @@ class Columns:
 
     def frames(self) -> List[Tuple[int, List["Detection"]]]:
         """(frame_id, detections) pairs whose probs and embeddings are read-only row views."""
-        out = []
-        labels = self.probs.argmax(axis=1)
-        bounds = self.starts.tolist()
-        for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:]):
-            rows = zip(range(lo, hi), self.box[lo:hi].tolist(), self.score[lo:hi].tolist(),
-                       labels[lo:hi].tolist(), self.gt_class[lo:hi].tolist(),
-                       self.gt_track[lo:hi].tolist())
-            out.append((frame_id, [unchecked(
-                Detection, frame_id=frame_id,
-                bbox=unchecked(BoundingBox, x1=box[0], y1=box[1], x2=box[2], y2=box[3]),
-                score=score, dist=unchecked(ClassDistribution, probs=self.probs[i], argmax=label),
-                embedding=None if self.emb is None else self.emb[i],
-                gt_class=None if gt_class < 0 else gt_class,
-                gt_track=None if gt_track < 0 else gt_track,
-            ) for i, box, score, label, gt_class, gt_track in rows]))
-        return out
+        rows = zip(self.frame.tolist(), *self.box.T.tolist(), self.score.tolist(),
+                   self.probs.argmax(axis=1).tolist(), self.gt_class.tolist(),
+                   self.gt_track.tolist())
+        dets = [unchecked(
+            Detection, frame_id=frame_id, bbox=unchecked(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2),
+            score=score, dist=unchecked(ClassDistribution, probs=self.probs[i], argmax=label),
+            embedding=None if self.emb is None else self.emb[i],
+            gt_class=None if gt_class < 0 else gt_class,
+            gt_track=None if gt_track < 0 else gt_track,
+        ) for i, (frame_id, x1, y1, x2, y2, score, label, gt_class, gt_track) in enumerate(rows)]
+        bounds = self.starts.tolist()  # a slice is exact-size; appending over-allocates
+        return [(frame_id, dets[lo:hi])
+                for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:])]
 
 
 def track_runs(track: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

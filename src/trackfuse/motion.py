@@ -70,7 +70,7 @@ class MotionModelSpec:
         f[np.arange(d - o), np.arange(o, d)] = self.dt  # position i moves by dt * velocity i + o
         for name, matrix in (("_f", f), ("_h", np.eye(o, d)), ("_eye", np.eye(d)),
                              ("_psd_shift", PSD_TOLERANCE * np.eye(d))):
-            matrix.flags.writeable = False
+            matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
 
     @property

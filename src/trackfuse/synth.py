@@ -6,20 +6,20 @@ center jitter, scores are uniform in ``score_range``, and the class
 distribution is drawn from a symmetric flicker model: with probability
 1 - flicker the mass ``confidence`` sits on the true class, otherwise on a
 uniformly chosen wrong class, the remainder spread evenly.  Everything is a
-pure function of (config, seed).
+pure function of (config, seed).  A scenario's detections are one
+:class:`~trackfuse.model.Columns` record, as ``io.read_columns`` gives for a file.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidConfig
-from .model import BoundingBox, ClassDistribution, Detection, LabelSet, validate_distribution
+from .errors import InvalidConfig, InvalidValue
+from .model import Columns, Detection, LabelSet, validate_distributions
 
 
 @dataclass(frozen=True)
@@ -84,51 +84,33 @@ class ScenarioConfig:
             pos = tuple((float(cx), float(cy)) for cx, cy in self.start_centers)
             if len(pos) != self.num_objects:
                 raise InvalidConfig("start_centers must list one (cx, cy) per object")
-            if not all(math.isfinite(cx) and math.isfinite(cy) for cx, cy in pos):
-                raise InvalidConfig(f"start_centers must be finite, got {pos!r}")
+            if not all(0.0 <= cx <= w and 0.0 <= cy <= h for cx, cy in pos):  # False for NaN
+                raise InvalidConfig(f"start_centers must lie in [0, {w}] x [0, {h}], got {pos!r}")
             object.__setattr__(self, "start_centers", pos)
-
-
-@dataclass(frozen=True)
-class TruthBox:
-    """Ground-truth state of one object in one frame."""
-
-    bbox: BoundingBox
-    class_id: int
-    track_id: int
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """One generated sequence: its config, label set and detections as one column record."""
+
     config: ScenarioConfig
     label_set: LabelSet
-    ground_truth: Tuple[Tuple[TruthBox, ...], ...]
-    detections: Tuple[Tuple[Detection, ...], ...]
+    columns: Columns
 
     def detection_frames(self) -> List[Tuple[int, List[Detection]]]:
-        """Per-frame detection lists in tracker input form."""
-        return [(f, list(dets)) for f, dets in enumerate(self.detections)]
+        """Per-frame detection lists in tracker input form, frames without detections included."""
+        return self.columns.frames()
 
 
-def corrupt_distribution(true_class: int, config: ScenarioConfig,
-                         rng: np.random.Generator) -> ClassDistribution:
-    """Flicker model: confidence mass on the true class, or on a random wrong one."""
+def flicker_class(true_class: int, config: ScenarioConfig, rng: np.random.Generator) -> int:
+    """The flicker draw: ``true_class``, or with probability ``flicker`` a random wrong class."""
     n = config.n_classes
     if not 0 <= true_class < n:
         raise InvalidConfig(f"true_class {true_class} outside [0, {n})")
-    target = true_class
     if rng.random() < config.flicker:
         wrong = int(rng.integers(0, n - 1))
-        target = wrong + (wrong >= true_class)
-    return _flicker_distribution(target, n, config.confidence)
-
-
-@lru_cache(maxsize=1024)
-def _flicker_distribution(target: int, n: int, confidence: float) -> ClassDistribution:
-    """``confidence`` on ``target``, the rest spread evenly; validated once per argument triple."""
-    probs = np.full(n, (1.0 - confidence) / (n - 1))
-    probs[target] = confidence
-    return validate_distribution(probs, n)
+        return wrong + (wrong >= true_class)
+    return true_class
 
 
 def _bounce(pos: float, vel: float, lo: float, hi: float) -> Tuple[float, float]:
@@ -170,42 +152,42 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
         protos *= config.embedding_separation
 
-    ground_truth: List[Tuple[TruthBox, ...]] = []
-    detections: List[Tuple[Detection, ...]] = []
+    # One row per detection, in frame order and object order within a frame.
+    frame, box, score, label, obj, emb = [], [], [], [], [], []
     for frame_id in range(config.num_frames):
-        truth_frame = []
-        det_frame = []
         for k in range(n):
             w, h = sizes[k]
             if frame_id > 0:
                 centers[k, 0], vel[k, 0] = _bounce(centers[k, 0], vel[k, 0], w / 2.0, img_w - w / 2.0)
                 centers[k, 1], vel[k, 1] = _bounce(centers[k, 1], vel[k, 1], h / 2.0, img_h - h / 2.0)
-            cx, cy = centers[k]
-            gt_box = BoundingBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
-            truth_frame.append(TruthBox(gt_box, int(classes[k]), k + 1))
-
             if rng.random() < config.dropout:
                 continue
+            cx, cy = centers[k]
             jx, jy = rng.normal(0.0, config.jitter, size=2) if config.jitter > 0 else (0.0, 0.0)
-            det_box = BoundingBox(
-                gt_box.x1 + jx, gt_box.y1 + jy, gt_box.x2 + jx, gt_box.y2 + jy
-            )
-            score = float(rng.uniform(config.score_range[0], config.score_range[1]))
-            dist = corrupt_distribution(int(classes[k]), config, rng)
-            emb = None
+            box.append((cx - w / 2.0 + jx, cy - h / 2.0 + jy, cx + w / 2.0 + jx, cy + h / 2.0 + jy))
+            score.append(rng.uniform(config.score_range[0], config.score_range[1]))
+            label.append(flicker_class(int(classes[k]), config, rng))
             if protos is not None:
-                emb = protos[k] + rng.normal(size=config.embedding_dim)
-            det_frame.append(Detection(
-                frame_id=frame_id, bbox=det_box, score=score, dist=dist,
-                embedding=emb, gt_class=int(classes[k]), gt_track=k + 1,
-            ))
-        ground_truth.append(tuple(truth_frame))
-        detections.append(tuple(det_frame))
+                emb.append(protos[k] + rng.normal(size=config.embedding_dim))
+            frame.append(frame_id)
+            obj.append(k)
 
-    names = [f"class_{i:02d}" for i in range(config.n_classes)]
-    return Scenario(
-        config=config,
-        label_set=LabelSet(names),
-        ground_truth=tuple(ground_truth),
-        detections=tuple(detections),
+    box = np.array(box, dtype=float).reshape(-1, 4)
+    if not (np.isfinite(box).all() and (box[:, 2:] > box[:, :2]).all()):
+        raise InvalidValue(f"jitter {config.jitter!r} moved a box beyond float range or precision")
+    c = config.n_classes  # row t: ``confidence`` on class t, the rest spread evenly
+    flicker_table = np.full((c, c), (1.0 - config.confidence) / (c - 1))
+    np.fill_diagonal(flicker_table, config.confidence)
+    probs = validate_distributions(flicker_table, c)[np.array(label, dtype=np.int64)]
+    emb = None if protos is None else np.array(emb, dtype=float).reshape(-1, config.embedding_dim)
+    for column in (probs, emb):
+        if column is not None:
+            column.setflags(write=False)
+    frame, obj = np.array(frame, dtype=np.int64), np.array(obj, dtype=np.int64)
+    columns = Columns(
+        frame=frame, box=box, score=np.array(score, dtype=float), probs=probs, emb=emb,
+        gt_class=classes[obj], gt_track=obj + 1, frame_ids=np.arange(config.num_frames),
+        starts=np.searchsorted(frame, np.arange(config.num_frames + 1)),
     )
+    names = [f"class_{i:02d}" for i in range(config.n_classes)]
+    return Scenario(config=config, label_set=LabelSet(names), columns=columns)

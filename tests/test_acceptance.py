@@ -51,7 +51,7 @@ def criterion(num: int, title: str):
 def reference_runs():
     """Reference scenario tracked by every kind, unfused and with both fusion modes."""
     scenario = generate_scenario(REFERENCE_CONFIG)
-    cols = Columns.from_frames(scenario.detection_frames())
+    cols = scenario.columns
     start = time.perf_counter()
     runs = {}
     for kind in TrackerKind:

@@ -10,7 +10,6 @@ from trackfuse.errors import EmptyTrack
 from trackfuse.fusion import FusionMode, _running, fuse, relabel
 from trackfuse.model import (
     BoundingBox,
-    Columns,
     Detection,
     DetectionLabel,
     SequenceResult,
@@ -286,9 +285,10 @@ class TestColumns:
     def test_fuse_equals_relabel(self, mode, online):
         config = ScenarioConfig(seed=8, num_objects=4, num_frames=50, n_classes=4, flicker=0.4,
                                 dropout=0.2, jitter=3.0, confidence=0.6)
-        frames = generate_scenario(config).detection_frames()
-        base = run_sequence(frames, TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
-        result = fuse(Columns.from_frames(frames),
+        scenario = generate_scenario(config)
+        base = run_sequence(scenario.detection_frames(),
+                            TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
+        result = fuse(scenario.columns,
                       np.array([-1 if r.track_id is None else r.track_id for r in base.per_frame]),
                       mode, online)
         want = reference_relabel(base, mode, online)

@@ -17,7 +17,7 @@ from trackfuse.metrics import (
     label_flip_rate,
 )
 from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
-from trackfuse.synth import ScenarioConfig, corrupt_distribution, generate_scenario
+from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
 # Five hand-tabulated pairs: gt 0 predicted 0 and 1; gt 1 predicted 1 twice;
@@ -146,22 +146,21 @@ class TestF1:
             assert scores.weighted == pytest.approx(scores.macro, abs=1e-12)
 
 
-def _tracked(frames, mode=FusionMode.NONE):
-    """``frames`` tracked by the IoU tracker and fused with ``mode``."""
-    cols = Columns.from_frames(frames)
+def _tracked(cols, mode=FusionMode.NONE):
+    """``cols`` tracked by the IoU tracker and fused with ``mode``."""
     return fuse(cols, track_columns(cols, TrackerConfig(kind=TrackerKind.IOU)), mode)
 
 
-def _flicker_frames(flicker=0.3, frames=2000, n_classes=10, seed=42):
+def _flicker_columns(flicker=0.3, frames=2000, n_classes=10, seed=42):
     config = ScenarioConfig(seed=seed, num_objects=1, num_frames=frames,
                             n_classes=n_classes, flicker=flicker, confidence=0.8,
                             size_range=(40.0, 40.0))
-    return generate_scenario(config).detection_frames()
+    return generate_scenario(config).columns
 
 
 class TestLabelFlipRate:
     def test_fused_labels_never_flip(self):
-        result = _tracked(_flicker_frames(), FusionMode.PROBABILITY)
+        result = _tracked(_flicker_columns(), FusionMode.PROBABILITY)
         assert label_flip_rate(result, use_fused=True) == 0.0
 
     def test_alternating_labels_always_flip(self):
@@ -176,7 +175,7 @@ class TestLabelFlipRate:
             frames.append((f, [type(det)(frame_id=f, bbox=det.bbox, score=det.score,
                                          dist=type(det.dist)(np.array(probs)),
                                          embedding=det.embedding)]))
-        assert label_flip_rate(_tracked(frames), use_fused=False) == 1.0
+        assert label_flip_rate(_tracked(Columns.from_frames(frames)), use_fused=False) == 1.0
 
     def test_track_boundaries_are_not_flips(self):
         # Two constant tracks with different labels: no pair crosses between them.
@@ -184,13 +183,13 @@ class TestLabelFlipRate:
             return Detection(f, BoundingBox(x, 0, x + 20, 20), 0.9, validate_distribution(probs, 2))
 
         frames = [(f, [det(f, 0, [0.9, 0.1]), det(f, 500, [0.2, 0.8])]) for f in range(3)]
-        result = _tracked(frames)
+        result = _tracked(Columns.from_frames(frames))
         assert result.track.tolist() == [1, 2] * 3 and result.raw.tolist() == [0, 1] * 3
         assert label_flip_rate(result, use_fused=False) == 0.0
 
     def test_raw_flip_rate_matches_corruption_model(self):
         phi, n_classes = 0.3, 10
-        result = _tracked(_flicker_frames(flicker=phi, frames=20_000, n_classes=n_classes))
+        result = _tracked(_flicker_columns(flicker=phi, frames=20_000, n_classes=n_classes))
         want = 2 * phi * (1 - phi) + phi * phi * (n_classes - 2) / (n_classes - 1)
         got = label_flip_rate(result, use_fused=False)
         assert got == pytest.approx(want, abs=0.02)
@@ -198,13 +197,13 @@ class TestLabelFlipRate:
         config = ScenarioConfig(seed=1, num_objects=1, num_frames=2, n_classes=n_classes,
                                 flicker=phi, confidence=0.8)
         rng = np.random.default_rng(123)
-        labels = [corrupt_distribution(0, config, rng).argmax for _ in range(100_000)]
+        labels = [flicker_class(0, config, rng) for _ in range(100_000)]
         mc = np.mean([a != b for a, b in zip(labels, labels[1:])])
         assert got == pytest.approx(mc, abs=0.02)
 
     def test_no_eligible_tracks(self):
         config = ScenarioConfig(seed=3, num_objects=1, num_frames=1)
-        result = _tracked(generate_scenario(config).detection_frames())
+        result = _tracked(generate_scenario(config).columns)
         with pytest.raises(NoEligibleTracks):
             label_flip_rate(result, use_fused=False)
 

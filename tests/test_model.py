@@ -1,5 +1,8 @@
 """Core type validation and the distribution flooring contract."""
 
+import gc
+import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -183,6 +186,30 @@ class TestClassDistribution:
         d = validate_distribution([0.3, 0.7], 2)
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_marking_read_only_leaves_nothing_in_the_type_cache(self):
+        # ``arr.flags.writeable = False`` looks ``setflags`` up through a new name string on
+        # every call, and CPython's type cache keeps such strings, one per cache slot their
+        # addresses hash to: memory that outlives the call, a different amount in each
+        # process.  Clearing the cache frees exactly those strings.  A first round fills
+        # caches once; the collector is off because its callbacks (Hypothesis installs
+        # one) allocate too.
+        rows = [np.full(2, 0.5) for _ in range(2000)]
+        for row in rows:
+            validate_distribution(row, 2)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for row in rows:
+                validate_distribution(row, 2)
+            held = tracemalloc.get_traced_memory()[0]
+            sys._clear_type_cache()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert freed <= 0  # clearing may allocate a little itself
 
     def test_argmax_tie_breaks_low(self):
         d = validate_distribution([0.5, 0.5], 2)
