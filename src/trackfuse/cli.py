@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from . import io
 from .camtrap import TriggerConfig, trigger_bursts
 from .errors import EmptyEvaluation, InvalidConfig, NoEligibleTracks, ParseError, TrackfuseError
-from .fusion import FusionMode, fuse
-from .fusion import relabel  # noqa: F401  the object form, traced by perfbench
+from .fusion import FusionMode, relabel
 from .metrics import (
     NULL_TIMER,
     STAGE_FUSION,
@@ -32,7 +31,7 @@ from .metrics import (
 from .model import ColumnResult, Columns, LabelSet, index_value
 from .synth import ScenarioConfig, generate_scenario
 from .trackers import TrackerConfig, TrackerKind, track_columns
-from .trackers import run_sequence  # noqa: F401  the object form, traced by perfbench
+from .trackers import run_sequence  # noqa: F401  a trace target; never called (see ROADMAP item 7)
 
 TRACKER_NAMES = [k.value for k in TrackerKind]
 FUSION_NAMES = [m.value for m in FusionMode]
@@ -133,7 +132,7 @@ def _run_all(sequences: Dict[str, Columns], config: TrackerConfig, mode: FusionM
         with timer.stage(STAGE_MOT):
             track = track_columns(sequences[seq], config, timer)
         with timer.stage(STAGE_FUSION):
-            results[seq] = fuse(sequences[seq], track, mode, online=online)
+            results[seq] = relabel(sequences[seq], track, mode, online=online)
     return results
 
 
@@ -249,7 +248,7 @@ def _write_json(path, payload) -> None:
 
 def _cmd_track(args) -> int:
     label_set, results = _track_and_fuse(args)
-    io.write_columns(results, args.output)
+    io.write_tracks(results, args.output)
     if args.metrics_out:
         _write_json(args.metrics_out, _metrics_report(
             results, label_set, include_unmatched=not args.matched_only,
@@ -271,17 +270,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench(args) -> int:
     label_set = io.read_labels(args.labels)
-    try:
-        kinds = [TrackerKind(name.strip()) for name in args.trackers.split(",") if name.strip()]
+    try:  # a tracker named twice runs once
+        kinds = list(dict.fromkeys(TrackerKind(name.strip())
+                                   for name in args.trackers.split(",") if name.strip()))
     except ValueError as exc:
         raise InvalidConfig(f"unknown tracker in --trackers: {exc}") from None
     # Ingest does not depend on the tracker: it is timed once and shared by every profile.
     ingest_timer = StageTimer()
     sequences = io.read_columns(args.input, label_set, timer=ingest_timer)
     samples = sum(len(cols.frame_ids) for cols in sequences.values())
-    if any(cols.emb is None for cols in sequences.values()):
+    bare = [seq for seq, cols in sequences.items() if cols.emb is None]
+    if bare and TrackerKind.APPEARANCE in kinds:
         # Appearance association is meaningless without embeddings; skip it.
-        kinds = [k for k in kinds if k is not TrackerKind.APPEARANCE]
+        print(f"note: skipping appearance: sequence {bare[0]!r} has no embeddings", file=sys.stderr)
+        kinds.remove(TrackerKind.APPEARANCE)
 
     totals_ms: Dict[str, Dict[str, float]] = {}
     for kind in kinds:

@@ -38,10 +38,6 @@ class NumericalBreakdown(TrackfuseError):
     """A Kalman covariance lost positive semi-definiteness beyond tolerance."""
 
 
-class EmptyTrack(TrackfuseError):
-    """A track-level operation was applied to a track with no entries."""
-
-
 class IndexOutOfRange(TrackfuseError):
     """A class index exceeds the label-set size."""
 

@@ -5,33 +5,25 @@ product, computed as a sum of log probabilities so long tracks never
 underflow.  The consensus label is the argmax of that log sum; relabeling
 retroactively overrides every frame of the track with it.
 
-:func:`fuse` takes ``np.log`` of a sequence's whole ``probs`` block once and
-sums rank by rank over all tracks laid out in (track, frame) order, so each
-track adds in the order of its own ``np.cumsum``; ``np.add.reduceat`` would
-not match it bit for bit.  :func:`relabel` is its object form.
+:func:`relabel` takes ``np.log`` of a sequence's whole ``probs`` block once
+and sums rank by rank over all tracks laid out in (track, frame) order, so
+each track adds in the order of its own ``np.cumsum``; ``np.add.reduceat``
+would not match it bit for bit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import EmptyTrack
-from .model import ColumnResult, Columns, DetectionLabel, SequenceResult, Track, track_runs
+from .model import ColumnResult, Columns, track_runs
 
 
 class FusionMode(Enum):
     PROBABILITY = "prob"
     MAJORITY = "vote"
     NONE = "none"
-
-
-def _entries(track: Track):
-    if not track.entries:
-        raise EmptyTrack(f"track {track.id} has no entries")
-    return track.entries
 
 
 def _running(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -66,8 +58,8 @@ def _track_labels(probs: np.ndarray, starts: np.ndarray, mode: FusionMode,
     return np.repeat(labels[ends - 1], ends - starts)
 
 
-def fuse(cols: Columns, track: np.ndarray, mode: FusionMode,
-         online: bool = False) -> ColumnResult:
+def relabel(cols: Columns, track: np.ndarray, mode: FusionMode,
+            online: bool = False) -> ColumnResult:
     """A tracked sequence with each track's fused labels on its rows.
 
     Retroactive by default; with ``online`` a row's label uses rows up to its
@@ -80,20 +72,3 @@ def fuse(cols: Columns, track: np.ndarray, mode: FusionMode,
         fused = raw.copy()
         fused[order] = _track_labels(cols.probs[order], starts, mode, online)
     return ColumnResult(cols, track, raw, fused, runs)
-
-
-def relabel(result: SequenceResult, mode: FusionMode, online: bool = False) -> SequenceResult:
-    """:func:`fuse` over a SequenceResult's tracks: their entries, in order, are the rows."""
-    fused: Dict[Tuple[int, int], int] = {}
-    if mode is not FusionMode.NONE and result.tracks:
-        entries = [(t.id, e) for t in result.tracks for e in _entries(t)]
-        starts = np.cumsum([0] + [len(t.entries) for t in result.tracks[:-1]])
-        labels = _track_labels(np.array([e.dist.probs for _, e in entries]), starts, mode, online)
-        fused = {(track_id, e.frame_id): label
-                 for (track_id, e), label in zip(entries, labels.tolist())}
-    per_frame = tuple(
-        DetectionLabel(rec.detection, rec.track_id,
-                       fused.get((rec.track_id, rec.frame_id), rec.raw_label))
-        for rec in result.per_frame
-    )
-    return SequenceResult(tracks=result.tracks, per_frame=per_frame)

@@ -7,9 +7,10 @@ round-trip form), so writing and re-parsing reproduces values exactly.
 
 :func:`read_columns` fills one :class:`~trackfuse.model.Columns` record per
 sequence from 256-line chunks, checking each line's fields as it is read and
-a chunk's probability rows and embeddings in one batch; :func:`write_columns`
-writes the track CSV from ``tolist()`` of result columns.  Their object forms,
-:func:`parse_detections` and :func:`write_tracks`, are adapters over them.
+a chunk's probability rows and embeddings in one batch; :func:`write_tracks`
+writes the track CSV from ``tolist()`` of each sequence's
+:class:`~trackfuse.model.ColumnResult`.  :func:`parse_detections` gives the
+sequences as Detection lists, the input form of ``trackers.run_sequence``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ import numpy as np
 
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
-from .model import BoundingBox, ColumnResult, Columns, Detection, LabelSet, SequenceResult
+from .model import BoundingBox, ColumnResult, Columns, Detection, LabelSet
 from .model import embedding_value, index_column, index_value, score_value, validate_distributions
 from .model import validate_distribution  # noqa: F401  the one-row form, importable here as before
-
-Sequences = Dict[str, List[Tuple[int, List[Detection]]]]
 
 TRACK_CSV_HEADER = "frame,track_id,x,y,w,h,score,fused_class,raw_class,seq"
 
@@ -190,7 +189,8 @@ def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
     return out
 
 
-def parse_detections(path, label_set: LabelSet, timer=NULL_TIMER) -> Sequences:
+def parse_detections(path, label_set: LabelSet,
+                     timer=NULL_TIMER) -> Dict[str, List[Tuple[int, List[Detection]]]]:
     """:func:`read_columns` as per-sequence, frame-sorted Detection lists, with its errors.
 
     Each Detection's probs and embedding are read-only views of its row.
@@ -363,7 +363,7 @@ class TrackRow:
     seq: str
 
 
-def write_columns(results: Mapping[str, ColumnResult], path) -> None:
+def write_tracks(results: Mapping[str, ColumnResult], path) -> None:
     """Write every row with a track as CSV, ordered by (seq, frame, track_id)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACK_CSV_HEADER + "\n")
@@ -390,11 +390,6 @@ def _row_format(seq: str) -> str:
     csv.writer(buf, lineterminator="\n", quoting=quoting).writerow(
         ["%r"] * 9 + [seq.replace("%", "%%")])
     return buf.getvalue()
-
-
-def write_tracks(results: Mapping[str, SequenceResult], path) -> None:
-    """:func:`write_columns` of SequenceResults: matched detections as CSV."""
-    write_columns({seq: ColumnResult.of(result) for seq, result in results.items()}, path)
 
 
 def read_tracks(path) -> List[TrackRow]:

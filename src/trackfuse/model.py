@@ -1,11 +1,10 @@
-"""Core value types: label sets, boxes, class distributions, tracks, results.
+"""Core value types: label sets, boxes, class distributions, detections, sequence columns.
 
 All types here are immutable after construction (frozen dataclasses, read-only
-numpy arrays).  `track`, `eval` and `bench` carry a sequence as one
-:class:`Columns` record and its outcome as one :class:`ColumnResult`; the
-per-detection types (:class:`Detection`, :class:`Track`,
-:class:`SequenceResult`, ...) are the library's object form, built from and
-turned into columns by ``Columns.from_frames`` and ``Columns.frames``.
+numpy arrays).  A sequence is one :class:`Columns` record and its tracked,
+fused outcome one :class:`ColumnResult`.  :class:`Detection` is the library's
+per-detection input form, turned into columns by ``Columns.from_frames`` and
+built from them by ``Columns.frames``.
 """
 
 from __future__ import annotations
@@ -247,61 +246,6 @@ class Detection:
                 object.__setattr__(self, name, index_value(v, name))
 
 
-@dataclass(frozen=True, eq=False)
-class Track:
-    """An identity's trajectory: the detections matched to it, in frame order."""
-
-    id: int
-    entries: Tuple[Detection, ...]
-
-    def __post_init__(self):
-        if self.id < 1:
-            raise InvalidValue(f"track id must be a positive integer, got {self.id!r}")
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
-        frames = [e.frame_id for e in entries]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise InvalidValue(f"track {self.id}: entry frame ids must be strictly increasing")
-
-
-@dataclass(frozen=True, eq=False)
-class DetectionLabel:
-    """Per-detection outcome: assignment plus fused class label; the rest is the detection's."""
-
-    detection: Detection
-    track_id: Optional[int]
-    fused_label: int
-
-    @property
-    def frame_id(self) -> int:
-        return self.detection.frame_id
-
-    @property
-    def raw_label(self) -> int:
-        return self.detection.dist.argmax
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceResult:
-    """Everything a tracker run produces for one sequence: tracks + per-detection labels."""
-
-    tracks: Tuple[Track, ...]
-    per_frame: Tuple[DetectionLabel, ...]
-
-    def __post_init__(self):
-        tracks = tuple(self.tracks)
-        per_frame = tuple(self.per_frame)
-        object.__setattr__(self, "tracks", tracks)
-        object.__setattr__(self, "per_frame", per_frame)
-        ids = [t.id for t in tracks]
-        if len(set(ids)) != len(ids):
-            raise InvalidValue("track ids must be unique within a sequence result")
-        known = set(ids)
-        for rec in per_frame:
-            if rec.track_id is not None and rec.track_id not in known:
-                raise InvalidValue(f"per-frame record references unknown track {rec.track_id}")
-
-
 def index_column(values) -> np.ndarray:
     """Non-negative ids (or -1) as an int64 column; ids past int64 keep Python ints."""
     try:
@@ -392,12 +336,3 @@ class ColumnResult:
     def __post_init__(self):
         if self.runs is None:
             object.__setattr__(self, "runs", track_runs(self.track))
-
-    @classmethod
-    def of(cls, result: "SequenceResult") -> "ColumnResult":
-        """The columns of a SequenceResult's per-detection records, in their order."""
-        recs = result.per_frame
-        return cls(Columns.from_frames([(rec.frame_id, [rec.detection]) for rec in recs]),
-                   np.array([-1 if r.track_id is None else r.track_id for r in recs], dtype=int),
-                   np.array([rec.raw_label for rec in recs], dtype=int),
-                   np.array([rec.fused_label for rec in recs], dtype=int))

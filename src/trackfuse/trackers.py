@@ -10,9 +10,9 @@ but never start them.
 :func:`track_columns` runs a sequence's :class:`~trackfuse.model.Columns`
 record: each :func:`tracker_step` takes one frame's slices of the ``box``,
 ``score`` and ``emb`` columns, and the run returns one track id per row, -1
-for a row no emitted track holds.  :func:`run_sequence` is its object form,
-an adapter that builds the columns from (frame_id, Detection list) pairs
-and the Track objects from the ids.
+for a row no emitted track holds.  :func:`run_sequence` takes (frame_id,
+Detection list) pairs instead and returns a
+:class:`~trackfuse.model.ColumnResult`.
 """
 
 from __future__ import annotations
@@ -27,15 +27,7 @@ import numpy as np
 from . import assoc, motion
 from .errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from .metrics import NULL_TIMER, STAGE_REID_COST
-from .model import (
-    BoundingBox,
-    Columns,
-    Detection,
-    DetectionLabel,
-    SequenceResult,
-    Track,
-    config_number,
-)
+from .model import BoundingBox, ColumnResult, Columns, Detection, config_number
 
 EMBEDDING_SMOOTHING = 0.9
 # Exponential moving average factor for a track's appearance embedding.
@@ -365,11 +357,10 @@ def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.
 
 
 def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
-                 config: TrackerConfig, timer=NULL_TIMER) -> SequenceResult:
-    """:func:`track_columns` of (frame_id, detections) pairs, as a SequenceResult.
+                 config: TrackerConfig, timer=NULL_TIMER) -> ColumnResult:
+    """:func:`track_columns` of (frame_id, detections) pairs, one row per detection in order.
 
-    Each track's entries are the detections assigned its id.  Fused labels
-    start out equal to raw labels; apply ``fusion.relabel`` afterwards.
+    Fused labels equal raw labels; ``fusion.relabel(res.cols, res.track, ...)`` fuses them.
 
     Raises:
         InvalidValue: a detection's own frame_id is not its frame's.
@@ -379,13 +370,6 @@ def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
         for det in dets:
             if det.frame_id != frame_id:
                 raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
-    dets = [det for _, group in frames for det in group]
-    ids = track_columns(Columns.from_frames(frames), config, timer).tolist()
-    entries: Dict[int, List[Detection]] = {}
-    for det, track_id in zip(dets, ids):
-        if track_id >= 0:
-            entries.setdefault(track_id, []).append(det)
-    tracks = tuple(Track(i, tuple(group)) for i, group in sorted(entries.items()))
-    per_frame = tuple(DetectionLabel(det, track_id if track_id >= 0 else None, det.dist.argmax)
-                      for det, track_id in zip(dets, ids))
-    return SequenceResult(tracks=tracks, per_frame=per_frame)
+    cols = Columns.from_frames(frames)
+    raw = cols.probs.argmax(axis=1)
+    return ColumnResult(cols, track_columns(cols, config, timer), raw, raw)

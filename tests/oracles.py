@@ -18,7 +18,7 @@ import csv
 import itertools
 import json
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -27,16 +27,14 @@ import trackfuse.motion as motion
 import trackfuse.trackers as trackers
 from trackfuse.assoc import AssignmentResult, CostMatrix, iou_matrix, solve_assignment
 from trackfuse.errors import (
-    DegenerateSum, EmptyEvaluation, EmptyFile, EmptyTrack, IndexOutOfRange, InvalidValue,
+    DegenerateSum, EmptyEvaluation, EmptyFile, IndexOutOfRange, InvalidValue,
     MissingEmbedding, NoEligibleTracks, OutOfOrderFrame, ParseError, SchemaError,
     TrackfuseError, WrongLength,
 )
 from trackfuse.fusion import FusionMode
 from trackfuse.io import _require_numbers, open_text, read_labels, sequence_name
 from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
-from trackfuse.model import (
-    PROB_FLOOR, BoundingBox, ClassDistribution, Detection, DetectionLabel, SequenceResult, Track,
-)
+from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
 from trackfuse.trackers import TrackerKind
 
 SENTINEL = 1e9
@@ -560,8 +558,64 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
 
 # The object path of `track` and `eval`, as the library ran it before its
 # columnar form: one Detection per row, one tracker_step per frame over
-# Detection lists, Track and DetectionLabel objects, per-track fusion and
-# per-record metrics.  ``reference_track_outputs`` runs it end to end.
+# Detection lists, track and label records of its own (RefTrack, RefLabel,
+# RefResult), per-track fusion and per-record metrics.
+# ``reference_track_outputs`` runs it end to end.
+
+class RefTrack(NamedTuple):
+    """An identity's trajectory: its id and the detections matched to it, in frame order."""
+
+    id: int
+    entries: Tuple[Detection, ...]
+
+
+class RefLabel(NamedTuple):
+    """One detection's outcome: its track id (None for none) and fused class label."""
+
+    detection: Detection
+    track_id: Optional[int]
+    fused_label: int
+
+    @property
+    def frame_id(self) -> int:
+        return self.detection.frame_id
+
+    @property
+    def raw_label(self) -> int:
+        return self.detection.dist.argmax
+
+
+class RefResult(NamedTuple):
+    """One sequence on the object path: its tracks, and one RefLabel per detection in order."""
+
+    tracks: Tuple[RefTrack, ...]
+    per_frame: Tuple[RefLabel, ...]
+
+
+def reference_result(result) -> RefResult:
+    """The object form of a ``ColumnResult``: its rows as Detections, grouped by track id."""
+    dets = [det for _, group in result.cols.frames() for det in group]
+    ids = result.track.tolist()
+    entries = {}
+    for det, track_id in zip(dets, ids):
+        if track_id >= 0:
+            entries.setdefault(track_id, []).append(det)
+    return RefResult(tuple(RefTrack(i, tuple(group)) for i, group in sorted(entries.items())),
+                     tuple(RefLabel(det, None if track_id < 0 else track_id, label)
+                           for det, track_id, label in zip(dets, ids, result.fused.tolist())))
+
+
+def track_rows(result) -> List[np.ndarray]:
+    """Each track's rows of a ``ColumnResult`` in frame order, tracks by ascending id."""
+    order, starts = result.runs
+    return [order[lo:hi] for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)])]
+
+
+def track_frames(result) -> Dict[int, Tuple[int, ...]]:
+    """Track id -> the frame ids of its rows in order, for each track of a ``ColumnResult``."""
+    return {int(result.track[rows[0]]): tuple(result.cols.frame[rows].tolist())
+            for rows in track_rows(result)}
+
 
 def _reference_geometric_cost(kind, boxes, dets, config, embs=None):
     """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against ``dets``."""
@@ -698,7 +752,7 @@ def reference_tracker_step(state, frame_id, detections, config):
 
 
 def reference_run_sequence(frames, config):
-    """A SequenceResult of ``frames``, tracked one reference_tracker_step per frame."""
+    """A RefResult of ``frames``, tracked one reference_tracker_step per frame."""
     state = trackers.TrackerState()
     records = []
     for frame_id, dets in frames:
@@ -709,17 +763,15 @@ def reference_run_sequence(frames, config):
     for det, track_id in records:
         if track_id is not None:
             entries.setdefault(track_id, []).append(det)
-    tracks = tuple(Track(i, tuple(dets)) for i, dets in sorted(entries.items())
+    tracks = tuple(RefTrack(i, tuple(dets)) for i, dets in sorted(entries.items())
                    if len(dets) >= config.min_hits)
     kept = {t.id for t in tracks}
-    per_frame = tuple(DetectionLabel(det, track_id if track_id in kept else None, det.dist.argmax)
+    per_frame = tuple(RefLabel(det, track_id if track_id in kept else None, det.dist.argmax)
                       for det, track_id in records)
-    return SequenceResult(tracks=tracks, per_frame=per_frame)
+    return RefResult(tracks, per_frame)
 
 
 def _reference_running_labels(track, mode):
-    if not track.entries:
-        raise EmptyTrack(f"track {track.id} has no entries")
     if mode is FusionMode.PROBABILITY:
         return np.argmax(np.cumsum([np.log(e.dist.probs) for e in track.entries], axis=0), axis=1)
     probs = np.array([e.dist.probs for e in track.entries])
@@ -737,15 +789,15 @@ def reference_relabel(result, mode, online=False):
             for k, e in enumerate(t.entries):
                 fused[t.id, e.frame_id] = labels[k if online else -1]
     per_frame = tuple(
-        DetectionLabel(rec.detection, rec.track_id,
-                       fused.get((rec.track_id, rec.frame_id), rec.raw_label))
+        RefLabel(rec.detection, rec.track_id,
+                 fused.get((rec.track_id, rec.frame_id), rec.raw_label))
         for rec in result.per_frame
     )
-    return SequenceResult(tracks=result.tracks, per_frame=per_frame)
+    return RefResult(result.tracks, per_frame)
 
 
 def reference_write_tracks(results, path):
-    """The track CSV of SequenceResults, one tuple per matched record."""
+    """The track CSV of RefResults, one tuple per matched record."""
     rows = []
     for seq in sorted(results):
         for rec in results[seq].per_frame:
@@ -808,7 +860,7 @@ def reference_evaluation_pairs(results, use_fused, include_unmatched=True):
 
 def reference_metrics_report(results, label_set, include_unmatched, with_flip_rate,
                              with_per_class):
-    """The metrics JSON payload of SequenceResults, from per-record pairs."""
+    """The metrics JSON payload of RefResults, from per-record pairs."""
     report = {}
     fused_cm = None
     for key, use_fused in (("raw", False), ("fused", True)):

@@ -16,7 +16,7 @@ from oracles import oracle_predict, oracle_update, random_box, random_simplex, r
 from trackfuse.assoc import CostMatrix, solve_assignment
 from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, trigger_bursts
 from trackfuse.cli import main as cli_main
-from trackfuse.fusion import FusionMode, fuse
+from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import parse_detections, write_detections
 from trackfuse.metrics import (
     ConfusionMatrix,
@@ -56,7 +56,7 @@ def reference_runs():
     runs = {}
     for kind in TrackerKind:
         track = track_columns(cols, TrackerConfig(kind=kind))
-        runs[kind] = {name: fuse(cols, track, mode) for name, mode in (
+        runs[kind] = {name: relabel(cols, track, mode) for name, mode in (
             ("base", FusionMode.NONE), ("prob", FusionMode.PROBABILITY),
             ("vote", FusionMode.MAJORITY))}
     elapsed = time.perf_counter() - start
@@ -113,7 +113,7 @@ def test_criterion_2_fusion_oracle_equivalence():
             product = np.prod(
                 np.stack([e.dist.probs for e in entries]).astype(np.longdouble), axis=0)
             want = int(np.argmax(product))
-            assert set(fuse(cols, np.ones(length, int), FusionMode.PROBABILITY).fused) == {want}
+            assert set(relabel(cols, np.ones(length, int), FusionMode.PROBABILITY).fused) == {want}
 
             # Iterated pairwise fusion reaches the same label.
             if case % 10 == 0:

@@ -410,8 +410,7 @@ def test_track_and_eval_build_no_per_detection_objects(tmp_path, detection_file,
         raise AssertionError("a per-detection object was built")
 
     monkeypatch.setattr(model, "unchecked", refuse)
-    for cls in (model.Detection, model.BoundingBox, model.ClassDistribution,
-                model.DetectionLabel, model.Track):
+    for cls in (model.Detection, model.BoundingBox, model.ClassDistribution):
         monkeypatch.setattr(cls, "__init__", refuse)
     for tracker in ("iou", "centroid", "centroid-kf", "sort", "bytetrack", "appearance"):
         assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
@@ -520,6 +519,39 @@ class TestBench:
         code = main(["bench", "--input", str(dets), "--labels", str(labels),
                      "--trackers", "iou,quantum"])
         assert code == 2
+
+    def test_skipping_appearance_is_said_on_stderr(self, tmp_path, detection_file, capsys):
+        dets, labels = detection_file
+        args = ["bench", "--labels", str(labels), "--trackers", "iou,appearance"]
+        assert main([*args, "--input", str(dets)]) == 0
+        assert capsys.readouterr().err == ""
+        bare = tmp_path / "bare.jsonl"
+        records = [json.loads(line) for line in dets.read_text().splitlines()]
+        bare.write_text("".join(json.dumps({k: v for k, v in rec.items() if k != "embedding"})
+                                + "\n" for rec in records))
+        out = tmp_path / "bench.json"
+        assert main([*args, "--input", str(bare), "--json-out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("note: skipping appearance: "
+                                "sequence 'synth-000' has no embeddings\n")
+        assert set(json.loads(out.read_text())) == {"iou"}
+        assert [line.split()[0] for line in captured.out.splitlines()[3:]] == ["iou"]
+
+    def test_tracker_named_twice_runs_once(self, tmp_path, detection_file, monkeypatch):
+        import trackfuse.cli as cli
+
+        runs = []
+
+        def counted(sequences, config, *args, _real=cli._run_all, **kwargs):
+            runs.append(config.kind.value)
+            return _real(sequences, config, *args, **kwargs)
+        monkeypatch.setattr(cli, "_run_all", counted)
+        dets, labels = detection_file
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--input", str(dets), "--labels", str(labels),
+                     "--trackers", "iou,centroid, iou", "--json-out", str(out)]) == 0
+        assert runs == ["iou", "centroid"]
+        assert set(json.loads(out.read_text())) == {"iou", "centroid"}
 
 
 class TestUsage:

@@ -2,61 +2,58 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import random_simplex, reference_fuse_pair, reference_relabel, reference_track_labels
-from trackfuse.errors import EmptyTrack
-from trackfuse.fusion import FusionMode, _running, fuse, relabel
-from trackfuse.model import (
-    BoundingBox,
-    Detection,
-    DetectionLabel,
-    SequenceResult,
-    Track,
-    validate_distribution,
+from oracles import (
+    RefTrack,
+    random_simplex,
+    reference_fuse_pair,
+    reference_relabel,
+    reference_result,
+    reference_track_labels,
+    track_rows,
 )
+from trackfuse.fusion import FusionMode, _running, relabel
+from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
 
 BOX = BoundingBox(0, 0, 10, 10)
 
 
-def _track(prob_rows, track_id=1) -> Track:
-    entries = [Detection(frame, BOX, 0.9, validate_distribution(np.asarray(probs, dtype=float),
-                                                                len(probs)))
-               for frame, probs in enumerate(prob_rows)]
-    return Track(track_id, tuple(entries))
+def _track(prob_rows) -> Columns:
+    """One track's columns: one detection per frame 0, 1, ... with ``prob_rows``."""
+    return Columns.from_frames([
+        (frame, [Detection(frame, BOX, 0.9, validate_distribution(np.asarray(probs, dtype=float),
+                                                                  len(probs)))])
+        for frame, probs in enumerate(prob_rows)])
 
 
-def _fused(track: Track, mode: FusionMode = FusionMode.PROBABILITY) -> int:
-    """The label ``relabel`` gives every frame of ``track`` in retroactive ``mode``."""
-    per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
-    result = relabel(SequenceResult((track,), per_frame), mode)
-    labels = {rec.fused_label for rec in result.per_frame}
+def _fused(track: Columns, mode: FusionMode = FusionMode.PROBABILITY) -> int:
+    """The label ``relabel`` gives every row of ``track`` in retroactive ``mode``."""
+    labels = set(relabel(track, np.ones(len(track.score), dtype=int), mode).fused.tolist())
     assert len(labels) == 1
     return labels.pop()
 
 
-def _vote(track: Track) -> int:
+def _vote(track: Columns) -> int:
     return _fused(track, FusionMode.MAJORITY)
 
 
-def _scores(track: Track) -> np.ndarray:
-    """The summed log probabilities whose argmax is the track's PROBABILITY label."""
-    return _running(np.log(np.array([e.dist.probs for e in track.entries])), np.array([0]))[-1]
+def _scores(probs: np.ndarray) -> np.ndarray:
+    """The summed log probabilities whose argmax is the PROBABILITY label of rows ``probs``."""
+    return _running(np.log(probs), np.array([0]))[-1]
 
 
 class TestConsensusLabel:
     def test_unanimous(self):
         track = _track([[0.9, 0.1]] * 3)
         assert _fused(track) == 0
-        assert _scores(track).shape == (2,)
+        assert _scores(track.probs).shape == (2,)
 
     def test_product_dominates_vote_pattern(self):
         # Products: 0.9*0.4*0.8 = 0.288 vs 0.1*0.6*0.2 = 0.012.
         track = _track([[0.9, 0.1], [0.4, 0.6], [0.8, 0.2]])
-        scores = _scores(track)
+        scores = _scores(track.probs)
         assert _fused(track) == 0
         assert np.exp(scores[0]) == pytest.approx(0.288, abs=1e-12)
         assert np.exp(scores[1]) == pytest.approx(0.012, abs=1e-12)
@@ -64,10 +61,6 @@ class TestConsensusLabel:
     def test_single_frame(self):
         track = _track([[0.2, 0.5, 0.3]])
         assert _fused(track) == 1
-
-    def test_empty_track(self):
-        with pytest.raises(EmptyTrack):
-            relabel(SequenceResult((Track(1, ()),), ()), FusionMode.PROBABILITY)
 
     def test_matches_extended_precision_product(self):
         rng = np.random.default_rng(77)
@@ -105,7 +98,7 @@ class TestConsensusLabel:
             row = random_simplex(rng, 8)
             rows.append(np.maximum(row, 1e-6) / np.maximum(row, 1e-6).sum())
         track = _track(rows)
-        assert np.all(np.isfinite(_scores(track)))
+        assert np.all(np.isfinite(_scores(track.probs)))
         assert 0 <= _fused(track) < 8
 
 
@@ -129,10 +122,6 @@ class TestMajorityVote:
     def test_single_frame(self):
         assert _vote(_track([[0.1, 0.9]])) == 1
 
-    def test_empty_track(self):
-        with pytest.raises(EmptyTrack):
-            relabel(SequenceResult((Track(1, ()),), ()), FusionMode.MAJORITY)
-
 
 class TestRelabel:
     def _result(self, flicker=0.4, frames=60, seed=5):
@@ -143,82 +132,75 @@ class TestRelabel:
         return run_sequence(scenario.detection_frames(),
                             TrackerConfig(kind=TrackerKind.SORT))
 
+    @staticmethod
+    def _relabel(base, mode, online=False):
+        return relabel(base.cols, base.track, mode, online)
+
     def test_mode_none_is_identity(self):
-        result = relabel(self._result(), FusionMode.NONE)
-        for rec in result.per_frame:
-            assert rec.fused_label == rec.raw_label
+        result = self._relabel(self._result(), FusionMode.NONE)
+        assert result.fused.tolist() == result.raw.tolist()
 
     def test_retroactive_override_is_constant_per_track(self):
-        result = relabel(self._result(), FusionMode.PROBABILITY)
+        result = self._relabel(self._result(), FusionMode.PROBABILITY)
         seen = {}
-        for rec in result.per_frame:
-            if rec.track_id is None:
+        for track_id, label in zip(result.track.tolist(), result.fused.tolist()):
+            if track_id < 0:
                 continue
-            seen.setdefault(rec.track_id, set()).add(rec.fused_label)
+            seen.setdefault(track_id, set()).add(label)
         assert seen
         for labels in seen.values():
             assert len(labels) == 1
 
     def test_fused_label_equals_consensus(self):
         base = self._result()
-        result = relabel(base, FusionMode.PROBABILITY)
-        for track in result.tracks:
-            want = int(np.argmax(_scores(track)))
-            got = {r.fused_label for r in result.per_frame if r.track_id == track.id}
-            assert got == {want}
+        result = self._relabel(base, FusionMode.PROBABILITY)
+        for rows in track_rows(result):
+            want = int(np.argmax(_scores(result.cols.probs[rows])))
+            assert set(result.fused[rows].tolist()) == {want}
 
     def test_majority_mode_uses_vote(self):
         base = self._result()
-        result = relabel(base, FusionMode.MAJORITY)
-        for track in result.tracks:
+        result = self._relabel(base, FusionMode.MAJORITY)
+        for track in reference_result(result).tracks:
             want, = set(reference_track_labels(track, vote=True, online=False).values())
-            got = {r.fused_label for r in result.per_frame if r.track_id == track.id}
-            assert got == {want}
+            assert set(result.fused[result.track == track.id].tolist()) == {want}
 
     def test_corrected_fraction_matches_independent_replay(self):
         base = self._result(flicker=0.45, frames=120, seed=11)
-        result = relabel(base, FusionMode.PROBABILITY)
+        result = self._relabel(base, FusionMode.PROBABILITY)
         # Independent replay: final label from an extended-precision log sum.
         want_labels = {}
-        for track in result.tracks:
-            logs = np.zeros(len(track.entries[0].dist), dtype=np.longdouble)
-            for entry in track.entries:
-                logs += np.log(entry.dist.probs.astype(np.longdouble))
-            want_labels[track.id] = int(np.argmax(logs))
-        got = [r for r in result.per_frame if r.track_id is not None]
-        corrected = sum(r.fused_label != r.raw_label for r in got) / len(got)
+        for rows in track_rows(result):
+            logs = np.zeros(result.cols.probs.shape[1], dtype=np.longdouble)
+            for probs in result.cols.probs[rows]:
+                logs += np.log(probs.astype(np.longdouble))
+            want_labels[int(result.track[rows[0]])] = int(np.argmax(logs))
+        got = np.flatnonzero(result.track >= 0)
+        corrected = sum(result.fused[i] != result.raw[i] for i in got) / len(got)
         want_corrected = sum(
-            want_labels[r.track_id] != r.raw_label for r in got) / len(got)
+            want_labels[result.track[i]] != result.raw[i] for i in got) / len(got)
         assert corrected == pytest.approx(want_corrected, abs=1e-12)
         assert corrected > 0.2  # flicker at 0.45 leaves plenty to fix
 
     def test_online_mode_uses_prefixes_only(self):
         base = self._result(flicker=0.5, frames=40, seed=3)
-        online = relabel(base, FusionMode.PROBABILITY, online=True)
-        by_track = {}
-        for rec in online.per_frame:
-            if rec.track_id is not None:
-                by_track.setdefault(rec.track_id, []).append(rec)
+        online = self._relabel(base, FusionMode.PROBABILITY, online=True)
         checked = 0
-        for track in online.tracks:
-            recs = {r.frame_id: r for r in by_track.get(track.id, [])}
-            cum = np.zeros(len(track.entries[0].dist))
-            for entry in track.entries:
-                cum = cum + np.log(entry.dist.probs)
-                rec = recs.get(entry.frame_id)
-                if rec is not None:
-                    assert rec.fused_label == int(np.argmax(cum))
-                    checked += 1
+        for rows in track_rows(online):
+            cum = np.zeros(online.cols.probs.shape[1])
+            for row in rows:
+                cum = cum + np.log(online.cols.probs[row])
+                assert online.fused[row] == int(np.argmax(cum))
+                checked += 1
         assert checked > 10
 
     def test_online_vote_ties_match_majority_vote_of_prefix(self):
         # Frame 1 ties one vote each with class 1 heavier; frame 3 ties two each
         # on equal mass, which goes to the lower index.
         rows = [[0.6, 0.4], [0.1, 0.9], [0.9, 0.1], [0.4, 0.6], [0.55, 0.45]]
-        track = _track(rows)
-        per_frame = tuple(DetectionLabel(e, track.id, e.dist.argmax) for e in track.entries)
-        online = relabel(SequenceResult((track,), per_frame), FusionMode.MAJORITY, online=True)
-        got = [rec.fused_label for rec in online.per_frame]
+        online = relabel(_track(rows), np.ones(len(rows), dtype=int), FusionMode.MAJORITY,
+                         online=True)
+        got = online.fused.tolist()
         want = [_vote(_track(rows[:t + 1])) for t in range(len(rows))]
         assert got == want == [0, 1, 0, 0, 0]
 
@@ -229,7 +211,7 @@ class TestRelabel:
         rng = np.random.default_rng(31)
         for _ in range(300):
             n_classes = int(rng.integers(2, 5))
-            tracks, per_frame = [], []
+            tracks, by_frame = [], {}
             for track_id in range(1, int(rng.integers(1, 4)) + 1):
                 length = int(rng.integers(1, 12))
                 frames = np.sort(rng.choice(40, size=length, replace=False))
@@ -237,13 +219,17 @@ class TestRelabel:
                 entries = [Detection(int(f), BOX, 0.9,
                                      validate_distribution(r / r.sum(), n_classes))
                            for f, r in zip(frames, rows)]
-                tracks.append(Track(track_id, tuple(entries)))
-                per_frame += [DetectionLabel(e, track_id, e.dist.argmax) for e in entries]
-            result = relabel(SequenceResult(tuple(tracks), tuple(per_frame)), mode, online)
+                tracks.append(RefTrack(track_id, tuple(entries)))
+                for e in entries:
+                    by_frame.setdefault(e.frame_id, []).append((track_id, e))
+            frames = sorted(by_frame.items())
+            cols = Columns.from_frames([(f, [e for _, e in group]) for f, group in frames])
+            track = np.array([track_id for _, group in frames for track_id, _ in group])
+            result = relabel(cols, track, mode, online)
             want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
                     for t in tracks}
-            got = [rec.fused_label for rec in result.per_frame]
-            assert got == [want[rec.track_id][rec.frame_id] for rec in result.per_frame]
+            got = result.fused.tolist()
+            assert got == [want[t][f] for t, f in zip(track.tolist(), cols.frame.tolist())]
 
     def test_consensus_scores_are_the_sequential_log_sum(self):
         rng = np.random.default_rng(37)
@@ -251,16 +237,15 @@ class TestRelabel:
             rows = [random_simplex(rng, 6) for _ in range(int(rng.integers(1, 40)))]
             track = _track(rows)
             want = np.zeros(6)
-            for entry in track.entries:
-                want = want + np.log(entry.dist.probs)
-            assert np.array_equal(_scores(track), want)
+            for probs in track.probs:
+                want = want + np.log(probs)
+            assert np.array_equal(_scores(track.probs), want)
 
     def test_unmatched_detections_keep_raw_label(self):
         base = self._result()
-        result = relabel(base, FusionMode.PROBABILITY)
-        for rec in result.per_frame:
-            if rec.track_id is None:
-                assert rec.fused_label == rec.raw_label
+        result = self._relabel(base, FusionMode.PROBABILITY)
+        unmatched = result.track < 0
+        assert result.fused[unmatched].tolist() == result.raw[unmatched].tolist()
 
 
 class TestColumns:
@@ -283,14 +268,13 @@ class TestColumns:
     @pytest.mark.parametrize("online", [False, True])
     @pytest.mark.parametrize("mode", list(FusionMode))
     def test_fuse_equals_relabel(self, mode, online):
+        """Columnar ``relabel`` equals the object path's per-track reference relabel."""
         config = ScenarioConfig(seed=8, num_objects=4, num_frames=50, n_classes=4, flicker=0.4,
                                 dropout=0.2, jitter=3.0, confidence=0.6)
         scenario = generate_scenario(config)
         base = run_sequence(scenario.detection_frames(),
                             TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
-        result = fuse(scenario.columns,
-                      np.array([-1 if r.track_id is None else r.track_id for r in base.per_frame]),
-                      mode, online)
-        want = reference_relabel(base, mode, online)
+        result = relabel(scenario.columns, base.track, mode, online)
+        want = reference_relabel(reference_result(base), mode, online)
         assert result.fused.tolist() == [rec.fused_label for rec in want.per_frame]
         assert result.raw.tolist() == [rec.raw_label for rec in want.per_frame]

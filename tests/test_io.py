@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_write_tracks
+from oracles import reference_result, reference_write_tracks
 from trackfuse.errors import EmptyFile, InvalidValue, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import (
@@ -223,7 +223,12 @@ class TestDetectionRoundTrip:
 def _fused_reference_result():
     result = run_sequence(_reference_scenario().detection_frames(),
                           TrackerConfig(kind=TrackerKind.SORT))
-    return relabel(result, FusionMode.PROBABILITY)
+    return relabel(result.cols, result.track, FusionMode.PROBABILITY)
+
+
+@lru_cache(maxsize=1)
+def _reference_object_result():
+    return reference_result(_fused_reference_result())
 
 
 class TestWriteTracks:
@@ -251,17 +256,17 @@ class TestWriteTracks:
         path = tmp_path / "t.csv"
         write_tracks({"seq-0": result}, path)
         rows = read_tracks(path)
-        matched = [rec for rec in result.per_frame if rec.track_id is not None]
+        matched = np.flatnonzero(result.track >= 0).tolist()
         assert len(rows) == len(matched)
         by_key = {(r.frame, r.track_id): r for r in rows}
-        for rec in matched:
-            row = by_key[(rec.frame_id, rec.track_id)]
-            b = rec.detection.bbox
-            assert row.x == b.x1 and row.y == b.y1
-            assert row.w == b.width and row.h == b.height
-            assert row.score == rec.detection.score
-            assert row.fused_class == rec.fused_label
-            assert row.raw_class == rec.raw_label
+        for i in matched:
+            row = by_key[(result.cols.frame[i], result.track[i])]
+            x1, y1, x2, y2 = result.cols.box[i].tolist()
+            assert row.x == x1 and row.y == y1
+            assert row.w == x2 - x1 and row.h == y2 - y1
+            assert row.score == result.cols.score[i]
+            assert row.fused_class == result.fused[i]
+            assert row.raw_class == result.raw[i]
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -308,7 +313,7 @@ class TestWriteTracks:
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
             write_tracks(results, got)
-            reference_write_tracks(results, want)
+            reference_write_tracks({name: _reference_object_result() for name in names}, want)
             assert got.read_bytes() == want.read_bytes()
 
     def test_header_validation_on_read(self, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trackfuse.errors import EmptyEvaluation, IndexOutOfRange, NoEligibleTracks
-from trackfuse.fusion import FusionMode, fuse
+from trackfuse.fusion import FusionMode, relabel
 from trackfuse.metrics import (
     ConfusionMatrix,
     StageTimer,
@@ -148,7 +148,7 @@ class TestF1:
 
 def _tracked(cols, mode=FusionMode.NONE):
     """``cols`` tracked by the IoU tracker and fused with ``mode``."""
-    return fuse(cols, track_columns(cols, TrackerConfig(kind=TrackerKind.IOU)), mode)
+    return relabel(cols, track_columns(cols, TrackerConfig(kind=TrackerKind.IOU)), mode)
 
 
 def _flicker_columns(flicker=0.3, frames=2000, n_classes=10, seed=42):

@@ -16,13 +16,15 @@ from trackfuse.model import (
     PROB_FLOOR,
     BoundingBox,
     ClassDistribution,
+    ColumnResult,
+    Columns,
     Detection,
-    DetectionLabel,
     LabelSet,
-    Track,
+    track_runs,
     validate_distribution,
     validate_distributions,
 )
+from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
 
 class TestLabelSet:
@@ -244,35 +246,37 @@ class TestDetection:
 
 
 class TestTrack:
-    def _entries(self):
+    """A track is one id on rows of a ColumnResult; ``runs`` holds its rows in frame order."""
+
+    def _columns(self):
         d1 = validate_distribution([0.6, 0.4], 2)
         d2 = validate_distribution([0.3, 0.7], 2)
-        return (
-            Detection(0, BoundingBox(0, 0, 2, 2), 0.9, d1),
-            Detection(1, BoundingBox(1, 0, 3, 2), 0.9, d2),
-        )
+        return Columns.from_frames([
+            (0, [Detection(0, BoundingBox(0, 0, 2, 2), 0.9, d1)]),
+            (1, [Detection(1, BoundingBox(1, 0, 3, 2), 0.9, d2)]),
+        ])
 
     def test_holds_only_id_and_entries(self):
-        t = Track(1, list(self._entries()))
-        assert [f.name for f in fields(Track)] == ["id", "entries"]
-        assert isinstance(t.entries, tuple)
-        assert tuple(e.frame_id for e in t.entries) == (0, 1)
+        cols = self._columns()
+        raw = cols.probs.argmax(axis=1)
+        res = ColumnResult(cols, np.array([1, 1]), raw, raw)
+        assert [f.name for f in fields(ColumnResult)] == ["cols", "track", "raw", "fused", "runs"]
+        order, starts = res.runs
+        assert order.tolist() == [0, 1] and starts.tolist() == [0]
+        assert tuple(res.cols.frame[order].tolist()) == (0, 1)
 
     def test_frames_must_increase(self):
-        d = validate_distribution([0.6, 0.4], 2)
-        entries = (Detection(1, BoundingBox(0, 0, 2, 2), 0.9, d),
-                   Detection(1, BoundingBox(0, 0, 2, 2), 0.9, d))
-        with pytest.raises(InvalidValue):
-            Track(1, entries)
+        # Two tracks interleaved over frames 0-2: each run lists its rows by frame.
+        frame = np.array([0, 0, 1, 1, 2])
+        order, starts = track_runs(np.array([2, 1, 2, 1, 1]))
+        assert order.tolist() == [1, 3, 4, 0, 2] and starts.tolist() == [0, 3]
+        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
+            run = frame[order[lo:hi]].tolist()
+            assert all(b > a for a, b in zip(run, run[1:]))
 
     def test_id_must_be_positive(self):
-        with pytest.raises(InvalidValue):
-            Track(0, ())
-
-
-class TestDetectionLabel:
-    def test_holds_only_detection_track_and_fused_label(self):
-        det = Detection(4, BoundingBox(0, 0, 2, 2), 0.9, validate_distribution([0.3, 0.7], 2))
-        rec = DetectionLabel(det, 2, 0)
-        assert [f.name for f in fields(DetectionLabel)] == ["detection", "track_id", "fused_label"]
-        assert (rec.frame_id, rec.raw_label, rec.fused_label) == (4, 1, 0)
+        # Ids start at 1; -1 marks a row no track holds, and such rows are in no run.
+        ids = track_columns(self._columns(), TrackerConfig(kind=TrackerKind.IOU))
+        assert ids.tolist() == [1, 1]
+        order, starts = track_runs(np.array([-1, 1, -1, 2]))
+        assert order.tolist() == [1, 3] and starts.tolist() == [0, 1]

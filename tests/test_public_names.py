@@ -22,9 +22,7 @@ KEPT = {
     "kf_update": "a trace target of the benchmark",
 }
 
-SHARED = {  # Class.member: the functions that read it on that class ("module.qualname")
-    "DetectionLabel.frame_id": ("fusion.relabel", "model.ColumnResult.of"),
-}
+SHARED = {}  # Class.member: the functions that read it on that class ("module.qualname")
 
 
 def _public_definitions(tree: ast.Module):

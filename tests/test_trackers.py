@@ -11,6 +11,7 @@ from oracles import (
     reference_centroid_cost,
     reference_cosine_matrix,
     reference_greedy_iou,
+    track_frames,
 )
 from trackfuse import motion, trackers
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
@@ -55,9 +56,9 @@ def _boxes(dets):
 def _gt_coverage(result):
     """track id -> set of ground-truth identities its detections carry."""
     cover = {}
-    for rec in result.per_frame:
-        if rec.track_id is not None:
-            cover.setdefault(rec.track_id, set()).add(rec.detection.gt_track)
+    for track_id, gt_track in zip(result.track.tolist(), result.cols.gt_track.tolist()):
+        if track_id >= 0:
+            cover.setdefault(track_id, set()).add(gt_track)
     return cover
 
 
@@ -66,17 +67,13 @@ class TestSingleObject:
     def test_stationary_box_makes_one_track(self, kind):
         frames = [(f, [_det(f, (50, 50, 90, 90))]) for f in range(3)]
         result = run_sequence(frames, TrackerConfig(kind=kind))
-        assert len(result.tracks) == 1
-        track = result.tracks[0]
-        assert track.id == 1
-        assert len(track.entries) == 3
-        assert tuple(e.frame_id for e in track.entries) == (0, 1, 2)
-        assert all(rec.track_id == 1 for rec in result.per_frame)
+        assert track_frames(result) == {1: (0, 1, 2)}
+        assert result.track.tolist() == [1, 1, 1]
 
     def test_empty_sequence(self):
         result = run_sequence([], TrackerConfig(kind=TrackerKind.SORT))
-        assert result.tracks == ()
-        assert result.per_frame == ()
+        assert track_frames(result) == {}
+        assert len(result.track) == len(result.raw) == len(result.fused) == 0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_two_distant_boxes_stay_separate(self, kind):
@@ -87,7 +84,7 @@ class TestSingleObject:
                 _det(f, (300, 300, 320, 320), emb=(0.0, 1.0), gt=2),
             ]))
         result = run_sequence(frames, TrackerConfig(kind=kind))
-        assert len(result.tracks) == 2
+        assert len(track_frames(result)) == 2
         cover = _gt_coverage(result)
         assert all(len(s) == 1 for s in cover.values())
         assert {next(iter(s)) for s in cover.values()} == {1, 2}
@@ -115,10 +112,10 @@ class TestCrossingScenario:
     def test_sort_survives_the_crossing(self):
         result = run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.SORT))
         cover = _gt_coverage(result)
-        assert len(result.tracks) == 2
+        assert len(track_frames(result)) == 2
         assert cover == {1: {1}, 2: {2}}
         # Every detection stays matched: the filter coasts through the gap.
-        assert all(rec.track_id is not None for rec in result.per_frame)
+        assert (result.track >= 0).all()
 
     def test_centroid_switches_and_fragments(self):
         result = run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.CENTROID))
@@ -126,7 +123,7 @@ class TestCrossingScenario:
         # Position-only matching hands the reappearing object's slot to the
         # wrong identity and then spawns a fresh track: one impure track,
         # more tracks than objects.
-        assert len(result.tracks) == 3
+        assert len(track_frames(result)) == 3
         assert any(len(s) > 1 for s in cover.values())
 
     def test_motion_model_beats_position_matching_here(self):
@@ -148,10 +145,10 @@ class TestFullScene:
         frames = generate_scenario(config).detection_frames()
         result = run_sequence(frames, TrackerConfig(kind=kind))
         cover = _gt_coverage(result)
-        assert len(result.tracks) == 5
+        assert len(track_frames(result)) == 5
         assert all(len(s) == 1 for s in cover.values())
         assert {next(iter(s)) for s in cover.values()} == {1, 2, 3, 4, 5}
-        assert all(rec.track_id is not None for rec in result.per_frame)
+        assert (result.track >= 0).all()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_parallel_motion_never_switches(self, kind):
@@ -164,7 +161,7 @@ class TestFullScene:
         frames = generate_scenario(config).detection_frames()
         result = run_sequence(frames, TrackerConfig(kind=kind))
         cover = _gt_coverage(result)
-        assert len(result.tracks) == 3
+        assert len(track_frames(result)) == 3
         assert sum(len(s) - 1 for s in cover.values()) == 0
 
     def test_matching_is_bijective_per_frame(self):
@@ -174,11 +171,10 @@ class TestFullScene:
         for kind in ALL_KINDS:
             result = run_sequence(frames, TrackerConfig(kind=kind))
             per_frame_tracks = {}
-            for rec in result.per_frame:
-                if rec.track_id is None:
+            for frame_id, track_id in zip(result.cols.frame.tolist(), result.track.tolist()):
+                if track_id < 0:
                     continue
-                key = rec.frame_id
-                per_frame_tracks.setdefault(key, []).append(rec.track_id)
+                per_frame_tracks.setdefault(frame_id, []).append(track_id)
             for frame_id, ids in per_frame_tracks.items():
                 assert len(ids) == len(set(ids)), (kind, frame_id)
 
@@ -187,8 +183,7 @@ class TestFullScene:
                                 dropout=0.05, jitter=1.0, flicker=0.3)
         frames = generate_scenario(config).detection_frames()
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        for track in result.tracks:
-            frames_seen = tuple(e.frame_id for e in track.entries)
+        for frames_seen in track_frames(result).values():
             assert all(b > a for a, b in zip(frames_seen, frames_seen[1:]))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -198,14 +193,10 @@ class TestFullScene:
         frames = generate_scenario(config).detection_frames()
         a = run_sequence(frames, TrackerConfig(kind=kind))
         b = run_sequence(frames, TrackerConfig(kind=kind))
-        assert len(a.tracks) == len(b.tracks)
-        for ta, tb in zip(a.tracks, b.tracks):
-            assert ta.id == tb.id
-            assert tuple(e.frame_id for e in ta.entries) == tuple(e.frame_id for e in tb.entries)
-            assert all(np.array_equal(ea.dist.probs, eb.dist.probs)
-                       for ea, eb in zip(ta.entries, tb.entries))
-        for ra, rb in zip(a.per_frame, b.per_frame):
-            assert (ra.frame_id, ra.track_id, ra.raw_label) == (rb.frame_id, rb.track_id, rb.raw_label)
+        assert track_frames(a) == track_frames(b)
+        assert np.array_equal(a.cols.probs[a.runs[0]], b.cols.probs[b.runs[0]])
+        assert a.cols.frame.tolist() == b.cols.frame.tolist()
+        assert a.track.tolist() == b.track.tolist() and a.raw.tolist() == b.raw.tolist()
 
 
 class TestGreedyIou:
@@ -216,13 +207,13 @@ class TestGreedyIou:
         frames = [(0, [_det(0, b) for b in boxes]),
                   (1, [_det(1, (5, 0, 15, 10))])]  # IoU 1/3 with both tracks
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
-        assert result.per_frame[-1].track_id == 1
+        assert result.track[-1] == 1
 
     def test_equal_iou_goes_to_lower_detection_index(self):
         frames = [(0, [_det(0, (5, 0, 15, 10))]),
                   (1, [_det(1, (10, 0, 20, 10)), _det(1, (0, 0, 10, 10))])]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
-        assert [rec.track_id for rec in result.per_frame[1:]] == [1, 2]
+        assert result.track[1:].tolist() == [1, 2]
 
     @pytest.mark.parametrize("gate", [0.0, 0.1, 0.3])
     def test_matches_scalar_reference(self, gate):
@@ -253,9 +244,9 @@ class TestByteTrack:
         byte_result = run_sequence(
             frames, TrackerConfig(kind=TrackerKind.BYTETRACK,
                                   det_threshold_low=0.5, det_threshold_high=0.5))
-        assert len(sort_result.per_frame) == len(byte_result.per_frame)
-        for rs, rb in zip(sort_result.per_frame, byte_result.per_frame):
-            assert (rs.frame_id, rs.track_id) == (rb.frame_id, rb.track_id)
+        assert len(sort_result.track) == len(byte_result.track)
+        assert sort_result.cols.frame.tolist() == byte_result.cols.frame.tolist()
+        assert sort_result.track.tolist() == byte_result.track.tolist()
 
     def test_low_confidence_extends_but_never_spawns(self):
         frames = [
@@ -264,11 +255,8 @@ class TestByteTrack:
                  _det(1, (200, 200, 220, 220), score=0.3)]),  # must not spawn
         ]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        assert len(result.tracks) == 1
-        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 1)
-        by_frame = [rec for rec in result.per_frame if rec.frame_id == 1]
-        assert by_frame[0].track_id == 1
-        assert by_frame[1].track_id is None
+        assert track_frames(result) == {1: (0, 1)}
+        assert result.track[result.cols.frame == 1].tolist() == [1, -1]
 
     def test_below_low_is_ignored_entirely(self):
         frames = [
@@ -276,8 +264,8 @@ class TestByteTrack:
             (1, [_det(1, (2, 0, 22, 20), score=0.05)]),
         ]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0,)
-        assert result.per_frame[1].track_id is None
+        assert track_frames(result) == {1: (0,)}
+        assert result.track[1] == -1
 
 
 class TestLifecycle:
@@ -290,9 +278,7 @@ class TestLifecycle:
         result = run_sequence(frames, config)
         # Misses at frames 2, 3, 4 exceed max_age=2: the track dies; the
         # reappearance spawns a fresh id.
-        assert [t.id for t in result.tracks] == [1, 2]
-        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 1)
-        assert tuple(e.frame_id for e in result.tracks[1].entries) == (6,)
+        assert track_frames(result) == {1: (0, 1), 2: (6,)}
 
     def test_track_bridges_gap_within_max_age(self):
         frames = [(0, [_det(0, (0, 0, 20, 20))]),
@@ -300,8 +286,7 @@ class TestLifecycle:
                   (3, [_det(3, (1, 0, 21, 20))])]
         config = TrackerConfig(kind=TrackerKind.IOU, max_age=5)
         result = run_sequence(frames, config)
-        assert [t.id for t in result.tracks] == [1]
-        assert tuple(e.frame_id for e in result.tracks[0].entries) == (0, 3)
+        assert track_frames(result) == {1: (0, 3)}
 
     def test_min_hits_discards_short_tracks(self):
         frames = [(0, [_det(0, (0, 0, 20, 20))]),
@@ -309,14 +294,14 @@ class TestLifecycle:
         frames += [(f, []) for f in range(2, 15)]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=3, max_age=3)
         result = run_sequence(frames, config)
-        assert result.tracks == ()
-        assert all(rec.track_id is None for rec in result.per_frame)
+        assert track_frames(result) == {}
+        assert (result.track == -1).all()
 
     def test_min_hits_confirmation(self):
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=3)
         result = run_sequence(frames, config)
-        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 1, 2)]
+        assert list(track_frames(result).values()) == [(0, 1, 2)]
 
     def test_min_hits_counts_entries_not_consecutive_matches(self):
         # A miss between two matches does not reset the count: two entries
@@ -325,14 +310,14 @@ class TestLifecycle:
                   (2, [_det(2, (1, 0, 21, 20))])]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=2)
         result = run_sequence(frames, config)
-        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 2)]
-        assert [rec.track_id for rec in result.per_frame] == [1, 1]
+        assert list(track_frames(result).values()) == [(0, 2)]
+        assert result.track.tolist() == [1, 1]
 
     def test_low_scores_do_not_spawn_tracks(self):
         frames = [(f, [_det(f, (0, 0, 20, 20), score=0.4)]) for f in range(3)]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.SORT))
-        assert result.tracks == ()
-        assert all(rec.track_id is None for rec in result.per_frame)
+        assert track_frames(result) == {}
+        assert (result.track == -1).all()
 
 
 class TestAppearance:
@@ -367,7 +352,7 @@ class TestAppearance:
                   (1, [_det(1, (0, 0, 20, 20), emb=(0.0, 1.0))])]
         config = TrackerConfig(kind=TrackerKind.APPEARANCE, cosine_gate=0.5)
         result = run_sequence(frames, config)
-        assert len(result.tracks) == 2
+        assert len(track_frames(result)) == 2
 
 
 class TestTrackTable:
@@ -398,7 +383,7 @@ class TestTrackTable:
                   (1, [_det(1, (1, 0, 21, 20)), _det(1, (101, 0, 121, 20), score=0.3)]),
                   (2, [_det(2, (2, 0, 22, 20))])]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
-        assert [tuple(e.frame_id for e in t.entries) for t in result.tracks] == [(0, 1, 2), (0, 1)]
+        assert list(track_frames(result).values()) == [(0, 1, 2), (0, 1)]
         assert calls == [("predict", 2), ("update", 2), ("predict", 2), ("update", 1)]
 
     def test_cosine_matrix_equals_per_track_loop(self):
@@ -453,10 +438,11 @@ class TestTrackTable:
         dets = [_det(f, (f, 0, 20 + f, 20)) for f in range(3)]
         result = run_sequence([(f, [det]) for f, det in enumerate(dets)],
                               TrackerConfig(kind=TrackerKind.SORT))
-        [track] = result.tracks
-        assert len(track.entries) == 3
-        assert all(entry is det for entry, det in zip(track.entries, dets))
-        assert all(rec.detection is det for rec, det in zip(result.per_frame, dets))
+        assert track_frames(result) == {1: (0, 1, 2)}
+        assert result.cols.box.tolist() == [list(det.bbox.as_tuple()) for det in dets]
+        assert result.cols.score.tolist() == [det.score for det in dets]
+        assert np.array_equal(result.cols.probs, [det.dist.probs for det in dets])
+        assert np.array_equal(result.cols.emb, [det.embedding for det in dets])
 
 
 class TestStepContract:
