@@ -29,9 +29,11 @@ class TriggerConfig:
         if int(self.burst_len) != self.burst_len or self.burst_len < 1:
             raise InvalidConfig(f"burst_len must be an integer >= 1, got {self.burst_len!r}")
         object.__setattr__(self, "burst_len", int(self.burst_len))
-        if not (0.0 <= float(self.cooldown) < np.inf):
-            raise InvalidConfig(f"cooldown must be finite and >= 0 seconds, got {self.cooldown!r}")
-        object.__setattr__(self, "cooldown", float(self.cooldown))
+        cooldown = float(self.cooldown)
+        if not (0.0 <= cooldown < np.inf and cooldown * self.fps < np.inf):
+            raise InvalidConfig("cooldown must be >= 0 seconds and cooldown * fps finite, "
+                                f"got {self.cooldown!r}")
+        object.__setattr__(self, "cooldown", cooldown)
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from .model import BoundingBox, ColumnResult, Columns, Detection, LabelSet
-from .model import embedding_value, index_column, index_value, score_value, validate_distributions
-from .model import validate_distribution  # noqa: F401  the one-row form, importable here as before
+from .model import embedding_value, index_column, index_value, score_value, validate_distribution
 
 TRACK_CSV_HEADER = "frame,track_id,x,y,w,h,score,fused_class,raw_class,seq"
 
@@ -230,7 +229,7 @@ class _Chunk:
         last = self.emb_rows[bad[0]] if bad else len(self.lines) - 1
         try:
             probs = np.array(self.probs[:(last + 1) * self.n_classes], dtype=float)
-            probs = validate_distributions(probs.reshape(-1, self.n_classes), self.n_classes)
+            probs = validate_distribution(probs.reshape(-1, self.n_classes), self.n_classes)
             for k in bad:  # probs of its row come first
                 embedding_value(embs[self.emb_ends[k - 1] if k else 0:self.emb_ends[k]])
         except TrackfuseError as exc:

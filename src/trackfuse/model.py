@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -89,14 +88,6 @@ class BoundingBox:
                 f"bbox corners must satisfy x2 > x1 and y2 > y1, got {self.as_tuple()}"
             )
 
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
 
@@ -107,9 +98,8 @@ class ClassDistribution:
 
     Instances must already lie on the floored simplex: strictly positive
     entries summing to 1 within 1e-6.  Data from outside the process goes
-    through :func:`validate_distributions` (one vector: :func:`validate_distribution`)
-    instead of this constructor; ``io`` builds instances straight from its
-    validated rows, seeding ``argmax`` from one batched argmax.
+    through :func:`validate_distribution` instead of this constructor, and
+    ``Columns.frames`` wraps rows it has already validated.
     """
 
     probs: np.ndarray
@@ -127,22 +117,15 @@ class ClassDistribution:
             raise InvalidValue(f"probs must sum to 1 within 1e-6, got {total!r}")
         object.__setattr__(self, "probs", _readonly(probs))
 
-    def __len__(self) -> int:
-        return int(self.probs.size)
 
-    @cached_property
-    def argmax(self) -> int:
-        # np.argmax breaks ties toward the lowest index, which is the contract.
-        return int(np.argmax(self.probs))
-
-
-def validate_distributions(raw, n_classes: int) -> np.ndarray:
-    """Validate N ingested score vectors (N, C) and project each onto the floored simplex.
+def validate_distribution(raw, n_classes: int) -> np.ndarray:
+    """Validate each row of N ingested score vectors (N, C): project it onto the floored simplex.
 
     Entries are floored at ``PROB_FLOOR``, then renormalized; the floor+renorm
     pass is iterated to a fixpoint so that validating an already-validated
     vector reproduces it exactly.  A converged row maps to itself while the
-    others iterate, so no row's result depends on the rest.
+    others iterate, so no row's result depends on the rest; one vector ``v``
+    is validated as the table ``v[None]``.
 
     Raises, for the first bad row, whose index is the error's ``row``:
         WrongLength: the shape is not (N, ``n_classes``).
@@ -169,15 +152,6 @@ def validate_distributions(raw, n_classes: int) -> np.ndarray:
             break
         x = y
     return x
-
-
-def validate_distribution(raw, n_classes: int) -> ClassDistribution:
-    """:func:`validate_distributions` of one vector; a wrong length is WrongLength."""
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 1 or arr.size != n_classes:
-        raise WrongLength(f"expected {n_classes} entries, got shape {arr.shape}")
-    # A copy owns its data; the row itself would keep a (1, C) array alive.
-    return ClassDistribution(validate_distributions(arr[None], n_classes)[0].copy())
 
 
 def index_value(value, name: str = "frame_id") -> int:
@@ -296,15 +270,14 @@ class Columns:
     def frames(self) -> List[Tuple[int, List["Detection"]]]:
         """(frame_id, detections) pairs whose probs and embeddings are read-only row views."""
         rows = zip(self.frame.tolist(), *self.box.T.tolist(), self.score.tolist(),
-                   self.probs.argmax(axis=1).tolist(), self.gt_class.tolist(),
-                   self.gt_track.tolist())
+                   self.gt_class.tolist(), self.gt_track.tolist())
         dets = [unchecked(
             Detection, frame_id=frame_id, bbox=unchecked(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2),
-            score=score, dist=unchecked(ClassDistribution, probs=self.probs[i], argmax=label),
+            score=score, dist=unchecked(ClassDistribution, probs=self.probs[i]),
             embedding=None if self.emb is None else self.emb[i],
             gt_class=None if gt_class < 0 else gt_class,
             gt_track=None if gt_track < 0 else gt_track,
-        ) for i, (frame_id, x1, y1, x2, y2, score, label, gt_class, gt_track) in enumerate(rows)]
+        ) for i, (frame_id, x1, y1, x2, y2, score, gt_class, gt_track) in enumerate(rows)]
         bounds = self.starts.tolist()  # a slice is exact-size; appending over-allocates
         return [(frame_id, dets[lo:hi])
                 for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:])]

@@ -8,10 +8,10 @@ Two models:
   [cx, cy] only; the last observed width/height ride along as the state's
   extent so the state can be rendered back into a box.
 
-Filter steps take a table of N states, ``means`` (N, d) and ``covs``
-(N, d, d), and return new arrays without writing to their inputs.  Each row
-keeps a one-state filter's operation order, so its result does not depend on
-the other rows.  ``kf_*`` are the one-row forms over a :class:`KalmanState`.
+The filter steps :func:`kf_init`, :func:`kf_predict` and :func:`kf_update` take
+N states, ``means`` (N, d) and ``covs`` (N, d, d), and return new arrays without
+writing to their inputs.  Each row keeps a one-state filter's operation order,
+so its result does not depend on the other rows; one state is a one-row table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidConfig, NumericalBreakdown
-from .model import BoundingBox, config_number
+from .model import config_number
 
 PSD_TOLERANCE = 1e-9
 # A covariance counts as numerically PSD while its smallest eigenvalue
@@ -68,8 +68,21 @@ class MotionModelSpec:
         d, o = self.state_dim, self.obs_dim
         f = np.eye(d)
         f[np.arange(d - o), np.arange(o, d)] = self.dt  # position i moves by dt * velocity i + o
-        for name, matrix in (("_f", f), ("_h", np.eye(o, d)), ("_eye", np.eye(d)),
-                             ("_psd_shift", PSD_TOLERANCE * np.eye(d))):
+        matrices = {"_f": f, "_h": np.eye(o, d), "_eye": np.eye(d),
+                    "_psd_shift": PSD_TOLERANCE * np.eye(d)}
+        if self.model is MotionModel.CENTROID_CV4:  # its Q, R and P0 are constant too
+            dt, q, r = np.float64([self.dt, self.process_std, self.measurement_std])
+            with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, checked below
+                a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
+                # White-acceleration model per axis: position and velocity noise coupled.
+                matrices.update(
+                    _q=np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, c, 0], [0, b, 0, c]]) * q * q,
+                    _r=np.eye(2) * r**2, _p0=np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]))
+            for name, fields in (("_q", "dt or process_std"), ("_r", "measurement_std"),
+                                 ("_p0", "measurement_std or process_std")):
+                if not np.isfinite(matrices[name]).all():
+                    raise InvalidConfig(f"{fields} too large: {name[1:].upper()} is not finite")
+        for name, matrix in matrices.items():
             matrix.setflags(write=False)
             object.__setattr__(self, name, matrix)
 
@@ -84,16 +97,6 @@ class MotionModelSpec:
 
 def default_spec(model: MotionModel) -> MotionModelSpec:
     return MotionModelSpec(model=model)
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """One Gaussian motion state: the form the one-row filter steps take and return."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    spec: MotionModelSpec
-    extent: Optional[Tuple[float, float]] = None  # (w, h), CENTROID_CV4 only
 
 
 def transition_matrix(spec: MotionModelSpec) -> np.ndarray:
@@ -126,11 +129,7 @@ def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
         return _sort_diagonal(means, (wp, wp, wp, 1e-2, wv, wv, wv))
-    # White-acceleration model per axis: position and velocity noise coupled.
-    dt, q = spec.dt, spec.process_std
-    a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
-    out = np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, c, 0], [0, b, 0, c]]) * q * q
-    return np.broadcast_to(out, (len(means), 4, 4))
+    return np.broadcast_to(spec._q, (len(means), 4, 4))
 
 
 def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
@@ -138,7 +137,7 @@ def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         wp = spec.std_weight_position
         return _sort_diagonal(means, (wp, wp, wp, 1e-1))
-    return np.broadcast_to(np.eye(2) * spec.measurement_std**2, (len(means), 2, 2))
+    return np.broadcast_to(spec._r, (len(means), 2, 2))
 
 
 def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
@@ -146,8 +145,7 @@ def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
     if spec.model is MotionModel.SORT_CV7:
         wp, wv = 2 * spec.std_weight_position, 10 * spec.std_weight_velocity
         return _sort_diagonal(means, (wp, wp, wp, 1e-1, wv, wv, wv))
-    r, q = spec.measurement_std, spec.process_std
-    return np.tile(np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]), (len(means), 1, 1))
+    return np.broadcast_to(spec._p0, (len(means), 4, 4))
 
 
 def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
@@ -190,8 +188,8 @@ def _checked(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
     return means, covs
 
 
-def init(boxes: np.ndarray, spec: MotionModelSpec,
-         ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+def kf_init(boxes: np.ndarray, spec: MotionModelSpec,
+            ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
     means = np.zeros((len(boxes), spec.state_dim))
     means[:, : spec.obs_dim] = observe(spec, boxes)
@@ -200,8 +198,8 @@ def init(boxes: np.ndarray, spec: MotionModelSpec,
     return _checked(means, covs, spec, ids)
 
 
-def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
-            ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
+               ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q."""
     if spec.model is MotionModel.SORT_CV7:
         # Classic SORT guard: freeze area velocity rather than predict s <= 0.
@@ -214,11 +212,11 @@ def predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
     return _checked(new_means, f @ covs @ f.T + process_noise(spec, means), spec, ids)
 
 
-def update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
-           ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
+def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
+              ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Standard Kalman correction of every row against the observation of its box.
 
-    H = [I 0]: H m, H P and H P H^T are exactly leading slices, as predict keeps P finite.
+    H = [I 0]: H m, H P and H P H^T are exactly leading slices, as kf_predict keeps P finite.
     """
     o = spec.obs_dim
     innovation = observe(spec, boxes) - means[:, :o]
@@ -234,7 +232,7 @@ def update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionM
 
 def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
                  spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row rendered back into corner form (N, 4), inverse of :func:`init`'s conversion.
+    """Every row rendered back into corner form (N, 4), inverse of :func:`kf_init`'s conversion.
 
     Also returns the rows with no box, whose boxes are placeholders: a
     non-positive area or aspect (SORT_CV7) or ``extents`` (N, 2) (CENTROID_CV4).
@@ -252,26 +250,4 @@ def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
         half = extents / 2.0
     center = means[:, :2]
     return np.concatenate([center - half, center + half], axis=1), degenerate
-
-
-def kf_init(bbox: BoundingBox, spec: MotionModelSpec) -> KalmanState:
-    """Initial state centered on a detection with zero velocity."""
-    means, covs = init(np.array([bbox.as_tuple()]), spec)
-    extent = (bbox.width, bbox.height) if spec.model is MotionModel.CENTROID_CV4 else None
-    return KalmanState(means[0], covs[0], spec, extent)
-
-
-def kf_predict(state: KalmanState) -> KalmanState:
-    """:func:`predict` of one state."""
-    means, covs = predict(state.mean[None], state.cov[None], state.spec)
-    return KalmanState(means[0], covs[0], state.spec, state.extent)
-
-
-def kf_update(state: KalmanState, measurement: BoundingBox) -> KalmanState:
-    """:func:`update` of one state against ``measurement``."""
-    means, covs = update(state.mean[None], state.cov[None],
-                         np.array([measurement.as_tuple()]), state.spec)
-    extent = ((measurement.width, measurement.height)
-              if state.spec.model is MotionModel.CENTROID_CV4 else state.extent)
-    return KalmanState(means[0], covs[0], state.spec, extent)
 

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidConfig, InvalidValue
-from .model import Columns, Detection, LabelSet, validate_distributions
+from .model import Columns, Detection, LabelSet, validate_distribution
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
     c = config.n_classes  # row t: ``confidence`` on class t, the rest spread evenly
     flicker_table = np.full((c, c), (1.0 - config.confidence) / (c - 1))
     np.fill_diagonal(flicker_table, config.confidence)
-    probs = validate_distributions(flicker_table, c)[np.array(label, dtype=np.int64)]
+    probs = validate_distribution(flicker_table, c)[np.array(label, dtype=np.int64)]
     emb = None if protos is None else np.array(emb, dtype=float).reshape(-1, config.embedding_dim)
     for column in (probs, emb):
         if column is not None:

@@ -242,7 +242,7 @@ def _update_rows(state: TrackerState, rows: List[int], boxes: np.ndarray,
         rows = slice(None)
     table["box"][rows] = boxes
     if spec is not None:
-        table["mean"][rows], table["cov"][rows] = motion.update(
+        table["mean"][rows], table["cov"][rows] = motion.kf_update(
             table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows])
     if kind is TrackerKind.APPEARANCE:
         mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs
@@ -255,7 +255,7 @@ def _spawn_rows(state: TrackerState, boxes: np.ndarray, embs: Optional[np.ndarra
     ids = list(range(state.next_id, state.next_id + len(boxes)))
     new = {"id": np.array(ids), "age": np.zeros(len(boxes), dtype=int), "box": boxes}
     if spec is not None:
-        new["mean"], new["cov"] = motion.init(boxes, spec, ids)
+        new["mean"], new["cov"] = motion.kf_init(boxes, spec, ids)
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = _unit_rows(embs)
     for name, col in new.items():
@@ -293,7 +293,8 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: 
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
     table = state.table
     if spec is not None and len(table["id"]):
-        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, table["id"])
+        table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec,
+                                                        table["id"])
 
     ref_boxes = _reference_boxes(state, spec)
     high_embs = None if embs is None else embs[high_idx]

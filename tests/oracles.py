@@ -35,6 +35,7 @@ from trackfuse.fusion import FusionMode
 from trackfuse.io import _require_numbers, open_text, read_labels, sequence_name
 from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
 from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
+from trackfuse.model import validate_distribution
 from trackfuse.trackers import TrackerKind
 
 SENTINEL = 1e9
@@ -96,7 +97,7 @@ def reference_iou(a: BoundingBox, b: BoundingBox) -> float:
     inter = iw * ih
     if inter <= 0.0:
         return 0.0
-    return inter / (a.width * a.height + b.width * b.height - inter)
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
 
 
 def reference_greedy_iou(tracks, dets, iou_gate: float):
@@ -276,7 +277,8 @@ def _center(bbox) -> Tuple[float, float]:
 def reference_observe(spec, bbox) -> np.ndarray:
     cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
-        return np.array([cx, cy, bbox.width * bbox.height, bbox.width / bbox.height])
+        w, h = bbox.x2 - bbox.x1, bbox.y2 - bbox.y1
+        return np.array([cx, cy, w * h, w / h])
     return np.array([cx, cy])
 
 
@@ -290,7 +292,8 @@ def reference_kf_init(bbox, spec):
     """One track's initial (mean, cov), computed as the one-track filter did."""
     cx, cy = _center(bbox)
     if spec.model is motion.MotionModel.SORT_CV7:
-        area, aspect = bbox.width * bbox.height, bbox.width / bbox.height
+        bw, bh = bbox.x2 - bbox.x1, bbox.y2 - bbox.y1
+        area, aspect = bw * bh, bw / bh
         mean = np.array([cx, cy, area, aspect, 0.0, 0.0, 0.0])
         h = _reference_height_like(mean)
         wp, wv = spec.std_weight_position, spec.std_weight_velocity
@@ -361,7 +364,7 @@ def reference_centroid_cost(boxes, dets, centroid_gate: float):
         for j, det in enumerate(dets):
             (ax, ay), (bx, by) = _center(ref), _center(det.bbox)
             values[i, j] = d = math.hypot(ax - bx, ay - by)
-            diagonals = (math.hypot(b.width, b.height) for b in (ref, det.bbox))
+            diagonals = (math.hypot(b.x2 - b.x1, b.y2 - b.y1) for b in (ref, det.bbox))
             mask[i, j] = d <= centroid_gate * max(diagonals)
     return values, mask
 
@@ -394,14 +397,14 @@ def reference_track_labels(track, vote: bool, online: bool) -> Dict[int, int]:
     a running total; ``online`` takes the label after each entry, otherwise
     every frame gets the label after the last entry.
     """
-    n_classes = len(track.entries[0].dist)
+    n_classes = track.entries[0].dist.probs.size
     cum = np.zeros(n_classes)
     votes = np.zeros(n_classes, dtype=int)
     mass = np.zeros(n_classes)
     labels: Dict[int, int] = {}
     for entry in track.entries:
         if vote:
-            votes[entry.dist.argmax] += 1
+            votes[int(np.argmax(entry.dist.probs))] += 1
             mass += entry.dist.probs
             labels[entry.frame_id] = _reference_vote_winner(votes, mass)
         else:
@@ -422,8 +425,8 @@ _UNDERFLOW_GUARD = 1e-320
 
 def reference_fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribution:
     """Renormalized elementwise product of two distributions, done in log space."""
-    if len(prev) != len(curr):
-        raise WrongLength(f"cannot fuse lengths {len(prev)} and {len(curr)}")
+    if prev.probs.size != curr.probs.size:
+        raise WrongLength(f"cannot fuse lengths {prev.probs.size} and {curr.probs.size}")
     joint = np.log(prev.probs) + np.log(curr.probs)
     top = joint.max()
     joint = joint - (top + np.log(np.exp(joint - top).sum()))
@@ -443,6 +446,12 @@ def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     raw = rng.dirichlet(np.ones(n) * 0.5)
     return np.maximum(raw, 1e-12) / np.maximum(raw, 1e-12).sum()
+
+
+def distribution(raw) -> ClassDistribution:
+    """``raw`` validated by the library as a one-row table, for building a Detection."""
+    arr = np.asarray(raw, dtype=float)
+    return ClassDistribution(validate_distribution(arr[None], arr.size)[0])
 
 
 def reference_validate_distribution(raw, n_classes: int) -> ClassDistribution:
@@ -582,7 +591,7 @@ class RefLabel(NamedTuple):
 
     @property
     def raw_label(self) -> int:
-        return self.detection.dist.argmax
+        return int(np.argmax(self.detection.dist.probs))
 
 
 class RefResult(NamedTuple):
@@ -668,7 +677,7 @@ def _reference_update_rows(state, matched, spec, kind):
     rows = [row for row, _ in matched]
     table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
     if spec is not None:
-        table["mean"][rows], table["cov"][rows] = motion.update(
+        table["mean"][rows], table["cov"][rows] = motion.kf_update(
             table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
     if kind is TrackerKind.APPEARANCE:
         mixed = (trackers.EMBEDDING_SMOOTHING * table["emb"][rows]
@@ -682,7 +691,7 @@ def _reference_spawn_rows(state, dets, spec, kind):
     new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
            "box": np.array([det.bbox.as_tuple() for det in dets])}
     if spec is not None:
-        new["mean"], new["cov"] = motion.init(new["box"], spec, ids)
+        new["mean"], new["cov"] = motion.kf_init(new["box"], spec, ids)
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = trackers._unit_rows(np.stack([det.embedding for det in dets]))
     for name, col in new.items():
@@ -713,7 +722,7 @@ def reference_tracker_step(state, frame_id, detections, config):
     table = state.table
     ids = table["id"].tolist()
     if spec is not None and ids:
-        table["mean"], table["cov"] = motion.predict(table["mean"], table["cov"], spec, ids)
+        table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec, ids)
 
     assigned = {}
     high_dets = [detections[i] for i in high_idx]
@@ -766,8 +775,8 @@ def reference_run_sequence(frames, config):
     tracks = tuple(RefTrack(i, tuple(dets)) for i, dets in sorted(entries.items())
                    if len(dets) >= config.min_hits)
     kept = {t.id for t in tracks}
-    per_frame = tuple(RefLabel(det, track_id if track_id in kept else None, det.dist.argmax)
-                      for det, track_id in records)
+    per_frame = tuple(RefLabel(det, track_id if track_id in kept else None,
+                               int(np.argmax(det.dist.probs))) for det, track_id in records)
     return RefResult(tracks, per_frame)
 
 
@@ -803,7 +812,7 @@ def reference_write_tracks(results, path):
         for rec in results[seq].per_frame:
             if rec.track_id is not None:
                 b = rec.detection.bbox
-                rows.append((seq, rec.frame_id, rec.track_id, b.x1, b.y1, b.width, b.height,
+                rows.append((seq, rec.frame_id, rec.track_id, b.x1, b.y1, b.x2 - b.x1, b.y2 - b.y1,
                              rec.detection.score, rec.fused_label, rec.raw_label))
     rows.sort(key=lambda r: r[:3])
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -26,7 +26,7 @@ from trackfuse.metrics import (
     f1_scores,
     label_flip_rate,
 )
-from trackfuse.model import Columns, Detection, validate_distribution
+from trackfuse.model import ClassDistribution, Columns, Detection, validate_distribution
 from trackfuse.motion import MotionModel, default_spec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
@@ -106,8 +106,8 @@ def test_criterion_2_fusion_oracle_equivalence():
             rows = np.empty((length, n_classes))
             for i in range(length):
                 rows[i] = random_simplex(rng, n_classes)
-            entries = [Detection(frame, box, 0.9, validate_distribution(row, n_classes))
-                       for frame, row in enumerate(rows)]
+            entries = [Detection(frame, box, 0.9, ClassDistribution(
+                validate_distribution(row[None], n_classes)[0])) for frame, row in enumerate(rows)]
             cols = Columns.from_frames([(e.frame_id, [e]) for e in entries])
 
             product = np.prod(
@@ -120,7 +120,7 @@ def test_criterion_2_fusion_oracle_equivalence():
                 folded = entries[0].dist
                 for e in entries[1:]:
                     folded = reference_fuse_pair(folded, e.dist)
-                assert folded.argmax == want
+                assert int(np.argmax(folded.probs)) == want
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -131,15 +131,15 @@ def test_criterion_3_kalman_matches_independent_oracle():
         steps = 0
         for model in (MotionModel.SORT_CV7, MotionModel.CENTROID_CV4):
             spec = default_spec(model)
-            means, covs = motion.init(np.array([random_box(rng).as_tuple()]), spec)
+            means, covs = motion.kf_init(np.array([random_box(rng).as_tuple()]), spec)
             for _ in range(500):
                 if rng.random() < 0.5:
                     want_mean, want_cov = oracle_predict(means[0], covs[0], spec)
-                    means, covs = motion.predict(means, covs, spec)
+                    means, covs = motion.kf_predict(means, covs, spec)
                 else:
                     meas = random_box(rng)
                     want_mean, want_cov = oracle_update(means[0], covs[0], spec, meas)
-                    means, covs = motion.update(means, covs, np.array([meas.as_tuple()]), spec)
+                    means, covs = motion.kf_update(means, covs, np.array([meas.as_tuple()]), spec)
                 steps += 1
                 scale = max(1.0, float(np.max(np.abs(want_mean))))
                 assert float(np.max(np.abs(means[0] - want_mean.astype(float)))) / scale < 1e-9

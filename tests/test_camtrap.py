@@ -55,7 +55,7 @@ class TestNextTrigger:
 class TestTriggerConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(fps=0), dict(burst_len=0), dict(cooldown=-1.0), dict(fps=1.5),
-        dict(cooldown=float("inf")),
+        dict(cooldown=float("inf")), dict(cooldown=1e307),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidConfig):

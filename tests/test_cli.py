@@ -155,6 +155,8 @@ class TestTrack:
         ({"motion": {"model": "sort_cv7", "dt": "x"}}, "dt"),
         ({"motion": {"model": "sort_cv7", "dt": "1.5"}}, "dt"),
         ({"motion": {"model": "sort_cv7", "process_std": 9}}, "process_std"),
+        ({"motion": {"model": "centroid_cv4", "dt": 1e100}}, "dt"),
+        ({"motion": {"model": "centroid_cv4", "process_std": 1e160}}, "process_std"),
     ])
     def test_bad_config_is_data_error(self, tmp_path, detection_file, capsys, config, bad_key):
         dets, labels = detection_file
@@ -476,6 +478,16 @@ class TestSimulate:
         assert main(["simulate", "--input", str(path), "--output", str(out),
                      "--cooldown", "inf"]) == 2
         assert "cooldown" in capsys.readouterr().err
+
+    def test_cooldown_past_the_frame_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"seq": "a", "frame": 0}) + "\n")
+        out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--input", str(path), "--output", str(out),
+                     "--cooldown", "1e307"]) == 2  # 1e307 s at 30 fps is no float frame count
+        err = capsys.readouterr().err
+        assert "cooldown * fps" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_huge_frame_id_is_sampled_sparsely(self, tmp_path):
         path = tmp_path / "d.jsonl"

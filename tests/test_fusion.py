@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     RefTrack,
+    distribution,
     random_simplex,
     reference_fuse_pair,
     reference_relabel,
@@ -13,7 +14,7 @@ from oracles import (
     track_rows,
 )
 from trackfuse.fusion import FusionMode, _running, relabel
-from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
+from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
 
@@ -23,8 +24,7 @@ BOX = BoundingBox(0, 0, 10, 10)
 def _track(prob_rows) -> Columns:
     """One track's columns: one detection per frame 0, 1, ... with ``prob_rows``."""
     return Columns.from_frames([
-        (frame, [Detection(frame, BOX, 0.9, validate_distribution(np.asarray(probs, dtype=float),
-                                                                  len(probs)))])
+        (frame, [Detection(frame, BOX, 0.9, distribution(probs))])
         for frame, probs in enumerate(prob_rows)])
 
 
@@ -86,10 +86,10 @@ class TestConsensusLabel:
             n = int(rng.integers(2, 30))
             rows = [random_simplex(rng, n) for _ in range(int(rng.integers(1, 25)))]
             track = _track(rows)
-            folded = validate_distribution(rows[0], n)
+            folded = distribution(rows[0])
             for row in rows[1:]:
-                folded = reference_fuse_pair(folded, validate_distribution(row, n))
-            assert folded.argmax == _fused(track)
+                folded = reference_fuse_pair(folded, distribution(row))
+            assert int(np.argmax(folded.probs)) == _fused(track)
 
     def test_long_track_stays_finite(self):
         rng = np.random.default_rng(101)
@@ -216,8 +216,7 @@ class TestRelabel:
                 length = int(rng.integers(1, 12))
                 frames = np.sort(rng.choice(40, size=length, replace=False))
                 rows = rng.integers(1, 4, size=(length, n_classes)).astype(float)
-                entries = [Detection(int(f), BOX, 0.9,
-                                     validate_distribution(r / r.sum(), n_classes))
+                entries = [Detection(int(f), BOX, 0.9, distribution(r / r.sum()))
                            for f, r in zip(frames, rows)]
                 tracks.append(RefTrack(track_id, tuple(entries)))
                 for e in entries:

@@ -93,8 +93,8 @@ def _outcome(parse, path):
 
 def _plain(det):
     emb = None if det.embedding is None else det.embedding.tolist()
-    return (det.frame_id, det.bbox.as_tuple(), det.score, det.dist.probs.tolist(),
-            det.dist.argmax, emb, det.gt_class, det.gt_track)
+    return (det.frame_id, det.bbox.as_tuple(), det.score, det.dist.probs.tolist(), emb,
+            det.gt_class, det.gt_track)
 
 
 def _both(path):
@@ -218,8 +218,6 @@ def test_validated_rows_are_views_of_one_array_per_sequence(tmp_path):
         assert len(set().union(*bases.values())) == len(sequences) == 63
     assert all(not d.dist.probs.flags.writeable and not d.embedding.flags.writeable
                for d in dets)
-    assert all("argmax" in vars(d.dist) for d in dets)  # seeded, not computed on first read
-    assert all(d.dist.argmax == int(np.argmax(d.dist.probs)) for d in dets)
 
 
 class _OpenStage:
@@ -246,10 +244,10 @@ def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatc
             return function(*args, **kwargs)
         monkeypatch.setattr(io, name, call)
 
-    for name in ("parse_json", "score_value", "validate_distributions"):
+    for name in ("parse_json", "score_value", "validate_distribution"):
         spy(name, getattr(io, name))
     n_lines = 2 * CHUNK_LINES + 5
     read_columns(_write(tmp_path, [_good(i) for i in range(n_lines)]), LABELS, timer)
     lines = [(name, STAGE_DETECTION_INGEST) for name in ("parse_json", "score_value")]
-    chunk = [("validate_distributions", STAGE_CLASSIFICATION_INGEST)]
+    chunk = [("validate_distribution", STAGE_CLASSIFICATION_INGEST)]
     assert seen == (lines * CHUNK_LINES + chunk) * 2 + lines * 5 + chunk

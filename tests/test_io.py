@@ -175,7 +175,7 @@ class TestParseDetections:
                                     "probs": [1, 0, 0, 0, 0], "embedding": [1, 2]}) + "\n")
         (det,) = parse_detections(path, self._labels())["a"][0][1]
         assert det.bbox.as_tuple() == (0.0, 0.0, 5.0, 5.0) and det.score == 1.0
-        assert det.dist.argmax == 0 and det.embedding.tolist() == [1.0, 2.0]
+        assert int(np.argmax(det.dist.probs)) == 0 and det.embedding.tolist() == [1.0, 2.0]
 
     def test_deep_nesting_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"

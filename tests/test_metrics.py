@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import distribution
 from trackfuse.errors import EmptyEvaluation, IndexOutOfRange, NoEligibleTracks
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.metrics import (
@@ -16,7 +17,7 @@ from trackfuse.metrics import (
     format_profile_table,
     label_flip_rate,
 )
-from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
+from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -180,7 +181,7 @@ class TestLabelFlipRate:
     def test_track_boundaries_are_not_flips(self):
         # Two constant tracks with different labels: no pair crosses between them.
         def det(f, x, probs):
-            return Detection(f, BoundingBox(x, 0, x + 20, 20), 0.9, validate_distribution(probs, 2))
+            return Detection(f, BoundingBox(x, 0, x + 20, 20), 0.9, distribution(probs))
 
         frames = [(f, [det(f, 0, [0.9, 0.1]), det(f, 500, [0.2, 0.8])]) for f in range(3)]
         result = _tracked(Columns.from_frames(frames))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_validate_distribution
+from oracles import distribution, reference_validate_distribution
 from trackfuse.errors import DegenerateSum, InvalidValue, WrongLength
 from trackfuse.model import (
     PROB_FLOOR,
@@ -22,7 +22,6 @@ from trackfuse.model import (
     LabelSet,
     track_runs,
     validate_distribution,
-    validate_distributions,
 )
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -43,9 +42,8 @@ class TestLabelSet:
 
 class TestBoundingBox:
     def test_properties(self):
-        b = BoundingBox(2.0, 3.0, 6.0, 11.0)
-        assert b.width == 4.0
-        assert b.height == 8.0
+        b = BoundingBox(2, 3, 6, 11)
+        assert b.as_tuple() == (2.0, 3.0, 6.0, 11.0) and type(b.x1) is float
         assert (0.5 * (b.x1 + b.x2), 0.5 * (b.y1 + b.y2)) == (4.0, 7.0)
 
     @pytest.mark.parametrize("corners", [
@@ -57,36 +55,39 @@ class TestBoundingBox:
             BoundingBox(*corners)
 
 
+def _one(raw, n_classes: int) -> np.ndarray:
+    """``raw`` validated as a one-row table: its row."""
+    return validate_distribution(np.asarray(raw, dtype=float)[None], n_classes)[0]
+
+
 class TestValidateDistribution:
     def test_already_normalized_passes_through(self):
-        d = validate_distribution([0.5, 0.5], 2)
-        assert np.array_equal(d.probs, [0.5, 0.5])
+        assert np.array_equal(_one([0.5, 0.5], 2), [0.5, 0.5])
 
     def test_zero_entry_is_floored(self):
-        d = validate_distribution([1.0, 0.0], 2)
-        assert d.probs[0] == pytest.approx(1.0, abs=1e-11)
-        assert 0.0 < d.probs[1] <= 2 * PROB_FLOOR
-        assert d.argmax == 0
+        probs = _one([1.0, 0.0], 2)
+        assert probs[0] == pytest.approx(1.0, abs=1e-11)
+        assert 0.0 < probs[1] <= 2 * PROB_FLOOR
+        assert int(np.argmax(probs)) == 0
 
     def test_unnormalized_input_is_scaled(self):
         # 2/8 and 6/8 are exact in binary, so equality is exact.
-        d = validate_distribution([2.0, 6.0], 2)
-        assert np.array_equal(d.probs, [0.25, 0.75])
+        assert np.array_equal(_one([2.0, 6.0], 2), [0.25, 0.75])
 
     def test_wrong_length(self):
         with pytest.raises(WrongLength):
-            validate_distribution([0.5, 0.5], 3)
+            _one([0.5, 0.5], 3)
 
     @pytest.mark.parametrize("raw", [[-0.1, 1.1], [float("nan"), 1.0], [float("inf"), 1.0]])
     def test_invalid_entries(self, raw):
         with pytest.raises(InvalidValue):
-            validate_distribution(raw, 2)
+            _one(raw, 2)
 
     def test_degenerate_sum(self):
         with pytest.raises(DegenerateSum):
-            validate_distribution([0.0, 0.0], 2)
+            _one([0.0, 0.0], 2)
         with pytest.raises(DegenerateSum):
-            validate_distribution([1e-10, 1e-10], 2)
+            _one([1e-10, 1e-10], 2)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
     @settings(max_examples=200)
@@ -94,9 +95,9 @@ class TestValidateDistribution:
         arr = np.asarray(raw)
         if arr.sum() < 1e-9:
             return
-        d = validate_distribution(arr, len(raw))
-        assert abs(float(d.probs.sum()) - 1.0) <= 1e-12
-        assert np.all(d.probs > 0.0)
+        probs = _one(arr, len(raw))
+        assert abs(float(probs.sum()) - 1.0) <= 1e-12
+        assert np.all(probs > 0.0)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=40))
     @settings(max_examples=200)
@@ -104,9 +105,8 @@ class TestValidateDistribution:
         arr = np.asarray(raw)
         if arr.sum() < 1e-9:
             return
-        once = validate_distribution(arr, len(raw))
-        twice = validate_distribution(once.probs, len(raw))
-        assert np.array_equal(once.probs, twice.probs)
+        once = _one(arr, len(raw))
+        assert np.array_equal(_one(once, len(raw)), once)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=40))
     @settings(max_examples=200)
@@ -120,7 +120,7 @@ class TestValidateDistribution:
         arr = np.asarray(raw)
         if arr.sum() < 1e-9 or arr.max() <= PROB_FLOOR:
             return
-        got = validate_distribution(arr, len(raw)).argmax
+        got = int(np.argmax(_one(arr, len(raw))))
         runner_up, top = np.sort(arr)[-2:]
         assert top - arr[got] <= 1e-12 * top
         if top - runner_up > 1e-12 * top:
@@ -141,17 +141,17 @@ def _random_rows(rng, n_rows, n_classes):
     return np.array([kinds[rng.integers(len(kinds))]() for _ in range(n_rows)])
 
 
-class TestValidateDistributions:
+class TestValidateDistributionTable:
     @pytest.mark.parametrize("n_classes", [1, 2, 5, 10, 37, 200])
     @np.errstate(over="ignore")  # the huge rows' sums overflow to inf on both sides
     def test_each_row_is_the_one_vector_fixpoint_bit_for_bit(self, n_classes):
         rng = np.random.default_rng(n_classes)
         rows = _random_rows(rng, 3000 // n_classes + 20, n_classes)
-        got = validate_distributions(rows, n_classes)
+        got = validate_distribution(rows, n_classes)
         want = np.array([reference_validate_distribution(r, n_classes).probs for r in rows])
         assert np.array_equal(got, want)
         for start in range(0, len(rows), 7):  # a row's result does not depend on its batch
-            assert np.array_equal(validate_distributions(rows[start:start + 7], n_classes),
+            assert np.array_equal(validate_distribution(rows[start:start + 7], n_classes),
                                   want[start:start + 7])
 
     @pytest.mark.parametrize("bad,error,message", [
@@ -163,7 +163,7 @@ class TestValidateDistributions:
     def test_first_bad_row_raises_with_its_index(self, bad, error, message):
         rows = np.array([[0.5, 0.5], [0.2, 0.8], bad, [-1.0, 0.0], [0.3, 0.7]])
         with pytest.raises(error, match=f"^{message}$") as info:
-            validate_distributions(rows, 2)
+            validate_distribution(rows, 2)
         assert info.value.row == 2
         with pytest.raises(error, match=f"^{message}$"):
             reference_validate_distribution(bad, 2)
@@ -171,8 +171,8 @@ class TestValidateDistributions:
     def test_shape_must_be_rows_of_the_label_count(self):
         for raw in ([0.5, 0.5], np.ones((2, 3))):
             with pytest.raises(WrongLength):
-                validate_distributions(raw, 2)
-        assert validate_distributions(np.empty((0, 3)), 3).shape == (0, 3)
+                validate_distribution(raw, 2)
+        assert validate_distribution(np.empty((0, 3)), 3).shape == (0, 3)
 
 
 class TestClassDistribution:
@@ -185,7 +185,7 @@ class TestClassDistribution:
             ClassDistribution(np.array([1.0, 0.0]))
 
     def test_is_readonly(self):
-        d = validate_distribution([0.3, 0.7], 2)
+        d = ClassDistribution(np.array([0.3, 0.7]))
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
@@ -198,13 +198,13 @@ class TestClassDistribution:
         # one) allocate too.
         rows = [np.full(2, 0.5) for _ in range(2000)]
         for row in rows:
-            validate_distribution(row, 2)
+            ClassDistribution(row)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             for row in rows:
-                validate_distribution(row, 2)
+                ClassDistribution(row)
             held = tracemalloc.get_traced_memory()[0]
             sys._clear_type_cache()
             freed = held - tracemalloc.get_traced_memory()[0]
@@ -214,20 +214,12 @@ class TestClassDistribution:
         assert freed <= 0  # clearing may allocate a little itself
 
     def test_argmax_tie_breaks_low(self):
-        d = validate_distribution([0.5, 0.5], 2)
-        assert d.argmax == 0
-
-    def test_argmax_is_computed_once(self, monkeypatch):
-        d = validate_distribution([0.2, 0.8], 2)
-        calls = []
-        monkeypatch.setattr(np, "argmax", lambda a, _real=np.argmax: calls.append(a) or _real(a))
-        assert [d.argmax, d.argmax, d.argmax] == [1, 1, 1]
-        assert len(calls) == 1
+        assert int(np.argmax(_one([0.5, 0.5], 2))) == 0
 
 
 class TestDetection:
     def _dist(self):
-        return validate_distribution([0.6, 0.4], 2)
+        return distribution([0.6, 0.4])
 
     def test_basic(self):
         det = Detection(3, BoundingBox(0, 0, 5, 5), 0.9, self._dist(),
@@ -249,8 +241,8 @@ class TestTrack:
     """A track is one id on rows of a ColumnResult; ``runs`` holds its rows in frame order."""
 
     def _columns(self):
-        d1 = validate_distribution([0.6, 0.4], 2)
-        d2 = validate_distribution([0.3, 0.7], 2)
+        d1 = distribution([0.6, 0.4])
+        d2 = distribution([0.3, 0.7])
         return Columns.from_frames([
             (0, [Detection(0, BoundingBox(0, 0, 2, 2), 0.9, d1)]),
             (1, [Detection(1, BoundingBox(1, 0, 3, 2), 0.9, d2)]),

@@ -17,22 +17,18 @@ from trackfuse.errors import InvalidConfig, NumericalBreakdown
 from trackfuse.model import BoundingBox
 from trackfuse.motion import (
     PSD_TOLERANCE,
-    KalmanState,
     MotionModel,
     MotionModelSpec,
     corner_boxes,
     default_spec,
-    init,
     kf_init,
     kf_predict,
     kf_update,
     measurement_matrix,
     measurement_noise,
     observe,
-    predict,
     process_noise,
     transition_matrix,
-    update,
 )
 
 SORT = default_spec(MotionModel.SORT_CV7)
@@ -52,17 +48,16 @@ def _min_eig(cov):
 
 class TestInit:
     def test_sort_square_box(self):
-        st = kf_init(BoundingBox(0, 0, 2, 2), SORT)
-        assert np.allclose(st.mean, [1, 1, 4, 1, 0, 0, 0])
+        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)]), SORT)
+        assert np.allclose(means[0], [1, 1, 4, 1, 0, 0, 0])
 
     def test_sort_tall_box(self):
-        st = kf_init(BoundingBox(0, 0, 2, 4), SORT)
-        assert np.allclose(st.mean, [1, 2, 8, 0.5, 0, 0, 0])
+        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 4)]), SORT)
+        assert np.allclose(means[0], [1, 2, 8, 0.5, 0, 0, 0])
 
     def test_centroid(self):
-        st = kf_init(BoundingBox(10, 10, 20, 20), CENTROID)
-        assert np.allclose(st.mean, [15, 15, 0, 0])
-        assert st.extent == (10.0, 10.0)
+        means, _ = kf_init(_boxes([BoundingBox(10, 10, 20, 20)]), CENTROID)
+        assert np.allclose(means[0], [15, 15, 0, 0])
 
     def test_spec_requires_positive_noise(self):
         with pytest.raises(InvalidConfig):
@@ -73,6 +68,15 @@ class TestInit:
         with pytest.raises(InvalidConfig, match="dt must be a real number"):
             MotionModelSpec(MotionModel.SORT_CV7, dt=value)
 
+    @pytest.mark.parametrize("field,value,fields", [
+        ("dt", 1e100, "dt or process_std"), ("process_std", 1e160, "dt or process_std"),
+        ("measurement_std", 1e160, "measurement_std"),
+    ])
+    def test_centroid_noise_past_the_float_range_is_invalid_config(self, field, value, fields):
+        with pytest.raises(InvalidConfig, match=f"^{fields} too large"):
+            MotionModelSpec(MotionModel.CENTROID_CV4, **{field: value})
+        assert MotionModelSpec(MotionModel.SORT_CV7, **{field: value}).dt > 0.0
+
     def test_spec_stores_floats(self):
         spec = MotionModelSpec(MotionModel.CENTROID_CV4, dt=2, process_std=np.float32(0.5))
         assert type(spec.dt) is float and type(spec.process_std) is float
@@ -80,71 +84,69 @@ class TestInit:
 
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
-        st = kf_init(BoundingBox(5, 5, 15, 25), SORT)
-        predicted = kf_predict(st)
-        assert np.allclose(predicted.mean[:4], st.mean[:4])
+        means, covs = kf_init(_boxes([BoundingBox(5, 5, 15, 25)]), SORT)
+        predicted, _ = kf_predict(means, covs, SORT)
+        assert np.allclose(predicted[0, :4], means[0, :4])
 
     def test_centroid_one_step(self):
-        st = kf_init(BoundingBox(-1, -1, 1, 1), CENTROID)
-        moving = KalmanState(np.array([0.0, 0.0, 1.0, 2.0]), st.cov, CENTROID, st.extent)
-        predicted = kf_predict(moving)
-        assert np.allclose(predicted.mean[:2], [1.0, 2.0])
+        _, covs = kf_init(_boxes([BoundingBox(-1, -1, 1, 1)]), CENTROID)
+        predicted, _ = kf_predict(np.array([[0.0, 0.0, 1.0, 2.0]]), covs, CENTROID)
+        assert np.allclose(predicted[0, :2], [1.0, 2.0])
 
     def test_seeded_predict_matches_oracle(self):
         rng = np.random.default_rng(7)
         for spec in (SORT, CENTROID):
-            st = kf_init(random_box(rng), spec)
+            means, covs = kf_init(_boxes([random_box(rng)]), spec)
             for _ in range(50):
-                want_mean, want_cov = oracle_predict(st.mean, st.cov, spec)
-                st = kf_predict(st)
-                assert _rel_err(st.mean, want_mean) < 1e-9
-                assert _rel_err(st.cov, want_cov) < 1e-9
+                want_mean, want_cov = oracle_predict(means[0], covs[0], spec)
+                means, covs = kf_predict(means, covs, spec)
+                assert _rel_err(means[0], want_mean) < 1e-9
+                assert _rel_err(covs[0], want_cov) < 1e-9
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
-        st = kf_init(BoundingBox(0, 0, 10, 20), SORT)
-        st = kf_predict(st)
-        boxes, degenerate = corner_boxes(st.mean[None], None, SORT)
+        means, covs = kf_predict(*kf_init(_boxes([BoundingBox(0, 0, 10, 20)]), SORT), SORT)
+        boxes, degenerate = corner_boxes(means, None, SORT)
         assert not degenerate[0]
-        updated = kf_update(st, BoundingBox(*boxes[0].tolist()))
-        assert np.max(np.abs(updated.mean - st.mean)) < 1e-9
+        updated, _ = kf_update(means, covs, boxes, SORT)
+        assert np.max(np.abs(updated[0] - means[0])) < 1e-9
 
     def test_update_contracts_observed_uncertainty(self):
         rng = np.random.default_rng(3)
         for spec in (SORT, CENTROID):
             h = measurement_matrix(spec)
             for _ in range(25):
-                st = kf_predict(kf_init(random_box(rng), spec))
-                updated = kf_update(st, random_box(rng))
-                prior_obs = h @ st.cov @ h.T
-                post_obs = h @ updated.cov @ h.T
+                means, covs = kf_predict(*kf_init(_boxes([random_box(rng)]), spec), spec)
+                _, updated = kf_update(means, covs, _boxes([random_box(rng)]), spec)
+                prior_obs = h @ covs[0] @ h.T
+                post_obs = h @ updated[0] @ h.T
                 assert np.trace(post_obs) <= np.trace(prior_obs) + 1e-9
 
     def test_seeded_cycle_matches_oracle(self):
         rng = np.random.default_rng(12)
         for spec in (SORT, CENTROID):
-            st = kf_init(random_box(rng), spec)
+            means, covs = kf_init(_boxes([random_box(rng)]), spec)
             for _ in range(50):
-                st = kf_predict(st)
+                means, covs = kf_predict(means, covs, spec)
                 meas = random_box(rng, img=200.0, min_size=20.0, max_size=60.0)
-                want_mean, want_cov = oracle_update(st.mean, st.cov, spec, meas)
-                st = kf_update(st, meas)
-                assert _rel_err(st.mean, want_mean) < 1e-9
-                assert _rel_err(st.cov, want_cov) < 1e-9
+                want_mean, want_cov = oracle_update(means[0], covs[0], spec, meas)
+                means, covs = kf_update(means, covs, _boxes([meas]), spec)
+                assert _rel_err(means[0], want_mean) < 1e-9
+                assert _rel_err(covs[0], want_cov) < 1e-9
 
     def test_repeated_updates_converge_to_measurement(self):
         # Vanishing process noise, small measurement noise: the observation
         # takes over without the white-acceleration coupling inferring velocity.
         spec = MotionModelSpec(MotionModel.CENTROID_CV4, process_std=1e-12,
                                measurement_std=1e-4)
-        st = kf_init(BoundingBox(0, 0, 10, 10), spec)
-        target = BoundingBox(40, 40, 50, 50)
-        z = observe(spec, np.array([target.as_tuple()]))[0]
+        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), spec)
+        target = _boxes([BoundingBox(40, 40, 50, 50)])
+        z = observe(spec, target)[0]
         errors = []
         for _ in range(100):
-            st = kf_update(kf_predict(st), target)
-            errors.append(float(np.linalg.norm(st.mean[:2] - z)))
+            means, covs = kf_update(*kf_predict(means, covs, spec), target, spec)
+            errors.append(float(np.linalg.norm(means[0, :2] - z)))
         # With Q = 0 the filter averages measurements: harmonic, monotone decay.
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 0.05 * errors[0]
@@ -156,14 +158,14 @@ class TestCovarianceStaysPsd:
         steps = 0
         for spec in (SORT, CENTROID):
             for _ in range(100):
-                st = kf_init(random_box(rng), spec)
+                means, covs = kf_init(_boxes([random_box(rng)]), spec)
                 for _ in range(50):
                     if rng.random() < 0.5:
-                        st = kf_predict(st)
+                        means, covs = kf_predict(means, covs, spec)
                     else:
-                        st = kf_update(st, random_box(rng))
+                        means, covs = kf_update(means, covs, _boxes([random_box(rng)]), spec)
                     steps += 1
-                    assert _min_eig(st.cov) >= -PSD_TOLERANCE
+                    assert _min_eig(covs[0]) >= -PSD_TOLERANCE
         assert steps == 10_000
 
 
@@ -174,14 +176,14 @@ class TestStateToBbox:
         rng = np.random.default_rng(21)
         boxes = _boxes([random_box(rng) for _ in range(200)])
         for spec in (SORT, CENTROID):
-            means, _ = init(boxes, spec)
+            means, _ = kf_init(boxes, spec)
             back, degenerate = corner_boxes(means, boxes[:, 2:] - boxes[:, :2], spec)
             assert not degenerate.any()
             assert np.allclose(back, boxes, atol=1e-9)
 
     def test_inverse_of_init_examples(self):
         boxes = np.array([[0, 0, 2, 2], [0, 0, 2, 4]], dtype=float)
-        back, degenerate = corner_boxes(init(boxes, SORT)[0], None, SORT)
+        back, degenerate = corner_boxes(kf_init(boxes, SORT)[0], None, SORT)
         assert np.allclose(back, boxes)
         assert not degenerate.any()
 
@@ -193,7 +195,7 @@ class TestStateToBbox:
         assert np.isfinite(boxes).all()
 
     def test_centroid_without_extent(self):
-        means, _ = init(_boxes([BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
+        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
         extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]])
         boxes, degenerate = corner_boxes(means, extents, CENTROID)
         assert degenerate.tolist() == [True, False, True]
@@ -215,7 +217,7 @@ class TestBatchedFilter:
     def test_rows_equal_the_one_track_filter(self, spec, n):
         rng = np.random.default_rng(n)
         starts = [random_box(rng) for _ in range(n)]
-        means, covs = init(_boxes(starts), spec)
+        means, covs = kf_init(_boxes(starts), spec)
         want = [reference_kf_init(box, spec) for box in starts]
         guarded = 0
         for step in range(30):
@@ -225,12 +227,13 @@ class TestBatchedFilter:
                     means[i, 6] = -means[i, 2] * rng.uniform(1.0, 3.0)
                     want[i] = (means[i].copy(), want[i][1])
                 guarded += 1
-            means, covs = predict(means, covs, spec)
+            means, covs = kf_predict(means, covs, spec)
             want = [reference_kf_predict(m, c, spec) for m, c in want]
             rows = [i for i in range(n) if rng.random() < 0.7]
             measured = [random_box(rng) for _ in rows]
             if rows:
-                means[rows], covs[rows] = update(means[rows], covs[rows], _boxes(measured), spec)
+                means[rows], covs[rows] = kf_update(means[rows], covs[rows], _boxes(measured),
+                                                    spec)
             for i, box in zip(rows, measured):
                 want[i] = reference_kf_update(*want[i], spec, box)
             for i in range(n):
@@ -238,21 +241,23 @@ class TestBatchedFilter:
         assert guarded or spec.model is MotionModel.CENTROID_CV4
 
     def test_guard_freezes_area_velocity_per_row(self):
-        means, covs = init(_boxes([BoundingBox(0, 0, 10, 10)] * 2), SORT)
+        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)] * 2), SORT)
         means[:, 6] = [-200.0, -50.0]  # area 100: row 0 would predict s <= 0
-        predicted, _ = predict(means, covs, SORT)
+        predicted, _ = kf_predict(means, covs, SORT)
         assert predicted[:, 2].tolist() == [100.0, 50.0]
         assert predicted[:, 6].tolist() == [0.0, -50.0]
 
     @pytest.mark.parametrize("step", ["predict", "update"])
     def test_non_psd_row_names_its_track(self, step):
-        means, covs = init(_boxes([random_box(np.random.default_rng(k)) for k in range(3)]), SORT)
+        starts = _boxes([random_box(np.random.default_rng(k)) for k in range(3)])
+        means, covs = kf_init(starts, SORT)
         covs[1] = -np.eye(7)
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 lost"):
             if step == "predict":
-                predict(means, covs, SORT, ids=[4, 8, 9])
+                kf_predict(means, covs, SORT, ids=[4, 8, 9])
             else:
-                update(means, covs, _boxes([BoundingBox(0, 0, 5, 5)] * 3), SORT, ids=[4, 8, 9])
+                kf_update(means, covs, _boxes([BoundingBox(0, 0, 5, 5)] * 3), SORT,
+                          ids=[4, 8, 9])
 
     @pytest.mark.parametrize("step", ["init", "predict", "update"])
     def test_non_finite_covariance_names_its_track(self, step):
@@ -260,26 +265,26 @@ class TestBatchedFilter:
         boxes = _boxes([BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 is not finite"):
             if step == "init":
-                init(boxes, SORT, ids=[4, 8])
-            means, covs = init(boxes[:1].repeat(2, axis=0), SORT)
+                kf_init(boxes, SORT, ids=[4, 8])
+            means, covs = kf_init(boxes[:1].repeat(2, axis=0), SORT)
             covs[1, 0, 0] = np.nan
             if step == "predict":
-                predict(means, covs, SORT, ids=[4, 8])
+                kf_predict(means, covs, SORT, ids=[4, 8])
             else:
-                update(means, covs, boxes[:1].repeat(2, axis=0), SORT, ids=[4, 8])
+                kf_update(means, covs, boxes[:1].repeat(2, axis=0), SORT, ids=[4, 8])
 
     def test_non_finite_mean_names_its_track(self):
-        means, covs = init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
+        means, covs = kf_init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
         means[1, 0] = np.nan
         with pytest.raises(NumericalBreakdown, match="mean of track 3 is not finite"):
-            predict(means, covs, CENTROID, ids=[2, 3])
+            kf_predict(means, covs, CENTROID, ids=[2, 3])
 
     def test_inputs_are_not_written(self):
-        means, covs = init(_boxes([BoundingBox(0, 0, 10, 10)]), SORT)
+        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), SORT)
         means[0, 6] = -500.0
         before = (means.copy(), covs.copy())
-        predict(means, covs, SORT)
-        update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
+        kf_predict(means, covs, SORT)
+        kf_update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
         assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])
 
 

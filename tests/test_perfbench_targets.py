@@ -17,22 +17,20 @@ from trackfuse.trackers import TrackerKind
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
-# Trace targets that `track` never calls, so their spans never open.  `track`
-# reads columns (`io.read_columns`), validates a chunk of rows at a time
-# (`validate_distributions`), tracks with `track_columns` and filters with
-# `motion.init`/`predict`/`update`; retargeting the trace is ROADMAP item 7.
+# Trace targets that `track` never calls, so their spans never open: `track`
+# reads columns (`io.read_columns`) and tracks them with `track_columns`.
+# Retargeting the trace is ROADMAP item 7.
 NEVER_CALLED = {
     ("trackfuse.io", "parse_detections"),
-    ("trackfuse.io", "validate_distribution"),
     ("trackfuse.cli", "run_sequence"),
-    ("trackfuse.motion", "kf_predict"),
-    ("trackfuse.motion", "kf_update"),
-    ("trackfuse.motion", "kf_init"),
 }
 
-EVERY_RUN = {"cli.fanout", "trackers.step", "trackers.cost", "fusion.relabel", "io.write_tracks",
-             "metrics.report", "metrics.evaluation_pairs"}
+EVERY_RUN = {"cli.fanout", "model.validate", "trackers.step", "trackers.cost", "fusion.relabel",
+             "io.write_tracks", "metrics.report", "metrics.evaluation_pairs"}
 ASSIGNMENT = {"assoc.solve", "assoc.lsa"}
+KALMAN = {"motion.init", "motion.predict", "motion.update"}
+KALMAN_KINDS = {TrackerKind.CENTROID_KF, TrackerKind.SORT, TrackerKind.BYTETRACK,
+                TrackerKind.APPEARANCE}
 
 
 def _perfbench(name, monkeypatch):
@@ -79,6 +77,7 @@ def test_track_opens_every_called_target(tmp_path, monkeypatch, layers, kind):
                          "--output", str(tmp_path / "t.csv"),
                          "--metrics-out", str(tmp_path / "m.json")]) == 0
     opened = {span[tracer.NAME] for span in spans.spans}
-    assert opened == EVERY_RUN | (set() if kind is TrackerKind.IOU else ASSIGNMENT)
+    assert opened == (EVERY_RUN | (set() if kind is TrackerKind.IOU else ASSIGNMENT)
+                      | (KALMAN if kind in KALMAN_KINDS else set()))
     never = {name for module, attr, name, _ in layers.TARGETS if (module, attr) in NEVER_CALLED}
-    assert never == {name for *_, name, _ in layers.TARGETS} - EVERY_RUN - ASSIGNMENT
+    assert never == {name for *_, name, _ in layers.TARGETS} - EVERY_RUN - ASSIGNMENT - KALMAN

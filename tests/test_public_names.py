@@ -17,9 +17,6 @@ SRC = Path(__file__).parents[1] / "src" / "trackfuse"
 
 KEPT = {
     "read_tracks": "the benchmark reads the track CSV back with it",
-    "kf_init": "a trace target of the benchmark",
-    "kf_predict": "a trace target of the benchmark",
-    "kf_update": "a trace target of the benchmark",
 }
 
 SHARED = {}  # Class.member: the functions that read it on that class ("module.qualname")

@@ -8,7 +8,7 @@ import pytest
 
 from trackfuse.cli import main
 from trackfuse.errors import InvalidConfig, InvalidValue
-from trackfuse.model import Columns, validate_distributions
+from trackfuse.model import Columns, validate_distribution
 from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -105,7 +105,7 @@ class TestCorruptDistribution:
                                     confidence=confidence, n_classes=7)
             probs = generate_scenario(config).columns.probs
             assert len(probs) == 100 and (probs > 0.0).all()
-            assert np.array_equal(validate_distributions(probs, 7), probs)
+            assert np.array_equal(validate_distribution(probs, 7), probs)
 
 
 class TestGenerateScenario:

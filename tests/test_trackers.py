@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    distribution,
     random_box,
     reference_centroid_cost,
     reference_cosine_matrix,
@@ -15,7 +16,7 @@ from oracles import (
 )
 from trackfuse import motion, trackers
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
-from trackfuse.model import BoundingBox, Columns, Detection, validate_distribution
+from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.motion import MotionModel, MotionModelSpec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import (
@@ -37,7 +38,7 @@ def _det(frame, box, probs=(0.7, 0.3), score=0.9, emb=(1.0, 0.0), gt=None):
         frame_id=frame,
         bbox=BoundingBox(*box),
         score=score,
-        dist=validate_distribution(np.asarray(probs, dtype=float), len(probs)),
+        dist=distribution(probs),
         embedding=None if emb is None else np.asarray(emb, dtype=float),
         gt_track=gt,
     )
@@ -373,7 +374,7 @@ class TestTrackTable:
 
     def test_one_predict_and_one_update_per_frame(self, monkeypatch):
         calls = []
-        for name in ("predict", "update"):
+        for name in ("kf_predict", "kf_update"):
             def counted(means, *args, _real=getattr(motion, name), _name=name, **kwargs):
                 calls.append((_name, len(means)))
                 return _real(means, *args, **kwargs)
@@ -384,7 +385,7 @@ class TestTrackTable:
                   (2, [_det(2, (2, 0, 22, 20))])]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         assert list(track_frames(result).values()) == [(0, 1, 2), (0, 1)]
-        assert calls == [("predict", 2), ("update", 2), ("predict", 2), ("update", 1)]
+        assert calls == [("kf_predict", 2), ("kf_update", 2), ("kf_predict", 2), ("kf_update", 1)]
 
     def test_cosine_matrix_equals_per_track_loop(self):
         rng = np.random.default_rng(4)
