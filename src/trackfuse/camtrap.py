@@ -8,6 +8,7 @@ apart ({t, t+F, t+2F, t+3F} by default), after which the trap stays cold for
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -25,6 +26,8 @@ class TriggerConfig:
     def __post_init__(self):
         if int(self.fps) != self.fps or self.fps < 1:
             raise InvalidConfig(f"fps must be an integer >= 1, got {self.fps!r}")
+        if self.fps > sys.float_info.max:  # cooldown * fps would raise OverflowError
+            raise InvalidConfig(f"fps must be at most the largest float, {sys.float_info.max}")
         object.__setattr__(self, "fps", int(self.fps))
         if int(self.burst_len) != self.burst_len or self.burst_len < 1:
             raise InvalidConfig(f"burst_len must be an integer >= 1, got {self.burst_len!r}")

@@ -35,7 +35,8 @@ class MissingEmbedding(TrackfuseError):
 
 
 class NumericalBreakdown(TrackfuseError):
-    """A Kalman covariance lost positive semi-definiteness beyond tolerance."""
+    """A Kalman step left a track with a non-finite or non-PSD covariance (beyond
+    tolerance), a non-finite mean, or a singular innovation covariance."""
 
 
 class IndexOutOfRange(TrackfuseError):

@@ -8,10 +8,17 @@ Two models:
   [cx, cy] only; the last observed width/height ride along as the state's
   extent so the state can be rendered back into a box.
 
+In both models the transition, the noise and the starting covariance couple
+each observed coordinate only with its own velocity, so every covariance the
+filter holds is block-diagonal: one 2×2 block [[a, b], [b, c]] per observed
+coordinate, a its variance, c its velocity's variance and b their covariance.
+SORT_CV7's aspect r has no velocity; its block keeps b = c = 0.
+
 The filter steps :func:`kf_init`, :func:`kf_predict` and :func:`kf_update` take
-N states, ``means`` (N, d) and ``covs`` (N, d, d), and return new arrays without
-writing to their inputs.  Each row keeps a one-state filter's operation order,
-so its result does not depend on the other rows; one state is a one-row table.
+N states, ``means`` (N, d) and ``covs`` (N, 3, o) holding the columns a, b and
+c of the o blocks, and return new arrays without writing to their inputs.  The
+steps are elementwise, so a row's result does not depend on the other rows;
+one state is a one-row table.
 """
 
 from __future__ import annotations
@@ -64,27 +71,28 @@ class MotionModelSpec:
             if not value > 0.0:
                 raise InvalidConfig(f"{name} must be > 0")
             object.__setattr__(self, name, value)
-        # The filter's constant matrices, built once per spec and shared read-only.
-        d, o = self.state_dim, self.obs_dim
-        f = np.eye(d)
-        f[np.arange(d - o), np.arange(o, d)] = self.dt  # position i moves by dt * velocity i + o
-        matrices = {"_f": f, "_h": np.eye(o, d), "_eye": np.eye(d),
-                    "_psd_shift": PSD_TOLERANCE * np.eye(d)}
-        if self.model is MotionModel.CENTROID_CV4:  # its Q, R and P0 are constant too
+        # The noise columns (_noise), built once per spec and shared read-only: rows a, b, c of
+        # Q and P0 and the variance row of R; SORT_CV7's as standard deviations _noise scales.
+        if self.model is MotionModel.SORT_CV7:
+            wp, wv = self.std_weight_position, self.std_weight_velocity
+            noise = {"_q": [[wp, wp, wp, 1e-2], [0.0] * 4, [wv, wv, wv, 0.0]],
+                     "_r": [[wp, wp, wp, 1e-1]],
+                     "_p0": [[2 * wp, 2 * wp, 2 * wp, 1e-1], [0.0] * 4,
+                             [10 * wv, 10 * wv, 10 * wv, 0.0]]}
+        else:  # constant: Q, R and P0 the same for every row
             dt, q, r = np.float64([self.dt, self.process_std, self.measurement_std])
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, checked below
-                a, b, c = dt**4 / 4.0, dt**3 / 2.0, dt**2
                 # White-acceleration model per axis: position and velocity noise coupled.
-                matrices.update(
-                    _q=np.array([[a, 0, b, 0], [0, a, 0, b], [b, 0, c, 0], [0, b, 0, c]]) * q * q,
-                    _r=np.eye(2) * r**2, _p0=np.diag([r * r, r * r, (10 * q) ** 2, (10 * q) ** 2]))
+                noise = {"_q": [[dt**4 / 4.0 * q * q], [dt**3 / 2.0 * q * q], [dt**2 * q * q]],
+                         "_r": [[r**2]], "_p0": [[r * r], [0.0], [(10 * q) ** 2]]}
             for name, fields in (("_q", "dt or process_std"), ("_r", "measurement_std"),
                                  ("_p0", "measurement_std or process_std")):
-                if not np.isfinite(matrices[name]).all():
+                if not np.isfinite(noise[name]).all():
                     raise InvalidConfig(f"{fields} too large: {name[1:].upper()} is not finite")
-        for name, matrix in matrices.items():
-            matrix.setflags(write=False)
-            object.__setattr__(self, name, matrix)
+        for name, rows in noise.items():
+            rows = np.array(rows)
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     @property
     def state_dim(self) -> int:
@@ -99,53 +107,22 @@ def default_spec(model: MotionModel) -> MotionModelSpec:
     return MotionModelSpec(model=model)
 
 
-def transition_matrix(spec: MotionModelSpec) -> np.ndarray:
-    """F of ``spec``, (d, d): shared, read-only."""
-    return spec._f
+def _noise(spec: MotionModelSpec, means: np.ndarray, name: str) -> np.ndarray:
+    """Noise columns ``name`` of every row: (N, k, o), or (k, 1) when constant (CENTROID_CV4).
 
-
-def measurement_matrix(spec: MotionModelSpec) -> np.ndarray:
-    """H = [I 0] of ``spec``, (o, d): shared, read-only."""
-    return spec._h
-
-
-def _sort_diagonal(means: np.ndarray, coef: Sequence[float]) -> np.ndarray:
-    """(N, k, k) SORT_CV7 noise, std * std on the diagonal: std = h * coef, times h again in the
-    area columns (2, 6), and ``coef[3]`` as is.  h = sqrt(s / r) is the box height, floored
-    at 1 px so noise never collapses to zero on tiny or degenerate states."""
+    SORT_CV7's are (h * std)², times h again in the area column, and the aspect's
+    variance as is: h = sqrt(s / r) is the box height, floored at 1 px so noise
+    never collapses to zero on tiny or degenerate states.
+    """
+    stds = getattr(spec, name)
+    if spec.model is MotionModel.CENTROID_CV4:
+        return stds
     sr = np.maximum(means[:, 2:4], 1e-6)
     h = np.maximum(np.sqrt(sr[:, :1] / sr[:, 1:]), 1.0)
-    std = h * coef
-    std[:, 2::4] *= h
-    std[:, 3] = coef[3]
-    n, k = std.shape
-    out = np.zeros((n, k, k))
-    out.reshape(n, k * k)[:, :: k + 1] = std * std
-    return out
-
-
-def process_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
-    """Q of every row, (N, d, d)."""
-    if spec.model is MotionModel.SORT_CV7:
-        wp, wv = spec.std_weight_position, spec.std_weight_velocity
-        return _sort_diagonal(means, (wp, wp, wp, 1e-2, wv, wv, wv))
-    return np.broadcast_to(spec._q, (len(means), 4, 4))
-
-
-def measurement_noise(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
-    """R of every row, (N, o, o)."""
-    if spec.model is MotionModel.SORT_CV7:
-        wp = spec.std_weight_position
-        return _sort_diagonal(means, (wp, wp, wp, 1e-1))
-    return np.broadcast_to(spec._r, (len(means), 2, 2))
-
-
-def initial_covariance(spec: MotionModelSpec, means: np.ndarray) -> np.ndarray:
-    """Starting covariance of every row, (N, d, d)."""
-    if spec.model is MotionModel.SORT_CV7:
-        wp, wv = 2 * spec.std_weight_position, 10 * spec.std_weight_velocity
-        return _sort_diagonal(means, (wp, wp, wp, 1e-1, wv, wv, wv))
-    return np.broadcast_to(spec._p0, (len(means), 4, 4))
+    std = h[:, None] * stds
+    std[..., 2] *= h
+    std[:, 0, 3] = stds[0, 3]
+    return std * std
 
 
 def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
@@ -159,29 +136,24 @@ def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
     return center
 
 
-def _checked(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
+def _checked(means: np.ndarray, covs: np.ndarray,
              ids: Optional[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
-    """Symmetrize ``covs`` and verify each is finite and numerically PSD and each mean finite.
+    """Verify each covariance is finite and numerically PSD and each mean finite.
 
-    Raises NumericalBreakdown naming the first failing row (by ``ids`` when given).
+    A block is numerically PSD when the Cholesky factorisation of the block plus
+    PSD_TOLERANCE * I exists: with a+ = a + tol and c+ = c + tol, a+ > 0 and
+    a+ c+ > b², which imply c+ > 0.  Raises NumericalBreakdown naming the first
+    failing row (by ``ids`` when given).  Call under np.errstate(over="ignore").
     """
     name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
-    covs = covs + covs.swapaxes(-1, -2)
-    covs *= 0.5
-    # cholesky does not raise on a NaN or inf matrix, so finiteness is its own check.
     if not np.isfinite(covs).all():
         finite = np.isfinite(covs).all(axis=(1, 2))
         raise NumericalBreakdown(f"covariance of {name(np.argmin(finite))} is not finite")
-    shifted = covs + spec._psd_shift
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        for row, cov in enumerate(shifted):
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                raise NumericalBreakdown(f"covariance of {name(row)} lost "
-                                         "positive semi-definiteness") from None
+    a, b = covs[:, 0] + PSD_TOLERANCE, covs[:, 1]
+    psd = (a > 0.0) & (a * (covs[:, 2] + PSD_TOLERANCE) > b * b)
+    if not psd.all():
+        row = np.argmin(psd.all(axis=1))
+        raise NumericalBreakdown(f"covariance of {name(row)} lost positive semi-definiteness")
     if not np.isfinite(means).all():
         finite = np.isfinite(means).all(axis=1)
         raise NumericalBreakdown(f"state mean of {name(np.argmin(finite))} is not finite")
@@ -192,42 +164,62 @@ def kf_init(boxes: np.ndarray, spec: MotionModelSpec,
             ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
     means = np.zeros((len(boxes), spec.state_dim))
-    means[:, : spec.obs_dim] = observe(spec, boxes)
-    with np.errstate(over="ignore"):  # an infinite covariance is _checked's NumericalBreakdown
-        covs = initial_covariance(spec, means)
-    return _checked(means, covs, spec, ids)
+    covs = np.empty((len(boxes), 3, spec.obs_dim))
+    # An overflow is _checked's NumericalBreakdown, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        means[:, : spec.obs_dim] = observe(spec, boxes)
+        covs[:] = _noise(spec, means, "_p0")
+        return _checked(means, covs, ids)
 
 
 def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
                ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q."""
-    if spec.model is MotionModel.SORT_CV7:
-        # Classic SORT guard: freeze area velocity rather than predict s <= 0.
-        frozen = means[:, 2] + means[:, 6] * spec.dt <= 0.0
-        if frozen.any():
-            means = means.copy()
-            means[frozen, 6] = 0.0
-    f = transition_matrix(spec)
-    new_means = np.matmul(f, means[..., None])[..., 0]
-    return _checked(new_means, f @ covs @ f.T + process_noise(spec, means), spec, ids)
+    """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q.
+
+    Per block: b' = b + dt c, a' = a + dt b + dt b', c' = c, plus Q's a, b and c.
+    """
+    dt, o = spec.dt, spec.obs_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.model is MotionModel.SORT_CV7:
+            # Classic SORT guard: freeze area velocity rather than predict s <= 0.
+            frozen = means[:, 2] + means[:, 6] * dt <= 0.0
+            if frozen.any():
+                means = means.copy()
+                means[frozen, 6] = 0.0
+        new_means = means.copy()
+        new_means[:, : spec.state_dim - o] += dt * means[:, o:]
+        new_covs = covs.copy()
+        new_covs[:, :2] += dt * covs[:, 1:]  # a + dt b and b' = b + dt c
+        new_covs[:, 0] += dt * new_covs[:, 1]
+        new_covs += _noise(spec, means, "_q")
+        return _checked(new_means, new_covs, ids)
 
 
 def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
               ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Standard Kalman correction of every row against the observation of its box.
 
-    H = [I 0]: H m, H P and H P H^T are exactly leading slices, as kf_predict keeps P finite.
+    Per block, with innovation variance a + R's variance: gain k on the coordinate and
+    kv on its velocity.  The new b averages the two off-diagonal entries of
+    (I - K H) P, which differ in rounding.
     """
-    o = spec.obs_dim
-    innovation = observe(spec, boxes) - means[:, :o]
-    hp = covs[:, :o]
-    s = hp[..., :o] + measurement_noise(spec, means)
-    try:
-        gain = np.linalg.solve(s, hp).swapaxes(-1, -2)
-    except np.linalg.LinAlgError:
-        raise NumericalBreakdown("innovation covariance is singular") from None
-    new_means = means + np.matmul(gain, innovation[..., None])[..., 0]
-    return _checked(new_means, (spec._eye - gain @ measurement_matrix(spec)) @ covs, spec, ids)
+    o, moved = spec.obs_dim, spec.state_dim - spec.obs_dim
+    a, b = covs[:, 0], covs[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        innovation = observe(spec, boxes) - means[:, :o]
+        s = a + _noise(spec, means, "_r")[:, 0]
+        if (s == 0.0).any():
+            raise NumericalBreakdown("innovation covariance is singular")
+        gain = covs[:, :2] * (1.0 / s)[:, None]
+        k, kv = gain[:, 0], gain[:, 1]  # a / s and b / s, per column
+        new_means = means.copy()
+        new_means[:, :o] += k * innovation
+        new_means[:, o:] += kv[:, :moved] * innovation[:, :moved]
+        new_covs = (1.0 - k)[:, None] * covs  # (1 - k) a and (1 - k) b; c overwritten below
+        new_covs[:, 1] += b - kv * a
+        new_covs[:, 1] *= 0.5
+        new_covs[:, 2] = covs[:, 2] - kv * b
+        return _checked(new_means, new_covs, ids)
 
 
 def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],

@@ -133,8 +133,8 @@ class TrackerState:
     ``table`` is the live tracks' struct of arrays, row i of every column
     being one track: ``id`` (N,), ``age`` (N,) frames since its last match,
     ``box`` (N, 4) its last matched box, ``mean`` (N, d) and ``cov``
-    (N, d, d) for Kalman trackers, ``emb`` (N, E) unit EMA embeddings for the
-    appearance tracker.
+    (N, 3, o), the covariance's 2×2 block columns (see ``motion``), for Kalman
+    trackers, ``emb`` (N, E) unit EMA embeddings for the appearance tracker.
     """
 
     __slots__ = ("next_id", "cursor", "table")

@@ -3,7 +3,7 @@ solvers, a textbook Kalman filter, reference label fusion, and random input
 builders.
 
 The ``reference_*`` functions keep code the library replaced (scalar IoU,
-one-track Kalman steps, per-pair centroid costs, per-track cosine loops,
+one-track Kalman steps on dense matrices, per-pair centroid costs, per-track cosine loops,
 running-sum fusion, pairwise fusion folds, the one-vector probability
 fixpoint and the line-by-line detection parser) as references for its
 vectorised form.
@@ -237,6 +237,32 @@ def _solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def reference_transition_matrix(spec) -> np.ndarray:
+    """F, (d, d): position i moves by dt times velocity i + o."""
+    d, o = spec.state_dim, spec.obs_dim
+    f = np.eye(d)
+    f[np.arange(d - o), np.arange(o, d)] = spec.dt
+    return f
+
+
+def reference_measurement_matrix(spec) -> np.ndarray:
+    """H = [I 0], (o, d)."""
+    return np.eye(spec.obs_dim, spec.state_dim)
+
+
+def dense_view(covs, spec) -> np.ndarray:
+    """The (N, d, d) covariances that the filter's (N, 3, o) block columns a, b, c stand for."""
+    d, o = spec.state_dim, spec.obs_dim
+    moved = d - o  # the coordinates that have a velocity
+    assert not covs[:, 1:, moved:].any(), "a coordinate without velocity has a b or c"
+    pos, vel = np.arange(moved), np.arange(o, d)
+    out = np.zeros((len(covs), d, d))
+    out[:, np.arange(o), np.arange(o)] = covs[:, 0]
+    out[:, pos, vel] = out[:, vel, pos] = covs[:, 1, :moved]
+    out[:, vel, vel] = covs[:, 2, :moved]
+    return out
+
+
 def _reference_height_like(mean) -> float:
     s = max(float(mean[2]), 1e-6)
     r = max(float(mean[3]), 1e-6)
@@ -311,14 +337,14 @@ def reference_kf_predict(mean, cov, spec):
     mean = np.array(mean)
     if spec.model is motion.MotionModel.SORT_CV7 and mean[2] + mean[6] * spec.dt <= 0.0:
         mean[6] = 0.0
-    f = motion.transition_matrix(spec)
+    f = reference_transition_matrix(spec)
     q = reference_process_noise(spec, mean)
     return f @ mean, _reference_checked_cov(f @ cov @ f.T + q)
 
 
 def reference_kf_update(mean, cov, spec, bbox):
     """One track's update in float64, in the operation order the batched filter keeps."""
-    h = motion.measurement_matrix(spec)
+    h = reference_measurement_matrix(spec)
     r = reference_measurement_noise(spec, mean)
     innovation = reference_observe(spec, bbox) - h @ mean
     s = h @ cov @ h.T + r
@@ -328,7 +354,7 @@ def reference_kf_update(mean, cov, spec, bbox):
 
 def oracle_predict(mean, cov, spec):
     """Textbook predict in long doubles: m <- F m, P <- F P F^T + Q."""
-    f = motion.transition_matrix(spec).astype(np.longdouble)
+    f = reference_transition_matrix(spec).astype(np.longdouble)
     q = reference_process_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
     m = np.asarray(mean, dtype=np.longdouble)
     p = np.asarray(cov, dtype=np.longdouble)
@@ -340,7 +366,7 @@ def oracle_predict(mean, cov, spec):
 
 def oracle_update(mean, cov, spec, bbox):
     """Joseph-form correction in long doubles; independent of the library's form."""
-    h = motion.measurement_matrix(spec).astype(np.longdouble)
+    h = reference_measurement_matrix(spec).astype(np.longdouble)
     r = reference_measurement_noise(spec, np.asarray(mean, dtype=float)).astype(np.longdouble)
     z = reference_observe(spec, bbox).astype(np.longdouble)
     m = np.asarray(mean, dtype=np.longdouble)

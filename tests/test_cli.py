@@ -204,6 +204,22 @@ class TestTrack:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == "error: covariance of track 1 is not finite\n"
 
+    def test_singular_innovation_is_data_error(self, tmp_path, detection_file, capsys):
+        # Noise weights this small square to 0, so a track's first update divides by 0.
+        dets, labels = detection_file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"motion": {"model": "sort_cv7", "std_weight_position": 1e-170,
+                                              "std_weight_velocity": 1e-170}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print to stderr outside pytest
+            code = main(["track", "--tracker", "sort", "--input", str(dets), "--labels",
+                         str(labels), "--output", str(tmp_path / "t.csv"), "--config", str(cfg)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert "innovation covariance is singular" in err
+        assert "Warning" not in err and "Traceback" not in err
+
     def test_unknown_config_field_is_data_error(self, tmp_path, detection_file, capsys):
         dets, labels = detection_file
         cfg = tmp_path / "cfg.json"
@@ -479,14 +495,18 @@ class TestSimulate:
                      "--cooldown", "inf"]) == 2
         assert "cooldown" in capsys.readouterr().err
 
-    def test_cooldown_past_the_frame_range_is_data_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--cooldown", "1e307", "cooldown * fps"),  # 1e307 s at 30 fps is no float frame count
+        ("--fps", "1" + "0" * 400, "fps must be at most the largest float"),
+    ], ids=["cooldown", "fps"])
+    def test_cooldown_past_the_frame_range_is_data_error(self, tmp_path, capsys, flag, value,
+                                                         message):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0}) + "\n")
         out = tmp_path / "sim.jsonl"
-        assert main(["simulate", "--input", str(path), "--output", str(out),
-                     "--cooldown", "1e307"]) == 2  # 1e307 s at 30 fps is no float frame count
+        assert main(["simulate", "--input", str(path), "--output", str(out), flag, value]) == 2
         err = capsys.readouterr().err
-        assert "cooldown * fps" in err and "Traceback" not in err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     def test_huge_frame_id_is_sampled_sparsely(self, tmp_path):

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from oracles import (
+    dense_view,
     oracle_predict,
     oracle_update,
     random_box,
     reference_kf_init,
     reference_kf_predict,
     reference_kf_update,
+    reference_measurement_matrix,
     reference_measurement_noise,
     reference_process_noise,
 )
+from trackfuse import motion
 from trackfuse.errors import InvalidConfig, NumericalBreakdown
 from trackfuse.model import BoundingBox
 from trackfuse.motion import (
@@ -24,11 +27,7 @@ from trackfuse.motion import (
     kf_init,
     kf_predict,
     kf_update,
-    measurement_matrix,
-    measurement_noise,
     observe,
-    process_noise,
-    transition_matrix,
 )
 
 SORT = default_spec(MotionModel.SORT_CV7)
@@ -98,10 +97,10 @@ class TestPredict:
         for spec in (SORT, CENTROID):
             means, covs = kf_init(_boxes([random_box(rng)]), spec)
             for _ in range(50):
-                want_mean, want_cov = oracle_predict(means[0], covs[0], spec)
+                want_mean, want_cov = oracle_predict(means[0], dense_view(covs, spec)[0], spec)
                 means, covs = kf_predict(means, covs, spec)
                 assert _rel_err(means[0], want_mean) < 1e-9
-                assert _rel_err(covs[0], want_cov) < 1e-9
+                assert _rel_err(dense_view(covs, spec)[0], want_cov) < 1e-9
 
 
 class TestUpdate:
@@ -115,12 +114,12 @@ class TestUpdate:
     def test_update_contracts_observed_uncertainty(self):
         rng = np.random.default_rng(3)
         for spec in (SORT, CENTROID):
-            h = measurement_matrix(spec)
+            h = reference_measurement_matrix(spec)
             for _ in range(25):
                 means, covs = kf_predict(*kf_init(_boxes([random_box(rng)]), spec), spec)
                 _, updated = kf_update(means, covs, _boxes([random_box(rng)]), spec)
-                prior_obs = h @ covs[0] @ h.T
-                post_obs = h @ updated[0] @ h.T
+                prior_obs = h @ dense_view(covs, spec)[0] @ h.T
+                post_obs = h @ dense_view(updated, spec)[0] @ h.T
                 assert np.trace(post_obs) <= np.trace(prior_obs) + 1e-9
 
     def test_seeded_cycle_matches_oracle(self):
@@ -130,10 +129,11 @@ class TestUpdate:
             for _ in range(50):
                 means, covs = kf_predict(means, covs, spec)
                 meas = random_box(rng, img=200.0, min_size=20.0, max_size=60.0)
-                want_mean, want_cov = oracle_update(means[0], covs[0], spec, meas)
+                want_mean, want_cov = oracle_update(means[0], dense_view(covs, spec)[0], spec,
+                                                    meas)
                 means, covs = kf_update(means, covs, _boxes([meas]), spec)
                 assert _rel_err(means[0], want_mean) < 1e-9
-                assert _rel_err(covs[0], want_cov) < 1e-9
+                assert _rel_err(dense_view(covs, spec)[0], want_cov) < 1e-9
 
     def test_repeated_updates_converge_to_measurement(self):
         # Vanishing process noise, small measurement noise: the observation
@@ -165,7 +165,7 @@ class TestCovarianceStaysPsd:
                     else:
                         means, covs = kf_update(means, covs, _boxes([random_box(rng)]), spec)
                     steps += 1
-                    assert _min_eig(covs[0]) >= -PSD_TOLERANCE
+                    assert _min_eig(dense_view(covs, spec)[0]) >= -PSD_TOLERANCE
         assert steps == 10_000
 
 
@@ -207,10 +207,28 @@ def _boxes(boxes):
 
 
 class TestBatchedFilter:
-    """The table filter against the one-track float64 filter it replaced, bit for bit."""
+    """The table filter against the one-track filter it replaced.
+
+    Each row is the column filter run on that row alone, bit for bit.  Each step of a row
+    is also the dense one-track step's from the same state: bit for bit at dt = 1, and
+    within 1e-14 at another dt, because the dense F P F^T may fuse x + dt * y into one
+    multiply-add (as an FMA BLAS kernel does) where the columns round dt * y first.
+    """
 
     SPECS = [SORT, CENTROID, MotionModelSpec(MotionModel.SORT_CV7, dt=0.7),
              MotionModelSpec(MotionModel.CENTROID_CV4, dt=1.3, process_std=3.0)]
+
+    @staticmethod
+    def _assert_rows_match(spec, means, covs, alone, want):
+        dense = dense_view(covs, spec)
+        for i, (want_mean, want_cov) in want.items():
+            assert np.array_equal(means[i:i + 1], alone[i][0])
+            assert np.array_equal(covs[i:i + 1], alone[i][1])
+            if spec.dt == 1.0:
+                assert np.array_equal(means[i], want_mean) and np.array_equal(dense[i], want_cov)
+            else:
+                assert _rel_err(means[i], want_mean) < 1e-14
+                assert _rel_err(dense[i], want_cov) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
     @pytest.mark.parametrize("spec", SPECS, ids=["sort", "centroid", "sort-dt", "centroid-dt"])
@@ -218,26 +236,33 @@ class TestBatchedFilter:
         rng = np.random.default_rng(n)
         starts = [random_box(rng) for _ in range(n)]
         means, covs = kf_init(_boxes(starts), spec)
-        want = [reference_kf_init(box, spec) for box in starts]
+        alone = [kf_init(_boxes([box]), spec) for box in starts]
+        self._assert_rows_match(spec, means, covs, alone,
+                                {i: reference_kf_init(box, spec) for i, box in enumerate(starts)})
         guarded = 0
         for step in range(30):
             if spec.model is MotionModel.SORT_CV7 and step % 5 == 2:
                 # Area shrinking faster than it exists: the guard freezes ds on these rows.
                 for i in range(0, n, 2):
                     means[i, 6] = -means[i, 2] * rng.uniform(1.0, 3.0)
-                    want[i] = (means[i].copy(), want[i][1])
+                    alone[i] = (means[i:i + 1].copy(), alone[i][1])
                 guarded += 1
+            dense = dense_view(covs, spec)
+            want = {i: reference_kf_predict(means[i], dense[i], spec) for i in range(n)}
             means, covs = kf_predict(means, covs, spec)
-            want = [reference_kf_predict(m, c, spec) for m, c in want]
+            alone = [kf_predict(m, c, spec) for m, c in alone]
+            self._assert_rows_match(spec, means, covs, alone, want)
             rows = [i for i in range(n) if rng.random() < 0.7]
             measured = [random_box(rng) for _ in rows]
+            dense = dense_view(covs, spec)
+            want = {i: reference_kf_update(means[i], dense[i], spec, box)
+                    for i, box in zip(rows, measured)}
             if rows:
                 means[rows], covs[rows] = kf_update(means[rows], covs[rows], _boxes(measured),
                                                     spec)
             for i, box in zip(rows, measured):
-                want[i] = reference_kf_update(*want[i], spec, box)
-            for i in range(n):
-                assert np.array_equal(means[i], want[i][0]) and np.array_equal(covs[i], want[i][1])
+                alone[i] = kf_update(*alone[i], _boxes([box]), spec)
+            self._assert_rows_match(spec, means, covs, alone, want)
         assert guarded or spec.model is MotionModel.CENTROID_CV4
 
     def test_guard_freezes_area_velocity_per_row(self):
@@ -251,7 +276,7 @@ class TestBatchedFilter:
     def test_non_psd_row_names_its_track(self, step):
         starts = _boxes([random_box(np.random.default_rng(k)) for k in range(3)])
         means, covs = kf_init(starts, SORT)
-        covs[1] = -np.eye(7)
+        covs[1] = [[-1.0] * 4, [0.0] * 4, [-1.0] * 4]  # -I
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 lost"):
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8, 9])
@@ -261,7 +286,7 @@ class TestBatchedFilter:
 
     @pytest.mark.parametrize("step", ["init", "predict", "update"])
     def test_non_finite_covariance_names_its_track(self, step):
-        # cholesky returns NaN for a NaN or inf matrix instead of raising.
+        # A NaN or inf covariance fails no inequality, so finiteness is its own check.
         boxes = _boxes([BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 is not finite"):
             if step == "init":
@@ -288,8 +313,53 @@ class TestBatchedFilter:
         assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])
 
 
+class TestPsdCheck:
+    """The elementwise check fails a block exactly when Cholesky of its dense matrix plus
+    PSD_TOLERANCE * I fails, away from the border where rounding decides either way."""
+
+    @pytest.mark.parametrize("spec", [SORT, CENTROID], ids=["sort", "centroid"])
+    def test_agrees_with_cholesky(self, spec):
+        rng = np.random.default_rng(17)
+        d, o = spec.state_dim, spec.obs_dim
+        moved, tol = d - o, PSD_TOLERANCE
+        outcomes = []
+        for _ in range(2000):
+            # Every block comfortably PSD but block j, drawn near or past the border.
+            a, c = 10.0 ** rng.uniform(-12, 4, (2, o))
+            b = rng.uniform(-0.9, 0.9, o) * np.sqrt(a * c)
+            j = rng.integers(o)
+            a[j], c[j] = 10.0 ** rng.uniform(-12, 4, 2) * rng.choice([1.0, -1.0], 2, p=[0.8, 0.2])
+            if rng.random() < 0.2:  # a or c a hair off -tol
+                (a if rng.random() < 0.5 else c)[j] = -tol * (1.0 + rng.normal(0.0, 1e-6))
+            # |b| up to a little past singular, half the time within about 1e-6 of it.
+            ratio = rng.uniform(0.0, 1.2) if rng.random() < 0.5 else 1.0 + rng.normal(0.0, 1e-6)
+            b[j] = rng.choice([-1.0, 1.0]) * ratio * np.sqrt(abs((a[j] + tol) * (c[j] + tol)))
+            b[moved:] = c[moved:] = 0.0  # SORT's aspect has no velocity
+            a_plus, c_plus = a + tol, c + tol
+            det = a_plus * c_plus - b * b
+            if ((np.abs(a_plus) <= 1e-9 * np.maximum(np.abs(a), tol)).any()
+                    or (np.abs(c_plus) <= 1e-9 * np.maximum(np.abs(c), tol)).any()
+                    or (np.abs(det) <= 1e-9 * np.maximum(np.abs(a_plus * c_plus), b * b)).any()):
+                continue  # on the border
+            covs = np.array([[a, b, c]])
+            try:
+                np.linalg.cholesky(dense_view(covs, spec)[0] + tol * np.eye(d))
+                factorable = True
+            except np.linalg.LinAlgError:
+                factorable = False
+            try:
+                motion._checked(np.zeros((1, d)), covs, None)
+                passed = True
+            except NumericalBreakdown as error:
+                assert str(error) == "covariance of row 0 lost positive semi-definiteness"
+                passed = False
+            assert passed == factorable, covs
+            outcomes.append(passed)
+        assert len(outcomes) > 1500 and 300 < sum(outcomes) < len(outcomes) - 300
+
+
 class TestNoiseBuilders:
-    """Q and R of every row, bit for bit the one-track builders' (scalar and (N,) columns mixed)."""
+    """Q and R columns of every row, bit for bit the one-track builders' entries."""
 
     @pytest.mark.parametrize("n", [0, 1, 3, 40])
     @pytest.mark.parametrize("spec", TestBatchedFilter.SPECS,
@@ -299,28 +369,18 @@ class TestNoiseBuilders:
         means = rng.normal(0.0, 50.0, (n, spec.state_dim))
         means[: n // 2, 2:4] = rng.uniform(-1.0, 1e-3, (n // 2, 2))  # the 1 px height floor
         means[:, 2] = np.abs(means[:, 2]) * rng.choice([1.0, 1e4], n)
-        for built, reference in ((process_noise, reference_process_noise),
-                                 (measurement_noise, reference_measurement_noise)):
-            rows = built(spec, means)
-            assert rows.shape[0] == n
-            for mean, row in zip(means, rows):
-                assert np.array_equal(row, reference(spec, mean))
+        o = spec.obs_dim
+        q = np.broadcast_to(motion._noise(spec, means, "_q"), (n, 3, o))
+        r = np.broadcast_to(motion._noise(spec, means, "_r")[:, 0], (n, o))
+        for mean, q_row, r_row in zip(means, dense_view(q, spec), r):
+            assert np.array_equal(q_row, reference_process_noise(spec, mean))
+            assert np.array_equal(np.diag(r_row), reference_measurement_noise(spec, mean))
 
-
-class TestConstants:
-    """F and H are built once per spec and shared read-only."""
-
-    @pytest.mark.parametrize("build", [transition_matrix, measurement_matrix])
     @pytest.mark.parametrize("model", list(MotionModel))
-    def test_shared_read_only(self, build, model):
-        matrix = build(MotionModelSpec(model, dt=0.5))
-        assert np.array_equal(matrix, build(MotionModelSpec(model, dt=0.5)))
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 2.0
-        assert matrix[0, 0] == 1.0
-
-    def test_transition_moves_each_position_by_dt_times_its_velocity(self):
-        f = transition_matrix(MotionModelSpec(MotionModel.SORT_CV7, dt=0.5))
-        assert np.array_equal(f, np.eye(7) + np.diag([0.5] * 3, k=4))
-        f = transition_matrix(MotionModelSpec(MotionModel.CENTROID_CV4, dt=0.5))
-        assert np.array_equal(f, np.eye(4) + np.diag([0.5] * 2, k=2))
+    def test_tables_are_shared_read_only(self, model):
+        spec = MotionModelSpec(model, dt=0.5)
+        for name in ("_q", "_r", "_p0"):
+            table = getattr(spec, name)
+            with pytest.raises(ValueError):
+                table[0, 0] = 2.0
+            assert np.array_equal(table, getattr(MotionModelSpec(model, dt=0.5), name))
