@@ -20,17 +20,19 @@ def iou_matrix(a, b) -> np.ndarray:
 
     Rows are [x1, y1, x2, y2].  Every entry equals, bit for bit, the scalar
     ``reference_iou`` of ``tests/oracles.py``, which does the same float
-    operations in the same order.
+    operations in the same order.  Areas past the float range give inf or NaN
+    entries, which no gate admits, without a numpy warning.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 4)[:, None, :]
     b = np.asarray(b, dtype=float).reshape(-1, 4)[None, :, :]
-    iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
-    ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
-    inter = iw * ih
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    out = np.zeros(inter.shape)
-    np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
+        ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
+        inter = iw * ih
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        out = np.zeros(inter.shape)
+        np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
     return out
 
 

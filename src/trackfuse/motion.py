@@ -15,10 +15,11 @@ coordinate, a its variance, c its velocity's variance and b their covariance.
 SORT_CV7's aspect r has no velocity; its block keeps b = c = 0.
 
 The filter steps :func:`kf_init`, :func:`kf_predict` and :func:`kf_update` take
-N states, ``means`` (N, d) and ``covs`` (N, 3, o) holding the columns a, b and
-c of the o blocks, and return new arrays without writing to their inputs.  The
-steps are elementwise, so a row's result does not depend on the other rows;
-one state is a one-row table.
+N states on the last axis, ``means`` (d, N) and ``covs`` (3, o, N) holding rows
+a, b and c of the o blocks, so every operation reads and writes whole contiguous
+rows (on small tables a strided column costs 2-3x as much).  They return new
+arrays without writing to their inputs.  The steps are elementwise, so a
+state's result does not depend on the others; one state is a one-column table.
 """
 
 from __future__ import annotations
@@ -71,15 +72,15 @@ class MotionModelSpec:
             if not value > 0.0:
                 raise InvalidConfig(f"{name} must be > 0")
             object.__setattr__(self, name, value)
-        # The noise columns (_noise), built once per spec and shared read-only: rows a, b, c of
-        # Q and P0 and the variance row of R; SORT_CV7's as standard deviations _noise scales.
+        # The noise rows (_noise), built once per spec and shared read-only, (k, o, 1): a, b, c
+        # of Q and P0 and R's variance; SORT_CV7's as standard deviations _noise scales.
         if self.model is MotionModel.SORT_CV7:
             wp, wv = self.std_weight_position, self.std_weight_velocity
             noise = {"_q": [[wp, wp, wp, 1e-2], [0.0] * 4, [wv, wv, wv, 0.0]],
                      "_r": [[wp, wp, wp, 1e-1]],
                      "_p0": [[2 * wp, 2 * wp, 2 * wp, 1e-1], [0.0] * 4,
                              [10 * wv, 10 * wv, 10 * wv, 0.0]]}
-        else:  # constant: Q, R and P0 the same for every row
+        else:  # constant: Q, R and P0 the same for every state
             dt, q, r = np.float64([self.dt, self.process_std, self.measurement_std])
             with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, checked below
                 # White-acceleration model per axis: position and velocity noise coupled.
@@ -90,7 +91,7 @@ class MotionModelSpec:
                 if not np.isfinite(noise[name]).all():
                     raise InvalidConfig(f"{fields} too large: {name[1:].upper()} is not finite")
         for name, rows in noise.items():
-            rows = np.array(rows)
+            rows = np.array(rows)[..., None]
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)
 
@@ -108,7 +109,7 @@ def default_spec(model: MotionModel) -> MotionModelSpec:
 
 
 def _noise(spec: MotionModelSpec, means: np.ndarray, name: str) -> np.ndarray:
-    """Noise columns ``name`` of every row: (N, k, o), or (k, 1) when constant (CENTROID_CV4).
+    """Noise rows ``name`` of every state: (k, o, N), or (k, 1, 1) when constant (CENTROID_CV4).
 
     SORT_CV7's are (h * std)², times h again in the area column, and the aspect's
     variance as is: h = sqrt(s / r) is the box height, floored at 1 px so noise
@@ -117,22 +118,22 @@ def _noise(spec: MotionModelSpec, means: np.ndarray, name: str) -> np.ndarray:
     stds = getattr(spec, name)
     if spec.model is MotionModel.CENTROID_CV4:
         return stds
-    sr = np.maximum(means[:, 2:4], 1e-6)
-    h = np.maximum(np.sqrt(sr[:, :1] / sr[:, 1:]), 1.0)
-    std = h[:, None] * stds
-    std[..., 2] *= h
-    std[:, 0, 3] = stds[0, 3]
+    sr = np.maximum(means[2:4], 1e-6)
+    h = np.maximum(np.sqrt(sr[0] / sr[1]), 1.0)
+    std = stds * h
+    std[:, 2] *= h
+    std[0, 3] = stds[0, 3]
     return std * std
 
 
 def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
-    """Project corner-form boxes (N, 4) into the model's measurement space, (N, o)."""
-    lo, hi = boxes[:, :2], boxes[:, 2:]
+    """Project corner-form boxes (N, 4) into the model's measurement space, (o, N)."""
+    corners = np.ascontiguousarray(boxes.T)  # one copy, then whole rows
+    lo, hi = corners[:2], corners[2:]
     center = 0.5 * (lo + hi)
     if spec.model is MotionModel.SORT_CV7:
-        size = hi - lo
-        w, h = size[:, :1], size[:, 1:]
-        return np.concatenate([center, w * h, w / h], axis=1)
+        w, h = (hi - lo)[:, None]  # rows (1, N)
+        return np.concatenate([center, w * h, w / h])
     return center
 
 
@@ -143,19 +144,19 @@ def _checked(means: np.ndarray, covs: np.ndarray,
     A block is numerically PSD when the Cholesky factorisation of the block plus
     PSD_TOLERANCE * I exists: with a+ = a + tol and c+ = c + tol, a+ > 0 and
     a+ c+ > b², which imply c+ > 0.  Raises NumericalBreakdown naming the first
-    failing row (by ``ids`` when given).  Call under np.errstate(over="ignore").
+    failing state (by ``ids`` when given).  Call under np.errstate(over="ignore").
     """
     name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
     if not np.isfinite(covs).all():
-        finite = np.isfinite(covs).all(axis=(1, 2))
+        finite = np.isfinite(covs).all(axis=(0, 1))
         raise NumericalBreakdown(f"covariance of {name(np.argmin(finite))} is not finite")
-    a, b = covs[:, 0] + PSD_TOLERANCE, covs[:, 1]
-    psd = (a > 0.0) & (a * (covs[:, 2] + PSD_TOLERANCE) > b * b)
+    a, b = covs[0] + PSD_TOLERANCE, covs[1]
+    psd = (a > 0.0) & (a * (covs[2] + PSD_TOLERANCE) > b * b)
     if not psd.all():
-        row = np.argmin(psd.all(axis=1))
+        row = np.argmin(psd.all(axis=0))
         raise NumericalBreakdown(f"covariance of {name(row)} lost positive semi-definiteness")
     if not np.isfinite(means).all():
-        finite = np.isfinite(means).all(axis=1)
+        finite = np.isfinite(means).all(axis=0)
         raise NumericalBreakdown(f"state mean of {name(np.argmin(finite))} is not finite")
     return means, covs
 
@@ -163,18 +164,18 @@ def _checked(means: np.ndarray, covs: np.ndarray,
 def kf_init(boxes: np.ndarray, spec: MotionModelSpec,
             ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
-    means = np.zeros((len(boxes), spec.state_dim))
-    covs = np.empty((len(boxes), 3, spec.obs_dim))
+    means = np.zeros((spec.state_dim, len(boxes)))
+    covs = np.empty((3, spec.obs_dim, len(boxes)))
     # An overflow is _checked's NumericalBreakdown, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        means[:, : spec.obs_dim] = observe(spec, boxes)
+        means[: spec.obs_dim] = observe(spec, boxes)
         covs[:] = _noise(spec, means, "_p0")
         return _checked(means, covs, ids)
 
 
 def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
                ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """One constant-velocity step of every row: mean <- F mean, cov <- F cov F^T + Q.
+    """One constant-velocity step of every state: mean <- F mean, cov <- F cov F^T + Q.
 
     Per block: b' = b + dt c, a' = a + dt b + dt b', c' = c, plus Q's a, b and c.
     """
@@ -182,64 +183,60 @@ def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.model is MotionModel.SORT_CV7:
             # Classic SORT guard: freeze area velocity rather than predict s <= 0.
-            frozen = means[:, 2] + means[:, 6] * dt <= 0.0
+            frozen = means[2] + means[6] * dt <= 0.0
             if frozen.any():
                 means = means.copy()
-                means[frozen, 6] = 0.0
+                means[6, frozen] = 0.0
         new_means = means.copy()
-        new_means[:, : spec.state_dim - o] += dt * means[:, o:]
+        new_means[: spec.state_dim - o] += dt * means[o:]
         new_covs = covs.copy()
-        new_covs[:, :2] += dt * covs[:, 1:]  # a + dt b and b' = b + dt c
-        new_covs[:, 0] += dt * new_covs[:, 1]
+        new_covs[:2] += dt * covs[1:]  # a + dt b and b' = b + dt c
+        new_covs[0] += dt * new_covs[1]
         new_covs += _noise(spec, means, "_q")
         return _checked(new_means, new_covs, ids)
 
 
 def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
               ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Standard Kalman correction of every row against the observation of its box.
+    """Standard Kalman correction of every state against the observation of its box (N, 4).
 
     Per block, with innovation variance a + R's variance: gain k on the coordinate and
     kv on its velocity.  The new b averages the two off-diagonal entries of
     (I - K H) P, which differ in rounding.
     """
     o, moved = spec.obs_dim, spec.state_dim - spec.obs_dim
-    a, b = covs[:, 0], covs[:, 1]
+    a, b = covs[0], covs[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        innovation = observe(spec, boxes) - means[:, :o]
-        s = a + _noise(spec, means, "_r")[:, 0]
+        innovation = observe(spec, boxes) - means[:o]
+        s = a + _noise(spec, means, "_r")[0]
         if (s == 0.0).any():
             raise NumericalBreakdown("innovation covariance is singular")
-        gain = covs[:, :2] * (1.0 / s)[:, None]
-        k, kv = gain[:, 0], gain[:, 1]  # a / s and b / s, per column
+        k, kv = covs[:2] * (1.0 / s)  # a / s and b / s, per block
         new_means = means.copy()
-        new_means[:, :o] += k * innovation
-        new_means[:, o:] += kv[:, :moved] * innovation[:, :moved]
-        new_covs = (1.0 - k)[:, None] * covs  # (1 - k) a and (1 - k) b; c overwritten below
-        new_covs[:, 1] += b - kv * a
-        new_covs[:, 1] *= 0.5
-        new_covs[:, 2] = covs[:, 2] - kv * b
+        new_means[:o] += k * innovation
+        new_means[o:] += kv[:moved] * innovation[:moved]
+        new_covs = (1.0 - k) * covs  # (1 - k) a and (1 - k) b; c overwritten below
+        new_covs[1] += b - kv * a
+        new_covs[1] *= 0.5
+        new_covs[2] = covs[2] - kv * b
         return _checked(new_means, new_covs, ids)
 
 
 def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
                  spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Every row rendered back into corner form (N, 4), inverse of :func:`kf_init`'s conversion.
+    """Every state rendered back into corner form (N, 4), inverse of :func:`kf_init`'s conversion.
 
-    Also returns the rows with no box, whose boxes are placeholders: a
-    non-positive area or aspect (SORT_CV7) or ``extents`` (N, 2) (CENTROID_CV4).
+    Also returns the states with no box, whose boxes are placeholders: a
+    non-positive area or aspect (SORT_CV7) or ``extents`` (2, N) (CENTROID_CV4).
     """
     if spec.model is MotionModel.SORT_CV7:
-        sr = means[:, 2:4]
-        degenerate = (sr <= 0.0).any(axis=1)
-        sr = np.where(degenerate[:, None], 1.0, sr)
-        s = sr[:, :1]
+        degenerate = (means[2:4] <= 0.0).any(axis=0)
+        s, r = np.where(degenerate, 1.0, means[2:4])[:, None]  # rows (1, N)
         with np.errstate(over="ignore"):  # an infinite box is the caller's InvalidValue
-            w = np.sqrt(s * sr[:, 1:])
-        half = np.concatenate([w, s / w], axis=1) / 2.0
+            w = np.sqrt(s * r)
+        half = np.concatenate([w, s / w]) / 2.0
     else:
-        degenerate = (extents <= 0.0).any(axis=1)
+        degenerate = (extents <= 0.0).any(axis=0)
         half = extents / 2.0
-    center = means[:, :2]
-    return np.concatenate([center - half, center + half], axis=1), degenerate
-
+    center = means[:2]
+    return np.concatenate([center - half, center + half]).T, degenerate

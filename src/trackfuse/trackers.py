@@ -32,6 +32,8 @@ from .model import BoundingBox, ColumnResult, Columns, Detection, config_number
 EMBEDDING_SMOOTHING = 0.9
 # Exponential moving average factor for a track's appearance embedding.
 
+_TRACK_LAST = ("mean", "cov")  # the TrackerState.table columns whose track axis is the last
+
 
 class TrackerKind(Enum):
     IOU = "iou"
@@ -130,11 +132,11 @@ def _unit_rows(vecs: np.ndarray) -> np.ndarray:
 class TrackerState:
     """The id counter, frame cursor and live tracks of one sequence.
 
-    ``table`` is the live tracks' struct of arrays, row i of every column
-    being one track: ``id`` (N,), ``age`` (N,) frames since its last match,
-    ``box`` (N, 4) its last matched box, ``mean`` (N, d) and ``cov``
-    (N, 3, o), the covariance's 2×2 block columns (see ``motion``), for Kalman
-    trackers, ``emb`` (N, E) unit EMA embeddings for the appearance tracker.
+    ``table`` is the live tracks' struct of arrays, one track per entry along
+    each column's track axis.  That axis is the first of ``id`` (N,), ``age``
+    (N,) frames since its last match, ``box`` (N, 4) its last matched box and
+    ``emb`` (N, E) unit EMA embeddings (appearance tracker), and the last of the
+    Kalman columns (see ``motion``), ``mean`` (d, N) and ``cov`` (3, o, N).
     """
 
     __slots__ = ("next_id", "cursor", "table")
@@ -153,8 +155,8 @@ def _reference_boxes(state: TrackerState,
     last = state.table["box"]
     if spec is None or not len(last):
         return last
-    # A CENTROID_CV4 state's extent is the size of its track's last box.
-    boxes, degenerate = motion.corner_boxes(state.table["mean"], last[:, 2:] - last[:, :2], spec)
+    sizes = last[:, 2:] - last[:, :2]  # a CENTROID_CV4 state's extent is its last box's size
+    boxes, degenerate = motion.corner_boxes(state.table["mean"], sizes.T, spec)
     if degenerate.any():
         boxes[degenerate] = last[degenerate]
     if not ((boxes[:, 2:] > boxes[:, :2]).all() and np.isfinite(boxes).all()):
@@ -238,12 +240,13 @@ def _update_rows(state: TrackerState, rows: List[int], boxes: np.ndarray,
     if not rows:
         return
     table = state.table
-    if rows == list(range(len(table["id"]))):  # the whole table in order: no gather or scatter
-        rows = slice(None)
+    whole = rows == list(range(len(table["id"])))  # the whole table in order: no gather or scatter
+    rows = slice(None) if whole else rows
     table["box"][rows] = boxes
-    if spec is not None:
-        table["mean"][rows], table["cov"][rows] = motion.kf_update(
-            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows])
+    if spec is not None:  # take keeps each gathered row contiguous, where [..., rows] would not
+        kalman = [table[name] if whole else table[name].take(rows, -1) for name in _TRACK_LAST]
+        table["mean"][..., rows], table["cov"][..., rows] = motion.kf_update(
+            *kalman, boxes, spec, table["id"][rows])
     if kind is TrackerKind.APPEARANCE:
         mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs
         table["emb"][rows] = _unit_rows(mixed)
@@ -259,7 +262,8 @@ def _spawn_rows(state: TrackerState, boxes: np.ndarray, embs: Optional[np.ndarra
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = _unit_rows(embs)
     for name, col in new.items():
-        state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
+        old = state.table.get(name, col[..., :0] if name in _TRACK_LAST else col[:0])
+        state.table[name] = np.concatenate([old, col], axis=-1 if name in _TRACK_LAST else 0)
     state.next_id += len(boxes)
     return ids
 
@@ -327,7 +331,8 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: 
     table["age"][rows] = 0
     keep = table["age"] <= config.max_age
     if not keep.all():
-        state.table = {name: col[keep] for name, col in table.items()}
+        state.table = {name: col.compress(keep, axis=-1 if name in _TRACK_LAST else 0)
+                       for name, col in table.items()}
 
     # Unmatched high-confidence detections spawn tentative tracks.
     spawn = high_idx[list(um_d)]

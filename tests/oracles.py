@@ -251,7 +251,8 @@ def reference_measurement_matrix(spec) -> np.ndarray:
 
 
 def dense_view(covs, spec) -> np.ndarray:
-    """The (N, d, d) covariances that the filter's (N, 3, o) block columns a, b, c stand for."""
+    """The (N, d, d) covariances that the filter's (3, o, N) block rows a, b, c stand for."""
+    covs = np.moveaxis(covs, -1, 0)
     d, o = spec.state_dim, spec.obs_dim
     moved = d - o  # the coordinates that have a velocity
     assert not covs[:, 1:, moved:].any(), "a coordinate without velocity has a b or c"
@@ -703,8 +704,9 @@ def _reference_update_rows(state, matched, spec, kind):
     rows = [row for row, _ in matched]
     table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
     if spec is not None:
-        table["mean"][rows], table["cov"][rows] = motion.kf_update(
-            table["mean"][rows], table["cov"][rows], boxes, spec, table["id"][rows].tolist())
+        table["mean"][:, rows], table["cov"][..., rows] = motion.kf_update(
+            table["mean"][:, rows], table["cov"][..., rows], boxes, spec,
+            table["id"][rows].tolist())
     if kind is TrackerKind.APPEARANCE:
         mixed = (trackers.EMBEDDING_SMOOTHING * table["emb"][rows]
                  + (1.0 - trackers.EMBEDDING_SMOOTHING)
@@ -721,7 +723,9 @@ def _reference_spawn_rows(state, dets, spec, kind):
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = trackers._unit_rows(np.stack([det.embedding for det in dets]))
     for name, col in new.items():
-        state.table[name] = np.concatenate([state.table.get(name, col[:0]), col])
+        if name in state.table:
+            col = np.concatenate([state.table[name], col], axis=-1 if name in ("mean", "cov") else 0)
+        state.table[name] = col
     state.next_id += len(dets)
     return ids
 
@@ -775,7 +779,8 @@ def reference_tracker_step(state, frame_id, detections, config):
     table["age"][[row for row, _ in matched]] = 0
     keep = table["age"] <= config.max_age
     if not keep.all():
-        state.table = {name: col[keep] for name, col in table.items()}
+        state.table = {name: col[..., keep] if name in ("mean", "cov") else col[keep]
+                       for name, col in table.items()}
 
     spawn_idx = [high_idx[d_i] for d_i in um_d]
     if spawn_idx:

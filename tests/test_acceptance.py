@@ -136,16 +136,16 @@ def test_criterion_3_kalman_matches_independent_oracle():
             for _ in range(500):
                 cov = dense_view(covs, spec)[0]
                 if rng.random() < 0.5:
-                    want_mean, want_cov = oracle_predict(means[0], cov, spec)
+                    want_mean, want_cov = oracle_predict(means[:, 0], cov, spec)
                     means, covs = motion.kf_predict(means, covs, spec)
                 else:
                     meas = random_box(rng)
-                    want_mean, want_cov = oracle_update(means[0], cov, spec, meas)
+                    want_mean, want_cov = oracle_update(means[:, 0], cov, spec, meas)
                     means, covs = motion.kf_update(means, covs, np.array([meas.as_tuple()]), spec)
                 steps += 1
                 cov = dense_view(covs, spec)[0]
                 scale = max(1.0, float(np.max(np.abs(want_mean))))
-                assert float(np.max(np.abs(means[0] - want_mean.astype(float)))) / scale < 1e-9
+                assert float(np.max(np.abs(means[:, 0] - want_mean.astype(float)))) / scale < 1e-9
                 cov_scale = max(1.0, float(np.max(np.abs(want_cov))))
                 assert float(np.max(np.abs(cov - want_cov.astype(float)))) / cov_scale < 1e-9
                 assert float(np.min(np.linalg.eigvalsh(cov))) >= -1e-9

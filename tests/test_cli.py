@@ -22,6 +22,20 @@ def _synth_args(out, labels, **kw):
     return args
 
 
+def _track_boxes(tmp_path, boxes, tracker):
+    """`track` one sequence of one box per frame; returns the exit code and any warnings."""
+    dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
+    dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": box, "score": 0.9,
+                                        "probs": [0.6, 0.4]}) + "\n"
+                            for k, box in enumerate(boxes)))
+    labels.write_text("a\nb\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print to stderr outside pytest
+        code = main(["track", "--input", str(dets), "--labels", str(labels),
+                     "--tracker", tracker, "--output", str(tmp_path / "t.csv")])
+    return code, [str(w.message) for w in caught]
+
+
 @pytest.fixture()
 def detection_file(tmp_path):
     dets = tmp_path / "d.jsonl"
@@ -191,18 +205,20 @@ class TestTrack:
         # Finite boxes whose height h ~ 1e154 square past the float range in the covariance.
         boxes = [[0, 0, 1e154, 1e154], [1e153, 1e153, 1.1e154, 1.1e154],
                  [2e153, 2e153, 1.2e154, 1.2e154]]
-        dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
-        dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": box, "score": 0.9,
-                                            "probs": [0.6, 0.4]}) + "\n"
-                                for k, box in enumerate(boxes)))
-        labels.write_text("a\nb\n")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # a warning would print to stderr outside pytest
-            code = main(["track", "--input", str(dets), "--labels", str(labels),
-                         "--tracker", tracker, "--output", str(tmp_path / "t.csv")])
-        assert code == 2
-        assert [str(w.message) for w in caught] == []
+        assert _track_boxes(tmp_path, boxes, tracker) == (2, [])
         assert capsys.readouterr().err == "error: covariance of track 1 is not finite\n"
+
+    def test_far_jump_is_data_error_without_warnings(self, tmp_path, capsys):
+        # The second box's area overflows in the IoU cost before its track's covariance does.
+        boxes = [[0, 0, 10, 10], [1e200, 1e200, 2e200, 2e200]]
+        assert _track_boxes(tmp_path, boxes, "sort") == (2, [])
+        assert capsys.readouterr().err == "error: covariance of track 2 is not finite\n"
+
+    def test_boxes_past_the_area_range_track_without_warnings(self, tmp_path, capsys):
+        # IoU inf / inf is NaN, which the gate never admits: three one-entry tracks.
+        assert _track_boxes(tmp_path, [[0, 0, 1e300, 1e300]] * 3, "iou") == (0, [])
+        assert capsys.readouterr().err == ""
+        assert [row.track_id for row in read_tracks(tmp_path / "t.csv")] == [1, 2, 3]
 
     def test_singular_innovation_is_data_error(self, tmp_path, detection_file, capsys):
         # Noise weights this small square to 0, so a track's first update divides by 0.

@@ -48,15 +48,15 @@ def _min_eig(cov):
 class TestInit:
     def test_sort_square_box(self):
         means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)]), SORT)
-        assert np.allclose(means[0], [1, 1, 4, 1, 0, 0, 0])
+        assert np.allclose(means[:, 0], [1, 1, 4, 1, 0, 0, 0])
 
     def test_sort_tall_box(self):
         means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 4)]), SORT)
-        assert np.allclose(means[0], [1, 2, 8, 0.5, 0, 0, 0])
+        assert np.allclose(means[:, 0], [1, 2, 8, 0.5, 0, 0, 0])
 
     def test_centroid(self):
         means, _ = kf_init(_boxes([BoundingBox(10, 10, 20, 20)]), CENTROID)
-        assert np.allclose(means[0], [15, 15, 0, 0])
+        assert np.allclose(means[:, 0], [15, 15, 0, 0])
 
     def test_spec_requires_positive_noise(self):
         with pytest.raises(InvalidConfig):
@@ -85,21 +85,21 @@ class TestPredict:
     def test_zero_velocity_keeps_position(self):
         means, covs = kf_init(_boxes([BoundingBox(5, 5, 15, 25)]), SORT)
         predicted, _ = kf_predict(means, covs, SORT)
-        assert np.allclose(predicted[0, :4], means[0, :4])
+        assert np.allclose(predicted[:4, 0], means[:4, 0])
 
     def test_centroid_one_step(self):
         _, covs = kf_init(_boxes([BoundingBox(-1, -1, 1, 1)]), CENTROID)
-        predicted, _ = kf_predict(np.array([[0.0, 0.0, 1.0, 2.0]]), covs, CENTROID)
-        assert np.allclose(predicted[0, :2], [1.0, 2.0])
+        predicted, _ = kf_predict(np.array([[0.0], [0.0], [1.0], [2.0]]), covs, CENTROID)
+        assert np.allclose(predicted[:2, 0], [1.0, 2.0])
 
     def test_seeded_predict_matches_oracle(self):
         rng = np.random.default_rng(7)
         for spec in (SORT, CENTROID):
             means, covs = kf_init(_boxes([random_box(rng)]), spec)
             for _ in range(50):
-                want_mean, want_cov = oracle_predict(means[0], dense_view(covs, spec)[0], spec)
+                want_mean, want_cov = oracle_predict(means[:, 0], dense_view(covs, spec)[0], spec)
                 means, covs = kf_predict(means, covs, spec)
-                assert _rel_err(means[0], want_mean) < 1e-9
+                assert _rel_err(means[:, 0], want_mean) < 1e-9
                 assert _rel_err(dense_view(covs, spec)[0], want_cov) < 1e-9
 
 
@@ -109,7 +109,7 @@ class TestUpdate:
         boxes, degenerate = corner_boxes(means, None, SORT)
         assert not degenerate[0]
         updated, _ = kf_update(means, covs, boxes, SORT)
-        assert np.max(np.abs(updated[0] - means[0])) < 1e-9
+        assert np.max(np.abs(updated[:, 0] - means[:, 0])) < 1e-9
 
     def test_update_contracts_observed_uncertainty(self):
         rng = np.random.default_rng(3)
@@ -129,10 +129,10 @@ class TestUpdate:
             for _ in range(50):
                 means, covs = kf_predict(means, covs, spec)
                 meas = random_box(rng, img=200.0, min_size=20.0, max_size=60.0)
-                want_mean, want_cov = oracle_update(means[0], dense_view(covs, spec)[0], spec,
+                want_mean, want_cov = oracle_update(means[:, 0], dense_view(covs, spec)[0], spec,
                                                     meas)
                 means, covs = kf_update(means, covs, _boxes([meas]), spec)
-                assert _rel_err(means[0], want_mean) < 1e-9
+                assert _rel_err(means[:, 0], want_mean) < 1e-9
                 assert _rel_err(dense_view(covs, spec)[0], want_cov) < 1e-9
 
     def test_repeated_updates_converge_to_measurement(self):
@@ -142,11 +142,11 @@ class TestUpdate:
                                measurement_std=1e-4)
         means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), spec)
         target = _boxes([BoundingBox(40, 40, 50, 50)])
-        z = observe(spec, target)[0]
+        z = observe(spec, target)[:, 0]
         errors = []
         for _ in range(100):
             means, covs = kf_update(*kf_predict(means, covs, spec), target, spec)
-            errors.append(float(np.linalg.norm(means[0, :2] - z)))
+            errors.append(float(np.linalg.norm(means[:2, 0] - z)))
         # With Q = 0 the filter averages measurements: harmonic, monotone decay.
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 0.05 * errors[0]
@@ -177,7 +177,7 @@ class TestStateToBbox:
         boxes = _boxes([random_box(rng) for _ in range(200)])
         for spec in (SORT, CENTROID):
             means, _ = kf_init(boxes, spec)
-            back, degenerate = corner_boxes(means, boxes[:, 2:] - boxes[:, :2], spec)
+            back, degenerate = corner_boxes(means, (boxes[:, 2:] - boxes[:, :2]).T, spec)
             assert not degenerate.any()
             assert np.allclose(back, boxes, atol=1e-9)
 
@@ -189,14 +189,14 @@ class TestStateToBbox:
 
     def test_degenerate_area(self):
         means = np.array([[1, 1, -4.0, 1, 0, 0, 0], [1, 1, 4.0, 1, 0, 0, 0],
-                          [1, 1, 4.0, -1, 0, 0, 0], [1, 1, 0.0, 1, 0, 0, 0]])
+                          [1, 1, 4.0, -1, 0, 0, 0], [1, 1, 0.0, 1, 0, 0, 0]]).T
         boxes, degenerate = corner_boxes(means, None, SORT)
         assert degenerate.tolist() == [True, False, True, True]
         assert np.isfinite(boxes).all()
 
     def test_centroid_without_extent(self):
         means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
-        extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]])
+        extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]]).T
         boxes, degenerate = corner_boxes(means, extents, CENTROID)
         assert degenerate.tolist() == [True, False, True]
         assert boxes[1].tolist() == [0.0, 0.0, 2.0, 2.0]
@@ -222,12 +222,13 @@ class TestBatchedFilter:
     def _assert_rows_match(spec, means, covs, alone, want):
         dense = dense_view(covs, spec)
         for i, (want_mean, want_cov) in want.items():
-            assert np.array_equal(means[i:i + 1], alone[i][0])
-            assert np.array_equal(covs[i:i + 1], alone[i][1])
+            assert np.array_equal(means[:, i:i + 1], alone[i][0])
+            assert np.array_equal(covs[..., i:i + 1], alone[i][1])
             if spec.dt == 1.0:
-                assert np.array_equal(means[i], want_mean) and np.array_equal(dense[i], want_cov)
+                assert np.array_equal(means[:, i], want_mean)
+                assert np.array_equal(dense[i], want_cov)
             else:
-                assert _rel_err(means[i], want_mean) < 1e-14
+                assert _rel_err(means[:, i], want_mean) < 1e-14
                 assert _rel_err(dense[i], want_cov) < 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 10, 50])
@@ -244,22 +245,22 @@ class TestBatchedFilter:
             if spec.model is MotionModel.SORT_CV7 and step % 5 == 2:
                 # Area shrinking faster than it exists: the guard freezes ds on these rows.
                 for i in range(0, n, 2):
-                    means[i, 6] = -means[i, 2] * rng.uniform(1.0, 3.0)
-                    alone[i] = (means[i:i + 1].copy(), alone[i][1])
+                    means[6, i] = -means[2, i] * rng.uniform(1.0, 3.0)
+                    alone[i] = (means[:, i:i + 1].copy(), alone[i][1])
                 guarded += 1
             dense = dense_view(covs, spec)
-            want = {i: reference_kf_predict(means[i], dense[i], spec) for i in range(n)}
+            want = {i: reference_kf_predict(means[:, i], dense[i], spec) for i in range(n)}
             means, covs = kf_predict(means, covs, spec)
             alone = [kf_predict(m, c, spec) for m, c in alone]
             self._assert_rows_match(spec, means, covs, alone, want)
             rows = [i for i in range(n) if rng.random() < 0.7]
             measured = [random_box(rng) for _ in rows]
             dense = dense_view(covs, spec)
-            want = {i: reference_kf_update(means[i], dense[i], spec, box)
+            want = {i: reference_kf_update(means[:, i], dense[i], spec, box)
                     for i, box in zip(rows, measured)}
             if rows:
-                means[rows], covs[rows] = kf_update(means[rows], covs[rows], _boxes(measured),
-                                                    spec)
+                means[:, rows], covs[..., rows] = kf_update(means[:, rows], covs[..., rows],
+                                                            _boxes(measured), spec)
             for i, box in zip(rows, measured):
                 alone[i] = kf_update(*alone[i], _boxes([box]), spec)
             self._assert_rows_match(spec, means, covs, alone, want)
@@ -267,16 +268,16 @@ class TestBatchedFilter:
 
     def test_guard_freezes_area_velocity_per_row(self):
         means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)] * 2), SORT)
-        means[:, 6] = [-200.0, -50.0]  # area 100: row 0 would predict s <= 0
+        means[6] = [-200.0, -50.0]  # area 100: state 0 would predict s <= 0
         predicted, _ = kf_predict(means, covs, SORT)
-        assert predicted[:, 2].tolist() == [100.0, 50.0]
-        assert predicted[:, 6].tolist() == [0.0, -50.0]
+        assert predicted[2].tolist() == [100.0, 50.0]
+        assert predicted[6].tolist() == [0.0, -50.0]
 
     @pytest.mark.parametrize("step", ["predict", "update"])
     def test_non_psd_row_names_its_track(self, step):
         starts = _boxes([random_box(np.random.default_rng(k)) for k in range(3)])
         means, covs = kf_init(starts, SORT)
-        covs[1] = [[-1.0] * 4, [0.0] * 4, [-1.0] * 4]  # -I
+        covs[..., 1] = [[-1.0] * 4, [0.0] * 4, [-1.0] * 4]  # -I
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 lost"):
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8, 9])
@@ -292,7 +293,7 @@ class TestBatchedFilter:
             if step == "init":
                 kf_init(boxes, SORT, ids=[4, 8])
             means, covs = kf_init(boxes[:1].repeat(2, axis=0), SORT)
-            covs[1, 0, 0] = np.nan
+            covs[0, 0, 1] = np.nan
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8])
             else:
@@ -300,13 +301,13 @@ class TestBatchedFilter:
 
     def test_non_finite_mean_names_its_track(self):
         means, covs = kf_init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
-        means[1, 0] = np.nan
+        means[0, 1] = np.nan
         with pytest.raises(NumericalBreakdown, match="mean of track 3 is not finite"):
             kf_predict(means, covs, CENTROID, ids=[2, 3])
 
     def test_inputs_are_not_written(self):
         means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), SORT)
-        means[0, 6] = -500.0
+        means[6, 0] = -500.0
         before = (means.copy(), covs.copy())
         kf_predict(means, covs, SORT)
         kf_update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
@@ -341,14 +342,14 @@ class TestPsdCheck:
                     or (np.abs(c_plus) <= 1e-9 * np.maximum(np.abs(c), tol)).any()
                     or (np.abs(det) <= 1e-9 * np.maximum(np.abs(a_plus * c_plus), b * b)).any()):
                 continue  # on the border
-            covs = np.array([[a, b, c]])
+            covs = np.array([a, b, c])[..., None]
             try:
                 np.linalg.cholesky(dense_view(covs, spec)[0] + tol * np.eye(d))
                 factorable = True
             except np.linalg.LinAlgError:
                 factorable = False
             try:
-                motion._checked(np.zeros((1, d)), covs, None)
+                motion._checked(np.zeros((d, 1)), covs, None)
                 passed = True
             except NumericalBreakdown as error:
                 assert str(error) == "covariance of row 0 lost positive semi-definiteness"
@@ -370,9 +371,10 @@ class TestNoiseBuilders:
         means[: n // 2, 2:4] = rng.uniform(-1.0, 1e-3, (n // 2, 2))  # the 1 px height floor
         means[:, 2] = np.abs(means[:, 2]) * rng.choice([1.0, 1e4], n)
         o = spec.obs_dim
-        q = np.broadcast_to(motion._noise(spec, means, "_q"), (n, 3, o))
-        r = np.broadcast_to(motion._noise(spec, means, "_r")[:, 0], (n, o))
-        for mean, q_row, r_row in zip(means, dense_view(q, spec), r):
+        rows = np.ascontiguousarray(means.T)
+        q = np.broadcast_to(motion._noise(spec, rows, "_q"), (3, o, n))
+        r = np.broadcast_to(motion._noise(spec, rows, "_r")[0], (o, n))
+        for mean, q_row, r_row in zip(means, dense_view(q, spec), r.T):
             assert np.array_equal(q_row, reference_process_noise(spec, mean))
             assert np.array_equal(np.diag(r_row), reference_measurement_noise(spec, mean))
 

@@ -8,6 +8,7 @@ target that resolves but is never called, so its metrics read 0.
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ def _perfbench(name, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # layers.py imports its sibling tracer.py
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -81,3 +83,21 @@ def test_track_opens_every_called_target(tmp_path, monkeypatch, layers, kind):
                       | (KALMAN if kind in KALMAN_KINDS else set()))
     never = {name for module, attr, name, _ in layers.TARGETS if (module, attr) in NEVER_CALLED}
     assert never == {name for *_, name, _ in layers.TARGETS} - EVERY_RUN - ASSIGNMENT - KALMAN
+
+
+@pytest.mark.parametrize("workload", ["bursts", "dense", "ref"])
+def test_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch, layers, workload):
+    # A metric that drops out of a traced run, as the step tail does below 20 steps, makes
+    # the benchmark's result line malformed.
+    tracer, workloads = (_perfbench(name, monkeypatch) for name in ("tracer", "workloads"))
+    spec = workloads.WORKLOADS[workload]
+    dets, labels, _ = workloads.write_inputs(spec, workloads.DEFAULT_SEED, str(tmp_path))
+    spans = tracer.Tracer()
+    with tracer.patched(spans, layers.TARGETS) as installed:
+        assert cli.main(["track", "--input", dets, "--labels", labels,
+                         "--output", str(tmp_path / "t.csv"),
+                         "--metrics-out", str(tmp_path / "m.json"), *spec.track_args]) == 0
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    # run.py adds trace.overhead_share itself, from traced and untraced wall times.
+    want = {metric["name"] for metric in declared} - {"trace.overhead_share"}
+    assert want <= set(layers.layer_metrics(spans.spans, installed))

@@ -360,7 +360,7 @@ class TestTrackTable:
     def test_degenerate_prediction_costs_against_last_box(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
         state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
-        state.table["mean"][0, [2, 6]] = (-5.0, 0.0)  # predicts area -5: no box
+        state.table["mean"][[2, 6], 0] = (-5.0, 0.0)  # predicts area -5: no box
         state, assigned = _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
         assert assigned.tolist() == [1]
         assert state.table["id"].tolist() == [1]
@@ -368,7 +368,7 @@ class TestTrackTable:
     def test_prediction_that_is_no_box_is_invalid_value(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
         state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
-        state.table["mean"][0, 2:4] = 1e200  # s * r overflows: an infinitely wide box
+        state.table["mean"][2:4, 0] = 1e200  # s * r overflows: an infinitely wide box
         with pytest.raises(InvalidValue, match="must be finite"):
             _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
 
@@ -376,7 +376,7 @@ class TestTrackTable:
         calls = []
         for name in ("kf_predict", "kf_update"):
             def counted(means, *args, _real=getattr(motion, name), _name=name, **kwargs):
-                calls.append((_name, len(means)))
+                calls.append((_name, means.shape[-1]))
                 return _real(means, *args, **kwargs)
             monkeypatch.setattr(motion, name, counted)
         # Frame 1 matches one track in each ByteTrack stage; both share one update.
@@ -433,7 +433,39 @@ class TestTrackTable:
             assert state.table["age"].tolist() == ages
             assert state.table["box"].tolist() == boxes
             assert sorted(state.table) == ["age", "box", "cov", "id", "mean"]
-            assert {len(col) for col in state.table.values()} == {len(ids)}
+            assert {col.shape[-1 if name in ("mean", "cov") else 0]
+                    for name, col in state.table.items()} == {len(ids)}
+
+    @pytest.mark.parametrize("kind", sorted(trackers._KF_KINDS, key=lambda k: k.value))
+    def test_columns_stay_aligned_through_random_scenes(self, kind):
+        # Objects come and go, and a third of the boxes score below det_threshold_high, so
+        # tracks spawn, retire past max_age=2 and (ByteTrack) match in the second stage.
+        rng = np.random.default_rng(31)
+        config = TrackerConfig(kind=kind, max_age=2)
+        state, spawned, retired, second_stage = TrackerState(), 0, 0, 0
+        objects = {}
+        for frame_id in range(120):
+            for key in [key for key in objects if rng.random() < 0.05]:
+                del objects[key]
+            for _ in range(rng.poisson(0.6)):
+                objects[frame_id, len(objects)] = rng.uniform(0, 400, 2), rng.uniform(-3, 3, 2)
+            seen = [pos + frame_id * vel for pos, vel in objects.values() if rng.random() < 0.8]
+            boxes = np.array([[x, y, x + 30, y + 40] for x, y in seen]).reshape(-1, 4)
+            scores = np.where(rng.random(len(boxes)) < 0.3, 0.3, 0.9)
+            embs = rng.normal(size=(len(boxes), 4))
+            before = set(state.table["id"].tolist())
+            state, assigned = tracker_step(state, frame_id, boxes, scores, embs, config)
+            ids = state.table["id"]
+            spawned += len(set(ids.tolist()) - before)
+            retired += len(before - set(ids.tolist()))
+            second_stage += int(((assigned >= 0) & (scores < 0.5)).sum())
+            for name, col in state.table.items():
+                track_last = name in ("mean", "cov")
+                assert col.shape[-1 if track_last else 0] == len(ids), name
+                if track_last:
+                    assert col.flags.c_contiguous, name
+        assert spawned > 20 and retired > 10
+        assert (second_stage > 0) == (kind is TrackerKind.BYTETRACK)
 
     def test_entries_are_the_detections_passed_in(self):
         dets = [_det(f, (f, 0, 20 + f, 20)) for f in range(3)]
