@@ -3,9 +3,10 @@
 Link per-frame detections into trajectories with pluggable multi-object
 trackers, then fuse each trajectory's softmax class distributions in log
 space into one stable consensus label.  Per sequence, ``parse_detections``
-gives (frame_id, Detection list) pairs, ``run_sequence`` a ``ColumnResult``
-with raw labels, ``relabel(res.cols, res.track, mode)`` the fused
-``ColumnResult``, and ``write_tracks`` the track CSV of all sequences.
+gives (frame_id, Detection list) pairs and ``run_sequence`` a ``ColumnResult``
+with raw labels.  ``relabel({seq: res.cols}, {seq: res.track}, mode)`` fuses
+every sequence's tracks into one ``ColumnResult``, whose track CSV
+``write_tracks`` writes.
 """
 
 from .errors import TrackfuseError

@@ -125,15 +125,12 @@ def _tracker_config(args) -> TrackerConfig:
 
 
 def _run_all(sequences: Dict[str, Columns], config: TrackerConfig, mode: FusionMode,
-             online: bool, timer=NULL_TIMER) -> Dict[str, ColumnResult]:
-    """Track and fuse every sequence, one after another in name order."""
-    results: Dict[str, ColumnResult] = {}
-    for seq in sorted(sequences):
-        with timer.stage(STAGE_MOT):
-            track = track_columns(sequences[seq], config, timer)
-        with timer.stage(STAGE_FUSION):
-            results[seq] = relabel(sequences[seq], track, mode, online=online)
-    return results
+             online: bool, timer=NULL_TIMER) -> ColumnResult:
+    """Track every sequence, one after another in name order, then fuse them all in one pass."""
+    with timer.stage(STAGE_MOT):
+        tracks = {seq: track_columns(sequences[seq], config, timer) for seq in sorted(sequences)}
+    with timer.stage(STAGE_FUSION):
+        return relabel(sequences, tracks, mode, online=online)
 
 
 def _cmd_synth(args) -> int:
@@ -177,13 +174,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _metrics_report(results: Dict[str, ColumnResult], label_set: LabelSet,
-                    include_unmatched: bool, with_flip_rate: bool,
-                    with_per_class: bool) -> dict:
+def _metrics_report(result: ColumnResult, label_set: LabelSet, include_unmatched: bool,
+                    with_flip_rate: bool, with_per_class: bool) -> dict:
     report: Dict[str, object] = {}
     fused_cm = None
     for key, use_fused in (("raw", False), ("fused", True)):
-        pairs = evaluation_pairs(results, use_fused, include_unmatched)
+        pairs = evaluation_pairs(result, use_fused, include_unmatched)
         if not len(pairs):
             raise EmptyEvaluation("no detections carry gt_class; nothing to evaluate")
         cm = confusion(pairs, len(label_set))
@@ -196,17 +192,14 @@ def _metrics_report(results: Dict[str, ColumnResult], label_set: LabelSet,
         if use_fused:
             fused_cm = cm
             report["n_evaluated"] = len(pairs)
-    report["n_matched"] = sum(int((res.track >= 0).sum()) for res in results.values())
+    report["n_matched"] = int((result.track >= 0).sum())
     if with_flip_rate:
-        # Raw and fused rates share one eligibility rule, so the lists stay in step.
-        rates: Dict[str, List[float]] = {"raw": [], "fused": []}
-        for res in results.values():
-            try:
-                for key, values in rates.items():
-                    values.append(label_flip_rate(res, use_fused=key == "fused"))
-            except NoEligibleTracks:
-                continue
-        report["flip_rate"] = {key: sum(v) / len(v) if v else 0.0 for key, v in rates.items()}
+        # Raw and fused rates share one eligibility rule: both raise, or neither does.
+        try:
+            report["flip_rate"] = {key: label_flip_rate(result, use_fused=key == "fused")
+                                   for key in ("raw", "fused")}
+        except NoEligibleTracks:
+            report["flip_rate"] = {"raw": 0.0, "fused": 0.0}
     if with_per_class:
         scores = f1_scores(fused_cm)
         support = fused_cm.counts.sum(axis=1)
@@ -232,12 +225,12 @@ def _print_report(report: dict) -> None:
             print(f"{row['label']:<16}{row['f1']:>10.4f}{row['support']:>10}")
 
 
-def _track_and_fuse(args) -> Tuple[LabelSet, Dict[str, ColumnResult]]:
+def _track_and_fuse(args) -> Tuple[LabelSet, ColumnResult]:
     """The label set, and every ``--input`` sequence tracked and fused as ``args`` say."""
     label_set = io.read_labels(args.labels)
-    sequences = io.read_columns(args.input, label_set)
-    results = _run_all(sequences, _tracker_config(args), FusionMode(args.fusion), args.online)
-    return label_set, results
+    result = _run_all(io.read_columns(args.input, label_set), _tracker_config(args),
+                      FusionMode(args.fusion), args.online)
+    return label_set, result
 
 
 def _write_json(path, payload) -> None:
@@ -247,18 +240,18 @@ def _write_json(path, payload) -> None:
 
 
 def _cmd_track(args) -> int:
-    label_set, results = _track_and_fuse(args)
-    io.write_tracks(results, args.output)
+    label_set, result = _track_and_fuse(args)
+    io.write_tracks(result, args.output)
     if args.metrics_out:
         _write_json(args.metrics_out, _metrics_report(
-            results, label_set, include_unmatched=not args.matched_only,
+            result, label_set, include_unmatched=not args.matched_only,
             with_flip_rate=True, with_per_class=False))
     return 0
 
 
 def _cmd_eval(args) -> int:
-    label_set, results = _track_and_fuse(args)
-    report = _metrics_report(results, label_set,
+    label_set, result = _track_and_fuse(args)
+    report = _metrics_report(result, label_set,
                              include_unmatched=not args.matched_only,
                              with_flip_rate=args.flip_rate,
                              with_per_class=args.per_class)
@@ -289,10 +282,10 @@ def _cmd_bench(args) -> int:
     for kind in kinds:
         timer = StageTimer()
         timer.totals_s.update(ingest_timer.totals_s)
-        results = _run_all(sequences, TrackerConfig(kind=kind), FusionMode(args.fusion),
-                           online=False, timer=timer)
+        result = _run_all(sequences, TrackerConfig(kind=kind), FusionMode(args.fusion),
+                          online=False, timer=timer)
         with timer.stage(STAGE_METRICS):
-            pairs = evaluation_pairs(results, use_fused=True)
+            pairs = evaluation_pairs(result, use_fused=True)
             if len(pairs):
                 cm = confusion(pairs, len(label_set))
                 accuracy_at_1(cm)

@@ -6,11 +6,15 @@ Detections travel one JSON object per line with keys ``seq``, ``frame``,
 round-trip form), so writing and re-parsing reproduces values exactly.
 
 :func:`read_columns` fills one :class:`~trackfuse.model.Columns` record per
-sequence from 256-line chunks, checking each line's fields as it is read and
-a chunk's probability rows and embeddings in one batch; :func:`write_tracks`
-writes the track CSV from ``tolist()`` of each sequence's
-:class:`~trackfuse.model.ColumnResult`.  :func:`parse_detections` gives the
-sequences as Detection lists, the input form of ``trackers.run_sequence``.
+sequence from 256-line chunks.  Each chunk is checked and converted one field
+at a time, with one type scan and one numpy conversion per field.  A chunk
+that fails any of these column checks is read again by the line path, which
+checks each line's fields in turn and so names the first bad line and field;
+either way a chunk's probability rows are validated in one batch.
+:func:`write_tracks` writes the track CSV of a file's
+:class:`~trackfuse.model.ColumnResult` in one pass over its rows.
+:func:`parse_detections` gives the sequences as Detection lists, the input
+form of ``trackers.run_sequence``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -131,9 +135,8 @@ def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Colum
     """One :class:`Columns` record per sequence of a detections file, in order of appearance.
 
     The error is the first bad line's, and within it the first bad field's,
-    although probability rows and embedding values are checked a chunk of
-    lines at a time.  Embedding presence and dimension must be consistent
-    within a sequence.
+    although lines are read and checked a chunk at a time.  Embedding presence
+    and dimension must be consistent within a sequence.
 
     Raises:
         ParseError: malformed JSON or field values (message carries the line).
@@ -145,46 +148,61 @@ def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Colum
     emb_dims: Dict[str, Optional[int]] = {}
     try:
         while not pieces or len(pieces[-1]["seq"]) == CHUNK_LINES:  # until a chunk is short
-            with timer.stage(STAGE_DETECTION_INGEST):  # decoding and per-line checks
-                for line_no, record in islice(records, CHUNK_LINES):
-                    seq, emb_dim = _parse_line(record, line_no, chunk)
-                    if emb_dims.setdefault(seq, emb_dim) != emb_dim:
-                        raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs "
-                                          f"from {emb_dims[seq]} earlier in sequence {seq!r}")
-                    chunk.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
-            pieces.append(chunk.flush(timer))
+            with timer.stage(STAGE_DETECTION_INGEST):  # decoding and the field checks
+                # Only the fields are kept, so no decoded record outlives its line.
+                line_nos, fields = [], []
+                try:
+                    for line_no, record in islice(records, CHUNK_LINES):
+                        line_nos.append(line_no)
+                        fields.extend(map(record.get, _FIELDS, _FIELD_DEFAULTS))
+                except (TrackfuseError, OSError):  # the lines before the bad one come first
+                    chunk.parse(zip(line_nos, _records(fields)), seq_ids, emb_dims)
+                    raise
+                columns = _columns(fields, chunk.n_classes, seq_ids, emb_dims)
+                if columns is None:  # the line path names the first bad line and field
+                    chunk.parse(zip(line_nos, _records(fields)), seq_ids, emb_dims)
+                del fields
+            pieces.append(chunk.flush(timer) if columns is None else
+                          _validated(columns, line_nos, chunk.n_classes, timer))
             chunk = _Chunk(chunk.n_classes)
     except (TrackfuseError, OSError):
         chunk.checked()  # a bad buffered value on this or an earlier line comes first
         raise
-    del chunk
+    del chunk, columns  # the last chunk's buffers go with the others in _sequences
     with timer.stage(STAGE_DETECTION_INGEST):
         return _sequences(pieces, seq_ids, emb_dims)
 
 
 def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
                emb_dims: Dict[str, Optional[int]]) -> Dict[str, Columns]:
-    """The chunks' rows as one record per sequence, each owning its columns' data."""
+    """The chunks' rows as one record per sequence, each owning copies of its columns' rows."""
     offset = 0
     for piece in pieces:  # embedding offsets into the whole file's values
         piece["emb_at"][piece["emb_at"] >= 0] += offset
         offset += len(piece["emb"])
     whole = {name: np.concatenate([piece[name] for piece in pieces]) for name in pieces[0]}
     pieces.clear()  # the chunks' buffers go before the records are built
+    emb = whole.pop("emb")
     order = np.lexsort((whole["frame"], whole["seq"]))  # stable: file order within a frame
-    bounds = np.cumsum([0] + np.bincount(whole["seq"], minlength=len(seq_ids)).tolist())
+    table = {name: whole.pop(name)[order] for name in list(whole)}  # by (sequence, frame)
+    frame = table["frame"]
+    starts = np.flatnonzero((np.diff(frame, prepend=-1, append=-1) != 0)
+                            | (np.diff(table["seq"], prepend=-1, append=-1) != 0))
+    frame_ids = frame[starts[:-1]]
+    bounds = np.cumsum([0] + np.bincount(table["seq"], minlength=len(seq_ids)).tolist())
+    firsts = np.searchsorted(starts, bounds).tolist()  # each sequence's first frame
     out = {}
-    for seq, lo, hi in zip(seq_ids, bounds.tolist(), bounds[1:].tolist()):
-        col = {name: whole[name][order[lo:hi]] for name in (
-            "frame", "box", "score", "probs", "gt_class", "gt_track", "emb_at")}
-        emb_at = col.pop("emb_at")
-        col["emb"] = None if emb_dims[seq] is None else whole["emb"][
-            emb_at[:, None] + np.arange(emb_dims[seq])]
+    for seq, lo, hi, first, end in zip(seq_ids, bounds.tolist(), bounds[1:].tolist(),
+                                       firsts, firsts[1:]):
+        col = {name: table[name][lo:hi].copy() for name in (
+            "frame", "box", "score", "probs", "gt_class", "gt_track")}
+        col["emb"] = None if emb_dims[seq] is None else emb[
+            table["emb_at"][lo:hi, None] + np.arange(emb_dims[seq])]
         for name in ("probs", "emb"):
             if col[name] is not None:
                 col[name].setflags(write=False)
-        starts = np.flatnonzero(np.diff(col["frame"], prepend=-1, append=-1))
-        out[seq] = Columns(**col, frame_ids=col["frame"][starts[:-1]], starts=starts)
+        out[seq] = Columns(**col, frame_ids=frame_ids[first:end].copy(),
+                           starts=starts[first:end + 1] - lo)
     return out
 
 
@@ -219,6 +237,16 @@ class _Chunk:
         self.embs: List[float] = []
         self.emb_rows: List[int] = []
         self.emb_ends: List[int] = []
+
+    def parse(self, lines: Iterable[Tuple[int, dict]], seq_ids: Dict[str, int],
+              emb_dims: Dict[str, Optional[int]]) -> None:
+        """Buffer ``lines`` one at a time, naming the first bad line and field."""
+        for line_no, record in lines:
+            seq, emb_dim = _parse_line(record, line_no, self)
+            if emb_dims.setdefault(seq, emb_dim) != emb_dim:
+                raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs "
+                                  f"from {emb_dims[seq]} earlier in sequence {seq!r}")
+            self.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
 
     def checked(self) -> Tuple[np.ndarray, np.ndarray]:
         """The probs rows validated and the embedding values; the first bad row is a ParseError."""
@@ -346,6 +374,85 @@ def _require_numbers(values: list, name: str, line_no: int) -> bool:
     return False
 
 
+_STR, _INT, _LIST, _NONE = (frozenset((kind,)) for kind in (str, int, list, type(None)))
+_INT_OR_NONE = _INT | _NONE
+_FIELDS = (*_REQUIRED, "embedding", "gt_class", "gt_track")
+_ABSENT = object()  # a missing required field; a missing optional one reads None, as in _parse_line
+_FIELD_DEFAULTS = (_ABSENT,) * len(_REQUIRED) + (None,) * (len(_FIELDS) - len(_REQUIRED))
+
+
+def _records(fields: List) -> Iterator[dict]:
+    """The records whose ``_FIELDS`` are ``fields``, one after another, for the line path."""
+    for at in range(0, len(fields), len(_FIELDS)):
+        yield {key: value for key, value in zip(_FIELDS, fields[at:at + len(_FIELDS)])
+               if value is not _ABSENT}
+
+
+def _columns(fields: List, n_classes: int, seq_ids: Dict[str, int],
+             emb_dims: Dict[str, Optional[int]]) -> Optional[Dict[str, np.ndarray]]:
+    """The rows whose ``_FIELDS`` are ``fields`` as :meth:`_Chunk.flush` gives them, but probs
+    not yet validated; None, with nothing recorded, unless every field passes its check.
+
+    The checks pass only values that the line path takes as they are: JSON
+    floats where it converts numbers, non-negative ids within int64, and
+    embeddings of one size on every row or on none.
+    """
+    if not fields:
+        return None
+    seqs, frames, boxes, scores, probs, embs, gt_class, gt_track = (
+        fields[at::len(_FIELDS)] for at in range(len(_FIELDS)))
+    emb_dim = None  # no row has an embedding
+    if not _NONE.issuperset(map(type, embs)):
+        if not _LIST.issuperset(map(type, embs)):
+            return None
+        emb_dim = len(embs[0])
+    if not (_STR.issuperset(map(type, seqs)) and _INT.issuperset(map(type, frames))
+            and _FLOAT_TYPE.issuperset(map(type, scores))
+            and _INT_OR_NONE.issuperset(map(type, gt_class))
+            and _INT_OR_NONE.issuperset(map(type, gt_track))
+            and all(_LIST.issuperset(map(type, rows)) and {size} == set(map(len, rows))
+                    and _FLOAT_TYPE.issuperset(map(type, chain.from_iterable(rows)))
+                    for rows, size in ((boxes, 4), (probs, n_classes), (embs, emb_dim))
+                    if size is not None)
+            and emb_dim != 0):
+        return None
+    try:
+        frame, gt_class_col, gt_track_col = (np.array(ids, dtype=np.int64) for ids in (
+            frames, *([-1 if v is None else v for v in ids] for ids in (gt_class, gt_track))))
+    except OverflowError:
+        return None
+    box, score = np.array(boxes, dtype=float), np.array(scores, dtype=float)
+    emb = np.array(embs if emb_dim else (), dtype=float).ravel()
+    if not (frame.min() >= 0 and ((0.0 <= score) & (score <= 1.0)).all()
+            and np.isfinite(box).all() and (box[:, :2] < box[:, 2:]).all()
+            and np.isfinite(emb).all()
+            and (gt_class_col < 0).sum() == gt_class.count(None)
+            and (gt_track_col < 0).sum() == gt_track.count(None)):
+        return None
+    new = dict.fromkeys(seqs)
+    if any(emb_dims.get(seq, emb_dim) != emb_dim for seq in new):
+        return None
+    for seq in new:
+        emb_dims[seq] = emb_dim
+        seq_ids.setdefault(seq, len(seq_ids))
+    emb_at = np.full(len(seqs), -1) if emb_dim is None else np.arange(len(emb), step=emb_dim)
+    return {"seq": np.array(list(map(seq_ids.__getitem__, seqs)), dtype=np.int64),
+            "frame": frame, "box": box, "score": score, "probs": np.array(probs, dtype=float),
+            "gt_class": gt_class_col, "gt_track": gt_track_col, "emb": emb,
+            "emb_at": emb_at}
+
+
+def _validated(columns: Dict[str, np.ndarray], line_nos: List[int], n_classes: int,
+               timer=NULL_TIMER) -> Dict[str, np.ndarray]:
+    """``columns`` with their probs rows validated; the first bad row is a ParseError."""
+    with timer.stage(STAGE_CLASSIFICATION_INGEST):
+        try:
+            columns["probs"] = validate_distribution(columns["probs"], n_classes)
+        except TrackfuseError as exc:
+            raise ParseError(line_nos[exc.row], str(exc)) from None
+    return columns
+
+
 @dataclass(frozen=True)
 class TrackRow:
     """One line of the track CSV (MOTChallenge layout plus class columns)."""
@@ -362,22 +469,23 @@ class TrackRow:
     seq: str
 
 
-def write_tracks(results: Mapping[str, ColumnResult], path) -> None:
+def write_tracks(result: ColumnResult, path) -> None:
     """Write every row with a track as CSV, ordered by (seq, frame, track_id)."""
+    rows = np.flatnonzero(result.track >= 0)
+    seq = np.searchsorted(result.bounds, rows, side="right") - 1  # ascending, as rows are
+    rows = rows[np.lexsort((result.track[rows], result.cols.frame[rows], seq))]
+    formats = [_row_format(name) for name in result.names]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACK_CSV_HEADER + "\n")
-        for seq in sorted(results):
-            res = results[seq]
-            rows = np.flatnonzero(res.track >= 0)
-            rows = rows[np.lexsort((res.track[rows], res.cols.frame[rows]))]
-            box = res.cols.box[rows]
-            # tolist() gives Python numbers, and %r of a float is its shortest round-trip form;
-            # writelines streams the rows, holding no whole-sequence string.
-            fh.writelines(map(_row_format(seq).__mod__, zip(
-                res.cols.frame[rows].tolist(), res.track[rows].tolist(), box[:, 0].tolist(),
+        for lo in range(0, len(rows), CHUNK_LINES):  # a chunk's Python numbers at a time
+            at, box = rows[lo:lo + CHUNK_LINES], result.cols.box[rows[lo:lo + CHUNK_LINES]]
+            # tolist() gives Python numbers, and %r of a float is its shortest round-trip form.
+            fh.writelines(map(str.__mod__, map(formats.__getitem__, seq[lo:lo + CHUNK_LINES]
+                                                .tolist()), zip(
+                result.cols.frame[at].tolist(), result.track[at].tolist(), box[:, 0].tolist(),
                 box[:, 1].tolist(), (box[:, 2] - box[:, 0]).tolist(),
-                (box[:, 3] - box[:, 1]).tolist(), res.cols.score[rows].tolist(),
-                res.fused[rows].tolist(), res.raw[rows].tolist())))
+                (box[:, 3] - box[:, 1]).tolist(), result.cols.score[at].tolist(),
+                result.fused[at].tolist(), result.raw[at].tolist())))
 
 
 def _row_format(seq: str) -> str:

@@ -3,7 +3,9 @@
 Evaluation is frame-level: each detection with ground truth contributes one
 (gt, predicted) pair.  Macro F1 averages over the full label set including
 zero-support classes (their F1 counts as 0), which is why macro can sit far
-below weighted F1 on imbalanced data.
+below weighted F1 on imbalanced data.  The pairs and the flip rate read all
+of a file's sequences from one :class:`~trackfuse.model.ColumnResult` in one
+pass.
 """
 
 from __future__ import annotations
@@ -115,32 +117,33 @@ def f1_scores(cm: ConfusionMatrix) -> F1Scores:
 
 
 def label_flip_rate(result: ColumnResult, use_fused: bool) -> float:
-    """Fraction of consecutive same-track label pairs that differ.
+    """Mean over sequences of the fraction of consecutive same-track label pairs that differ.
 
-    Raises NoEligibleTracks when no track carries two or more detections.
+    Only sequences with a track of two or more rows count, added in name order.
+    Raises NoEligibleTracks when no sequence has one.
     """
     order, starts = result.runs
     labels = (result.fused if use_fused else result.raw)[order]
-    pairs = len(order) - len(starts)
-    if pairs == 0:
+    differs = np.zeros(len(order) + 1, dtype=np.int64)  # differs[p + 1]: row p of a run flips
+    differs[2:] = labels[1:] != labels[:-1]
+    differs[starts + 1] = 0  # the first row of a run has no pair
+    flips_before = np.cumsum(differs)
+    at = np.append(0, np.cumsum(result.track >= 0))[result.bounds]  # each sequence's first run row
+    pairs = np.diff(at) - np.diff(np.searchsorted(starts, at))
+    rates = [flips / n for flips, n in zip(np.diff(flips_before[at]).tolist(), pairs.tolist()) if n]
+    if not rates:
         raise NoEligibleTracks("flip rate needs a track with at least two entries")
-    flips = labels[1:] != labels[:-1]
-    flips[starts[1:] - 1] = False  # the last row of one track against the first of the next
-    return int(flips.sum()) / pairs
+    return sum(rates) / len(rates)
 
 
-def evaluation_pairs(results: Mapping[str, ColumnResult], use_fused: bool,
+def evaluation_pairs(result: ColumnResult, use_fused: bool,
                      include_unmatched: bool = True) -> np.ndarray:
-    """(gt, predicted) rows (M, 2) over all sequences in name order, for rows with ground truth."""
-    pairs = [np.zeros((0, 2), dtype=np.int64)]
-    for seq in sorted(results):
-        res = results[seq]
-        rows = res.cols.gt_class >= 0
-        if not include_unmatched:
-            rows &= res.track >= 0
-        pred = res.fused if use_fused else res.raw
-        pairs.append(np.stack([res.cols.gt_class[rows], pred[rows]], axis=1))
-    return np.concatenate(pairs)
+    """(gt, predicted) rows (M, 2) in row order, for the rows with ground truth."""
+    rows = result.cols.gt_class >= 0
+    if not include_unmatched:
+        rows &= result.track >= 0
+    pred = result.fused if use_fused else result.raw
+    return np.stack([result.cols.gt_class[rows], pred[rows]], axis=1)
 
 
 class StageTimer:

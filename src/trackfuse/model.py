@@ -1,8 +1,9 @@
 """Core value types: label sets, boxes, class distributions, detections, sequence columns.
 
 All types here are immutable after construction (frozen dataclasses, read-only
-numpy arrays).  A sequence is one :class:`Columns` record and its tracked,
-fused outcome one :class:`ColumnResult`.  :class:`Detection` is the library's
+numpy arrays).  A sequence is one :class:`Columns` record, and the tracked,
+fused outcome of a file's sequences one :class:`ColumnResult` over all their
+rows.  :class:`Detection` is the library's
 per-detection input form, turned into columns by ``Columns.from_frames`` and
 built from them by ``Columns.frames``.
 """
@@ -267,6 +268,25 @@ class Columns:
             starts=np.cumsum([0] + [len(group) for _, group in frames]),
         )
 
+    @classmethod
+    def concat(cls, parts: Sequence["Columns"]) -> "Columns":
+        """The rows and frames of ``parts``, one part after another.
+
+        One part is returned as it is; several keep no ``emb``, since their
+        embedding sizes may differ.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_frames([])
+        rows = np.cumsum([0] + [len(part.frame) for part in parts])
+        cat = {name: np.concatenate([getattr(part, name) for part in parts]) for name in (
+            "frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids")}
+        cat["probs"].setflags(write=False)
+        starts = np.concatenate([part.starts[:-1] + lo for part, lo in zip(parts, rows.tolist())]
+                                + [rows[-1:]])
+        return cls(**cat, emb=None, starts=starts)
+
     def frames(self) -> List[Tuple[int, List["Detection"]]]:
         """(frame_id, detections) pairs whose probs and embeddings are read-only row views."""
         rows = zip(self.frame.tolist(), *self.box.T.tolist(), self.score.tolist(),
@@ -283,29 +303,41 @@ class Columns:
                 for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:])]
 
 
-def track_runs(track: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rows with a track id (-1 is none) in (track, frame) order, and where each track starts.
+def track_runs(track: np.ndarray,
+               bounds: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows with a track id (-1 is none) in (sequence, track, frame) order, and where runs start.
 
-    The sort by id is stable, so a track's frame-sorted rows stay in frame order.
+    Sequence ``k`` spans rows ``bounds[k]:bounds[k + 1]``, frame-sorted, and
+    numbers its own tracks; without ``bounds`` the rows are one sequence.
+    The sort is stable, so a track's rows stay in frame order.
     """
     kept = np.flatnonzero(track >= 0)
-    order = kept[np.argsort(track[kept], kind="stable")]
-    return order, np.flatnonzero(np.diff(track[order], prepend=-1))
+    key = track[kept]
+    if bounds is not None and len(bounds) > 2 and len(kept):  # one key per (sequence, id)
+        key = key + (np.searchsorted(bounds, kept, side="right") - 1) * (int(key.max()) + 1)
+    order = np.argsort(key, kind="stable")
+    return kept[order], np.flatnonzero(np.diff(key[order], prepend=-1))
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnResult:
-    """A tracked sequence: per row its track id (-1 for none), argmax and fused label.
+    """Tracked sequences: per row its track id (-1 for none), argmax and fused label.
 
-    ``runs`` is :func:`track_runs` of ``track``, computed when not given.
+    Sequence ``names[k]`` spans rows ``bounds[k]:bounds[k + 1]`` of ``cols``
+    and numbers its tracks from 1; by default the rows are one sequence named
+    "".  ``runs`` is :func:`track_runs` of ``track``, computed when not given.
     """
 
     cols: Columns
     track: np.ndarray
     raw: np.ndarray
     fused: np.ndarray
+    names: Tuple[str, ...] = ("",)
+    bounds: Optional[np.ndarray] = None
     runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def __post_init__(self):
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", np.array([0, len(self.track)]))
         if self.runs is None:
-            object.__setattr__(self, "runs", track_runs(self.track))
+            object.__setattr__(self, "runs", track_runs(self.track, self.bounds))

@@ -44,6 +44,8 @@ class ScenarioConfig:
     score_range: Tuple[float, float] = (0.55, 1.0)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.num_objects < 1 or self.num_frames < 1:
             raise InvalidConfig("need at least one object and one frame")
         if self.n_classes < 2:

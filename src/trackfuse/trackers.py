@@ -366,7 +366,8 @@ def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
                  config: TrackerConfig, timer=NULL_TIMER) -> ColumnResult:
     """:func:`track_columns` of (frame_id, detections) pairs, one row per detection in order.
 
-    Fused labels equal raw labels; ``fusion.relabel(res.cols, res.track, ...)`` fuses them.
+    Fused labels equal raw labels; ``fusion.relabel({seq: res.cols}, {seq: res.track}, ...)``
+    fuses them.
 
     Raises:
         InvalidValue: a detection's own frame_id is not its frame's.

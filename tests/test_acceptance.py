@@ -57,7 +57,7 @@ def reference_runs():
     runs = {}
     for kind in TrackerKind:
         track = track_columns(cols, TrackerConfig(kind=kind))
-        runs[kind] = {name: relabel(cols, track, mode) for name, mode in (
+        runs[kind] = {name: relabel({"s": cols}, {"s": track}, mode) for name, mode in (
             ("base", FusionMode.NONE), ("prob", FusionMode.PROBABILITY),
             ("vote", FusionMode.MAJORITY))}
     elapsed = time.perf_counter() - start
@@ -114,7 +114,8 @@ def test_criterion_2_fusion_oracle_equivalence():
             product = np.prod(
                 np.stack([e.dist.probs for e in entries]).astype(np.longdouble), axis=0)
             want = int(np.argmax(product))
-            assert set(relabel(cols, np.ones(length, int), FusionMode.PROBABILITY).fused) == {want}
+            assert set(relabel({"s": cols}, {"s": np.ones(length, int)},
+                               FusionMode.PROBABILITY).fused) == {want}
 
             # Iterated pairwise fusion reaches the same label.
             if case % 10 == 0:
@@ -156,15 +157,15 @@ def test_criterion_4_flicker_correction(reference_runs):
     with criterion(4, "probability fusion lifts Acc@1 by >= 10 points for every tracker"):
         scenario, runs, elapsed = reference_runs
         n_classes = REFERENCE_CONFIG.n_classes
-        raw_pairs = evaluation_pairs({"s": runs[TrackerKind.SORT]["base"]}, use_fused=False)
+        raw_pairs = evaluation_pairs(runs[TrackerKind.SORT]["base"], use_fused=False)
         raw_acc = accuracy_at_1(confusion(raw_pairs, n_classes))
         assert raw_acc == pytest.approx(0.70, abs=0.02)
 
         for kind in TrackerKind:
             fused_acc = accuracy_at_1(confusion(
-                evaluation_pairs({"s": runs[kind]["prob"]}, use_fused=True), n_classes))
+                evaluation_pairs(runs[kind]["prob"], use_fused=True), n_classes))
             voted_acc = accuracy_at_1(confusion(
-                evaluation_pairs({"s": runs[kind]["vote"]}, use_fused=True), n_classes))
+                evaluation_pairs(runs[kind]["vote"], use_fused=True), n_classes))
             assert fused_acc >= raw_acc + 0.10, f"{kind.value}: {fused_acc:.3f} vs raw {raw_acc:.3f}"
             assert fused_acc >= voted_acc, f"{kind.value}: fusion {fused_acc:.3f} < vote {voted_acc:.3f}"
         assert elapsed < 60.0, f"tracking all kinds took {elapsed:.1f}s"

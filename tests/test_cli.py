@@ -66,6 +66,12 @@ class TestSynth:
         assert "jitter must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert main(_synth_args(out, tmp_path / "labels.txt", seed=-1)) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestTrack:
     def test_happy_path(self, tmp_path, detection_file):

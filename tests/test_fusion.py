@@ -30,7 +30,8 @@ def _track(prob_rows) -> Columns:
 
 def _fused(track: Columns, mode: FusionMode = FusionMode.PROBABILITY) -> int:
     """The label ``relabel`` gives every row of ``track`` in retroactive ``mode``."""
-    labels = set(relabel(track, np.ones(len(track.score), dtype=int), mode).fused.tolist())
+    labels = set(relabel({"s": track}, {"s": np.ones(len(track.score), dtype=int)}, mode)
+                 .fused.tolist())
     assert len(labels) == 1
     return labels.pop()
 
@@ -134,7 +135,7 @@ class TestRelabel:
 
     @staticmethod
     def _relabel(base, mode, online=False):
-        return relabel(base.cols, base.track, mode, online)
+        return relabel({"s": base.cols}, {"s": base.track}, mode, online)
 
     def test_mode_none_is_identity(self):
         result = self._relabel(self._result(), FusionMode.NONE)
@@ -198,8 +199,8 @@ class TestRelabel:
         # Frame 1 ties one vote each with class 1 heavier; frame 3 ties two each
         # on equal mass, which goes to the lower index.
         rows = [[0.6, 0.4], [0.1, 0.9], [0.9, 0.1], [0.4, 0.6], [0.55, 0.45]]
-        online = relabel(_track(rows), np.ones(len(rows), dtype=int), FusionMode.MAJORITY,
-                         online=True)
+        online = relabel({"s": _track(rows)}, {"s": np.ones(len(rows), dtype=int)},
+                         FusionMode.MAJORITY, online=True)
         got = online.fused.tolist()
         want = [_vote(_track(rows[:t + 1])) for t in range(len(rows))]
         assert got == want == [0, 1, 0, 0, 0]
@@ -224,7 +225,7 @@ class TestRelabel:
             frames = sorted(by_frame.items())
             cols = Columns.from_frames([(f, [e for _, e in group]) for f, group in frames])
             track = np.array([track_id for _, group in frames for track_id, _ in group])
-            result = relabel(cols, track, mode, online)
+            result = relabel({"s": cols}, {"s": track}, mode, online)
             want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
                     for t in tracks}
             got = result.fused.tolist()
@@ -273,7 +274,7 @@ class TestColumns:
         scenario = generate_scenario(config)
         base = run_sequence(scenario.detection_frames(),
                             TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
-        result = relabel(scenario.columns, base.track, mode, online)
+        result = relabel({"s": scenario.columns}, {"s": base.track}, mode, online)
         want = reference_relabel(reference_result(base), mode, online)
         assert result.fused.tolist() == [rec.fused_label for rec in want.per_frame]
         assert result.raw.tolist() == [rec.raw_label for rec in want.per_frame]

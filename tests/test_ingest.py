@@ -1,10 +1,12 @@
 """Columnar ingest against the line-by-line reference parser: same detections, same errors.
 
-``parse_detections`` checks each line's fields as it reads them but leaves the
-probability rows and embeddings to a batch check per chunk of lines.  These
-tests hold it to the reference parser in ``oracles``, which checks every line
-in full before reading the next: equal output on good files, and on bad ones
-the same exception class and message (so the same line and field).
+``parse_detections`` checks a chunk of lines one field at a time; a chunk that
+fails a check goes down the line path, which checks each line's fields as it
+reads them and leaves the probability rows and embeddings to a batch check.
+These tests hold both paths, and files that mix them, to the reference parser
+in ``oracles``, which checks every line in full before reading the next: equal
+output on good files, and on bad ones the same exception class and message
+(so the same line and field).
 """
 
 import gc
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import trackfuse.io as io
 from oracles import reference_parse_detections
-from trackfuse.errors import ParseError
+from trackfuse.errors import ParseError, SchemaError
 from trackfuse.io import CHUNK_LINES, parse_detections, read_columns, write_detections
 from trackfuse.metrics import STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from trackfuse.model import LabelSet
@@ -34,33 +36,45 @@ HUGE = 10 ** 400  # a JSON integer no float can hold
 
 BAD_VALUES = {
     "probs": [[HUGE, 1, 1, 1], [-0.5, 1, 1, 1], [0, 0, 0, 0], [NAN, 1, 1, 1], [1, INF, 1, 1],
-              [1e-10, 0, 0, 0], [1, 1], "x", [True, 0, 0, 0], [INF, HUGE, 1, 1]],
-    "frame": [-1, 1.5, "x", True, None, HUGE, INF],
-    "score": [1.5, -0.1, NAN, "0.9", True, HUGE, INF, None],
+              [1e-10, 0, 0, 0], [1, 1], "x", [True, 0, 0, 0], [INF, HUGE, 1, 1],
+              [-0.5, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [NAN, 1.0, 1.0, 1.0],
+              [1e-10, 0.0, 0.0, 0.0]],
+    "frame": [-1, 1.5, "x", True, None, HUGE, INF, 2 ** 63],
+    "score": [1.5, -0.1, NAN, "0.9", True, HUGE, INF, None, 1],
     "embedding": [[NAN, 0, 0], [1, INF, 1], [], "abc", "1.5", 5, [HUGE, 0, 0], [1.0, 2.0],
-                  [[1, 2, 3]], {"a": 1}, None, [INF, HUGE, 0]],
+                  [[1, 2, 3]], {"a": 1}, None, [INF, HUGE, 0], [NAN, 0.0, 0.0], [1.0, INF, 1.0],
+                  [1, 2.0, 3.0]],
     "bbox": [[5, 0, 5, 5], [INF, 0, 1, 1], [0, 0, 1], ["0", 0, 1, 1], [0, 0, HUGE, 5],
-             [NAN, 0, 1, 1], "box", [INF, HUGE, 5, 5]],
-    "gt_class": [-1, 1.5, "1", True],
-    "gt_track": [-1, 2.5, "1", False],
+             [NAN, 0, 1, 1], "box", [INF, HUGE, 5, 5], [5.0, 0.0, 5.0, 5.0],
+             [0.0, 5.0, 1.0, 5.0], [-INF, 0.0, 1.0, 1.0], [NAN, 0.0, 1.0, 1.0]],
+    "gt_class": [-1, 1.5, "1", True, 2 ** 63, -(2 ** 63) - 1],
+    "gt_track": [-1, 2.5, "1", False, 2 ** 63],
     "seq": [1, None, ["a"]],
 }
+# Some of these are legal: an id past int64, an integer score or an embedding mixing
+# integers and floats sends its chunk down the line path, which accepts it.  The
+# all-float values fail a column check or the chunk's distribution check.
 BREAKS = [(field, value) for field, values in BAD_VALUES.items() for value in values]
 BREAKS += [(field, KeyError) for field in ("seq", "frame", "bbox", "score", "probs")]
 BAD_LINES = ["{broken", "[1, 2]", "\ufeff{}", '{"seq": "a"} 7', "[" * 3000 + "]" * 3000]
 
 
 @st.composite
-def good_records(draw):
-    seq = draw(st.sampled_from(["a", "b"]))
-    x, y = draw(st.floats(0, 100)), draw(st.integers(0, 100))
-    probs = draw(st.lists(st.one_of(st.floats(0, 5), st.integers(0, 3), st.integers(2**52, 2**80)),
-                          min_size=4, max_size=4))
+def good_records(draw, floats=False):
+    """A good record; with ``floats`` every number a column check reads as a float is one,
+    and sequence "c" carries embeddings as "a" does."""
+    seq = draw(st.sampled_from(["a", "c"] if floats else ["a", "b"]))
+    x = draw(st.floats(0, 100))
+    y, height = (draw(st.floats(0, 100)), draw(st.floats(1, 50))) if floats else (
+        draw(st.integers(0, 100)), draw(st.integers(1, 50)))
+    numbers = st.floats(0, 5) if floats else st.one_of(
+        st.floats(0, 5), st.integers(0, 3), st.integers(2**52, 2**80))
+    probs = draw(st.lists(numbers, min_size=4, max_size=4))
     probs[draw(st.integers(0, 3))] = draw(st.floats(0.1, 5))
     record = {"seq": seq, "frame": draw(st.integers(0, 6)),
-              "bbox": [x, y, x + draw(st.floats(0.5, 50)), y + draw(st.integers(1, 50))],
+              "bbox": [x, y, x + draw(st.floats(0.5, 50)), y + height],
               "score": draw(st.floats(0, 1)), "probs": probs}
-    if seq == "a":  # sequence "a" carries 3-d embeddings, "b" none
+    if seq != "b":  # sequences "a" and "c" carry 3-d embeddings, "b" none
         record["embedding"] = draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
     for key, top in (("gt_class", 3), ("gt_track", 5)):
         if draw(st.booleans()):
@@ -69,8 +83,8 @@ def good_records(draw):
 
 
 @st.composite
-def lines(draw):
-    record = draw(good_records())
+def lines(draw, floats=False):
+    record = draw(good_records(floats))
     if draw(st.integers(0, 9)) == 0:
         return draw(st.sampled_from(BAD_LINES + [""]))
     for field, value in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
@@ -110,7 +124,7 @@ def _write(tmp, texts) -> Path:
 
 
 def _good(index, **fields) -> str:
-    record = {"seq": "a", "frame": index, "bbox": [0, 0, 5, 5], "score": 0.9,
+    record = {"seq": "a", "frame": index, "bbox": [0.0, 0.0, 5.0, 5.0], "score": 0.9,
               "probs": [0.1, 0.2, 0.3, 0.4], "embedding": [1.0, 0.0, 0.0]}
     return json.dumps({**record, **fields})
 
@@ -119,6 +133,12 @@ class TestAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(lines(), min_size=1, max_size=8))
     def test_same_detections_or_same_error(self, texts):
+        with tempfile.TemporaryDirectory() as tmp:
+            _both(_write(tmp, texts))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(lines(floats=True), min_size=1, max_size=8))
+    def test_float_files_same_detections_or_same_error(self, texts):
         with tempfile.TemporaryDirectory() as tmp:
             _both(_write(tmp, texts))
 
@@ -150,14 +170,38 @@ class TestAgainstReference:
          CHUNK_LINES + 3),
         ({CHUNK_LINES: {"embedding": [NAN, 0, 0]}, CHUNK_LINES + 1: {"bbox": "box"}},
          CHUNK_LINES),
+        ({3: {"probs": [-1.0, 1.0, 1.0, 1.0]}, 5: {"probs": [0.0, 0.0, 0.0, 0.0]}}, 3),
+        ({3: {"probs": [-1.0, 1.0, 1.0, 1.0]}, 5: {"bbox": [5.0, 0.0, 5.0, 5.0]}}, 3),
+        # One value that fails a column check in an otherwise all-float chunk.
+        ({4: {"frame": -1}}, 4), ({4: {"score": 1.5}}, 4), ({4: {"gt_track": -1}}, 4),
+        ({4: {"bbox": [0.0, 5.0, 1.0, 5.0]}}, 4), ({4: {"embedding": [1.0, NAN, 0.0]}}, 4),
+        ({4: {"gt_class": -1}, 5: {"probs": [0.0, 0.0, 0.0, 0.0]}}, 4),
+        ({4: {"score": HUGE}}, 4),
     ], ids=["probs-then-bbox", "bbox-then-probs", "probs-before-frame-on-a-line",
             "embedding-then-probs", "probs-then-embedding", "probs-before-embedding-on-a-line",
             "embedding-before-gt-on-a-line", "earlier-line-beats-overflow",
-            "second-chunk", "last-line-of-a-chunk"])
+            "second-chunk", "last-line-of-a-chunk", "float-probs-then-probs",
+            "float-probs-then-box", "column-frame", "column-score", "column-gt-track",
+            "column-box", "column-embedding", "column-gt-class-then-probs",
+            "column-score-overflow"])
     def test_first_failing_line_and_field(self, tmp_path, bad, line):
         texts = [_good(i, **bad.get(i + 1, {})) for i in range(max(bad) + 3)]
         got = _both(_write(tmp_path, texts))
         assert got[0] is ParseError and got[1].startswith(f"line {line}: ")
+
+    def test_embedding_size_changes_at_a_chunk_boundary(self, tmp_path):
+        # Each chunk alone passes the column checks; the second's size differs from the first's.
+        texts = [_good(i, embedding=[1.0, 2.0] if i >= CHUNK_LINES else [1.0, 0.0, 0.0])
+                 for i in range(CHUNK_LINES + 4)]
+        assert _both(_write(tmp_path, texts)) == (
+            SchemaError, f"line {CHUNK_LINES + 1}: embedding dim 2 differs from 3 earlier in "
+                         "sequence 'a'")
+
+    @pytest.mark.parametrize("field", ["frame", "gt_class", "gt_track"])
+    def test_id_past_int64_in_an_all_float_chunk(self, tmp_path, field):
+        # Legal on the line path, which keeps it as a Python int; int64 cannot hold it.
+        texts = [_good(i, **{field: 2 ** 63} if i == 4 else {}) for i in range(8)]
+        assert len(_both(_write(tmp_path, texts))) == 1
 
     def test_good_file_with_many_chunks(self, tmp_path):
         sequences = {}
@@ -235,19 +279,57 @@ class _OpenStage:
             self.open = outer
 
 
-def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatch):
-    timer, seen = _OpenStage(), []
+def _spy(monkeypatch, name, seen, note):
+    """Append ``note(*args)`` to ``seen`` on every call of ``io.<name>``."""
+    function = getattr(io, name)
 
-    def spy(name, function):
-        def call(*args, **kwargs):
-            seen.append((name, timer.open))
-            return function(*args, **kwargs)
-        monkeypatch.setattr(io, name, call)
+    def call(*args, **kwargs):
+        seen.append(note(*args))
+        return function(*args, **kwargs)
+    monkeypatch.setattr(io, name, call)
 
-    for name in ("parse_json", "score_value", "validate_distribution"):
-        spy(name, getattr(io, name))
+
+@pytest.mark.parametrize("box", [[0.0, 0.0, 5.0, 5.0], [0, 0, 5, 5]], ids=["columns", "lines"])
+def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatch, box):
+    # Float boxes keep every chunk on the column path, integer ones send each down the line path.
+    timer, seen, parsed = _OpenStage(), [], []
+    for name in ("parse_json", "validate_distribution"):
+        _spy(monkeypatch, name, seen, lambda *args, name=name: (name, timer.open))
+    _spy(monkeypatch, "_parse_line", parsed, lambda record, line_no, chunk: line_no)
     n_lines = 2 * CHUNK_LINES + 5
-    read_columns(_write(tmp_path, [_good(i) for i in range(n_lines)]), LABELS, timer)
-    lines = [(name, STAGE_DETECTION_INGEST) for name in ("parse_json", "score_value")]
+    read_columns(_write(tmp_path, [_good(i, bbox=box) for i in range(n_lines)]), LABELS, timer)
+    line = [("parse_json", STAGE_DETECTION_INGEST)]
     chunk = [("validate_distribution", STAGE_CLASSIFICATION_INGEST)]
-    assert seen == (lines * CHUNK_LINES + chunk) * 2 + lines * 5 + chunk
+    assert seen == (line * CHUNK_LINES + chunk) * 2 + line * 5 + chunk
+    assert len(parsed) == (0 if isinstance(box[0], float) else n_lines)
+
+
+def _columns_of(path, labels):
+    return {seq: {name: value if value is None else value.tolist()
+                  for name, value in vars(cols).items()}
+            for seq, cols in read_columns(path, labels).items()}
+
+
+def test_plain_files_take_the_column_path(tmp_path, monkeypatch):
+    """No line of a synth file goes down the line path; one integer sends only its chunk."""
+    sequences = {f"s{i}": generate_scenario(ScenarioConfig(
+        seed=i, num_objects=8, num_frames=40, n_classes=4, flicker=0.3, dropout=0.1))
+        .detection_frames() for i in range(3)}
+    write_detections(sequences, tmp_path / "synth.jsonl")
+    texts = (tmp_path / "synth.jsonl").read_text().splitlines()
+    assert len(texts) > 3 * CHUNK_LINES
+    files = {}
+    for name, probs in (("plain", [1.0, 0.0, 0.0, 0.0]), ("mixed", [1, 0, 0, 0])):
+        record = json.loads(texts[CHUNK_LINES + 7])  # a line of the second chunk
+        texts[CHUNK_LINES + 7] = json.dumps({**record, "probs": probs})
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text("\n".join(texts) + "\n", encoding="utf-8")
+    plain, mixed = files["plain"], files["mixed"]
+    labels = LabelSet(["0", "1", "2", "3"])
+    want = _columns_of(plain, labels)
+
+    parsed = []
+    _spy(monkeypatch, "_parse_line", parsed, lambda record, line_no, chunk: line_no)
+    assert _columns_of(plain, labels) == want and parsed == []
+    assert _columns_of(mixed, labels) == want
+    assert parsed == list(range(CHUNK_LINES + 1, 2 * CHUNK_LINES + 1))

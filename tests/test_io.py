@@ -220,10 +220,17 @@ class TestDetectionRoundTrip:
 
 
 @lru_cache(maxsize=1)
-def _fused_reference_result():
-    result = run_sequence(_reference_scenario().detection_frames(),
-                          TrackerConfig(kind=TrackerKind.SORT))
-    return relabel(result.cols, result.track, FusionMode.PROBABILITY)
+def _reference_run():
+    return run_sequence(_reference_scenario().detection_frames(),
+                        TrackerConfig(kind=TrackerKind.SORT))
+
+
+@lru_cache(maxsize=None)
+def _fused_reference_result(names=("seq-0",)):
+    """The reference run fused, once under each of ``names``."""
+    run = _reference_run()
+    return relabel({name: run.cols for name in names}, {name: run.track for name in names},
+                   FusionMode.PROBABILITY)
 
 
 @lru_cache(maxsize=1)
@@ -237,7 +244,7 @@ class TestWriteTracks:
 
     def test_empty_results_write_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_tracks({}, path)
+        write_tracks(relabel({}, {}, FusionMode.NONE), path)
         assert path.read_text() == TRACK_CSV_HEADER + "\n"
 
     def test_one_track_three_rows(self, tmp_path):
@@ -245,7 +252,7 @@ class TestWriteTracks:
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
         path = tmp_path / "t.csv"
-        write_tracks({"s": result}, path)
+        write_tracks(relabel({"s": result.cols}, {"s": result.track}, FusionMode.NONE), path)
         rows = read_tracks(path)
         assert len(rows) == 3
         assert {r.track_id for r in rows} == {1}
@@ -254,7 +261,7 @@ class TestWriteTracks:
     def test_rows_round_trip_matched_records(self, tmp_path):
         result = self._result()
         path = tmp_path / "t.csv"
-        write_tracks({"seq-0": result}, path)
+        write_tracks(result, path)
         rows = read_tracks(path)
         matched = np.flatnonzero(result.track >= 0).tolist()
         assert len(rows) == len(matched)
@@ -270,13 +277,13 @@ class TestWriteTracks:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_tracks({"seq-0": self._result()}, a)
-        write_tracks({"seq-0": self._result()}, b)
+        write_tracks(self._result(), a)
+        write_tracks(self._result(), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_matches_golden_file(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_tracks({"seq-0": self._result()}, path)
+        write_tracks(self._result(), path)
         assert path.read_bytes() == GOLDEN.read_bytes()
 
     @settings(max_examples=60, deadline=None)
@@ -290,10 +297,12 @@ class TestWriteTracks:
             write_detections({name: [(f, [_det(f, (0, 0, 20, 20))]) for f in range(2)]
                               for name in names}, jsonl)
             sequences = parse_detections(jsonl, LabelSet(["a", "b"]))
-            results = {seq: run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
-                       for seq, frames in sequences.items()}
+            runs = {seq: run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+                    for seq, frames in sequences.items()}
             csv_path = Path(tmp) / "t.csv"
-            write_tracks(results, csv_path)
+            write_tracks(relabel({seq: res.cols for seq, res in runs.items()},
+                                 {seq: res.track for seq, res in runs.items()}, FusionMode.NONE),
+                         csv_path)
             rows = read_tracks(csv_path)
         assert sorted(sequences) == sorted(names)
         assert [(r.seq, r.frame) for r in rows] == [(n, f) for n in sorted(names) for f in range(2)]
@@ -309,10 +318,9 @@ class TestWriteTracks:
     @example(["\r\n"])
     @example([" pad "])
     def test_bytes_equal_the_csv_writer_oracle(self, names):
-        results = {name: self._result() for name in names}
         with tempfile.TemporaryDirectory() as tmp:
             got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-            write_tracks(results, got)
+            write_tracks(_fused_reference_result(tuple(names)), got)
             reference_write_tracks({name: _reference_object_result() for name in names}, want)
             assert got.read_bytes() == want.read_bytes()
 

@@ -252,7 +252,8 @@ class TestTrack:
         cols = self._columns()
         raw = cols.probs.argmax(axis=1)
         res = ColumnResult(cols, np.array([1, 1]), raw, raw)
-        assert [f.name for f in fields(ColumnResult)] == ["cols", "track", "raw", "fused", "runs"]
+        assert [f.name for f in fields(ColumnResult)] == [
+            "cols", "track", "raw", "fused", "names", "bounds", "runs"]
         order, starts = res.runs
         assert order.tolist() == [0, 1] and starts.tolist() == [0]
         assert tuple(res.cols.frame[order].tolist()) == (0, 1)

@@ -6,6 +6,8 @@ ran before sequences became columns: the line-by-line parser, one
 its own, per-track fusion and per-record metrics.  On random multi-sequence
 files, every tracker, fusion mode and ``--online`` setting, with or without
 ``--matched-only``, must give the same CSV and metrics JSON, or the same error.
+A file's numbers are JSON floats throughout, on some lines or on none, so its
+lines are read by the column path, the line path, or a chunk that mixes them.
 """
 
 import contextlib
@@ -26,19 +28,26 @@ N_CLASSES = 3
 
 @st.composite
 def detection_lines(draw):
-    """JSONL lines of 1-3 sequences, interleaved; boxes crowd a small area so tracks form."""
+    """JSONL lines of 1-5 sequences, interleaved; boxes crowd a small area so tracks form."""
+    floats = draw(st.sampled_from(["file", "lines", "none"]))
     lines = []
-    for seq in draw(st.lists(st.sampled_from(["s0", "s,1", "s\r2"]), min_size=1, max_size=3,
-                             unique=True)):
+    for seq in draw(st.lists(st.sampled_from(["s0", "s,1", "s\r2", "s 3", "s%4"]), min_size=1,
+                             max_size=5, unique=True)):
         for frame in draw(st.lists(st.integers(0, 12), min_size=1, max_size=6, unique=True)):
             for _ in range(draw(st.integers(1, 4))):
-                x, y = draw(st.integers(0, 40)), draw(st.integers(0, 40))
-                record = {"seq": seq, "frame": frame,
-                          "bbox": [x, y, x + draw(st.integers(5, 30)), y + draw(st.integers(5, 30))],
+                # Each number is drawn doubled: a line holds its halves, as floats, or their
+                # floors, as integers, so both forms share one small grid and tracks form.
+                half = (lambda v: v / 2) if floats == "file" or (
+                    floats == "lines" and draw(st.booleans())) else (lambda v: v // 2)
+                x, y = draw(st.integers(0, 80)), draw(st.integers(0, 80))
+                corners = [x, y, x + draw(st.integers(10, 61)), y + draw(st.integers(10, 61))]
+                probs = draw(st.lists(st.integers(0, 7), min_size=N_CLASSES, max_size=N_CLASSES)
+                             .filter(lambda values: max(values) >= 2))
+                record = {"seq": seq, "frame": frame, "bbox": [half(v) for v in corners],
                           "score": draw(st.sampled_from([0.05, 0.3, 0.5, 0.7, 1.0])),
-                          "probs": draw(st.lists(st.integers(0, 3), min_size=N_CLASSES,
-                                                 max_size=N_CLASSES).filter(any)),
-                          "embedding": draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))}
+                          "probs": [half(v) for v in probs],
+                          "embedding": [half(v) for v in draw(st.lists(
+                              st.integers(-4, 5), min_size=2, max_size=2))]}
                 gt_class = draw(st.integers(-1, N_CLASSES - 1))
                 if gt_class >= 0:
                     record["gt_class"] = gt_class

@@ -58,11 +58,11 @@ def two_sequences(tmp_path_factory):
 def test_library_pipeline_writes_the_track_csv(tmp_path, two_sequences, kind, mode, online):
     dets, labels = two_sequences
     sequences = trackfuse.parse_detections(dets, trackfuse.read_labels(labels))
-    results = {}
-    for seq, frames in sequences.items():
-        res = trackfuse.run_sequence(frames, trackfuse.TrackerConfig(kind=kind))
-        results[seq] = trackfuse.relabel(res.cols, res.track, mode, online)
-    trackfuse.write_tracks(results, tmp_path / "lib.csv")
+    runs = {seq: trackfuse.run_sequence(frames, trackfuse.TrackerConfig(kind=kind))
+            for seq, frames in sequences.items()}
+    result = trackfuse.relabel({seq: res.cols for seq, res in runs.items()},
+                               {seq: res.track for seq, res in runs.items()}, mode, online)
+    trackfuse.write_tracks(result, tmp_path / "lib.csv")
     assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", kind.value,
                  "--fusion", mode.value, "--output", str(tmp_path / "cli.csv")]
                 + ["--online"] * online) == 0

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from trackfuse import cli
+from trackfuse import cli, io
 from trackfuse.trackers import TrackerKind
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -100,4 +100,11 @@ def test_traced_run_reports_every_per_layer_metric(tmp_path, monkeypatch, layers
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     # run.py adds trace.overhead_share itself, from traced and untraced wall times.
     want = {metric["name"] for metric in declared} - {"trace.overhead_share"}
-    assert want <= set(layers.layer_metrics(spans.spans, installed))
+    got = layers.layer_metrics(spans.spans, installed)
+    assert want <= set(got)
+    # One tracker step per (sequence, frame), one fusion call per file, and one
+    # distribution check per chunk flush, the last of them short.
+    records = [json.loads(line) for line in Path(dets).read_text().splitlines() if line.strip()]
+    assert got["trackers.step_calls"] == len({(r["seq"], r["frame"]) for r in records})
+    assert got["fusion.relabel_calls"] == 1
+    assert got["model.validate_calls"] == len(records) // io.CHUNK_LINES + 1

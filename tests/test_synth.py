@@ -20,7 +20,7 @@ def _centers(box):
 
 class TestScenarioConfig:
     @pytest.mark.parametrize("kwargs", [
-        dict(num_objects=0), dict(num_frames=0), dict(n_classes=1),
+        dict(seed=-1), dict(num_objects=0), dict(num_frames=0), dict(n_classes=1),
         dict(dropout=1.0), dict(dropout=-0.1), dict(flicker=1.0),
         dict(jitter=-1.0), dict(confidence=0.05),
         dict(size_range=(0.0, 10.0)), dict(size_range=(600.0, 600.0)),
