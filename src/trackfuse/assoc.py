@@ -7,6 +7,7 @@ All trackers reduce data association to one call: build a :class:`CostMatrix`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -16,23 +17,21 @@ from .errors import InvalidValue
 
 
 def iou_matrix(a, b) -> np.ndarray:
-    """Pairwise intersection over union of boxes ``a`` (n, 4) and ``b`` (m, 4), 0 when disjoint.
+    """Pairwise intersection over union of boxes ``a`` (4, n) and ``b`` (4, m), 0 when disjoint.
 
-    Rows are [x1, y1, x2, y2].  Every entry equals, bit for bit, the scalar
+    Rows are [x1, y1, x2, y2], one box per column.  Every entry equals, bit for bit, the scalar
     ``reference_iou`` of ``tests/oracles.py``, which does the same float
     operations in the same order.  Areas past the float range give inf or NaN
     entries, which no gate admits, without a numpy warning.
     """
-    a = np.asarray(a, dtype=float).reshape(-1, 4)[:, None, :]
-    b = np.asarray(b, dtype=float).reshape(-1, 4)[None, :, :]
+    a = np.asarray(a, dtype=float)[:, :, None]
+    b = np.asarray(b, dtype=float)[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        iw = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0]))
-        ih = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1]))
-        inter = iw * ih
-        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        wh = np.maximum(0.0, np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2]))
+        inter = wh[0] * wh[1]
+        (w_a, h_a), (w_b, h_b) = a[2:] - a[:2], b[2:] - b[:2]
         out = np.zeros(inter.shape)
-        np.divide(inter, area_a + area_b - inter, out=out, where=inter > 0.0)
+        np.divide(inter, w_a * h_a + w_b * h_b - inter, out=out, where=inter > 0.0)
     return out
 
 
@@ -54,6 +53,13 @@ class CostMatrix:
             raise InvalidValue("admissible cost entries must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "gate_mask", mask)
+
+    @classmethod
+    def _of_iou(cls, values: np.ndarray, gate_mask: np.ndarray) -> "CostMatrix":
+        """Costs 1 - IoU, unchecked: every entry the IoU gate admits is finite."""
+        cost = object.__new__(cls)
+        cost.__dict__.update(values=values, gate_mask=gate_mask)
+        return cost
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -81,21 +87,18 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     every maximum-cardinality matching, so it is matched without a solve.
     Only the block of rows and columns that remain, where pairs compete, goes
     to :func:`_canonical_matching`, which solves it once and reads the
-    tie-break off that solve's duals.
+    tie-break off that solve's duals.  All-forced frames take Python sets alone.
     """
     n_rows, n_cols = cost.shape
-    if n_rows == 0 or n_cols == 0:
-        return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
-
     mask = cost.gate_mask
-    rows, cols = np.nonzero(mask)  # every admissible pair, in (row, col) order
-    forced = (mask.sum(axis=1)[rows] == 1) & (mask.sum(axis=0)[cols] == 1)
-    matches = list(zip(rows[forced].tolist(), cols[forced].tolist()))
-    if not forced.all():
+    rows, cols = mask.nonzero()  # every admissible pair, in (row, col) order
+    matches = list(zip(rows.tolist(), cols.tolist()))
+    if len(set(rows.tolist())) < len(matches) or len(set(cols.tolist())) < len(matches):
+        forced = (mask.sum(axis=1)[rows] == 1) & (mask.sum(axis=0)[cols] == 1)
+        matches = list(zip(rows[forced].tolist(), cols[forced].tolist()))
         # The block: every row and column with an admissible pair that is not forced.
-        free = ~forced
-        block_rows = np.flatnonzero(np.bincount(rows[free], minlength=n_rows))
-        block_cols = np.flatnonzero(np.bincount(cols[free], minlength=n_cols))
+        block_rows = np.flatnonzero(np.bincount(rows[~forced], minlength=n_rows))
+        block_cols = np.flatnonzero(np.bincount(cols[~forced], minlength=n_cols))
         block = np.ix_(block_rows, block_cols)
         for r, c in _canonical_matching(cost.values[block], mask[block]):
             matches.append((int(block_rows[r]), int(block_cols[c])))
@@ -115,33 +118,37 @@ def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
     with equality on matched pairs, ``v <= 0``, and ``v == 0`` on free columns.
     """
     n_rows, n_cols = cost.shape
-    u, v = np.zeros(n_rows), np.zeros(n_cols)
-    col4row, row4col = np.full(n_rows, -1), np.full(n_cols, -1)
+    cost = cost.tolist()
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    col4row, row4col = [-1] * n_rows, [-1] * n_cols
     for start in range(n_rows):
-        dist, path = np.full(n_cols, np.inf), np.zeros(n_cols, dtype=int)
-        done = np.zeros(n_cols, dtype=bool)
+        dist, path = [math.inf] * n_cols, [0] * n_cols
+        todo, done = list(range(n_cols)), []  # columns not yet reached, and reached in order
         row, reach = start, 0.0
         while row >= 0:
-            reduced = reach + cost[row] - u[row] - v
-            closer = ~done & (reduced < dist)
-            dist[closer], path[closer] = reduced[closer], row
-            open_dist = np.where(done, np.inf, dist)
-            reach = open_dist.min()
-            if reach == np.inf:
+            row_cost, u_row, last, reach, col = cost[row], u[row], reach, math.inf, -1
+            for c in todo:  # relax, and find the first closest column, a free one first
+                d = last + row_cost[c] - u_row - v[c]
+                if d < dist[c]:
+                    dist[c], path[c] = d, row
+                d = dist[c]
+                if d < reach or d == reach and row4col[col] >= 0 > row4col[c]:
+                    reach, col = d, c
+            if reach == math.inf:
                 raise InvalidValue(f"row {start} of the cost matrix cannot be assigned")
-            ties = np.flatnonzero(open_dist == reach)
-            col = ties[np.argmin(row4col[ties] >= 0)]  # a free column first
-            done[col] = True
+            todo.remove(col)
+            done.append(col)
             row = row4col[col]
-        owned = done & (row4col >= 0)
         u[start] += reach
-        u[row4col[owned]] += reach - dist[owned]
-        v[done] -= reach - dist[done]
+        for c in done[:-1]:  # every reached column but the last, free one has a row
+            u[row4col[c]] += reach - dist[c]
+        for c in done:
+            v[c] -= reach - dist[c]
         while row != start:
             row = path[col]
             row4col[col] = row
             col4row[row], col = col, col4row[row]
-    return col4row, u, v
+    return np.array(col4row, dtype=int), np.array(u), np.array(v)
 
 
 def _canonical_matching(values: np.ndarray, mask: np.ndarray) -> List[Tuple[int, int]]:
@@ -157,33 +164,35 @@ def _canonical_matching(values: np.ndarray, mask: np.ndarray) -> List[Tuple[int,
     """
     n_rows, n_cols = values.shape
     n = n_cols + n_rows
-    big = 1.0 + 2.0 * float(np.abs(np.where(mask, values, 0.0)).max(axis=1).sum())
+    with np.errstate(over="ignore"):  # an overflow is the InvalidValue below
+        big = 1.0 + 2.0 * float(np.abs(np.where(mask, values, 0.0)).max(axis=1).sum())
+    if not math.isfinite(big):
+        raise InvalidValue("admissible cost entries must sum to a finite total")
     padded = np.full((n_rows, n), np.inf)
     padded[:, :n_cols] = np.where(mask, values, np.inf)
     padded[np.arange(n_rows), n_cols + np.arange(n_rows)] = big
-    col_of, u, v = linear_sum_assignment(padded)
+    col4row, u, v = linear_sum_assignment(padded)
     tol = 1e-9 * big
-    tight = np.vstack([padded - u[:, None] - v <= tol, np.tile(v >= -tol, (n_cols, 1))])
-    owner = np.full(n, -1)
-    owner[col_of] = np.arange(n_rows)
-    owner[owner < 0] = np.arange(n_rows, n)
-    col_of = np.argsort(owner)
+    tight = [row.nonzero()[0].tolist() for row in padded - u[:, None] - v <= tol]  # ascending
+    tight += [np.flatnonzero(v >= -tol).tolist()] * n_cols  # phantoms own the free columns
+    col_of = col4row.tolist() + sorted(set(range(n)) - set(col4row.tolist()))
+    owner = sorted(range(n), key=col_of.__getitem__)  # the inverse permutation
     for r in range(n_rows):
-        for c in np.flatnonzero(tight[r, :col_of[r]]):
-            if owner[c] > r and _reroute(tight, owner, col_of, r, c):
+        for c in tight[r]:
+            if c >= col_of[r] or owner[c] > r and _reroute(tight, owner, col_of, r, c):
                 break
-    return [(r, int(c)) for r, c in enumerate(col_of[:n_rows]) if c < n_cols]
+    return [(r, c) for r, c in enumerate(col_of[:n_rows]) if c < n_cols]
 
 
 def _reroute(tight, owner, col_of, r, c) -> bool:
     """Give row ``r`` column ``c`` if an alternating path of rows after ``r`` frees it."""
     target = col_of[r]
-    seen = np.arange(len(owner)) == c
+    seen = {c}
     came_from = {owner[c]: r}
     queue = [owner[c]]
     for row in queue:
-        for col in np.flatnonzero(tight[row] & ~seen):
-            seen[col] = True
+        for col in [col for col in tight[row] if col not in seen]:
+            seen.add(col)
             if col == target:
                 while True:
                     col_of[row], col = col, col_of[row]

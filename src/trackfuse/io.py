@@ -475,7 +475,8 @@ def write_tracks(result: ColumnResult, path) -> None:
     seq = np.searchsorted(result.bounds, rows, side="right") - 1  # ascending, as rows are
     rows = rows[np.lexsort((result.track[rows], result.cols.frame[rows], seq))]
     formats = [_row_format(name) for name in result.names]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # A width or height past the float range is written as inf, without a numpy warning.
+    with open(path, "w", encoding="utf-8", newline="") as fh, np.errstate(over="ignore"):
         fh.write(TRACK_CSV_HEADER + "\n")
         for lo in range(0, len(rows), CHUNK_LINES):  # a chunk's Python numbers at a time
             at, box = rows[lo:lo + CHUNK_LINES], result.cols.box[rows[lo:lo + CHUNK_LINES]]

@@ -17,8 +17,10 @@ SORT_CV7's aspect r has no velocity; its block keeps b = c = 0.
 The filter steps :func:`kf_init`, :func:`kf_predict` and :func:`kf_update` take
 N states on the last axis, ``means`` (d, N) and ``covs`` (3, o, N) holding rows
 a, b and c of the o blocks, so every operation reads and writes whole contiguous
-rows (on small tables a strided column costs 2-3x as much).  They return new
-arrays without writing to their inputs.  The steps are elementwise, so a
+rows (on small tables a strided column costs 2-3x as much).  So do boxes, (4, N)
+rows x1, y1, x2, y2, which :func:`observe` projects once per sequence into the
+observations (o, N) :func:`kf_init` and :func:`kf_update` take.  The steps return
+new arrays without writing to their inputs.  They are elementwise, so a
 state's result does not depend on the others; one state is a one-column table.
 """
 
@@ -127,14 +129,14 @@ def _noise(spec: MotionModelSpec, means: np.ndarray, name: str) -> np.ndarray:
 
 
 def observe(spec: MotionModelSpec, boxes: np.ndarray) -> np.ndarray:
-    """Project corner-form boxes (N, 4) into the model's measurement space, (o, N)."""
-    corners = np.ascontiguousarray(boxes.T)  # one copy, then whole rows
-    lo, hi = corners[:2], corners[2:]
-    center = 0.5 * (lo + hi)
-    if spec.model is MotionModel.SORT_CV7:
-        w, h = (hi - lo)[:, None]  # rows (1, N)
-        return np.concatenate([center, w * h, w / h])
-    return center
+    """Project boxes (4, N) into measurement space (o, N); an overflow is inf or NaN, unwarned."""
+    lo, hi = boxes[:2], boxes[2:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = 0.5 * (lo + hi)
+        if spec.model is MotionModel.SORT_CV7:
+            w, h = (hi - lo)[:, None]  # rows (1, N)
+            return np.concatenate([center, w * h, w / h])
+        return center
 
 
 def _checked(means: np.ndarray, covs: np.ndarray,
@@ -147,28 +149,28 @@ def _checked(means: np.ndarray, covs: np.ndarray,
     failing state (by ``ids`` when given).  Call under np.errstate(over="ignore").
     """
     name = (lambda row: f"row {row}") if ids is None else (lambda row: f"track {ids[row]}")
-    if not np.isfinite(covs).all():
+    if np.count_nonzero(np.isfinite(covs)) < covs.size:  # one C call; .all() goes via Python
         finite = np.isfinite(covs).all(axis=(0, 1))
         raise NumericalBreakdown(f"covariance of {name(np.argmin(finite))} is not finite")
     a, b = covs[0] + PSD_TOLERANCE, covs[1]
     psd = (a > 0.0) & (a * (covs[2] + PSD_TOLERANCE) > b * b)
-    if not psd.all():
+    if np.count_nonzero(psd) < psd.size:
         row = np.argmin(psd.all(axis=0))
         raise NumericalBreakdown(f"covariance of {name(row)} lost positive semi-definiteness")
-    if not np.isfinite(means).all():
+    if np.count_nonzero(np.isfinite(means)) < means.size:
         finite = np.isfinite(means).all(axis=0)
         raise NumericalBreakdown(f"state mean of {name(np.argmin(finite))} is not finite")
     return means, covs
 
 
-def kf_init(boxes: np.ndarray, spec: MotionModelSpec,
+def kf_init(obs: np.ndarray, spec: MotionModelSpec,
             ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Initial means and covariances centered on corner-form boxes (N, 4), zero velocity."""
-    means = np.zeros((spec.state_dim, len(boxes)))
-    covs = np.empty((3, spec.obs_dim, len(boxes)))
+    """Initial means and covariances centered on observations ``obs`` (o, N), zero velocity."""
+    means = np.zeros((spec.state_dim, obs.shape[1]))
+    means[: spec.obs_dim] = obs
+    covs = np.empty((3, spec.obs_dim, obs.shape[1]))
     # An overflow is _checked's NumericalBreakdown, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        means[: spec.obs_dim] = observe(spec, boxes)
         covs[:] = _noise(spec, means, "_p0")
         return _checked(means, covs, ids)
 
@@ -184,7 +186,7 @@ def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
         if spec.model is MotionModel.SORT_CV7:
             # Classic SORT guard: freeze area velocity rather than predict s <= 0.
             frozen = means[2] + means[6] * dt <= 0.0
-            if frozen.any():
+            if np.count_nonzero(frozen):
                 means = means.copy()
                 means[6, frozen] = 0.0
         new_means = means.copy()
@@ -196,9 +198,9 @@ def kf_predict(means: np.ndarray, covs: np.ndarray, spec: MotionModelSpec,
         return _checked(new_means, new_covs, ids)
 
 
-def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: MotionModelSpec,
+def kf_update(means: np.ndarray, covs: np.ndarray, obs: np.ndarray, spec: MotionModelSpec,
               ids: Optional[Sequence[int]] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Standard Kalman correction of every state against the observation of its box (N, 4).
+    """Standard Kalman correction of every state against its observation, ``obs`` (o, N).
 
     Per block, with innovation variance a + R's variance: gain k on the coordinate and
     kv on its velocity.  The new b averages the two off-diagonal entries of
@@ -207,9 +209,9 @@ def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: Moti
     o, moved = spec.obs_dim, spec.state_dim - spec.obs_dim
     a, b = covs[0], covs[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        innovation = observe(spec, boxes) - means[:o]
+        innovation = obs - means[:o]
         s = a + _noise(spec, means, "_r")[0]
-        if (s == 0.0).any():
+        if np.count_nonzero(s == 0.0):
             raise NumericalBreakdown("innovation covariance is singular")
         k, kv = covs[:2] * (1.0 / s)  # a / s and b / s, per block
         new_means = means.copy()
@@ -224,7 +226,7 @@ def kf_update(means: np.ndarray, covs: np.ndarray, boxes: np.ndarray, spec: Moti
 
 def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
                  spec: MotionModelSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Every state rendered back into corner form (N, 4), inverse of :func:`kf_init`'s conversion.
+    """Every state rendered back into corner form (4, N), inverse of :func:`observe`.
 
     Also returns the states with no box, whose boxes are placeholders: a
     non-positive area or aspect (SORT_CV7) or ``extents`` (2, N) (CENTROID_CV4).
@@ -239,4 +241,4 @@ def corner_boxes(means: np.ndarray, extents: Optional[np.ndarray],
         degenerate = (extents <= 0.0).any(axis=0)
         half = extents / 2.0
     center = means[:2]
-    return np.concatenate([center - half, center + half]).T, degenerate
+    return np.concatenate([center - half, center + half]), degenerate

@@ -8,11 +8,11 @@ tracks; ByteTrack additionally runs a second association pass over
 but never start them.
 
 :func:`track_columns` runs a sequence's :class:`~trackfuse.model.Columns`
-record: each :func:`tracker_step` takes one frame's slices of the ``box``,
-``score`` and ``emb`` columns, and the run returns one track id per row, -1
-for a row no emitted track holds.  :func:`run_sequence` takes (frame_id,
-Detection list) pairs instead and returns a
-:class:`~trackfuse.model.ColumnResult`.
+record: each :func:`tracker_step` takes one frame's slices of the ``box`` column
+as (4, n) rows, of their observations (Kalman trackers, observed once per
+sequence), and of ``score`` and ``emb``; the run returns one track id per row,
+-1 for a row no emitted track holds.  :func:`run_sequence` takes (frame_id,
+Detection list) pairs instead and returns a :class:`~trackfuse.model.ColumnResult`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import BoundingBox, ColumnResult, Columns, Detection, config_number
 EMBEDDING_SMOOTHING = 0.9
 # Exponential moving average factor for a track's appearance embedding.
 
-_TRACK_LAST = ("mean", "cov")  # the TrackerState.table columns whose track axis is the last
+_TRACK_LAST = ("box", "mean", "cov")  # the TrackerState.table columns whose track axis is last
 
 
 class TrackerKind(Enum):
@@ -134,9 +134,9 @@ class TrackerState:
 
     ``table`` is the live tracks' struct of arrays, one track per entry along
     each column's track axis.  That axis is the first of ``id`` (N,), ``age``
-    (N,) frames since its last match, ``box`` (N, 4) its last matched box and
-    ``emb`` (N, E) unit EMA embeddings (appearance tracker), and the last of the
-    Kalman columns (see ``motion``), ``mean`` (d, N) and ``cov`` (3, o, N).
+    (N,) frames since its last match and ``emb`` (N, E) unit EMA embeddings
+    (appearance tracker), and the last of ``box`` (4, N) its last matched box and
+    the Kalman columns (see ``motion``), ``mean`` (d, N) and ``cov`` (3, o, N).
     """
 
     __slots__ = ("next_id", "cursor", "table")
@@ -145,22 +145,25 @@ class TrackerState:
         self.next_id = 1
         self.cursor = -1
         self.table: Dict[str, np.ndarray] = {
-            "id": np.zeros(0, dtype=int), "age": np.zeros(0, dtype=int), "box": np.zeros((0, 4))}
+            "id": np.zeros(0, dtype=int), "age": np.zeros(0, dtype=int), "box": np.zeros((4, 0))}
 
 
 def _reference_boxes(state: TrackerState,
                      spec: Optional[motion.MotionModelSpec]) -> np.ndarray:
-    """(N, 4) cost boxes: KF predictions, else the ``box`` column itself, which callers must not
+    """(4, N) cost boxes: KF predictions, else the ``box`` column itself, which callers must not
     write.  A degenerate prediction falls back to the last box; a non-box one is InvalidValue."""
     last = state.table["box"]
-    if spec is None or not len(last):
+    if spec is None or not last.shape[1]:
         return last
-    sizes = last[:, 2:] - last[:, :2]  # a CENTROID_CV4 state's extent is its last box's size
-    boxes, degenerate = motion.corner_boxes(state.table["mean"], sizes.T, spec)
-    if degenerate.any():
-        boxes[degenerate] = last[degenerate]
-    if not ((boxes[:, 2:] > boxes[:, :2]).all() and np.isfinite(boxes).all()):
-        for row in boxes.tolist():
+    if spec.model is motion.MotionModel.SORT_CV7:
+        boxes, degenerate = motion.corner_boxes(state.table["mean"], None, spec)
+    else:  # a CENTROID_CV4 state's extent is its last box's size, inf past the float range
+        with np.errstate(over="ignore"):
+            boxes, degenerate = motion.corner_boxes(state.table["mean"], last[2:] - last[:2], spec)
+    if np.count_nonzero(degenerate):
+        boxes[:, degenerate] = last[:, degenerate]
+    if not ((boxes[2:] > boxes[:2]).all() and np.isfinite(boxes).all()):
+        for row in boxes.T.tolist():
             BoundingBox(*row)  # the first invalid box raises the InvalidValue it gets
     return boxes
 
@@ -173,31 +176,31 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, det_boxes: np.ndarray,
                     config: TrackerConfig, embs: Optional[np.ndarray] = None,
                     det_embs: Optional[np.ndarray] = None, timer=NULL_TIMER) -> assoc.CostMatrix:
-    """Costs of tracks with reference ``boxes`` (and ``embs`` for appearance) against detections."""
-    n_t, n_d = len(boxes), len(det_boxes)
+    """Costs of tracks at ``boxes`` (4, N) (and ``embs``) against detections at ``det_boxes``."""
+    n_t, n_d = boxes.shape[1], det_boxes.shape[1]
     if n_t == 0 or n_d == 0:
         return assoc.CostMatrix(np.zeros((n_t, n_d)), np.zeros((n_t, n_d), dtype=bool))
 
     if kind in (TrackerKind.CENTROID, TrackerKind.CENTROID_KF):
         # Distance between box centers per pair, gated at a fraction of the larger box diagonal.
-        c_t, c_d = (0.5 * (b[:, :2] + b[:, 2:]) for b in (boxes, det_boxes))
-        diff = c_t[:, None] - c_d[None]
-        values = _hypot(diff[..., 0], diff[..., 1])
-        diag_t, diag_d = (_hypot(*(b[:, 2:] - b[:, :2]).T) for b in (boxes, det_boxes))
-        gate = config.centroid_gate * np.maximum(diag_t[:, None], diag_d[None])
+        with np.errstate(over="ignore", invalid="ignore"):  # extents past the float range: inf
+            c_t, c_d = (0.5 * (b[:2] + b[2:]) for b in (boxes, det_boxes))
+            diff = c_t[:, :, None] - c_d[:, None]
+            values = _hypot(diff[0], diff[1])
+            diag_t, diag_d = (_hypot(*(b[2:] - b[:2])) for b in (boxes, det_boxes))
+            gate = config.centroid_gate * np.maximum(diag_t[:, None], diag_d[None])
         return assoc.CostMatrix(values, values <= gate)
 
     ious = assoc.iou_matrix(boxes, det_boxes)
     mask = ious >= config.iou_gate
-    values = 1.0 - ious
+    if kind is not TrackerKind.APPEARANCE:  # an admitted IoU lies in [gate, 1]: a finite cost
+        return assoc.CostMatrix._of_iou(1.0 - ious, mask)
 
-    if kind is TrackerKind.APPEARANCE:
-        with timer.stage(STAGE_REID_COST):
-            cos, ok = _cosine_matrix(embs, det_embs)
-        w = config.appearance_weight
-        values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
-        mask = mask & ok & (cos >= config.cosine_gate)
-    return assoc.CostMatrix(values, mask)
+    with timer.stage(STAGE_REID_COST):
+        cos, ok = _cosine_matrix(embs, det_embs)
+    w = config.appearance_weight
+    values = w * (1.0 - cos) + (1.0 - w) * (1.0 - ious)
+    return assoc.CostMatrix(values, mask & ok & (cos >= config.cosine_gate))
 
 
 def _cosine_matrix(embs: np.ndarray, det_embs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -228,55 +231,61 @@ def _greedy_iou(boxes: np.ndarray, det_boxes: np.ndarray, config: TrackerConfig)
         matches.append((i, j))
         used_t.add(i)
         used_d.add(j)
-    um_t = tuple(i for i in range(len(boxes)) if i not in used_t)
-    um_d = tuple(j for j in range(len(det_boxes)) if j not in used_d)
+    um_t = tuple(i for i in range(boxes.shape[1]) if i not in used_t)
+    um_d = tuple(j for j in range(det_boxes.shape[1]) if j not in used_d)
     return tuple(matches), um_t, um_d
 
 
-def _update_rows(state: TrackerState, rows: List[int], boxes: np.ndarray,
-                 embs: Optional[np.ndarray], spec: Optional[motion.MotionModelSpec],
-                 kind: TrackerKind):
-    """Correct table ``rows`` against their matched ``boxes`` (and ``embs``) in one batch."""
+def _update_rows(state: TrackerState, rows: List[int], at: List[int], boxes: np.ndarray,
+                 obs: Optional[np.ndarray], embs: Optional[np.ndarray],
+                 spec: Optional[motion.MotionModelSpec], kind: TrackerKind):
+    """Correct table ``rows`` against the frame's detections ``at`` in one batch."""
     if not rows:
         return
     table = state.table
-    whole = rows == list(range(len(table["id"])))  # the whole table in order: no gather or scatter
-    rows = slice(None) if whole else rows
-    table["box"][rows] = boxes
-    if spec is not None:  # take keeps each gathered row contiguous, where [..., rows] would not
-        kalman = [table[name] if whole else table[name].take(rows, -1) for name in _TRACK_LAST]
-        table["mean"][..., rows], table["cov"][..., rows] = motion.kf_update(
-            *kalman, boxes, spec, table["id"][rows])
-    if kind is TrackerKind.APPEARANCE:
-        mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs
-        table["emb"][rows] = _unit_rows(mixed)
-
-
-def _spawn_rows(state: TrackerState, boxes: np.ndarray, embs: Optional[np.ndarray],
-                spec: Optional[motion.MotionModelSpec], kind: TrackerKind) -> List[int]:
-    """Start one track per detection box, append their table rows; returns the new ids."""
-    ids = list(range(state.next_id, state.next_id + len(boxes)))
-    new = {"id": np.array(ids), "age": np.zeros(len(boxes), dtype=int), "box": boxes}
+    whole = rows == list(range(len(table["id"])))  # the whole table in order adopts new columns
+    new = {"box": boxes.take(at, 1)}  # take keeps each gathered row contiguous
     if spec is not None:
-        new["mean"], new["cov"] = motion.kf_init(boxes, spec, ids)
+        kalman = [table[name] if whole else table[name].take(rows, -1) for name in ("mean", "cov")]
+        new["mean"], new["cov"] = motion.kf_update(*kalman, obs.take(at, 1), spec,
+                                                   table["id"][rows])
     if kind is TrackerKind.APPEARANCE:
-        new["emb"] = _unit_rows(embs)
+        mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs[at]
+        new["emb"] = _unit_rows(mixed)
+    for name, col in new.items():
+        if whole:
+            table[name] = col
+        else:
+            table[name][(..., rows) if name in _TRACK_LAST else rows] = col
+
+
+def _spawn_rows(state: TrackerState, at: List[int], boxes: np.ndarray, obs: Optional[np.ndarray],
+                embs: Optional[np.ndarray], spec: Optional[motion.MotionModelSpec],
+                kind: TrackerKind) -> List[int]:
+    """Start one track per detection ``at``, append their table rows; returns the new ids."""
+    ids = list(range(state.next_id, state.next_id + len(at)))
+    new = {"id": np.array(ids), "age": np.zeros(len(ids), dtype=int), "box": boxes.take(at, 1)}
+    if spec is not None:
+        new["mean"], new["cov"] = motion.kf_init(obs.take(at, 1), spec, ids)
+    if kind is TrackerKind.APPEARANCE:
+        new["emb"] = _unit_rows(embs[at])
     for name, col in new.items():
         old = state.table.get(name, col[..., :0] if name in _TRACK_LAST else col[:0])
         state.table[name] = np.concatenate([old, col], axis=-1 if name in _TRACK_LAST else 0)
-    state.next_id += len(boxes)
+    state.next_id += len(ids)
     return ids
 
 
-def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: np.ndarray,
-                 embs: Optional[np.ndarray], config: TrackerConfig,
+def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Optional[np.ndarray],
+                 scores: np.ndarray, embs: Optional[np.ndarray], config: TrackerConfig,
                  timer=NULL_TIMER) -> Tuple[TrackerState, np.ndarray]:
     """Advance one frame, given as its rows of the sequence columns; returns each row's track id.
 
-    ``boxes`` (n, 4), ``scores`` (n,) and ``embs`` (n, E) or None are the
-    frame's slices.  A row no track takes gets -1.  Kalman trackers predict
-    all live rows in one batch and correct the rows matched in either
-    ByteTrack stage in one more; stage two reads only rows stage one left.
+    ``boxes`` (4, n), their ``motion.observe`` rows ``obs`` (o, n) (None without
+    a motion model), ``scores`` (n,) and ``embs`` (n, E) or None are the frame's
+    slices.  A row no track takes gets -1.  Kalman trackers predict all
+    live rows in one batch and correct the rows matched in either ByteTrack
+    stage in one more; stage two reads only rows stage one left.
 
     Raises:
         OutOfOrderFrame: frame_id is not strictly beyond the cursor.
@@ -284,61 +293,58 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, scores: 
     """
     if frame_id <= state.cursor:
         raise OutOfOrderFrame(f"frame {frame_id} is not past cursor {state.cursor}")
-    kind = config.kind
+    kind, n = config.kind, len(scores)
     if kind is not TrackerKind.APPEARANCE:
         embs = None  # only the appearance tracker reads them
-    elif embs is None and len(boxes):
+    elif embs is None and n:
         raise MissingEmbedding(f"frame {frame_id}: appearance tracking needs embeddings")
 
     high = scores >= config.det_threshold_high
-    high_idx = np.flatnonzero(high)
-    high_boxes = boxes if len(high_idx) == len(boxes) else boxes[high_idx]
+    high_idx = np.flatnonzero(high).tolist()
+    high_boxes = boxes if len(high_idx) == n else boxes.take(high_idx, 1)
 
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
-    table = state.table
-    if spec is not None and len(table["id"]):
-        table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec,
-                                                        table["id"])
+    table, ids = state.table, state.table["id"]
+    if spec is not None and len(ids):
+        table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec, ids)
 
     ref_boxes = _reference_boxes(state, spec)
-    high_embs = None if embs is None else embs[high_idx]
     if kind is TrackerKind.IOU:
         matches, um_t, um_d = _greedy_iou(ref_boxes, high_boxes, config)
     else:
         cost = _geometric_cost(kind, ref_boxes, high_boxes, config, table.get("emb"),
-                               high_embs, timer)
+                               None if embs is None else embs[high_idx], timer)
         result = assoc.solve_assignment(cost)
         matches, um_t, um_d = result.matches, result.unmatched_tracks, result.unmatched_detections
     rows = [t_i for t_i, _ in matches]
-    det_rows = high_idx[[d_i for _, d_i in matches]].tolist()
+    det_rows = [high_idx[d_i] for _, d_i in matches]
 
     # ByteTrack second stage: leftover tracks vs low-confidence detections.
     if kind is TrackerKind.BYTETRACK and um_t:
-        low_idx = np.flatnonzero(~high & (scores >= config.det_threshold_low))
-        if len(low_idx):
-            cost = _geometric_cost(TrackerKind.SORT, ref_boxes[list(um_t)], boxes[low_idx],
-                                   config, timer=timer)
+        low_idx = np.flatnonzero(~high & (scores >= config.det_threshold_low)).tolist()
+        if low_idx:
+            cost = _geometric_cost(TrackerKind.SORT, ref_boxes.take(um_t, 1),
+                                   boxes.take(low_idx, 1), config, timer=timer)
             for t_i, d_i in assoc.solve_assignment(cost).matches:
                 rows.append(um_t[t_i])
-                det_rows.append(int(low_idx[d_i]))
-    assigned = np.full(len(boxes), -1)
-    assigned[det_rows] = table["id"][rows]
-    _update_rows(state, rows, boxes[det_rows], None if embs is None else embs[det_rows],
-                 spec, kind)
+                det_rows.append(low_idx[d_i])
+    assigned = np.full(n, -1)
+    assigned[det_rows] = ids[rows]
+    _update_rows(state, rows, det_rows, boxes, obs, embs, spec, kind)
 
     # Age unmatched tracks and retire those past max_age.
-    table["age"] += 1
-    table["age"][rows] = 0
-    keep = table["age"] <= config.max_age
-    if not keep.all():
+    age = state.table["age"]
+    age += 1
+    age[rows] = 0
+    keep = age <= config.max_age
+    if np.count_nonzero(keep) < len(keep):
         state.table = {name: col.compress(keep, axis=-1 if name in _TRACK_LAST else 0)
-                       for name, col in table.items()}
+                       for name, col in state.table.items()}
 
     # Unmatched high-confidence detections spawn tentative tracks.
-    spawn = high_idx[list(um_d)]
-    if len(spawn):
-        assigned[spawn] = _spawn_rows(state, boxes[spawn], None if embs is None else embs[spawn],
-                                      spec, kind)
+    spawn = [high_idx[d_i] for d_i in um_d]
+    if spawn:
+        assigned[spawn] = _spawn_rows(state, spawn, boxes, obs, embs, spec, kind)
 
     state.cursor = frame_id
     return state, assigned
@@ -352,11 +358,13 @@ def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.
     """
     state = TrackerState()
     track = np.full(len(cols.score), -1)
+    box = np.ascontiguousarray(cols.box.T)  # (4, n): each frame's slice is four contiguous rows
+    obs = motion.observe(config.resolved_motion_spec(), box) if config.kind in _KF_KINDS else None
     bounds = cols.starts.tolist()
     for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:]):
-        state, track[lo:hi] = tracker_step(state, frame_id, cols.box[lo:hi], cols.score[lo:hi],
-                                           None if cols.emb is None else cols.emb[lo:hi],
-                                           config, timer)
+        state, track[lo:hi] = tracker_step(
+            state, frame_id, box[:, lo:hi], None if obs is None else obs[:, lo:hi],
+            cols.score[lo:hi], None if cols.emb is None else cols.emb[lo:hi], config, timer)
     if config.min_hits > 1:  # a row's count is its track's length; -1 rows stay -1
         track[np.bincount(track + 1)[track + 1] < config.min_hits] = -1
     return track

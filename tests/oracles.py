@@ -2,11 +2,11 @@
 solvers, a textbook Kalman filter, reference label fusion, and random input
 builders.
 
-The ``reference_*`` functions keep code the library replaced (scalar IoU,
-one-track Kalman steps on dense matrices, per-pair centroid costs, per-track cosine loops,
-running-sum fusion, pairwise fusion folds, the one-vector probability
-fixpoint and the line-by-line detection parser) as references for its
-vectorised form.
+The ``reference_*`` functions keep code the library replaced (scalar IoU, the
+numpy port of the block solver, one-track Kalman steps on dense matrices,
+per-pair centroid costs, per-track cosine loops, running-sum fusion, pairwise
+fusion folds, the one-vector probability fixpoint and the line-by-line
+detection parser) as references for the forms that replaced them.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -39,6 +39,7 @@ from trackfuse.model import validate_distribution
 from trackfuse.trackers import TrackerKind
 
 SENTINEL = 1e9
+TRACK_LAST = ("box", "mean", "cov")  # the tracker table columns whose track axis is the last
 
 
 def exhaustive_min_total(values: np.ndarray) -> float:
@@ -214,6 +215,86 @@ def _reference_lex_min(padded: np.ndarray, real: np.ndarray, n_fix: int) -> List
 
     chosen.extend(avail)
     return chosen
+
+def reference_linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy port of Jonker-Volgenant that ``assoc.linear_sum_assignment`` replaced.
+
+    Each Dijkstra step is whole-row array operations; the float operations and
+    their order are the list version's, so ``col4row``, ``u`` and ``v`` agree bit
+    for bit, and so do the "row r cannot be assigned" errors.
+    """
+    n_rows, n_cols = cost.shape
+    u, v = np.zeros(n_rows), np.zeros(n_cols)
+    col4row, row4col = np.full(n_rows, -1), np.full(n_cols, -1)
+    for start in range(n_rows):
+        dist, path = np.full(n_cols, np.inf), np.zeros(n_cols, dtype=int)
+        done = np.zeros(n_cols, dtype=bool)
+        row, reach = start, 0.0
+        while row >= 0:
+            reduced = reach + cost[row] - u[row] - v
+            closer = ~done & (reduced < dist)
+            dist[closer], path[closer] = reduced[closer], row
+            open_dist = np.where(done, np.inf, dist)
+            reach = open_dist.min()
+            if reach == np.inf:
+                raise InvalidValue(f"row {start} of the cost matrix cannot be assigned")
+            ties = np.flatnonzero(open_dist == reach)
+            col = ties[np.argmin(row4col[ties] >= 0)]  # a free column first
+            done[col] = True
+            row = row4col[col]
+        owned = done & (row4col >= 0)
+        u[start] += reach
+        u[row4col[owned]] += reach - dist[owned]
+        v[done] -= reach - dist[done]
+        while row != start:
+            row = path[col]
+            row4col[col] = row
+            col4row[row], col = col, col4row[row]
+    return col4row, u, v
+
+
+def reference_canonical_matching(values: np.ndarray, mask: np.ndarray) -> List[Tuple[int, int]]:
+    """The numpy port of ``assoc._canonical_matching`` on boolean tight-edge matrices."""
+    n_rows, n_cols = values.shape
+    n = n_cols + n_rows
+    big = 1.0 + 2.0 * float(np.abs(np.where(mask, values, 0.0)).max(axis=1).sum())
+    padded = np.full((n_rows, n), np.inf)
+    padded[:, :n_cols] = np.where(mask, values, np.inf)
+    padded[np.arange(n_rows), n_cols + np.arange(n_rows)] = big
+    col_of, u, v = reference_linear_sum_assignment(padded)
+    tol = 1e-9 * big
+    tight = np.vstack([padded - u[:, None] - v <= tol, np.tile(v >= -tol, (n_cols, 1))])
+    owner = np.full(n, -1)
+    owner[col_of] = np.arange(n_rows)
+    owner[owner < 0] = np.arange(n_rows, n)
+    col_of = np.argsort(owner)
+    for r in range(n_rows):
+        for c in np.flatnonzero(tight[r, :col_of[r]]):
+            if owner[c] > r and _reference_reroute(tight, owner, col_of, r, c):
+                break
+    return [(r, int(c)) for r, c in enumerate(col_of[:n_rows]) if c < n_cols]
+
+
+def _reference_reroute(tight, owner, col_of, r, c) -> bool:
+    target = col_of[r]
+    seen = np.arange(len(owner)) == c
+    came_from = {owner[c]: r}
+    queue = [owner[c]]
+    for row in queue:
+        for col in np.flatnonzero(tight[row] & ~seen):
+            seen[col] = True
+            if col == target:
+                while True:
+                    col_of[row], col = col, col_of[row]
+                    owner[col_of[row]] = row
+                    if row == r:
+                        return True
+                    row = came_from[row]
+            if owner[col] > r:
+                came_from[owner[col]] = row
+                queue.append(owner[col])
+    return False
+
 
 def _solve_ld(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gaussian elimination with partial pivoting in long double precision."""
@@ -668,7 +749,7 @@ def _reference_geometric_cost(kind, boxes, dets, config, embs=None):
         gate = config.centroid_gate * np.maximum(diag_t[:, None], diag_d[None])
         return CostMatrix(values, values <= gate)
 
-    ious = iou_matrix(boxes, det_boxes)
+    ious = iou_matrix(boxes.T, det_boxes.T)
     mask = ious >= config.iou_gate
     values = 1.0 - ious
 
@@ -681,7 +762,7 @@ def _reference_geometric_cost(kind, boxes, dets, config, embs=None):
 
 
 def _reference_greedy_iou_step(boxes, dets, config):
-    ious = iou_matrix(boxes, [det.bbox.as_tuple() for det in dets])
+    ious = iou_matrix(boxes.T, np.array([det.bbox.as_tuple() for det in dets]).reshape(-1, 4).T)
     rows, cols = np.nonzero(ious >= config.iou_gate)
     order = np.argsort(-ious[rows, cols], kind="stable")
     used_t, used_d = set(), set()
@@ -702,10 +783,10 @@ def _reference_update_rows(state, matched, spec, kind):
         return
     table = state.table
     rows = [row for row, _ in matched]
-    table["box"][rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched])
+    table["box"][:, rows] = boxes = np.array([det.bbox.as_tuple() for _, det in matched]).T
     if spec is not None:
         table["mean"][:, rows], table["cov"][..., rows] = motion.kf_update(
-            table["mean"][:, rows], table["cov"][..., rows], boxes, spec,
+            table["mean"][:, rows], table["cov"][..., rows], motion.observe(spec, boxes), spec,
             table["id"][rows].tolist())
     if kind is TrackerKind.APPEARANCE:
         mixed = (trackers.EMBEDDING_SMOOTHING * table["emb"][rows]
@@ -717,14 +798,14 @@ def _reference_update_rows(state, matched, spec, kind):
 def _reference_spawn_rows(state, dets, spec, kind):
     ids = list(range(state.next_id, state.next_id + len(dets)))
     new = {"id": np.array(ids), "age": np.zeros(len(dets), dtype=int),
-           "box": np.array([det.bbox.as_tuple() for det in dets])}
+           "box": np.array([det.bbox.as_tuple() for det in dets]).T}
     if spec is not None:
-        new["mean"], new["cov"] = motion.kf_init(new["box"], spec, ids)
+        new["mean"], new["cov"] = motion.kf_init(motion.observe(spec, new["box"]), spec, ids)
     if kind is TrackerKind.APPEARANCE:
         new["emb"] = trackers._unit_rows(np.stack([det.embedding for det in dets]))
     for name, col in new.items():
         if name in state.table:
-            col = np.concatenate([state.table[name], col], axis=-1 if name in ("mean", "cov") else 0)
+            col = np.concatenate([state.table[name], col], axis=-1 if name in TRACK_LAST else 0)
         state.table[name] = col
     state.next_id += len(dets)
     return ids
@@ -756,7 +837,7 @@ def reference_tracker_step(state, frame_id, detections, config):
 
     assigned = {}
     high_dets = [detections[i] for i in high_idx]
-    boxes = trackers._reference_boxes(state, spec)
+    boxes = trackers._reference_boxes(state, spec).T
     if kind is TrackerKind.IOU:
         matches, um_t, um_d = _reference_greedy_iou_step(boxes, high_dets, config)
     else:
@@ -779,7 +860,7 @@ def reference_tracker_step(state, frame_id, detections, config):
     table["age"][[row for row, _ in matched]] = 0
     keep = table["age"] <= config.max_age
     if not keep.all():
-        state.table = {name: col[..., keep] if name in ("mean", "cov") else col[keep]
+        state.table = {name: col[..., keep] if name in TRACK_LAST else col[keep]
                        for name, col in table.items()}
 
     spawn_idx = [high_idx[d_i] for d_i in um_d]

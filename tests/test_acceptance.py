@@ -133,7 +133,8 @@ def test_criterion_3_kalman_matches_independent_oracle():
         steps = 0
         for model in (MotionModel.SORT_CV7, MotionModel.CENTROID_CV4):
             spec = default_spec(model)
-            means, covs = motion.kf_init(np.array([random_box(rng).as_tuple()]), spec)
+            start = np.array([random_box(rng).as_tuple()]).T  # (4, 1) corner rows
+            means, covs = motion.kf_init(motion.observe(spec, start), spec)
             for _ in range(500):
                 cov = dense_view(covs, spec)[0]
                 if rng.random() < 0.5:
@@ -142,7 +143,8 @@ def test_criterion_3_kalman_matches_independent_oracle():
                 else:
                     meas = random_box(rng)
                     want_mean, want_cov = oracle_update(means[:, 0], cov, spec, meas)
-                    means, covs = motion.kf_update(means, covs, np.array([meas.as_tuple()]), spec)
+                    obs = motion.observe(spec, np.array([meas.as_tuple()]).T)
+                    means, covs = motion.kf_update(means, covs, obs, spec)
                 steps += 1
                 cov = dense_view(covs, spec)[0]
                 scale = max(1.0, float(np.max(np.abs(want_mean))))

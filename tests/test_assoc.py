@@ -1,5 +1,7 @@
 """Similarity primitives and the gated assignment solver against brute force."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment as scipy_lsa
@@ -8,7 +10,9 @@ from oracles import (
     exhaustive_gated_optimum,
     exhaustive_min_total,
     random_box,
+    reference_canonical_matching,
     reference_iou,
+    reference_linear_sum_assignment,
     reference_solve_assignment,
 )
 import trackfuse.assoc as assoc
@@ -38,9 +42,14 @@ def _rasterized_iou(a: BoundingBox, b: BoundingBox, cells_per_px: int = 4) -> fl
     return float(np.count_nonzero(in_a & in_b)) / float(np.count_nonzero(in_a | in_b))
 
 
+def _columns(boxes) -> np.ndarray:
+    """Boxes as the (4, n) corner rows the library's box functions take."""
+    return np.array([b.as_tuple() for b in boxes]).reshape(-1, 4).T
+
+
 def _iou(a: BoundingBox, b: BoundingBox) -> float:
     """:func:`iou_matrix` of one box against one box."""
-    return float(iou_matrix([a.as_tuple()], [b.as_tuple()])[0, 0])
+    return float(iou_matrix(_columns([a]), _columns([b]))[0, 0])
 
 
 class TestIou:
@@ -82,7 +91,7 @@ def _bits(values) -> np.ndarray:
 
 class TestIouMatrix:
     def _assert_bitwise(self, boxes_a, boxes_b):
-        got = iou_matrix([b.as_tuple() for b in boxes_a], [b.as_tuple() for b in boxes_b])
+        got = iou_matrix(_columns(boxes_a), _columns(boxes_b))
         want = [[reference_iou(a, b) for b in boxes_b] for a in boxes_a]
         assert got.shape == (len(boxes_a), len(boxes_b))
         assert np.array_equal(_bits(got), _bits(np.reshape(want, got.shape)))
@@ -110,16 +119,15 @@ class TestIouMatrix:
         self._assert_bitwise(boxes, boxes)
 
     def test_empty_sides(self):
-        box = [(0.0, 0.0, 1.0, 1.0)]
-        assert iou_matrix([], box).shape == (0, 1)
-        assert iou_matrix(box, []).shape == (1, 0)
+        box = _columns([BoundingBox(0.0, 0.0, 1.0, 1.0)])
+        assert iou_matrix(_columns([]), box).shape == (0, 1)
+        assert iou_matrix(box, _columns([])).shape == (1, 0)
 
 
 def _centroid_cost(a: BoundingBox, b: BoundingBox) -> float:
     """The centroid tracker's cost of a track at box ``a`` against a detection at box ``b``."""
     kind = TrackerKind.CENTROID
-    cost = _geometric_cost(kind, np.array([a.as_tuple()]), np.array([b.as_tuple()]),
-                           TrackerConfig(kind=kind))
+    cost = _geometric_cost(kind, _columns([a]), _columns([b]), TrackerConfig(kind=kind))
     return float(cost.values[0, 0])
 
 
@@ -331,3 +339,47 @@ class TestBlockSolver:
         # Both rows can only take column 1.
         with pytest.raises(InvalidValue, match="row 1"):
             assoc.linear_sum_assignment(np.array([[np.inf, 1.0], [np.inf, 2.0]]))
+
+
+class TestAgainstNumpyPort:
+    """The list solver does the numpy port's float operations in the same order (oracles)."""
+
+    def test_padded_solves_equal_the_numpy_port(self):
+        rng = np.random.default_rng(73)
+        errors = 0
+        for case in range(3000):
+            rows = int(rng.integers(1, 7))
+            cols = rows + int(rng.integers(0, 5)) if case % 4 else int(rng.integers(1, rows + 1))
+            cost = np.where(rng.random((rows, cols)) < rng.uniform(0.2, 1.0),
+                            rng.integers(0, 5, size=(rows, cols)) / 4.0, np.inf)
+            try:
+                want = reference_linear_sum_assignment(cost)
+            except InvalidValue as error:
+                errors += 1
+                with pytest.raises(InvalidValue, match=f"^{re.escape(str(error))}$"):
+                    assoc.linear_sum_assignment(cost)
+                continue
+            got = assoc.linear_sum_assignment(cost)
+            assert got[0].dtype == want[0].dtype and got[0].tolist() == want[0].tolist()
+            assert np.array_equal(_bits(got[1]), _bits(want[1]))
+            assert np.array_equal(_bits(got[2]), _bits(want[2]))
+        assert 300 < errors < 2000
+
+    def test_block_matchings_equal_the_numpy_port(self):
+        rng = np.random.default_rng(79)
+        for case in range(2000):
+            rows, cols = (int(k) for k in rng.integers(1, 11 if case % 10 == 0 else 6, size=2))
+            if case % 2:
+                values, mask = _iou_style_block(rng, rows, cols)
+            else:
+                values = rng.integers(0, 3, size=(rows, cols)) / 4.0
+                mask = rng.random((rows, cols)) < rng.uniform(0.3, 1.0)
+            mask[np.arange(rows), rng.integers(0, cols, rows)] = True  # every block row has a pair
+            assert assoc._canonical_matching(values, mask) == reference_canonical_matching(values,
+                                                                                          mask)
+
+    def test_costs_summing_past_the_float_range_are_invalid_value(self):
+        # Both pairs of each row compete, and 2 * (1e308 + 1e308) overflows the dummy price.
+        cost = _all_admissible(np.full((2, 2), 1e308))
+        with pytest.raises(InvalidValue, match="must sum to a finite total"):
+            solve_assignment(cost)

@@ -24,10 +24,15 @@ def _synth_args(out, labels, **kw):
 
 def _track_boxes(tmp_path, boxes, tracker):
     """`track` one sequence of one box per frame; returns the exit code and any warnings."""
+    return _track_boxes_per_frame(tmp_path, [[box] for box in boxes], tracker)
+
+
+def _track_boxes_per_frame(tmp_path, frames, tracker):
+    """`track` one sequence of the given boxes per frame; returns the exit code and any warnings."""
     dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
     dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": box, "score": 0.9,
                                         "probs": [0.6, 0.4]}) + "\n"
-                            for k, box in enumerate(boxes)))
+                            for k, boxes in enumerate(frames) for box in boxes))
     labels.write_text("a\nb\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")  # a warning would print to stderr outside pytest
@@ -219,6 +224,45 @@ class TestTrack:
         boxes = [[0, 0, 10, 10], [1e200, 1e200, 2e200, 2e200]]
         assert _track_boxes(tmp_path, boxes, "sort") == (2, [])
         assert capsys.readouterr().err == "error: covariance of track 2 is not finite\n"
+
+    @pytest.mark.parametrize("tracker,code,err", [
+        ("iou", 0, ""), ("centroid", 0, ""),
+        ("centroid-kf", 2, "error: bbox x1 must be finite, got -inf\n"),
+        ("sort", 2, "error: covariance of track 1 is not finite\n"),
+        ("bytetrack", 2, "error: covariance of track 1 is not finite\n"),
+        ("appearance", 2, "error: covariance of track 1 is not finite\n")])
+    def test_boxes_past_the_extent_range_without_warnings(self, tmp_path, capsys, tracker, code,
+                                                          err):
+        # Legal corners whose width and height overflow: the cost, the motion model's extent
+        # and the CSV's w and h (inf) all compute it without a numpy warning.
+        dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
+        dets.write_text("".join(json.dumps({
+            "seq": "s", "frame": k, "bbox": [-1e308, -1e308, 1e308, 1e308], "score": 0.9,
+            "probs": [0.6, 0.4], "embedding": [1.0, 0.0]}) + "\n" for k in range(3)))
+        labels.write_text("a\nb\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print to stderr outside pytest
+            assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker",
+                         tracker, "--output", str(tmp_path / "t.csv")]) == code
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == err
+        if code == 0:
+            assert [row.w for row in read_tracks(tmp_path / "t.csv")] == [float("inf")] * 3
+
+    def test_competing_costs_past_the_float_range_are_data_error(self, tmp_path, capsys):
+        # Two tracks 1e308 apart under an infinite centroid gate: both detections compete for
+        # both, and the solver's price for an unmatched row, 1 + 2 * (1e308 + 1e308), overflows.
+        pair = [[-1.7e308, -1e300, 0.7e308, 1e300], [-0.7e308, -1e300, 1.7e308, 1e300]]
+        assert _track_boxes_per_frame(tmp_path, [pair] * 3, "centroid") == (2, [])
+        assert capsys.readouterr().err == "error: admissible cost entries must sum to a finite total\n"
+
+    def test_infinite_centroid_distance_under_an_infinite_gate_is_data_error(self, tmp_path,
+                                                                             capsys):
+        # The first box's width overflows, so the gate is inf; the centers are 2.4e308 apart,
+        # an infinite cost the gate admits.  Only IoU costs skip CostMatrix's check.
+        boxes = [[-1.7e308, 0, 0.2e308, 1], [1.6e308, 0, 1.7e308, 1]]
+        assert _track_boxes(tmp_path, boxes, "centroid") == (2, [])
+        assert capsys.readouterr().err == "error: admissible cost entries must be finite\n"
 
     def test_boxes_past_the_area_range_track_without_warnings(self, tmp_path, capsys):
         # IoU inf / inf is NaN, which the gate never admits: three one-entry tracks.

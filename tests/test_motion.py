@@ -47,15 +47,15 @@ def _min_eig(cov):
 
 class TestInit:
     def test_sort_square_box(self):
-        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)]), SORT)
+        means, _ = kf_init(_obs(SORT, [BoundingBox(0, 0, 2, 2)]), SORT)
         assert np.allclose(means[:, 0], [1, 1, 4, 1, 0, 0, 0])
 
     def test_sort_tall_box(self):
-        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 4)]), SORT)
+        means, _ = kf_init(_obs(SORT, [BoundingBox(0, 0, 2, 4)]), SORT)
         assert np.allclose(means[:, 0], [1, 2, 8, 0.5, 0, 0, 0])
 
     def test_centroid(self):
-        means, _ = kf_init(_boxes([BoundingBox(10, 10, 20, 20)]), CENTROID)
+        means, _ = kf_init(_obs(CENTROID, [BoundingBox(10, 10, 20, 20)]), CENTROID)
         assert np.allclose(means[:, 0], [15, 15, 0, 0])
 
     def test_spec_requires_positive_noise(self):
@@ -83,19 +83,19 @@ class TestInit:
 
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
-        means, covs = kf_init(_boxes([BoundingBox(5, 5, 15, 25)]), SORT)
+        means, covs = kf_init(_obs(SORT, [BoundingBox(5, 5, 15, 25)]), SORT)
         predicted, _ = kf_predict(means, covs, SORT)
         assert np.allclose(predicted[:4, 0], means[:4, 0])
 
     def test_centroid_one_step(self):
-        _, covs = kf_init(_boxes([BoundingBox(-1, -1, 1, 1)]), CENTROID)
+        _, covs = kf_init(_obs(CENTROID, [BoundingBox(-1, -1, 1, 1)]), CENTROID)
         predicted, _ = kf_predict(np.array([[0.0], [0.0], [1.0], [2.0]]), covs, CENTROID)
         assert np.allclose(predicted[:2, 0], [1.0, 2.0])
 
     def test_seeded_predict_matches_oracle(self):
         rng = np.random.default_rng(7)
         for spec in (SORT, CENTROID):
-            means, covs = kf_init(_boxes([random_box(rng)]), spec)
+            means, covs = kf_init(_obs(spec, [random_box(rng)]), spec)
             for _ in range(50):
                 want_mean, want_cov = oracle_predict(means[:, 0], dense_view(covs, spec)[0], spec)
                 means, covs = kf_predict(means, covs, spec)
@@ -105,10 +105,10 @@ class TestPredict:
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
-        means, covs = kf_predict(*kf_init(_boxes([BoundingBox(0, 0, 10, 20)]), SORT), SORT)
+        means, covs = kf_predict(*kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 20)]), SORT), SORT)
         boxes, degenerate = corner_boxes(means, None, SORT)
         assert not degenerate[0]
-        updated, _ = kf_update(means, covs, boxes, SORT)
+        updated, _ = kf_update(means, covs, observe(SORT, boxes), SORT)
         assert np.max(np.abs(updated[:, 0] - means[:, 0])) < 1e-9
 
     def test_update_contracts_observed_uncertainty(self):
@@ -116,8 +116,8 @@ class TestUpdate:
         for spec in (SORT, CENTROID):
             h = reference_measurement_matrix(spec)
             for _ in range(25):
-                means, covs = kf_predict(*kf_init(_boxes([random_box(rng)]), spec), spec)
-                _, updated = kf_update(means, covs, _boxes([random_box(rng)]), spec)
+                means, covs = kf_predict(*kf_init(_obs(spec, [random_box(rng)]), spec), spec)
+                _, updated = kf_update(means, covs, _obs(spec, [random_box(rng)]), spec)
                 prior_obs = h @ dense_view(covs, spec)[0] @ h.T
                 post_obs = h @ dense_view(updated, spec)[0] @ h.T
                 assert np.trace(post_obs) <= np.trace(prior_obs) + 1e-9
@@ -125,13 +125,13 @@ class TestUpdate:
     def test_seeded_cycle_matches_oracle(self):
         rng = np.random.default_rng(12)
         for spec in (SORT, CENTROID):
-            means, covs = kf_init(_boxes([random_box(rng)]), spec)
+            means, covs = kf_init(_obs(spec, [random_box(rng)]), spec)
             for _ in range(50):
                 means, covs = kf_predict(means, covs, spec)
                 meas = random_box(rng, img=200.0, min_size=20.0, max_size=60.0)
                 want_mean, want_cov = oracle_update(means[:, 0], dense_view(covs, spec)[0], spec,
                                                     meas)
-                means, covs = kf_update(means, covs, _boxes([meas]), spec)
+                means, covs = kf_update(means, covs, _obs(spec, [meas]), spec)
                 assert _rel_err(means[:, 0], want_mean) < 1e-9
                 assert _rel_err(dense_view(covs, spec)[0], want_cov) < 1e-9
 
@@ -140,9 +140,9 @@ class TestUpdate:
         # takes over without the white-acceleration coupling inferring velocity.
         spec = MotionModelSpec(MotionModel.CENTROID_CV4, process_std=1e-12,
                                measurement_std=1e-4)
-        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), spec)
-        target = _boxes([BoundingBox(40, 40, 50, 50)])
-        z = observe(spec, target)[:, 0]
+        means, covs = kf_init(_obs(spec, [BoundingBox(0, 0, 10, 10)]), spec)
+        target = _obs(spec, [BoundingBox(40, 40, 50, 50)])
+        z = target[:, 0]
         errors = []
         for _ in range(100):
             means, covs = kf_update(*kf_predict(means, covs, spec), target, spec)
@@ -158,12 +158,13 @@ class TestCovarianceStaysPsd:
         steps = 0
         for spec in (SORT, CENTROID):
             for _ in range(100):
-                means, covs = kf_init(_boxes([random_box(rng)]), spec)
+                means, covs = kf_init(_obs(spec, [random_box(rng)]), spec)
                 for _ in range(50):
                     if rng.random() < 0.5:
                         means, covs = kf_predict(means, covs, spec)
                     else:
-                        means, covs = kf_update(means, covs, _boxes([random_box(rng)]), spec)
+                        means, covs = kf_update(means, covs, _obs(spec, [random_box(rng)]),
+                                                spec)
                     steps += 1
                     assert _min_eig(dense_view(covs, spec)[0]) >= -PSD_TOLERANCE
         assert steps == 10_000
@@ -176,14 +177,14 @@ class TestStateToBbox:
         rng = np.random.default_rng(21)
         boxes = _boxes([random_box(rng) for _ in range(200)])
         for spec in (SORT, CENTROID):
-            means, _ = kf_init(boxes, spec)
-            back, degenerate = corner_boxes(means, (boxes[:, 2:] - boxes[:, :2]).T, spec)
+            means, _ = kf_init(observe(spec, boxes), spec)
+            back, degenerate = corner_boxes(means, boxes[2:] - boxes[:2], spec)
             assert not degenerate.any()
             assert np.allclose(back, boxes, atol=1e-9)
 
     def test_inverse_of_init_examples(self):
-        boxes = np.array([[0, 0, 2, 2], [0, 0, 2, 4]], dtype=float)
-        back, degenerate = corner_boxes(kf_init(boxes, SORT)[0], None, SORT)
+        boxes = np.array([[0, 0, 2, 2], [0, 0, 2, 4]], dtype=float).T
+        back, degenerate = corner_boxes(kf_init(observe(SORT, boxes), SORT)[0], None, SORT)
         assert np.allclose(back, boxes)
         assert not degenerate.any()
 
@@ -195,15 +196,21 @@ class TestStateToBbox:
         assert np.isfinite(boxes).all()
 
     def test_centroid_without_extent(self):
-        means, _ = kf_init(_boxes([BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
+        means, _ = kf_init(_obs(CENTROID, [BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
         extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]]).T
         boxes, degenerate = corner_boxes(means, extents, CENTROID)
         assert degenerate.tolist() == [True, False, True]
-        assert boxes[1].tolist() == [0.0, 0.0, 2.0, 2.0]
+        assert boxes[:, 1].tolist() == [0.0, 0.0, 2.0, 2.0]
 
 
 def _boxes(boxes):
-    return np.array([b.as_tuple() for b in boxes])
+    """Boxes as the (4, n) corner rows ``observe`` and ``corner_boxes`` use."""
+    return np.array([b.as_tuple() for b in boxes]).T
+
+
+def _obs(spec, boxes):
+    """The observations (o, n) of ``boxes``, which ``kf_init`` and ``kf_update`` take."""
+    return observe(spec, _boxes(boxes))
 
 
 class TestBatchedFilter:
@@ -236,8 +243,8 @@ class TestBatchedFilter:
     def test_rows_equal_the_one_track_filter(self, spec, n):
         rng = np.random.default_rng(n)
         starts = [random_box(rng) for _ in range(n)]
-        means, covs = kf_init(_boxes(starts), spec)
-        alone = [kf_init(_boxes([box]), spec) for box in starts]
+        means, covs = kf_init(_obs(spec, starts), spec)
+        alone = [kf_init(_obs(spec, [box]), spec) for box in starts]
         self._assert_rows_match(spec, means, covs, alone,
                                 {i: reference_kf_init(box, spec) for i, box in enumerate(starts)})
         guarded = 0
@@ -260,14 +267,14 @@ class TestBatchedFilter:
                     for i, box in zip(rows, measured)}
             if rows:
                 means[:, rows], covs[..., rows] = kf_update(means[:, rows], covs[..., rows],
-                                                            _boxes(measured), spec)
+                                                            _obs(spec, measured), spec)
             for i, box in zip(rows, measured):
-                alone[i] = kf_update(*alone[i], _boxes([box]), spec)
+                alone[i] = kf_update(*alone[i], _obs(spec, [box]), spec)
             self._assert_rows_match(spec, means, covs, alone, want)
         assert guarded or spec.model is MotionModel.CENTROID_CV4
 
     def test_guard_freezes_area_velocity_per_row(self):
-        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)] * 2), SORT)
+        means, covs = kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 10)] * 2), SORT)
         means[6] = [-200.0, -50.0]  # area 100: state 0 would predict s <= 0
         predicted, _ = kf_predict(means, covs, SORT)
         assert predicted[2].tolist() == [100.0, 50.0]
@@ -275,42 +282,42 @@ class TestBatchedFilter:
 
     @pytest.mark.parametrize("step", ["predict", "update"])
     def test_non_psd_row_names_its_track(self, step):
-        starts = _boxes([random_box(np.random.default_rng(k)) for k in range(3)])
-        means, covs = kf_init(starts, SORT)
+        starts = [random_box(np.random.default_rng(k)) for k in range(3)]
+        means, covs = kf_init(_obs(SORT, starts), SORT)
         covs[..., 1] = [[-1.0] * 4, [0.0] * 4, [-1.0] * 4]  # -I
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 lost"):
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8, 9])
             else:
-                kf_update(means, covs, _boxes([BoundingBox(0, 0, 5, 5)] * 3), SORT,
+                kf_update(means, covs, _obs(SORT, [BoundingBox(0, 0, 5, 5)] * 3), SORT,
                           ids=[4, 8, 9])
 
     @pytest.mark.parametrize("step", ["init", "predict", "update"])
     def test_non_finite_covariance_names_its_track(self, step):
         # A NaN or inf covariance fails no inequality, so finiteness is its own check.
-        boxes = _boxes([BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
+        obs = _obs(SORT, [BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 is not finite"):
             if step == "init":
-                kf_init(boxes, SORT, ids=[4, 8])
-            means, covs = kf_init(boxes[:1].repeat(2, axis=0), SORT)
+                kf_init(obs, SORT, ids=[4, 8])
+            means, covs = kf_init(obs[:, :1].repeat(2, axis=1), SORT)
             covs[0, 0, 1] = np.nan
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8])
             else:
-                kf_update(means, covs, boxes[:1].repeat(2, axis=0), SORT, ids=[4, 8])
+                kf_update(means, covs, obs[:, :1].repeat(2, axis=1), SORT, ids=[4, 8])
 
     def test_non_finite_mean_names_its_track(self):
-        means, covs = kf_init(_boxes([BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
+        means, covs = kf_init(_obs(CENTROID, [BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
         means[0, 1] = np.nan
         with pytest.raises(NumericalBreakdown, match="mean of track 3 is not finite"):
             kf_predict(means, covs, CENTROID, ids=[2, 3])
 
     def test_inputs_are_not_written(self):
-        means, covs = kf_init(_boxes([BoundingBox(0, 0, 10, 10)]), SORT)
+        means, covs = kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 10)]), SORT)
         means[6, 0] = -500.0
         before = (means.copy(), covs.copy())
         kf_predict(means, covs, SORT)
-        kf_update(means, covs, _boxes([BoundingBox(1, 1, 9, 9)]), SORT)
+        kf_update(means, covs, _obs(SORT, [BoundingBox(1, 1, 9, 9)]), SORT)
         assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])
 
 

@@ -14,7 +14,7 @@ from oracles import (
     reference_greedy_iou,
     track_frames,
 )
-from trackfuse import motion, trackers
+from trackfuse import assoc, motion, trackers
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
 from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.motion import MotionModel, MotionModelSpec
@@ -44,14 +44,23 @@ def _det(frame, box, probs=(0.7, 0.3), score=0.9, emb=(1.0, 0.0), gt=None):
     )
 
 
+def _observe(boxes, config):
+    """The ``motion.observe`` rows of (4, n) ``boxes`` that a Kalman ``tracker_step`` takes."""
+    kalman = config.kind in trackers._KF_KINDS
+    return motion.observe(config.resolved_motion_spec(), boxes) if kalman else None
+
+
 def _step(state, frame_id, dets, config):
     """``tracker_step`` over the column slices of one frame's ``dets``."""
     cols = Columns.from_frames([(frame_id, dets)])
-    return tracker_step(state, frame_id, cols.box, cols.score, cols.emb, config)
+    boxes = cols.box.T
+    return tracker_step(state, frame_id, boxes, _observe(boxes, config), cols.score, cols.emb,
+                        config)
 
 
 def _boxes(dets):
-    return np.array([det.bbox.as_tuple() for det in dets]).reshape(-1, 4)
+    """The (4, n) corner rows of ``dets``' boxes, as the tracker keeps boxes."""
+    return np.array([det.bbox.as_tuple() for det in dets]).reshape(-1, 4).T
 
 
 def _gt_coverage(result):
@@ -231,7 +240,7 @@ class TestGreedyIou:
             tracks = [SimpleNamespace(last_bbox=box()) for _ in range(rng.integers(0, 7))]
             dets = [SimpleNamespace(bbox=box()) for _ in range(rng.integers(0, 7))]
             boxes = np.array([t.last_bbox.as_tuple() for t in tracks]).reshape(-1, 4)
-            got = _greedy_iou(boxes, _boxes(dets), config)
+            got = _greedy_iou(boxes.T, _boxes(dets), config)
             assert got == reference_greedy_iou(tracks, dets, gate)
 
 
@@ -387,6 +396,26 @@ class TestTrackTable:
         assert list(track_frames(result).values()) == [(0, 1, 2), (0, 1)]
         assert calls == [("kf_predict", 2), ("kf_update", 2), ("kf_predict", 2), ("kf_update", 1)]
 
+    def test_one_observe_per_sequence_and_no_solve_for_forced_frames(self, monkeypatch):
+        calls = []
+        for module, name in ((motion, "observe"), (assoc, "linear_sum_assignment"),
+                             (trackers, "tracker_step")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        # Two tracks apart match one detection each; in frame 2 two detections compete for
+        # the left track, which takes one solve, and the loser spawns track 3.  Each other
+        # frame's pairs are all forced.
+        frames = [(f, [_det(f, (f, 0, 20 + f, 20)), _det(f, (100, 0, 120, 20))]) for f in range(2)]
+        frames += [(2, [_det(2, (2, 0, 22, 20)), _det(2, (4, 0, 24, 20)),
+                        _det(2, (100, 0, 120, 20))]),
+                   (3, [_det(3, (100, 0, 120, 20))])]
+        ids = trackers.track_columns(Columns.from_frames(frames), TrackerConfig(kind=TrackerKind.SORT))
+        assert ids.tolist() == [1, 2, 1, 2, 1, 3, 2, 2]
+        step = "tracker_step"
+        assert calls == ["observe", step, step, step, "linear_sum_assignment", step]
+
     def test_cosine_matrix_equals_per_track_loop(self):
         rng = np.random.default_rng(4)
         for n_t, n_d in [(1, 1), (3, 7), (20, 13), (50, 50)]:
@@ -413,7 +442,7 @@ class TestTrackTable:
                 grid = np.hstack([corners, corners + rng.integers(1, 4, size=(n_t + n_d, 2)) * 4])
                 dets = [_det(0, box) for box in grid[n_t:].astype(float)]
                 boxes = grid[:n_t].astype(float)
-            cost = _geometric_cost(TrackerKind.CENTROID, boxes, _boxes(dets), config)
+            cost = _geometric_cost(TrackerKind.CENTROID, boxes.T, _boxes(dets), config)
             values, mask = reference_centroid_cost(boxes, dets, gate)
             assert np.array_equal(cost.values, values) and np.array_equal(cost.gate_mask, mask)
 
@@ -431,9 +460,9 @@ class TestTrackTable:
             state, _ = _step(state, frame_id, dets, config)
             assert state.table["id"].tolist() == ids
             assert state.table["age"].tolist() == ages
-            assert state.table["box"].tolist() == boxes
+            assert state.table["box"].T.tolist() == boxes
             assert sorted(state.table) == ["age", "box", "cov", "id", "mean"]
-            assert {col.shape[-1 if name in ("mean", "cov") else 0]
+            assert {col.shape[-1 if name in ("box", "mean", "cov") else 0]
                     for name, col in state.table.items()} == {len(ids)}
 
     @pytest.mark.parametrize("kind", sorted(trackers._KF_KINDS, key=lambda k: k.value))
@@ -454,13 +483,14 @@ class TestTrackTable:
             scores = np.where(rng.random(len(boxes)) < 0.3, 0.3, 0.9)
             embs = rng.normal(size=(len(boxes), 4))
             before = set(state.table["id"].tolist())
-            state, assigned = tracker_step(state, frame_id, boxes, scores, embs, config)
+            state, assigned = tracker_step(state, frame_id, boxes.T, _observe(boxes.T, config),
+                                           scores, embs, config)
             ids = state.table["id"]
             spawned += len(set(ids.tolist()) - before)
             retired += len(before - set(ids.tolist()))
             second_stage += int(((assigned >= 0) & (scores < 0.5)).sum())
             for name, col in state.table.items():
-                track_last = name in ("mean", "cov")
+                track_last = name in ("box", "mean", "cov")
                 assert col.shape[-1 if track_last else 0] == len(ids), name
                 if track_last:
                     assert col.flags.c_contiguous, name
