@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class CostMatrix:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class AssignmentResult:
+class AssignmentResult(NamedTuple):
     matches: Tuple[Tuple[int, int], ...]
     unmatched_tracks: Tuple[int, ...]
     unmatched_detections: Tuple[int, ...]

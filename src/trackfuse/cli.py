@@ -12,7 +12,6 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import io
-from .camtrap import TriggerConfig, trigger_bursts
 from .errors import EmptyEvaluation, InvalidConfig, NoEligibleTracks, ParseError, TrackfuseError
 from .fusion import FusionMode, relabel
 from .metrics import (
@@ -29,7 +28,6 @@ from .metrics import (
     label_flip_rate,
 )
 from .model import ColumnResult, Columns, LabelSet, index_value
-from .synth import ScenarioConfig, generate_scenario
 from .trackers import TrackerConfig, TrackerKind, track_columns
 from .trackers import run_sequence  # noqa: F401  a trace target; never called (see ROADMAP item 7)
 
@@ -134,6 +132,8 @@ def _run_all(sequences: Dict[str, Columns], config: TrackerConfig, mode: FusionM
 
 
 def _cmd_synth(args) -> int:
+    from .synth import ScenarioConfig, generate_scenario  # here, so `track` never loads it
+
     config = ScenarioConfig(
         seed=args.seed, num_objects=args.objects, num_frames=args.frames,
         n_classes=args.classes, flicker=args.flicker, dropout=args.dropout,
@@ -148,6 +148,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .camtrap import TriggerConfig, trigger_bursts  # here, so `track` never loads it
+
     config = TriggerConfig(fps=args.fps, burst_len=args.burst, cooldown=args.cooldown)
     records: Dict[str, Dict[int, List[dict]]] = {}
     for line_no, record in io.read_records(args.input):

@@ -6,9 +6,10 @@ underflow.  The consensus label is the argmax of that log sum; relabeling
 retroactively overrides every frame of the track with it.
 
 :func:`relabel` fuses a file in one pass: it takes ``np.log`` of the
-tracked rows of every sequence once and sums rank by rank over all tracks
-laid out in (sequence, track, frame) order, so each track adds in the order
-of its own ``np.cumsum``; ``np.add.reduceat`` would not match it bit for bit.
+tracked rows of every sequence once, lays all tracks out in (sequence,
+track, frame) order, and gives the tracks of each length one ``np.cumsum``
+along their frames, so each track adds in the order of its own ``np.cumsum``;
+``np.add.reduceat`` would not match it bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +30,13 @@ class FusionMode(Enum):
 
 def _running(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``rows``, each plus the earlier rows of its run, summed in place; runs are contiguous
-    from ``starts``."""
+    from ``starts``.  The runs of one length n > 1 go through one ``np.cumsum`` as an
+    (n, runs, C) block, which sums each run in its own order."""
     lengths = np.diff(starts, append=len(rows))
-    for k in range(1, int(lengths.max(initial=0))):  # rank k - 1 into rank k, in every run
-        at = starts[lengths > k] + k
-        rows[at] += rows[at - 1]
+    for n in (np.flatnonzero(np.bincount(lengths)[2:]) + 2).tolist():
+        at = starts[lengths == n] + np.arange(n)[:, None]  # row k holds rank k of each run
+        block = rows[at]
+        rows[at] = np.cumsum(block, axis=0, out=block)
     return rows
 
 

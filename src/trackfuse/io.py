@@ -22,10 +22,10 @@ from __future__ import annotations
 import csv
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from io import StringIO
 from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO,
+                    Tuple)
 
 import numpy as np
 
@@ -453,8 +453,7 @@ def _validated(columns: Dict[str, np.ndarray], line_nos: List[int], n_classes: i
     return columns
 
 
-@dataclass(frozen=True)
-class TrackRow:
+class TrackRow(NamedTuple):
     """One line of the track CSV (MOTChallenge layout plus class columns)."""
 
     frame: int

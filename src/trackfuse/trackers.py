@@ -120,13 +120,28 @@ def _motion_spec(data) -> motion.MotionModelSpec:
 
 
 def _row_norms(vecs: np.ndarray) -> np.ndarray:
-    """(N, 1) norms of the rows, each summed as np.linalg.norm sums one vector."""
-    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0])
+    """(N,) norms of the rows, each summed as np.linalg.norm sums one vector."""
+    return np.sqrt(np.matmul(vecs[:, None, :], vecs[:, :, None])[:, 0, 0])
+
+
+def _rescaled(vecs: np.ndarray, norms) -> Tuple[np.ndarray, np.ndarray]:
+    """``vecs`` and their ``norms(vecs)``, after dividing each row of finite entries, not all 0,
+    whose norm under- or overflowed to 0 or inf by its largest magnitude.  Cosines and unit
+    rows do not depend on scale; every other row keeps its values and its norm."""
+    with np.errstate(over="ignore"):
+        lens = norms(vecs)
+    listed = lens.tolist()  # Python's min and max cost less than numpy's on a few rows
+    if 0.0 < min(listed, default=1.0) and max(listed, default=0.0) < math.inf:
+        return vecs, lens
+    top = np.abs(vecs).max(axis=1, initial=0.0)  # NaN or inf on a row that holds one
+    lost = ~((lens > 0.0) & (lens < math.inf)) & (top > 0.0) & (top < math.inf)
+    vecs = np.divide(vecs, top[:, None], out=vecs.copy(), where=lost[:, None])
+    return vecs, np.where(lost, norms(vecs), lens)
 
 
 def _unit_rows(vecs: np.ndarray) -> np.ndarray:
-    norms = _row_norms(vecs)
-    return np.divide(vecs, norms, out=vecs.copy(), where=norms > 0.0)
+    vecs, norms = _rescaled(vecs, _row_norms)
+    return np.divide(vecs, norms[:, None], out=vecs.copy(), where=norms[:, None] > 0.0)
 
 
 class TrackerState:
@@ -162,7 +177,8 @@ def _reference_boxes(state: TrackerState,
             boxes, degenerate = motion.corner_boxes(state.table["mean"], last[2:] - last[:2], spec)
     if np.count_nonzero(degenerate):
         boxes[:, degenerate] = last[:, degenerate]
-    if not ((boxes[2:] > boxes[:2]).all() and np.isfinite(boxes).all()):
+    n_ok = np.count_nonzero(boxes[2:] > boxes[:2]) + np.count_nonzero(np.isfinite(boxes))
+    if n_ok < 6 * boxes.shape[1]:  # 2 ordered corner pairs and 4 finite coordinates per box
         for row in boxes.T.tolist():
             BoundingBox(*row)  # the first invalid box raises the InvalidValue it gets
     return boxes
@@ -204,9 +220,11 @@ def _geometric_cost(kind: TrackerKind, boxes: np.ndarray, det_boxes: np.ndarray,
 
 
 def _cosine_matrix(embs: np.ndarray, det_embs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Pairwise cosine similarity plus a validity mask (both sides non-zero)."""
-    det_norms = np.linalg.norm(det_embs, axis=1)
-    t_norms = _row_norms(embs)
+    """Pairwise cosine similarity plus a validity mask (both sides non-zero).
+
+    ``embs`` are the table's unit rows, whose norms are finite; detection rows are rescaled."""
+    det_embs, det_norms = _rescaled(det_embs, lambda vecs: np.linalg.norm(vecs, axis=1))
+    t_norms = _row_norms(embs)[:, None]
     valid = det_norms > 0.0
     ok = (t_norms > 0.0) & valid
     dots = np.zeros(ok.shape)
@@ -285,7 +303,9 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
     a motion model), ``scores`` (n,) and ``embs`` (n, E) or None are the frame's
     slices.  A row no track takes gets -1.  Kalman trackers predict all
     live rows in one batch and correct the rows matched in either ByteTrack
-    stage in one more; stage two reads only rows stage one left.
+    stage in one more; stage two reads only rows stage one left.  On an
+    empty table every high-confidence row spawns a track, in order, with no
+    cost matrix built.
 
     Raises:
         OutOfOrderFrame: frame_id is not strictly beyond the cursor.
@@ -301,11 +321,17 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
 
     high = scores >= config.det_threshold_high
     high_idx = np.flatnonzero(high).tolist()
-    high_boxes = boxes if len(high_idx) == n else boxes.take(high_idx, 1)
-
     spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
+    assigned = np.full(n, -1)
     table, ids = state.table, state.table["id"]
-    if spec is not None and len(ids):
+    if not len(ids):  # nothing to match or age: every high-confidence detection spawns, in order
+        if high_idx:
+            assigned[high_idx] = _spawn_rows(state, high_idx, boxes, obs, embs, spec, kind)
+        state.cursor = frame_id
+        return state, assigned
+
+    high_boxes = boxes if len(high_idx) == n else boxes.take(high_idx, 1)
+    if spec is not None:
         table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec, ids)
 
     ref_boxes = _reference_boxes(state, spec)
@@ -314,8 +340,7 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
     else:
         cost = _geometric_cost(kind, ref_boxes, high_boxes, config, table.get("emb"),
                                None if embs is None else embs[high_idx], timer)
-        result = assoc.solve_assignment(cost)
-        matches, um_t, um_d = result.matches, result.unmatched_tracks, result.unmatched_detections
+        matches, um_t, um_d = assoc.solve_assignment(cost)
     rows = [t_i for t_i, _ in matches]
     det_rows = [high_idx[d_i] for _, d_i in matches]
 
@@ -328,7 +353,6 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
             for t_i, d_i in assoc.solve_assignment(cost).matches:
                 rows.append(um_t[t_i])
                 det_rows.append(low_idx[d_i])
-    assigned = np.full(n, -1)
     assigned[det_rows] = ids[rows]
     _update_rows(state, rows, det_rows, boxes, obs, embs, spec, kind)
 

@@ -22,16 +22,17 @@ def _synth_args(out, labels, **kw):
     return args
 
 
-def _track_boxes(tmp_path, boxes, tracker):
+def _track_boxes(tmp_path, boxes, tracker, **fields):
     """`track` one sequence of one box per frame; returns the exit code and any warnings."""
-    return _track_boxes_per_frame(tmp_path, [[box] for box in boxes], tracker)
+    return _track_boxes_per_frame(tmp_path, [[box] for box in boxes], tracker, **fields)
 
 
-def _track_boxes_per_frame(tmp_path, frames, tracker):
-    """`track` one sequence of the given boxes per frame; returns the exit code and any warnings."""
+def _track_boxes_per_frame(tmp_path, frames, tracker, **fields):
+    """`track` one sequence of the given boxes per frame, each record also holding ``fields``;
+    returns the exit code and any warnings."""
     dets, labels = tmp_path / "d.jsonl", tmp_path / "labels.txt"
     dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": box, "score": 0.9,
-                                        "probs": [0.6, 0.4]}) + "\n"
+                                        "probs": [0.6, 0.4], **fields}) + "\n"
                             for k, boxes in enumerate(frames) for box in boxes))
     labels.write_text("a\nb\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -269,6 +270,15 @@ class TestTrack:
         assert _track_boxes(tmp_path, [[0, 0, 1e300, 1e300]] * 3, "iou") == (0, [])
         assert capsys.readouterr().err == ""
         assert [row.track_id for row in read_tracks(tmp_path / "t.csv")] == [1, 2, 3]
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200])
+    def test_embedding_norms_past_the_float_range_keep_one_track(self, tmp_path, capsys, value):
+        # The squared norm of [value, value] over- or underflows; cosines do not depend on
+        # scale, so the row is divided by its largest magnitude first.
+        box = [50, 50, 90, 90]
+        assert _track_boxes(tmp_path, [box] * 3, "appearance", embedding=[value, value]) == (0, [])
+        assert capsys.readouterr().err == ""
+        assert [row.track_id for row in read_tracks(tmp_path / "t.csv")] == [1, 1, 1]
 
     def test_singular_innovation_is_data_error(self, tmp_path, detection_file, capsys):
         # Noise weights this small square to 0, so a track's first update divides by 0.

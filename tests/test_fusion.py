@@ -261,6 +261,23 @@ class TestColumns:
                                    for s, n in zip(starts, lengths)])
             assert np.array_equal(_running(rows, starts), want)
 
+    def test_running_sums_over_many_run_lengths_are_each_tracks_cumsum(self):
+        # Runs of 1-300 rows, many lengths distinct and some repeated: each length's runs go
+        # through one block cumsum, which must add every run in its own order.
+        rng = np.random.default_rng(43)
+        for _ in range(12):
+            lengths = np.concatenate([rng.integers(1, 301, size=int(rng.integers(1, 40))),
+                                      rng.choice([1, 2, 3, 17, 300], size=int(rng.integers(1, 40)))])
+            rng.shuffle(lengths)
+            probs = np.array([random_simplex(rng, 5) for _ in range(int(lengths.sum()))])
+            starts = np.cumsum(lengths) - lengths
+            votes = (probs.argmax(axis=1)[:, None] == np.arange(5)).astype(np.int64)
+            for rows in (np.log(probs), votes):
+                want = np.concatenate([np.cumsum(rows[s:s + n], axis=0)
+                                       for s, n in zip(starts, lengths)])
+                got = _running(rows.copy(), starts)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_block_log_equals_row_logs(self):
         rows = np.array([random_simplex(np.random.default_rng(seed), 10) for seed in range(5000)])
         assert np.array_equal(np.log(rows), np.array([np.log(row) for row in rows]))

@@ -38,6 +38,15 @@ def test_cli_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_imports_no_synth_or_camtrap():
+    # Only `synth` and `simulate` run them; `track`, `eval` and `bench` must not compile them.
+    probe = "import sys, trackfuse.cli; print(sorted(m for m in sys.modules if m in " \
+            "('trackfuse.synth', 'trackfuse.camtrap')))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def two_sequences(tmp_path_factory):
     """A detections file of two flickering sequences with embeddings, and its label file."""

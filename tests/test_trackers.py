@@ -12,6 +12,7 @@ from oracles import (
     reference_centroid_cost,
     reference_cosine_matrix,
     reference_greedy_iou,
+    reference_tracker_step,
     track_frames,
 )
 from trackfuse import assoc, motion, trackers
@@ -323,6 +324,26 @@ class TestLifecycle:
         assert list(track_frames(result).values()) == [(0, 2)]
         assert result.track.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_empty_table_frames_match_the_reference_tracker(self, kind):
+        # With max_age 0 and scores down to 0, tables empty out often: an all-low frame
+        # retires every track, and the next high detections spawn from an empty table.
+        config = TrackerConfig(kind=kind, max_age=0)
+        empty = 0
+        for seed in range(6):
+            scenario = generate_scenario(ScenarioConfig(
+                seed=seed, num_objects=1 + seed % 3, num_frames=25, dropout=0.3, jitter=2.0,
+                score_range=(0.0, 1.0)))
+            state, ref = TrackerState(), TrackerState()
+            for frame_id, dets in scenario.detection_frames():
+                empty += not len(state.table["id"])
+                state, ids = _step(state, frame_id, dets, config)
+                ref, want = reference_tracker_step(ref, frame_id, dets, config)
+                assert ids.tolist() == [-1 if t is None else t for _, t in want]
+                for name in ("id", "age"):
+                    assert state.table[name].tolist() == ref.table[name].tolist()
+        assert empty >= 20  # each sequence starts, and restarts more than once, from empty
+
     def test_low_scores_do_not_spawn_tracks(self):
         frames = [(f, [_det(f, (0, 0, 20, 20), score=0.4)]) for f in range(3)]
         result = run_sequence(frames, TrackerConfig(kind=TrackerKind.SORT))
@@ -379,6 +400,13 @@ class TestTrackTable:
         state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
         state.table["mean"][2:4, 0] = 1e200  # s * r overflows: an infinitely wide box
         with pytest.raises(InvalidValue, match="must be finite"):
+            _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
+
+    def test_prediction_whose_corners_collapse_is_invalid_value(self):
+        config = TrackerConfig(kind=TrackerKind.SORT)
+        state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
+        state.table["mean"][:4, 0] = (1e17, 10.0, 1.0, 1.0)  # 1e17 +- 0.5 rounds to 1e17
+        with pytest.raises(InvalidValue, match="x2 > x1"):
             _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
 
     def test_one_predict_and_one_update_per_frame(self, monkeypatch):
