@@ -159,7 +159,7 @@ def _cmd_simulate(args) -> int:
             frame = index_value(record["frame"])
         except TrackfuseError as exc:
             raise ParseError(line_no, str(exc)) from None
-        seq = io.sequence_name(record, line_no)
+        seq = io.sequence_name(record["seq"], line_no)
         records.setdefault(seq, {}).setdefault(frame, []).append(record)
 
     with open(args.output, "w", encoding="utf-8") as out:

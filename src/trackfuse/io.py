@@ -7,10 +7,10 @@ round-trip form), so writing and re-parsing reproduces values exactly.
 
 :func:`read_columns` fills one :class:`~trackfuse.model.Columns` record per
 sequence from 256-line chunks.  Each chunk is checked and converted one field
-at a time, with one type scan and one numpy conversion per field.  A chunk
-that fails any of these column checks is read again by the line path, which
-checks each line's fields in turn and so names the first bad line and field;
-either way a chunk's probability rows are validated in one batch.
+at a time, with one type scan and one numpy conversion per field, and its
+probability rows are validated in one batch.  A chunk that fails a field check
+is checked again line by line, each line's fields in turn, to name the first
+bad line and field.
 :func:`write_tracks` writes the track CSV of a file's
 :class:`~trackfuse.model.ColumnResult` in one pass over its rows.
 :func:`parse_detections` gives the sequences as Detection lists, the input
@@ -24,7 +24,7 @@ import json
 from contextlib import contextmanager
 from io import StringIO
 from itertools import chain, islice
-from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO,
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO,
                     Tuple)
 
 import numpy as np
@@ -143,32 +143,32 @@ def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Colum
         SchemaError: wrong probs length or inconsistent embeddings.
         EmptyFile: no records at all.
     """
-    chunk, pieces, records = _Chunk(len(label_set)), [], read_records(path)
+    n_classes, pieces, records = len(label_set), [], read_records(path)
     seq_ids: Dict[str, int] = {}
     emb_dims: Dict[str, Optional[int]] = {}
-    try:
-        while not pieces or len(pieces[-1]["seq"]) == CHUNK_LINES:  # until a chunk is short
-            with timer.stage(STAGE_DETECTION_INGEST):  # decoding and the field checks
-                # Only the fields are kept, so no decoded record outlives its line.
-                line_nos, fields = [], []
-                try:
-                    for line_no, record in islice(records, CHUNK_LINES):
-                        line_nos.append(line_no)
-                        fields.extend(map(record.get, _FIELDS, _FIELD_DEFAULTS))
-                except (TrackfuseError, OSError):  # the lines before the bad one come first
-                    chunk.parse(zip(line_nos, _records(fields)), seq_ids, emb_dims)
-                    raise
-                columns = _columns(fields, chunk.n_classes, seq_ids, emb_dims)
-                if columns is None:  # the line path names the first bad line and field
-                    chunk.parse(zip(line_nos, _records(fields)), seq_ids, emb_dims)
-                del fields
-            pieces.append(chunk.flush(timer) if columns is None else
-                          _validated(columns, line_nos, chunk.n_classes, timer))
-            chunk = _Chunk(chunk.n_classes)
-    except (TrackfuseError, OSError):
-        chunk.checked()  # a bad buffered value on this or an earlier line comes first
-        raise
-    del chunk, columns  # the last chunk's buffers go with the others in _sequences
+    while not pieces or len(pieces[-1]["seq"]) == CHUNK_LINES:  # until a chunk is short
+        with timer.stage(STAGE_DETECTION_INGEST):  # decoding and the field checks
+            # Only the fields are kept, so no decoded record outlives its line.
+            line_nos, fields = [], []
+            try:
+                for line_no, record in islice(records, CHUNK_LINES):
+                    line_nos.append(line_no)
+                    fields.extend(map(record.get, _FIELDS, _FIELD_DEFAULTS))
+            except (TrackfuseError, OSError):  # the lines before the bad one come first
+                _checked_lines(fields, line_nos, n_classes, emb_dims)
+                raise
+            columns = _columns(fields, n_classes, seq_ids, emb_dims)
+            if columns is None:  # raises at the first bad line, or gives integral-float ids as ints
+                columns = _columns(_checked_lines(fields, line_nos, n_classes, emb_dims),
+                                   n_classes, seq_ids, emb_dims)
+            del fields
+        with timer.stage(STAGE_CLASSIFICATION_INGEST):
+            try:
+                columns["probs"] = validate_distribution(columns["probs"], n_classes)
+            except TrackfuseError as exc:
+                raise ParseError(line_nos[exc.row], str(exc)) from None
+        pieces.append(columns)
+    del columns  # the last chunk's arrays go with the others in _sequences
     with timer.stage(STAGE_DETECTION_INGEST):
         return _sequences(pieces, seq_ids, emb_dims)
 
@@ -218,239 +218,147 @@ def parse_detections(path, label_set: LabelSet,
 
 
 CHUNK_LINES = 256
-# Lines whose probs and embeddings are checked together: enough to amortise the
-# numpy calls, few enough that the buffers and temporaries stay small.
+# Lines whose fields are checked and converted together: enough to amortise the
+# numpy calls, few enough that the decoded fields and temporaries stay small.
 
 
-class _Chunk:
-    """Rows read since the last flush, their probs and embedding values not yet checked.
-
-    ``probs`` and ``embs`` hold the values one line after another; line
-    ``lines[emb_rows[k]]``'s embedding ends at ``emb_ends[k]``.
-    """
-
-    def __init__(self, n_classes: int):
-        self.n_classes, self.lines = n_classes, []
-        self.seq, self.frame, self.box, self.score, self.gt_class, self.gt_track, self.emb_at = (
-            [], [], [], [], [], [], [])  # one entry per row, four corners per row in box
-        self.probs: List[float] = []
-        self.embs: List[float] = []
-        self.emb_rows: List[int] = []
-        self.emb_ends: List[int] = []
-
-    def parse(self, lines: Iterable[Tuple[int, dict]], seq_ids: Dict[str, int],
-              emb_dims: Dict[str, Optional[int]]) -> None:
-        """Buffer ``lines`` one at a time, naming the first bad line and field."""
-        for line_no, record in lines:
-            seq, emb_dim = _parse_line(record, line_no, self)
-            if emb_dims.setdefault(seq, emb_dim) != emb_dim:
-                raise SchemaError(f"line {line_no}: embedding dim {emb_dim} differs "
-                                  f"from {emb_dims[seq]} earlier in sequence {seq!r}")
-            self.seq.append(seq_ids.setdefault(seq, len(seq_ids)))
-
-    def checked(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The probs rows validated and the embedding values; the first bad row is a ParseError."""
-        embs = np.array(self.embs, dtype=float)
-        finite = np.isfinite(embs)
-        bad = [] if finite.all() else [
-            int(np.searchsorted(self.emb_ends, np.argmin(finite), side="right"))]
-        last = self.emb_rows[bad[0]] if bad else len(self.lines) - 1
-        try:
-            probs = np.array(self.probs[:(last + 1) * self.n_classes], dtype=float)
-            probs = validate_distribution(probs.reshape(-1, self.n_classes), self.n_classes)
-            for k in bad:  # probs of its row come first
-                embedding_value(embs[self.emb_ends[k - 1] if k else 0:self.emb_ends[k]])
-        except TrackfuseError as exc:
-            raise ParseError(self.lines[getattr(exc, "row", last)], str(exc)) from None
-        return probs, embs
-
-    def flush(self, timer=NULL_TIMER) -> Dict[str, np.ndarray]:
-        """The chunk's rows as columns; ``emb_at`` is each row's first embedding value, or -1."""
-        with timer.stage(STAGE_CLASSIFICATION_INGEST):
-            probs, embs = self.checked()
-            return {"seq": np.array(self.seq, dtype=np.int64), "frame": index_column(self.frame),
-                    "box": np.array(self.box, dtype=float).reshape(-1, 4),
-                    "score": np.array(self.score, dtype=float), "probs": probs,
-                    "gt_class": index_column(self.gt_class),
-                    "gt_track": index_column(self.gt_track), "emb": embs,
-                    "emb_at": np.array(self.emb_at, dtype=np.int64)}
-
-
-def sequence_name(record: dict, line_no: int) -> str:
-    """The record's ``seq``; anything but a JSON string is a ParseError."""
-    if not isinstance(record["seq"], str):
-        raise ParseError(line_no, f"seq must be a string, got {record['seq']!r}")
-    return record["seq"]
-
-
-def _box(values: list, line_no: int) -> list:
-    """The corners as floats; a box that BoundingBox rejects is a ParseError with its message."""
-    try:
-        x1, y1, x2, y2 = box = [float(v) for v in values]
-        if -_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF:
-            return box
-    except OverflowError:
-        pass
-    try:  # BoundingBox names the first bad corner as it checks them
-        return list(BoundingBox(*values).as_tuple())
-    except (TrackfuseError, OverflowError) as exc:
-        raise ParseError(line_no, str(exc)) from None
-
-
-_INF = float("inf")
-_REQUIRED = ("seq", "frame", "bbox", "score", "probs")  # checked in this order
-_REQUIRED_SET = frozenset(_REQUIRED)
-
-
-def _parse_line(record: dict, line_no: int, chunk: _Chunk) -> Tuple[str, Optional[int]]:
-    """Buffer one line in ``chunk``, its probs and embedding values unchecked.
-
-    Returns the line's sequence and embedding dimension.
-    """
-    if not record.keys() >= _REQUIRED_SET:
-        missing = next(key for key in _REQUIRED if key not in record)
-        raise ParseError(line_no, f"missing field {missing!r}")
-    bbox_values = record["bbox"]
-    if not isinstance(bbox_values, list) or len(bbox_values) != 4:
-        raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
-    _require_numbers(bbox_values, "bbox", line_no)
-    box = _box(bbox_values, line_no)
-    probs = record["probs"]
-    if not isinstance(probs, list) or len(probs) != chunk.n_classes:
-        raise SchemaError(
-            f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
-            f"entries, label set has {chunk.n_classes}"
-        )
-    probs_are_floats = _require_numbers(probs, "probs", line_no)
-    if type(record["score"]) not in _NUMBER_TYPES:
-        _require_numbers([record["score"]], "score", line_no)
-    emb = record.get("embedding")
-    emb_are_floats = isinstance(emb, list) and _require_numbers(emb, "embedding", line_no)
-    try:
-        # float() of an int beyond the float range raises here, as numpy's conversion would.
-        chunk.probs.extend(probs if probs_are_floats else [float(v) for v in probs])
-        chunk.lines.append(line_no)
-        frame_id, score = index_value(record["frame"]), score_value(record["score"])
-        emb_at = -1
-        if isinstance(emb, list) and emb:  # its values are checked with the chunk
-            emb_at = len(chunk.embs)
-            chunk.embs.extend(emb if emb_are_floats else [float(v) for v in emb])
-            chunk.emb_rows.append(len(chunk.lines) - 1)
-            chunk.emb_ends.append(len(chunk.embs))
-        elif emb is not None:
-            embedding_value(emb)  # raises: only a non-empty list can be a vector
-        gt_class, gt_track = record.get("gt_class"), record.get("gt_track")
-        gt_class = -1 if gt_class is None else index_value(gt_class, "gt_class")
-        gt_track = -1 if gt_track is None else index_value(gt_track, "gt_track")
-    except TrackfuseError as exc:
-        raise ParseError(line_no, str(exc)) from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(line_no, f"bad field value: {exc}") from None
-    seq = sequence_name(record, line_no)
-    chunk.frame.append(frame_id)
-    chunk.box.extend(box)
-    chunk.score.append(score)
-    chunk.gt_class.append(gt_class)
-    chunk.gt_track.append(gt_track)
-    chunk.emb_at.append(emb_at)
-    return seq, None if emb is None else len(emb)
+def sequence_name(value, line_no: int) -> str:
+    """A record's ``seq`` value; anything but a JSON string is a ParseError."""
+    if not isinstance(value, str):
+        raise ParseError(line_no, f"seq must be a string, got {value!r}")
+    return value
 
 
 _NUMBER_TYPES = frozenset((int, float))
 
 
-_FLOAT_TYPE = frozenset((float,))
-
-
-def _require_numbers(values: list, name: str, line_no: int) -> bool:
-    """ParseError unless every entry of ``values`` is a JSON number (booleans are not).
-
-    Returns whether every entry is a float already.
-    """
-    if _FLOAT_TYPE.issuperset(map(type, values)):
-        return True
+def _require_numbers(values: list, name: str, line_no: int) -> None:
+    """ParseError unless every entry of ``values`` is a JSON number (booleans are not)."""
     if not _NUMBER_TYPES.issuperset(map(type, values)):
         raise ParseError(line_no, f"{name} must hold real numbers, got {values!r}")
-    return False
 
 
+_REQUIRED = ("seq", "frame", "bbox", "score", "probs")  # checked in this order
 _STR, _INT, _LIST, _NONE = (frozenset((kind,)) for kind in (str, int, list, type(None)))
-_INT_OR_NONE = _INT | _NONE
+_INT_OR_NONE, _LIST_OR_NONE = _INT | _NONE, _LIST | _NONE
 _FIELDS = (*_REQUIRED, "embedding", "gt_class", "gt_track")
-_ABSENT = object()  # a missing required field; a missing optional one reads None, as in _parse_line
+_ABSENT = object()  # a missing required field; a missing optional one reads None
 _FIELD_DEFAULTS = (_ABSENT,) * len(_REQUIRED) + (None,) * (len(_FIELDS) - len(_REQUIRED))
-
-
-def _records(fields: List) -> Iterator[dict]:
-    """The records whose ``_FIELDS`` are ``fields``, one after another, for the line path."""
-    for at in range(0, len(fields), len(_FIELDS)):
-        yield {key: value for key, value in zip(_FIELDS, fields[at:at + len(_FIELDS)])
-               if value is not _ABSENT}
 
 
 def _columns(fields: List, n_classes: int, seq_ids: Dict[str, int],
              emb_dims: Dict[str, Optional[int]]) -> Optional[Dict[str, np.ndarray]]:
-    """The rows whose ``_FIELDS`` are ``fields`` as :meth:`_Chunk.flush` gives them, but probs
-    not yet validated; None, with nothing recorded, unless every field passes its check.
+    """The rows whose ``_FIELDS`` are ``fields`` as columns, probs not yet validated; None,
+    with nothing recorded, unless every field passes its check.
 
-    The checks pass only values that the line path takes as they are: JSON
-    floats where it converts numbers, non-negative ids within int64, and
-    embeddings of one size on every row or on none.
+    Ids must be JSON integers; ids past int64 keep Python ints.  ``emb`` holds
+    the rows' embedding values one after another, and ``emb_at`` each row's
+    first value in it, or -1 for a row without one.
     """
-    if not fields:
-        return None
     seqs, frames, boxes, scores, probs, embs, gt_class, gt_track = (
         fields[at::len(_FIELDS)] for at in range(len(_FIELDS)))
-    emb_dim = None  # no row has an embedding
-    if not _NONE.issuperset(map(type, embs)):
-        if not _LIST.issuperset(map(type, embs)):
-            return None
-        emb_dim = len(embs[0])
     if not (_STR.issuperset(map(type, seqs)) and _INT.issuperset(map(type, frames))
-            and _FLOAT_TYPE.issuperset(map(type, scores))
+            and _NUMBER_TYPES.issuperset(map(type, scores))
             and _INT_OR_NONE.issuperset(map(type, gt_class))
             and _INT_OR_NONE.issuperset(map(type, gt_track))
-            and all(_LIST.issuperset(map(type, rows)) and {size} == set(map(len, rows))
-                    and _FLOAT_TYPE.issuperset(map(type, chain.from_iterable(rows)))
-                    for rows, size in ((boxes, 4), (probs, n_classes), (embs, emb_dim))
-                    if size is not None)
-            and emb_dim != 0):
+            and _LIST_OR_NONE.issuperset(map(type, embs))
+            and all(_LIST.issuperset(map(type, values)) and {size}.issuperset(map(len, values))
+                    and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(values)))
+                    for values, size in ((boxes, 4), (probs, n_classes)))):
         return None
-    try:
-        frame, gt_class_col, gt_track_col = (np.array(ids, dtype=np.int64) for ids in (
-            frames, *([-1 if v is None else v for v in ids] for ids in (gt_class, gt_track))))
+    emb_rows = [emb for emb in embs if emb is not None]
+    sizes = set(map(len, emb_rows))
+    if 0 in sizes or not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(emb_rows))):
+        return None
+    if len(emb_rows) in (0, len(embs)) and len(sizes) <= 1:  # one size on every row, or none
+        dim = next(iter(sizes), None)
+        dims = dict.fromkeys(seqs, dim)
+        emb_at = np.arange(len(embs)) * dim if emb_rows else np.full(len(embs), -1)
+    else:  # sizes and presence need only agree within each sequence
+        dims, emb_at, at = {}, [], 0
+        for seq, emb in zip(seqs, embs):
+            dim = None if emb is None else len(emb)
+            if dims.setdefault(seq, dim) != dim:
+                return None
+            emb_at.append(-1 if emb is None else at)
+            at += dim or 0
+        emb_at = np.array(emb_at, dtype=np.int64)
+    try:  # an int past the float range overflows here, as float() does
+        box, prob, emb, score = (np.fromiter(values, dtype=float) for values in (
+            chain.from_iterable(boxes), chain.from_iterable(probs), chain.from_iterable(emb_rows),
+            scores))
     except OverflowError:
         return None
-    box, score = np.array(boxes, dtype=float), np.array(scores, dtype=float)
-    emb = np.array(embs if emb_dim else (), dtype=float).ravel()
-    if not (frame.min() >= 0 and ((0.0 <= score) & (score <= 1.0)).all()
+    box, prob = box.reshape(-1, 4), prob.reshape(-1, n_classes)
+    frame, gt_class_col, gt_track_col = (index_column(ids) for ids in (
+        frames, *([-1 if v is None else v for v in ids] for ids in (gt_class, gt_track))))
+    if not ((frame >= 0).all() and ((0.0 <= score) & (score <= 1.0)).all()
             and np.isfinite(box).all() and (box[:, :2] < box[:, 2:]).all()
             and np.isfinite(emb).all()
             and (gt_class_col < 0).sum() == gt_class.count(None)
-            and (gt_track_col < 0).sum() == gt_track.count(None)):
+            and (gt_track_col < 0).sum() == gt_track.count(None)
+            and all(emb_dims.get(seq, dim) == dim for seq, dim in dims.items())):
         return None
-    new = dict.fromkeys(seqs)
-    if any(emb_dims.get(seq, emb_dim) != emb_dim for seq in new):
-        return None
-    for seq in new:
-        emb_dims[seq] = emb_dim
+    for seq, dim in dims.items():
+        emb_dims[seq] = dim
         seq_ids.setdefault(seq, len(seq_ids))
-    emb_at = np.full(len(seqs), -1) if emb_dim is None else np.arange(len(emb), step=emb_dim)
     return {"seq": np.array(list(map(seq_ids.__getitem__, seqs)), dtype=np.int64),
-            "frame": frame, "box": box, "score": score, "probs": np.array(probs, dtype=float),
+            "frame": frame, "box": box, "score": score, "probs": prob,
             "gt_class": gt_class_col, "gt_track": gt_track_col, "emb": emb,
             "emb_at": emb_at}
 
 
-def _validated(columns: Dict[str, np.ndarray], line_nos: List[int], n_classes: int,
-               timer=NULL_TIMER) -> Dict[str, np.ndarray]:
-    """``columns`` with their probs rows validated; the first bad row is a ParseError."""
-    with timer.stage(STAGE_CLASSIFICATION_INGEST):
+def _checked_lines(fields: List, line_nos: List[int], n_classes: int,
+                   emb_dims: Dict[str, Optional[int]]) -> List:
+    """``fields`` with their ids as ints, once every line passes the line-by-line checks.
+
+    Each line's fields are checked in turn, in the order of the reference
+    parser in ``tests/oracles.py``; the first line that fails raises
+    ParseError or SchemaError, naming it and its first bad field.  Nothing is
+    recorded in ``emb_dims``.
+    """
+    emb_dims, checked = dict(emb_dims), []
+    for line_no, at in zip(line_nos, range(0, len(fields), len(_FIELDS))):
+        record = fields[at:at + len(_FIELDS)]
+        for key, value in zip(_REQUIRED, record):
+            if value is _ABSENT:
+                raise ParseError(line_no, f"missing field {key!r}")
+        seq, frame, bbox, score, probs, emb, gt_class, gt_track = record
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox!r}")
+        _require_numbers(bbox, "bbox", line_no)
         try:
-            columns["probs"] = validate_distribution(columns["probs"], n_classes)
+            BoundingBox(*bbox)
+        except (TrackfuseError, OverflowError) as exc:
+            raise ParseError(line_no, str(exc)) from None
+        if not isinstance(probs, list) or len(probs) != n_classes:
+            raise SchemaError(
+                f"line {line_no}: probs has {len(probs) if isinstance(probs, list) else 'no'} "
+                f"entries, label set has {n_classes}"
+            )
+        _require_numbers(probs, "probs", line_no)
+        _require_numbers([score], "score", line_no)
+        if isinstance(emb, list):
+            _require_numbers(emb, "embedding", line_no)
+        try:
+            validate_distribution([probs], n_classes)
+            frame = index_value(frame)
+            score_value(score)
+            if emb is not None:
+                embedding_value(emb)
+            gt_class, gt_track = (None if value is None else index_value(value, name) for
+                                  value, name in ((gt_class, "gt_class"), (gt_track, "gt_track")))
         except TrackfuseError as exc:
-            raise ParseError(line_nos[exc.row], str(exc)) from None
-    return columns
+            raise ParseError(line_no, str(exc)) from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(line_no, f"bad field value: {exc}") from None
+        sequence_name(seq, line_no)
+        dim = None if emb is None else len(emb)
+        if emb_dims.setdefault(seq, dim) != dim:
+            raise SchemaError(f"line {line_no}: embedding dim {dim} differs "
+                              f"from {emb_dims[seq]} earlier in sequence {seq!r}")
+        checked += (seq, frame, bbox, score, probs, emb, gt_class, gt_track)
+    return checked
 
 
 class TrackRow(NamedTuple):

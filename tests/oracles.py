@@ -32,7 +32,7 @@ from trackfuse.errors import (
     TrackfuseError, WrongLength,
 )
 from trackfuse.fusion import FusionMode
-from trackfuse.io import _require_numbers, open_text, read_labels, sequence_name
+from trackfuse.io import open_text, read_labels
 from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
 from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
 from trackfuse.model import validate_distribution
@@ -632,6 +632,17 @@ def reference_parse_detections(path, label_set):
     }
 
 
+def _require_numbers(values: list, name: str, line_no: int) -> None:
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ParseError(line_no, f"{name} must hold real numbers, got {values!r}")
+
+
+def _sequence_name(record: dict, line_no: int) -> str:
+    if not isinstance(record["seq"], str):
+        raise ParseError(line_no, f"seq must be a string, got {record['seq']!r}")
+    return record["seq"]
+
+
 def _reference_parse_line(record: dict, line_no: int, n_classes: int):
     for key in ("seq", "frame", "bbox", "score", "probs"):
         if key not in record:
@@ -670,7 +681,7 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(line_no, f"bad field value: {exc}") from None
-    return det, sequence_name(record, line_no)
+    return det, _sequence_name(record, line_no)
 
 
 # The object path of `track` and `eval`, as the library ran it before its

@@ -1,12 +1,12 @@
 """Columnar ingest against the line-by-line reference parser: same detections, same errors.
 
-``parse_detections`` checks a chunk of lines one field at a time; a chunk that
-fails a check goes down the line path, which checks each line's fields as it
-reads them and leaves the probability rows and embeddings to a batch check.
-These tests hold both paths, and files that mix them, to the reference parser
-in ``oracles``, which checks every line in full before reading the next: equal
-output on good files, and on bad ones the same exception class and message
-(so the same line and field).
+``parse_detections`` checks and converts a chunk of lines one field at a time;
+a chunk that fails a check is checked again line by line, each line's fields in
+turn, to name the first bad line and field.  These tests hold it to the
+reference parser in ``oracles``, which checks every line in full before reading
+the next: equal output on good files, and on bad ones the same exception class
+and message (so the same line and field).  A good file whose ids are JSON
+integers is never checked line by line.
 """
 
 import gc
@@ -16,6 +16,7 @@ import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,18 +53,23 @@ BAD_VALUES = {
     "seq": [1, None, ["a"]],
 }
 # Some of these are legal: an id past int64, an integer score or an embedding mixing
-# integers and floats sends its chunk down the line path, which accepts it.  The
-# all-float values fail a column check or the chunk's distribution check.
+# integers and floats.  The others fail a field check or the chunk's distribution check.
 BREAKS = [(field, value) for field, values in BAD_VALUES.items() for value in values]
 BREAKS += [(field, KeyError) for field in ("seq", "frame", "bbox", "score", "probs")]
 BAD_LINES = ["{broken", "[1, 2]", "\ufeff{}", '{"seq": "a"} 7', "[" * 3000 + "]" * 3000]
 
 
+def _id(draw, top):
+    """An id up to ``top``; one in ten is an integral float, which is legal too."""
+    value = draw(st.integers(0, top))
+    return float(value) if draw(st.integers(0, 9)) == 0 else value
+
+
 @st.composite
 def good_records(draw, floats=False):
     """A good record; with ``floats`` every number a column check reads as a float is one,
-    and sequence "c" carries embeddings as "a" does."""
-    seq = draw(st.sampled_from(["a", "c"] if floats else ["a", "b"]))
+    and sequence "c" carries embeddings as "a" does.  Sequence "d" carries 2-d ones."""
+    seq = draw(st.sampled_from(["a", "c", "d"] if floats else ["a", "b", "d"]))
     x = draw(st.floats(0, 100))
     y, height = (draw(st.floats(0, 100)), draw(st.floats(1, 50))) if floats else (
         draw(st.integers(0, 100)), draw(st.integers(1, 50)))
@@ -71,14 +77,15 @@ def good_records(draw, floats=False):
         st.floats(0, 5), st.integers(0, 3), st.integers(2**52, 2**80))
     probs = draw(st.lists(numbers, min_size=4, max_size=4))
     probs[draw(st.integers(0, 3))] = draw(st.floats(0.1, 5))
-    record = {"seq": seq, "frame": draw(st.integers(0, 6)),
+    record = {"seq": seq, "frame": _id(draw, 6),
               "bbox": [x, y, x + draw(st.floats(0.5, 50)), y + height],
               "score": draw(st.floats(0, 1)), "probs": probs}
-    if seq != "b":  # sequences "a" and "c" carry 3-d embeddings, "b" none
-        record["embedding"] = draw(st.lists(st.floats(-3, 3), min_size=3, max_size=3))
+    if seq != "b":  # sequences "a" and "c" carry 3-d embeddings, "d" 2-d ones, "b" none
+        size = 2 if seq == "d" else 3
+        record["embedding"] = draw(st.lists(st.floats(-3, 3), min_size=size, max_size=size))
     for key, top in (("gt_class", 3), ("gt_track", 5)):
         if draw(st.booleans()):
-            record[key] = draw(st.integers(0, top))
+            record[key] = _id(draw, top)
     return record
 
 
@@ -112,9 +119,22 @@ def _plain(det):
 
 
 def _both(path):
-    got, want = _outcome(parse_detections, path), _outcome(reference_parse_detections, path)
+    """Both parsers' outcome, which must agree; a good file with JSON integer ids must pass
+    the column checks, so no line of it is checked again."""
+    with mock.patch.object(io, "_checked_lines", wraps=io._checked_lines) as checks:
+        got = _outcome(parse_detections, path)
+    want = _outcome(reference_parse_detections, path)
     assert got == want
+    if isinstance(want, list) and _integer_ids(path):
+        assert checks.call_count == 0
     return got
+
+
+def _integer_ids(path) -> bool:
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return all(record.get(key) is None or type(record[key]) is int
+               for record in records for key in ("frame", "gt_class", "gt_track"))
 
 
 def _write(tmp, texts) -> Path:
@@ -291,17 +311,17 @@ def _spy(monkeypatch, name, seen, note):
 
 @pytest.mark.parametrize("box", [[0.0, 0.0, 5.0, 5.0], [0, 0, 5, 5]], ids=["columns", "lines"])
 def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatch, box):
-    # Float boxes keep every chunk on the column path, integer ones send each down the line path.
+    # Float and integer boxes alike pass the column checks, so no line is checked again.
     timer, seen, parsed = _OpenStage(), [], []
     for name in ("parse_json", "validate_distribution"):
         _spy(monkeypatch, name, seen, lambda *args, name=name: (name, timer.open))
-    _spy(monkeypatch, "_parse_line", parsed, lambda record, line_no, chunk: line_no)
+    _spy(monkeypatch, "_checked_lines", parsed, lambda fields, line_nos, *args: line_nos)
     n_lines = 2 * CHUNK_LINES + 5
     read_columns(_write(tmp_path, [_good(i, bbox=box) for i in range(n_lines)]), LABELS, timer)
     line = [("parse_json", STAGE_DETECTION_INGEST)]
     chunk = [("validate_distribution", STAGE_CLASSIFICATION_INGEST)]
     assert seen == (line * CHUNK_LINES + chunk) * 2 + line * 5 + chunk
-    assert len(parsed) == (0 if isinstance(box[0], float) else n_lines)
+    assert parsed == []
 
 
 def _columns_of(path, labels):
@@ -311,7 +331,7 @@ def _columns_of(path, labels):
 
 
 def test_plain_files_take_the_column_path(tmp_path, monkeypatch):
-    """No line of a synth file goes down the line path; one integer sends only its chunk."""
+    """No line of a synth file is checked again, nor one whose probs hold integers."""
     sequences = {f"s{i}": generate_scenario(ScenarioConfig(
         seed=i, num_objects=8, num_frames=40, n_classes=4, flicker=0.3, dropout=0.1))
         .detection_frames() for i in range(3)}
@@ -329,7 +349,6 @@ def test_plain_files_take_the_column_path(tmp_path, monkeypatch):
     want = _columns_of(plain, labels)
 
     parsed = []
-    _spy(monkeypatch, "_parse_line", parsed, lambda record, line_no, chunk: line_no)
+    _spy(monkeypatch, "_checked_lines", parsed, lambda fields, line_nos, *args: line_nos)
     assert _columns_of(plain, labels) == want and parsed == []
-    assert _columns_of(mixed, labels) == want
-    assert parsed == list(range(CHUNK_LINES + 1, 2 * CHUNK_LINES + 1))
+    assert _columns_of(mixed, labels) == want and parsed == []
