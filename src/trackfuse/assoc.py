@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InvalidValue
 
+_ZERO = np.zeros(())  # a 0-d operand, which numpy need not convert on each call as it does 0.0
+
 
 def iou_matrix(a, b) -> np.ndarray:
     """Pairwise intersection over union of boxes ``a`` (4, n) and ``b`` (4, m), 0 when disjoint.
@@ -27,11 +29,12 @@ def iou_matrix(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)[:, :, None]
     b = np.asarray(b, dtype=float)[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        wh = np.maximum(0.0, np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2]))
+        wh = np.maximum(_ZERO, np.minimum(a[2:], b[2:]) - np.maximum(a[:2], b[:2]))
         inter = wh[0] * wh[1]
-        (w_a, h_a), (w_b, h_b) = a[2:] - a[:2], b[2:] - b[:2]
+        ext_a, ext_b = a[2:] - a[:2], b[2:] - b[:2]  # rows w, h; indexed, not unpacked
         out = np.zeros(inter.shape)
-        np.divide(inter, w_a * h_a + w_b * h_b - inter, out=out, where=inter > 0.0)
+        union = ext_a[0] * ext_a[1] + ext_b[0] * ext_b[1] - inter
+        np.divide(inter, union, out=out, where=inter > _ZERO)
     return out
 
 
@@ -91,8 +94,10 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     n_rows, n_cols = cost.shape
     mask = cost.gate_mask
     rows, cols = mask.nonzero()  # every admissible pair, in (row, col) order
-    matches = list(zip(rows.tolist(), cols.tolist()))
-    if len(set(rows.tolist())) < len(matches) or len(set(cols.tolist())) < len(matches):
+    row_list, col_list = rows.tolist(), cols.tolist()
+    matches = list(zip(row_list, col_list))
+    used_rows, used_cols = set(row_list), set(col_list)
+    if len(used_rows) < len(matches) or len(used_cols) < len(matches):
         forced = (mask.sum(axis=1)[rows] == 1) & (mask.sum(axis=0)[cols] == 1)
         matches = list(zip(rows[forced].tolist(), cols[forced].tolist()))
         # The block: every row and column with an admissible pair that is not forced.
@@ -102,10 +107,9 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
         for r, c in _canonical_matching(cost.values[block], mask[block]):
             matches.append((int(block_rows[r]), int(block_cols[c])))
         matches.sort()
-
-    rows, cols = {r for r, _ in matches}, {c for _, c in matches}
-    return AssignmentResult(tuple(matches), tuple(r for r in range(n_rows) if r not in rows),
-                            tuple(c for c in range(n_cols) if c not in cols))
+        used_rows, used_cols = {r for r, _ in matches}, {c for _, c in matches}
+    return AssignmentResult(tuple(matches), tuple([r for r in range(n_rows) if r not in used_rows]),
+                            tuple([c for c in range(n_cols) if c not in used_cols]))
 
 
 def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -30,13 +30,18 @@ class FusionMode(Enum):
 
 def _running(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``rows``, each plus the earlier rows of its run, summed in place; runs are contiguous
-    from ``starts``.  The runs of one length n > 1 go through one ``np.cumsum`` as an
-    (n, runs, C) block, which sums each run in its own order."""
+    from ``starts``.  The runs of one length n > 1 form one (n, runs, C) block, summed along its
+    shorter axis (rank by rank, or one ``np.cumsum``), so each run adds in its own order."""
     lengths = np.diff(starts, append=len(rows))
-    for n in (np.flatnonzero(np.bincount(lengths)[2:]) + 2).tolist():
+    for n in (np.bincount(lengths)[2:].nonzero()[0] + 2).tolist():
         at = starts[lengths == n] + np.arange(n)[:, None]  # row k holds rank k of each run
         block = rows[at]
-        rows[at] = np.cumsum(block, axis=0, out=block)
+        if at.shape[1] > n:
+            for k in range(1, n):
+                block[k] += block[k - 1]
+        else:
+            np.cumsum(block, axis=0, out=block)
+        rows[at] = block
     return rows
 
 

@@ -33,6 +33,7 @@ EMBEDDING_SMOOTHING = 0.9
 # Exponential moving average factor for a track's appearance embedding.
 
 _TRACK_LAST = ("box", "mean", "cov")  # the TrackerState.table columns whose track axis is last
+_EVERY = slice(None)  # the rows index of an update that matched every track in table order
 
 
 class TrackerKind(Enum):
@@ -54,7 +55,8 @@ class TrackerConfig:
 
     ``centroid_gate`` is a fraction of the larger box diagonal; ``iou_gate``
     and ``cosine_gate`` are absolute similarity floors.  Every real-valued
-    field must be finite: NaN and infinities are InvalidConfig.
+    field must be finite: NaN and infinities are InvalidConfig.  The motion spec is resolved
+    once; ``_kalman``, which every step reads, is it for the Kalman kinds and None otherwise.
     """
 
     kind: TrackerKind
@@ -89,6 +91,7 @@ class TrackerConfig:
         object.__setattr__(self, "_motion", self.motion_spec or motion.default_spec(
             motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
             else motion.MotionModel.SORT_CV7))
+        object.__setattr__(self, "_kalman", self._motion if self.kind in _KF_KINDS else None)
 
     def resolved_motion_spec(self) -> motion.MotionModelSpec:
         return self._motion
@@ -239,8 +242,8 @@ def _greedy_iou(boxes: np.ndarray, det_boxes: np.ndarray, config: TrackerConfig)
     """Highest-IoU-first greedy matching; equal IoUs go to the lower track, then detection."""
     ious = assoc.iou_matrix(boxes, det_boxes)
     # nonzero lists pairs in (i, j) order, which the stable sort keeps among equal IoUs.
-    rows, cols = np.nonzero(ious >= config.iou_gate)
-    order = np.argsort(-ious[rows, cols], kind="stable")
+    rows, cols = (ious >= config.iou_gate).nonzero()
+    order = (-ious[rows, cols]).argsort(kind="stable")
     used_t, used_d = set(), set()
     matches = []
     for i, j in zip(rows[order].tolist(), cols[order].tolist()):
@@ -254,33 +257,36 @@ def _greedy_iou(boxes: np.ndarray, det_boxes: np.ndarray, config: TrackerConfig)
     return tuple(matches), um_t, um_d
 
 
-def _update_rows(state: TrackerState, rows: List[int], at: List[int], boxes: np.ndarray,
+def _update_rows(state: TrackerState, rows, at: np.ndarray, boxes: np.ndarray,
                  obs: Optional[np.ndarray], embs: Optional[np.ndarray],
                  spec: Optional[motion.MotionModelSpec], kind: TrackerKind):
-    """Correct table ``rows`` against the frame's detections ``at`` in one batch."""
-    if not rows:
-        return
+    """Correct table ``rows`` against the frame's detections ``at`` (index array) in one batch.
+
+    ``rows`` indexes distinct table rows in any order (ByteTrack's second stage appends its
+    own), or is ``_EVERY``: then the table's columns are read and replaced without a gather
+    or scatter.  Either way each row gets the same values."""
     table = state.table
-    whole = rows == list(range(len(table["id"])))  # the whole table in order adopts new columns
+    whole = rows is _EVERY
     new = {"box": boxes.take(at, 1)}  # take keeps each gathered row contiguous
     if spec is not None:
-        kalman = [table[name] if whole else table[name].take(rows, -1) for name in ("mean", "cov")]
-        new["mean"], new["cov"] = motion.kf_update(*kalman, obs.take(at, 1), spec,
-                                                   table["id"][rows])
+        means, covs = ((table["mean"], table["cov"]) if whole else
+                       (table["mean"].take(rows, -1), table["cov"].take(rows, -1)))
+        new["mean"], new["cov"] = motion.kf_update(means, covs, obs.take(at, 1), spec,
+                                                   table["id"][rows])  # read by errors only
     if kind is TrackerKind.APPEARANCE:
         mixed = EMBEDDING_SMOOTHING * table["emb"][rows] + (1.0 - EMBEDDING_SMOOTHING) * embs[at]
         new["emb"] = _unit_rows(mixed)
+    if whole:
+        table.update(new)
+        return
     for name, col in new.items():
-        if whole:
-            table[name] = col
-        else:
-            table[name][(..., rows) if name in _TRACK_LAST else rows] = col
+        table[name][(..., rows) if name in _TRACK_LAST else rows] = col
 
 
-def _spawn_rows(state: TrackerState, at: List[int], boxes: np.ndarray, obs: Optional[np.ndarray],
+def _spawn_rows(state: TrackerState, at, boxes: np.ndarray, obs: Optional[np.ndarray],
                 embs: Optional[np.ndarray], spec: Optional[motion.MotionModelSpec],
                 kind: TrackerKind) -> List[int]:
-    """Start one track per detection ``at``, append their table rows; returns the new ids."""
+    """Start one track per detection ``at`` (indices), append their table rows; returns the ids."""
     ids = list(range(state.next_id, state.next_id + len(at)))
     new = {"id": np.array(ids), "age": np.zeros(len(ids), dtype=int), "box": boxes.take(at, 1)}
     if spec is not None:
@@ -320,17 +326,18 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
         raise MissingEmbedding(f"frame {frame_id}: appearance tracking needs embeddings")
 
     high = scores >= config.det_threshold_high
-    high_idx = np.flatnonzero(high).tolist()
-    spec = config.resolved_motion_spec() if kind in _KF_KINDS else None
+    high_at = high.nonzero()[0]
+    spec = config._kalman
     assigned = np.full(n, -1)
     table, ids = state.table, state.table["id"]
     if not len(ids):  # nothing to match or age: every high-confidence detection spawns, in order
-        if high_idx:
-            assigned[high_idx] = _spawn_rows(state, high_idx, boxes, obs, embs, spec, kind)
+        if len(high_at):
+            assigned[high_at] = _spawn_rows(state, high_at, boxes, obs, embs, spec, kind)
         state.cursor = frame_id
         return state, assigned
 
-    high_boxes = boxes if len(high_idx) == n else boxes.take(high_idx, 1)
+    high_idx = high_at.tolist()
+    high_boxes = boxes if len(high_idx) == n else boxes.take(high_at, 1)
     if spec is not None:
         table["mean"], table["cov"] = motion.kf_predict(table["mean"], table["cov"], spec, ids)
 
@@ -339,22 +346,26 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
         matches, um_t, um_d = _greedy_iou(ref_boxes, high_boxes, config)
     else:
         cost = _geometric_cost(kind, ref_boxes, high_boxes, config, table.get("emb"),
-                               None if embs is None else embs[high_idx], timer)
+                               None if embs is None else embs[high_at], timer)
         matches, um_t, um_d = assoc.solve_assignment(cost)
     rows = [t_i for t_i, _ in matches]
     det_rows = [high_idx[d_i] for _, d_i in matches]
 
     # ByteTrack second stage: leftover tracks vs low-confidence detections.
     if kind is TrackerKind.BYTETRACK and um_t:
-        low_idx = np.flatnonzero(~high & (scores >= config.det_threshold_low)).tolist()
-        if low_idx:
+        low_at = (~high & (scores >= config.det_threshold_low)).nonzero()[0]
+        if len(low_at):
             cost = _geometric_cost(TrackerKind.SORT, ref_boxes.take(um_t, 1),
-                                   boxes.take(low_idx, 1), config, timer=timer)
+                                   boxes.take(low_at, 1), config, timer=timer)
+            low_idx = low_at.tolist()
             for t_i, d_i in assoc.solve_assignment(cost).matches:
                 rows.append(um_t[t_i])
                 det_rows.append(low_idx[d_i])
-    assigned[det_rows] = ids[rows]
-    _update_rows(state, rows, det_rows, boxes, obs, embs, spec, kind)
+    if rows:  # index arrays, converted once, or _EVERY, which also skips the gathers
+        rows = _EVERY if rows == list(range(len(ids))) else np.array(rows)
+        det_at = np.array(det_rows)
+        assigned[det_at] = ids[rows]
+        _update_rows(state, rows, det_at, boxes, obs, embs, spec, kind)
 
     # Age unmatched tracks and retire those past max_age.
     age = state.table["age"]
@@ -383,12 +394,13 @@ def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.
     state = TrackerState()
     track = np.full(len(cols.score), -1)
     box = np.ascontiguousarray(cols.box.T)  # (4, n): each frame's slice is four contiguous rows
-    obs = motion.observe(config.resolved_motion_spec(), box) if config.kind in _KF_KINDS else None
+    obs = None if config._kalman is None else motion.observe(config.resolved_motion_spec(), box)
+    emb = cols.emb if config.kind is TrackerKind.APPEARANCE else None  # no other step reads it
     bounds = cols.starts.tolist()
     for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:]):
         state, track[lo:hi] = tracker_step(
             state, frame_id, box[:, lo:hi], None if obs is None else obs[:, lo:hi],
-            cols.score[lo:hi], None if cols.emb is None else cols.emb[lo:hi], config, timer)
+            cols.score[lo:hi], None if emb is None else emb[lo:hi], config, timer)
     if config.min_hits > 1:  # a row's count is its track's length; -1 rows stay -1
         track[np.bincount(track + 1)[track + 1] < config.min_hits] = -1
     return track

@@ -434,6 +434,21 @@ def reference_kf_update(mean, cov, spec, bbox):
     return mean + gain @ innovation, _reference_checked_cov((np.eye(len(mean)) - gain @ h) @ cov)
 
 
+def reference_corner_boxes(means, extents, spec):
+    """``motion.corner_boxes`` in its first table form: ``any(axis=0)`` flags, and 1.0
+    placeholders put into a copy of every SORT_CV7 table by ``np.where``, degenerate rows or not."""
+    if spec.model is motion.MotionModel.SORT_CV7:
+        degenerate = (means[2:4] <= 0.0).any(axis=0)
+        s, r = np.where(degenerate, 1.0, means[2:4])[:, None]
+        with np.errstate(over="ignore"):
+            w = np.sqrt(s * r)
+        half = np.concatenate([w, s / w]) / 2.0
+    else:
+        degenerate = (extents <= 0.0).any(axis=0)
+        half = extents / 2.0
+    return np.concatenate([means[:2] - half, means[:2] + half]), degenerate
+
+
 def oracle_predict(mean, cov, spec):
     """Textbook predict in long doubles: m <- F m, P <- F P F^T + Q."""
     f = reference_transition_matrix(spec).astype(np.longdouble)

@@ -1,5 +1,7 @@
 """Probability fusion against extended-precision product oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -262,21 +264,32 @@ class TestColumns:
             assert np.array_equal(_running(rows, starts), want)
 
     def test_running_sums_over_many_run_lengths_are_each_tracks_cumsum(self):
-        # Runs of 1-300 rows, many lengths distinct and some repeated: each length's runs go
-        # through one block cumsum, which must add every run in its own order.
+        # Runs of 1-300 rows, many lengths distinct and some repeated, and (last) 400 runs of
+        # 2-4 rows, as camera-trap bursts give: each length's runs go through one block, added
+        # rank by rank when it holds more runs than ranks and by one cumsum otherwise, and
+        # either must add every run in its own order.
         rng = np.random.default_rng(43)
-        for _ in range(12):
-            lengths = np.concatenate([rng.integers(1, 301, size=int(rng.integers(1, 40))),
-                                      rng.choice([1, 2, 3, 17, 300], size=int(rng.integers(1, 40)))])
+        layouts = [np.concatenate([rng.integers(1, 301, size=int(rng.integers(1, 40))),
+                                   rng.choice([1, 2, 3, 17, 300], size=int(rng.integers(1, 40)))])
+                   for _ in range(12)] + [rng.integers(2, 5, size=400)]
+        by_ranks = by_cumsum = 0
+        for lengths in layouts:
             rng.shuffle(lengths)
             probs = np.array([random_simplex(rng, 5) for _ in range(int(lengths.sum()))])
             starts = np.cumsum(lengths) - lengths
             votes = (probs.argmax(axis=1)[:, None] == np.arange(5)).astype(np.int64)
+            runs = np.bincount(lengths)
+            wide = sum(1 for n in range(2, len(runs)) if runs[n] > n)
             for rows in (np.log(probs), votes):
                 want = np.concatenate([np.cumsum(rows[s:s + n], axis=0)
                                        for s, n in zip(starts, lengths)])
-                got = _running(rows.copy(), starts)
+                with mock.patch.object(np, "cumsum", wraps=np.cumsum) as cumsum:
+                    got = _running(rows.copy(), starts)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert cumsum.call_count == np.count_nonzero(runs[2:]) - wide
+                by_ranks += wide
+                by_cumsum += cumsum.call_count
+        assert by_ranks >= 20 and by_cumsum >= 20
 
     def test_block_log_equals_row_logs(self):
         rows = np.array([random_simplex(np.random.default_rng(seed), 10) for seed in range(5000)])

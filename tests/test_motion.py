@@ -8,6 +8,7 @@ from oracles import (
     oracle_predict,
     oracle_update,
     random_box,
+    reference_corner_boxes,
     reference_kf_init,
     reference_kf_predict,
     reference_kf_update,
@@ -201,6 +202,24 @@ class TestStateToBbox:
         boxes, degenerate = corner_boxes(means, extents, CENTROID)
         assert degenerate.tolist() == [True, False, True]
         assert boxes[:, 1].tolist() == [0.0, 0.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("spec", [SORT, CENTROID], ids=["sort_cv7", "centroid_cv4"])
+    def test_mixed_and_proper_tables_equal_the_where_form(self, spec):
+        # Rows with a zero or negative area, aspect or extent side among proper rows, then the
+        # proper rows alone: boxes and flags are the bits np.where placeholders on every table
+        # gave, though corner_boxes copies placeholders in only when some row needs one.
+        rng = np.random.default_rng(22)
+        boxes = _boxes([random_box(rng) for _ in range(40)])
+        means, _ = kf_init(observe(spec, boxes), spec)
+        extents = boxes[2:] - boxes[:2]
+        mixed_means, mixed_extents = means.copy(), extents.copy()
+        sized = mixed_means[2:4] if spec is SORT else mixed_extents
+        sized[0, ::5], sized[1, 1::7], sized[0, 2::9] = -4.0, 0.0, -0.0
+        for table, sizes, n_degenerate in ((mixed_means, mixed_extents, 16), (means, extents, 0)):
+            sizes = None if spec is SORT else sizes
+            got, want = corner_boxes(table, sizes, spec), reference_corner_boxes(table, sizes, spec)
+            assert np.count_nonzero(got[1]) == n_degenerate
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _boxes(boxes):

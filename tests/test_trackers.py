@@ -1,6 +1,7 @@
 """Tracker family: association behavior, lifecycle, determinism."""
 
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import (
     distribution,
     random_box,
     reference_centroid_cost,
+    reference_corner_boxes,
     reference_cosine_matrix,
     reference_greedy_iou,
     reference_tracker_step,
@@ -387,13 +389,34 @@ class TestAppearance:
 
 
 class TestTrackTable:
-    def test_degenerate_prediction_costs_against_last_box(self):
-        config = TrackerConfig(kind=TrackerKind.SORT)
-        state, _ = _step(TrackerState(), 0, [_det(0, (0, 0, 20, 20))], config)
-        state.table["mean"][[2, 6], 0] = (-5.0, 0.0)  # predicts area -5: no box
-        state, assigned = _step(state, 1, [_det(1, (0, 0, 20, 20))], config)
-        assert assigned.tolist() == [1]
-        assert state.table["id"].tolist() == [1]
+    def test_degenerate_prediction_costs_against_last_box(self, monkeypatch):
+        # The poked rows predict area -5, no box: they cost against their last boxes and the
+        # others against their predictions, bit for bit as np.where placeholders on every
+        # frame gave.  Tables: one degenerate track; two of four, mixed with proper ones; and
+        # all proper, for SORT_CV7 and CENTROID_CV4.  Every track keeps its detection.
+        costed = []
+
+        def reference_boxes(*args, _real=trackers._reference_boxes):
+            costed.append(_real(*args))
+            return costed[-1]
+        monkeypatch.setattr(trackers, "_reference_boxes", reference_boxes)
+        boxes = [(0, 0, 20, 20), (100, 0, 120, 20), (200, 0, 230, 40), (300, 50, 310, 90)]
+        for kind, n, poked in [(TrackerKind.SORT, 1, [0]), (TrackerKind.SORT, 4, [1, 3]),
+                               (TrackerKind.SORT, 4, []), (TrackerKind.CENTROID_KF, 4, [])]:
+            config = TrackerConfig(kind=kind)
+            spec = config.resolved_motion_spec()
+            state, _ = _step(TrackerState(), 0, [_det(0, box) for box in boxes[:n]], config)
+            for row in poked:
+                state.table["mean"][[2, 6], row] = (-5.0, 0.0)
+            last = state.table["box"].copy()
+            means, _ = motion.kf_predict(state.table["mean"], state.table["cov"], spec)
+            want, flags = reference_corner_boxes(means, last[2:] - last[:2], spec)
+            assert np.flatnonzero(flags).tolist() == poked
+            want[:, flags] = last[:, flags]
+            costed.clear()
+            state, assigned = _step(state, 1, [_det(1, box) for box in boxes[:n]], config)
+            assert len(costed) == 1 and np.array_equal(costed[0], want), (kind, poked)
+            assert assigned.tolist() == state.table["id"].tolist() == list(range(1, n + 1))
 
     def test_prediction_that_is_no_box_is_invalid_value(self):
         config = TrackerConfig(kind=TrackerKind.SORT)
@@ -525,6 +548,41 @@ class TestTrackTable:
         assert spawned > 20 and retired > 10
         assert (second_stage > 0) == (kind is TrackerKind.BYTETRACK)
 
+    def test_update_paths_match_the_reference_step(self, monkeypatch):
+        # Random scenes drive _update_rows through each of its paths: every track matched in
+        # table order (the whole-table shortcut), a partial update with ascending rows,
+        # ByteTrack's second stage appending rows out of order, and a partial appearance
+        # update.  Each frame's ids and table columns equal the reference step's, bit for bit.
+        paths = set()
+
+        def update_rows(state, rows, at, *args, _real=trackers._update_rows):
+            kind = args[-1]
+            if isinstance(rows, slice):
+                paths.add((kind, "whole"))
+            else:
+                paths.add((kind, "ascending" if np.all(np.diff(rows) > 0) else "out of order"))
+            return _real(state, rows, at, *args)
+        monkeypatch.setattr(trackers, "_update_rows", update_rows)
+        for kind in (TrackerKind.SORT, TrackerKind.BYTETRACK, TrackerKind.APPEARANCE):
+            rng = np.random.default_rng(37)
+            config = TrackerConfig(kind=kind, max_age=2)
+            state, ref = TrackerState(), TrackerState()
+            objects = [(rng.uniform(0, 400, 2), rng.uniform(-3, 3, 2)) for _ in range(6)]
+            for frame_id in range(60):
+                dets = [_det(frame_id, (x, y, x + 30, y + 40), score=rng.choice([0.3, 0.9, 0.9]),
+                             emb=rng.normal(size=4))
+                        for x, y in (pos + frame_id * vel for pos, vel in objects)
+                        if rng.random() < 0.85]
+                state, ids = _step(state, frame_id, dets, config)
+                ref, want = reference_tracker_step(ref, frame_id, dets, config)
+                assert ids.tolist() == [-1 if t is None else t for _, t in want]
+                assert sorted(state.table) == sorted(ref.table)
+                for name, col in state.table.items():
+                    assert np.array_equal(col, ref.table[name]), (kind, frame_id, name)
+        assert {(TrackerKind.SORT, "whole"), (TrackerKind.SORT, "ascending"),
+                (TrackerKind.BYTETRACK, "out of order"),
+                (TrackerKind.APPEARANCE, "ascending")} <= paths
+
     def test_entries_are_the_detections_passed_in(self):
         dets = [_det(f, (f, 0, 20 + f, 20)) for f in range(3)]
         result = run_sequence([(f, [det]) for f, det in enumerate(dets)],
@@ -598,6 +656,85 @@ class TestLinearAlgebraPerFrame:
         low_track = 2 if kind is TrackerKind.BYTETRACK else -1  # stage two takes the 0.3 box
         assert ids.tolist() == [1, 2] * 3 + [1, low_track] + [1, 2]
         assert per_frame == [[]] * 5
+
+
+def _first_entry(fn, *args):
+    """The code of the first Python function that ``fn(*args)`` enters (a wrapper's own)."""
+    codes = []
+    sys.setprofile(lambda frame, event, arg: codes.append(frame.f_code) if event == "call" else 0)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return codes[0]
+
+
+class TestCallBudgetPerFrame:
+    """A frame's step enters none of the Python-level wrappers it can do without.
+
+    ``sys.setprofile`` counts, per ``tracker_step`` call, the entries into numpy's
+    ``flatnonzero``, the ``_any``/``_all`` behind ``ndarray.any``/``all``, ``Enum.__hash__``,
+    ``np.where`` and ``np.errstate``.  ``corner_boxes`` calls ``np.where`` only when a
+    prediction is degenerate; the filter steps, ``corner_boxes`` and ``iou_matrix`` enter one
+    ``np.errstate`` each.  Calls are counted; no time is measured.
+    """
+
+    WATCHED = {
+        "flatnonzero": (np.flatnonzero, np.arange(3)),
+        "_any": (np.zeros(2, dtype=bool).any,),
+        "_all": (np.zeros(2, dtype=bool).all,),
+        "Enum.__hash__": (hash, TrackerKind.SORT),
+        "where": (np.where, np.zeros(2, dtype=bool), 1.0, 0.0),
+    }
+
+    def _per_step(self, kind, degenerate_at=None):
+        """Per step: the watched entries by name, with the caller of each ``np.where``."""
+        names = {_first_entry(*call): name for name, call in self.WATCHED.items()}
+        names[np.errstate.__enter__.__code__] = "errstate"
+        names[motion.kf_init.__code__] = "kf_init"
+        steps, current = [], None  # current: the counts of the step being run, if any
+
+        def profile(frame, event, arg):
+            nonlocal current
+            if frame.f_code is tracker_step.__code__ and event in ("call", "return"):
+                current = {} if event == "call" else None
+                steps.extend([current] if event == "call" else [])
+            elif event == "call" and current is not None and frame.f_code in names:
+                name = names[frame.f_code]
+                current[name] = current.get(name, 0) + 1
+                if name == "where":
+                    current.setdefault("where_from", []).append(frame.f_back.f_code.co_name)
+
+        config = TrackerConfig(kind=kind)
+        scenario = generate_scenario(ScenarioConfig(seed=12, num_objects=10, num_frames=40,
+                                                    dropout=0.1, jitter=2.0))
+        state = TrackerState()
+        sys.setprofile(profile)
+        try:
+            for frame_id, dets in scenario.detection_frames():
+                if frame_id == degenerate_at:  # track 1 predicts area -5: no box
+                    state.table["mean"][[2, 6], 0] = (-5.0, 0.0)
+                state, _ = _step(state, frame_id, dets, config)
+        finally:
+            sys.setprofile(None)
+        assert len(steps) == 40
+        return steps
+
+    def test_sort_frame(self):
+        steps = self._per_step(TrackerKind.SORT, degenerate_at=25)
+        for frame_id, counts in enumerate(steps):
+            for name in ("flatnonzero", "_any", "_all", "Enum.__hash__"):
+                assert name not in counts, (frame_id, name)
+            wheres = [caller for caller in counts.get("where_from", [])
+                      if caller != "_canonical_matching"]  # the solver pads a competing block
+            assert wheres == (["corner_boxes"] if frame_id == 25 else []), frame_id
+            assert counts.get("errstate", 0) <= (4 if frame_id else 0) + counts.get("kf_init", 0)
+        assert sum(counts.get("kf_init", 0) for counts in steps[1:]) >= 1  # a spawn mid-scene
+
+    def test_iou_frame(self):
+        for frame_id, counts in enumerate(self._per_step(TrackerKind.IOU)):
+            assert set(counts) <= {"errstate"}, frame_id
+            assert counts.get("errstate", 0) <= (1 if frame_id else 0), frame_id
 
 
 class TestConfig:
