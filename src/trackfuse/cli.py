@@ -29,7 +29,8 @@ from .metrics import (
 )
 from .model import ColumnResult, Columns, LabelSet, index_value
 from .trackers import TrackerConfig, TrackerKind, track_columns
-from .trackers import run_sequence  # noqa: F401  a trace target; never called (see ROADMAP item 7)
+
+run_sequence = track_columns  # the benchmark's trace target until ROADMAP item 7; never called
 
 TRACKER_NAMES = [k.value for k in TrackerKind]
 FUSION_NAMES = [m.value for m in FusionMode]

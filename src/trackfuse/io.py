@@ -13,8 +13,11 @@ is checked again line by line, each line's fields in turn, to name the first
 bad line and field.
 :func:`write_tracks` writes the track CSV of a file's
 :class:`~trackfuse.model.ColumnResult` in one pass over its rows.
-:func:`parse_detections` gives the sequences as Detection lists, the input
-form of ``trackers.run_sequence``.
+:func:`write_detections` writes per-frame :class:`DetectionRow` lists, which
+``synth.Scenario.detection_frames`` builds from columns for the ``synth``
+command and the benchmark's inputs; nothing reads rows back into that form.
+An alias of :func:`read_columns` is kept only as a target of the benchmark's
+trace.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
-from .model import BoundingBox, ColumnResult, Columns, Detection, LabelSet
-from .model import embedding_value, index_column, index_value, score_value, validate_distribution
+from .model import ColumnResult, Columns, LabelSet, check_corners, embedding_value, index_column
+from .model import index_value, score_value, validate_distribution
 
 TRACK_CSV_HEADER = "frame,track_id,x,y,w,h,score,fused_class,raw_class,seq"
 
@@ -81,13 +84,25 @@ def write_labels(label_set: LabelSet, path) -> None:
             fh.write(name + "\n")
 
 
-def _detection_record(seq: str, det: Detection) -> dict:
+class DetectionRow(NamedTuple):
+    """One detection as :func:`write_detections` writes it; ids are None where absent."""
+
+    frame_id: int
+    bbox: Tuple[float, float, float, float]
+    score: float
+    probs: np.ndarray
+    embedding: Optional[np.ndarray]
+    gt_class: Optional[int]
+    gt_track: Optional[int]
+
+
+def _detection_record(seq: str, det: DetectionRow) -> dict:
     record = {
         "seq": seq,
         "frame": det.frame_id,
-        "bbox": list(det.bbox.as_tuple()),
+        "bbox": list(det.bbox),
         "score": det.score,
-        "probs": det.dist.probs.tolist(),
+        "probs": det.probs.tolist(),
     }
     if det.embedding is not None:
         record["embedding"] = det.embedding.tolist()
@@ -98,7 +113,7 @@ def _detection_record(seq: str, det: Detection) -> dict:
     return record
 
 
-def write_detections(sequences: Mapping[str, Sequence[Tuple[int, Sequence[Detection]]]],
+def write_detections(sequences: Mapping[str, Sequence[Tuple[int, Sequence[DetectionRow]]]],
                      path) -> None:
     """Write per-frame detection lists as JSONL, sequences and frames in order."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -206,15 +221,7 @@ def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
     return out
 
 
-def parse_detections(path, label_set: LabelSet,
-                     timer=NULL_TIMER) -> Dict[str, List[Tuple[int, List[Detection]]]]:
-    """:func:`read_columns` as per-sequence, frame-sorted Detection lists, with its errors.
-
-    Each Detection's probs and embedding are read-only views of its row.
-    """
-    sequences = read_columns(path, label_set, timer)
-    # Each record goes once its objects are built: they keep only its probs and embeddings.
-    return {seq: sequences.pop(seq).frames() for seq in list(sequences)}
+parse_detections = read_columns  # the benchmark's trace target until ROADMAP item 7
 
 
 CHUNK_LINES = 256
@@ -328,7 +335,7 @@ def _checked_lines(fields: List, line_nos: List[int], n_classes: int,
             raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox!r}")
         _require_numbers(bbox, "bbox", line_no)
         try:
-            BoundingBox(*bbox)
+            check_corners(*bbox)
         except (TrackfuseError, OverflowError) as exc:
             raise ParseError(line_no, str(exc)) from None
         if not isinstance(probs, list) or len(probs) != n_classes:

@@ -1,11 +1,10 @@
-"""Core value types: label sets, boxes, class distributions, detections, sequence columns.
+"""Core value types: label sets, sequence columns, and the checks of ingested values.
 
 All types here are immutable after construction (frozen dataclasses, read-only
 numpy arrays).  A sequence is one :class:`Columns` record, and the tracked,
 fused outcome of a file's sequences one :class:`ColumnResult` over all their
-rows.  :class:`Detection` is the library's
-per-detection input form, turned into columns by ``Columns.from_frames`` and
-built from them by ``Columns.frames``.
+rows.  Columns are the library's only detection form: there is no object per
+detection.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,14 +26,6 @@ PROB_FLOOR = 1e-12
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def unchecked(cls, **fields):
-    """A ``cls`` holding ``fields`` as given, without ``__post_init__``: for checked values."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 class LabelSet:
@@ -69,54 +60,18 @@ class LabelSet:
         return f"LabelSet({list(self.names)!r})"
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in image pixel coordinates, corner form (x1, y1, x2, y2)."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        for name in ("x1", "y1", "x2", "y2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidValue(f"bbox {name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise InvalidValue(
-                f"bbox corners must satisfy x2 > x1 and y2 > y1, got {self.as_tuple()}"
-            )
-
-    def as_tuple(self) -> Tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassDistribution:
-    """Probability vector over the closed label set.
-
-    Instances must already lie on the floored simplex: strictly positive
-    entries summing to 1 within 1e-6.  Data from outside the process goes
-    through :func:`validate_distribution` instead of this constructor, and
-    ``Columns.frames`` wraps rows it has already validated.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise InvalidValue("probs must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidValue("probs must be finite")
-        if np.any(probs <= 0.0):
-            raise InvalidValue("probs must be strictly positive; run validate_distribution")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise InvalidValue(f"probs must sum to 1 within 1e-6, got {total!r}")
-        object.__setattr__(self, "probs", _readonly(probs))
+def check_corners(x1, y1, x2, y2) -> None:
+    """InvalidValue unless the corners are finite with x2 > x1 and y2 > y1; the first
+    non-finite corner names itself.  An int past the float range raises OverflowError."""
+    corners = []
+    for name, value in zip(("x1", "y1", "x2", "y2"), (x1, y1, x2, y2)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidValue(f"bbox {name} must be finite, got {value!r}")
+        corners.append(value)
+    x1, y1, x2, y2 = corners
+    if not (x2 > x1 and y2 > y1):
+        raise InvalidValue(f"bbox corners must satisfy x2 > x1 and y2 > y1, got {(x1, y1, x2, y2)}")
 
 
 def validate_distribution(raw, n_classes: int) -> np.ndarray:
@@ -194,33 +149,6 @@ def config_number(value, name: str, integral: bool = False):
     return number
 
 
-@dataclass(frozen=True, eq=False)
-class Detection:
-    """One per-frame observation: box, detector score, class distribution.
-
-    ``embedding`` is an optional appearance vector; ``gt_class``/``gt_track``
-    carry ground truth for evaluation and stay None at inference time.
-    """
-
-    frame_id: int
-    bbox: BoundingBox
-    score: float
-    dist: ClassDistribution
-    embedding: Optional[np.ndarray] = None
-    gt_class: Optional[int] = None
-    gt_track: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "frame_id", index_value(self.frame_id))
-        object.__setattr__(self, "score", score_value(self.score))
-        if self.embedding is not None:
-            object.__setattr__(self, "embedding", embedding_value(self.embedding))
-        for name in ("gt_class", "gt_track"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, index_value(v, name))
-
-
 def index_column(values) -> np.ndarray:
     """Non-negative ids (or -1) as an int64 column; ids past int64 keep Python ints."""
     try:
@@ -249,26 +177,6 @@ class Columns:
     starts: np.ndarray
 
     @classmethod
-    def from_frames(cls, frames: Sequence[Tuple[int, Sequence["Detection"]]]) -> "Columns":
-        """The columns of (frame_id, detections) pairs; ``emb`` needs embeddings of one size."""
-        dets = [det for _, group in frames for det in group]
-        embs = [det.embedding for det in dets]
-        sizes = {None if emb is None else emb.size for emb in embs}
-        probs = np.array([det.dist.probs for det in dets]) if dets else np.zeros((0, 1))
-        probs.setflags(write=False)
-        return cls(
-            frame=index_column([det.frame_id for det in dets]),
-            box=np.array([det.bbox.as_tuple() for det in dets], dtype=float).reshape(-1, 4),
-            score=np.array([det.score for det in dets], dtype=float),
-            probs=probs,
-            emb=np.stack(embs) if len(sizes) == 1 and None not in sizes else None,
-            gt_class=index_column([-1 if d.gt_class is None else d.gt_class for d in dets]),
-            gt_track=index_column([-1 if d.gt_track is None else d.gt_track for d in dets]),
-            frame_ids=index_column([frame_id for frame_id, _ in frames]),
-            starts=np.cumsum([0] + [len(group) for _, group in frames]),
-        )
-
-    @classmethod
     def concat(cls, parts: Sequence["Columns"]) -> "Columns":
         """The rows and frames of ``parts``, one part after another.
 
@@ -277,8 +185,10 @@ class Columns:
         """
         if len(parts) == 1:
             return parts[0]
-        if not parts:
-            return cls.from_frames([])
+        if not parts:  # no rows and no frames
+            empty = np.zeros(0, dtype=np.int64)
+            return cls(empty, np.zeros((0, 4)), np.zeros(0), _readonly(np.zeros((0, 1))), None,
+                       empty, empty, empty, np.zeros(1, dtype=np.int64))
         rows = np.cumsum([0] + [len(part.frame) for part in parts])
         cat = {name: np.concatenate([getattr(part, name) for part in parts]) for name in (
             "frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids")}
@@ -287,33 +197,16 @@ class Columns:
                                 + [rows[-1:]])
         return cls(**cat, emb=None, starts=starts)
 
-    def frames(self) -> List[Tuple[int, List["Detection"]]]:
-        """(frame_id, detections) pairs whose probs and embeddings are read-only row views."""
-        rows = zip(self.frame.tolist(), *self.box.T.tolist(), self.score.tolist(),
-                   self.gt_class.tolist(), self.gt_track.tolist())
-        dets = [unchecked(
-            Detection, frame_id=frame_id, bbox=unchecked(BoundingBox, x1=x1, y1=y1, x2=x2, y2=y2),
-            score=score, dist=unchecked(ClassDistribution, probs=self.probs[i]),
-            embedding=None if self.emb is None else self.emb[i],
-            gt_class=None if gt_class < 0 else gt_class,
-            gt_track=None if gt_track < 0 else gt_track,
-        ) for i, (frame_id, x1, y1, x2, y2, score, gt_class, gt_track) in enumerate(rows)]
-        bounds = self.starts.tolist()  # a slice is exact-size; appending over-allocates
-        return [(frame_id, dets[lo:hi])
-                for frame_id, lo, hi in zip(self.frame_ids.tolist(), bounds, bounds[1:])]
 
-
-def track_runs(track: np.ndarray,
-               bounds: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+def track_runs(track: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Rows with a track id (-1 is none) in (sequence, track, frame) order, and where runs start.
 
     Sequence ``k`` spans rows ``bounds[k]:bounds[k + 1]``, frame-sorted, and
-    numbers its own tracks; without ``bounds`` the rows are one sequence.
-    The sort is stable, so a track's rows stay in frame order.
+    numbers its own tracks.  The sort is stable, so a track's rows stay in frame order.
     """
     kept = np.flatnonzero(track >= 0)
     key = track[kept]
-    if bounds is not None and len(bounds) > 2 and len(kept):  # one key per (sequence, id)
+    if len(bounds) > 2 and len(kept):  # one key per (sequence, id)
         key = key + (np.searchsorted(bounds, kept, side="right") - 1) * (int(key.max()) + 1)
     order = np.argsort(key, kind="stable")
     return kept[order], np.flatnonzero(np.diff(key[order], prepend=-1))
@@ -324,20 +217,13 @@ class ColumnResult:
     """Tracked sequences: per row its track id (-1 for none), argmax and fused label.
 
     Sequence ``names[k]`` spans rows ``bounds[k]:bounds[k + 1]`` of ``cols``
-    and numbers its tracks from 1; by default the rows are one sequence named
-    "".  ``runs`` is :func:`track_runs` of ``track``, computed when not given.
+    and numbers its tracks from 1.  ``runs`` is :func:`track_runs` of ``track``.
     """
 
     cols: Columns
     track: np.ndarray
     raw: np.ndarray
     fused: np.ndarray
-    names: Tuple[str, ...] = ("",)
-    bounds: Optional[np.ndarray] = None
-    runs: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.bounds is None:
-            object.__setattr__(self, "bounds", np.array([0, len(self.track)]))
-        if self.runs is None:
-            object.__setattr__(self, "runs", track_runs(self.track, self.bounds))
+    names: Tuple[str, ...]
+    bounds: np.ndarray
+    runs: Tuple[np.ndarray, np.ndarray]

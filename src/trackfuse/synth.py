@@ -7,7 +7,9 @@ distribution is drawn from a symmetric flicker model: with probability
 1 - flicker the mass ``confidence`` sits on the true class, otherwise on a
 uniformly chosen wrong class, the remainder spread evenly.  Everything is a
 pure function of (config, seed).  A scenario's detections are one
-:class:`~trackfuse.model.Columns` record, as ``io.read_columns`` gives for a file.
+:class:`~trackfuse.model.Columns` record, as ``io.read_columns`` gives for a file;
+``Scenario.detection_frames`` lists them as rows for ``io.write_detections``, which
+the ``synth`` command and the benchmark's input writer call.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidConfig, InvalidValue
-from .model import Columns, Detection, LabelSet, validate_distribution
+from .io import DetectionRow
+from .model import Columns, LabelSet, validate_distribution
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,18 @@ class Scenario:
     label_set: LabelSet
     columns: Columns
 
-    def detection_frames(self) -> List[Tuple[int, List[Detection]]]:
-        """Per-frame detection lists in tracker input form, frames without detections included."""
-        return self.columns.frames()
+    def detection_frames(self) -> List[Tuple[int, List[DetectionRow]]]:
+        """Per-frame rows for ``io.write_detections``, frames without detections included;
+        probs and embeddings are read-only views of the columns' rows."""
+        cols = self.columns
+        rows = [DetectionRow(frame_id, box, score, cols.probs[i],
+                             None if cols.emb is None else cols.emb[i], gt_class, gt_track)
+                for i, (frame_id, box, score, gt_class, gt_track) in enumerate(zip(
+                    cols.frame.tolist(), zip(*cols.box.T.tolist()), cols.score.tolist(),
+                    cols.gt_class.tolist(), cols.gt_track.tolist()))]
+        bounds = cols.starts.tolist()  # a slice is exact-size; appending over-allocates
+        return [(frame_id, rows[lo:hi])
+                for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:])]
 
 
 def flicker_class(true_class: int, config: ScenarioConfig, rng: np.random.Generator) -> int:

@@ -11,8 +11,8 @@ but never start them.
 record: each :func:`tracker_step` takes one frame's slices of the ``box`` column
 as (4, n) rows, of their observations (Kalman trackers, observed once per
 sequence), and of ``score`` and ``emb``; the run returns one track id per row,
--1 for a row no emitted track holds.  :func:`run_sequence` takes (frame_id,
-Detection list) pairs instead and returns a :class:`~trackfuse.model.ColumnResult`.
+-1 for a row no emitted track holds.  ``cli`` keeps an alias of
+:func:`track_columns` only as a target of the benchmark's trace.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import assoc, motion
-from .errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
+from .errors import InvalidConfig, MissingEmbedding, OutOfOrderFrame
 from .metrics import NULL_TIMER, STAGE_REID_COST
-from .model import BoundingBox, ColumnResult, Columns, Detection, config_number
+from .model import Columns, check_corners, config_number
 
 EMBEDDING_SMOOTHING = 0.9
 # Exponential moving average factor for a track's appearance embedding.
@@ -55,8 +55,8 @@ class TrackerConfig:
 
     ``centroid_gate`` is a fraction of the larger box diagonal; ``iou_gate``
     and ``cosine_gate`` are absolute similarity floors.  Every real-valued
-    field must be finite: NaN and infinities are InvalidConfig.  The motion spec is resolved
-    once; ``_kalman``, which every step reads, is it for the Kalman kinds and None otherwise.
+    field must be finite: NaN and infinities are InvalidConfig.  ``_kalman``, which every
+    step reads, is the motion spec of the Kalman kinds, resolved once, and None otherwise.
     """
 
     kind: TrackerKind
@@ -88,13 +88,10 @@ class TrackerConfig:
             raise InvalidConfig("iou_gate must lie in [0, 1]")
         if self.centroid_gate <= 0.0:
             raise InvalidConfig("centroid_gate must be > 0")
-        object.__setattr__(self, "_motion", self.motion_spec or motion.default_spec(
-            motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
-            else motion.MotionModel.SORT_CV7))
-        object.__setattr__(self, "_kalman", self._motion if self.kind in _KF_KINDS else None)
-
-    def resolved_motion_spec(self) -> motion.MotionModelSpec:
-        return self._motion
+        object.__setattr__(self, "_kalman", None if self.kind not in _KF_KINDS else (
+            self.motion_spec or motion.default_spec(
+                motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
+                else motion.MotionModel.SORT_CV7)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrackerConfig":
@@ -183,7 +180,7 @@ def _reference_boxes(state: TrackerState,
     n_ok = np.count_nonzero(boxes[2:] > boxes[:2]) + np.count_nonzero(np.isfinite(boxes))
     if n_ok < 6 * boxes.shape[1]:  # 2 ordered corner pairs and 4 finite coordinates per box
         for row in boxes.T.tolist():
-            BoundingBox(*row)  # the first invalid box raises the InvalidValue it gets
+            check_corners(*row)  # the first invalid box raises its InvalidValue
     return boxes
 
 
@@ -394,7 +391,7 @@ def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.
     state = TrackerState()
     track = np.full(len(cols.score), -1)
     box = np.ascontiguousarray(cols.box.T)  # (4, n): each frame's slice is four contiguous rows
-    obs = None if config._kalman is None else motion.observe(config.resolved_motion_spec(), box)
+    obs = None if config._kalman is None else motion.observe(config._kalman, box)
     emb = cols.emb if config.kind is TrackerKind.APPEARANCE else None  # no other step reads it
     bounds = cols.starts.tolist()
     for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:]):
@@ -405,22 +402,3 @@ def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.
         track[np.bincount(track + 1)[track + 1] < config.min_hits] = -1
     return track
 
-
-def run_sequence(frames: Sequence[Tuple[int, Sequence[Detection]]],
-                 config: TrackerConfig, timer=NULL_TIMER) -> ColumnResult:
-    """:func:`track_columns` of (frame_id, detections) pairs, one row per detection in order.
-
-    Fused labels equal raw labels; ``fusion.relabel({seq: res.cols}, {seq: res.track}, ...)``
-    fuses them.
-
-    Raises:
-        InvalidValue: a detection's own frame_id is not its frame's.
-    """
-    frames = list(frames)
-    for frame_id, dets in frames:
-        for det in dets:
-            if det.frame_id != frame_id:
-                raise InvalidValue(f"frame {frame_id} holds a detection of frame {det.frame_id}")
-    cols = Columns.from_frames(frames)
-    raw = cols.probs.argmax(axis=1)
-    return ColumnResult(cols, track_columns(cols, config, timer), raw, raw)

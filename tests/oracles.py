@@ -6,7 +6,9 @@ The ``reference_*`` functions keep code the library replaced (scalar IoU, the
 numpy port of the block solver, one-track Kalman steps on dense matrices,
 per-pair centroid costs, per-track cosine loops, running-sum fusion, pairwise
 fusion folds, the one-vector probability fixpoint and the line-by-line
-detection parser) as references for the forms that replaced them.
+detection parser) as references for the forms that replaced them.  They keep
+an object form of their own (``RefBox``, ``RefDetection``): the library has
+only columns, and ``columns_of``/``reference_frames`` convert between the two.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -31,12 +33,11 @@ from trackfuse.errors import (
     MissingEmbedding, NoEligibleTracks, OutOfOrderFrame, ParseError, SchemaError,
     TrackfuseError, WrongLength,
 )
-from trackfuse.fusion import FusionMode
+from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import open_text, read_labels
 from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
-from trackfuse.model import PROB_FLOOR, BoundingBox, ClassDistribution, Detection
-from trackfuse.model import validate_distribution
-from trackfuse.trackers import TrackerKind
+from trackfuse.model import PROB_FLOOR, Columns, validate_distribution
+from trackfuse.trackers import TrackerKind, track_columns
 
 SENTINEL = 1e9
 TRACK_LAST = ("box", "mean", "cov")  # the tracker table columns whose track axis is the last
@@ -86,8 +87,97 @@ def exhaustive_gated_optimum(values: np.ndarray, mask: np.ndarray):
     return best, tuple(best_matches)
 
 
+class RefBox(NamedTuple):
+    """An axis-aligned box in corner form; :func:`reference_box` builds checked ones."""
 
-def reference_iou(a: BoundingBox, b: BoundingBox) -> float:
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def as_tuple(self) -> Tuple[float, float, float, float]:
+        return tuple(self)
+
+
+def reference_box(*corners) -> RefBox:
+    """The corners as floats, checked one at a time: finite, then x2 > x1 and y2 > y1."""
+    values = []
+    for name, value in zip(("x1", "y1", "x2", "y2"), corners):
+        value = float(value)
+        if not math.isfinite(value):
+            raise InvalidValue(f"bbox {name} must be finite, got {value!r}")
+        values.append(value)
+    box = RefBox(*values)
+    if not (box.x2 > box.x1 and box.y2 > box.y1):
+        raise InvalidValue(f"bbox corners must satisfy x2 > x1 and y2 > y1, got {box.as_tuple()}")
+    return box
+
+
+class RefDetection(NamedTuple):
+    """One detection as the object path kept it; ids are None where absent.
+
+    Its fields are those ``io.write_detections`` reads, so lists of these write
+    as a file; ``probs`` and ``embedding`` are arrays.
+    """
+
+    frame_id: int
+    bbox: RefBox
+    score: float
+    probs: np.ndarray
+    embedding: Optional[np.ndarray] = None
+    gt_class: Optional[int] = None
+    gt_track: Optional[int] = None
+
+
+def detection(frame_id, corners, probs, score=0.9, embedding=None, gt_class=None, gt_track=None):
+    """A RefDetection of plain values: a checked box, a validated probs row, float embedding."""
+    return RefDetection(frame_id, reference_box(*corners), score, distribution(probs),
+                        None if embedding is None else np.asarray(embedding, dtype=float),
+                        gt_class, gt_track)
+
+
+def columns_of(frames) -> Columns:
+    """One sequence's columns from (frame_id, detections) pairs, detections in row order;
+    ``emb`` needs an embedding of one size on every row."""
+    dets = [det for _, group in frames for det in group]
+    embs = [det.embedding for det in dets]
+    probs = np.array([det.probs for det in dets]) if dets else np.zeros((0, 1))
+    probs.setflags(write=False)
+    ids = [[-1 if v is None else v for v in values] for values in (
+        [det.gt_class for det in dets], [det.gt_track for det in dets])]
+    return Columns(
+        frame=np.array([det.frame_id for det in dets], dtype=np.int64),
+        box=np.array([tuple(det.bbox) for det in dets], dtype=float).reshape(-1, 4),
+        score=np.array([det.score for det in dets], dtype=float), probs=probs,
+        emb=np.stack(embs) if embs and all(emb is not None for emb in embs)
+        and len({emb.size for emb in embs}) == 1 else None,
+        gt_class=np.array(ids[0], dtype=np.int64), gt_track=np.array(ids[1], dtype=np.int64),
+        frame_ids=np.array([frame_id for frame_id, _ in frames], dtype=np.int64),
+        starts=np.cumsum([0] + [len(group) for _, group in frames]))
+
+
+def reference_frames(cols: Columns):
+    """(frame_id, RefDetections) pairs of a sequence's columns; probs and embeddings are
+    read-only row views."""
+    dets = [RefDetection(frame_id, RefBox(*box), score, cols.probs[i],
+                         None if cols.emb is None else cols.emb[i],
+                         None if gt_class < 0 else gt_class, None if gt_track < 0 else gt_track)
+            for i, (frame_id, box, score, gt_class, gt_track) in enumerate(zip(
+                cols.frame.tolist(), cols.box.tolist(), cols.score.tolist(),
+                cols.gt_class.tolist(), cols.gt_track.tolist()))]
+    bounds = cols.starts.tolist()
+    return [(frame_id, dets[lo:hi])
+            for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:])]
+
+
+def tracked(frames, config):
+    """The ``ColumnResult`` of one sequence, given as columns or as (frame_id, detections)
+    pairs, tracked by the library; its fused labels are its raw ones."""
+    cols = frames if isinstance(frames, Columns) else columns_of(frames)
+    return relabel({"": cols}, {"": track_columns(cols, config)}, FusionMode.NONE)
+
+
+def reference_iou(a: RefBox, b: RefBox) -> float:
     """Intersection over union of two boxes; 0 when disjoint."""
     ix1 = max(a.x1, b.x1)
     iy1 = max(a.y1, b.y1)
@@ -478,12 +568,10 @@ def oracle_update(mean, cov, spec, bbox):
 
 def reference_centroid_cost(boxes, dets, centroid_gate: float):
     """Per-pair ``math.hypot`` of box-center offsets, gated at a fraction of the larger diagonal."""
-    from trackfuse.model import BoundingBox
-
     values = np.zeros((len(boxes), len(dets)))
     mask = np.zeros(values.shape, dtype=bool)
     for i, box in enumerate(np.asarray(boxes).tolist()):
-        ref = BoundingBox(*box)
+        ref = reference_box(*box)
         for j, det in enumerate(dets):
             (ax, ay), (bx, by) = _center(ref), _center(det.bbox)
             values[i, j] = d = math.hypot(ax - bx, ay - by)
@@ -520,18 +608,18 @@ def reference_track_labels(track, vote: bool, online: bool) -> Dict[int, int]:
     a running total; ``online`` takes the label after each entry, otherwise
     every frame gets the label after the last entry.
     """
-    n_classes = track.entries[0].dist.probs.size
+    n_classes = track.entries[0].probs.size
     cum = np.zeros(n_classes)
     votes = np.zeros(n_classes, dtype=int)
     mass = np.zeros(n_classes)
     labels: Dict[int, int] = {}
     for entry in track.entries:
         if vote:
-            votes[int(np.argmax(entry.dist.probs))] += 1
-            mass += entry.dist.probs
+            votes[int(np.argmax(entry.probs))] += 1
+            mass += entry.probs
             labels[entry.frame_id] = _reference_vote_winner(votes, mass)
         else:
-            cum += np.log(entry.dist.probs)
+            cum += np.log(entry.probs)
             labels[entry.frame_id] = int(np.argmax(cum))
     if not online:
         last = labels[track.entries[-1].frame_id]
@@ -546,24 +634,24 @@ _UNDERFLOW_GUARD = 1e-320
 # make folding disagree with the summed-log consensus.
 
 
-def reference_fuse_pair(prev: ClassDistribution, curr: ClassDistribution) -> ClassDistribution:
+def reference_fuse_pair(prev: np.ndarray, curr: np.ndarray) -> np.ndarray:
     """Renormalized elementwise product of two distributions, done in log space."""
-    if prev.probs.size != curr.probs.size:
-        raise WrongLength(f"cannot fuse lengths {prev.probs.size} and {curr.probs.size}")
-    joint = np.log(prev.probs) + np.log(curr.probs)
+    if prev.size != curr.size:
+        raise WrongLength(f"cannot fuse lengths {prev.size} and {curr.size}")
+    joint = np.log(prev) + np.log(curr)
     top = joint.max()
     joint = joint - (top + np.log(np.exp(joint - top).sum()))
-    return ClassDistribution(np.maximum(np.exp(joint), _UNDERFLOW_GUARD))
+    fused = np.maximum(np.exp(joint), _UNDERFLOW_GUARD)
+    assert abs(float(fused.sum()) - 1.0) <= 1e-6  # still a distribution
+    return fused
 
 
-def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.0):
-    from trackfuse.model import BoundingBox
-
+def random_box(rng: np.random.Generator, img=1000.0, min_size=5.0, max_size=120.0) -> RefBox:
     w = rng.uniform(min_size, max_size)
     h = rng.uniform(min_size, max_size)
     x = rng.uniform(0.0, img - w)
     y = rng.uniform(0.0, img - h)
-    return BoundingBox(x, y, x + w, y + h)
+    return reference_box(x, y, x + w, y + h)
 
 
 def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -571,13 +659,15 @@ def random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.maximum(raw, 1e-12) / np.maximum(raw, 1e-12).sum()
 
 
-def distribution(raw) -> ClassDistribution:
-    """``raw`` validated by the library as a one-row table, for building a Detection."""
+def distribution(raw) -> np.ndarray:
+    """``raw`` validated by the library as a one-row table: its read-only row."""
     arr = np.asarray(raw, dtype=float)
-    return ClassDistribution(validate_distribution(arr[None], arr.size)[0])
+    row = validate_distribution(arr[None], arr.size)[0]
+    row.setflags(write=False)
+    return row
 
 
-def reference_validate_distribution(raw, n_classes: int) -> ClassDistribution:
+def reference_validate_distribution(raw, n_classes: int) -> np.ndarray:
     """One vector's floor-and-renormalise fixpoint, as the library ran it per detection."""
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size != n_classes:
@@ -598,7 +688,7 @@ def reference_validate_distribution(raw, n_classes: int) -> ClassDistribution:
         if np.array_equal(y, x):
             break
         x = y
-    return ClassDistribution(x)
+    return x
 
 
 def _reference_parse_json(text: str, line_no: int = 1):
@@ -627,9 +717,12 @@ def _reference_read_records(path):
 
 
 def reference_parse_detections(path, label_set):
-    """The line-by-line detection parser: each line's Detection is built and checked in full."""
+    """The line-by-line detection parser: each line's RefDetection is built and checked in full.
+
+    Gives (frame_id, detections) pairs per sequence, frames sorted, detections in file order.
+    """
     n_classes = len(label_set)
-    grouped: Dict[str, Dict[int, List[Detection]]] = {}
+    grouped: Dict[str, Dict[int, List[RefDetection]]] = {}
     emb_dims: Dict[str, Optional[int]] = {}
     for line_no, record in _reference_read_records(path):
         det, seq = _reference_parse_line(record, line_no, n_classes)
@@ -658,6 +751,32 @@ def _sequence_name(record: dict, line_no: int) -> str:
     return record["seq"]
 
 
+def _reference_index(value, name: str) -> int:
+    if type(value) is int and value >= 0:
+        return value
+    try:
+        if not isinstance(value, bool) and int(value) == value and value >= 0:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidValue(f"{name} must be a non-negative integer, got {value!r}")
+
+
+def _reference_score(value) -> float:
+    score = float(value)
+    if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+        raise InvalidValue(f"score must lie in [0, 1], got {score!r}")
+    return score
+
+
+def _reference_embedding(value) -> np.ndarray:
+    emb = np.asarray(value, dtype=float)
+    if emb.ndim != 1 or emb.size == 0 or not np.isfinite(emb).all():
+        raise InvalidValue("embedding must be a finite, non-empty 1-D vector")
+    emb.setflags(write=False)
+    return emb
+
+
 def _reference_parse_line(record: dict, line_no: int, n_classes: int):
     for key in ("seq", "frame", "bbox", "score", "probs"):
         if key not in record:
@@ -667,7 +786,7 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
         raise ParseError(line_no, f"bbox must be [x1, y1, x2, y2], got {bbox_values!r}")
     _require_numbers(bbox_values, "bbox", line_no)
     try:
-        bbox = BoundingBox(*bbox_values)
+        bbox = reference_box(*bbox_values)
     except (TrackfuseError, OverflowError) as exc:
         raise ParseError(line_no, str(exc)) from None
 
@@ -681,17 +800,16 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
     _require_numbers([record["score"]], "score", line_no)
     if isinstance(record.get("embedding"), list):
         _require_numbers(record["embedding"], "embedding", line_no)
-    try:
-        dist = reference_validate_distribution(probs, n_classes)
-        det = Detection(
-            frame_id=record["frame"],
-            bbox=bbox,
-            score=record["score"],
-            dist=dist,
-            embedding=record.get("embedding"),
-            gt_class=record.get("gt_class"),
-            gt_track=record.get("gt_track"),
-        )
+    try:  # the fields in the order the object path checked them
+        probs = reference_validate_distribution(probs, n_classes)
+        frame_id = _reference_index(record["frame"], "frame_id")
+        score = _reference_score(record["score"])
+        emb = record.get("embedding")
+        emb = None if emb is None else _reference_embedding(emb)
+        gt_class, gt_track = (None if record.get(name) is None else
+                              _reference_index(record[name], name)
+                              for name in ("gt_class", "gt_track"))
+        det = RefDetection(frame_id, bbox, score, probs, emb, gt_class, gt_track)
     except TrackfuseError as exc:
         raise ParseError(line_no, str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -700,8 +818,8 @@ def _reference_parse_line(record: dict, line_no: int, n_classes: int):
 
 
 # The object path of `track` and `eval`, as the library ran it before its
-# columnar form: one Detection per row, one tracker_step per frame over
-# Detection lists, track and label records of its own (RefTrack, RefLabel,
+# columnar form: one RefDetection per row, one tracker_step per frame over
+# RefDetection lists, track and label records of its own (RefTrack, RefLabel,
 # RefResult), per-track fusion and per-record metrics.
 # ``reference_track_outputs`` runs it end to end.
 
@@ -709,13 +827,13 @@ class RefTrack(NamedTuple):
     """An identity's trajectory: its id and the detections matched to it, in frame order."""
 
     id: int
-    entries: Tuple[Detection, ...]
+    entries: Tuple[RefDetection, ...]
 
 
 class RefLabel(NamedTuple):
     """One detection's outcome: its track id (None for none) and fused class label."""
 
-    detection: Detection
+    detection: RefDetection
     track_id: Optional[int]
     fused_label: int
 
@@ -725,7 +843,7 @@ class RefLabel(NamedTuple):
 
     @property
     def raw_label(self) -> int:
-        return int(np.argmax(self.detection.dist.probs))
+        return int(np.argmax(self.detection.probs))
 
 
 class RefResult(NamedTuple):
@@ -736,8 +854,8 @@ class RefResult(NamedTuple):
 
 
 def reference_result(result) -> RefResult:
-    """The object form of a ``ColumnResult``: its rows as Detections, grouped by track id."""
-    dets = [det for _, group in result.cols.frames() for det in group]
+    """The object form of a ``ColumnResult``: its rows as RefDetections, grouped by track id."""
+    dets = [det for _, group in reference_frames(result.cols) for det in group]
     ids = result.track.tolist()
     entries = {}
     for det, track_id in zip(dets, ids):
@@ -837,8 +955,23 @@ def _reference_spawn_rows(state, dets, spec, kind):
     return ids
 
 
+def _reference_cost_boxes(state, spec) -> np.ndarray:
+    """(N, 4) boxes the tracks cost at: the last boxes without a motion model, else the
+    predictions in corner form, each degenerate one replaced by its last box, all checked."""
+    last = state.table["box"]
+    if spec is None or not last.shape[1]:
+        return last.T
+    with np.errstate(over="ignore"):  # a CENTROID_CV4 extent past the float range is inf
+        extents = None if spec.model is motion.MotionModel.SORT_CV7 else last[2:] - last[:2]
+    boxes, degenerate = reference_corner_boxes(state.table["mean"], extents, spec)
+    boxes = np.where(degenerate, last, boxes).T
+    for box in boxes.tolist():
+        reference_box(*box)
+    return boxes
+
+
 def reference_tracker_step(state, frame_id, detections, config):
-    """One frame over a list of Detections; returns the state and (index, track id or None)."""
+    """One frame over a list of RefDetections; returns the state and (index, track id or None)."""
     if frame_id <= state.cursor:
         raise OutOfOrderFrame(f"frame {frame_id} is not past cursor {state.cursor}")
     for det in detections:
@@ -855,7 +988,7 @@ def reference_tracker_step(state, frame_id, detections, config):
                 if config.det_threshold_low <= d.score < config.det_threshold_high]
                if kind is TrackerKind.BYTETRACK else [])
 
-    spec = config.resolved_motion_spec() if kind in trackers._KF_KINDS else None
+    spec = config._kalman
     table = state.table
     ids = table["id"].tolist()
     if spec is not None and ids:
@@ -863,7 +996,7 @@ def reference_tracker_step(state, frame_id, detections, config):
 
     assigned = {}
     high_dets = [detections[i] for i in high_idx]
-    boxes = trackers._reference_boxes(state, spec).T
+    boxes = _reference_cost_boxes(state, spec)
     if kind is TrackerKind.IOU:
         matches, um_t, um_d = _reference_greedy_iou_step(boxes, high_dets, config)
     else:
@@ -914,14 +1047,14 @@ def reference_run_sequence(frames, config):
                    if len(dets) >= config.min_hits)
     kept = {t.id for t in tracks}
     per_frame = tuple(RefLabel(det, track_id if track_id in kept else None,
-                               int(np.argmax(det.dist.probs))) for det, track_id in records)
+                               int(np.argmax(det.probs))) for det, track_id in records)
     return RefResult(tracks, per_frame)
 
 
 def _reference_running_labels(track, mode):
     if mode is FusionMode.PROBABILITY:
-        return np.argmax(np.cumsum([np.log(e.dist.probs) for e in track.entries], axis=0), axis=1)
-    probs = np.array([e.dist.probs for e in track.entries])
+        return np.argmax(np.cumsum([np.log(e.probs) for e in track.entries], axis=0), axis=1)
+    probs = np.array([e.probs for e in track.entries])
     votes = np.cumsum(probs.argmax(axis=1)[:, None] == np.arange(probs.shape[1]), axis=0)
     mass = np.cumsum(probs, axis=0)
     return np.argmax(np.where(votes == votes.max(axis=1, keepdims=True), mass, -np.inf), axis=1)

@@ -18,7 +18,7 @@ from trackfuse.assoc import CostMatrix, solve_assignment
 from trackfuse.camtrap import TriggerConfig, burst_frames, next_trigger, trigger_bursts
 from trackfuse.cli import main as cli_main
 from trackfuse.fusion import FusionMode, relabel
-from trackfuse.io import parse_detections, write_detections
+from trackfuse.io import read_columns, write_detections
 from trackfuse.metrics import (
     ConfusionMatrix,
     accuracy_at_1,
@@ -27,7 +27,7 @@ from trackfuse.metrics import (
     f1_scores,
     label_flip_rate,
 )
-from trackfuse.model import ClassDistribution, Columns, Detection, validate_distribution
+from trackfuse.model import Columns, validate_distribution
 from trackfuse.motion import MotionModel, default_spec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
@@ -107,22 +107,24 @@ def test_criterion_2_fusion_oracle_equivalence():
             rows = np.empty((length, n_classes))
             for i in range(length):
                 rows[i] = random_simplex(rng, n_classes)
-            entries = [Detection(frame, box, 0.9, ClassDistribution(
-                validate_distribution(row[None], n_classes)[0])) for frame, row in enumerate(rows)]
-            cols = Columns.from_frames([(e.frame_id, [e]) for e in entries])
+            probs = validate_distribution(rows, n_classes)  # row by row, as one-row tables would
+            probs.setflags(write=False)
+            frame, unknown = np.arange(length), np.full(length, -1)
+            cols = Columns(frame=frame, box=np.tile(box.as_tuple(), (length, 1)),
+                           score=np.full(length, 0.9), probs=probs, emb=None, gt_class=unknown,
+                           gt_track=unknown, frame_ids=frame, starts=np.arange(length + 1))
 
-            product = np.prod(
-                np.stack([e.dist.probs for e in entries]).astype(np.longdouble), axis=0)
+            product = np.prod(probs.astype(np.longdouble), axis=0)
             want = int(np.argmax(product))
             assert set(relabel({"s": cols}, {"s": np.ones(length, int)},
                                FusionMode.PROBABILITY).fused) == {want}
 
             # Iterated pairwise fusion reaches the same label.
             if case % 10 == 0:
-                folded = entries[0].dist
-                for e in entries[1:]:
-                    folded = reference_fuse_pair(folded, e.dist)
-                assert int(np.argmax(folded.probs)) == want
+                folded = probs[0]
+                for row in probs[1:]:
+                    folded = reference_fuse_pair(folded, row)
+                assert int(np.argmax(folded)) == want
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 
@@ -268,19 +270,14 @@ def test_criterion_8_determinism_and_round_trip(reference_runs, tmp_path):
             blobs.append((csv.read_bytes(), metrics.read_bytes()))
         assert blobs[0] == blobs[1]
 
-        frames = [(f, ds) for f, ds in scenario.detection_frames() if ds]
         path = tmp_path / "rt.jsonl"
-        write_detections({"seq": frames}, path)
-        parsed = parse_detections(path, scenario.label_set)["seq"]
-        assert [f for f, _ in parsed] == [f for f, _ in frames]
-        for (_, want), (_, got) in zip(frames, parsed):
-            assert len(want) == len(got)
-            for a, b in zip(want, got):
-                assert a.bbox.as_tuple() == b.bbox.as_tuple()
-                assert a.score == b.score
-                assert np.array_equal(a.dist.probs, b.dist.probs)
-                assert np.array_equal(a.embedding, b.embedding)
-                assert (a.gt_class, a.gt_track) == (b.gt_class, b.gt_track)
+        write_detections({"seq": scenario.detection_frames()}, path)
+        got, want = read_columns(path, scenario.label_set)["seq"], scenario.columns
+        for name in ("frame", "box", "score", "probs", "emb", "gt_class", "gt_track"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        listed = np.diff(want.starts) > 0  # a file lists only the frames with detections
+        assert got.frame_ids.tolist() == want.frame_ids[listed].tolist()
+        assert got.starts.tolist() == want.starts[np.append(listed, True)].tolist()
 
 
 def test_criterion_9_timing_orders_lightweight_before_appearance(tmp_path):

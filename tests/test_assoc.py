@@ -7,9 +7,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment as scipy_lsa
 
 from oracles import (
+    RefBox,
     exhaustive_gated_optimum,
     exhaustive_min_total,
     random_box,
+    reference_box,
     reference_canonical_matching,
     reference_iou,
     reference_linear_sum_assignment,
@@ -23,11 +25,10 @@ from trackfuse.assoc import (
     solve_assignment,
 )
 from trackfuse.errors import InvalidValue
-from trackfuse.model import BoundingBox
 from trackfuse.trackers import TrackerConfig, TrackerKind, _geometric_cost
 
 
-def _rasterized_iou(a: BoundingBox, b: BoundingBox, cells_per_px: int = 4) -> float:
+def _rasterized_iou(a: RefBox, b: RefBox, cells_per_px: int = 4) -> float:
     """Counting oracle: rasterize both boxes onto a fine grid and count cells."""
     step = 1.0 / cells_per_px
     x_lo = min(a.x1, b.x1)
@@ -47,22 +48,22 @@ def _columns(boxes) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes]).reshape(-1, 4).T
 
 
-def _iou(a: BoundingBox, b: BoundingBox) -> float:
+def _iou(a: RefBox, b: RefBox) -> float:
     """:func:`iou_matrix` of one box against one box."""
     return float(iou_matrix(_columns([a]), _columns([b]))[0, 0])
 
 
 class TestIou:
     def test_identical_boxes(self):
-        b = BoundingBox(0, 0, 10, 10)
+        b = reference_box(0, 0, 10, 10)
         assert _iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert _iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
+        assert _iou(reference_box(0, 0, 1, 1), reference_box(5, 5, 6, 6)) == 0.0
 
     def test_partial_overlap_against_cell_count(self):
-        a = BoundingBox(0, 0, 2, 2)
-        b = BoundingBox(1, 0, 3, 2)
+        a = reference_box(0, 0, 2, 2)
+        b = reference_box(1, 0, 3, 2)
         # Integer-aligned corners: the unit-cell count is exact (2 of 6 cells).
         assert _rasterized_iou(a, b, cells_per_px=1) == pytest.approx(1.0 / 3.0)
         assert _iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -104,27 +105,27 @@ class TestIouMatrix:
             self._assert_bitwise(boxes_a, boxes_b)
 
     def test_special_layouts_equal_scalar_bitwise(self):
-        base = BoundingBox(10.0, 10.0, 20.0, 20.0)
+        base = reference_box(10.0, 10.0, 20.0, 20.0)
         boxes = [
             base,
-            BoundingBox(10.0, 10.0, 20.0, 20.0),     # identical
-            BoundingBox(30.0, 30.0, 40.0, 40.0),     # disjoint
-            BoundingBox(20.0, 10.0, 30.0, 20.0),     # touching along an edge
-            BoundingBox(20.0, 20.0, 25.0, 25.0),     # touching at a corner
-            BoundingBox(12.5, 12.5, 17.5, 17.5),     # contained
-            BoundingBox(0.0, 0.0, 40.0, 40.0),       # containing
-            BoundingBox(0.1, 0.2, 10.3, 10.7),       # non-representable corners
-            BoundingBox(-5.0, -5.0, 10.0, 10.0),     # corner-to-corner
+            reference_box(10.0, 10.0, 20.0, 20.0),     # identical
+            reference_box(30.0, 30.0, 40.0, 40.0),     # disjoint
+            reference_box(20.0, 10.0, 30.0, 20.0),     # touching along an edge
+            reference_box(20.0, 20.0, 25.0, 25.0),     # touching at a corner
+            reference_box(12.5, 12.5, 17.5, 17.5),     # contained
+            reference_box(0.0, 0.0, 40.0, 40.0),       # containing
+            reference_box(0.1, 0.2, 10.3, 10.7),       # non-representable corners
+            reference_box(-5.0, -5.0, 10.0, 10.0),     # corner-to-corner
         ]
         self._assert_bitwise(boxes, boxes)
 
     def test_empty_sides(self):
-        box = _columns([BoundingBox(0.0, 0.0, 1.0, 1.0)])
+        box = _columns([reference_box(0.0, 0.0, 1.0, 1.0)])
         assert iou_matrix(_columns([]), box).shape == (0, 1)
         assert iou_matrix(box, _columns([])).shape == (1, 0)
 
 
-def _centroid_cost(a: BoundingBox, b: BoundingBox) -> float:
+def _centroid_cost(a: RefBox, b: RefBox) -> float:
     """The centroid tracker's cost of a track at box ``a`` against a detection at box ``b``."""
     kind = TrackerKind.CENTROID
     cost = _geometric_cost(kind, _columns([a]), _columns([b]), TrackerConfig(kind=kind))
@@ -133,17 +134,17 @@ def _centroid_cost(a: BoundingBox, b: BoundingBox) -> float:
 
 class TestCentroidDistance:
     def test_identity(self):
-        b = BoundingBox(3, 4, 9, 11)
+        b = reference_box(3, 4, 9, 11)
         assert _centroid_cost(b, b) == 0.0
 
     def test_three_four_five(self):
-        a = BoundingBox(-1, -1, 1, 1)     # center (0, 0)
-        b = BoundingBox(2, 3, 4, 5)       # center (3, 4)
+        a = reference_box(-1, -1, 1, 1)     # center (0, 0)
+        b = reference_box(2, 3, 4, 5)       # center (3, 4)
         assert _centroid_cost(a, b) == 5.0
 
     def test_sqrt5(self):
-        a = BoundingBox(0, 0, 2, 2)       # center (1, 1)
-        b = BoundingBox(1, 2, 3, 4)       # center (2, 3)
+        a = reference_box(0, 0, 2, 2)       # center (1, 1)
+        b = reference_box(1, 2, 3, 4)       # center (2, 3)
         # Exact reference: sqrt(5) evaluated in extended precision.
         expected = float(np.sqrt(np.longdouble(5)))
         assert _centroid_cost(a, b) == pytest.approx(expected, abs=1e-12)

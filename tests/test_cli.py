@@ -9,8 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trackfuse.cli import main
-from trackfuse import model
-from trackfuse.io import read_tracks
+from trackfuse.io import DetectionRow, read_tracks
 
 
 def _synth_args(out, labels, **kw):
@@ -503,9 +502,7 @@ def test_track_and_eval_build_no_per_detection_objects(tmp_path, detection_file,
     def refuse(*args, **kwargs):
         raise AssertionError("a per-detection object was built")
 
-    monkeypatch.setattr(model, "unchecked", refuse)
-    for cls in (model.Detection, model.BoundingBox, model.ClassDistribution):
-        monkeypatch.setattr(cls, "__init__", refuse)
+    monkeypatch.setattr(DetectionRow, "__new__", refuse)
     for tracker in ("iou", "centroid", "centroid-kf", "sort", "bytetrack", "appearance"):
         assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", tracker,
                      "--fusion", "vote", "--output", str(tmp_path / "t.csv"),
@@ -513,7 +510,7 @@ def test_track_and_eval_build_no_per_detection_objects(tmp_path, detection_file,
     assert main(["eval", "--input", str(dets), "--labels", str(labels), "--per-class",
                  "--flip-rate"]) == 0
     with pytest.raises(AssertionError, match="per-detection object"):
-        model.BoundingBox(0, 0, 1, 1)
+        DetectionRow(0, (0.0, 0.0, 1.0, 1.0), 0.9, None, None, None, None)
 
 
 class TestSimulate:

@@ -7,6 +7,8 @@ import pytest
 
 from oracles import (
     RefTrack,
+    columns_of,
+    detection,
     distribution,
     random_simplex,
     reference_fuse_pair,
@@ -14,20 +16,20 @@ from oracles import (
     reference_result,
     reference_track_labels,
     track_rows,
+    tracked,
 )
 from trackfuse.fusion import FusionMode, _running, relabel
-from trackfuse.model import BoundingBox, Columns, Detection
+from trackfuse.model import Columns
 from trackfuse.synth import ScenarioConfig, generate_scenario
-from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
+from trackfuse.trackers import TrackerConfig, TrackerKind
 
-BOX = BoundingBox(0, 0, 10, 10)
+BOX = (0, 0, 10, 10)
 
 
 def _track(prob_rows) -> Columns:
     """One track's columns: one detection per frame 0, 1, ... with ``prob_rows``."""
-    return Columns.from_frames([
-        (frame, [Detection(frame, BOX, 0.9, distribution(probs))])
-        for frame, probs in enumerate(prob_rows)])
+    return columns_of([(frame, [detection(frame, BOX, probs)])
+                       for frame, probs in enumerate(prob_rows)])
 
 
 def _fused(track: Columns, mode: FusionMode = FusionMode.PROBABILITY) -> int:
@@ -92,7 +94,7 @@ class TestConsensusLabel:
             folded = distribution(rows[0])
             for row in rows[1:]:
                 folded = reference_fuse_pair(folded, distribution(row))
-            assert int(np.argmax(folded.probs)) == _fused(track)
+            assert int(np.argmax(folded)) == _fused(track)
 
     def test_long_track_stays_finite(self):
         rng = np.random.default_rng(101)
@@ -132,8 +134,7 @@ class TestRelabel:
                                 n_classes=5, flicker=flicker, confidence=0.7,
                                 size_range=(30.0, 40.0))
         scenario = generate_scenario(config)
-        return run_sequence(scenario.detection_frames(),
-                            TrackerConfig(kind=TrackerKind.SORT))
+        return tracked(scenario.columns, TrackerConfig(kind=TrackerKind.SORT))
 
     @staticmethod
     def _relabel(base, mode, online=False):
@@ -219,13 +220,12 @@ class TestRelabel:
                 length = int(rng.integers(1, 12))
                 frames = np.sort(rng.choice(40, size=length, replace=False))
                 rows = rng.integers(1, 4, size=(length, n_classes)).astype(float)
-                entries = [Detection(int(f), BOX, 0.9, distribution(r / r.sum()))
-                           for f, r in zip(frames, rows)]
+                entries = [detection(int(f), BOX, r / r.sum()) for f, r in zip(frames, rows)]
                 tracks.append(RefTrack(track_id, tuple(entries)))
                 for e in entries:
                     by_frame.setdefault(e.frame_id, []).append((track_id, e))
             frames = sorted(by_frame.items())
-            cols = Columns.from_frames([(f, [e for _, e in group]) for f, group in frames])
+            cols = columns_of([(f, [e for _, e in group]) for f, group in frames])
             track = np.array([track_id for _, group in frames for track_id, _ in group])
             result = relabel({"s": cols}, {"s": track}, mode, online)
             want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
@@ -302,8 +302,7 @@ class TestColumns:
         config = ScenarioConfig(seed=8, num_objects=4, num_frames=50, n_classes=4, flicker=0.4,
                                 dropout=0.2, jitter=3.0, confidence=0.6)
         scenario = generate_scenario(config)
-        base = run_sequence(scenario.detection_frames(),
-                            TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
+        base = tracked(scenario.columns, TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
         result = relabel({"s": scenario.columns}, {"s": base.track}, mode, online)
         want = reference_relabel(reference_result(base), mode, online)
         assert result.fused.tolist() == [rec.fused_label for rec in want.per_frame]

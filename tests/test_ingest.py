@@ -1,10 +1,11 @@
 """Columnar ingest against the line-by-line reference parser: same detections, same errors.
 
-``parse_detections`` checks and converts a chunk of lines one field at a time;
+``read_columns`` checks and converts a chunk of lines one field at a time;
 a chunk that fails a check is checked again line by line, each line's fields in
 turn, to name the first bad line and field.  These tests hold it to the
 reference parser in ``oracles``, which checks every line in full before reading
-the next: equal output on good files, and on bad ones the same exception class
+the next: equal detections on good files (the columns as ``oracles.reference_frames``
+lists them), and on bad ones the same exception class
 and message (so the same line and field).  A good file whose ids are JSON
 integers is never checked line by line.
 """
@@ -24,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse.io as io
-from oracles import reference_parse_detections
+from oracles import reference_frames, reference_parse_detections
 from trackfuse.errors import ParseError, SchemaError
-from trackfuse.io import CHUNK_LINES, parse_detections, read_columns, write_detections
+from trackfuse.io import CHUNK_LINES, read_columns, write_detections
 from trackfuse.metrics import STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
 from trackfuse.model import LabelSet
 from trackfuse.synth import ScenarioConfig, generate_scenario
@@ -102,6 +103,11 @@ def lines(draw, floats=False):
     return json.dumps(record)
 
 
+def _read_frames(path, labels):
+    """``read_columns`` of ``path`` as (frame_id, detections) pairs per sequence."""
+    return {seq: reference_frames(cols) for seq, cols in read_columns(path, labels).items()}
+
+
 def _outcome(parse, path):
     """``parse``'s detections as plain values, or its error's class and message."""
     try:
@@ -114,7 +120,7 @@ def _outcome(parse, path):
 
 def _plain(det):
     emb = None if det.embedding is None else det.embedding.tolist()
-    return (det.frame_id, det.bbox.as_tuple(), det.score, det.dist.probs.tolist(), emb,
+    return (det.frame_id, det.bbox.as_tuple(), det.score, det.probs.tolist(), emb,
             det.gt_class, det.gt_track)
 
 
@@ -122,7 +128,7 @@ def _both(path):
     """Both parsers' outcome, which must agree; a good file with JSON integer ids must pass
     the column checks, so no line of it is checked again."""
     with mock.patch.object(io, "_checked_lines", wraps=io._checked_lines) as checks:
-        got = _outcome(parse_detections, path)
+        got = _outcome(_read_frames, path)
     want = _outcome(reference_parse_detections, path)
     assert got == want
     if isinstance(want, list) and _integer_ids(path):
@@ -260,28 +266,25 @@ def _peak_bytes(parse, path, labels) -> int:
 
 
 def test_peak_allocation_at_most_the_line_by_line_parser(tmp_path):
-    """Buffering a file's numbers must not cost more memory than a Detection per line."""
+    """Buffering a file's numbers must not cost more memory than a detection object per line."""
     path, labels = _bursts_like_file(tmp_path)
-    peaks = {parse_detections: [], reference_parse_detections: []}
+    peaks = {read_columns: [], reference_parse_detections: []}
     for parse in peaks:
         parse(path, labels)  # first calls fill caches that the measured calls then share
     for _ in range(3):  # a single measurement of either parser varies by ~1 %
         for parse, values in peaks.items():
             values.append(_peak_bytes(parse, path, labels))
-    assert np.median(peaks[parse_detections]) <= np.median(peaks[reference_parse_detections])
+    assert np.median(peaks[read_columns]) <= np.median(peaks[reference_parse_detections])
 
 
-def test_validated_rows_are_views_of_one_array_per_sequence(tmp_path):
+def test_validated_rows_are_one_read_only_array_per_sequence(tmp_path):
     path, labels = _bursts_like_file(tmp_path)
-    sequences = parse_detections(path, labels)
-    dets = [d for frames in sequences.values() for _, ds in frames for d in ds]
-    for column in (lambda d: d.dist.probs, lambda d: d.embedding):
-        bases = {seq: {id(column(d).base) for _, ds in frames for d in ds}
-                 for seq, frames in sequences.items()}
-        assert all(len(ids) == 1 for ids in bases.values())
-        assert len(set().union(*bases.values())) == len(sequences) == 63
-    assert all(not d.dist.probs.flags.writeable and not d.embedding.flags.writeable
-               for d in dets)
+    sequences = read_columns(path, labels)
+    assert len(sequences) == 63
+    for name in ("probs", "emb"):
+        arrays = [getattr(cols, name) for cols in sequences.values()]
+        assert not any(array.flags.writeable for array in arrays)
+        assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
 
 
 class _OpenStage:

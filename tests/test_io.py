@@ -1,6 +1,7 @@
 """Detection JSONL and track CSV: round trips, schema errors, golden output."""
 
 import json
+import operator
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_result, reference_write_tracks
+from oracles import reference_result, reference_write_tracks, tracked
 from trackfuse.errors import EmptyFile, InvalidValue, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import (
     TRACK_CSV_HEADER,
-    parse_detections,
+    DetectionRow,
+    read_columns,
     read_labels,
     read_records,
     read_tracks,
@@ -23,9 +25,9 @@ from trackfuse.io import (
     write_labels,
     write_tracks,
 )
-from trackfuse.model import LabelSet
+from trackfuse.model import LabelSet, validate_distribution
 from trackfuse.synth import ScenarioConfig, generate_scenario
-from trackfuse.trackers import TrackerConfig, TrackerKind, run_sequence
+from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tracks.csv"
 
@@ -58,19 +60,18 @@ class TestParseDetections:
         path = tmp_path / "d.jsonl"
         path.write_text("")
         with pytest.raises(EmptyFile):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     def test_single_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         record = {"seq": "a", "frame": 3, "bbox": [0.0, 1.0, 10.0, 11.0],
                   "score": 0.5, "probs": [0.2] * 5}
         path.write_text(json.dumps(record) + "\n")
-        seqs = parse_detections(path, self._labels())
+        seqs = read_columns(path, self._labels())
         assert list(seqs) == ["a"]
-        (frame, dets), = seqs["a"]
-        assert frame == 3
-        assert len(dets) == 1
-        assert dets[0].bbox.as_tuple() == (0.0, 1.0, 10.0, 11.0)
+        cols = seqs["a"]
+        assert cols.frame_ids.tolist() == [3] and cols.starts.tolist() == [0, 1]
+        assert cols.box.tolist() == [[0.0, 1.0, 10.0, 11.0]]
 
     def test_frames_sorted_ascending(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -80,8 +81,8 @@ class TestParseDetections:
                                      "bbox": [0, 0, 5, 5], "score": 0.9,
                                      "probs": [0.2] * 5}))
         path.write_text("\n".join(lines) + "\n")
-        seqs = parse_detections(path, self._labels())
-        assert [frame for frame, _ in seqs["a"]] == [1, 3, 5]
+        seqs = read_columns(path, self._labels())
+        assert seqs["a"].frame_ids.tolist() == seqs["a"].frame.tolist() == [1, 3, 5]
 
     def test_bad_json_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -89,21 +90,21 @@ class TestParseDetections:
                            "score": 0.9, "probs": [0.2] * 5})
         path.write_text(good + "\n{broken\n")
         with pytest.raises(ParseError, match="line 2"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0,
                                     "bbox": [0, 0, 5, 5], "score": 0.9}) + "\n")
         with pytest.raises(ParseError, match="probs"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     def test_probs_length_mismatch_is_schema_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5],
                                     "score": 0.9, "probs": [0.5, 0.5]}) + "\n")
         with pytest.raises(SchemaError, match="label set has 5"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     def test_inconsistent_embeddings_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -112,7 +113,7 @@ class TestParseDetections:
                  json.dumps({**base, "frame": 1})]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="embedding"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     @pytest.mark.parametrize("frame", ["x", -1, 1.5, float("inf")])
     def test_bad_frame_is_parse_error(self, tmp_path, frame):
@@ -120,7 +121,7 @@ class TestParseDetections:
         path.write_text(json.dumps({"seq": "a", "frame": frame, "bbox": [0, 0, 5, 5],
                                     "score": 0.9, "probs": [0.2] * 5}) + "\n")
         with pytest.raises(ParseError, match="line 1"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     @pytest.mark.parametrize("field,value", [
         ("frame", True), ("gt_class", 1.7), ("gt_class", "1"), ("gt_class", True),
@@ -133,7 +134,7 @@ class TestParseDetections:
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
         name = "frame_id" if field == "frame" else field
         with pytest.raises(ParseError, match=f"line 2: {name} must be a non-negative integer"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     @pytest.mark.parametrize("field,value", [
         ("score", True), ("score", "0.9"), ("bbox", ["0", 0, 5, 5]),
@@ -147,7 +148,7 @@ class TestParseDetections:
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "frame": 1, field: value})
                         + "\n")
         with pytest.raises(ParseError, match=f"line 2: {field} must hold real numbers"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     @pytest.mark.parametrize("field,value", [
         ("score", 10 ** 400), ("bbox", [0, 0, 10 ** 400, 5]), ("probs", [10 ** 400] + [1] * 4),
@@ -159,7 +160,7 @@ class TestParseDetections:
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({**good, field: value}) + "\n")
         with pytest.raises(ParseError, match="line 1: .*int too large to convert to float"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     @pytest.mark.parametrize("seq", [1, 1.5, [1], None, True, {"a": "b"}])
     def test_non_string_seq_is_parse_error(self, tmp_path, seq):
@@ -167,15 +168,16 @@ class TestParseDetections:
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "seq": seq}) + "\n")
         with pytest.raises(ParseError, match="line 2: seq must be a string"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
 
     def test_integral_numbers_parse_as_floats(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 1,
                                     "probs": [1, 0, 0, 0, 0], "embedding": [1, 2]}) + "\n")
-        (det,) = parse_detections(path, self._labels())["a"][0][1]
-        assert det.bbox.as_tuple() == (0.0, 0.0, 5.0, 5.0) and det.score == 1.0
-        assert int(np.argmax(det.dist.probs)) == 0 and det.embedding.tolist() == [1.0, 2.0]
+        cols = read_columns(path, self._labels())["a"]
+        assert cols.box.tolist() == [[0.0, 0.0, 5.0, 5.0]] and cols.score.tolist() == [1.0]
+        assert cols.box.dtype == cols.score.dtype == cols.emb.dtype == np.float64
+        assert int(np.argmax(cols.probs[0])) == 0 and cols.emb.tolist() == [[1.0, 2.0]]
 
     def test_deep_nesting_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -196,33 +198,82 @@ class TestParseDetections:
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [5, 0, 5, 5],
                                     "score": 0.9, "probs": [0.2] * 5}) + "\n")
         with pytest.raises(ParseError, match="line 1"):
-            parse_detections(path, self._labels())
+            read_columns(path, self._labels())
+
+
+_MAGNITUDES = st.floats(1e-300, 1e300)
+_CORNERS = st.one_of(st.just(-0.0), _MAGNITUDES, _MAGNITUDES.map(operator.neg))
+_IDS = st.integers(0, 2 ** 70)  # int64 ends at 2 ** 63 - 1
+_N_CLASSES = 3
+
+
+@st.composite
+def _frames(draw):
+    """One sequence's frames of legal rows, as ``write_detections`` takes them: frame ids
+    ascending, and an embedding of one size on every row or on none."""
+    dim = draw(st.none() | st.integers(1, 4))
+    frames = []
+    for frame_id in sorted(draw(st.sets(_IDS, min_size=1, max_size=4))):
+        rows = []
+        for _ in range(draw(st.integers(1, 3))):
+            (x1, x2), (y1, y2) = (sorted(draw(st.lists(_CORNERS, min_size=2, max_size=2,
+                                                       unique=True))) for _ in range(2))
+            raw = draw(st.lists(st.floats(0.0, 1e6), min_size=_N_CLASSES, max_size=_N_CLASSES))
+            raw[draw(st.integers(0, _N_CLASSES - 1))] = draw(st.floats(1e-3, 1e6))
+            emb = None if dim is None else np.array(draw(st.lists(
+                st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim)))
+            rows.append(DetectionRow(
+                frame_id, (x1, y1, x2, y2), draw(st.floats(0.0, 1.0)),
+                validate_distribution(np.array([raw]), _N_CLASSES)[0], emb,
+                draw(st.none() | _IDS), draw(st.none() | _IDS)))
+        frames.append((frame_id, rows))
+    return frames
+
+
+def _bits(values) -> list:
+    """Float values as the int64 patterns of their bits, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 class TestDetectionRoundTrip:
     def test_scenario_round_trips_exactly(self, tmp_path):
         scenario = _reference_scenario()
         path = tmp_path / "d.jsonl"
-        frames = [(f, dets) for f, dets in scenario.detection_frames() if dets]
-        write_detections({"seq-0": frames}, path)
-        parsed = parse_detections(path, scenario.label_set)["seq-0"]
-        assert [f for f, _ in parsed] == [f for f, _ in frames]
-        for (_, want), (_, got) in zip(frames, parsed):
-            assert len(want) == len(got)
-            for a, b in zip(want, got):
-                assert a.frame_id == b.frame_id
-                assert a.bbox.as_tuple() == b.bbox.as_tuple()
-                assert a.score == b.score
-                assert np.array_equal(a.dist.probs, b.dist.probs)
-                assert np.array_equal(a.embedding, b.embedding)
-                assert a.gt_class == b.gt_class
-                assert a.gt_track == b.gt_track
+        write_detections({"seq-0": scenario.detection_frames()}, path)
+        got, want = read_columns(path, scenario.label_set)["seq-0"], scenario.columns
+        for name in ("frame", "box", "score", "probs", "emb", "gt_class", "gt_track"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        listed = np.diff(want.starts) > 0  # a file lists only the frames with detections
+        assert got.frame_ids.tolist() == want.frame_ids[listed].tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.dictionaries(st.text(), _frames(), min_size=1, max_size=3))
+    def test_written_rows_read_back_bit_for_bit(self, sequences):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            write_detections(sequences, path)
+            got = read_columns(path, LabelSet(["a", "b", "c"]))
+        assert list(got) == sorted(sequences)
+        for seq, frames in sequences.items():
+            cols, rows = got[seq], [row for _, group in frames for row in group]
+            assert cols.frame_ids.tolist() == [frame_id for frame_id, _ in frames]
+            assert cols.starts.tolist() == np.cumsum([0] + [len(g) for _, g in frames]).tolist()
+            assert cols.frame.tolist() == [row.frame_id for row in rows]
+            for name in ("gt_class", "gt_track"):
+                assert getattr(cols, name).tolist() == [
+                    -1 if getattr(row, name) is None else getattr(row, name) for row in rows]
+            assert _bits(cols.box) == _bits([row.bbox for row in rows])
+            assert _bits(cols.score) == _bits([row.score for row in rows])
+            assert _bits(cols.probs) == _bits([row.probs for row in rows])
+            if rows[0].embedding is None:
+                assert cols.emb is None
+            else:
+                assert _bits(cols.emb) == _bits([row.embedding for row in rows])
 
 
 @lru_cache(maxsize=1)
 def _reference_run():
-    return run_sequence(_reference_scenario().detection_frames(),
-                        TrackerConfig(kind=TrackerKind.SORT))
+    return tracked(_reference_scenario().columns, TrackerConfig(kind=TrackerKind.SORT))
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +301,7 @@ class TestWriteTracks:
     def test_one_track_three_rows(self, tmp_path):
         from test_trackers import _det
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.IOU))
         path = tmp_path / "t.csv"
         write_tracks(relabel({"s": result.cols}, {"s": result.track}, FusionMode.NONE), path)
         rows = read_tracks(path)
@@ -296,13 +347,11 @@ class TestWriteTracks:
             jsonl = Path(tmp) / "d.jsonl"
             write_detections({name: [(f, [_det(f, (0, 0, 20, 20))]) for f in range(2)]
                               for name in names}, jsonl)
-            sequences = parse_detections(jsonl, LabelSet(["a", "b"]))
-            runs = {seq: run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
-                    for seq, frames in sequences.items()}
+            sequences = read_columns(jsonl, LabelSet(["a", "b"]))
+            tracks = {seq: track_columns(cols, TrackerConfig(kind=TrackerKind.IOU))
+                      for seq, cols in sequences.items()}
             csv_path = Path(tmp) / "t.csv"
-            write_tracks(relabel({seq: res.cols for seq, res in runs.items()},
-                                 {seq: res.track for seq, res in runs.items()}, FusionMode.NONE),
-                         csv_path)
+            write_tracks(relabel(sequences, tracks, FusionMode.NONE), csv_path)
             rows = read_tracks(csv_path)
         assert sorted(sequences) == sorted(names)
         assert [(r.seq, r.frame) for r in rows] == [(n, f) for n in sorted(names) for f in range(2)]

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import distribution
+from oracles import columns_of, detection, reference_frames
 from trackfuse.errors import EmptyEvaluation, IndexOutOfRange, NoEligibleTracks
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.metrics import (
@@ -17,7 +17,6 @@ from trackfuse.metrics import (
     format_profile_table,
     label_flip_rate,
 )
-from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -171,21 +170,19 @@ class TestLabelFlipRate:
                                 flicker=0.0, confidence=0.9, size_range=(40.0, 40.0))
         scenario = generate_scenario(config)
         frames = []
-        for f, dets in scenario.detection_frames():
+        for f, dets in reference_frames(scenario.columns):
             det = dets[0]
-            probs = det.dist.probs if f % 2 == 0 else det.dist.probs[::-1]
-            frames.append((f, [type(det)(frame_id=f, bbox=det.bbox, score=det.score,
-                                         dist=type(det.dist)(np.array(probs)),
-                                         embedding=det.embedding)]))
-        assert label_flip_rate(_tracked(Columns.from_frames(frames)), use_fused=False) == 1.0
+            probs = det.probs if f % 2 == 0 else det.probs[::-1]
+            frames.append((f, [det._replace(probs=np.array(probs))]))
+        assert label_flip_rate(_tracked(columns_of(frames)), use_fused=False) == 1.0
 
     def test_track_boundaries_are_not_flips(self):
         # Two constant tracks with different labels: no pair crosses between them.
         def det(f, x, probs):
-            return Detection(f, BoundingBox(x, 0, x + 20, 20), 0.9, distribution(probs))
+            return detection(f, (x, 0, x + 20, 20), probs)
 
         frames = [(f, [det(f, 0, [0.9, 0.1]), det(f, 500, [0.2, 0.8])]) for f in range(3)]
-        result = _tracked(Columns.from_frames(frames))
+        result = _tracked(columns_of(frames))
         assert result.track.tolist() == [1, 2] * 3 and result.raw.tolist() == [0, 1] * 3
         assert label_flip_rate(result, use_fused=False) == 0.0
 

@@ -1,4 +1,4 @@
-"""Core type validation and the distribution flooring contract."""
+"""Core type validation, the corner check, and the distribution flooring contract."""
 
 import gc
 import sys
@@ -10,16 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import distribution, reference_validate_distribution
+from oracles import columns_of, detection, reference_box, reference_validate_distribution
 from trackfuse.errors import DegenerateSum, InvalidValue, WrongLength
+from trackfuse.fusion import FusionMode, relabel
 from trackfuse.model import (
     PROB_FLOOR,
-    BoundingBox,
-    ClassDistribution,
     ColumnResult,
-    Columns,
-    Detection,
     LabelSet,
+    _readonly,
+    check_corners,
     track_runs,
     validate_distribution,
 )
@@ -40,11 +39,10 @@ class TestLabelSet:
             LabelSet(["a", "a"])
 
 
-class TestBoundingBox:
-    def test_properties(self):
-        b = BoundingBox(2, 3, 6, 11)
-        assert b.as_tuple() == (2.0, 3.0, 6.0, 11.0) and type(b.x1) is float
-        assert (0.5 * (b.x1 + b.x2), 0.5 * (b.y1 + b.y2)) == (4.0, 7.0)
+class TestCheckCorners:
+    def test_accepts_ordered_finite_corners(self):
+        assert check_corners(2, 3, 6, 11) is None
+        assert check_corners(-0.0, -1e300, 1e-300, 1e300) is None
 
     @pytest.mark.parametrize("corners", [
         (0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 1), (0, 0, float("nan"), 1),
@@ -52,7 +50,20 @@ class TestBoundingBox:
     ])
     def test_rejects_degenerate(self, corners):
         with pytest.raises(InvalidValue):
-            BoundingBox(*corners)
+            check_corners(*corners)
+
+    @pytest.mark.parametrize("corners", [
+        (float("nan"), 0, float("inf"), 1), (0, float("-inf"), 1, float("nan")), (5, 0, 1, 1),
+        (0, 1, 1, 1), (0, 0, 1, 10 ** 400), (float("nan"), 10 ** 400, 1, 1),
+    ])
+    def test_raises_as_the_reference_check_does(self, corners):
+        # The first non-finite corner names itself; an int past the float range overflows.
+        errors = []
+        for check in (check_corners, reference_box):
+            with pytest.raises((InvalidValue, OverflowError)) as info:
+                check(*corners)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 def _one(raw, n_classes: int) -> np.ndarray:
@@ -136,7 +147,7 @@ def _random_rows(rng, n_rows, n_classes):
         lambda: rng.integers(0, 4, n_classes).astype(float) + (np.arange(n_classes) == 0),
         lambda: rng.random(n_classes) * 1e-8 + 1e-9,
         lambda: rng.random(n_classes) * 1e307 + 1e306,
-        lambda: reference_validate_distribution(rng.random(n_classes) + 1e-3, n_classes).probs,
+        lambda: reference_validate_distribution(rng.random(n_classes) + 1e-3, n_classes),
     ]
     return np.array([kinds[rng.integers(len(kinds))]() for _ in range(n_rows)])
 
@@ -148,7 +159,7 @@ class TestValidateDistributionTable:
         rng = np.random.default_rng(n_classes)
         rows = _random_rows(rng, 3000 // n_classes + 20, n_classes)
         got = validate_distribution(rows, n_classes)
-        want = np.array([reference_validate_distribution(r, n_classes).probs for r in rows])
+        want = np.array([reference_validate_distribution(r, n_classes) for r in rows])
         assert np.array_equal(got, want)
         for start in range(0, len(rows), 7):  # a row's result does not depend on its batch
             assert np.array_equal(validate_distribution(rows[start:start + 7], n_classes),
@@ -174,20 +185,15 @@ class TestValidateDistributionTable:
                 validate_distribution(raw, 2)
         assert validate_distribution(np.empty((0, 3)), 3).shape == (0, 3)
 
+    def test_argmax_tie_breaks_low(self):
+        assert int(np.argmax(_one([0.5, 0.5], 2))) == 0
 
-class TestClassDistribution:
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidValue):
-            ClassDistribution(np.array([0.5, 0.4]))
 
-    def test_rejects_zero_entries(self):
-        with pytest.raises(InvalidValue):
-            ClassDistribution(np.array([1.0, 0.0]))
-
+class TestReadOnly:
     def test_is_readonly(self):
-        d = ClassDistribution(np.array([0.3, 0.7]))
+        row = _readonly(np.array([0.3, 0.7]))
         with pytest.raises(ValueError):
-            d.probs[0] = 0.9
+            row[0] = 0.9
 
     def test_marking_read_only_leaves_nothing_in_the_type_cache(self):
         # ``arr.flags.writeable = False`` looks ``setflags`` up through a new name string on
@@ -198,13 +204,13 @@ class TestClassDistribution:
         # one) allocate too.
         rows = [np.full(2, 0.5) for _ in range(2000)]
         for row in rows:
-            ClassDistribution(row)
+            _readonly(row)
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             for row in rows:
-                ClassDistribution(row)
+                _readonly(row)
             held = tracemalloc.get_traced_memory()[0]
             sys._clear_type_cache()
             freed = held - tracemalloc.get_traced_memory()[0]
@@ -213,45 +219,17 @@ class TestClassDistribution:
             gc.enable()
         assert freed <= 0  # clearing may allocate a little itself
 
-    def test_argmax_tie_breaks_low(self):
-        assert int(np.argmax(_one([0.5, 0.5], 2))) == 0
-
-
-class TestDetection:
-    def _dist(self):
-        return distribution([0.6, 0.4])
-
-    def test_basic(self):
-        det = Detection(3, BoundingBox(0, 0, 5, 5), 0.9, self._dist(),
-                        embedding=[1.0, 0.0], gt_class=1, gt_track=4)
-        assert det.frame_id == 3
-        assert det.embedding.flags.writeable is False
-
-    @pytest.mark.parametrize("score", [-0.1, 1.5, float("nan")])
-    def test_rejects_bad_score(self, score):
-        with pytest.raises(InvalidValue):
-            Detection(0, BoundingBox(0, 0, 1, 1), score, self._dist())
-
-    def test_rejects_negative_frame(self):
-        with pytest.raises(InvalidValue):
-            Detection(-1, BoundingBox(0, 0, 1, 1), 0.5, self._dist())
-
 
 class TestTrack:
     """A track is one id on rows of a ColumnResult; ``runs`` holds its rows in frame order."""
 
     def _columns(self):
-        d1 = distribution([0.6, 0.4])
-        d2 = distribution([0.3, 0.7])
-        return Columns.from_frames([
-            (0, [Detection(0, BoundingBox(0, 0, 2, 2), 0.9, d1)]),
-            (1, [Detection(1, BoundingBox(1, 0, 3, 2), 0.9, d2)]),
-        ])
+        return columns_of([(0, [detection(0, (0, 0, 2, 2), [0.6, 0.4])]),
+                           (1, [detection(1, (1, 0, 3, 2), [0.3, 0.7])])])
 
     def test_holds_only_id_and_entries(self):
         cols = self._columns()
-        raw = cols.probs.argmax(axis=1)
-        res = ColumnResult(cols, np.array([1, 1]), raw, raw)
+        res = relabel({"": cols}, {"": np.array([1, 1])}, FusionMode.NONE)
         assert [f.name for f in fields(ColumnResult)] == [
             "cols", "track", "raw", "fused", "names", "bounds", "runs"]
         order, starts = res.runs
@@ -261,15 +239,23 @@ class TestTrack:
     def test_frames_must_increase(self):
         # Two tracks interleaved over frames 0-2: each run lists its rows by frame.
         frame = np.array([0, 0, 1, 1, 2])
-        order, starts = track_runs(np.array([2, 1, 2, 1, 1]))
+        order, starts = track_runs(np.array([2, 1, 2, 1, 1]), np.array([0, 5]))
         assert order.tolist() == [1, 3, 4, 0, 2] and starts.tolist() == [0, 3]
         for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [len(order)]):
             run = frame[order[lo:hi]].tolist()
             assert all(b > a for a, b in zip(run, run[1:]))
 
+    @pytest.mark.parametrize("mode", list(FusionMode))
+    def test_no_sequences_make_an_empty_result(self, mode):
+        res = relabel({}, {}, mode)
+        assert res.names == () and res.bounds.tolist() == [0] and res.cols.starts.tolist() == [0]
+        assert [len(res.cols.frame), len(res.cols.frame_ids), len(res.track)] == [0, 0, 0]
+        assert res.cols.box.shape == (0, 4) and not res.cols.probs.flags.writeable
+        assert res.cols.emb is None and res.cols.frame.dtype == np.int64
+
     def test_id_must_be_positive(self):
         # Ids start at 1; -1 marks a row no track holds, and such rows are in no run.
         ids = track_columns(self._columns(), TrackerConfig(kind=TrackerKind.IOU))
         assert ids.tolist() == [1, 1]
-        order, starts = track_runs(np.array([-1, 1, -1, 2]))
+        order, starts = track_runs(np.array([-1, 1, -1, 2]), np.array([0, 4]))
         assert order.tolist() == [1, 3] and starts.tolist() == [0, 1]

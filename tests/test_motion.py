@@ -8,6 +8,7 @@ from oracles import (
     oracle_predict,
     oracle_update,
     random_box,
+    reference_box,
     reference_corner_boxes,
     reference_kf_init,
     reference_kf_predict,
@@ -18,7 +19,6 @@ from oracles import (
 )
 from trackfuse import motion
 from trackfuse.errors import InvalidConfig, NumericalBreakdown
-from trackfuse.model import BoundingBox
 from trackfuse.motion import (
     PSD_TOLERANCE,
     MotionModel,
@@ -48,15 +48,15 @@ def _min_eig(cov):
 
 class TestInit:
     def test_sort_square_box(self):
-        means, _ = kf_init(_obs(SORT, [BoundingBox(0, 0, 2, 2)]), SORT)
+        means, _ = kf_init(_obs(SORT, [reference_box(0, 0, 2, 2)]), SORT)
         assert np.allclose(means[:, 0], [1, 1, 4, 1, 0, 0, 0])
 
     def test_sort_tall_box(self):
-        means, _ = kf_init(_obs(SORT, [BoundingBox(0, 0, 2, 4)]), SORT)
+        means, _ = kf_init(_obs(SORT, [reference_box(0, 0, 2, 4)]), SORT)
         assert np.allclose(means[:, 0], [1, 2, 8, 0.5, 0, 0, 0])
 
     def test_centroid(self):
-        means, _ = kf_init(_obs(CENTROID, [BoundingBox(10, 10, 20, 20)]), CENTROID)
+        means, _ = kf_init(_obs(CENTROID, [reference_box(10, 10, 20, 20)]), CENTROID)
         assert np.allclose(means[:, 0], [15, 15, 0, 0])
 
     def test_spec_requires_positive_noise(self):
@@ -84,12 +84,12 @@ class TestInit:
 
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
-        means, covs = kf_init(_obs(SORT, [BoundingBox(5, 5, 15, 25)]), SORT)
+        means, covs = kf_init(_obs(SORT, [reference_box(5, 5, 15, 25)]), SORT)
         predicted, _ = kf_predict(means, covs, SORT)
         assert np.allclose(predicted[:4, 0], means[:4, 0])
 
     def test_centroid_one_step(self):
-        _, covs = kf_init(_obs(CENTROID, [BoundingBox(-1, -1, 1, 1)]), CENTROID)
+        _, covs = kf_init(_obs(CENTROID, [reference_box(-1, -1, 1, 1)]), CENTROID)
         predicted, _ = kf_predict(np.array([[0.0], [0.0], [1.0], [2.0]]), covs, CENTROID)
         assert np.allclose(predicted[:2, 0], [1.0, 2.0])
 
@@ -106,7 +106,7 @@ class TestPredict:
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
-        means, covs = kf_predict(*kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 20)]), SORT), SORT)
+        means, covs = kf_predict(*kf_init(_obs(SORT, [reference_box(0, 0, 10, 20)]), SORT), SORT)
         boxes, degenerate = corner_boxes(means, None, SORT)
         assert not degenerate[0]
         updated, _ = kf_update(means, covs, observe(SORT, boxes), SORT)
@@ -141,8 +141,8 @@ class TestUpdate:
         # takes over without the white-acceleration coupling inferring velocity.
         spec = MotionModelSpec(MotionModel.CENTROID_CV4, process_std=1e-12,
                                measurement_std=1e-4)
-        means, covs = kf_init(_obs(spec, [BoundingBox(0, 0, 10, 10)]), spec)
-        target = _obs(spec, [BoundingBox(40, 40, 50, 50)])
+        means, covs = kf_init(_obs(spec, [reference_box(0, 0, 10, 10)]), spec)
+        target = _obs(spec, [reference_box(40, 40, 50, 50)])
         z = target[:, 0]
         errors = []
         for _ in range(100):
@@ -197,7 +197,7 @@ class TestStateToBbox:
         assert np.isfinite(boxes).all()
 
     def test_centroid_without_extent(self):
-        means, _ = kf_init(_obs(CENTROID, [BoundingBox(0, 0, 2, 2)] * 3), CENTROID)
+        means, _ = kf_init(_obs(CENTROID, [reference_box(0, 0, 2, 2)] * 3), CENTROID)
         extents = np.array([[0.0, 0.0], [2.0, 2.0], [2.0, -1.0]]).T
         boxes, degenerate = corner_boxes(means, extents, CENTROID)
         assert degenerate.tolist() == [True, False, True]
@@ -293,7 +293,7 @@ class TestBatchedFilter:
         assert guarded or spec.model is MotionModel.CENTROID_CV4
 
     def test_guard_freezes_area_velocity_per_row(self):
-        means, covs = kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 10)] * 2), SORT)
+        means, covs = kf_init(_obs(SORT, [reference_box(0, 0, 10, 10)] * 2), SORT)
         means[6] = [-200.0, -50.0]  # area 100: state 0 would predict s <= 0
         predicted, _ = kf_predict(means, covs, SORT)
         assert predicted[2].tolist() == [100.0, 50.0]
@@ -308,13 +308,13 @@ class TestBatchedFilter:
             if step == "predict":
                 kf_predict(means, covs, SORT, ids=[4, 8, 9])
             else:
-                kf_update(means, covs, _obs(SORT, [BoundingBox(0, 0, 5, 5)] * 3), SORT,
+                kf_update(means, covs, _obs(SORT, [reference_box(0, 0, 5, 5)] * 3), SORT,
                           ids=[4, 8, 9])
 
     @pytest.mark.parametrize("step", ["init", "predict", "update"])
     def test_non_finite_covariance_names_its_track(self, step):
         # A NaN or inf covariance fails no inequality, so finiteness is its own check.
-        obs = _obs(SORT, [BoundingBox(0, 0, 5, 5), BoundingBox(0, 0, 1e154, 1e154)])
+        obs = _obs(SORT, [reference_box(0, 0, 5, 5), reference_box(0, 0, 1e154, 1e154)])
         with pytest.raises(NumericalBreakdown, match="covariance of track 8 is not finite"):
             if step == "init":
                 kf_init(obs, SORT, ids=[4, 8])
@@ -326,17 +326,17 @@ class TestBatchedFilter:
                 kf_update(means, covs, obs[:, :1].repeat(2, axis=1), SORT, ids=[4, 8])
 
     def test_non_finite_mean_names_its_track(self):
-        means, covs = kf_init(_obs(CENTROID, [BoundingBox(0, 0, 5, 5)] * 2), CENTROID)
+        means, covs = kf_init(_obs(CENTROID, [reference_box(0, 0, 5, 5)] * 2), CENTROID)
         means[0, 1] = np.nan
         with pytest.raises(NumericalBreakdown, match="mean of track 3 is not finite"):
             kf_predict(means, covs, CENTROID, ids=[2, 3])
 
     def test_inputs_are_not_written(self):
-        means, covs = kf_init(_obs(SORT, [BoundingBox(0, 0, 10, 10)]), SORT)
+        means, covs = kf_init(_obs(SORT, [reference_box(0, 0, 10, 10)]), SORT)
         means[6, 0] = -500.0
         before = (means.copy(), covs.copy())
         kf_predict(means, covs, SORT)
-        kf_update(means, covs, _obs(SORT, [BoundingBox(1, 1, 9, 9)]), SORT)
+        kf_update(means, covs, _obs(SORT, [reference_box(1, 1, 9, 9)]), SORT)
         assert np.array_equal(means, before[0]) and np.array_equal(covs, before[1])
 
 

@@ -2,7 +2,7 @@
 
 ``oracles.reference_track_outputs`` keeps the per-detection pipeline as it
 ran before sequences became columns: the line-by-line parser, one
-``tracker_step`` per frame over Detection lists, track and label records of
+``tracker_step`` per frame over RefDetection lists, track and label records of
 its own, per-track fusion and per-record metrics.  On random multi-sequence
 files, every tracker, fusion mode and ``--online`` setting, with or without
 ``--matched-only``, must give the same CSV and metrics JSON, or the same error.

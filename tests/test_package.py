@@ -1,6 +1,6 @@
 """Package surface: the top level exports the library pipeline, which writes what `track` does.
 
-The pipeline is ``parse_detections`` -> ``run_sequence`` -> ``relabel`` -> ``write_tracks``.
+The pipeline is ``read_columns`` -> ``track_columns`` -> ``relabel`` -> ``write_tracks``.
 """
 
 import os
@@ -17,7 +17,7 @@ from trackfuse.synth import ScenarioConfig, generate_scenario
 
 SRC = Path(__file__).parents[1] / "src"
 
-PIPELINE = {"read_labels", "parse_detections", "TrackerConfig", "TrackerKind", "run_sequence",
+PIPELINE = {"read_labels", "read_columns", "TrackerConfig", "TrackerKind", "track_columns",
             "FusionMode", "relabel", "write_tracks", "TrackfuseError"}
 
 
@@ -66,11 +66,10 @@ def two_sequences(tmp_path_factory):
 @pytest.mark.parametrize("kind", list(trackfuse.TrackerKind))
 def test_library_pipeline_writes_the_track_csv(tmp_path, two_sequences, kind, mode, online):
     dets, labels = two_sequences
-    sequences = trackfuse.parse_detections(dets, trackfuse.read_labels(labels))
-    runs = {seq: trackfuse.run_sequence(frames, trackfuse.TrackerConfig(kind=kind))
-            for seq, frames in sequences.items()}
-    result = trackfuse.relabel({seq: res.cols for seq, res in runs.items()},
-                               {seq: res.track for seq, res in runs.items()}, mode, online)
+    sequences = trackfuse.read_columns(dets, trackfuse.read_labels(labels))
+    tracks = {seq: trackfuse.track_columns(cols, trackfuse.TrackerConfig(kind=kind))
+              for seq, cols in sequences.items()}
+    result = trackfuse.relabel(sequences, tracks, mode, online)
     trackfuse.write_tracks(result, tmp_path / "lib.csv")
     assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", kind.value,
                  "--fusion", mode.value, "--output", str(tmp_path / "cli.csv")]

@@ -18,9 +18,10 @@ from trackfuse.trackers import TrackerKind
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
-# Trace targets that `track` never calls, so their spans never open: `track`
-# reads columns (`io.read_columns`) and tracks them with `track_columns`.
-# Retargeting the trace is ROADMAP item 7.
+# Trace targets that `track` never calls, so their spans never open: each name is
+# an alias kept only for the trace (`io.parse_detections` of `read_columns`,
+# `cli.run_sequence` of `track_columns`), and `track` calls the functions by their
+# own names.  Retargeting the trace onto those names is ROADMAP item 7.
 NEVER_CALLED = {
     ("trackfuse.io", "parse_detections"),
     ("trackfuse.cli", "run_sequence"),

@@ -8,7 +8,8 @@ import pytest
 
 from trackfuse.cli import main
 from trackfuse.errors import InvalidConfig, InvalidValue
-from trackfuse.model import Columns, validate_distribution
+from oracles import columns_of
+from trackfuse.model import validate_distribution
 from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -209,10 +210,12 @@ class TestPinnedOutput:
         frames = generate_scenario(self.SPARSE).detection_frames()
         assert [f for f, _ in frames] == list(range(self.SPARSE.num_frames))
         assert any(not dets for _, dets in frames)
+        rows = [det for _, dets in frames for det in dets]
+        assert not any(det.probs.flags.writeable or det.embedding.flags.writeable for det in rows)
 
     @pytest.mark.parametrize("kind", list(TrackerKind))
     def test_columns_track_like_their_object_form(self, kind):
         scenario = generate_scenario(self.SPARSE)
         config = TrackerConfig(kind=kind, max_age=1)
-        want = track_columns(Columns.from_frames(scenario.detection_frames()), config)
+        want = track_columns(columns_of(scenario.detection_frames()), config)
         assert track_columns(scenario.columns, config).tolist() == want.tolist()

@@ -8,18 +8,21 @@ import numpy as np
 import pytest
 
 from oracles import (
-    distribution,
+    columns_of,
+    detection,
     random_box,
+    reference_box,
     reference_centroid_cost,
     reference_corner_boxes,
     reference_cosine_matrix,
+    reference_frames,
     reference_greedy_iou,
     reference_tracker_step,
     track_frames,
+    tracked,
 )
 from trackfuse import assoc, motion, trackers
 from trackfuse.errors import InvalidConfig, InvalidValue, MissingEmbedding, OutOfOrderFrame
-from trackfuse.model import BoundingBox, Columns, Detection
 from trackfuse.motion import MotionModel, MotionModelSpec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import (
@@ -29,7 +32,6 @@ from trackfuse.trackers import (
     _cosine_matrix,
     _geometric_cost,
     _greedy_iou,
-    run_sequence,
     tracker_step,
 )
 
@@ -37,25 +39,17 @@ ALL_KINDS = list(TrackerKind)
 
 
 def _det(frame, box, probs=(0.7, 0.3), score=0.9, emb=(1.0, 0.0), gt=None):
-    return Detection(
-        frame_id=frame,
-        bbox=BoundingBox(*box),
-        score=score,
-        dist=distribution(probs),
-        embedding=None if emb is None else np.asarray(emb, dtype=float),
-        gt_track=gt,
-    )
+    return detection(frame, box, probs, score, emb, gt_track=gt)
 
 
 def _observe(boxes, config):
     """The ``motion.observe`` rows of (4, n) ``boxes`` that a Kalman ``tracker_step`` takes."""
-    kalman = config.kind in trackers._KF_KINDS
-    return motion.observe(config.resolved_motion_spec(), boxes) if kalman else None
+    return None if config._kalman is None else motion.observe(config._kalman, boxes)
 
 
 def _step(state, frame_id, dets, config):
     """``tracker_step`` over the column slices of one frame's ``dets``."""
-    cols = Columns.from_frames([(frame_id, dets)])
+    cols = columns_of([(frame_id, dets)])
     boxes = cols.box.T
     return tracker_step(state, frame_id, boxes, _observe(boxes, config), cols.score, cols.emb,
                         config)
@@ -79,12 +73,12 @@ class TestSingleObject:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_stationary_box_makes_one_track(self, kind):
         frames = [(f, [_det(f, (50, 50, 90, 90))]) for f in range(3)]
-        result = run_sequence(frames, TrackerConfig(kind=kind))
+        result = tracked(frames, TrackerConfig(kind=kind))
         assert track_frames(result) == {1: (0, 1, 2)}
         assert result.track.tolist() == [1, 1, 1]
 
     def test_empty_sequence(self):
-        result = run_sequence([], TrackerConfig(kind=TrackerKind.SORT))
+        result = tracked([], TrackerConfig(kind=TrackerKind.SORT))
         assert track_frames(result) == {}
         assert len(result.track) == len(result.raw) == len(result.fused) == 0
 
@@ -96,7 +90,7 @@ class TestSingleObject:
                 _det(f, (0, 0, 20, 20), emb=(1.0, 0.0), gt=1),
                 _det(f, (300, 300, 320, 320), emb=(0.0, 1.0), gt=2),
             ]))
-        result = run_sequence(frames, TrackerConfig(kind=kind))
+        result = tracked(frames, TrackerConfig(kind=kind))
         assert len(track_frames(result)) == 2
         cover = _gt_coverage(result)
         assert all(len(s) == 1 for s in cover.values())
@@ -114,7 +108,7 @@ def _crossing_frames():
     )
     scenario = generate_scenario(config)
     frames = []
-    for f, dets in scenario.detection_frames():
+    for f, dets in reference_frames(scenario.columns):
         if 9 <= f <= 11:
             dets = [d for d in dets if d.gt_track != 2]
         frames.append((f, dets))
@@ -123,7 +117,7 @@ def _crossing_frames():
 
 class TestCrossingScenario:
     def test_sort_survives_the_crossing(self):
-        result = run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.SORT))
+        result = tracked(_crossing_frames(), TrackerConfig(kind=TrackerKind.SORT))
         cover = _gt_coverage(result)
         assert len(track_frames(result)) == 2
         assert cover == {1: {1}, 2: {2}}
@@ -131,7 +125,7 @@ class TestCrossingScenario:
         assert (result.track >= 0).all()
 
     def test_centroid_switches_and_fragments(self):
-        result = run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.CENTROID))
+        result = tracked(_crossing_frames(), TrackerConfig(kind=TrackerKind.CENTROID))
         cover = _gt_coverage(result)
         # Position-only matching hands the reappearing object's slot to the
         # wrong identity and then spawns a fresh track: one impure track,
@@ -141,9 +135,9 @@ class TestCrossingScenario:
 
     def test_motion_model_beats_position_matching_here(self):
         sort_cover = _gt_coverage(
-            run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.SORT)))
+            tracked(_crossing_frames(), TrackerConfig(kind=TrackerKind.SORT)))
         centroid_cover = _gt_coverage(
-            run_sequence(_crossing_frames(), TrackerConfig(kind=TrackerKind.CENTROID)))
+            tracked(_crossing_frames(), TrackerConfig(kind=TrackerKind.CENTROID)))
         sort_switches = sum(len(s) - 1 for s in sort_cover.values())
         centroid_switches = sum(len(s) - 1 for s in centroid_cover.values())
         assert sort_switches == 0
@@ -155,8 +149,8 @@ class TestFullScene:
     def test_noiseless_scene_perfectly_covered(self, kind):
         config = ScenarioConfig(seed=0, num_objects=5, num_frames=100,
                                 dropout=0.0, jitter=0.0, flicker=0.0)
-        frames = generate_scenario(config).detection_frames()
-        result = run_sequence(frames, TrackerConfig(kind=kind))
+        frames = generate_scenario(config).columns
+        result = tracked(frames, TrackerConfig(kind=kind))
         cover = _gt_coverage(result)
         assert len(track_frames(result)) == 5
         assert all(len(s) == 1 for s in cover.values())
@@ -171,8 +165,8 @@ class TestFullScene:
             start_centers=((100.0, 100.0), (200.0, 350.0), (300.0, 600.0)),
             velocities=((6.0, 0.0), (6.0, 0.0), (6.0, 0.0)),
         )
-        frames = generate_scenario(config).detection_frames()
-        result = run_sequence(frames, TrackerConfig(kind=kind))
+        frames = generate_scenario(config).columns
+        result = tracked(frames, TrackerConfig(kind=kind))
         cover = _gt_coverage(result)
         assert len(track_frames(result)) == 3
         assert sum(len(s) - 1 for s in cover.values()) == 0
@@ -180,9 +174,9 @@ class TestFullScene:
     def test_matching_is_bijective_per_frame(self):
         config = ScenarioConfig(seed=5, num_objects=6, num_frames=60,
                                 dropout=0.1, jitter=1.5, flicker=0.2)
-        frames = generate_scenario(config).detection_frames()
+        frames = generate_scenario(config).columns
         for kind in ALL_KINDS:
-            result = run_sequence(frames, TrackerConfig(kind=kind))
+            result = tracked(frames, TrackerConfig(kind=kind))
             per_frame_tracks = {}
             for frame_id, track_id in zip(result.cols.frame.tolist(), result.track.tolist()):
                 if track_id < 0:
@@ -194,8 +188,8 @@ class TestFullScene:
     def test_track_invariants_hold(self):
         config = ScenarioConfig(seed=6, num_objects=4, num_frames=50,
                                 dropout=0.05, jitter=1.0, flicker=0.3)
-        frames = generate_scenario(config).detection_frames()
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
+        frames = generate_scenario(config).columns
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         for frames_seen in track_frames(result).values():
             assert all(b > a for a, b in zip(frames_seen, frames_seen[1:]))
 
@@ -203,9 +197,9 @@ class TestFullScene:
     def test_identical_runs_are_identical(self, kind):
         config = ScenarioConfig(seed=9, num_objects=5, num_frames=40,
                                 dropout=0.1, jitter=1.0, flicker=0.25)
-        frames = generate_scenario(config).detection_frames()
-        a = run_sequence(frames, TrackerConfig(kind=kind))
-        b = run_sequence(frames, TrackerConfig(kind=kind))
+        frames = generate_scenario(config).columns
+        a = tracked(frames, TrackerConfig(kind=kind))
+        b = tracked(frames, TrackerConfig(kind=kind))
         assert track_frames(a) == track_frames(b)
         assert np.array_equal(a.cols.probs[a.runs[0]], b.cols.probs[b.runs[0]])
         assert a.cols.frame.tolist() == b.cols.frame.tolist()
@@ -219,13 +213,13 @@ class TestGreedyIou:
         boxes = [(left, right)[k] for k in order]
         frames = [(0, [_det(0, b) for b in boxes]),
                   (1, [_det(1, (5, 0, 15, 10))])]  # IoU 1/3 with both tracks
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.IOU))
         assert result.track[-1] == 1
 
     def test_equal_iou_goes_to_lower_detection_index(self):
         frames = [(0, [_det(0, (5, 0, 15, 10))]),
                   (1, [_det(1, (10, 0, 20, 10)), _det(1, (0, 0, 10, 10))])]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.IOU))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.IOU))
         assert result.track[1:].tolist() == [1, 2]
 
     @pytest.mark.parametrize("gate", [0.0, 0.1, 0.3])
@@ -237,7 +231,7 @@ class TestGreedyIou:
             # A coarse grid makes many IoUs tie exactly.
             x, y = rng.integers(0, 6, size=2) * 5
             w, h = rng.integers(1, 4, size=2) * 5
-            return BoundingBox(x, y, x + w, y + h)
+            return reference_box(x, y, x + w, y + h)
 
         for _ in range(500):
             tracks = [SimpleNamespace(last_bbox=box()) for _ in range(rng.integers(0, 7))]
@@ -252,9 +246,9 @@ class TestByteTrack:
         config = ScenarioConfig(seed=12, num_objects=5, num_frames=60,
                                 dropout=0.1, jitter=1.0, flicker=0.2,
                                 score_range=(0.2, 1.0))
-        frames = generate_scenario(config).detection_frames()
-        sort_result = run_sequence(frames, TrackerConfig(kind=TrackerKind.SORT))
-        byte_result = run_sequence(
+        frames = generate_scenario(config).columns
+        sort_result = tracked(frames, TrackerConfig(kind=TrackerKind.SORT))
+        byte_result = tracked(
             frames, TrackerConfig(kind=TrackerKind.BYTETRACK,
                                   det_threshold_low=0.5, det_threshold_high=0.5))
         assert len(sort_result.track) == len(byte_result.track)
@@ -267,7 +261,7 @@ class TestByteTrack:
             (1, [_det(1, (2, 0, 22, 20), score=0.3),          # extends track 1
                  _det(1, (200, 200, 220, 220), score=0.3)]),  # must not spawn
         ]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         assert track_frames(result) == {1: (0, 1)}
         assert result.track[result.cols.frame == 1].tolist() == [1, -1]
 
@@ -276,7 +270,7 @@ class TestByteTrack:
             (0, [_det(0, (0, 0, 20, 20), score=0.9)]),
             (1, [_det(1, (2, 0, 22, 20), score=0.05)]),
         ]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         assert track_frames(result) == {1: (0,)}
         assert result.track[1] == -1
 
@@ -288,7 +282,7 @@ class TestLifecycle:
         frames += [(f, []) for f in range(2, 6)]
         frames.append((6, [_det(6, (1, 0, 21, 20))]))
         config = TrackerConfig(kind=TrackerKind.IOU, max_age=2)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         # Misses at frames 2, 3, 4 exceed max_age=2: the track dies; the
         # reappearance spawns a fresh id.
         assert track_frames(result) == {1: (0, 1), 2: (6,)}
@@ -298,7 +292,7 @@ class TestLifecycle:
                   (1, []), (2, []),
                   (3, [_det(3, (1, 0, 21, 20))])]
         config = TrackerConfig(kind=TrackerKind.IOU, max_age=5)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         assert track_frames(result) == {1: (0, 3)}
 
     def test_min_hits_discards_short_tracks(self):
@@ -306,14 +300,14 @@ class TestLifecycle:
                   (1, [_det(1, (0, 0, 20, 20))])]
         frames += [(f, []) for f in range(2, 15)]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=3, max_age=3)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         assert track_frames(result) == {}
         assert (result.track == -1).all()
 
     def test_min_hits_confirmation(self):
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=3)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         assert list(track_frames(result).values()) == [(0, 1, 2)]
 
     def test_min_hits_counts_entries_not_consecutive_matches(self):
@@ -322,7 +316,7 @@ class TestLifecycle:
         frames = [(0, [_det(0, (0, 0, 20, 20))]), (1, []),
                   (2, [_det(2, (1, 0, 21, 20))])]
         config = TrackerConfig(kind=TrackerKind.IOU, min_hits=2)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         assert list(track_frames(result).values()) == [(0, 2)]
         assert result.track.tolist() == [1, 1]
 
@@ -337,7 +331,7 @@ class TestLifecycle:
                 seed=seed, num_objects=1 + seed % 3, num_frames=25, dropout=0.3, jitter=2.0,
                 score_range=(0.0, 1.0)))
             state, ref = TrackerState(), TrackerState()
-            for frame_id, dets in scenario.detection_frames():
+            for frame_id, dets in reference_frames(scenario.columns):
                 empty += not len(state.table["id"])
                 state, ids = _step(state, frame_id, dets, config)
                 ref, want = reference_tracker_step(ref, frame_id, dets, config)
@@ -348,7 +342,7 @@ class TestLifecycle:
 
     def test_low_scores_do_not_spawn_tracks(self):
         frames = [(f, [_det(f, (0, 0, 20, 20), score=0.4)]) for f in range(3)]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.SORT))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.SORT))
         assert track_frames(result) == {}
         assert (result.track == -1).all()
 
@@ -384,7 +378,7 @@ class TestAppearance:
         frames = [(0, [_det(0, (0, 0, 20, 20), emb=(1.0, 0.0))]),
                   (1, [_det(1, (0, 0, 20, 20), emb=(0.0, 1.0))])]
         config = TrackerConfig(kind=TrackerKind.APPEARANCE, cosine_gate=0.5)
-        result = run_sequence(frames, config)
+        result = tracked(frames, config)
         assert len(track_frames(result)) == 2
 
 
@@ -404,7 +398,7 @@ class TestTrackTable:
         for kind, n, poked in [(TrackerKind.SORT, 1, [0]), (TrackerKind.SORT, 4, [1, 3]),
                                (TrackerKind.SORT, 4, []), (TrackerKind.CENTROID_KF, 4, [])]:
             config = TrackerConfig(kind=kind)
-            spec = config.resolved_motion_spec()
+            spec = config._kalman
             state, _ = _step(TrackerState(), 0, [_det(0, box) for box in boxes[:n]], config)
             for row in poked:
                 state.table["mean"][[2, 6], row] = (-5.0, 0.0)
@@ -443,7 +437,7 @@ class TestTrackTable:
         frames = [(0, [_det(0, (0, 0, 20, 20)), _det(0, (100, 0, 120, 20))]),
                   (1, [_det(1, (1, 0, 21, 20)), _det(1, (101, 0, 121, 20), score=0.3)]),
                   (2, [_det(2, (2, 0, 22, 20))])]
-        result = run_sequence(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
+        result = tracked(frames, TrackerConfig(kind=TrackerKind.BYTETRACK))
         assert list(track_frames(result).values()) == [(0, 1, 2), (0, 1)]
         assert calls == [("kf_predict", 2), ("kf_update", 2), ("kf_predict", 2), ("kf_update", 1)]
 
@@ -462,7 +456,7 @@ class TestTrackTable:
         frames += [(2, [_det(2, (2, 0, 22, 20)), _det(2, (4, 0, 24, 20)),
                         _det(2, (100, 0, 120, 20))]),
                    (3, [_det(3, (100, 0, 120, 20))])]
-        ids = trackers.track_columns(Columns.from_frames(frames), TrackerConfig(kind=TrackerKind.SORT))
+        ids = trackers.track_columns(columns_of(frames), TrackerConfig(kind=TrackerKind.SORT))
         assert ids.tolist() == [1, 2, 1, 2, 1, 3, 2, 2]
         step = "tracker_step"
         assert calls == ["observe", step, step, step, "linear_sum_assignment", step]
@@ -585,12 +579,12 @@ class TestTrackTable:
 
     def test_entries_are_the_detections_passed_in(self):
         dets = [_det(f, (f, 0, 20 + f, 20)) for f in range(3)]
-        result = run_sequence([(f, [det]) for f, det in enumerate(dets)],
+        result = tracked([(f, [det]) for f, det in enumerate(dets)],
                               TrackerConfig(kind=TrackerKind.SORT))
         assert track_frames(result) == {1: (0, 1, 2)}
         assert result.cols.box.tolist() == [list(det.bbox.as_tuple()) for det in dets]
         assert result.cols.score.tolist() == [det.score for det in dets]
-        assert np.array_equal(result.cols.probs, [det.dist.probs for det in dets])
+        assert np.array_equal(result.cols.probs, [det.probs for det in dets])
         assert np.array_equal(result.cols.emb, [det.embedding for det in dets])
 
 
@@ -603,15 +597,6 @@ class TestStepContract:
             _step(state, 5, [], config)
         with pytest.raises(OutOfOrderFrame):
             _step(state, 4, [], config)
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_detection_of_another_frame_is_invalid(self, kind):
-        config = TrackerConfig(kind=kind)
-        with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 0"):
-            run_sequence([(1, [_det(0, (0, 0, 10, 10))])], config)
-        frames = [(0, [_det(0, (0, 0, 10, 10))]), (1, [_det(2, (0, 0, 10, 10))])]
-        with pytest.raises(InvalidValue, match="frame 1 holds a detection of frame 2"):
-            run_sequence(frames, config)
 
     def test_assignments_cover_every_detection(self):
         state = TrackerState()
@@ -652,7 +637,7 @@ class TestLinearAlgebraPerFrame:
             per_frame.append(calls[before:])
             return out
         monkeypatch.setattr(trackers, "tracker_step", step)
-        ids = trackers.track_columns(Columns.from_frames(frames), TrackerConfig(kind=kind))
+        ids = trackers.track_columns(columns_of(frames), TrackerConfig(kind=kind))
         low_track = 2 if kind is TrackerKind.BYTETRACK else -1  # stage two takes the 0.3 box
         assert ids.tolist() == [1, 2] * 3 + [1, low_track] + [1, 2]
         assert per_frame == [[]] * 5
@@ -711,7 +696,7 @@ class TestCallBudgetPerFrame:
         state = TrackerState()
         sys.setprofile(profile)
         try:
-            for frame_id, dets in scenario.detection_frames():
+            for frame_id, dets in reference_frames(scenario.columns):
                 if frame_id == degenerate_at:  # track 1 predicts area -5: no box
                     state.table["mean"][[2, 6], 0] = (-5.0, 0.0)
                 state, _ = _step(state, frame_id, dets, config)
@@ -769,7 +754,7 @@ class TestConfig:
         assert config.kind is TrackerKind.CENTROID_KF
         assert config.iou_gate == 0.4
         assert config.motion_spec.process_std == 2.0
-        assert config.resolved_motion_spec().model is MotionModel.CENTROID_CV4
+        assert config._kalman.model is MotionModel.CENTROID_CV4
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(InvalidConfig):
@@ -807,12 +792,12 @@ class TestConfig:
         assert type(config.iou_gate) is float and type(config.max_age) is int
 
     def test_default_motion_model_per_kind(self):
-        assert (TrackerConfig(kind=TrackerKind.SORT).resolved_motion_spec().model
-                is MotionModel.SORT_CV7)
-        assert (TrackerConfig(kind=TrackerKind.CENTROID_KF).resolved_motion_spec().model
-                is MotionModel.CENTROID_CV4)
+        assert TrackerConfig(kind=TrackerKind.SORT)._kalman.model is MotionModel.SORT_CV7
+        assert TrackerConfig(kind=TrackerKind.CENTROID_KF)._kalman.model is MotionModel.CENTROID_CV4
 
-    @pytest.mark.parametrize("kind", [TrackerKind.SORT, TrackerKind.CENTROID_KF])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_motion_spec_is_resolved_once_per_config(self, kind):
-        config = TrackerConfig(kind=kind)
-        assert config.resolved_motion_spec() is config.resolved_motion_spec()
+        # A given spec is kept as it is, for the Kalman kinds only; the others have none.
+        spec = MotionModelSpec(MotionModel.SORT_CV7, dt=2.0)
+        config = TrackerConfig(kind=kind, motion_spec=spec)
+        assert config._kalman is (spec if kind in trackers._KF_KINDS else None)
