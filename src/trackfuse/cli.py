@@ -123,13 +123,13 @@ def _tracker_config(args) -> TrackerConfig:
     return TrackerConfig.from_dict({**file_cfg, "kind": args.tracker})
 
 
-def _run_all(sequences: Dict[str, Columns], config: TrackerConfig, mode: FusionMode,
-             online: bool, timer=NULL_TIMER) -> ColumnResult:
-    """Track every sequence, one after another in name order, then fuse them all in one pass."""
+def _run_all(cols: Columns, config: TrackerConfig, mode: FusionMode, online: bool,
+             timer=NULL_TIMER) -> ColumnResult:
+    """Track every sequence of the file ``cols``, one after another, then fuse them in one pass."""
     with timer.stage(STAGE_MOT):
-        tracks = {seq: track_columns(sequences[seq], config, timer) for seq in sorted(sequences)}
+        track = track_columns(cols, config, timer)
     with timer.stage(STAGE_FUSION):
-        return relabel(sequences, tracks, mode, online=online)
+        return relabel(cols, track, mode, online=online)
 
 
 def _cmd_synth(args) -> int:
@@ -273,9 +273,9 @@ def _cmd_bench(args) -> int:
         raise InvalidConfig(f"unknown tracker in --trackers: {exc}") from None
     # Ingest does not depend on the tracker: it is timed once and shared by every profile.
     ingest_timer = StageTimer()
-    sequences = io.read_columns(args.input, label_set, timer=ingest_timer)
-    samples = sum(len(cols.frame_ids) for cols in sequences.values())
-    bare = [seq for seq, cols in sequences.items() if cols.emb is None]
+    cols = io.read_columns(args.input, label_set, timer=ingest_timer)
+    samples = len(cols.frame_ids)
+    bare = [seq for seq, emb in zip(cols.names, cols.emb) if emb is None]
     if bare and TrackerKind.APPEARANCE in kinds:
         # Appearance association is meaningless without embeddings; skip it.
         print(f"note: skipping appearance: sequence {bare[0]!r} has no embeddings", file=sys.stderr)
@@ -285,8 +285,8 @@ def _cmd_bench(args) -> int:
     for kind in kinds:
         timer = StageTimer()
         timer.totals_s.update(ingest_timer.totals_s)
-        result = _run_all(sequences, TrackerConfig(kind=kind), FusionMode(args.fusion),
-                          online=False, timer=timer)
+        result = _run_all(cols, TrackerConfig(kind=kind), FusionMode(args.fusion), online=False,
+                          timer=timer)
         with timer.stage(STAGE_METRICS):
             pairs = evaluation_pairs(result, use_fused=True)
             if len(pairs):

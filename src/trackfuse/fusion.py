@@ -5,17 +5,16 @@ product, computed as a sum of log probabilities so long tracks never
 underflow.  The consensus label is the argmax of that log sum; relabeling
 retroactively overrides every frame of the track with it.
 
-:func:`relabel` fuses a file in one pass: it takes ``np.log`` of the
-tracked rows of every sequence once, lays all tracks out in (sequence,
-track, frame) order, and gives the tracks of each length one ``np.cumsum``
-along their frames, so each track adds in the order of its own ``np.cumsum``;
-``np.add.reduceat`` would not match it bit for bit.
+:func:`relabel` fuses a file's :class:`~trackfuse.model.Columns` record in one
+pass: it takes ``np.log`` of the file's tracked rows once, lays all tracks out
+in (sequence, track, frame) order, and gives the tracks of each length one
+``np.cumsum`` along their frames, so each track adds in the order of its own
+``np.cumsum``; ``np.add.reduceat`` would not match it bit for bit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping
 
 import numpy as np
 
@@ -67,22 +66,18 @@ def _track_labels(probs: np.ndarray, starts: np.ndarray, mode: FusionMode,
     return np.repeat(labels[ends - 1], ends - starts)
 
 
-def relabel(sequences: Mapping[str, Columns], tracks: Mapping[str, np.ndarray], mode: FusionMode,
+def relabel(cols: Columns, track: np.ndarray, mode: FusionMode,
             online: bool = False) -> ColumnResult:
-    """The tracked sequences, in name order, as one result with each track's fused labels.
+    """The tracked file ``cols`` with each track's fused labels.
 
-    ``tracks[seq]`` holds a track id per row of ``sequences[seq]``.  Retroactive
-    by default; with ``online`` a row's label uses rows up to its frame.  Rows
-    without a track, and every row under ``NONE``, keep raw labels.
+    ``track`` holds a track id per row of ``cols``, each sequence numbering its
+    own.  Retroactive by default; with ``online`` a row's label uses rows up to
+    its frame.  Rows without a track, and every row under ``NONE``, keep raw labels.
     """
-    names = tuple(sorted(tracks))
-    cols = Columns.concat([sequences[seq] for seq in names])
-    track = np.concatenate([tracks[seq] for seq in names] or [np.zeros(0, dtype=np.int64)])
-    bounds = np.cumsum([0] + [len(tracks[seq]) for seq in names])
     raw = cols.probs.argmax(axis=1)
-    order, starts = runs = track_runs(track, bounds)
+    order, starts = runs = track_runs(track, cols.bounds)
     fused = raw
     if mode is not FusionMode.NONE and len(order):
         fused = raw.copy()
         fused[order] = _track_labels(cols.probs[order], starts, mode, online)
-    return ColumnResult(cols, track, raw, fused, names, bounds, runs)
+    return ColumnResult(cols, track, raw, fused, runs)

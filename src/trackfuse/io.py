@@ -5,12 +5,13 @@ Detections travel one JSON object per line with keys ``seq``, ``frame``,
 ``gt_class``, ``gt_track``.  Floats are serialized at full precision (shortest
 round-trip form), so writing and re-parsing reproduces values exactly.
 
-:func:`read_columns` fills one :class:`~trackfuse.model.Columns` record per
-sequence from 256-line chunks.  Each chunk is checked and converted one field
+:func:`read_columns` fills one :class:`~trackfuse.model.Columns` record for a
+whole file from 256-line chunks.  Each chunk is checked and converted one field
 at a time, with one type scan and one numpy conversion per field, and its
 probability rows are validated in one batch.  A chunk that fails a field check
 is checked again line by line, each line's fields in turn, to name the first
-bad line and field.
+bad line and field.  The record lays its sequences out in name order, whatever
+the order of the file's lines.
 :func:`write_tracks` writes the track CSV of a file's
 :class:`~trackfuse.model.ColumnResult` in one pass over its rows.
 :func:`write_detections` writes per-frame :class:`DetectionRow` lists, which
@@ -146,8 +147,8 @@ def read_records(path) -> Iterator[Tuple[int, dict]]:
         raise EmptyFile(f"detection file {path} contains no records")
 
 
-def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Columns]:
-    """One :class:`Columns` record per sequence of a detections file, in order of appearance.
+def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Columns:
+    """The :class:`Columns` record of a detections file, its sequences in name order.
 
     The error is the first bad line's, and within it the first bad field's,
     although lines are read and checked a chunk at a time.  Embedding presence
@@ -189,36 +190,32 @@ def read_columns(path, label_set: LabelSet, timer=NULL_TIMER) -> Dict[str, Colum
 
 
 def _sequences(pieces: List[Dict[str, np.ndarray]], seq_ids: Dict[str, int],
-               emb_dims: Dict[str, Optional[int]]) -> Dict[str, Columns]:
-    """The chunks' rows as one record per sequence, each owning copies of its columns' rows."""
+               emb_dims: Dict[str, Optional[int]]) -> Columns:
+    """The chunks' rows as one record, sorted by (sequence name, frame)."""
     offset = 0
     for piece in pieces:  # embedding offsets into the whole file's values
         piece["emb_at"][piece["emb_at"] >= 0] += offset
         offset += len(piece["emb"])
     whole = {name: np.concatenate([piece[name] for piece in pieces]) for name in pieces[0]}
-    pieces.clear()  # the chunks' buffers go before the records are built
+    pieces.clear()  # the chunks' buffers go before the record is built
     emb = whole.pop("emb")
+    names = tuple(sorted(seq_ids))
+    whole["seq"] = np.argsort([seq_ids[name] for name in names])[whole["seq"]]  # name ranks
     order = np.lexsort((whole["frame"], whole["seq"]))  # stable: file order within a frame
     table = {name: whole.pop(name)[order] for name in list(whole)}  # by (sequence, frame)
-    frame = table["frame"]
+    frame, seq = table["frame"], table.pop("seq")
     starts = np.flatnonzero((np.diff(frame, prepend=-1, append=-1) != 0)
-                            | (np.diff(table["seq"], prepend=-1, append=-1) != 0))
-    frame_ids = frame[starts[:-1]]
-    bounds = np.cumsum([0] + np.bincount(table["seq"], minlength=len(seq_ids)).tolist())
-    firsts = np.searchsorted(starts, bounds).tolist()  # each sequence's first frame
-    out = {}
-    for seq, lo, hi, first, end in zip(seq_ids, bounds.tolist(), bounds[1:].tolist(),
-                                       firsts, firsts[1:]):
-        col = {name: table[name][lo:hi].copy() for name in (
-            "frame", "box", "score", "probs", "gt_class", "gt_track")}
-        col["emb"] = None if emb_dims[seq] is None else emb[
-            table["emb_at"][lo:hi, None] + np.arange(emb_dims[seq])]
-        for name in ("probs", "emb"):
-            if col[name] is not None:
-                col[name].setflags(write=False)
-        out[seq] = Columns(**col, frame_ids=frame_ids[first:end].copy(),
-                           starts=starts[first:end + 1] - lo)
-    return out
+                            | (np.diff(seq, prepend=-1, append=-1) != 0))
+    bounds = np.cumsum([0] + np.bincount(seq, minlength=len(names)).tolist())
+    emb_at, embs = table.pop("emb_at"), []
+    for name, lo, hi in zip(names, bounds.tolist(), bounds[1:].tolist()):  # one gather each
+        dim = emb_dims[name]
+        embs.append(None if dim is None else emb[emb_at[lo:hi, None] + np.arange(dim)])
+    for column in (table["probs"], *embs):
+        if column is not None:
+            column.setflags(write=False)
+    return Columns(**table, emb=tuple(embs), frame_ids=frame[starts[:-1]], starts=starts,
+                   names=names, bounds=bounds)
 
 
 parse_detections = read_columns  # the benchmark's trace target until ROADMAP item 7
@@ -386,9 +383,9 @@ class TrackRow(NamedTuple):
 def write_tracks(result: ColumnResult, path) -> None:
     """Write every row with a track as CSV, ordered by (seq, frame, track_id)."""
     rows = np.flatnonzero(result.track >= 0)
-    seq = np.searchsorted(result.bounds, rows, side="right") - 1  # ascending, as rows are
+    seq = np.searchsorted(result.cols.bounds, rows, side="right") - 1  # ascending, as rows are
     rows = rows[np.lexsort((result.track[rows], result.cols.frame[rows], seq))]
-    formats = [_row_format(name) for name in result.names]
+    formats = [_row_format(name) for name in result.cols.names]
     # A width or height past the float range is written as inf, without a numpy warning.
     with open(path, "w", encoding="utf-8", newline="") as fh, np.errstate(over="ignore"):
         fh.write(TRACK_CSV_HEADER + "\n")

@@ -38,28 +38,19 @@ ALL_STAGES = (
 
 
 class ConfusionMatrix:
-    """Square count matrix; rows are ground truth, columns are predictions."""
+    """Square, non-negative count matrix, as :func:`confusion` builds it; rows are ground
+    truth, columns are predictions."""
 
     __slots__ = ("counts",)
 
     def __init__(self, counts: np.ndarray):
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
-            raise IndexOutOfRange(f"confusion matrix must be square, got {counts.shape}")
-        if np.any(counts < 0):
-            raise IndexOutOfRange("confusion counts must be non-negative")
         counts.setflags(write=False)
         self.counts = counts
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ConfusionMatrix) and np.array_equal(self.counts, other.counts)
-
-    def __repr__(self) -> str:
-        return f"ConfusionMatrix({self.counts.tolist()!r})"
 
 
 def confusion(pairs, n_classes: int) -> ConfusionMatrix:
@@ -128,7 +119,7 @@ def label_flip_rate(result: ColumnResult, use_fused: bool) -> float:
     differs[2:] = labels[1:] != labels[:-1]
     differs[starts + 1] = 0  # the first row of a run has no pair
     flips_before = np.cumsum(differs)
-    at = np.append(0, np.cumsum(result.track >= 0))[result.bounds]  # each sequence's first run row
+    at = np.append(0, np.cumsum(result.track >= 0))[result.cols.bounds]  # sequences' first run rows
     pairs = np.diff(at) - np.diff(np.searchsorted(starts, at))
     rates = [flips / n for flips, n in zip(np.diff(flips_before[at]).tolist(), pairs.tolist()) if n]
     if not rates:

@@ -1,10 +1,10 @@
-"""Core value types: label sets, sequence columns, and the checks of ingested values.
+"""Core value types: label sets, a file's detection columns, and the checks of ingested values.
 
 All types here are immutable after construction (frozen dataclasses, read-only
-numpy arrays).  A sequence is one :class:`Columns` record, and the tracked,
-fused outcome of a file's sequences one :class:`ColumnResult` over all their
-rows.  Columns are the library's only detection form: there is no object per
-detection.
+numpy arrays).  A detections file is one :class:`Columns` record over all its
+sequences, and its tracked, fused outcome one :class:`ColumnResult` over the
+same rows.  Columns are the library's only detection form: there is no object
+per detection.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ class LabelSet:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelSet) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"LabelSet({list(self.names)!r})"
 
 
 def check_corners(x1, y1, x2, y2) -> None:
@@ -159,43 +150,28 @@ def index_column(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """One sequence's detections, one row each, sorted by frame and in file order within one.
+    """A file's detections, one row each, sorted by sequence name, then frame, in file order
+    within a frame.
 
+    Sequence ``names[k]`` spans rows ``bounds[k]:bounds[k + 1]``, and ``emb[k]``
+    holds its (rows, E) embeddings or None; E may differ between sequences.
     ``box`` (N, 4) holds corners, read-only ``probs`` (N, C) floored-simplex
-    rows, ``emb`` (N, E) embeddings or None, ``gt_class``/``gt_track`` -1
-    where missing.  Frame ``frame_ids[i]`` spans rows ``starts[i]:starts[i + 1]``.
+    rows, ``gt_class``/``gt_track`` -1 where missing.  Each frame of each
+    sequence that holds rows is one group: group ``i``, frame ``frame_ids[i]``,
+    spans rows ``starts[i]:starts[i + 1]``.
     """
 
     frame: np.ndarray
     box: np.ndarray
     score: np.ndarray
     probs: np.ndarray
-    emb: Optional[np.ndarray]
+    emb: Tuple[Optional[np.ndarray], ...]
     gt_class: np.ndarray
     gt_track: np.ndarray
     frame_ids: np.ndarray
     starts: np.ndarray
-
-    @classmethod
-    def concat(cls, parts: Sequence["Columns"]) -> "Columns":
-        """The rows and frames of ``parts``, one part after another.
-
-        One part is returned as it is; several keep no ``emb``, since their
-        embedding sizes may differ.
-        """
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:  # no rows and no frames
-            empty = np.zeros(0, dtype=np.int64)
-            return cls(empty, np.zeros((0, 4)), np.zeros(0), _readonly(np.zeros((0, 1))), None,
-                       empty, empty, empty, np.zeros(1, dtype=np.int64))
-        rows = np.cumsum([0] + [len(part.frame) for part in parts])
-        cat = {name: np.concatenate([getattr(part, name) for part in parts]) for name in (
-            "frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids")}
-        cat["probs"].setflags(write=False)
-        starts = np.concatenate([part.starts[:-1] + lo for part, lo in zip(parts, rows.tolist())]
-                                + [rows[-1:]])
-        return cls(**cat, emb=None, starts=starts)
+    names: Tuple[str, ...]
+    bounds: np.ndarray
 
 
 def track_runs(track: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -214,16 +190,13 @@ def track_runs(track: np.ndarray, bounds: np.ndarray) -> Tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True, eq=False)
 class ColumnResult:
-    """Tracked sequences: per row its track id (-1 for none), argmax and fused label.
+    """A tracked file: per row of ``cols`` its track id (-1 for none), argmax and fused label.
 
-    Sequence ``names[k]`` spans rows ``bounds[k]:bounds[k + 1]`` of ``cols``
-    and numbers its tracks from 1.  ``runs`` is :func:`track_runs` of ``track``.
+    Each sequence numbers its tracks from 1.  ``runs`` is :func:`track_runs` of ``track``.
     """
 
     cols: Columns
     track: np.ndarray
     raw: np.ndarray
     fused: np.ndarray
-    names: Tuple[str, ...]
-    bounds: np.ndarray
     runs: Tuple[np.ndarray, np.ndarray]

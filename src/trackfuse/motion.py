@@ -18,7 +18,7 @@ The filter steps :func:`kf_init`, :func:`kf_predict` and :func:`kf_update` take
 N states on the last axis, ``means`` (d, N) and ``covs`` (3, o, N) holding rows
 a, b and c of the o blocks, so every operation reads and writes whole contiguous
 rows (on small tables a strided column costs 2-3x as much).  So do boxes, (4, N)
-rows x1, y1, x2, y2, which :func:`observe` projects once per sequence into the
+rows x1, y1, x2, y2, which :func:`observe` projects once per file into the
 observations (o, N) :func:`kf_init` and :func:`kf_update` take.  The steps return
 new arrays without writing to their inputs.  They are elementwise, so a
 state's result does not depend on the others; one state is a one-column table.

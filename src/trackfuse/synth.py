@@ -6,8 +6,9 @@ center jitter, scores are uniform in ``score_range``, and the class
 distribution is drawn from a symmetric flicker model: with probability
 1 - flicker the mass ``confidence`` sits on the true class, otherwise on a
 uniformly chosen wrong class, the remainder spread evenly.  Everything is a
-pure function of (config, seed).  A scenario's detections are one
-:class:`~trackfuse.model.Columns` record, as ``io.read_columns`` gives for a file;
+pure function of (config, seed).  A scenario's detections are a one-sequence
+:class:`~trackfuse.model.Columns` record, as ``io.read_columns`` gives for its
+file: it lists only the frames that hold detections, and names its sequence "".
 ``Scenario.detection_frames`` lists them as rows for ``io.write_detections``, which
 the ``synth`` command and the benchmark's input writer call.
 """
@@ -96,18 +97,18 @@ class ScenarioConfig:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """One generated sequence: its config, label set and detections as one column record."""
+    """One generated sequence: its config, label set and detections as a one-sequence record."""
 
     config: ScenarioConfig
     label_set: LabelSet
     columns: Columns
 
     def detection_frames(self) -> List[Tuple[int, List[DetectionRow]]]:
-        """Per-frame rows for ``io.write_detections``, frames without detections included;
+        """Per-frame rows for ``io.write_detections``, one pair per frame with detections;
         probs and embeddings are read-only views of the columns' rows."""
-        cols = self.columns
+        cols, emb = self.columns, self.columns.emb[0]
         rows = [DetectionRow(frame_id, box, score, cols.probs[i],
-                             None if cols.emb is None else cols.emb[i], gt_class, gt_track)
+                             None if emb is None else emb[i], gt_class, gt_track)
                 for i, (frame_id, box, score, gt_class, gt_track) in enumerate(zip(
                     cols.frame.tolist(), zip(*cols.box.T.tolist()), cols.score.tolist(),
                     cols.gt_class.tolist(), cols.gt_track.tolist()))]
@@ -198,10 +199,11 @@ def generate_scenario(config: ScenarioConfig) -> Scenario:
         if column is not None:
             column.setflags(write=False)
     frame, obj = np.array(frame, dtype=np.int64), np.array(obj, dtype=np.int64)
+    frame_ids, firsts = np.unique(frame, return_index=True)  # only the frames with detections
     columns = Columns(
-        frame=frame, box=box, score=np.array(score, dtype=float), probs=probs, emb=emb,
-        gt_class=classes[obj], gt_track=obj + 1, frame_ids=np.arange(config.num_frames),
-        starts=np.searchsorted(frame, np.arange(config.num_frames + 1)),
+        frame=frame, box=box, score=np.array(score, dtype=float), probs=probs, emb=(emb,),
+        gt_class=classes[obj], gt_track=obj + 1, frame_ids=frame_ids,
+        starts=np.append(firsts, len(frame)), names=("",), bounds=np.array([0, len(frame)]),
     )
     names = [f"class_{i:02d}" for i in range(config.n_classes)]
     return Scenario(config=config, label_set=LabelSet(names), columns=columns)

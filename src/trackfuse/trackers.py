@@ -7,11 +7,12 @@ tracks; ByteTrack additionally runs a second association pass over
 [det_threshold_low, det_threshold_high) detections, which may extend tracks
 but never start them.
 
-:func:`track_columns` runs a sequence's :class:`~trackfuse.model.Columns`
-record: each :func:`tracker_step` takes one frame's slices of the ``box`` column
-as (4, n) rows, of their observations (Kalman trackers, observed once per
-sequence), and of ``score`` and ``emb``; the run returns one track id per row,
--1 for a row no emitted track holds.  ``cli`` keeps an alias of
+:func:`track_columns` runs a file's :class:`~trackfuse.model.Columns` record
+one sequence after another, each from a fresh :class:`TrackerState`: each
+:func:`tracker_step` takes one frame's slices of the ``box`` column as (4, n)
+rows, of their observations (Kalman trackers, observed once per file), of
+``score``, and of the sequence's ``emb``; the run returns one track id per
+row, -1 for a row no emitted track holds.  ``cli`` keeps an alias of
 :func:`track_columns` only as a target of the benchmark's trace.
 """
 
@@ -383,22 +384,26 @@ def tracker_step(state: TrackerState, frame_id: int, boxes: np.ndarray, obs: Opt
 
 
 def track_columns(cols: Columns, config: TrackerConfig, timer=NULL_TIMER) -> np.ndarray:
-    """Fold the tracker over a sequence's frames; returns each row's track id, -1 for none.
+    """Fold the tracker over each sequence's frames in turn; returns each row's track id, -1
+    for none.  Each sequence starts from an empty table, so its ids start at 1.
 
     A track with fewer than ``min_hits`` rows is dropped as noise, and its
     rows read -1 like unmatched detections.
     """
-    state = TrackerState()
     track = np.full(len(cols.score), -1)
     box = np.ascontiguousarray(cols.box.T)  # (4, n): each frame's slice is four contiguous rows
     obs = None if config._kalman is None else motion.observe(config._kalman, box)
-    emb = cols.emb if config.kind is TrackerKind.APPEARANCE else None  # no other step reads it
-    bounds = cols.starts.tolist()
-    for frame_id, lo, hi in zip(cols.frame_ids.tolist(), bounds, bounds[1:]):
-        state, track[lo:hi] = tracker_step(
-            state, frame_id, box[:, lo:hi], None if obs is None else obs[:, lo:hi],
-            cols.score[lo:hi], None if emb is None else emb[lo:hi], config, timer)
-    if config.min_hits > 1:  # a row's count is its track's length; -1 rows stay -1
-        track[np.bincount(track + 1)[track + 1] < config.min_hits] = -1
+    appearance = config.kind is TrackerKind.APPEARANCE  # no other step reads embeddings
+    starts, frame_ids, bounds = cols.starts.tolist(), cols.frame_ids.tolist(), cols.bounds.tolist()
+    groups = np.searchsorted(cols.starts, cols.bounds).tolist()  # each sequence's first frame
+    for k, (first, end) in enumerate(zip(groups, groups[1:])):
+        state, emb, base = TrackerState(), cols.emb[k] if appearance else None, bounds[k]
+        for frame_id, lo, hi in zip(frame_ids[first:end], starts[first:end], starts[first + 1:]):
+            state, track[lo:hi] = tracker_step(
+                state, frame_id, box[:, lo:hi], None if obs is None else obs[:, lo:hi],
+                cols.score[lo:hi], None if emb is None else emb[lo - base:hi - base], config,
+                timer)
+        if config.min_hits > 1:  # a row's count is its track's length; -1 rows stay -1
+            ids = track[base:bounds[k + 1]]
+            ids[np.bincount(ids + 1)[ids + 1] < config.min_hits] = -1
     return track
-

@@ -137,8 +137,8 @@ def detection(frame_id, corners, probs, score=0.9, embedding=None, gt_class=None
 
 
 def columns_of(frames) -> Columns:
-    """One sequence's columns from (frame_id, detections) pairs, detections in row order;
-    ``emb`` needs an embedding of one size on every row."""
+    """The one-sequence file record of (frame_id, detections) pairs, detections in row order;
+    its sequence is named "" and has embeddings only if every row has one of one size."""
     dets = [det for _, group in frames for det in group]
     embs = [det.embedding for det in dets]
     probs = np.array([det.probs for det in dets]) if dets else np.zeros((0, 1))
@@ -149,18 +149,51 @@ def columns_of(frames) -> Columns:
         frame=np.array([det.frame_id for det in dets], dtype=np.int64),
         box=np.array([tuple(det.bbox) for det in dets], dtype=float).reshape(-1, 4),
         score=np.array([det.score for det in dets], dtype=float), probs=probs,
-        emb=np.stack(embs) if embs and all(emb is not None for emb in embs)
-        and len({emb.size for emb in embs}) == 1 else None,
+        emb=(np.stack(embs) if embs and all(emb is not None for emb in embs)
+             and len({emb.size for emb in embs}) == 1 else None,),
         gt_class=np.array(ids[0], dtype=np.int64), gt_track=np.array(ids[1], dtype=np.int64),
         frame_ids=np.array([frame_id for frame_id, _ in frames], dtype=np.int64),
-        starts=np.cumsum([0] + [len(group) for _, group in frames]))
+        starts=np.cumsum([0] + [len(group) for _, group in frames]), names=("",),
+        bounds=np.array([0, len(dets)]))
+
+
+def file_of(parts) -> Columns:
+    """The file record of the one-sequence records ``parts`` ({name: Columns}), in name order.
+
+    Each part keeps its own embeddings, so their sizes may differ and a part may have none.
+    """
+    names = tuple(sorted(parts))
+    seqs = [parts[name] for name in names] or [columns_of([])]
+    assert all(len(part.names) == 1 for part in seqs)
+    rows = np.cumsum([0] + [len(part.frame) for part in seqs])
+    cat = {field: np.concatenate([getattr(part, field) for part in seqs]) for field in (
+        "frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids")}
+    cat["probs"].setflags(write=False)
+    starts = np.concatenate([part.starts[:-1] + lo for part, lo in zip(seqs, rows.tolist())]
+                            + [rows[-1:]])
+    return Columns(**cat, emb=tuple(parts[name].emb[0] for name in names), starts=starts,
+                   names=names, bounds=rows[:len(names) + 1])
+
+
+def sequences_of(cols: Columns) -> Dict[str, Columns]:
+    """Each sequence of the file record ``cols`` by name, as a one-sequence record of its own."""
+    out = {}
+    for k, (name, lo, hi) in enumerate(zip(cols.names, cols.bounds.tolist(),
+                                           cols.bounds[1:].tolist())):
+        first, end = np.searchsorted(cols.starts, [lo, hi]).tolist()
+        out[name] = Columns(**{field: getattr(cols, field)[lo:hi] for field in (
+            "frame", "box", "score", "probs", "gt_class", "gt_track")},
+            emb=(cols.emb[k],), frame_ids=cols.frame_ids[first:end],
+            starts=cols.starts[first:end + 1] - lo, names=(name,), bounds=np.array([0, hi - lo]))
+    return out
 
 
 def reference_frames(cols: Columns):
-    """(frame_id, RefDetections) pairs of a sequence's columns; probs and embeddings are
-    read-only row views."""
-    dets = [RefDetection(frame_id, RefBox(*box), score, cols.probs[i],
-                         None if cols.emb is None else cols.emb[i],
+    """(frame_id, RefDetections) pairs of a one-sequence record's columns; probs and
+    embeddings are read-only row views."""
+    embs = [None if emb is None else emb[i] for emb, lo, hi in zip(
+        cols.emb, cols.bounds.tolist(), cols.bounds[1:].tolist()) for i in range(hi - lo)]
+    dets = [RefDetection(frame_id, RefBox(*box), score, cols.probs[i], embs[i],
                          None if gt_class < 0 else gt_class, None if gt_track < 0 else gt_track)
             for i, (frame_id, box, score, gt_class, gt_track) in enumerate(zip(
                 cols.frame.tolist(), cols.box.tolist(), cols.score.tolist(),
@@ -171,10 +204,10 @@ def reference_frames(cols: Columns):
 
 
 def tracked(frames, config):
-    """The ``ColumnResult`` of one sequence, given as columns or as (frame_id, detections)
-    pairs, tracked by the library; its fused labels are its raw ones."""
+    """The ``ColumnResult`` of a file record, or of one sequence given as (frame_id,
+    detections) pairs, tracked by the library; its fused labels are its raw ones."""
     cols = frames if isinstance(frames, Columns) else columns_of(frames)
-    return relabel({"": cols}, {"": track_columns(cols, config)}, FusionMode.NONE)
+    return relabel(cols, track_columns(cols, config), FusionMode.NONE)
 
 
 def reference_iou(a: RefBox, b: RefBox) -> float:
@@ -719,7 +752,8 @@ def _reference_read_records(path):
 def reference_parse_detections(path, label_set):
     """The line-by-line detection parser: each line's RefDetection is built and checked in full.
 
-    Gives (frame_id, detections) pairs per sequence, frames sorted, detections in file order.
+    Gives (frame_id, detections) pairs per sequence, sequences in name order, frames
+    sorted, detections in file order.
     """
     n_classes = len(label_set)
     grouped: Dict[str, Dict[int, List[RefDetection]]] = {}
@@ -736,7 +770,7 @@ def reference_parse_detections(path, label_set):
         grouped.setdefault(seq, {}).setdefault(det.frame_id, []).append(det)
     return {
         seq: [(frame, dets) for frame, dets in sorted(frames.items())]
-        for seq, frames in grouped.items()
+        for seq, frames in sorted(grouped.items())
     }
 
 

@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from trackfuse.cli import main
-from trackfuse.io import DetectionRow, read_tracks
+from trackfuse.io import DetectionRow, read_tracks, write_detections, write_labels
+from trackfuse.synth import ScenarioConfig, generate_scenario
+from trackfuse.trackers import TrackerKind
 
 
 def _synth_args(out, labels, **kw):
@@ -325,6 +327,56 @@ _config_values = {
 }
 _configs = st.lists(st.sampled_from(sorted(_config_values)).flatmap(
     lambda k: st.tuples(st.just(k), _config_values[k])), max_size=3).map(dict)
+
+
+@pytest.fixture(scope="module")
+def line_orders(tmp_path_factory):
+    """One file's sequences in three line orders, and its label file.
+
+    Each sequence keeps its own lines in order.  ``sorted`` lists the sequences
+    one after another in name order, as ``write_detections`` does; ``reversed``
+    in the opposite order; ``interleaved`` frame by frame, each frame's
+    sequences in the opposite name order.  The sequences share frame ids, differ
+    in length and in embedding size, and no name order is their numeric order.
+    """
+    tmp = tmp_path_factory.mktemp("orders")
+    scenarios = {name: generate_scenario(ScenarioConfig(
+        seed=seed, num_objects=3, num_frames=frames, n_classes=4, flicker=0.4, dropout=0.2,
+        jitter=1.0, embedding_dim=dim, score_range=(0.2, 1.0)))
+        for name, seed, frames, dim in (("s10", 1, 25, 8), ("s9", 2, 40, 4), ("s1", 3, 12, 16))}
+    paths = {"sorted": tmp / "sorted.jsonl"}
+    write_detections({name: s.detection_frames() for name, s in scenarios.items()},
+                     paths["sorted"])
+    write_labels(scenarios["s1"].label_set, tmp / "labels.txt")
+    lines = paths["sorted"].read_text().splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    by_seq = {}
+    for line, record in zip(lines, records):
+        by_seq.setdefault(record["seq"], []).append(line)
+    rank = {seq: k for k, seq in enumerate(reversed(by_seq))}
+    orders = {
+        "reversed": [line for seq in rank for line in by_seq[seq]],
+        "interleaved": [line for _, line in sorted(zip(records, lines), key=lambda pair: (
+            pair[0]["frame"], rank[pair[0]["seq"]]))],
+    }
+    for name, ordered in orders.items():
+        paths[name] = tmp / f"{name}.jsonl"
+        paths[name].write_text("".join(ordered))
+    assert len({path.read_bytes() for path in paths.values()}) == 3
+    return paths, tmp / "labels.txt"
+
+
+@pytest.mark.parametrize("tracker", [kind.value for kind in TrackerKind])
+def test_sequence_line_order_does_not_change_the_outputs(tmp_path, line_orders, tracker):
+    paths, labels = line_orders
+    outputs = set()
+    for name, path in paths.items():
+        csv, metrics = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert main(["track", "--input", str(path), "--labels", str(labels), "--tracker", tracker,
+                     "--output", str(csv), "--metrics-out", str(metrics)]) == 0
+        outputs.add((csv.read_bytes(), metrics.read_bytes()))
+    (csv_bytes, _), = outputs
+    assert csv_bytes.count(b"\n") > 100
 
 
 @settings(max_examples=200, deadline=None,
@@ -647,9 +699,9 @@ class TestBench:
 
         runs = []
 
-        def counted(sequences, config, *args, _real=cli._run_all, **kwargs):
+        def counted(cols, config, *args, _real=cli._run_all, **kwargs):
             runs.append(config.kind.value)
-            return _real(sequences, config, *args, **kwargs)
+            return _real(cols, config, *args, **kwargs)
         monkeypatch.setattr(cli, "_run_all", counted)
         dets, labels = detection_file
         out = tmp_path / "bench.json"

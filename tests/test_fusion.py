@@ -34,8 +34,7 @@ def _track(prob_rows) -> Columns:
 
 def _fused(track: Columns, mode: FusionMode = FusionMode.PROBABILITY) -> int:
     """The label ``relabel`` gives every row of ``track`` in retroactive ``mode``."""
-    labels = set(relabel({"s": track}, {"s": np.ones(len(track.score), dtype=int)}, mode)
-                 .fused.tolist())
+    labels = set(relabel(track, np.ones(len(track.score), dtype=int), mode).fused.tolist())
     assert len(labels) == 1
     return labels.pop()
 
@@ -138,7 +137,7 @@ class TestRelabel:
 
     @staticmethod
     def _relabel(base, mode, online=False):
-        return relabel({"s": base.cols}, {"s": base.track}, mode, online)
+        return relabel(base.cols, base.track, mode, online)
 
     def test_mode_none_is_identity(self):
         result = self._relabel(self._result(), FusionMode.NONE)
@@ -202,8 +201,8 @@ class TestRelabel:
         # Frame 1 ties one vote each with class 1 heavier; frame 3 ties two each
         # on equal mass, which goes to the lower index.
         rows = [[0.6, 0.4], [0.1, 0.9], [0.9, 0.1], [0.4, 0.6], [0.55, 0.45]]
-        online = relabel({"s": _track(rows)}, {"s": np.ones(len(rows), dtype=int)},
-                         FusionMode.MAJORITY, online=True)
+        online = relabel(_track(rows), np.ones(len(rows), dtype=int), FusionMode.MAJORITY,
+                         online=True)
         got = online.fused.tolist()
         want = [_vote(_track(rows[:t + 1])) for t in range(len(rows))]
         assert got == want == [0, 1, 0, 0, 0]
@@ -227,7 +226,7 @@ class TestRelabel:
             frames = sorted(by_frame.items())
             cols = columns_of([(f, [e for _, e in group]) for f, group in frames])
             track = np.array([track_id for _, group in frames for track_id, _ in group])
-            result = relabel({"s": cols}, {"s": track}, mode, online)
+            result = relabel(cols, track, mode, online)
             want = {t.id: reference_track_labels(t, mode is FusionMode.MAJORITY, online)
                     for t in tracks}
             got = result.fused.tolist()
@@ -303,7 +302,7 @@ class TestColumns:
                                 dropout=0.2, jitter=3.0, confidence=0.6)
         scenario = generate_scenario(config)
         base = tracked(scenario.columns, TrackerConfig(kind=TrackerKind.CENTROID, min_hits=3))
-        result = relabel({"s": scenario.columns}, {"s": base.track}, mode, online)
+        result = relabel(scenario.columns, base.track, mode, online)
         want = reference_relabel(reference_result(base), mode, online)
         assert result.fused.tolist() == [rec.fused_label for rec in want.per_frame]
         assert result.raw.tolist() == [rec.raw_label for rec in want.per_frame]

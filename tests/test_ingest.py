@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trackfuse.io as io
-from oracles import reference_frames, reference_parse_detections
+from oracles import reference_frames, reference_parse_detections, sequences_of
 from trackfuse.errors import ParseError, SchemaError
 from trackfuse.io import CHUNK_LINES, read_columns, write_detections
 from trackfuse.metrics import STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
@@ -105,7 +105,8 @@ def lines(draw, floats=False):
 
 def _read_frames(path, labels):
     """``read_columns`` of ``path`` as (frame_id, detections) pairs per sequence."""
-    return {seq: reference_frames(cols) for seq, cols in read_columns(path, labels).items()}
+    return {seq: reference_frames(cols)
+            for seq, cols in sequences_of(read_columns(path, labels)).items()}
 
 
 def _outcome(parse, path):
@@ -277,14 +278,13 @@ def test_peak_allocation_at_most_the_line_by_line_parser(tmp_path):
     assert np.median(peaks[read_columns]) <= np.median(peaks[reference_parse_detections])
 
 
-def test_validated_rows_are_one_read_only_array_per_sequence(tmp_path):
+def test_validated_rows_are_read_only_with_one_embedding_array_per_sequence(tmp_path):
     path, labels = _bursts_like_file(tmp_path)
-    sequences = read_columns(path, labels)
-    assert len(sequences) == 63
-    for name in ("probs", "emb"):
-        arrays = [getattr(cols, name) for cols in sequences.values()]
-        assert not any(array.flags.writeable for array in arrays)
-        assert not any(np.shares_memory(a, b) for a, b in zip(arrays, arrays[1:]))
+    cols = read_columns(path, labels)
+    assert len(cols.names) == len(cols.emb) == 63
+    assert not cols.probs.flags.writeable
+    assert not any(emb.flags.writeable for emb in cols.emb)
+    assert not any(np.shares_memory(a, b) for a, b in zip(cols.emb, cols.emb[1:]))
 
 
 class _OpenStage:
@@ -328,9 +328,9 @@ def test_every_line_is_read_inside_one_of_the_ingest_stages(tmp_path, monkeypatc
 
 
 def _columns_of(path, labels):
-    return {seq: {name: value if value is None else value.tolist()
-                  for name, value in vars(cols).items()}
-            for seq, cols in read_columns(path, labels).items()}
+    return {name: [None if v is None else v.tolist() for v in value] if name == "emb" else
+            value if name == "names" else value.tolist()
+            for name, value in vars(read_columns(path, labels)).items()}
 
 
 def test_plain_files_take_the_column_path(tmp_path, monkeypatch):

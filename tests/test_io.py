@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_result, reference_write_tracks, tracked
+from oracles import file_of, reference_result, reference_write_tracks, sequences_of, tracked
 from trackfuse.errors import EmptyFile, InvalidValue, ParseError, SchemaError
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import (
@@ -43,7 +43,7 @@ class TestLabels:
         labels = LabelSet(["wolf", "lynx", "red fox"])
         path = tmp_path / "labels.txt"
         write_labels(labels, path)
-        assert read_labels(path) == labels
+        assert read_labels(path).names == labels.names
 
     def test_empty_label_file(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -67,9 +67,8 @@ class TestParseDetections:
         record = {"seq": "a", "frame": 3, "bbox": [0.0, 1.0, 10.0, 11.0],
                   "score": 0.5, "probs": [0.2] * 5}
         path.write_text(json.dumps(record) + "\n")
-        seqs = read_columns(path, self._labels())
-        assert list(seqs) == ["a"]
-        cols = seqs["a"]
+        cols = read_columns(path, self._labels())
+        assert cols.names == ("a",) and cols.bounds.tolist() == [0, 1]
         assert cols.frame_ids.tolist() == [3] and cols.starts.tolist() == [0, 1]
         assert cols.box.tolist() == [[0.0, 1.0, 10.0, 11.0]]
 
@@ -81,8 +80,8 @@ class TestParseDetections:
                                      "bbox": [0, 0, 5, 5], "score": 0.9,
                                      "probs": [0.2] * 5}))
         path.write_text("\n".join(lines) + "\n")
-        seqs = read_columns(path, self._labels())
-        assert seqs["a"].frame_ids.tolist() == seqs["a"].frame.tolist() == [1, 3, 5]
+        cols = read_columns(path, self._labels())
+        assert cols.frame_ids.tolist() == cols.frame.tolist() == [1, 3, 5]
 
     def test_bad_json_carries_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -174,10 +173,11 @@ class TestParseDetections:
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps({"seq": "a", "frame": 0, "bbox": [0, 0, 5, 5], "score": 1,
                                     "probs": [1, 0, 0, 0, 0], "embedding": [1, 2]}) + "\n")
-        cols = read_columns(path, self._labels())["a"]
+        cols = read_columns(path, self._labels())
+        emb, = cols.emb
         assert cols.box.tolist() == [[0.0, 0.0, 5.0, 5.0]] and cols.score.tolist() == [1.0]
-        assert cols.box.dtype == cols.score.dtype == cols.emb.dtype == np.float64
-        assert int(np.argmax(cols.probs[0])) == 0 and cols.emb.tolist() == [[1.0, 2.0]]
+        assert cols.box.dtype == cols.score.dtype == emb.dtype == np.float64
+        assert int(np.argmax(cols.probs[0])) == 0 and emb.tolist() == [[1.0, 2.0]]
 
     def test_deep_nesting_is_parse_error(self, tmp_path):
         path = tmp_path / "d.jsonl"
@@ -240,11 +240,11 @@ class TestDetectionRoundTrip:
         scenario = _reference_scenario()
         path = tmp_path / "d.jsonl"
         write_detections({"seq-0": scenario.detection_frames()}, path)
-        got, want = read_columns(path, scenario.label_set)["seq-0"], scenario.columns
-        for name in ("frame", "box", "score", "probs", "emb", "gt_class", "gt_track"):
+        got, want = read_columns(path, scenario.label_set), scenario.columns
+        for name in ("frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids",
+                     "starts", "bounds"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        listed = np.diff(want.starts) > 0  # a file lists only the frames with detections
-        assert got.frame_ids.tolist() == want.frame_ids[listed].tolist()
+        assert np.array_equal(got.emb[0], want.emb[0]) and got.names == ("seq-0",)
 
     @settings(max_examples=80, deadline=None)
     @given(st.dictionaries(st.text(), _frames(), min_size=1, max_size=3))
@@ -252,7 +252,7 @@ class TestDetectionRoundTrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.jsonl"
             write_detections(sequences, path)
-            got = read_columns(path, LabelSet(["a", "b", "c"]))
+            got = sequences_of(read_columns(path, LabelSet(["a", "b", "c"])))
         assert list(got) == sorted(sequences)
         for seq, frames in sequences.items():
             cols, rows = got[seq], [row for _, group in frames for row in group]
@@ -266,9 +266,9 @@ class TestDetectionRoundTrip:
             assert _bits(cols.score) == _bits([row.score for row in rows])
             assert _bits(cols.probs) == _bits([row.probs for row in rows])
             if rows[0].embedding is None:
-                assert cols.emb is None
+                assert cols.emb == (None,)
             else:
-                assert _bits(cols.emb) == _bits([row.embedding for row in rows])
+                assert _bits(cols.emb[0]) == _bits([row.embedding for row in rows])
 
 
 @lru_cache(maxsize=1)
@@ -280,7 +280,7 @@ def _reference_run():
 def _fused_reference_result(names=("seq-0",)):
     """The reference run fused, once under each of ``names``."""
     run = _reference_run()
-    return relabel({name: run.cols for name in names}, {name: run.track for name in names},
+    return relabel(file_of(dict.fromkeys(names, run.cols)), np.tile(run.track, len(names)),
                    FusionMode.PROBABILITY)
 
 
@@ -295,7 +295,7 @@ class TestWriteTracks:
 
     def test_empty_results_write_header_only(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_tracks(relabel({}, {}, FusionMode.NONE), path)
+        write_tracks(relabel(file_of({}), np.zeros(0, dtype=int), FusionMode.NONE), path)
         assert path.read_text() == TRACK_CSV_HEADER + "\n"
 
     def test_one_track_three_rows(self, tmp_path):
@@ -303,7 +303,7 @@ class TestWriteTracks:
         frames = [(f, [_det(f, (0, 0, 20, 20))]) for f in range(3)]
         result = tracked(frames, TrackerConfig(kind=TrackerKind.IOU))
         path = tmp_path / "t.csv"
-        write_tracks(relabel({"s": result.cols}, {"s": result.track}, FusionMode.NONE), path)
+        write_tracks(relabel(result.cols, result.track, FusionMode.NONE), path)
         rows = read_tracks(path)
         assert len(rows) == 3
         assert {r.track_id for r in rows} == {1}
@@ -347,13 +347,12 @@ class TestWriteTracks:
             jsonl = Path(tmp) / "d.jsonl"
             write_detections({name: [(f, [_det(f, (0, 0, 20, 20))]) for f in range(2)]
                               for name in names}, jsonl)
-            sequences = read_columns(jsonl, LabelSet(["a", "b"]))
-            tracks = {seq: track_columns(cols, TrackerConfig(kind=TrackerKind.IOU))
-                      for seq, cols in sequences.items()}
+            cols = read_columns(jsonl, LabelSet(["a", "b"]))
+            track = track_columns(cols, TrackerConfig(kind=TrackerKind.IOU))
             csv_path = Path(tmp) / "t.csv"
-            write_tracks(relabel(sequences, tracks, FusionMode.NONE), csv_path)
+            write_tracks(relabel(cols, track, FusionMode.NONE), csv_path)
             rows = read_tracks(csv_path)
-        assert sorted(sequences) == sorted(names)
+        assert cols.names == tuple(sorted(names))
         assert [(r.seq, r.frame) for r in rows] == [(n, f) for n in sorted(names) for f in range(2)]
 
     @settings(max_examples=60, deadline=None)

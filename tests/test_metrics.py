@@ -149,7 +149,7 @@ class TestF1:
 def _tracked(cols, mode=FusionMode.NONE):
     """``cols`` tracked by the IoU tracker and fused with ``mode``."""
     track = track_columns(cols, TrackerConfig(kind=TrackerKind.IOU))
-    return relabel({"s": cols}, {"s": track}, mode)
+    return relabel(cols, track, mode)
 
 
 def _flicker_columns(flicker=0.3, frames=2000, n_classes=10, seed=42):

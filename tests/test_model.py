@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import columns_of, detection, reference_box, reference_validate_distribution
+from oracles import (columns_of, detection, file_of, reference_box,
+                     reference_validate_distribution)
 from trackfuse.errors import DegenerateSum, InvalidValue, WrongLength
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.model import (
@@ -229,9 +230,8 @@ class TestTrack:
 
     def test_holds_only_id_and_entries(self):
         cols = self._columns()
-        res = relabel({"": cols}, {"": np.array([1, 1])}, FusionMode.NONE)
-        assert [f.name for f in fields(ColumnResult)] == [
-            "cols", "track", "raw", "fused", "names", "bounds", "runs"]
+        res = relabel(cols, np.array([1, 1]), FusionMode.NONE)
+        assert [f.name for f in fields(ColumnResult)] == ["cols", "track", "raw", "fused", "runs"]
         order, starts = res.runs
         assert order.tolist() == [0, 1] and starts.tolist() == [0]
         assert tuple(res.cols.frame[order].tolist()) == (0, 1)
@@ -247,11 +247,13 @@ class TestTrack:
 
     @pytest.mark.parametrize("mode", list(FusionMode))
     def test_no_sequences_make_an_empty_result(self, mode):
-        res = relabel({}, {}, mode)
-        assert res.names == () and res.bounds.tolist() == [0] and res.cols.starts.tolist() == [0]
+        cols = file_of({})
+        res = relabel(cols, track_columns(cols, TrackerConfig(kind=TrackerKind.SORT)), mode)
+        assert res.cols.names == () and res.cols.bounds.tolist() == [0]
+        assert res.cols.starts.tolist() == [0] and res.cols.emb == ()
         assert [len(res.cols.frame), len(res.cols.frame_ids), len(res.track)] == [0, 0, 0]
         assert res.cols.box.shape == (0, 4) and not res.cols.probs.flags.writeable
-        assert res.cols.emb is None and res.cols.frame.dtype == np.int64
+        assert res.raw.tolist() == res.fused.tolist() == [] and res.cols.frame.dtype == np.int64
 
     def test_id_must_be_positive(self):
         # Ids start at 1; -1 marks a row no track holds, and such rows are in no run.

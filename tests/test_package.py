@@ -66,13 +66,12 @@ def two_sequences(tmp_path_factory):
 @pytest.mark.parametrize("kind", list(trackfuse.TrackerKind))
 def test_library_pipeline_writes_the_track_csv(tmp_path, two_sequences, kind, mode, online):
     dets, labels = two_sequences
-    sequences = trackfuse.read_columns(dets, trackfuse.read_labels(labels))
-    tracks = {seq: trackfuse.track_columns(cols, trackfuse.TrackerConfig(kind=kind))
-              for seq, cols in sequences.items()}
-    result = trackfuse.relabel(sequences, tracks, mode, online)
+    cols = trackfuse.read_columns(dets, trackfuse.read_labels(labels))
+    track = trackfuse.track_columns(cols, trackfuse.TrackerConfig(kind=kind))
+    result = trackfuse.relabel(cols, track, mode, online)
     trackfuse.write_tracks(result, tmp_path / "lib.csv")
     assert main(["track", "--input", str(dets), "--labels", str(labels), "--tracker", kind.value,
                  "--fusion", mode.value, "--output", str(tmp_path / "cli.csv")]
                 + ["--online"] * online) == 0
-    assert len(sequences) == 2 and (tmp_path / "cli.csv").read_text().count("\n") > 50
+    assert cols.names == ("s0", "s1") and (tmp_path / "cli.csv").read_text().count("\n") > 50
     assert (tmp_path / "lib.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()

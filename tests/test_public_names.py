@@ -62,9 +62,19 @@ def _definition(trees, site: str):
     return node if isinstance(node, ast.FunctionDef) else None
 
 
-def _attributes_read(tree: ast.Module):
+def _modules_imported(tree: ast.Module):
+    """The names that ``import X`` or ``import X as Y`` binds in ``tree``."""
+    return {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names}
+
+
+def _attributes_read(tree: ast.AST, modules=None):
+    """Attributes that ``tree`` reads, except on a module that ``modules`` (by default those
+    ``tree`` imports) names: ``np.concat`` calls numpy and reads no member ``concat``."""
+    modules = _modules_imported(tree) if modules is None else modules
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and not (
+                isinstance(node.value, ast.Name) and node.value.id in modules):
             yield node.attr
 
 
@@ -92,12 +102,19 @@ def test_every_public_definition_is_used_or_kept_for_a_reason():
     assert not stale, f"KEPT lists names src/ uses itself or no longer defines: {stale}"
 
 
+def _unread_members(trees, kept=frozenset()):
+    """``Class.member`` of each public member that no tree reads and ``kept`` does not list."""
+    read = {name for tree in trees for name in _attributes_read(tree)}
+    members = {name for tree in trees for name in _public_members(tree)}
+    return sorted(m for m in members - kept if m.split(".")[1] not in read)
+
+
 def test_every_public_member_is_read_or_kept_for_a_reason():
     trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")]
     read = {name for tree in trees for name in _attributes_read(tree)}
     members = {name for tree in trees for name in _public_members(tree)}
     kept = {name for name in KEPT if "." in name}
-    unread = sorted(m for m in members - kept if m.split(".")[1] not in read)
+    unread = _unread_members(trees, kept)
     assert not unread, f"defined in src/ but read only outside it: {unread}"
     stale = sorted(m for m in kept if m not in members or m.split(".")[1] in read)
     assert not stale, f"KEPT lists members src/ reads itself or no longer defines: {stale}"
@@ -114,6 +131,14 @@ def test_every_shared_member_names_where_src_reads_it():
     unlisted = sorted(shared - set(SHARED))
     assert not unlisted, f"members another public class also defines, not in SHARED: {unlisted}"
     stale = sorted(m for m, sites in SHARED.items() if m not in shared or not all(
-        (node := _definition(trees, site)) and m.split(".")[1] in _attributes_read(node)
-        for site in sites))
+        (node := _definition(trees, site)) and m.split(".")[1] in _attributes_read(
+            node, _modules_imported(trees[site.split(".")[0]])) for site in sites))
     assert not stale, f"SHARED lists members no longer shared or not read at its sites: {stale}"
+
+
+def test_a_module_call_reads_no_member():
+    source = ("import numpy as np\n"
+              "class Columns:\n    def concat(self):\n        pass\n"
+              "def join(parts):\n    return np.concat(parts)\n")
+    assert _unread_members([ast.parse(source)]) == ["Columns.concat"]
+    assert _unread_members([ast.parse(source.replace("np.concat", "parts.concat"))]) == []

@@ -9,6 +9,7 @@ import pytest
 from trackfuse.cli import main
 from trackfuse.errors import InvalidConfig, InvalidValue
 from oracles import columns_of
+from trackfuse.io import read_columns, write_detections
 from trackfuse.model import validate_distribution
 from trackfuse.synth import ScenarioConfig, flicker_class, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
@@ -115,18 +116,27 @@ class TestGenerateScenario:
                                 dropout=0.1, jitter=1.0, flicker=0.2)
         a = generate_scenario(config).columns
         b = generate_scenario(config).columns
-        for name in ("frame", "box", "score", "probs", "emb", "gt_class", "gt_track",
-                     "frame_ids", "starts"):
+        for name in ("frame", "box", "score", "probs", "gt_class", "gt_track", "frame_ids",
+                     "starts", "bounds"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.emb[0], b.emb[0]) and a.names == b.names
 
-    def test_columns_span_every_frame(self):
+    def test_columns_list_only_the_frames_with_detections(self):
         config = ScenarioConfig(seed=5, num_objects=1, num_frames=30, dropout=0.6)
         cols = generate_scenario(config).columns
-        assert cols.frame_ids.tolist() == list(range(30))
+        assert cols.frame_ids.tolist() == sorted(set(cols.frame.tolist()))
+        assert len(cols.frame_ids) < 30  # dropout empties whole frames, which are not listed
         counts = np.diff(cols.starts)
-        assert counts.sum() == len(cols.frame) and 0 in counts  # some frames are empty spans
+        assert counts.sum() == len(cols.frame) and (counts > 0).all()
         assert np.repeat(cols.frame_ids, counts).tolist() == cols.frame.tolist()
-        assert not cols.probs.flags.writeable and not cols.emb.flags.writeable
+        assert cols.names == ("",) and cols.bounds.tolist() == [0, len(cols.frame)]
+        assert not cols.probs.flags.writeable and not cols.emb[0].flags.writeable
+
+    def test_no_detections_make_an_empty_sequence(self):
+        cols = generate_scenario(ScenarioConfig(seed=0, num_frames=1, dropout=0.99)).columns
+        assert len(cols.frame) == len(cols.frame_ids) == 0 and cols.starts.tolist() == [0]
+        assert cols.bounds.tolist() == [0, 0] and cols.emb[0].shape == (0, 16)
+        assert track_columns(cols, TrackerConfig(kind=TrackerKind.SORT)).tolist() == []
 
     def test_raw_argmax_accuracy_follows_flicker(self):
         # 10 objects x 1000 frames, no dropout: 10^4 detections.
@@ -167,7 +177,7 @@ class TestGenerateScenario:
         config = ScenarioConfig(seed=6, num_objects=4, num_frames=60,
                                 embedding_dim=16, embedding_separation=8.0)
         cols = generate_scenario(config).columns
-        by_id = {k: cols.emb[cols.gt_track == k] for k in np.unique(cols.gt_track).tolist()}
+        by_id = {k: cols.emb[0][cols.gt_track == k] for k in np.unique(cols.gt_track).tolist()}
         means = {k: np.mean(v, axis=0) for k, v in by_id.items()}
         for k, embs in by_id.items():
             own = means[k] / np.linalg.norm(means[k])
@@ -206,10 +216,11 @@ class TestPinnedOutput:
         assert main(["synth", "--output", str(out), *args.split()]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_detection_frames_list_every_frame(self):
-        frames = generate_scenario(self.SPARSE).detection_frames()
-        assert [f for f, _ in frames] == list(range(self.SPARSE.num_frames))
-        assert any(not dets for _, dets in frames)
+    def test_detection_frames_list_the_frames_with_detections(self):
+        scenario = generate_scenario(self.SPARSE)
+        frames = scenario.detection_frames()
+        assert [f for f, _ in frames] == scenario.columns.frame_ids.tolist()
+        assert len(frames) < self.SPARSE.num_frames and all(dets for _, dets in frames)
         rows = [det for _, dets in frames for det in dets]
         assert not any(det.probs.flags.writeable or det.embedding.flags.writeable for det in rows)
 
@@ -219,3 +230,18 @@ class TestPinnedOutput:
         config = TrackerConfig(kind=kind, max_age=1)
         want = track_columns(columns_of(scenario.detection_frames()), config)
         assert track_columns(scenario.columns, config).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("kind", [TrackerKind.IOU, TrackerKind.SORT])
+    def test_columns_track_like_their_file(self, tmp_path, kind):
+        # Frames without detections age no track: a gap of empty frames longer than max_age
+        # ends no track, whether the frames come from the scenario or from its written file.
+        scenario = generate_scenario(ScenarioConfig(seed=5, num_objects=1, num_frames=60,
+                                                    dropout=0.6))
+        path = tmp_path / "d.jsonl"
+        write_detections({"s": scenario.detection_frames()}, path)
+        config = TrackerConfig(kind=kind, max_age=1)
+        from_file = track_columns(read_columns(path, scenario.label_set), config)
+        from_columns = track_columns(scenario.columns, config)
+        assert len(scenario.columns.frame_ids) == 25
+        assert from_columns.tolist() == from_file.tolist()
+        assert set(from_columns.tolist()) == {1}

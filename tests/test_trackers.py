@@ -10,6 +10,7 @@ import pytest
 from oracles import (
     columns_of,
     detection,
+    file_of,
     random_box,
     reference_box,
     reference_centroid_cost,
@@ -51,8 +52,8 @@ def _step(state, frame_id, dets, config):
     """``tracker_step`` over the column slices of one frame's ``dets``."""
     cols = columns_of([(frame_id, dets)])
     boxes = cols.box.T
-    return tracker_step(state, frame_id, boxes, _observe(boxes, config), cols.score, cols.emb,
-                        config)
+    return tracker_step(state, frame_id, boxes, _observe(boxes, config), cols.score,
+                        cols.emb[0], config)
 
 
 def _boxes(dets):
@@ -585,7 +586,39 @@ class TestTrackTable:
         assert result.cols.box.tolist() == [list(det.bbox.as_tuple()) for det in dets]
         assert result.cols.score.tolist() == [det.score for det in dets]
         assert np.array_equal(result.cols.probs, [det.probs for det in dets])
-        assert np.array_equal(result.cols.emb, [det.embedding for det in dets])
+        assert np.array_equal(result.cols.emb[0], [det.embedding for det in dets])
+
+
+def _file_parts():
+    """One-sequence records by name, not in name order: embeddings of 8, 4 and 2 values and
+    none, shared frame ids, and a one-row sequence whose track 1 is shorter than the others'."""
+    parts = {name: generate_scenario(ScenarioConfig(
+        seed=seed, num_objects=4, num_frames=30, n_classes=3, dropout=0.3, jitter=2.0,
+        embedding_dim=dim, score_range=(0.2, 1.0))).columns
+        for name, seed, dim in (("b", 1, 8), ("a", 2, 4), ("d", 3, 0))}
+    parts["c"] = columns_of([(0, [_det(0, (0, 0, 20, 20), probs=(0.5, 0.3, 0.2))])])
+    return parts
+
+
+class TestFileOfSequences:
+    """A file record tracks as its sequences do, each tracked alone."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_file_tracks_as_its_sequences_alone(self, kind):
+        parts = _file_parts()
+        config = TrackerConfig(kind=kind, min_hits=2)
+        if kind is TrackerKind.APPEARANCE:  # sequence "d" has no embeddings
+            with pytest.raises(MissingEmbedding):
+                trackers.track_columns(file_of(parts), config)
+            del parts["d"]
+        cols = file_of(parts)
+        assert cols.names == tuple(sorted(parts))
+        want = [trackers.track_columns(parts[name], config).tolist() for name in cols.names]
+        got = trackers.track_columns(cols, config).tolist()
+        bounds = cols.bounds.tolist()
+        assert [got[lo:hi] for lo, hi in zip(bounds, bounds[1:])] == want
+        assert want[cols.names.index("c")] == [-1]  # track 1 of "c" has one row, fewer than 2
+        assert all(1 in ids for ids in want if len(ids) > 1)
 
 
 class TestStepContract:
