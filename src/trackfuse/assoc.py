@@ -64,10 +64,6 @@ class CostMatrix:
         cost.__dict__.update(values=values, gate_mask=gate_mask)
         return cost
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.values.shape
-
 
 class AssignmentResult(NamedTuple):
     matches: Tuple[Tuple[int, int], ...]
@@ -91,7 +87,7 @@ def solve_assignment(cost: CostMatrix) -> AssignmentResult:
     to :func:`_canonical_matching`, which solves it once and reads the
     tie-break off that solve's duals.  All-forced frames take Python sets alone.
     """
-    n_rows, n_cols = cost.shape
+    n_rows, n_cols = cost.values.shape
     mask = cost.gate_mask
     rows, cols = mask.nonzero()  # every admissible pair, in (row, col) order
     row_list, col_list = rows.tolist(), cols.tolist()

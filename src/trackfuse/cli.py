@@ -205,7 +205,7 @@ def _metrics_report(result: ColumnResult, label_set: LabelSet, include_unmatched
             report["flip_rate"] = {"raw": 0.0, "fused": 0.0}
     if with_per_class:
         scores = f1_scores(fused_cm)
-        support = fused_cm.counts.sum(axis=1)
+        support = fused_cm.sum(axis=1)
         report["per_class"] = [
             {"label": label_set[i], "f1": float(scores.per_class[i]), "support": int(support[i])}
             for i in range(len(label_set))
@@ -244,11 +244,12 @@ def _write_json(path, payload) -> None:
 
 def _cmd_track(args) -> int:
     label_set, result = _track_and_fuse(args)
+    # The report is built first, so a file it cannot evaluate leaves no track CSV behind.
+    report = _metrics_report(result, label_set, include_unmatched=not args.matched_only,
+                             with_flip_rate=True, with_per_class=False) if args.metrics_out else None
     io.write_tracks(result, args.output)
-    if args.metrics_out:
-        _write_json(args.metrics_out, _metrics_report(
-            result, label_set, include_unmatched=not args.matched_only,
-            with_flip_rate=True, with_per_class=False))
+    if report is not None:
+        _write_json(args.metrics_out, report)
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from contextlib import contextmanager
 from io import StringIO
 from itertools import chain, islice
@@ -35,8 +36,8 @@ import numpy as np
 
 from .errors import EmptyFile, InvalidValue, ParseError, SchemaError, TrackfuseError
 from .metrics import NULL_TIMER, STAGE_CLASSIFICATION_INGEST, STAGE_DETECTION_INGEST
-from .model import ColumnResult, Columns, LabelSet, check_corners, embedding_value, index_column
-from .model import index_value, score_value, validate_distribution
+from .model import ColumnResult, Columns, LabelSet, check_corners, index_column, index_value
+from .model import validate_distribution
 
 TRACK_CSV_HEADER = "frame,track_id,x,y,w,h,score,fused_class,raw_class,seq"
 
@@ -347,9 +348,13 @@ def _checked_lines(fields: List, line_nos: List[int], n_classes: int,
         try:
             validate_distribution([probs], n_classes)
             frame = index_value(frame)
-            score_value(score)
+            number = float(score)
+            if not (math.isfinite(number) and 0.0 <= number <= 1.0):
+                raise InvalidValue(f"score must lie in [0, 1], got {number!r}")
             if emb is not None:
-                embedding_value(emb)
+                vec = np.asarray(emb, dtype=float)
+                if vec.ndim != 1 or vec.size == 0 or not np.isfinite(vec).all():
+                    raise InvalidValue("embedding must be a finite, non-empty 1-D vector")
             gt_class, gt_track = (None if value is None else index_value(value, name) for
                                   value, name in ((gt_class, "gt_class"), (gt_track, "gt_track")))
         except TrackfuseError as exc:

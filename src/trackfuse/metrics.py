@@ -3,17 +3,17 @@
 Evaluation is frame-level: each detection with ground truth contributes one
 (gt, predicted) pair.  Macro F1 averages over the full label set including
 zero-support classes (their F1 counts as 0), which is why macro can sit far
-below weighted F1 on imbalanced data.  The pairs and the flip rate read all
-of a file's sequences from one :class:`~trackfuse.model.ColumnResult` in one
-pass.
+below weighted F1 on imbalanced data.  Accuracy and F1 read the plain
+read-only (C, C) counts that :func:`confusion` tabulates.  The pairs and the
+flip rate read all of a file's sequences from one
+:class:`~trackfuse.model.ColumnResult` in one pass.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,64 +37,45 @@ ALL_STAGES = (
 )
 
 
-class ConfusionMatrix:
-    """Square, non-negative count matrix, as :func:`confusion` builds it; rows are ground
-    truth, columns are predictions."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts: np.ndarray):
-        counts = np.asarray(counts, dtype=np.int64)
-        counts.setflags(write=False)
-        self.counts = counts
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(pairs, n_classes: int) -> ConfusionMatrix:
-    """Tabulate (ground truth, predicted) index pairs, an (M, 2) array or an iterable of pairs.
+def confusion(pairs: np.ndarray, n_classes: int) -> np.ndarray:
+    """Read-only (C, C) int64 counts of (ground truth, predicted) index pairs, an (M, 2) array
+    as :func:`evaluation_pairs` gives it; rows are ground truth, columns predictions.
 
     The first pair out of range is an error.
     """
-    index = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs)).reshape(-1, 2)
-    outside = ((index < 0) | (index >= n_classes)).any(axis=1)
+    outside = ((pairs < 0) | (pairs >= n_classes)).any(axis=1)
     if outside.any():
-        gt, pred = index[int(np.argmax(outside))].tolist()
+        gt, pred = pairs[int(np.argmax(outside))].tolist()
         raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
-    flat = index.astype(np.int64) @ np.array([n_classes, 1])
-    return ConfusionMatrix(np.bincount(flat, minlength=n_classes * n_classes)
-                           .reshape(n_classes, n_classes))
+    flat = pairs.astype(np.int64) @ np.array([n_classes, 1])
+    counts = np.bincount(flat, minlength=n_classes * n_classes).reshape(n_classes, n_classes)
+    counts.setflags(write=False)
+    return counts
 
 
-def accuracy_at_1(cm: ConfusionMatrix) -> float:
-    """Fraction of evaluated detections whose prediction matched ground truth."""
-    if cm.total == 0:
+def accuracy_at_1(counts: np.ndarray) -> float:
+    """Fraction of evaluated detections, tabulated as :func:`confusion` counts, whose
+    prediction matched ground truth."""
+    total = int(counts.sum())
+    if total == 0:
         raise EmptyEvaluation("no evaluated detections")
-    return float(np.trace(cm.counts)) / cm.total
+    return float(np.trace(counts)) / total
 
 
-@dataclass(frozen=True)
-class F1Scores:
+class F1Scores(NamedTuple):
     macro: float
     weighted: float
     per_class: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.per_class, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "per_class", arr)
 
-
-def f1_scores(cm: ConfusionMatrix) -> F1Scores:
-    """Per-class, macro, and support-weighted F1.
+def f1_scores(counts: np.ndarray) -> F1Scores:
+    """Per-class (read-only), macro, and support-weighted F1 of :func:`confusion` counts.
 
     Classes with P + R = 0 score 0 and still enter the macro mean.
     """
-    if cm.total == 0:
+    if counts.sum() == 0:
         raise EmptyEvaluation("no evaluated detections")
-    counts = cm.counts.astype(float)
+    counts = counts.astype(float)
     diag = np.diag(counts)
     support = counts.sum(axis=1)
     predicted = counts.sum(axis=0)
@@ -102,9 +83,10 @@ def f1_scores(cm: ConfusionMatrix) -> F1Scores:
     recall = np.divide(diag, support, out=np.zeros_like(diag), where=support > 0)
     pr = precision + recall
     per_class = np.divide(2.0 * precision * recall, pr, out=np.zeros_like(diag), where=pr > 0)
+    per_class.setflags(write=False)
     macro = float(per_class.mean())
     weighted = float((per_class * support).sum() / support.sum())
-    return F1Scores(macro=macro, weighted=weighted, per_class=per_class)
+    return F1Scores(macro, weighted, per_class)
 
 
 def label_flip_rate(result: ColumnResult, use_fused: bool) -> float:

@@ -23,11 +23,6 @@ PROB_FLOOR = 1e-12
 # stays finite while the argmax of any realistically confident class survives.
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 class LabelSet:
     """Ordered, closed set of class names; position in ``names`` is the class index."""
 
@@ -111,22 +106,6 @@ def index_value(value, name: str = "frame_id") -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise InvalidValue(f"{name} must be a non-negative integer, got {value!r}")
-
-
-def score_value(value) -> float:
-    """``value`` as a detector score in [0, 1]."""
-    score = float(value)
-    if not (math.isfinite(score) and 0.0 <= score <= 1.0):
-        raise InvalidValue(f"score must lie in [0, 1], got {score!r}")
-    return score
-
-
-def embedding_value(value) -> np.ndarray:
-    """``value`` as a read-only appearance vector: finite, non-empty and 1-D."""
-    emb = np.asarray(value, dtype=float)
-    if emb.ndim != 1 or emb.size == 0 or not np.isfinite(emb).all():
-        raise InvalidValue("embedding must be a finite, non-empty 1-D vector")
-    return _readonly(emb)
 
 
 def config_number(value, name: str, integral: bool = False):

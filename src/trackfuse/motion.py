@@ -106,10 +106,6 @@ class MotionModelSpec:
                              _dt=np.array(self.dt))
 
 
-def default_spec(model: MotionModel) -> MotionModelSpec:
-    return MotionModelSpec(model=model)
-
-
 def _noise(spec: MotionModelSpec, means: np.ndarray, name: str) -> np.ndarray:
     """Noise rows ``name`` of every state: (k, o, N), or (k, 1, 1) when constant (CENTROID_CV4).
 

@@ -90,8 +90,8 @@ class TrackerConfig:
         if self.centroid_gate <= 0.0:
             raise InvalidConfig("centroid_gate must be > 0")
         object.__setattr__(self, "_kalman", None if self.kind not in _KF_KINDS else (
-            self.motion_spec or motion.default_spec(
-                motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
+            self.motion_spec or motion.MotionModelSpec(
+                model=motion.MotionModel.CENTROID_CV4 if self.kind is TrackerKind.CENTROID_KF
                 else motion.MotionModel.SORT_CV7)))
 
     @classmethod

@@ -4,11 +4,12 @@ builders.
 
 The ``reference_*`` functions keep code the library replaced (scalar IoU, the
 numpy port of the block solver, one-track Kalman steps on dense matrices,
-per-pair centroid costs, per-track cosine loops, running-sum fusion, pairwise
-fusion folds, the one-vector probability fixpoint and the line-by-line
-detection parser) as references for the forms that replaced them.  They keep
-an object form of their own (``RefBox``, ``RefDetection``): the library has
-only columns, and ``columns_of``/``reference_frames`` convert between the two.
+per-pair centroid costs, per-track cosine loops, per-row unit vectors,
+running-sum fusion, pairwise fusion folds, the one-vector probability fixpoint
+and the line-by-line detection parser) as references for the forms that
+replaced them.  They keep an object form of their own (``RefBox``,
+``RefDetection``): the library has only columns, and
+``columns_of``/``reference_frames`` convert between the two.
 
 These deliberately reimplement the checked math through a different route
 (brute-force enumeration, per-candidate re-solves of the padded square
@@ -35,7 +36,7 @@ from trackfuse.errors import (
 )
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import open_text, read_labels
-from trackfuse.metrics import ConfusionMatrix, accuracy_at_1, f1_scores
+from trackfuse.metrics import accuracy_at_1, f1_scores
 from trackfuse.model import PROB_FLOOR, Columns, validate_distribution
 from trackfuse.trackers import TrackerKind, track_columns
 
@@ -252,7 +253,7 @@ def reference_solve_assignment(cost: CostMatrix) -> AssignmentResult:
     compete for sentinel columns here, so with exact ties it may leave a low
     row unmatched; on continuous costs its matching is the unique optimum.
     """
-    n_rows, n_cols = cost.shape
+    n_rows, n_cols = cost.values.shape
     if n_rows == 0 or n_cols == 0:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
 
@@ -626,6 +627,33 @@ def reference_cosine_matrix(embs, det_embs):
         cos[i, valid] = det_embs[valid] @ emb / (det_norms[valid] * t_norm)
         ok[i, valid] = True
     return cos, ok
+
+
+def _reference_squares(row) -> float:
+    """The correctly rounded sum of the squares of ``row``, inf once it passes the float range."""
+    try:
+        return math.fsum(x * x for x in row)
+    except OverflowError:  # finite squares whose sum is past the float range
+        return math.inf
+
+
+def reference_unit_rows(vecs) -> np.ndarray:
+    """Each row of ``vecs`` divided by its norm, one row at a time; zero rows stay zero.
+
+    A non-zero row whose squared norm under- or overflows to 0 or inf is first
+    divided by its largest magnitude, the rule of ``trackers._rescaled``.  The
+    norm is ``math.sqrt`` of a ``math.fsum``, where the tracker sums with numpy.
+    """
+    out = []
+    for row in np.asarray(vecs, dtype=float).tolist():
+        squares = _reference_squares(row)
+        if squares in (0.0, math.inf) and any(row):
+            top = max(map(abs, row))
+            row = [x / top for x in row]
+            squares = _reference_squares(row)
+        norm = math.sqrt(squares)
+        out.append([x / norm for x in row] if norm > 0.0 else row)
+    return np.array(out).reshape(np.shape(vecs))
 
 
 def _reference_vote_winner(votes: np.ndarray, mass: np.ndarray) -> int:
@@ -1137,7 +1165,7 @@ def reference_confusion(pairs, n_classes):
         raise IndexOutOfRange(f"pair ({gt}, {pred}) outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (index[:, 0], index[:, 1]), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 def reference_label_flip_rate(result, use_fused):
@@ -1205,7 +1233,7 @@ def reference_metrics_report(results, label_set, include_unmatched, with_flip_ra
         report["flip_rate"] = {key: sum(v) / len(v) if v else 0.0 for key, v in rates.items()}
     if with_per_class:
         scores = f1_scores(fused_cm)
-        support = fused_cm.counts.sum(axis=1)
+        support = fused_cm.sum(axis=1)
         report["per_class"] = [
             {"label": label_set[i], "f1": float(scores.per_class[i]), "support": int(support[i])}
             for i in range(len(label_set))

@@ -20,7 +20,6 @@ from trackfuse.cli import main as cli_main
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.io import read_columns, write_detections
 from trackfuse.metrics import (
-    ConfusionMatrix,
     accuracy_at_1,
     confusion,
     evaluation_pairs,
@@ -28,7 +27,7 @@ from trackfuse.metrics import (
     label_flip_rate,
 )
 from trackfuse.model import Columns, validate_distribution
-from trackfuse.motion import MotionModel, default_spec
+from trackfuse.motion import MotionModel, MotionModelSpec
 from trackfuse.synth import ScenarioConfig, generate_scenario
 from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
@@ -134,7 +133,7 @@ def test_criterion_3_kalman_matches_independent_oracle():
         rng = np.random.default_rng(11)
         steps = 0
         for model in (MotionModel.SORT_CV7, MotionModel.CENTROID_CV4):
-            spec = default_spec(model)
+            spec = MotionModelSpec(model=model)
             start = np.array([random_box(rng).as_tuple()]).T  # (4, 1) corner rows
             means, covs = motion.kf_init(motion.observe(spec, start), spec)
             for _ in range(500):
@@ -219,7 +218,7 @@ def test_criterion_6_camera_trap_sampler():
 
 def test_criterion_7_metrics_against_oracles():
     with criterion(7, "accuracy and F1 match hand counts and a scalar reimplementation"):
-        pairs = [(0, 0), (0, 1), (1, 1), (1, 1), (2, 0)]
+        pairs = np.array([(0, 0), (0, 1), (1, 1), (1, 1), (2, 0)])
         cm = confusion(pairs, 3)
         assert accuracy_at_1(cm) == pytest.approx(0.6, abs=1e-12)
         scores = f1_scores(cm)
@@ -233,7 +232,7 @@ def test_criterion_7_metrics_against_oracles():
             counts = rng.integers(0, 25, size=(n, n))
             if counts.sum() == 0:
                 counts[n - 1, 0] = 3
-            got = f1_scores(ConfusionMatrix(counts))
+            got = f1_scores(counts)
             diag = np.diag(counts).astype(float)
             pred = counts.sum(axis=0).astype(float)
             supp = counts.sum(axis=1).astype(float)
@@ -247,7 +246,7 @@ def test_criterion_7_metrics_against_oracles():
             assert abs(got.weighted - float((per * supp).sum() / supp.sum())) <= 1e-12
 
         equal = np.array([[3, 1, 0], [0, 2, 2], [1, 1, 2]])
-        scores = f1_scores(ConfusionMatrix(equal))
+        scores = f1_scores(equal)
         assert scores.weighted == pytest.approx(scores.macro, abs=1e-12)
 
 

@@ -163,7 +163,7 @@ class TestCostMatrix:
     def test_only_admissible_entries_must_be_finite(self, bad):
         values = np.array([[0.5, bad], [0.25, 0.75]])
         mask = np.array([[True, False], [True, True]])
-        assert CostMatrix(values, mask).shape == (2, 2)  # a gated-out entry may be anything
+        assert CostMatrix(values, mask).values.shape == (2, 2)  # a gated-out entry may be anything
         with pytest.raises(InvalidValue, match="admissible cost entries must be finite"):
             CostMatrix(values, np.ones((2, 2), dtype=bool))
 

@@ -105,6 +105,19 @@ class TestTrack:
                      "--labels", str(labels), "--output", str(tmp_path / "t.csv")])
         assert code == 2
 
+    def test_metrics_without_ground_truth_write_nothing(self, tmp_path, capsys):
+        dets, labels, out = tmp_path / "d.jsonl", tmp_path / "labels.txt", tmp_path / "t.csv"
+        dets.write_text("".join(json.dumps({"seq": "s", "frame": k, "bbox": [0, 0, 10, 10],
+                                            "score": 0.9, "probs": [0.6, 0.4]}) + "\n"
+                                for k in range(3)))
+        labels.write_text("a\nb\n")
+        code = main(["track", "--input", str(dets), "--labels", str(labels), "--output", str(out),
+                     "--metrics-out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no detections carry gt_class; nothing to evaluate\n")
+        assert set(tmp_path.iterdir()) == {dets, labels}  # neither the CSV nor the JSON
+
     def test_byte_identical_reruns(self, tmp_path, detection_file):
         dets, labels = detection_file
         outputs = []

@@ -1,6 +1,9 @@
 """Classification metrics against hand counts and a scalar reimplementation."""
 
+import gc
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from oracles import columns_of, detection, reference_frames
 from trackfuse.errors import EmptyEvaluation, IndexOutOfRange, NoEligibleTracks
 from trackfuse.fusion import FusionMode, relabel
 from trackfuse.metrics import (
-    ConfusionMatrix,
     StageTimer,
     accuracy_at_1,
     confusion,
@@ -22,7 +24,8 @@ from trackfuse.trackers import TrackerConfig, TrackerKind, track_columns
 
 # Five hand-tabulated pairs: gt 0 predicted 0 and 1; gt 1 predicted 1 twice;
 # gt 2 predicted 0.
-FIVE_PAIRS = [(0, 0), (0, 1), (1, 1), (1, 1), (2, 0)]
+FIVE_PAIRS = np.array([(0, 0), (0, 1), (1, 1), (1, 1), (2, 0)])
+NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
 def _scalar_f1(counts):
@@ -47,65 +50,93 @@ def _scalar_f1(counts):
 
 class TestConfusion:
     def test_empty_pairs(self):
-        cm = confusion([], 3)
-        assert cm.total == 0
-        assert np.array_equal(cm.counts, np.zeros((3, 3), dtype=int))
+        cm = confusion(NO_PAIRS, 3)
+        assert cm.dtype == np.int64
+        assert np.array_equal(cm, np.zeros((3, 3), dtype=int))
 
     def test_diagonal(self):
-        cm = confusion([(0, 0), (1, 1)], 2)
-        assert np.array_equal(cm.counts, [[1, 0], [0, 1]])
+        cm = confusion(np.array([(0, 0), (1, 1)]), 2)
+        assert np.array_equal(cm, [[1, 0], [0, 1]])
 
     def test_hand_tabulated(self):
         cm = confusion(FIVE_PAIRS, 3)
-        assert np.array_equal(cm.counts, [[1, 1, 0], [0, 2, 0], [1, 0, 0]])
+        assert np.array_equal(cm, [[1, 1, 0], [0, 2, 0], [1, 0, 0]])
+
+    def test_counts_are_read_only(self):
+        cm = confusion(FIVE_PAIRS, 3)
+        with pytest.raises(ValueError):
+            cm[0, 0] = 9
+
+    def test_marking_read_only_leaves_nothing_in_the_type_cache(self):
+        # ``arr.flags.writeable = False`` looks ``setflags`` up through a new name string on
+        # every call, and CPython's type cache keeps such strings, one per cache slot their
+        # addresses hash to: memory that outlives the call, a different amount in each
+        # process.  Clearing the cache frees exactly those strings.  A first round fills
+        # caches once; the collector is off because its callbacks (Hypothesis installs
+        # one) allocate too.
+        for _ in range(2000):
+            confusion(FIVE_PAIRS, 3)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for _ in range(2000):
+                confusion(FIVE_PAIRS, 3)
+            held = tracemalloc.get_traced_memory()[0]
+            sys._clear_type_cache()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert freed <= 0  # clearing may allocate a little itself
 
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            confusion([(0, 3)], 3)
+            confusion(np.array([(0, 3)]), 3)
         with pytest.raises(IndexOutOfRange):
-            confusion([(-1, 0)], 3)
+            confusion(np.array([(-1, 0)]), 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_equals_the_pair_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 12))
-        pairs = [tuple(p) for p in rng.integers(0, n, (int(rng.integers(0, 400)), 2)).tolist()]
+        pairs = rng.integers(0, n, (int(rng.integers(0, 400)), 2))
         counts = np.zeros((n, n), dtype=np.int64)
-        for gt, pred in pairs:
+        for gt, pred in pairs.tolist():
             counts[gt, pred] += 1
-        assert np.array_equal(confusion(iter(pairs), n).counts, counts)
+        assert np.array_equal(confusion(pairs, n), counts)
 
     @pytest.mark.parametrize("bad", [(3, 0), (0, -1), (-3, 2), (2, 10 ** 6)])
     def test_names_the_first_pair_out_of_range(self, bad):
         pairs = [(0, 1), (2, 2), bad, (-1, 5), (1, 0)]
         with pytest.raises(IndexOutOfRange, match=rf"^pair \({bad[0]}, {bad[1]}\) outside \[0, 3\)$"):
-            confusion(pairs, 3)
+            confusion(np.array(pairs), 3)
 
 
 class TestAccuracy:
     def test_perfect(self):
-        assert accuracy_at_1(confusion([(i, i) for i in range(4)], 4)) == 1.0
+        assert accuracy_at_1(confusion(np.array([(i, i) for i in range(4)]), 4)) == 1.0
 
     def test_all_wrong(self):
-        assert accuracy_at_1(confusion([(0, 1), (1, 0)], 2)) == 0.0
+        assert accuracy_at_1(confusion(np.array([(0, 1), (1, 0)]), 2)) == 0.0
 
     def test_hand_tabulated(self):
         assert accuracy_at_1(confusion(FIVE_PAIRS, 3)) == pytest.approx(0.6)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyEvaluation):
-            accuracy_at_1(confusion([], 3))
+            accuracy_at_1(confusion(NO_PAIRS, 3))
 
 
 class TestF1:
     def test_perfect(self):
-        scores = f1_scores(confusion([(i, i) for i in range(3)], 3))
+        scores = f1_scores(confusion(np.array([(i, i) for i in range(3)]), 3))
         assert scores.macro == 1.0
         assert scores.weighted == 1.0
 
     def test_absent_class_scores_zero_but_counts(self):
         # Class 2 never appears in gt or predictions: F1 = 0, still averaged.
-        scores = f1_scores(confusion([(0, 0), (1, 1)], 3))
+        scores = f1_scores(confusion(np.array([(0, 0), (1, 1)]), 3))
         assert scores.per_class[2] == 0.0
         assert scores.macro == pytest.approx(2.0 / 3.0)
         assert scores.weighted == 1.0
@@ -116,6 +147,7 @@ class TestF1:
         assert scores.per_class == pytest.approx([0.5, 0.8, 0.0])
         assert scores.macro == pytest.approx((0.5 + 0.8 + 0.0) / 3.0)
         assert scores.weighted == pytest.approx((2 * 0.5 + 2 * 0.8 + 1 * 0.0) / 5.0)
+        assert not scores.per_class.flags.writeable
 
     def test_matches_scalar_reimplementation(self):
         rng = np.random.default_rng(2)
@@ -124,7 +156,7 @@ class TestF1:
             counts = rng.integers(0, 20, size=(n, n))
             if counts.sum() == 0:
                 counts[0, 0] = 1
-            scores = f1_scores(ConfusionMatrix(counts))
+            scores = f1_scores(counts)
             want_per_class, want_macro, want_weighted = _scalar_f1(counts.tolist())
             assert np.max(np.abs(scores.per_class - np.asarray(want_per_class))) <= 1e-12
             assert abs(scores.macro - want_macro) <= 1e-12
@@ -142,7 +174,7 @@ class TestF1:
                 cols = rng.integers(0, n, size=support)
                 for c in cols:
                     counts[g, c] += 1
-            scores = f1_scores(ConfusionMatrix(counts))
+            scores = f1_scores(counts)
             assert scores.weighted == pytest.approx(scores.macro, abs=1e-12)
 
 

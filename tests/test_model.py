@@ -1,8 +1,5 @@
 """Core type validation, the corner check, and the distribution flooring contract."""
 
-import gc
-import sys
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +15,6 @@ from trackfuse.model import (
     PROB_FLOOR,
     ColumnResult,
     LabelSet,
-    _readonly,
     check_corners,
     track_runs,
     validate_distribution,
@@ -188,37 +184,6 @@ class TestValidateDistributionTable:
 
     def test_argmax_tie_breaks_low(self):
         assert int(np.argmax(_one([0.5, 0.5], 2))) == 0
-
-
-class TestReadOnly:
-    def test_is_readonly(self):
-        row = _readonly(np.array([0.3, 0.7]))
-        with pytest.raises(ValueError):
-            row[0] = 0.9
-
-    def test_marking_read_only_leaves_nothing_in_the_type_cache(self):
-        # ``arr.flags.writeable = False`` looks ``setflags`` up through a new name string on
-        # every call, and CPython's type cache keeps such strings, one per cache slot their
-        # addresses hash to: memory that outlives the call, a different amount in each
-        # process.  Clearing the cache frees exactly those strings.  A first round fills
-        # caches once; the collector is off because its callbacks (Hypothesis installs
-        # one) allocate too.
-        rows = [np.full(2, 0.5) for _ in range(2000)]
-        for row in rows:
-            _readonly(row)
-        gc.collect()
-        gc.disable()
-        tracemalloc.start()
-        try:
-            for row in rows:
-                _readonly(row)
-            held = tracemalloc.get_traced_memory()[0]
-            sys._clear_type_cache()
-            freed = held - tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-            gc.enable()
-        assert freed <= 0  # clearing may allocate a little itself
 
 
 class TestTrack:

@@ -24,15 +24,14 @@ from trackfuse.motion import (
     MotionModel,
     MotionModelSpec,
     corner_boxes,
-    default_spec,
     kf_init,
     kf_predict,
     kf_update,
     observe,
 )
 
-SORT = default_spec(MotionModel.SORT_CV7)
-CENTROID = default_spec(MotionModel.CENTROID_CV4)
+SORT = MotionModelSpec(model=MotionModel.SORT_CV7)
+CENTROID = MotionModelSpec(model=MotionModel.CENTROID_CV4)
 
 
 def _rel_err(a, b):

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import (
     columns_of,
@@ -19,6 +21,7 @@ from oracles import (
     reference_frames,
     reference_greedy_iou,
     reference_tracker_step,
+    reference_unit_rows,
     track_frames,
     tracked,
 )
@@ -33,6 +36,7 @@ from trackfuse.trackers import (
     _cosine_matrix,
     _geometric_cost,
     _greedy_iou,
+    _unit_rows,
     tracker_step,
 )
 
@@ -133,6 +137,20 @@ class TestCrossingScenario:
         # more tracks than objects.
         assert len(track_frames(result)) == 3
         assert any(len(s) > 1 for s in cover.values())
+
+    @pytest.mark.parametrize("kind", [TrackerKind.SORT, TrackerKind.BYTETRACK,
+                                      TrackerKind.CENTROID_KF, TrackerKind.APPEARANCE])
+    def test_steps_match_the_reference_step(self, kind):
+        # The occluded object reappears next to the other one's predicted box: a step that
+        # cost tracks at their last boxes instead would match differently from frame 12.
+        config = TrackerConfig(kind=kind)
+        state, ref = TrackerState(), TrackerState()
+        for frame_id, dets in _crossing_frames():
+            state, ids = _step(state, frame_id, dets, config)
+            ref, want = reference_tracker_step(ref, frame_id, dets, config)
+            assert ids.tolist() == [-1 if t is None else t for _, t in want], frame_id
+            for name in ("id", "age"):
+                assert state.table[name].tolist() == ref.table[name].tolist(), (frame_id, name)
 
     def test_motion_model_beats_position_matching_here(self):
         sort_cover = _gt_coverage(
@@ -373,6 +391,23 @@ class TestAppearance:
             state, _ = _step(state, f, [det], TrackerConfig(kind=kind))
         assert "emb" not in state.table
         assert set(state.table) <= {"id", "age", "box", "mean", "cov"}
+
+    @given(st.integers(1, 16).flatmap(lambda dim: st.lists(st.one_of(
+        st.just([0.0] * dim),  # a zero row stays zero
+        st.tuples(st.integers(0, dim - 1), st.floats(-200.0, 200.0)).map(  # one non-zero entry
+            lambda at: [10.0 ** at[1] if k == at[0] else 0.0 for k in range(dim)]),
+        st.lists(st.one_of(st.just(0.0), st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                                                   st.sampled_from([-1.0, 1.0]),
+                                                   st.floats(-200.0, 200.0))),
+                 min_size=dim, max_size=dim)), min_size=1, max_size=6)))
+    def test_unit_rows_match_the_reference(self, rows):
+        # Entries from 1e-200 to 1e200 put squared norms past both ends of the float range.
+        # The norms differ only in how the squares are summed: numpy's sum of at most 16
+        # squares is off by at most 15 half-ulps, halved by the square root, and fsum's by
+        # one; each quotient rounds once more.  So every entry lies within 8 ulps.
+        vecs = np.array(rows)
+        got, want = _unit_rows(vecs), reference_unit_rows(vecs)
+        assert (np.abs(got - want) <= 8 * np.spacing(np.abs(want))).all(), (got, want)
 
     def test_appearance_gate_blocks_foreign_embeddings(self):
         # Same geometry, orthogonal embedding: the fused gate must reject it.
